@@ -66,7 +66,7 @@ func run() int {
 		auditOn   = flag.Bool("audit", false, "enable runtime verification (SKB ledger, conservation invariants, watchdog); breaches abort with a replayable dump")
 		cacheOn   = flag.Bool("cache", false, "enable the ONCache-style RX decap fast path (per-core flow caches) on every experiment host")
 		deadline  = flag.Duration("deadline", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
-		maxEvents = flag.Uint64("max-events", 0, "abort any single experiment after firing this many engine events (0 = no limit)")
+		maxEvents = flag.Uint64("max-events", 0, "abort any single experiment after executing this many engine events, fired plus CPU slices run ahead inline (0 = no limit)")
 		replay    = flag.String("replay", "", "re-run the exact experiment/seed/config named in an audit dump's header and exit")
 		reconfigF = flag.String("reconfig", "", "JSON generation schedule for abl-reconfig (replaces its built-in rolling-upgrade/drain/flip plan)")
 		crashF    = flag.String("crash", "", "JSON crash schedule for abl-crash (replaces its built-in server crash/reboot plan)")
@@ -569,8 +569,8 @@ func benchReport(path, baselinePath string, shards int, opt experiments.Options)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr,
-		"falconsim: bench: %.0f events/s, %.0f ns/pkt, %.1f allocs/pkt, %s speedup %.2fx (%d shards, %d cpus; auto → %dx%d, %.2fx), %d windows (%.0f sim-ns avg, %.1f msgs/window, %.0f%% idle)\n",
-		hot.EventsPerSec, hot.NsPerPacket, hot.AllocsPerPacket,
+		"falconsim: bench: %.0f events/s (%d fired, %d slices inlined), %.0f ns/pkt, %.1f allocs/pkt, %s speedup %.2fx (%d shards, %d cpus; auto → %dx%d, %.2fx), %d windows (%.0f sim-ns avg, %.1f msgs/window, %.0f%% idle)\n",
+		hot.EventsPerSec, hot.Events, hot.Inlined, hot.NsPerPacket, hot.AllocsPerPacket,
 		shardBenchExp, rep.Sharded.Speedup, shards, rep.Sharded.NumCPU,
 		autoShards, autoWorkers, rep.Auto.Speedup,
 		ws.Windows, rep.Sharded.Windows.AvgWidthSimNs, rep.Sharded.Windows.MsgsPerWindow,

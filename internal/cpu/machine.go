@@ -118,12 +118,16 @@ type workItem struct {
 }
 
 // workQueue is a FIFO of work items that recycles its backing array:
-// popping advances a head index instead of reslicing, and a fully
-// drained queue rewinds to the front of the array. The drain-refill
-// cycle of a softirq queue under load then stops allocating entirely —
-// with the `q = q[1:]` idiom every drain strands the array's capacity
-// behind the slice pointer and the next push reallocates from scratch
-// (this was the single largest allocation site on the packet hot path).
+// popping advances a head index instead of reslicing, a fully drained
+// queue rewinds to the front of the array, and once the consumed head
+// passes half the array's capacity the live tail is copied down to the
+// front. The drain-refill cycle of a softirq queue under load then stops
+// allocating entirely — with the `q = q[1:]` idiom every drain strands
+// the array's capacity behind the slice pointer and the next push
+// reallocates from scratch — and a queue that never drains (a core that
+// never goes idle) keeps its array within a small multiple of its peak
+// depth instead of growing for the whole run. Each copy moves fewer
+// items than were popped since the last one, so it is O(1) amortized.
 type workQueue struct {
 	items []workItem
 	head  int
@@ -137,6 +141,11 @@ func (q *workQueue) pop() workItem {
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head*2 >= cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[q.head:]) // the moved items' old slots
+		q.items = q.items[:n]
 		q.head = 0
 	}
 	return it
@@ -280,34 +289,46 @@ func (c *Core) next() (workItem, bool) {
 }
 
 func (c *Core) dispatch() {
+	if c.start() {
+		c.m.E.AfterArg(c.cur.cost, coreComplete, c)
+	}
+}
+
+// start makes the next queued item the in-flight one and reports whether
+// there was one; a frozen core leaves its queues in place (SetStalled and
+// SetOffline re-enter dispatch on resume).
+func (c *Core) start() bool {
 	if c.stalled || c.offline {
-		// Frozen: leave queued work in place. SetStalled/SetOffline
-		// re-enter dispatch on resume.
 		c.busy = false
-		return
+		return false
 	}
 	item, ok := c.next()
-	if !ok {
-		c.busy = false
-		return
-	}
-	c.busy = true
-	c.cur = item
-	c.m.E.AfterArg(item.cost, coreComplete, c)
+	c.busy, c.cur = ok, item
+	return ok
 }
 
 // coreComplete finishes the core's in-flight slice: charge accounting,
-// run the completion, dispatch the next item. Package-level so dispatch
-// needs no per-slice closure.
+// run the completion, start the next item. When that item's completion
+// is provably the engine's next event (sim.Engine.RunAhead), it finishes
+// here too, in a loop, instead of taking a schedule and a fire each.
+// Package-level so dispatch needs no per-slice closure.
 func coreComplete(v any) {
 	c := v.(*Core)
-	item := c.cur
-	c.cur = workItem{} // release the completion closure for reuse
-	end := int64(c.m.E.Now())
-	c.m.Acct.Charge(c.id, item.ctx, int64(item.cost), end)
-	c.m.Prof.Charge(c.id, item.fn, int64(item.cost))
-	if item.run != nil {
-		item.run()
+	e := c.m.E
+	for {
+		item := c.cur
+		c.cur = workItem{} // release the completion closure for reuse
+		c.m.Acct.Charge(c.id, item.ctx, int64(item.cost), int64(e.Now()))
+		c.m.Prof.Charge(c.id, item.fn, int64(item.cost))
+		if item.run != nil {
+			item.run()
+		}
+		if !c.start() {
+			return
+		}
+		if !e.RunAhead(e.Now() + c.cur.cost) {
+			e.AfterArg(c.cur.cost, coreComplete, c)
+			return
+		}
 	}
-	c.dispatch()
 }

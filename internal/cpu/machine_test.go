@@ -227,6 +227,83 @@ func TestOnTickCallback(t *testing.T) {
 	}
 }
 
+// TestWorkQueueStaysBounded: a queue kept non-empty through a million
+// push/pop pairs never drains fully, so only the half-array compaction
+// keeps its backing array from growing for the whole run.
+func TestWorkQueueStaysBounded(t *testing.T) {
+	var q workQueue
+	for i := 0; i < 8; i++ {
+		q.push(workItem{cost: sim.Time(i)})
+	}
+	for i := 8; i < 1_000_000+8; i++ {
+		q.push(workItem{cost: sim.Time(i)})
+		if it := q.pop(); it.cost != sim.Time(i-8) {
+			t.Fatalf("pop %d returned item %d: FIFO order broken", i-8, it.cost)
+		}
+	}
+	if q.len() != 8 {
+		t.Fatalf("len = %d, want 8", q.len())
+	}
+	if c := cap(q.items); c > 64 {
+		t.Fatalf("backing array grew to cap %d for 8 live items", c)
+	}
+}
+
+// TestRunAheadBudget: a zero-cost item that resubmits itself on an
+// otherwise idle engine is always the engine's next event, so the core
+// runs it ahead inline forever inside one fired event. The event budget
+// counts inlined slices, so it still stops the runaway.
+func TestRunAheadBudget(t *testing.T) {
+	e, m := newTestMachine(1)
+	c := m.Core(0)
+	var spin func()
+	spin = func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 0, spin) }
+	c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 0, spin)
+	e.SetEventBudget(1000)
+	defer func() {
+		if _, ok := recover().(*sim.BudgetExceeded); !ok {
+			t.Fatal("expected *sim.BudgetExceeded panic")
+		}
+		if e.Fired() != 1 || e.Inlined() != 1000 {
+			t.Fatalf("fired %d, inlined %d; want 1 and 1000", e.Fired(), e.Inlined())
+		}
+	}()
+	e.Run()
+}
+
+// TestRunAheadExact: slices inline only while no other event comes
+// first, and every completion lands at the same time either way.
+func TestRunAheadExact(t *testing.T) {
+	e, m := newTestMachine(1)
+	c := m.Core(0)
+	var done []sim.Time
+	for i := 0; i < 3; i++ {
+		c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100, func() { done = append(done, e.Now()) })
+	}
+	// A tie at the second slice's completion: the timer was scheduled
+	// first, so it fires first and the second slice cannot inline.
+	var timerAt sim.Time
+	e.At(200, func() { timerAt = e.Now() })
+	e.Run()
+	want := []sim.Time{100, 200, 300}
+	for i := range want {
+		if done[i] != want[i] {
+			t.Fatalf("completions at %v, want %v", done, want)
+		}
+	}
+	if timerAt != 200 {
+		t.Fatalf("timer fired at %v, want 200", timerAt)
+	}
+	// Fired: the first two completions and the timer; the third slice
+	// ran ahead inside the second completion.
+	if e.Fired() != 3 || e.Inlined() != 1 {
+		t.Fatalf("fired %d, inlined %d; want 3 and 1", e.Fired(), e.Inlined())
+	}
+	if m.Acct.Busy(0, stats.CtxSoftIRQ) != 300 {
+		t.Fatalf("charged %d, want 300", m.Acct.Busy(0, stats.CtxSoftIRQ))
+	}
+}
+
 func TestResetMeasurement(t *testing.T) {
 	e, m := newTestMachine(1)
 	m.Core(0).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100, nil)

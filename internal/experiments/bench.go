@@ -18,9 +18,12 @@ type HotPathBench struct {
 	// WallSeconds is host wall-clock time for the run.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Events is the number of simulation events fired; EventsPerSec is
-	// the engine's dispatch throughput.
+	// the engine's dispatch throughput. Inlined counts the CPU slices run
+	// ahead inside another event (sim.Engine.RunAhead): work the engine
+	// did without firing an event for it, so not part of EventsPerSec.
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	Inlined      uint64  `json:"inlined"`
 	// Packets is the number of packets the server application consumed
 	// during the measured window.
 	Packets uint64 `json:"packets"`
@@ -58,6 +61,7 @@ func BenchHotPath(opt Options) HotPathBench {
 		WallSeconds:     wall,
 		Events:          events,
 		EventsPerSec:    float64(events) / wall,
+		Inlined:         tb.E.Inlined(),
 		Packets:         packets,
 		NsPerPacket:     wall * 1e9 / float64(packets),
 		AllocsPerPacket: float64(m1.Mallocs-m0.Mallocs) / float64(packets),

@@ -28,7 +28,8 @@ type Options struct {
 	// with an *audit.Abort panic.
 	Audit bool
 	// MaxEvents, when positive, aborts the run with *sim.BudgetExceeded
-	// after firing that many engine events (a runaway-simulation guard).
+	// after executing that many engine events, fired plus inlined (a
+	// runaway-simulation guard).
 	MaxEvents uint64
 	// Shards > 1 runs each experiment's simulation on a conservative
 	// PDES cluster with that many shards (one logical process per

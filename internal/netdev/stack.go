@@ -162,8 +162,10 @@ type backlogEntry struct {
 
 // entryQueue is a FIFO of backlog entries that recycles its backing
 // array (same shape as cpu's workQueue): popping advances a head index,
-// and a fully drained queue rewinds to the array's front so the
-// steady-state drain-refill cycle never reallocates.
+// a fully drained queue rewinds to the array's front, and once the
+// consumed head passes half the capacity the live tail is copied to the
+// front, so the steady-state drain-refill cycle never reallocates and a
+// backlog that never drains stays bounded.
 type entryQueue struct {
 	items []backlogEntry
 	head  int
@@ -177,6 +179,11 @@ func (q *entryQueue) pop() backlogEntry {
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head*2 >= cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[q.head:]) // the moved entries' old slots
+		q.items = q.items[:n]
 		q.head = 0
 	}
 	return e

@@ -39,16 +39,19 @@ type RunResult struct {
 
 	FalconFirst, FalconSecond, FalconGated uint64
 
-	Fired uint64 // total engine events — the strictest determinism probe
+	// Fired and Inlined count engine events fired and CPU slices run
+	// ahead inline — the strictest determinism probes. Both depend on
+	// how the engine is sharded, so cross-shard comparisons clear them.
+	Fired, Inlined uint64
 }
 
 // Fingerprint renders everything measurable; byte-equal fingerprints
 // mean the runs were indistinguishable.
 func (r RunResult) Fingerprint() string {
-	return fmt.Sprintf("falcon=%t delivered=%d tcpbytes=%d pps=%.6f p50=%d p99=%d p999=%d max=%d nic=%d backlog=%d sock=%d hirq=%d netrx=%d res=%d f1=%d f2=%d gated=%d fired=%d",
+	return fmt.Sprintf("falcon=%t delivered=%d tcpbytes=%d pps=%.6f p50=%d p99=%d p999=%d max=%d nic=%d backlog=%d sock=%d hirq=%d netrx=%d res=%d f1=%d f2=%d gated=%d fired=%d inlined=%d",
 		r.Falcon, r.Delivered, r.TCPBytes, r.PPS, r.P50, r.P99, r.P999, r.MaxLat,
 		r.NICDrops, r.BacklogDrops, r.SocketDrops, r.HardIRQs, r.NetRX, r.RES,
-		r.FalconFirst, r.FalconSecond, r.FalconGated, r.Fired)
+		r.FalconFirst, r.FalconSecond, r.FalconGated, r.Fired, r.Inlined)
 }
 
 // AccountResult is one drain-complete accounting run: traffic stops at
@@ -321,7 +324,7 @@ func Measure(sc Scenario, falcon bool) RunResult {
 		P50:       res.Latency.P50, P99: res.Latency.P99, P999: res.Latency.P999, MaxLat: res.Latency.Max,
 		NICDrops: res.NICDrops, BacklogDrops: res.BacklogDrops, SocketDrops: res.SocketDrops,
 		HardIRQs: res.HardIRQs, NetRX: res.NetRX, RES: res.RES,
-		Fired: b.tb.E.Fired(),
+		Fired: b.tb.E.Fired(), Inlined: b.tb.E.Inlined(),
 	}
 	for _, c := range b.tcp {
 		out.TCPBytes += c.BytesAssembled.Value()

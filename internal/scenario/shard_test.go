@@ -13,12 +13,13 @@ import (
 // serial semantics across every datapath shape the fuzzer has found
 // worth remembering.
 //
-// The one field excluded is RunResult.Fired: a cross-shard frame fires
-// two engine events (the sender-side serializer retire plus the posted
-// delivery on the receiving shard) where the serial engine fires one,
-// so raw event counts legitimately differ by exactly the cross-shard
-// frame count. Everything observable about the simulated system must
-// not.
+// The fields excluded are RunResult.Fired and Inlined: a cross-shard
+// frame fires two engine events (the sender-side serializer retire plus
+// the posted delivery on the receiving shard) where the serial engine
+// fires one, and a shard sees fewer foreign events than the serial
+// engine, so it runs more CPU slices ahead inline. Raw event counts
+// legitimately differ; everything observable about the simulated system
+// must not.
 func TestCorpusShardInvariance(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
@@ -42,6 +43,7 @@ func TestCorpusShardInvariance(t *testing.T) {
 				mWant := Measure(serial, falcon)
 				mGot := Measure(sharded, falcon)
 				mWant.Fired, mGot.Fired = 0, 0
+				mWant.Inlined, mGot.Inlined = 0, 0
 				if want, got := mWant.Fingerprint(), mGot.Fingerprint(); got != want {
 					t.Errorf("falcon=%t: sharded Measure diverges\nserial:  %s\nsharded: %s", falcon, want, got)
 				}
@@ -61,10 +63,16 @@ func TestCorpusShardInvariance(t *testing.T) {
 // (graceful drain with twin handoff) — on a 2-shard cluster with
 // adaptive safe-horizon windows on and off, and requires bit-identical
 // measurement and accounting between the two. Unlike the serial
-// comparison, Fired is included: both runs are sharded, so even raw
-// event counts must match — adaptive horizons may only move window
-// barriers, never an event.
+// comparison, raw event counts are included: both runs are sharded, so
+// the executed events (fired plus inlined) must match — adaptive
+// horizons may only move window barriers, never an event. Only the
+// split between the two may move, since a window end also bounds how
+// far a core runs ahead.
 func TestCorpusAdaptiveShardInvariance(t *testing.T) {
+	executed := func(r RunResult) RunResult {
+		r.Fired, r.Inlined = r.Fired+r.Inlined, 0
+		return r
+	}
 	for _, name := range []string{"det-udp-flood.json", "reconfig-drain.json"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -78,8 +86,8 @@ func TestCorpusAdaptiveShardInvariance(t *testing.T) {
 				adaptive, fixed := sc, sc
 				fixed.FixedHorizon = true
 
-				mWant := Measure(fixed, falcon)
-				mGot := Measure(adaptive, falcon)
+				mWant := executed(Measure(fixed, falcon))
+				mGot := executed(Measure(adaptive, falcon))
 				if want, got := mWant.Fingerprint(), mGot.Fingerprint(); got != want {
 					t.Errorf("falcon=%t: adaptive Measure diverges\nfixed:    %s\nadaptive: %s", falcon, want, got)
 				}

@@ -274,11 +274,21 @@ func (c *Cluster) SetEventBudget(n uint64) {
 	}
 }
 
-// Fired returns the total events executed across all engines.
+// Fired returns the total events fired across all engines.
 func (c *Cluster) Fired() uint64 {
 	n := c.global.Fired()
 	for _, lp := range c.lps {
 		n += lp.Fired()
+	}
+	return n
+}
+
+// Inlined returns the total RunAhead steps across all engines. A shard
+// sees fewer foreign events than the serial engine, so it inlines more.
+func (c *Cluster) Inlined() uint64 {
+	n := c.global.Inlined()
+	for _, lp := range c.lps {
+		n += lp.Inlined()
 	}
 	return n
 }
@@ -448,9 +458,8 @@ func (c *Cluster) drain() {
 const maxTime = Time(math.MaxInt64)
 
 // minNext fills c.nexts and returns the earliest pending LP event time.
-// Engine.NextAt is O(1) for engines untouched since their last scan
-// (the cached-hint fast path), so this sweep costs O(shards) loads, not
-// O(shards) wheel scans.
+// Engine.NextAt reads the engine's cached hint, so this sweep costs
+// O(shards) loads, not O(shards) wheel scans.
 func (c *Cluster) minNext() (Time, bool) {
 	t, ok := maxTime, false
 	for i, lp := range c.lps {

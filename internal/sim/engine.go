@@ -147,15 +147,17 @@ func (t *Timer) Stop() bool {
 
 // Engine is the discrete-event simulation core.
 type Engine struct {
-	now     Time
-	cur     uint64 // wheel cursor; now >= Time(cur) always
-	seq     uint64
-	live    int // scheduled, uncancelled events (all structures)
-	rng     *Rand
-	stopped bool
-	fired   uint64
-	budget  uint64 // max events to fire; 0 = unlimited
-	shard   int    // logical-process index when owned by a Cluster
+	now      Time
+	cur      uint64 // wheel cursor; now >= Time(cur) always
+	seq      uint64
+	live     int // scheduled, uncancelled events (all structures)
+	rng      *Rand
+	stopped  bool
+	deadline Time // current run's deadline; -1 outside Run/RunUntil
+	fired    uint64
+	inlined  uint64 // work run ahead inline (RunAhead) instead of fired
+	budget   uint64 // max events to fire or inline; 0 = unlimited
+	shard    int    // logical-process index when owned by a Cluster
 
 	due bucket // events at exactly cur, ready to fire, seq-ordered
 
@@ -166,14 +168,14 @@ type Engine struct {
 	heap     []*event // overflow: at - cur >= wheelHorizon when added
 	heapDead int      // cancelled events still in heap (lazily compacted)
 
-	// nextHint caches a lower bound on the next firing boundary so a
-	// Cluster's per-window NextAt sweep over idle logical processes is
-	// O(1) instead of a full wheel scan. math.MaxUint64 means "dirty":
-	// the next NextAt call rescans and re-caches. The invariant is
-	// one-sided — the hint may go stale-low (after a cancel or fire) but
-	// never stale-high, so NextAt's lower-bound contract holds; stale-low
-	// hints self-heal on the next advance(), which refreshes the cache
-	// with a fresh scan when it runs out of due events.
+	// nextHint is always a lower bound on the next cursor boundary: the
+	// firing time, or the cascade boundary on the way to it, of every
+	// pending event outside the due list (math.MaxUint64 when there is
+	// none). advance() rescans it once after collecting each slot and
+	// jumps straight to it on the next call; schedule() min-updates it.
+	// The bound is one-sided — a cancel may leave it stale-low, never
+	// stale-high — so NextAt and RunAhead are single compares, and a
+	// stale-low hint costs at most one empty cursor jump.
 	nextHint uint64
 
 	free *event // recycled event free list, linked via next
@@ -181,9 +183,7 @@ type Engine struct {
 
 // New returns an engine with its clock at zero, seeded with seed.
 func New(seed uint64) *Engine {
-	e := &Engine{rng: NewRand(seed), nextHint: math.MaxUint64}
-	e.due.level = -1
-	return e
+	return NewShared(NewRand(seed))
 }
 
 // NewShared returns an engine whose root RNG is the caller-supplied
@@ -192,7 +192,7 @@ func New(seed uint64) *Engine {
 // consume the single root stream in exactly the order the serial
 // engine would — the foundation of shard-count byte-identity.
 func NewShared(r *Rand) *Engine {
-	e := &Engine{rng: r, nextHint: math.MaxUint64}
+	e := &Engine{rng: r, nextHint: math.MaxUint64, deadline: -1}
 	e.due.level = -1
 	return e
 }
@@ -214,13 +214,14 @@ func (e *Engine) SetClock(t Time) {
 }
 
 // NextAt returns a lower bound on the firing time of the engine's next
-// event, and whether any event is pending. The bound is exact when the
-// next event sits in the due list, in wheel level 0 or in the overflow
-// heap; for events parked in upper wheel levels it may return the next
-// cascade boundary instead (a time strictly before the event, never
-// after it). Underestimation is safe for window-based synchronization:
-// the window merely shrinks to the boundary and the next iteration
-// makes strict progress.
+// event, and whether any event is pending. It reads the cached hint, so
+// it is O(1): the bound is exact right after a scan when the next event
+// sits in wheel level 0 or the overflow heap; for events parked in upper
+// wheel levels it may be the next cascade boundary instead, and a cancel
+// may leave it stale-low (a time before the event, never after it).
+// Underestimation is safe for window-based synchronization: the window
+// merely shrinks to the bound and the next iteration makes strict
+// progress.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.live == 0 {
 		return 0, false
@@ -228,45 +229,44 @@ func (e *Engine) NextAt() (Time, bool) {
 	if e.due.head != nil { // only after Stop mid-run
 		return e.now, true
 	}
-	if h := e.nextHint; h != math.MaxUint64 {
-		// Cached lower bound from the last scan (kept current by
-		// schedule's min-updates). Cancels may have left it stale-low,
-		// which only shrinks the caller's window — still correct.
-		t := Time(h)
-		if t < e.now {
-			t = e.now
-		}
-		return t, true
-	}
-	m := uint64(math.MaxUint64)
-	if e.levelCount[0] > 0 {
-		if d := nextOccupied(&e.occ[0], int(e.cur&wheelMask)); d > 0 {
-			m = e.cur + uint64(d)
-		}
-	}
-	for l := 1; l < wheelLevels; l++ {
-		if e.levelCount[l] == 0 {
-			continue
-		}
-		shift := uint(wheelBits * l)
-		if d := nextOccupied(&e.occ[l], int((e.cur>>shift)&wheelMask)); d > 0 {
-			if b := ((e.cur >> shift) + uint64(d)) << shift; b < m {
-				m = b
-			}
-		}
-	}
-	if hm, ok := e.heapMin(); ok && hm < m {
-		m = hm
-	}
-	if m == math.MaxUint64 {
-		return 0, false
-	}
-	e.nextHint = m
-	t := Time(m)
+	t := Time(e.nextHint)
 	if t < e.now {
 		t = e.now
 	}
 	return t, true
+}
+
+// RunAhead lets the callback of the event being fired run its own
+// successor inline: it reports whether an event scheduled now at t would
+// be the engine's next event to fire within the current run and, if so,
+// advances the clock to t as firing it would. The caller then performs
+// that event's work directly, with no schedule and no fire.
+//
+// It is exact, not a heuristic: t must lie strictly below nextHint (a
+// lower bound on every pending event outside the due list), the due list
+// must be empty, t must not pass the current Run/RunUntil deadline, and
+// the run must not have been stopped. An equal-time pending event fires
+// first (it was scheduled earlier), hence the strict bound. The wheel
+// cursor is not moved; the engine already tolerates a cursor behind the
+// clock. Outside a run, and for t before now, RunAhead reports false.
+// Inlined work counts towards the event budget and is reported by
+// Inlined.
+func (e *Engine) RunAhead(t Time) bool {
+	if uint64(t) >= e.nextHint || t > e.deadline || t < e.now || e.due.head != nil || e.stopped {
+		return false
+	}
+	e.inlined++
+	if e.budget > 0 && e.fired+e.inlined > e.budget {
+		e.overBudget()
+	}
+	e.now = t
+	return true
+}
+
+// overBudget raises the event-budget panic. A separate function keeps
+// RunAhead within the compiler's inlining budget.
+func (e *Engine) overBudget() {
+	panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
 }
 
 // Shard returns the engine itself: a serial engine is its own (only)
@@ -279,8 +279,13 @@ func (e *Engine) NumShards() int { return 1 }
 // Rand returns the engine's root RNG. Components should Fork it.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// Fired returns the number of events executed so far (for diagnostics).
+// Fired returns the number of events fired from the queue so far (for
+// diagnostics). Work run ahead inline is counted by Inlined instead.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Inlined returns the number of RunAhead steps taken so far: events that
+// would have been scheduled and fired next, executed inline instead.
+func (e *Engine) Inlined() uint64 { return e.inlined }
 
 // BudgetExceeded is the panic value raised when an engine passes its
 // event budget — the runaway-simulation backstop behind falconsim's
@@ -292,11 +297,12 @@ type BudgetExceeded struct {
 }
 
 func (b *BudgetExceeded) Error() string {
-	return fmt.Sprintf("sim: event budget exceeded: %d events fired, sim time %v", b.Limit, b.Now)
+	return fmt.Sprintf("sim: event budget exceeded: %d events fired or inlined, sim time %v", b.Limit, b.Now)
 }
 
-// SetEventBudget caps the number of events this engine may fire; firing
-// past the cap panics with *BudgetExceeded. 0 removes the cap.
+// SetEventBudget caps the number of events this engine may execute,
+// fired and inlined together; passing the cap panics with
+// *BudgetExceeded. 0 removes the cap.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // Pending returns the number of scheduled, uncancelled events. O(1):
@@ -332,11 +338,8 @@ func (e *Engine) schedule(ev *event) {
 	e.live++
 	x := uint64(ev.at) ^ e.cur
 	if x == 0 {
-		// Due events fire at the cursor, at or below every other
-		// candidate boundary, so the cursor is always a safe hint.
-		if e.cur < e.nextHint {
-			e.nextHint = e.cur
-		}
+		// Due events are outside the hint: they fire before any cursor
+		// move, and RunAhead checks the due list directly.
 		e.due.insert(ev)
 		return
 	}
@@ -346,20 +349,17 @@ func (e *Engine) schedule(ev *event) {
 	// until it reaches the due list at exactly its firing time.
 	l := (bits.Len64(x) - 1) / wheelBits
 	if l >= wheelLevels {
-		if e.nextHint != math.MaxUint64 && uint64(ev.at) < e.nextHint {
+		if uint64(ev.at) < e.nextHint {
 			e.nextHint = uint64(ev.at)
 		}
 		e.heapPush(ev)
 		return
 	}
 	// The new event's scan candidate at level l is its firing time with
-	// the sub-level digits cleared. Min-merging it keeps the cached hint
-	// a valid lower bound; when the hint is dirty (MaxUint64) it stays
-	// dirty — a partial min over new events only would overestimate.
-	if e.nextHint != math.MaxUint64 {
-		if f := uint64(ev.at) &^ (uint64(1)<<(wheelBits*l) - 1); f < e.nextHint {
-			e.nextHint = f
-		}
+	// the sub-level digits cleared: min-merging it keeps the hint a lower
+	// bound.
+	if f := uint64(ev.at) &^ (uint64(1)<<(wheelBits*l) - 1); f < e.nextHint {
+		e.nextHint = f
 	}
 	slot := int(uint64(ev.at)>>(wheelBits*l)) & wheelMask
 	b := &e.levels[l][slot]
@@ -460,23 +460,20 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) Timer {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for e.live > 0 && !e.stopped {
-		if e.due.head == nil {
-			if !e.advance(math.MaxUint64) {
-				return
-			}
-			continue
-		}
-		e.fireOne()
-	}
-}
+func (e *Engine) Run() { e.run(maxTime) }
 
 // RunUntil executes events with at <= deadline, then sets the clock to
 // deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
+	e.run(deadline)
+	if !e.stopped && e.now < deadline {
+		e.now = deadline
+	}
+}
+
+func (e *Engine) run(deadline Time) {
 	e.stopped = false
+	e.deadline = deadline
 	for e.live > 0 && !e.stopped {
 		if e.due.head == nil {
 			if !e.advance(uint64(deadline)) {
@@ -486,9 +483,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.fireOne()
 	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
+	e.deadline = -1
 }
 
 // fireOne pops the head of the due list and runs it. The event is
@@ -504,8 +499,8 @@ func (e *Engine) fireOne() {
 	e.recycle(ev)
 	e.live--
 	e.fired++
-	if e.budget > 0 && e.fired > e.budget {
-		panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
+	if e.budget > 0 && e.fired+e.inlined > e.budget {
+		e.overBudget()
 	}
 	if fn != nil {
 		fn()
@@ -536,36 +531,14 @@ func nextOccupied(bm *[wheelSlots / 64]uint64, from int) int {
 // advance jumps the wheel cursor to the next event time (or cascade
 // boundary on the way to it) at or before deadline, filling the due
 // list. It reports false when nothing fires at or before the deadline.
+// The jump target is the hint; a stale-low one costs an empty jump.
 func (e *Engine) advance(deadline uint64) bool {
 	for e.due.head == nil {
-		m := uint64(math.MaxUint64)
-		if e.levelCount[0] > 0 {
-			if d := nextOccupied(&e.occ[0], int(e.cur&wheelMask)); d > 0 {
-				m = e.cur + uint64(d)
-			}
-		}
-		for l := 1; l < wheelLevels; l++ {
-			if e.levelCount[l] == 0 {
-				continue
-			}
-			shift := uint(wheelBits * l)
-			if d := nextOccupied(&e.occ[l], int((e.cur>>shift)&wheelMask)); d > 0 {
-				if b := ((e.cur >> shift) + uint64(d)) << shift; b < m {
-					m = b
-				}
-			}
-		}
-		if hm, ok := e.heapMin(); ok && hm < m {
-			m = hm
-		}
-		if m == math.MaxUint64 || m > deadline {
-			e.nextHint = m // fresh scan: exact boundary (or dirty if empty)
+		m := e.nextHint
+		if m > deadline {
 			return false
 		}
 		e.cur = m
-		// Cursor moved: every cached candidate is relative to the old
-		// cursor position. Dirty the hint; the exit path above re-caches.
-		e.nextHint = math.MaxUint64
 		if t := Time(m); t > e.now {
 			e.now = t
 		}
@@ -600,8 +573,36 @@ func (e *Engine) advance(deadline uint64) bool {
 			}
 			e.due.insert(ev)
 		}
+		e.nextHint = e.scan()
 	}
 	return true
+}
+
+// scan returns the next cursor boundary past the cursor: the earliest
+// occupied level-0 slot, upper-level cascade boundary or live heap
+// event, or math.MaxUint64 when nothing is pending outside the due list.
+func (e *Engine) scan() uint64 {
+	m := uint64(math.MaxUint64)
+	if e.levelCount[0] > 0 {
+		if d := nextOccupied(&e.occ[0], int(e.cur&wheelMask)); d > 0 {
+			m = e.cur + uint64(d)
+		}
+	}
+	for l := 1; l < wheelLevels; l++ {
+		if e.levelCount[l] == 0 {
+			continue
+		}
+		shift := uint(wheelBits * l)
+		if d := nextOccupied(&e.occ[l], int((e.cur>>shift)&wheelMask)); d > 0 {
+			if b := ((e.cur >> shift) + uint64(d)) << shift; b < m {
+				m = b
+			}
+		}
+	}
+	if hm, ok := e.heapMin(); ok && hm < m {
+		m = hm
+	}
+	return m
 }
 
 // cascade redistributes one upper-level slot into the levels below (or

@@ -32,10 +32,12 @@ type Sim interface {
 	// control context (a coordinator event or between runs).
 	Stop()
 
-	// SetEventBudget caps fired events (per logical process on a
-	// Cluster); Fired and Pending aggregate across all of them.
+	// SetEventBudget caps fired plus inlined events (per logical process
+	// on a Cluster); Fired, Inlined and Pending aggregate across all of
+	// them.
 	SetEventBudget(n uint64)
 	Fired() uint64
+	Inlined() uint64
 	Pending() int
 
 	// Shard returns the engine owning logical process i (mapped modulo
