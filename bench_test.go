@@ -5,13 +5,17 @@
 package falcon_test
 
 import (
+	"fmt"
 	"testing"
 
 	falcon "falcon"
+	"falcon/internal/costmodel"
+	"falcon/internal/cpu"
 	"falcon/internal/gro"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
 	"falcon/internal/skb"
+	"falcon/internal/stats"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -162,6 +166,36 @@ func BenchmarkEventDispatch(b *testing.B) {
 	e.Run()
 	if n < b.N {
 		b.Fatal("event loop stalled")
+	}
+}
+
+// BenchmarkMachineSlices: k busy cores of one machine each run a chain of
+// fixed-cost slices, started k-th of a slice apart so their completions
+// interleave, as Falcon's pipelined softirq stages do. An op is one
+// slice; fired/slice counts the engine events it took.
+func BenchmarkMachineSlices(b *testing.B) {
+	const cost = 120
+	for _, k := range []int{1, 3, 6} {
+		b.Run(fmt.Sprintf("cores=%d", k), func(b *testing.B) {
+			e := sim.New(1)
+			m := cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond)
+			n := 0
+			for i := 0; i < k; i++ {
+				c := m.Core(i)
+				var next func()
+				next = func() {
+					if n++; n < b.N {
+						c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, next)
+					}
+				}
+				e.At(sim.Time(i*cost/k), func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, next) })
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slice")
+			b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/slice")
+		})
 	}
 }
 

@@ -15,31 +15,31 @@ type Func int
 
 // Datapath functions.
 const (
-	FnHardIRQ       Func = iota // pNIC_interrupt: hardirq top half
-	FnNAPIPoll                  // mlx5e_napi_poll: per-poll overhead
-	FnSKBAlloc                  // skb allocation + DMA unmap per packet
-	FnGROReceive                // napi_gro_receive: coalescing work
-	FnNetifReceive              // __netif_receive_skb: L2 demux, taps
-	FnRPS                       // get_rps_cpu + enqueue_to_backlog
-	FnIPRcv                     // ip_rcv: L3 validation and routing
-	FnUDPRcv                    // udp_rcv: L4 demux
-	FnTCPRcv                    // tcp_v4_rcv: L4 + ack/window processing
-	FnVXLANRcv                  // vxlan_rcv: outer header strip (decap)
-	FnGROCellPoll               // gro_cell_poll: VXLAN device NAPI poll
-	FnBridge                    // br_handle_frame: FDB lookup + forward
-	FnVethXmit                  // veth_xmit: cross the veth pair
-	FnBacklog                   // process_backlog: per-packet poll cost
-	FnSocketDeliver             // socket lookup, buffer charge, wakeup
-	FnUserCopy                  // syscall + copy_to_user
-	FnAppWork                   // application-level processing
-	FnTxStack                   // sendmsg through container L4/L3/L2
-	FnVXLANXmit                 // vxlan_xmit: encapsulation on transmit
-	FnTxNIC                     // pNIC tx queue + doorbell
-	FnEnqueueRemote             // enqueue_to_backlog on another CPU
-	FnIPIRaise                  // smp_call IPI to signal a remote core
-	FnSoftIRQEntry              // do_softirq entry/exit amortized
-	FnRxCacheLookup             // RX flow-cache probe on the steering core
-	FnRxCacheDeliver            // cached decap + direct socket handoff
+	FnHardIRQ        Func = iota // pNIC_interrupt: hardirq top half
+	FnNAPIPoll                   // mlx5e_napi_poll: per-poll overhead
+	FnSKBAlloc                   // skb allocation + DMA unmap per packet
+	FnGROReceive                 // napi_gro_receive: coalescing work
+	FnNetifReceive               // __netif_receive_skb: L2 demux, taps
+	FnRPS                        // get_rps_cpu + enqueue_to_backlog
+	FnIPRcv                      // ip_rcv: L3 validation and routing
+	FnUDPRcv                     // udp_rcv: L4 demux
+	FnTCPRcv                     // tcp_v4_rcv: L4 + ack/window processing
+	FnVXLANRcv                   // vxlan_rcv: outer header strip (decap)
+	FnGROCellPoll                // gro_cell_poll: VXLAN device NAPI poll
+	FnBridge                     // br_handle_frame: FDB lookup + forward
+	FnVethXmit                   // veth_xmit: cross the veth pair
+	FnBacklog                    // process_backlog: per-packet poll cost
+	FnSocketDeliver              // socket lookup, buffer charge, wakeup
+	FnUserCopy                   // syscall + copy_to_user
+	FnAppWork                    // application-level processing
+	FnTxStack                    // sendmsg through container L4/L3/L2
+	FnVXLANXmit                  // vxlan_xmit: encapsulation on transmit
+	FnTxNIC                      // pNIC tx queue + doorbell
+	FnEnqueueRemote              // enqueue_to_backlog on another CPU
+	FnIPIRaise                   // smp_call IPI to signal a remote core
+	FnSoftIRQEntry               // do_softirq entry/exit amortized
+	FnRxCacheLookup              // RX flow-cache probe on the steering core
+	FnRxCacheDeliver             // cached decap + direct socket handoff
 	NumFuncs
 )
 

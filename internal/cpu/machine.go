@@ -30,6 +30,7 @@ type Machine struct {
 	Prof  *trace.Profile
 
 	cores      []*Core
+	slices     *sim.Group // one slice-completion slot per core
 	tickPeriod sim.Time
 	onTick     []func(now sim.Time)
 	ticker     sim.Timer
@@ -56,6 +57,7 @@ func NewMachine(e *sim.Engine, model *costmodel.Model, n int, tickPeriod sim.Tim
 	for i := range m.cores {
 		m.cores[i] = &Core{id: i, m: m}
 	}
+	m.slices = sim.NewGroup(e, n, m.complete)
 	return m
 }
 
@@ -177,8 +179,8 @@ type Core struct {
 	offline bool
 
 	// cur is the in-flight work item, held here (instead of in a per-item
-	// closure) so dispatch can schedule completion with AfterArg and keep
-	// the per-slice hot path allocation-free. Valid only while busy.
+	// closure) so the machine's completion slot for this core needs no
+	// allocation per slice. Valid only while busy.
 	cur workItem
 }
 
@@ -288,47 +290,33 @@ func (c *Core) next() (workItem, bool) {
 	return workItem{}, false
 }
 
+// dispatch makes the next queued item the in-flight one and sets the
+// core's completion slot for it; a frozen core leaves its queues in place
+// (SetStalled and SetOffline re-enter dispatch on resume).
 func (c *Core) dispatch() {
-	if c.start() {
-		c.m.E.AfterArg(c.cur.cost, coreComplete, c)
-	}
-}
-
-// start makes the next queued item the in-flight one and reports whether
-// there was one; a frozen core leaves its queues in place (SetStalled and
-// SetOffline re-enter dispatch on resume).
-func (c *Core) start() bool {
 	if c.stalled || c.offline {
 		c.busy = false
-		return false
+		return
 	}
 	item, ok := c.next()
 	c.busy, c.cur = ok, item
-	return ok
+	if ok {
+		c.m.slices.Set(c.id, c.m.E.Now()+item.cost)
+	}
 }
 
-// coreComplete finishes the core's in-flight slice: charge accounting,
-// run the completion, start the next item. When that item's completion
-// is provably the engine's next event (sim.Engine.RunAhead), it finishes
-// here too, in a loop, instead of taking a schedule and a fire each.
-// Package-level so dispatch needs no per-slice closure.
-func coreComplete(v any) {
-	c := v.(*Core)
-	e := c.m.E
-	for {
-		item := c.cur
-		c.cur = workItem{} // release the completion closure for reuse
-		c.m.Acct.Charge(c.id, item.ctx, int64(item.cost), int64(e.Now()))
-		c.m.Prof.Charge(c.id, item.fn, int64(item.cost))
-		if item.run != nil {
-			item.run()
-		}
-		if !c.start() {
-			return
-		}
-		if !e.RunAhead(e.Now() + c.cur.cost) {
-			e.AfterArg(c.cur.cost, coreComplete, c)
-			return
-		}
+// complete finishes core i's in-flight slice: charge accounting, run the
+// completion, start the next item. It is the machine's sim.Group
+// callback, so the completions of all cores share one engine event and
+// run inline while each is provably the engine's next.
+func (m *Machine) complete(i int) {
+	c := m.cores[i]
+	item := c.cur
+	c.cur = workItem{} // release the completion closure for reuse
+	m.Acct.Charge(i, item.ctx, int64(item.cost), int64(m.E.Now()))
+	m.Prof.Charge(i, item.fn, int64(item.cost))
+	if item.run != nil {
+		item.run()
 	}
+	c.dispatch()
 }

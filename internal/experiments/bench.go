@@ -18,9 +18,10 @@ type HotPathBench struct {
 	// WallSeconds is host wall-clock time for the run.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Events is the number of simulation events fired; EventsPerSec is
-	// the engine's dispatch throughput. Inlined counts the CPU slices run
-	// ahead inside another event (sim.Engine.RunAhead): work the engine
-	// did without firing an event for it, so not part of EventsPerSec.
+	// the engine's dispatch throughput. Inlined counts the CPU slices a
+	// machine's completion group (sim.Group) ran inside another event:
+	// work the engine did without firing an event for it, so not part of
+	// EventsPerSec.
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	Inlined      uint64  `json:"inlined"`

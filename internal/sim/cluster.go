@@ -283,7 +283,7 @@ func (c *Cluster) Fired() uint64 {
 	return n
 }
 
-// Inlined returns the total RunAhead steps across all engines. A shard
+// Inlined returns the total runAhead steps across all engines. A shard
 // sees fewer foreign events than the serial engine, so it inlines more.
 func (c *Cluster) Inlined() uint64 {
 	n := c.global.Inlined()
@@ -396,7 +396,7 @@ func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
 // drain moves every parked cross-shard message into its destination
 // engine with an allocation-free k-way merge over the per-source
 // outboxes. Messages are scheduled with the sender's clock as their
-// tie-break key (Engine.atPosted), in (arrival, send time, source id,
+// tie-break key (Engine.atStamped), in (arrival, send time, source id,
 // source sequence) order: deliveries therefore interleave with the
 // destination's own same-nanosecond events exactly as on one serial
 // engine, and ties between messages resolve identically for every
@@ -441,7 +441,7 @@ func (c *Cluster) drain() {
 		if m.prep != nil {
 			m.prep(m.arg)
 		}
-		m.dst.atPosted(m.at, m.schedAt, m.fn, m.arg)
+		m.dst.atStamped(m.at, m.schedAt, m.dst.stamp(), m.fn, m.arg)
 		*m = xmsg{} // drop refs so drained args can be collected
 		c.stats.Msgs++
 		bq.head++

@@ -30,8 +30,9 @@ const (
 // order: schedAt is the clock when the event was scheduled, so ties at
 // the same firing time resolve in FIFO scheduling order. For a serial
 // engine schedAt is monotone in seq and the pair degenerates to plain
-// seq order; a Cluster draining cross-shard messages inserts them with
-// the sender's clock as schedAt, reproducing the serial engine's
+// seq order (a Group re-arms with a key stamped earlier, which keeps
+// that); a Cluster draining cross-shard messages inserts them with the
+// sender's clock as schedAt, reproducing the serial engine's
 // schedule-chronology tie-break across shard boundaries.
 type event struct {
 	at      Time
@@ -75,8 +76,8 @@ func (ev *event) firesBefore(o *event) bool {
 
 // insert places ev keeping the bucket sorted by (schedAt, seq).
 // Schedule-time inserts always hit the O(1) tail fast path (both keys
-// are monotonic); cascades, heap merges and cross-shard drains may walk
-// backward, which is rare.
+// are monotonic); cascades, heap merges, cross-shard drains and Group
+// re-arms (an earlier stamp) may walk backward, which is rare.
 func (b *bucket) insert(ev *event) {
 	ev.in = b
 	if b.tail == nil {
@@ -155,7 +156,7 @@ type Engine struct {
 	stopped  bool
 	deadline Time // current run's deadline; -1 outside Run/RunUntil
 	fired    uint64
-	inlined  uint64 // work run ahead inline (RunAhead) instead of fired
+	inlined  uint64 // work run ahead inline (runAhead) instead of fired
 	budget   uint64 // max events to fire or inline; 0 = unlimited
 	shard    int    // logical-process index when owned by a Cluster
 
@@ -174,7 +175,7 @@ type Engine struct {
 	// none). advance() rescans it once after collecting each slot and
 	// jumps straight to it on the next call; schedule() min-updates it.
 	// The bound is one-sided — a cancel may leave it stale-low, never
-	// stale-high — so NextAt and RunAhead are single compares, and a
+	// stale-high — so NextAt and runAhead are single compares, and a
 	// stale-low hint costs at most one empty cursor jump.
 	nextHint uint64
 
@@ -236,22 +237,23 @@ func (e *Engine) NextAt() (Time, bool) {
 	return t, true
 }
 
-// RunAhead lets the callback of the event being fired run its own
-// successor inline: it reports whether an event scheduled now at t would
-// be the engine's next event to fire within the current run and, if so,
-// advances the clock to t as firing it would. The caller then performs
-// that event's work directly, with no schedule and no fire.
+// runAhead lets the callback of the event being fired run a successor
+// inline (a Group's next slot): it reports whether an event at t would
+// be the engine's next event to fire within the current run, whatever
+// its tie-break key, and, if so, advances the clock to t as firing it
+// would. The caller then performs that event's work directly, with no
+// schedule and no fire.
 //
 // It is exact, not a heuristic: t must lie strictly below nextHint (a
 // lower bound on every pending event outside the due list), the due list
 // must be empty, t must not pass the current Run/RunUntil deadline, and
-// the run must not have been stopped. An equal-time pending event fires
-// first (it was scheduled earlier), hence the strict bound. The wheel
+// the run must not have been stopped. An equal-time pending event may
+// fire first, depending on the keys, hence the strict bound. The wheel
 // cursor is not moved; the engine already tolerates a cursor behind the
-// clock. Outside a run, and for t before now, RunAhead reports false.
+// clock. Outside a run, and for t before now, runAhead reports false.
 // Inlined work counts towards the event budget and is reported by
 // Inlined.
-func (e *Engine) RunAhead(t Time) bool {
+func (e *Engine) runAhead(t Time) bool {
 	if uint64(t) >= e.nextHint || t > e.deadline || t < e.now || e.due.head != nil || e.stopped {
 		return false
 	}
@@ -264,7 +266,7 @@ func (e *Engine) RunAhead(t Time) bool {
 }
 
 // overBudget raises the event-budget panic. A separate function keeps
-// RunAhead within the compiler's inlining budget.
+// runAhead within the compiler's inlining budget.
 func (e *Engine) overBudget() {
 	panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
 }
@@ -283,7 +285,7 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // diagnostics). Work run ahead inline is counted by Inlined instead.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Inlined returns the number of RunAhead steps taken so far: events that
+// Inlined returns the number of runAhead steps taken so far: events that
 // would have been scheduled and fired next, executed inline instead.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
@@ -339,7 +341,7 @@ func (e *Engine) schedule(ev *event) {
 	x := uint64(ev.at) ^ e.cur
 	if x == 0 {
 		// Due events are outside the hint: they fire before any cursor
-		// move, and RunAhead checks the due list directly.
+		// move, and runAhead checks the due list directly.
 		e.due.insert(ev)
 		return
 	}
@@ -405,8 +407,7 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.schedAt, ev.seq, ev.fn = t, e.now, e.seq, fn
-	e.seq++
+	ev.at, ev.schedAt, ev.seq, ev.fn = t, e.now, e.stamp(), fn
 	e.schedule(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -415,29 +416,31 @@ func (e *Engine) At(t Time, fn func()) Timer {
 // closure: hot paths pass a package-level function and carry their state
 // in arg, making the schedule allocation-free.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := e.alloc()
-	ev.at, ev.schedAt, ev.seq, ev.afn, ev.arg = t, e.now, e.seq, fn, arg
-	e.seq++
-	e.schedule(ev)
-	return Timer{ev: ev, gen: ev.gen}
+	return e.atStamped(t, e.now, e.stamp(), fn, arg)
 }
 
-// atPosted schedules fn(arg) at absolute time t with an explicit
-// schedule-time tie-break key — the Cluster's barrier drain uses the
-// sending shard's clock here, so a cross-shard delivery interleaves
-// with the destination's same-nanosecond events exactly as it would
-// have on a single serial engine.
-func (e *Engine) atPosted(t, schedAt Time, fn func(any), arg any) {
+// stamp draws the next sequence number. With the clock it is the
+// tie-break key (schedAt, seq) of an event scheduled now.
+func (e *Engine) stamp() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// atStamped schedules fn(arg) at absolute time t with an explicit
+// tie-break key. A Group arms its event with a key stamped when the slot
+// was set. The Cluster's barrier drain passes the sending shard's clock
+// as schedAt, so a cross-shard delivery interleaves with the
+// destination's same-nanosecond events exactly as it would have on a
+// single serial engine.
+func (e *Engine) atStamped(t, schedAt Time, seq uint64, fn func(any), arg any) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.schedAt, ev.seq, ev.afn, ev.arg = t, schedAt, e.seq, fn, arg
-	e.seq++
+	ev.at, ev.schedAt, ev.seq, ev.afn, ev.arg = t, schedAt, seq, fn, arg
 	e.schedule(ev)
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now.

@@ -3,19 +3,25 @@ package sim
 import "testing"
 
 // FuzzEngineOrder runs a byte-coded program of schedules (At, AtArg),
-// timer cancels, clock moves (SetClock) and bounded runs (RunUntil, Run)
-// against the engine. Every executed step's callback may schedule more
-// work, cancel timers, stop the run, and then hand off to a successor
-// the way a CPU core does: try RunAhead, and schedule the successor
-// only if that is refused. A reference model orders pending work by
-// (at, schedAt, seq) and checks that:
+// Group slot sets, timer cancels, clock moves (SetClock), event budgets
+// and bounded runs (RunUntil, Run) against the engine. Every executed
+// step's callback may schedule more work, set group slots, cancel
+// timers and stop the run. An event's callback may then hand off to a
+// successor directly: try runAhead, and schedule the successor only if
+// that is refused. A reference model treats every set slot as one event
+// keyed (at, schedAt, seq) with the key stamped at Set, orders all
+// pending work by that key, and checks that:
 //   - every step, fired or inlined, is the reference's next one, at the
 //     engine clock the reference expects;
-//   - RunAhead never succeeds while a live event is due at or before t,
-//     past the run's deadline, after Stop, or outside a run;
+//   - runAhead never succeeds while a live event is due at or before t,
+//     past the run's deadline, after Stop, or outside a run; a group
+//     slot runs inline only under the same conditions, and each slot
+//     run is exactly one fire or one inline;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
-//     reports liveness exactly, NextAt never overestimates, and the
-//     Fired/Inlined/Pending counters match.
+//     reports liveness exactly, NextAt never overestimates, the
+//     Fired/Inlined/Pending counters match (a group holds one engine
+//     event while any slot is set), and the budget panics exactly at the
+//     first step past it.
 func FuzzEngineOrder(f *testing.F) {
 	for _, p := range engineOrderSeeds() {
 		f.Add(p)
@@ -25,6 +31,7 @@ func FuzzEngineOrder(f *testing.F) {
 			prog = prog[:4096]
 		}
 		m := &orderModel{t: t, e: New(1), prog: prog, deadline: -1}
+		m.g = NewGroup(m.e, groupSlots, m.onSlot)
 		m.run()
 	})
 }
@@ -37,16 +44,20 @@ const (
 	opRunUntil        // delay: RunUntil(now+delay)
 	opRun             // Run to completion
 	opSetClock        // delay: SetClock(now+delay), clamped to the next event
-	opRunAhead        // delay: RunAhead outside a run must refuse
+	opRunAhead        // delay: runAhead outside a run must refuse
+	opSet             // slot, delay: Group.Set outside any firing
+	opBudget          // n: the engine may execute n%32+1 more steps
 	numOps
 )
 
 // Callback body ops (after a count byte); 0–3 schedule, 4–6 stop a
-// timer, 7 stops the run.
+// timer, 7 stops the run, 8 sets a group slot (slot, delay).
 const (
 	cbSchedule   = 0
 	cbStopTimer  = 4
 	cbStopEngine = 7
+	cbSet        = 8
+	numCbOps     = 9
 )
 
 // Delay classes (low two bits of the delay's first byte).
@@ -57,12 +68,16 @@ const (
 	dOverflow        // next 2^32 (wheel horizon) boundary + v - 128
 )
 
+// groupSlots is the fuzzed group's size; a slot byte picks one modulo it.
+const groupSlots = 4
+
 // refEvent is the reference model's record of one step, queued or inlined.
 type refEvent struct {
 	at, schedAt Time
 	seq         uint64
 	timer       Timer
-	queued      bool // scheduled on the engine (not inlined)
+	queued      bool // on the engine or in a group slot (not inlined)
+	slot        bool // a group slot: no Timer, no engine event of its own
 	done        bool // fired, inlined or cancelled
 }
 
@@ -79,16 +94,19 @@ func (a *refEvent) before(b *refEvent) bool {
 type orderModel struct {
 	t    *testing.T
 	e    *Engine
+	g    *Group
 	prog []byte
 	pos  int
 
 	now      Time
 	seq      uint64
 	evs      []*refEvent
+	slots    [groupSlots]*refEvent
 	deadline Time // -1 outside runs
 	stopped  bool
 
 	fired, inlined uint64
+	budget         uint64 // 0: none
 }
 
 func (m *orderModel) next() byte {
@@ -117,7 +135,7 @@ func (m *orderModel) delay() Time {
 	return v
 }
 
-// nextLive returns the reference's next queued event, or nil.
+// nextLive returns the reference's next queued event or slot, or nil.
 func (m *orderModel) nextLive() *refEvent {
 	var best *refEvent
 	for _, ev := range m.evs {
@@ -128,14 +146,20 @@ func (m *orderModel) nextLive() *refEvent {
 	return best
 }
 
+// live counts the engine events the reference expects: queued events,
+// plus the group's one event while any slot is set.
 func (m *orderModel) live() int {
-	n := 0
+	n, group := 0, 0
 	for _, ev := range m.evs {
-		if ev.queued && !ev.done {
+		switch {
+		case !ev.queued || ev.done:
+		case ev.slot:
+			group = 1
+		default:
 			n++
 		}
 	}
-	return n
+	return n + group
 }
 
 // newStep registers a step at t, scheduled now, in the reference order.
@@ -155,11 +179,26 @@ func (m *orderModel) schedule(id int, arg bool) {
 	}
 }
 
+// setSlot sets group slot b%groupSlots at t unless it is already set.
+func (m *orderModel) setSlot(b byte, t Time) {
+	i := int(b % groupSlots)
+	if m.slots[i] != nil {
+		return
+	}
+	ev := m.evs[m.newStep(t)]
+	ev.queued, ev.slot = true, true
+	m.slots[i] = ev
+	m.g.Set(i, t)
+}
+
 func (m *orderModel) stopTimer(i int) {
 	if len(m.evs) == 0 {
 		return
 	}
 	ev := m.evs[i%len(m.evs)]
+	if ev.slot {
+		return
+	}
 	want := ev.queued && !ev.done
 	if got := ev.timer.Stop(); got != want {
 		m.t.Fatalf("Timer.Stop = %t, want %t (at %v, now %v)", got, want, ev.at, m.now)
@@ -169,77 +208,133 @@ func (m *orderModel) stopTimer(i int) {
 	}
 }
 
-func (m *orderModel) onFire(arg any) {
-	id := arg.(int)
-	ev := m.evs[id]
+// retire checks that ev is the reference's next step and within the
+// run's deadline, and marks it done.
+func (m *orderModel) retire(ev *refEvent) {
 	if want := m.nextLive(); want != ev {
-		m.t.Fatalf("fired step %d (at %v seq %d), reference next is at %v seq %d",
-			id, ev.at, ev.seq, want.at, want.seq)
+		m.t.Fatalf("ran step at %v seq %d, reference next is at %v seq %d",
+			ev.at, ev.seq, want.at, want.seq)
 	}
 	if ev.at > m.deadline {
-		m.t.Fatalf("fired step at %v past the run deadline %v", ev.at, m.deadline)
+		m.t.Fatalf("ran step at %v past the run deadline %v", ev.at, m.deadline)
 	}
 	ev.done = true
-	m.fired++
-	m.step(ev)
 }
 
-// step runs one executed step's body and, like a CPU core finishing a
-// slice, its run-ahead successors.
-func (m *orderModel) step(ev *refEvent) {
+func (m *orderModel) onFire(arg any) {
+	ev := m.evs[arg.(int)]
+	m.retire(ev)
+	m.fired++
+	m.step(ev, true)
+}
+
+// onSlot is the group's callback. The first slot of a group firing is an
+// engine fire; every further one must be an inline step that runAhead
+// allowed.
+func (m *orderModel) onSlot(i int) {
+	ev := m.slots[i]
+	if ev == nil {
+		m.t.Fatalf("group ran empty slot %d", i)
+	}
+	m.slots[i] = nil
+	m.retire(ev)
+	switch f, n := m.e.Fired(), m.e.Inlined(); {
+	case f == m.fired+1 && n == m.inlined:
+		m.fired++
+	case f == m.fired && n == m.inlined+1:
+		m.checkRunAhead(ev, false)
+		m.inlined++
+	default:
+		m.t.Fatalf("slot run moved fired %d→%d, inlined %d→%d", m.fired, f, m.inlined, n)
+	}
+	m.step(ev, false)
+}
+
+// step runs one executed step's body and, for an engine event (succ),
+// its run-ahead successors. A slot callback takes no successor: during a
+// group firing the other slots are not on the engine, so only the group
+// may run ahead.
+func (m *orderModel) step(ev *refEvent, succ bool) {
 	for {
 		m.now = ev.at
 		if got := m.e.Now(); got != m.now {
 			m.t.Fatalf("clock %v at a step due %v", got, m.now)
 		}
 		for n := m.next() % 4; n > 0; n-- {
-			switch op := m.next() % 8; {
+			switch op := m.next() % numCbOps; {
 			case op < cbStopTimer:
 				m.schedule(m.newStep(m.now+m.delay()), op&1 == 1)
 			case op < cbStopEngine:
 				m.stopTimer(int(m.next()))
-			default:
+			case op == cbStopEngine:
 				m.e.Stop()
 				m.stopped = true
+			default:
+				b := m.next()
+				m.setSlot(b, m.now+m.delay())
 			}
 		}
-		if m.next()&1 == 0 {
+		if !succ || m.next()&1 == 0 {
 			return
 		}
 		id := m.newStep(m.now + m.delay())
 		ev = m.evs[id]
-		if !m.e.RunAhead(ev.at) {
+		if !m.e.runAhead(ev.at) {
 			m.schedule(id, true)
 			return
 		}
-		m.checkRunAhead(ev)
 		ev.done = true
+		m.checkRunAhead(ev, true)
 		m.inlined++
 	}
 }
 
-func (m *orderModel) checkRunAhead(ev *refEvent) {
+// checkRunAhead checks an inlined step against runAhead's conditions.
+// Set slots count as live events (their group's event is on the engine)
+// unless the group itself is running ahead (slots false).
+func (m *orderModel) checkRunAhead(ev *refEvent, slots bool) {
 	switch {
 	case m.stopped:
-		m.t.Fatalf("RunAhead(%v) succeeded after Stop", ev.at)
+		m.t.Fatalf("runAhead(%v) succeeded after Stop", ev.at)
 	case ev.at > m.deadline:
-		m.t.Fatalf("RunAhead(%v) succeeded past the deadline %v", ev.at, m.deadline)
+		m.t.Fatalf("runAhead(%v) succeeded past the deadline %v", ev.at, m.deadline)
 	}
-	if nx := m.nextLive(); nx != nil && nx.at <= ev.at {
-		m.t.Fatalf("RunAhead(%v) succeeded with a live event at %v", ev.at, nx.at)
+	for _, o := range m.evs {
+		if o.queued && !o.done && o.at <= ev.at && (slots || !o.slot) {
+			m.t.Fatalf("runAhead(%v) succeeded with a live event at %v", ev.at, o.at)
+		}
 	}
 }
 
-func (m *orderModel) runTo(deadline Time) {
+// runTo runs the engine to deadline. It reports false when the event
+// budget stopped the run, which must happen exactly at the first step
+// past the budget.
+func (m *orderModel) runTo(deadline Time) (ok bool) {
 	m.deadline, m.stopped = deadline, false
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, budget := r.(*BudgetExceeded); !budget {
+			panic(r)
+		}
+		if m.fired+m.inlined != m.budget {
+			m.t.Fatalf("budget %d panicked after %d steps", m.budget, m.fired+m.inlined)
+		}
+		ok = false
+	}()
 	if deadline == maxTime {
 		m.e.Run()
 	} else {
 		m.e.RunUntil(deadline)
 	}
+	if m.budget > 0 && m.fired+m.inlined > m.budget {
+		m.t.Fatalf("%d steps ran under a budget of %d", m.fired+m.inlined, m.budget)
+	}
 	m.deadline = -1
 	if m.stopped {
-		return
+		return true
 	}
 	if nx := m.nextLive(); nx != nil && nx.at <= deadline {
 		m.t.Fatalf("run to %v left an event at %v pending", deadline, nx.at)
@@ -247,6 +342,7 @@ func (m *orderModel) runTo(deadline Time) {
 	if deadline != maxTime {
 		m.now = max(m.now, deadline)
 	}
+	return true
 }
 
 func (m *orderModel) run() {
@@ -257,9 +353,13 @@ func (m *orderModel) run() {
 		case opStop:
 			m.stopTimer(int(m.next()))
 		case opRunUntil:
-			m.runTo(m.now + m.delay())
+			if !m.runTo(m.now + m.delay()) {
+				return
+			}
 		case opRun:
-			m.runTo(maxTime)
+			if !m.runTo(maxTime) {
+				return
+			}
 		case opSetClock:
 			t := m.now + m.delay()
 			if nx := m.nextLive(); nx != nil && nx.at < t {
@@ -268,13 +368,22 @@ func (m *orderModel) run() {
 			m.e.SetClock(t)
 			m.now = max(m.now, t)
 		case opRunAhead:
-			if t := m.now + m.delay(); m.e.RunAhead(t) {
-				m.t.Fatalf("RunAhead(%v) succeeded outside a run", t)
+			if t := m.now + m.delay(); m.e.runAhead(t) {
+				m.t.Fatalf("runAhead(%v) succeeded outside a run", t)
 			}
+		case opSet:
+			b := m.next()
+			m.setSlot(b, m.now+m.delay())
+		case opBudget:
+			m.budget = m.fired + m.inlined + uint64(m.next()%32) + 1
+			m.e.SetEventBudget(m.budget)
 		}
 		m.checkState()
 	}
-	m.runTo(maxTime) // the program is spent: no callback stops this run
+	// The program is spent: no callback stops this run.
+	if !m.runTo(maxTime) {
+		return
+	}
 	m.checkState()
 	if n := m.live(); n != 0 {
 		m.t.Fatalf("%d events never fired", n)
@@ -304,8 +413,8 @@ func (m *orderModel) checkState() {
 }
 
 // engineOrderSeeds is the seed corpus: programs aimed at wheel cascade
-// boundaries, the overflow heap, equal-time ties, and cancels and clock
-// moves around inlined steps.
+// boundaries, the overflow heap, equal-time ties, cancels and clock
+// moves around inlined steps, and group slots.
 func engineOrderSeeds() [][]byte {
 	small := func(v byte) []byte { return []byte{dSmall, v} }
 	cascade := func(level, off byte) []byte { return []byte{dCascade | (level-1)<<2, off} }
@@ -319,6 +428,10 @@ func engineOrderSeeds() [][]byte {
 	}
 	// body: one scheduled child at d, then a run-ahead successor at s.
 	body := func(d, s []byte) []byte { return cat([]byte{1, cbSchedule}, d, []byte{1}, s) }
+	// set: a top-level Set of slot byte b at delay d; cbSetOp: the same
+	// inside a callback body.
+	set := func(b byte, d []byte) []byte { return cat([]byte{opSet, b}, d) }
+	cbSetOp := func(b byte, d []byte) []byte { return cat([]byte{cbSet, b}, d) }
 	return [][]byte{
 		// Steps and successors straddling every cascade boundary.
 		cat([]byte{opAtArg}, cascade(1, 2), []byte{opAt}, cascade(2, 1),
@@ -343,5 +456,29 @@ func engineOrderSeeds() [][]byte {
 			[]byte{opSetClock}, small(40), []byte{opRunAhead}, small(1),
 			[]byte{opRunUntil}, small(100), []byte{2, cbStopTimer, 0, cbStopEngine, 1}, small(1),
 			[]byte{opAtArg}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
+		// Slot 2 fires and sets slots 3 and then 1 at one time: 3 has the
+		// earlier stamp and runs first (catches ties broken against stamp
+		// order, such as a lower slot index winning them).
+		cat(set(2, small(10)), []byte{opRun},
+			[]byte{2}, cbSetOp(3, small(5)), cbSetOp(1, small(5)), []byte{0}, []byte{0}),
+		// Slot 0 fires, sets slot 1 and then schedules an event, both at
+		// 15: runAhead refuses the slot, and its re-arm must keep the
+		// earlier stamp (catches a re-arm that draws a fresh seq).
+		cat(set(0, small(10)), []byte{opRun},
+			[]byte{2}, cbSetOp(1, small(5)), []byte{cbSchedule}, small(5), []byte{0}, []byte{0, 0}),
+		// An event queued first at exactly the next slot's time, which is
+		// nextHint: the slot must not run inline (catches <= nextHint).
+		cat([]byte{opAtArg}, small(15), set(0, small(10)), []byte{opRun},
+			[]byte{1}, cbSetOp(0, small(5)), []byte{0, 0}, []byte{0}),
+		// A top-level Set that preempts the armed slot (1 at 10 before 0
+		// at 20) and a deadline refusal (slot 0 past 15); a Stop inside
+		// slot 0's callback refusing slot 2 due at the same time; then a
+		// budget of three steps that runs out inside a group firing.
+		cat(set(0, small(20)), set(1, small(10)), set(2, small(10)), []byte{opRunUntil}, small(15),
+			[]byte{0}, []byte{0},
+			set(3, small(10)), set(2, small(5)), []byte{opRun}, []byte{1, cbStopEngine},
+			[]byte{opRun}, []byte{0}, []byte{0},
+			set(0, small(1)), set(1, small(2)), set(2, small(3)), set(3, small(4)),
+			[]byte{opBudget, 2}, []byte{opRun}, []byte{0}, []byte{0}, []byte{0}),
 	}
 }
