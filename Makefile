@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit reconfig tail cache fuzz scale bench-smoke bench-report bench-baseline experiments profile clean
+.PHONY: all build vet test race audit reconfig tail cache fuzz scale bench-smoke experiments profile clean
 
 all: vet build test
 
@@ -65,23 +65,14 @@ fuzz:
 	$(GO) run ./cmd/falconsim -fuzz -seeds 50 -fuzz-workers 4 -deadline 10m
 
 # PDES scaling sweep: the mesh8 benchmark at -shards {1,2,4,auto} with
-# window synchronization metrics (windows/sec, width, cross-shard
-# traffic, worker idle fraction) per configuration.
+# window synchronization metrics (windows per op, width, cross-shard
+# traffic, busy shards, worker idle fraction) per configuration.
 scale:
-	$(GO) run ./cmd/falconsim -scale
+	$(GO) test -run NONE -bench MeshShards ./internal/experiments
 
 # One full pass of every experiment benchmark (quick windows).
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Hot-path benchmark report (BENCH_sim.json), guarded against the
-# committed baseline: fails on a >10% allocs/packet regression.
-bench-report:
-	$(GO) run ./cmd/falconsim -bench-report BENCH_sim.json -bench-baseline BENCH_baseline.json
-
-# Regenerate the committed regression baseline (run on a quiet machine).
-bench-baseline:
-	$(GO) run ./cmd/falconsim -bench-report BENCH_baseline.json
 
 # Regenerate every paper table with full measurement windows.
 experiments:

@@ -209,8 +209,7 @@ func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) 
 // Table is a labelled results grid produced by experiments.
 type Table = stats.Table
 
-// Latency instrumentation: Result.LatencyHist and
-// ExperimentOptions.TailLatency are *Histogram.
+// Latency instrumentation: Result.LatencyHist is a *Histogram.
 type (
 	// Histogram is a log-linear latency histogram (deterministic,
 	// mergeable across sockets and shards).
@@ -223,8 +222,8 @@ type (
 	Rand = sim.Rand
 )
 
-// NewHistogram returns an empty latency histogram, e.g. for
-// ExperimentOptions.TailLatency.
+// NewHistogram returns an empty latency histogram, e.g. to merge
+// Result.LatencyHist across runs.
 func NewHistogram() *Histogram { return stats.NewHistogram() }
 
 // Open-loop load generation and trace replay (DESIGN.md §3.1). Both

@@ -52,8 +52,8 @@ func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
 // BenchmarkFig10Audit is fig10 with full runtime verification on (SKB
 // ledger, conservation sweeps, watchdog, trace ring) — run against
 // BenchmarkFig10 to measure the audit subsystem's overhead. Audit-off
-// cost is a nil-check per lifecycle hook and is covered by the
-// bench-report allocation guard.
+// cost is a nil-check per lifecycle hook and is covered by
+// TestHotPathAllocs in internal/experiments.
 func BenchmarkFig10Audit(b *testing.B) {
 	benchExperimentOpt(b, "fig10", falcon.ExperimentOptions{Quick: true, Audit: true})
 }

@@ -85,6 +85,8 @@ func TestScheduleFlagsRejectMalformedJSON(t *testing.T) {
 		{name: "reconfig-unknown-kind",
 			reconfig: write("r2.json", `{"actions":[{"kind":"warp","at_ms":0,"host":"h"}]}`), wantErr: true},
 		{name: "reconfig-wrong-shape", reconfig: write("r3.json", `[1,2,3]`), wantErr: true},
+		{name: "reconfig-unknown-kernel",
+			reconfig: write("r4.json", `{"actions":[{"kind":"kernel-upgrade","at_ms":1,"host":"server","kernel":"linux-5.10"}]}`), wantErr: true},
 		{name: "crash-empty-schedule", crash: write("c2.json", `{"crashes":[]}`), wantErr: true},
 		{name: "crash-reboot-before-crash",
 			crash: write("c3.json", `{"crashes":[{"host":"server","at_ms":5,"reboot_ms":2}]}`), wantErr: true},

@@ -73,3 +73,25 @@ func TestParseShards(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckKernel covers the -kernel flag grammar: the names a cost
+// profile answers to pass, anything else is an error rather than a
+// silent 4.19 run.
+func TestCheckKernel(t *testing.T) {
+	for _, tc := range []struct {
+		in  string
+		err bool
+	}{
+		{"", false},
+		{"4.19", false},
+		{"linux-4.19", false},
+		{"5.4", false},
+		{"linux-5.4", false},
+		{"5.10", true},
+		{"linux-5.10", true},
+	} {
+		if err := checkKernel(tc.in); tc.err != (err != nil) {
+			t.Errorf("checkKernel(%q): err = %v, want err %t", tc.in, err, tc.err)
+		}
+	}
+}

@@ -117,10 +117,25 @@ func Kernel504() *Model {
 	return m
 }
 
+// profiles maps every kernel name ByName resolves to its calibration;
+// the empty name is the 4.19 default.
+var profiles = map[string]func() *Model{
+	"": Kernel419, "4.19": Kernel419, "linux-4.19": Kernel419,
+	"5.4": Kernel504, "linux-5.4": Kernel504,
+}
+
+// Known reports whether name is a kernel profile ByName resolves, as
+// opposed to one it would silently replace with the 4.19 default.
+// Inputs that name a kernel (flags, schedules) check it first.
+func Known(name string) bool {
+	_, ok := profiles[name]
+	return ok
+}
+
 // ByName returns the profile for a kernel name, defaulting to 4.19.
 func ByName(name string) *Model {
-	if name == "linux-5.4" || name == "5.4" {
-		return Kernel504()
+	if k, ok := profiles[name]; ok {
+		return k()
 	}
 	return Kernel419()
 }

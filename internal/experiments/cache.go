@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"falcon/internal/devices"
 	"falcon/internal/sim"
@@ -75,18 +74,7 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 func runMeshCache(opt Options, cache bool) (float64, stats.Summary, uint64, uint64) {
 	o := opt
 	o.RxCache = cache
-	e, nodes := buildMesh(o)
-	warmup, window := o.warmup(), o.window()
-	until := warmup + window + 5*sim.Millisecond
-	for _, n := range nodes {
-		n.start(until)
-	}
-	e.RunUntil(warmup)
-	for _, n := range nodes {
-		n.host.ResetMeasurement()
-		n.sock.ResetMeasurement()
-	}
-	e.RunUntil(warmup + window)
+	_, nodes := runMesh(o)
 
 	var delivered, hits, misses uint64
 	agg := stats.NewHistogram()
@@ -96,7 +84,7 @@ func runMeshCache(opt Options, cache bool) (float64, stats.Summary, uint64, uint
 		hits += n.host.RxCacheHits.Value()
 		misses += n.host.RxCacheMisses.Value() + n.host.RxCacheStale.Value()
 	}
-	return stats.Rate(delivered, int64(window)), agg.Summarize(), hits, misses
+	return stats.Rate(delivered, int64(o.window())), agg.Summarize(), hits, misses
 }
 
 // ablCache emits the two comparison tables.
@@ -147,58 +135,4 @@ func ablCache(opt Options) []*stats.Table {
 	}
 	m.AddRow("mesh8 + cache", fKpps(onPPS), fUs(onSum.P50), fUs(onSum.P99), fPct(hitRate))
 	return []*stats.Table{t, m}
-}
-
-// CacheComparison is the machine-readable core of abl-cache for the
-// bench report: the Fig. 10-shaped stress under the four datapath
-// configurations.
-type CacheComparison struct {
-	VanillaNsPerPkt   float64 `json:"vanilla_ns_per_pkt"`
-	CacheNsPerPkt     float64 `json:"cache_ns_per_pkt"`
-	FalconNsPerPkt    float64 `json:"falcon_ns_per_pkt"`
-	CombinedNsPerPkt  float64 `json:"combined_ns_per_pkt"`
-	CacheImprovement  float64 `json:"cache_improvement"`  // vanilla / cache-only
-	FalconImprovement float64 `json:"falcon_improvement"` // vanilla / falcon-only
-	CacheHitRate      float64 `json:"cache_hit_rate"`     // warm-window, cache-only run
-	CacheKpps         float64 `json:"cache_kpps"`
-	VanillaKpps       float64 `json:"vanilla_kpps"`
-	// CacheAllocsPerPacket is the host-side allocation cost of one
-	// delivered packet on the cache-only run — the fast path's hit leg is
-	// pooled end to end, so this must not drift above the uncached
-	// datapath's figure (the BENCH allocs gate).
-	CacheAllocsPerPacket float64 `json:"cache_allocs_per_packet"`
-}
-
-// MeasureCache runs the four-way comparison and returns the summary the
-// bench report embeds (and the CI gate checks). The improvement and
-// hit-rate fields are simulated-time ratios, deterministic for a given
-// seed; only the allocation figure sees host noise.
-func MeasureCache(opt Options) CacheComparison {
-	vanilla := cacheStress(workload.ModeCon, opt, 16, false)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	cached := cacheStress(workload.ModeCon, opt, 16, true)
-	runtime.ReadMemStats(&m1)
-	falcon := cacheStress(workload.ModeFalcon, opt, 16, false)
-	both := cacheStress(workload.ModeFalcon, opt, 16, true)
-	c := CacheComparison{
-		VanillaNsPerPkt:  vanilla.softirqNsPerPkt(),
-		CacheNsPerPkt:    cached.softirqNsPerPkt(),
-		FalconNsPerPkt:   falcon.softirqNsPerPkt(),
-		CombinedNsPerPkt: both.softirqNsPerPkt(),
-		CacheHitRate:     cached.hitRate(),
-		CacheKpps:        cached.res.PPS / 1e3,
-		VanillaKpps:      vanilla.res.PPS / 1e3,
-	}
-	if cached.res.Delivered > 0 {
-		c.CacheAllocsPerPacket = float64(m1.Mallocs-m0.Mallocs) / float64(cached.res.Delivered)
-	}
-	if c.CacheNsPerPkt > 0 {
-		c.CacheImprovement = c.VanillaNsPerPkt / c.CacheNsPerPkt
-	}
-	if c.FalconNsPerPkt > 0 {
-		c.FalconImprovement = c.VanillaNsPerPkt / c.FalconNsPerPkt
-	}
-	return c
 }

@@ -1,0 +1,61 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"falcon/internal/workload"
+)
+
+// TestAblCacheFloors holds abl-cache's headline to its floors: on the
+// Fig. 10 16B stress the RX decap fast path cuts server softirq ns per
+// packet by at least 1.30x against the vanilla overlay, at a warm hit
+// rate of at least 90%. Both are simulated-time ratios, so the floors
+// are exact for the seed (1.85x and 100% at seed 1).
+func TestAblCacheFloors(t *testing.T) {
+	opt := Options{Quick: true, Seed: 1}
+	vanilla := cacheStress(workload.ModeCon, opt, 16, false)
+	cached := cacheStress(workload.ModeCon, opt, 16, true)
+	if improve := vanilla.softirqNsPerPkt() / cached.softirqNsPerPkt(); improve < 1.30 {
+		t.Errorf("rx cache improvement %.2fx over vanilla < 1.30x floor", improve)
+	}
+	if hit := cached.hitRate(); hit < 0.90 {
+		t.Errorf("rx cache hit rate %.1f%% < 90%% floor", hit*100)
+	}
+}
+
+// TestHotPathAllocs bounds the simulator's heap allocations per
+// delivered packet on two hot paths: the full-window Falcon stress with
+// 1500B packets and the quick 16B stress through the RX cache's hit leg.
+// Each bound is the measured figure plus 10%. The count is the
+// process-wide malloc delta, so this test must stay sequential: parallel
+// top-level tests only start once the sequential ones have finished.
+func TestHotPathAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  workload.Mode
+		opt   Options
+		size  int
+		cache bool
+		limit float64
+	}{
+		{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10},
+		{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			r := cacheStress(tc.mode, tc.opt, tc.size, tc.cache)
+			runtime.ReadMemStats(&m1)
+			if r.res.Delivered == 0 {
+				t.Fatal("no packets delivered")
+			}
+			per := float64(m1.Mallocs-m0.Mallocs) / float64(r.res.Delivered)
+			t.Logf("%.4f allocs/pkt over %d packets (limit %.4f)", per, r.res.Delivered, tc.limit)
+			if per > tc.limit {
+				t.Errorf("%.4f allocs/pkt > %.4f (measured baseline +10%%)", per, tc.limit)
+			}
+		})
+	}
+}

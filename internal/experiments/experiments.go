@@ -58,15 +58,6 @@ type Options struct {
 	// the A/B switch the shard-invariance tests sweep. Results are
 	// byte-identical either way; only synchronization counts change.
 	FixedHorizon bool
-	// WindowStats, when non-nil, receives the PDES cluster's
-	// synchronization counters after the run (zeroed for serial runs).
-	// Supported by the fabric-based experiments (mesh8).
-	WindowStats *sim.ClusterStats
-	// TailLatency, when non-nil, accumulates the run's end-to-end
-	// latency samples across its measured windows. Supported by fig10,
-	// mesh8, and abl-tail — the experiments the bench report's latency
-	// section tracks.
-	TailLatency *stats.Histogram
 }
 
 // ShardsAuto is the Options.Shards sentinel for "pick shard and worker
@@ -83,18 +74,6 @@ func resolveShards(shards, hosts int) (int, int) {
 		return sim.AutoShards(hosts)
 	}
 	return shards, 0
-}
-
-// captureWindowStats fills opt.WindowStats from a finished run's engine.
-func captureWindowStats(opt Options, e sim.Sim) {
-	if opt.WindowStats == nil {
-		return
-	}
-	if cl, ok := e.(*sim.Cluster); ok {
-		*opt.WindowStats = cl.Stats()
-	} else {
-		*opt.WindowStats = sim.ClusterStats{}
-	}
 }
 
 func (o Options) seed() uint64 {

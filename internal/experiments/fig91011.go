@@ -72,11 +72,6 @@ func fig10(opt Options) []*stats.Table {
 				t.AddRow(sizeLabel(size), fKpps(host.PPS), fKpps(con.PPS), fKpps(fal.PPS),
 					fRatio(con.PPS/host.PPS), fRatio(fal.PPS/host.PPS))
 				lt.AddRow(sizeLabel(size), fP3(host.Latency), fP3(con.Latency), fP3(fal.Latency))
-				if opt.TailLatency != nil {
-					opt.TailLatency.Merge(host.LatencyHist)
-					opt.TailLatency.Merge(con.LatencyHist)
-					opt.TailLatency.Merge(fal.LatencyHist)
-				}
 			}
 			tables = append(tables, t, lt)
 		}

@@ -23,13 +23,16 @@ func renderExperiment(t testing.TB, id string) string {
 }
 
 // TestGoldenDeterminism asserts experiment output is byte-identical to
-// the goldens captured before the scheduler/pool/cache fast path landed.
-// This is the determinism contract of the PR: pooled events and SKBs,
-// the timing wheel, and the overlay flow cache must not change a single
-// simulated result. fig10 covers the steady UDP datapath; abl-chaos
-// covers fault injection, retries and RNG-heavy degraded paths.
+// the committed goldens (fig10 and abl-chaos were captured before the
+// scheduler/pool/cache fast path landed). This is the determinism
+// contract: pooled events and SKBs, the timing wheel, and the overlay
+// flow cache must not change a single simulated result. fig10 covers the steady UDP datapath; abl-chaos
+// covers fault injection, retries and RNG-heavy degraded paths; mesh8
+// the multi-host ring; abl-tail the open-loop heavy-tailed sweep; and
+// abl-cache the RX decap fast path. Each golden pins every latency
+// percentile exactly, so a tail regression fails here.
 func TestGoldenDeterminism(t *testing.T) {
-	for _, id := range []string{"fig10", "abl-chaos"} {
+	for _, id := range []string{"fig10", "abl-chaos", "mesh8", "abl-tail", "abl-cache"} {
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", "golden_"+id+"_quick_seed1.txt"))
 			if err != nil {
@@ -37,7 +40,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 			got := renderExperiment(t, id)
 			if got != string(want) {
-				t.Fatalf("%s output diverged from pre-fast-path golden.\n--- want ---\n%s\n--- got ---\n%s",
+				t.Fatalf("%s output diverged from its golden.\n--- want ---\n%s\n--- got ---\n%s",
 					id, want, got)
 			}
 		})

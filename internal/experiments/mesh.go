@@ -96,11 +96,10 @@ func buildMesh(opt Options) (sim.Sim, []*meshNode) {
 	return fb.E, nodes
 }
 
-// mesh8 runs the ring for one measured window and reports per-host
-// delivery and latency plus the aggregate. With -shards N the same
-// byte-identical table is produced by N-way parallel execution — the
-// multi-host experiment the sharded-vs-serial benchmark times.
-func mesh8(opt Options) []*stats.Table {
+// runMesh builds the ring, starts every node's sender, runs the warm-up,
+// resets the measurement counters and runs one measured window. The
+// engine comes back parked at the window's end.
+func runMesh(opt Options) (sim.Sim, []*meshNode) {
 	e, nodes := buildMesh(opt)
 	warmup, window := opt.warmup(), opt.window()
 	until := warmup + window + 5*sim.Millisecond
@@ -113,6 +112,16 @@ func mesh8(opt Options) []*stats.Table {
 		n.sock.ResetMeasurement()
 	}
 	e.RunUntil(warmup + window)
+	return e, nodes
+}
+
+// mesh8 runs the ring for one measured window and reports per-host
+// delivery and latency plus the aggregate. With -shards N the same
+// byte-identical table is produced by N-way parallel execution — the
+// multi-host run BenchmarkMeshShards times.
+func mesh8(opt Options) []*stats.Table {
+	_, nodes := runMesh(opt)
+	window := opt.window()
 
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Mesh: %d-host UDP ring, %dB at %dKpps/host over VXLAN (10G, 20us links)", meshHosts, meshPayload, meshRatePPS/1000),
@@ -131,10 +140,5 @@ func mesh8(opt Options) []*stats.Table {
 	}
 	a := agg.Summarize()
 	t.AddRow("aggregate", fKpps(stats.Rate(total, int64(window))), fUs(a.P50), fUs(a.P99), fUs(a.P999), "-")
-	if opt.TailLatency != nil {
-		opt.TailLatency.Merge(agg)
-	}
-
-	captureWindowStats(opt, e)
 	return []*stats.Table{t}
 }

@@ -119,9 +119,6 @@ func ablTail(opt Options) []*stats.Table {
 			detail.AddRow(fRatio(factor), mode.String(), fKpps(offered), fKpps(pt.sentPPS),
 				fKpps(pt.res.PPS), fUs(s.P50), fUs(s.P99), fUs(s.P999),
 				fmt.Sprintf("%.2f", pt.res.PPS/maxf(pt.sentPPS, 1)))
-			if opt.TailLatency != nil {
-				opt.TailLatency.Merge(pt.res.LatencyHist)
-			}
 		}
 	}
 

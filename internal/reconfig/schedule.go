@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"falcon/internal/costmodel"
 )
 
 // Action kinds.
@@ -80,8 +82,8 @@ type Schedule struct {
 	Actions []Action `json:"actions"`
 }
 
-// Validate checks structural well-formedness: known kinds, required
-// per-kind fields, non-decreasing effective times, and add-follows-drain
+// Validate checks structural well-formedness: known kinds and kernel
+// names, required per-kind fields, non-decreasing effective times, and add-follows-drain
 // pairing. Host-name resolution happens when a Manager arms the
 // schedule against a concrete network.
 func (s *Schedule) Validate() error {
@@ -102,6 +104,9 @@ func (s *Schedule) Validate() error {
 		case KindKernelUpgrade:
 			if a.Kernel == "" {
 				return fmt.Errorf("reconfig: action %d: kernel-upgrade without kernel", i)
+			}
+			if !costmodel.Known(a.Kernel) {
+				return fmt.Errorf("reconfig: action %d: kernel-upgrade to unknown kernel %q", i, a.Kernel)
 			}
 		case KindSteerFlip, KindRPSFlip:
 			if a.Enable == nil {
