@@ -17,6 +17,7 @@ import (
 	"time"
 
 	falconcore "falcon/internal/core"
+	"falcon/internal/costmodel"
 	"falcon/internal/devices"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
@@ -40,6 +41,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	if !costmodel.Known(*kernel) {
+		fmt.Fprintf(os.Stderr, "flowgen: -kernel: want \"4.19\" or \"5.4\" (optionally \"linux-\" prefixed), got %q\n", *kernel)
+		os.Exit(2)
+	}
 
 	tb := workload.NewTestbed(workload.TestbedConfig{
 		Kernel: *kernel, LinkRate: *linkGbps * devices.Gbps, Cores: 16, Containers: 1,

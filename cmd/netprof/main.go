@@ -35,6 +35,10 @@ func main() {
 		topN     = flag.Int("top", 15, "number of functions to print")
 	)
 	flag.Parse()
+	if !costmodel.Known(*kernel) {
+		fmt.Fprintf(os.Stderr, "netprof: -kernel: want \"4.19\" or \"5.4\" (optionally \"linux-\" prefixed), got %q\n", *kernel)
+		os.Exit(2)
+	}
 
 	tb := workload.NewTestbed(workload.TestbedConfig{
 		Kernel: *kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,

@@ -37,11 +37,9 @@ func ablMTU(opt Options) []*stats.Table {
 		Columns: []string{"wire", "mode", "delivered(Kpps)", "wire frames/s", "server CPU (cores)", "p99(us)"},
 	}
 	run := func(mode workload.Mode, mtu int) (workload.Result, float64) {
-		tb := workload.NewTestbed(workload.TestbedConfig{
-			Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
-			RSSCores: []int{0}, RPSCores: []int{1},
-			GRO: true, InnerGRO: true, Seed: opt.seed(), MTU: mtu,
-		})
+		cfg := singleFlowConfig(100 * devices.Gbps)
+		cfg.MTU = mtu
+		tb := newBed(opt, cfg)
 		if mode == workload.ModeFalcon {
 			tb.EnableFalconOnServer(falconcore.DefaultConfig(singleFlowFalconCPUs))
 		}

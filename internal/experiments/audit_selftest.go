@@ -24,14 +24,8 @@ func init() {
 // auditSelftestBed is the single-flow bed with auditing always on
 // (selftests are meaningless without it).
 func auditSelftestBed(opt Options, cfg audit.Config) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
-		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
-	})
-	if opt.MaxEvents > 0 {
-		tb.E.SetEventBudget(opt.MaxEvents)
-	}
+	opt.Audit = false // attached below with the selftest's own config
+	tb := newSingleFlowBed(workload.ModeCon, opt, 100*devices.Gbps, false)
 	tb.EnableAudit(cfg)
 	return tb
 }

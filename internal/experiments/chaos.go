@@ -117,16 +117,9 @@ func runChaosScenario(mode workload.Mode, opt Options, sc chaosScenario) chaosOu
 	}
 	f.SendAtRate(chaosRate, until)
 
-	// Per-ms delivery snapshots across the measurement window. The
-	// sampler only reads a counter: it cannot perturb the datapath.
-	msCount := int(opt.window() / sim.Millisecond)
-	samples := make([]uint64, msCount+1)
-	for i := 1; i <= msCount; i++ {
-		i := i
-		tb.E.At(opt.warmup()+sim.Time(i)*sim.Millisecond, func() {
-			samples[i] = f.Sock.Delivered.Value()
-		})
-	}
+	// Per-ms delivery snapshots across the measurement window. Bucket 0
+	// stays zero: MeasureWindow resets the counter at warmup.
+	samples := sampleDelivered(tb, opt.warmup(), 1, int(opt.window()/sim.Millisecond), f.Sock)
 
 	res := workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
 	out := chaosOutcome{
@@ -186,12 +179,6 @@ func ablChaos(opt Options) []*stats.Table {
 		Title:   "Robustness verdicts: Falcon vs vanilla overlay under faults",
 		Columns: []string{"scenario", "Con(Kpps)", "Falcon(Kpps)", "Falcon/Con", "Falcon recover(ms)", "verdict"},
 	}
-	fRecover := func(ms float64) string {
-		if ms < 0 {
-			return ">window"
-		}
-		return fmt.Sprintf("%.1f", ms)
-	}
 	for _, sc := range chaosScenarios() {
 		var con, fal chaosOutcome
 		for _, mode := range []workload.Mode{workload.ModeHost, workload.ModeCon, workload.ModeFalcon} {
@@ -204,7 +191,7 @@ func ablChaos(opt Options) []*stats.Table {
 			}
 			detail.AddRow(sc.key, mode.String(), fKpps(out.Res.PPS), fUs(out.Res.Latency.P99),
 				fmt.Sprintf("%d", out.Drops), fmt.Sprintf("%d", out.KVRetries),
-				fRecover(out.RecoverMs),
+				fRecover(out.RecoverMs, 1),
 				fmt.Sprintf("%d", out.Rerouted), fmt.Sprintf("%d", out.Fallbacks),
 				fmt.Sprintf("%.1f", out.DegradedMs))
 		}
@@ -217,7 +204,7 @@ func ablChaos(opt Options) []*stats.Table {
 			v = "FAIL"
 		}
 		verdict.AddRow(sc.key, fKpps(con.Res.PPS), fKpps(fal.Res.PPS),
-			fRatio(ratio), fRecover(fal.RecoverMs), v)
+			fRatio(ratio), fRecover(fal.RecoverMs, 1), v)
 	}
 	return []*stats.Table{detail, verdict}
 }

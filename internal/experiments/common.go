@@ -23,43 +23,68 @@ var (
 	singleFlowAppCore    = 2
 )
 
-// newSingleFlowBed builds the standard single-flow testbed. colocate
-// forces both hosts onto one PDES shard when Options.Shards > 1 — TCP
-// beds need it because a transport.Conn shares state between its two
-// endpoints (transport.Dial rejects split endpoints).
-func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bool) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: link, Cores: 12, Containers: 1,
-		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
-		Shards: opt.Shards, Colocate: colocate, FixedHorizon: opt.FixedHorizon,
-		RxCache: opt.RxCache,
-	})
+// newBed builds a testbed for an experiment. It is the one place the
+// run-wide Options reach a bed: the kernel profile, seed, shard count
+// and RX cache are copied into cfg, and the event budget and audit
+// harness are attached, so every flag holds for every testbed-based
+// experiment. Set cfg.Colocate when endpoints share state across hosts
+// (TCP connections, closed-loop RPC apps): transport.Dial rejects
+// split endpoints.
+func newBed(opt Options, cfg workload.TestbedConfig) *workload.Testbed {
+	cfg.Kernel, cfg.Seed = opt.Kernel, opt.seed()
+	cfg.Shards, cfg.RxCache = opt.Shards, opt.RxCache
+	tb := workload.NewTestbed(cfg)
 	if opt.MaxEvents > 0 {
 		tb.E.SetEventBudget(opt.MaxEvents)
 	}
 	if opt.Audit {
 		tb.EnableAudit(audit.Config{})
 	}
+	return tb
+}
+
+// singleFlowConfig is the standard single-flow bed: 12 cores, one
+// container per side, RSS on core 0 and RPS on core 1.
+func singleFlowConfig(link float64) workload.TestbedConfig {
+	return workload.TestbedConfig{
+		LinkRate: link, Cores: 12, Containers: 1,
+		RSSCores: []int{0}, RPSCores: []int{1},
+		GRO: true, InnerGRO: true,
+	}
+}
+
+// newSingleFlowBed builds the standard single-flow testbed, with Falcon
+// on the server in Falcon mode. colocate is TestbedConfig.Colocate (TCP
+// beds need it).
+func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bool) *workload.Testbed {
+	cfg := singleFlowConfig(link)
+	cfg.Colocate = colocate
+	tb := newBed(opt, cfg)
 	if mode == workload.ModeFalcon {
 		tb.EnableFalconOnServer(falconcore.DefaultConfig(singleFlowFalconCPUs))
 	}
 	return tb
 }
 
-// finishAudit drains the simulation until every ledgered SKB is freed
-// (bounded: traffic has stopped by `until`, so a handful of extra
-// 2 ms slices flushes stragglers), then runs the auditor's teardown
-// checks — the end-of-run leak check included. No-op without audit.
+// finishAudit drains the simulation until every ledgered SKB is freed,
+// then runs the auditor's teardown checks — the end-of-run leak check
+// included. Traffic has stopped by `until`, but a full transmit queue
+// of large frames can take tens of ms to serialize, so it keeps running
+// 2 ms slices for as long as the live count keeps falling and gives up
+// after 10 slices without a new low: a genuine leak stops making
+// progress and still fails Final. No-op without audit.
 func finishAudit(tb *workload.Testbed, until sim.Time) {
 	a := tb.Audit
 	if a == nil {
 		return
 	}
-	deadline := until
-	for i := 0; i < 10 && a.LiveCount() > 0; i++ {
-		deadline += 2 * sim.Millisecond
-		tb.Run(deadline)
+	low := a.LiveCount()
+	for stalled := 0; low > 0 && stalled < 10; stalled++ {
+		until += 2 * sim.Millisecond
+		tb.Run(until)
+		if live := a.LiveCount(); live < low {
+			low, stalled = live, -1
+		}
 	}
 	a.Final()
 }
@@ -198,6 +223,32 @@ func startMemcachedOn(tb *workload.Testbed, threads, conns int, think sim.Time, 
 		ClientThreads: coreSpread, ClientCoreBase: 6, Connections: conns,
 		ThinkTime: think,
 	}, until)
+}
+
+// sampleDelivered schedules a read of the sockets' summed delivery
+// counters at start + i ms for i in [first, n] and returns the n+1
+// cumulative samples it fills in (entries below first stay zero). The
+// sampler only reads counters: it cannot perturb the datapath.
+func sampleDelivered(tb *workload.Testbed, start sim.Time, first, n int, socks ...*socket.Socket) []uint64 {
+	samples := make([]uint64, n+1)
+	for i := first; i <= n; i++ {
+		i := i
+		tb.E.At(start+sim.Time(i)*sim.Millisecond, func() {
+			for _, s := range socks {
+				samples[i] += s.Delivered.Value()
+			}
+		})
+	}
+	return samples
+}
+
+// fRecover renders a recovery time in ms with the given decimals; a
+// negative time means delivery never recovered inside the window.
+func fRecover(ms float64, decimals int) string {
+	if ms < 0 {
+		return ">window"
+	}
+	return strconv.FormatFloat(ms, 'f', decimals, 64)
 }
 
 // linkName labels a rate like the paper.

@@ -89,21 +89,13 @@ func installCrashFaults(tb *workload.Testbed, cs *reconfig.CrashSchedule, base, 
 	faults.NewInjector(tb.E).Install(plan)
 }
 
-// runCrash drives one bed for warmup + window + tail. cs == nil is the
-// undisturbed baseline; the sender's RNG draws are independent of the
-// datapath, so baseline and crash runs see an identical send schedule
-// and their per-ms buckets compare packet-for-packet.
-func runCrash(mode workload.Mode, opt Options, cs *reconfig.CrashSchedule) reconfigRun {
-	tb := newReconfigBed(mode, opt)
-	until := opt.warmup() + opt.window() + 5*sim.Millisecond
-	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
-	// The spare's twin socket: same overlay IP and port as the primary,
-	// live the moment the fail-over lands the container there.
-	spareSock := tb.Spare.OpenUDP(tb.ServerCtrs[0].IP, 5001, singleFlowAppCore)
-
-	var mgr *reconfig.Manager
-	if cs != nil {
-		mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
+// armCrash returns runDisturbed's arm for a crash schedule: the
+// failure detector watches every scheduled victim with the spare as its
+// standby twin target, and the crashes and partitions become injector
+// windows.
+func armCrash(opt Options, cs *reconfig.CrashSchedule) func(*workload.Testbed, sim.Time) *reconfig.Manager {
+	return func(tb *workload.Testbed, until sim.Time) *reconfig.Manager {
+		mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
 		twins := map[string]string{}
 		for _, c := range cs.Crashes {
 			if c.Host == "spare" {
@@ -116,41 +108,8 @@ func runCrash(mode workload.Mode, opt Options, cs *reconfig.CrashSchedule) recon
 			panic(fmt.Sprintf("abl-crash: %v", err))
 		}
 		installCrashFaults(tb, cs, opt.warmup(), until)
+		return mgr
 	}
-	f.SendAtRate(reconfigRate, until)
-
-	msCount := int(opt.window()/sim.Millisecond) + reconfigTailMs
-	samples := make([]uint64, msCount+1)
-	for i := 0; i <= msCount; i++ {
-		i := i
-		tb.E.At(opt.warmup()+sim.Time(i)*sim.Millisecond, func() {
-			samples[i] = f.Sock.Delivered.Value() + spareSock.Delivered.Value()
-		})
-	}
-
-	tb.Run(until)
-	// Flush transmit stragglers so the conservation equation closes.
-	for i := 0; i < 10 && tb.Client.TxPending() > 0; i++ {
-		until += 2 * sim.Millisecond
-		tb.Run(until)
-	}
-	finishAudit(tb, until)
-
-	r := reconfigRun{
-		samples:   samples,
-		sent:      f.Sent(),
-		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
-		sockDrops: f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value(),
-		txPending: tb.Client.TxPending() + tb.Server.TxPending() + tb.Spare.TxPending(),
-		quiesceUs: -1,
-	}
-	if mgr != nil {
-		r.recs = mgr.Records()
-		r.final = mgr.Snapshot()
-	} else {
-		r.final = reconfig.New(tb.Net, &reconfig.Schedule{}).Snapshot()
-	}
-	return r
 }
 
 // crashBlackout scans every per-ms bucket pair for the longest stretch
@@ -198,20 +157,14 @@ func ablCrash(opt Options) []*stats.Table {
 		Columns: []string{"mode", "base(Kpps)", "crash(Kpps)", "ratio", "unaccounted",
 			"detect(ms)", "blackout(ms)", "recover(ms)", "verdict"},
 	}
-	fRecover := func(ms int) string {
-		if ms < 0 {
-			return ">window"
-		}
-		return fmt.Sprintf("%d", ms)
-	}
 	for _, mode := range []workload.Mode{workload.ModeCon, workload.ModeFalcon} {
 		cs := opt.Crash
 		if cs == nil {
 			cs = defaultCrashSchedule(windowMs)
 		}
 
-		base := runCrash(mode, opt, nil)
-		run := runCrash(mode, opt, cs)
+		base := runDisturbed(mode, opt, nil)
+		run := runDisturbed(mode, opt, armCrash(opt, cs))
 		conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
 		for i, rec := range run.recs {
 			c := conv[i]
@@ -219,28 +172,11 @@ func ablCrash(opt Options) []*stats.Table {
 				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
 				fmt.Sprintf("%d", c.LossPkts),
 				fmt.Sprintf("%d/%d/%d", c.Drops.Crash, c.Drops.Resolve, c.Drops.NIC),
-				fRecover(c.RecoverMs))
+				fRecover(float64(c.RecoverMs), 0))
 		}
 
 		// Steady state starts after the last scheduled event has settled.
-		lastMs := 0
-		for _, c := range cs.Crashes {
-			if c.AtMs > lastMs {
-				lastMs = c.AtMs
-			}
-			if c.RebootMs > lastMs {
-				lastMs = c.RebootMs
-			}
-		}
-		for _, p := range cs.Partitions {
-			if p.AtMs > lastMs {
-				lastMs = p.AtMs
-			}
-			if p.HealMs > lastMs {
-				lastMs = p.HealMs
-			}
-		}
-		steadyFrom := lastMs + 2
+		steadyFrom := scheduleEndMs(nil, cs) + 2
 		baseSteady := steadyMean(base.samples, steadyFrom)
 		runSteady := steadyMean(run.samples, steadyFrom)
 		ratio := 0.0
@@ -289,7 +225,7 @@ func ablCrash(opt Options) []*stats.Table {
 			fKpps(baseSteady*1e3), fKpps(runSteady*1e3), fRatio(ratio),
 			fmt.Sprintf("%d", run.unaccounted()),
 			fmt.Sprintf("%.1f", detectMs),
-			fmt.Sprintf("%d", blackout), fRecover(recover), v)
+			fmt.Sprintf("%d", blackout), fRecover(float64(recover), 0), v)
 	}
 	return []*stats.Table{detail, verdict}
 }

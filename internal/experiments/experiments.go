@@ -14,7 +14,10 @@ import (
 	"falcon/internal/stats"
 )
 
-// Options tunes a run.
+// Options tunes a run. Every testbed-based experiment builds its beds
+// through newBed and every multi-host one through buildFabric, so each
+// field below holds for every experiment unless its comment says
+// otherwise.
 type Options struct {
 	// Kernel selects the cost profile ("linux-4.19" default).
 	Kernel string
@@ -24,8 +27,9 @@ type Options struct {
 	// Seed for determinism (0 → 1).
 	Seed uint64
 	// Audit enables the runtime verification subsystem (internal/audit)
-	// on experiments that support it; an invariant breach aborts the run
-	// with an *audit.Abort panic.
+	// on every testbed; an invariant breach aborts the run with an
+	// *audit.Abort panic. The fabric beds (mesh8, abl-cache's mesh rows)
+	// have no audit harness.
 	Audit bool
 	// MaxEvents, when positive, aborts the run with *sim.BudgetExceeded
 	// after executing that many engine events, fired plus inlined (a
@@ -35,8 +39,9 @@ type Options struct {
 	// PDES cluster with that many shards (one logical process per
 	// simulated host; see DESIGN.md §6). Results are byte-identical to
 	// the serial engine for every value. Beds whose endpoints share
-	// cross-host state (TCP, closed-loop RPC apps) colocate their hosts
-	// on one shard; the memcached beds stay serial.
+	// cross-host state (TCP, closed-loop RPC and memcached apps)
+	// colocate their hosts on one shard, which ShardsAuto resolves to
+	// the serial engine.
 	Shards int
 	// Reconfig, when non-nil, replaces abl-reconfig's built-in
 	// generation schedule (the -reconfig flag loads one from JSON; host
@@ -48,16 +53,10 @@ type Options struct {
 	// twin target and cannot itself crash).
 	Crash *reconfig.CrashSchedule
 	// RxCache enables the ONCache-style RX decap fast path (per-core
-	// flow caches, internal/overlay/rxcache.go) on every host of the
-	// experiments built from the standard beds. Off by default: the
-	// cache is the abl-cache ablation's subject, and the goldens pin
-	// the uncached behavior.
+	// flow caches, internal/overlay/rxcache.go) on every host. Off by
+	// default: the cache is the abl-cache ablation's subject, and the
+	// goldens pin the uncached behavior.
 	RxCache bool
-	// FixedHorizon disables adaptive safe-horizon windows on sharded
-	// runs (every window is clipped to the static global lookahead) —
-	// the A/B switch the shard-invariance tests sweep. Results are
-	// byte-identical either way; only synchronization counts change.
-	FixedHorizon bool
 }
 
 // ShardsAuto is the Options.Shards sentinel for "pick shard and worker

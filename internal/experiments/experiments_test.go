@@ -31,34 +31,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestAllExperimentsProduceTables(t *testing.T) {
-	// Smoke: every experiment runs in Quick mode and yields non-empty
-	// tables. Heavier shape assertions live in the targeted tests below.
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tables := e.Run(quick)
-			if len(tables) == 0 {
-				t.Fatal("no tables")
-			}
-			for _, tb := range tables {
-				if len(tb.Rows) == 0 {
-					t.Fatalf("table %q empty", tb.Title)
-				}
-				for _, row := range tb.Rows {
-					if len(row) != len(tb.Columns) {
-						t.Fatalf("table %q row width %d != %d cols",
-							tb.Title, len(row), len(tb.Columns))
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestUDPStressShape(t *testing.T) {
 	// The core result: Con loses badly, Falcon recovers most of it.
 	host := udpStress(workload.ModeHost, quick, 100*devices.Gbps, 16)

@@ -59,9 +59,7 @@ type fabric struct {
 func buildFabric(opt Options, cfg fabricConfig) *fabric {
 	var e sim.Sim
 	if shards, workers := resolveShards(opt.Shards, cfg.Hosts); shards > 1 {
-		cl := sim.NewCluster(opt.seed(), shards, workers)
-		cl.SetAdaptive(!opt.FixedHorizon)
-		e = cl
+		e = sim.NewCluster(opt.seed(), shards, workers)
 	} else {
 		e = sim.New(opt.seed())
 	}

@@ -19,10 +19,10 @@ func init() {
 // 0, RPS across cores 1–4, FALCON_CPUS on dedicated idle cores 10–15,
 // application threads on 5–9/16–19.
 func multiFlowBed(mode workload.Mode, opt Options, hostPlus bool) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 20, Containers: 1,
-		RSSCores: []int{0}, RPSCores: []int{1, 2, 3, 4},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+	tb := newBed(opt, workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 20, Containers: 1,
+		RSSCores: []int{0}, RPSCores: []int{1, 2, 3, 4}, GRO: true, InnerGRO: true,
+		Colocate: true, // the TCP flows' endpoints share connection state
 	})
 	if mode == workload.ModeFalcon || hostPlus {
 		cfg := falconcore.DefaultConfig([]int{10, 11, 12, 13, 14, 15})

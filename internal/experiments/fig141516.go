@@ -89,10 +89,10 @@ func ablBalancer(opt Options) []*stats.Table {
 // remaining cores. Falcon must find idle cycles among the receiving
 // cores themselves.
 func busySystemBed(opt Options, falconCfg *falconcore.Config) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 16, Containers: 40,
+	tb := newBed(opt, workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 16, Containers: 40,
 		RSSCores: []int{0, 1, 2, 3, 4, 5}, RPSCores: []int{0, 1, 2, 3, 4, 5},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+		GRO: true, InnerGRO: true,
 	})
 	if falconCfg != nil {
 		tb.EnableFalconOnServer(*falconCfg)

@@ -24,10 +24,10 @@ func init() {
 // steers softirqs toward less-loaded cores, which is where its large
 // application-level gains come from (Section 6.2).
 func appsBed(opt Options, falconOn bool) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 4,
-		RSSCores: []int{0}, RPSCores: []int{0},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+	tb := newBed(opt, workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 4,
+		RSSCores: []int{0}, RPSCores: []int{0}, GRO: true, InnerGRO: true,
+		Colocate: true, // RPC clients and servers share state across hosts
 	})
 	if falconOn {
 		tb.EnableFalconOnServer(falconcore.DefaultConfig([]int{0, 1, 2, 3, 4, 5}))

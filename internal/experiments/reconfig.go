@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"falcon/internal/audit"
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/reconfig"
@@ -84,18 +83,9 @@ func filterForMode(s *reconfig.Schedule, falcon bool) *reconfig.Schedule {
 // pair plus the spare migration target carrying the server container's
 // standby twin. Falcon mode attaches Falcon to both receive-side hosts.
 func newReconfigBed(mode workload.Mode, opt Options) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
-		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
-		Shards: opt.Shards, Spare: true,
-	})
-	if opt.MaxEvents > 0 {
-		tb.E.SetEventBudget(opt.MaxEvents)
-	}
-	if opt.Audit {
-		tb.EnableAudit(audit.Config{})
-	}
+	cfg := singleFlowConfig(100 * devices.Gbps)
+	cfg.Spare = true
+	tb := newBed(opt, cfg)
 	if mode == workload.ModeFalcon {
 		tb.EnableFalconOnServer(falconcore.DefaultConfig(singleFlowFalconCPUs))
 		tb.Spare.EnableFalcon(falconcore.DefaultConfig(singleFlowFalconCPUs))
@@ -103,9 +93,9 @@ func newReconfigBed(mode workload.Mode, opt Options) *workload.Testbed {
 	return tb
 }
 
-// reconfigRun is one measured run (with or without a schedule). All
-// counters are whole-run — nothing is reset mid-flight, so the
-// conservation equation closes exactly across every generation swap.
+// reconfigRun is one measured run, disturbed or not. All counters are
+// whole-run — nothing is reset mid-flight, so the conservation equation
+// closes exactly across every generation swap.
 type reconfigRun struct {
 	samples   []uint64 // cumulative delivery at warmup + i*1ms
 	recs      []*reconfig.GenRecord
@@ -114,8 +104,6 @@ type reconfigRun struct {
 	delivered uint64
 	sockDrops uint64
 	txPending uint64
-	// quiesceUs is the drain's quiesce latency (-1: no drain/never).
-	quiesceUs float64
 }
 
 // unaccounted is the conservation residue: every sent packet must be
@@ -127,35 +115,28 @@ func (r reconfigRun) unaccounted() int64 {
 		int64(r.final.Total()) - int64(r.txPending)
 }
 
-// runReconfig drives one bed for warmup + window + tail. sched == nil is
-// the no-reconfig baseline; the sender's RNG draws are independent of
-// the datapath, so baseline and reconfig runs see an identical send
-// schedule and their steady buckets compare packet-for-packet.
-func runReconfig(mode workload.Mode, opt Options, sched *reconfig.Schedule) reconfigRun {
+// runDisturbed drives one reconfig bed's fixed-rate UDP flow for warmup
+// + window + tail. arm installs the disturbance (a generation schedule,
+// a crash schedule) on the built bed before traffic starts and returns
+// the manager that records it; nil arm is the undisturbed baseline. The
+// sender's RNG draws are independent of the datapath, so baseline and
+// disturbed runs see an identical send schedule and their per-ms buckets
+// compare packet-for-packet.
+func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed, until sim.Time) *reconfig.Manager) reconfigRun {
 	tb := newReconfigBed(mode, opt)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
 	// The spare's twin socket: same overlay IP and port as the primary,
-	// live the moment the drain lands the container there.
+	// live the moment a drain or fail-over lands the container there.
 	spareSock := tb.Spare.OpenUDP(tb.ServerCtrs[0].IP, 5001, singleFlowAppCore)
 
 	var mgr *reconfig.Manager
-	if sched != nil {
-		mgr = reconfig.New(tb.Net, sched)
-		if err := mgr.Arm(opt.warmup()); err != nil {
-			panic(fmt.Sprintf("abl-reconfig: %v", err))
-		}
+	if arm != nil {
+		mgr = arm(tb, until)
 	}
 	f.SendAtRate(reconfigRate, until)
-
 	msCount := int(opt.window()/sim.Millisecond) + reconfigTailMs
-	samples := make([]uint64, msCount+1)
-	for i := 0; i <= msCount; i++ {
-		i := i
-		tb.E.At(opt.warmup()+sim.Time(i)*sim.Millisecond, func() {
-			samples[i] = f.Sock.Delivered.Value() + spareSock.Delivered.Value()
-		})
-	}
+	samples := sampleDelivered(tb, opt.warmup(), 0, msCount, f.Sock, spareSock)
 
 	tb.Run(until)
 	// Flush transmit stragglers so the conservation equation closes.
@@ -165,26 +146,38 @@ func runReconfig(mode workload.Mode, opt Options, sched *reconfig.Schedule) reco
 	}
 	finishAudit(tb, until)
 
-	r := reconfigRun{
+	if mgr == nil {
+		mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
+	}
+	return reconfigRun{
 		samples:   samples,
+		recs:      mgr.Records(),
+		final:     mgr.Snapshot(),
 		sent:      f.Sent(),
 		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
 		sockDrops: f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value(),
 		txPending: tb.Client.TxPending() + tb.Server.TxPending() + tb.Spare.TxPending(),
-		quiesceUs: -1,
 	}
-	if mgr != nil {
-		r.recs = mgr.Records()
-		r.final = mgr.Snapshot()
-		for _, rec := range r.recs {
-			if rec.Action.Kind == reconfig.KindDrain && rec.QuiescedAt >= 0 {
-				r.quiesceUs = float64(rec.QuiescedAt-rec.Applied) / 1e3
-			}
+}
+
+// scheduleEndMs is the last ms offset at which either schedule acts
+// (nil schedules contribute nothing): steady state is measured after it.
+func scheduleEndMs(rs *reconfig.Schedule, cs *reconfig.CrashSchedule) int {
+	last := 0
+	if rs != nil {
+		for _, a := range rs.Actions {
+			last = max(last, a.AtMs)
 		}
-	} else {
-		r.final = reconfig.New(tb.Net, &reconfig.Schedule{}).Snapshot()
 	}
-	return r
+	if cs != nil {
+		for _, c := range cs.Crashes {
+			last = max(last, c.AtMs, c.RebootMs)
+		}
+		for _, p := range cs.Partitions {
+			last = max(last, p.AtMs, p.HealMs)
+		}
+	}
+	return last
 }
 
 // steadyMean is the mean per-ms delivery over buckets [from, end) — the
@@ -212,12 +205,6 @@ func ablReconfig(opt Options) []*stats.Table {
 		Columns: []string{"mode", "base(Kpps)", "reconfig(Kpps)", "ratio",
 			"unaccounted", "quiesce(us)", "max-blackout(ms)", "verdict"},
 	}
-	fRecover := func(ms int) string {
-		if ms < 0 {
-			return ">window"
-		}
-		return fmt.Sprintf("%d", ms)
-	}
 	for _, mode := range []workload.Mode{workload.ModeCon, workload.ModeFalcon} {
 		falcon := mode == workload.ModeFalcon
 		sched := opt.Reconfig
@@ -226,17 +213,17 @@ func ablReconfig(opt Options) []*stats.Table {
 		}
 		sched = filterForMode(sched, falcon)
 
-		base := runReconfig(mode, opt, nil)
-		run := runReconfig(mode, opt, sched)
+		base := runDisturbed(mode, opt, nil)
+		run := runDisturbed(mode, opt, func(tb *workload.Testbed, _ sim.Time) *reconfig.Manager {
+			mgr := reconfig.New(tb.Net, sched)
+			if err := mgr.Arm(opt.warmup()); err != nil {
+				panic(fmt.Sprintf("abl-reconfig: %v", err))
+			}
+			return mgr
+		})
 		conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
 
-		lastAt := 0
-		for _, a := range sched.Actions {
-			if a.AtMs > lastAt {
-				lastAt = a.AtMs
-			}
-		}
-		steadyFrom := lastAt + 1
+		steadyFrom := scheduleEndMs(sched, nil) + 1
 		baseSteady := steadyMean(base.samples, steadyFrom)
 		runSteady := steadyMean(run.samples, steadyFrom)
 		ratio := 0.0
@@ -244,7 +231,7 @@ func ablReconfig(opt Options) []*stats.Table {
 			ratio = runSteady / baseSteady
 		}
 
-		maxBlackout, recovered, detached := 0, true, true
+		maxBlackout, recovered, detached, quiesceUs := 0, true, true, -1.0
 		for _, c := range conv {
 			if c.BlackoutMs > maxBlackout {
 				maxBlackout = c.BlackoutMs
@@ -254,26 +241,29 @@ func ablReconfig(opt Options) []*stats.Table {
 			}
 		}
 		for i, rec := range run.recs {
-			if rec.Action.Kind == reconfig.KindDrain && !rec.Detached {
-				detached = false
+			if rec.Action.Kind == reconfig.KindDrain {
+				detached = detached && rec.Detached
+				if rec.QuiescedAt >= 0 {
+					quiesceUs = float64(rec.QuiescedAt-rec.Applied) / 1e3
+				}
 			}
 			c := conv[i]
 			detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
 				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
 				fmt.Sprintf("%d", c.LossPkts),
 				fmt.Sprintf("%d/%d/%d", c.Drops.Resolve, c.Drops.NIC, c.Drops.Backlog),
-				fRecover(c.RecoverMs))
+				fRecover(float64(c.RecoverMs), 0))
 		}
 
 		v := "OK"
 		if ratio < 0.98 || run.unaccounted() != 0 || !recovered || !detached ||
-			maxBlackout > reconfigBlackoutBudgetMs || run.quiesceUs < 0 {
+			maxBlackout > reconfigBlackoutBudgetMs || quiesceUs < 0 {
 			v = "FAIL"
 		}
 		verdict.AddRow(mode.String(),
 			fKpps(baseSteady*1e3), fKpps(runSteady*1e3), fRatio(ratio),
 			fmt.Sprintf("%d", run.unaccounted()),
-			fmt.Sprintf("%.1f", run.quiesceUs),
+			fmt.Sprintf("%.1f", quiesceUs),
 			fmt.Sprintf("%d", maxBlackout), v)
 	}
 	return []*stats.Table{detail, verdict}

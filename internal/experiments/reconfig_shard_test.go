@@ -9,19 +9,20 @@ import (
 // hot reconfiguration: abl-reconfig's generation swaps — kernel
 // upgrade, graceful drain with twin handoff, re-add, steering and RPS
 // flips — all run as coordinator-side control events, so the rendered
-// tables must be byte-identical on the serial engine and on every
-// cluster size. The spare host lives on shard 2, which makes shards=4
-// the first configuration where client, server, and spare all occupy
-// distinct shards.
+// tables must match the serial golden on every cluster size. The spare
+// host lives on shard 2, which makes shards=4 the first configuration
+// where client, server, and spare all occupy distinct shards.
 func TestReconfigShardInvariance(t *testing.T) {
-	ref := renderShards(t, "abl-reconfig", 0, false)
-	if !strings.Contains(ref, "OK") || strings.Contains(ref, "FAIL") {
-		t.Fatalf("serial abl-reconfig does not pass its own SLOs:\n%s", ref)
+	want := golden(t, "abl-reconfig")
+	if !strings.Contains(want, "OK") || strings.Contains(want, "FAIL") {
+		t.Fatalf("abl-reconfig's golden does not pass its own SLOs:\n%s", want)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		if got := renderShards(t, "abl-reconfig", shards, false); got != ref {
-			t.Errorf("shards=%d output diverges from serial\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-				shards, ref, shards, got)
+		opt := goldenOpt
+		opt.Shards = shards
+		if got := render(t, "abl-reconfig", opt); got != want {
+			t.Errorf("shards=%d output diverges from the serial golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
+				shards, want, shards, got)
 		}
 	}
 }
@@ -31,15 +32,13 @@ func TestReconfigShardInvariance(t *testing.T) {
 // must keep the SKB ledger clean on every shard layout, and the ledger
 // itself must not perturb a single simulated result.
 func TestReconfigShardInvarianceWithAudit(t *testing.T) {
-	ref := renderShards(t, "abl-reconfig", 0, true)
-	noAudit := renderShards(t, "abl-reconfig", 0, false)
-	if ref != noAudit {
-		t.Fatal("audit harness changed serial output; shard comparison would be vacuous")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := renderShards(t, "abl-reconfig", shards, true); got != ref {
-			t.Errorf("shards=%d audited output diverges from serial\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-				shards, ref, shards, got)
+	want := golden(t, "abl-reconfig")
+	for _, shards := range []int{0, 2, 4} {
+		opt := goldenOpt
+		opt.Shards, opt.Audit = shards, true
+		if got := render(t, "abl-reconfig", opt); got != want {
+			t.Errorf("shards=%d audited output diverges from the golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
+				shards, want, shards, got)
 		}
 	}
 }

@@ -2,77 +2,52 @@ package experiments
 
 import "testing"
 
-// renderShards runs an experiment the way the goldens were captured,
-// but on a PDES cluster with the given shard count (0 = serial engine).
-func renderShards(t testing.TB, id string, shards int, audit bool) string {
-	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	out := ""
-	for _, tbl := range e.Run(Options{Quick: true, Seed: 1, Shards: shards, Audit: audit}) {
-		out += tbl.String() + "\n"
-	}
-	return out
-}
-
 // TestShardInvariance is the determinism contract of the PDES engine:
-// every experiment prints byte-identical tables whether it runs on the
-// serial engine or on a conservative multi-shard cluster, for every
+// every experiment prints its golden (captured on the serial engine)
+// byte for byte on a conservative multi-shard cluster too, for every
 // shard count. fig10 covers the steady UDP datapath (two hosts, two
 // shards, one busy direction), abl-chaos covers fault injection with
 // coordinator-side Apply/Revert events and RNG-heavy degraded paths,
-// and mesh8 covers the 8-host topology where every shard carries
-// cross-shard traffic in both directions. abl-tail covers the
-// heavy-tailed open-loop generators: thousands of churning flows whose
-// send schedule must be identical however the datapath is sharded.
+// and mesh8 covers the 8-host topology where every shard both sends and
+// receives cross-shard traffic — the case where per-link bounds feed
+// the adaptive safe-horizon windows, so window placement is pinned to
+// the serial semantics here. abl-tail covers the heavy-tailed open-loop
+// generators: thousands of churning flows whose send schedule must be
+// identical however the datapath is sharded.
 func TestShardInvariance(t *testing.T) {
 	for _, id := range []string{"fig10", "abl-chaos", "mesh8", "abl-tail"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			ref := renderShards(t, id, 0, false)
+			want := golden(t, id)
 			for _, shards := range []int{1, 2, 8} {
-				if got := renderShards(t, id, shards, false); got != ref {
-					t.Errorf("shards=%d output diverges from serial\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-						shards, ref, shards, got)
+				opt := goldenOpt
+				opt.Shards = shards
+				if got := render(t, id, opt); got != want {
+					t.Errorf("shards=%d output diverges from the serial golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
+						shards, want, shards, got)
 				}
 			}
 		})
 	}
 }
 
-// renderHorizon is renderShards with the adaptive-horizon switch
-// exposed: fixed=true clips every window to the static global
-// lookahead, the pre-adaptive behaviour.
-func renderHorizon(t testing.TB, id string, shards int, fixed bool) string {
-	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	out := ""
-	for _, tbl := range e.Run(Options{Quick: true, Seed: 1, Shards: shards, FixedHorizon: fixed}) {
-		out += tbl.String() + "\n"
-	}
-	return out
-}
-
 // TestAdaptiveHorizonInvariance pins the adaptive safe-horizon windows
 // to the serial semantics: mesh8 — the topology where every shard both
 // sends and receives and per-link bounds actually feed the adaptive
-// derivation — renders byte-identical tables on the serial engine, on a
-// sharded cluster with static windows, and on a sharded cluster with
-// adaptive windows. Window placement is a pure scheduling concern; it
-// must never leak into a simulated result.
+// derivation — prints its serial golden byte for byte on sharded
+// clusters of 2 and 4 shards, whose windows are cut by the adaptive
+// horizon. Window placement is a pure scheduling concern; it must never
+// leak into a simulated result. (The static-bound reference the
+// adaptive windows are compared against lives in internal/sim's own
+// tests, e.g. TestClusterAdaptiveWindowsWider.)
 func TestAdaptiveHorizonInvariance(t *testing.T) {
-	ref := renderShards(t, "mesh8", 0, false)
+	want := golden(t, "mesh8")
 	for _, shards := range []int{2, 4} {
-		for _, fixed := range []bool{false, true} {
-			if got := renderHorizon(t, "mesh8", shards, fixed); got != ref {
-				t.Errorf("shards=%d fixed=%t output diverges from serial\n--- serial ---\n%s\n--- got ---\n%s",
-					shards, fixed, ref, got)
-			}
+		opt := goldenOpt
+		opt.Shards = shards
+		if got := render(t, "mesh8", opt); got != want {
+			t.Errorf("shards=%d output diverges from the serial golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
+				shards, want, shards, got)
 		}
 	}
 }
@@ -80,22 +55,20 @@ func TestAdaptiveHorizonInvariance(t *testing.T) {
 // TestShardInvarianceWithAudit repeats the invariance check with the
 // full audit harness attached: per-shard SKB ledgers, cross-shard
 // record handoffs at barriers, and coordinator-driven invariant sweeps
-// must not perturb a single simulated result either. (mesh8 builds its
-// topology directly on overlay.Network and has no audit harness, so the
-// audited check covers the testbed-based goldens.)
+// must not perturb a single simulated result either, serial or sharded.
+// (mesh8 builds its topology directly on overlay.Network and has no
+// audit harness, so the audited check covers the testbed-based goldens.)
 func TestShardInvarianceWithAudit(t *testing.T) {
 	for _, id := range []string{"fig10", "abl-chaos", "abl-tail"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			ref := renderShards(t, id, 0, true)
-			noAudit := renderShards(t, id, 0, false)
-			if ref != noAudit {
-				t.Fatal("audit harness changed serial output; shard comparison would be vacuous")
-			}
-			for _, shards := range []int{2, 8} {
-				if got := renderShards(t, id, shards, true); got != ref {
-					t.Errorf("shards=%d audited output diverges from serial\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-						shards, ref, shards, got)
+			want := golden(t, id)
+			for _, shards := range []int{0, 2, 8} {
+				opt := goldenOpt
+				opt.Shards, opt.Audit = shards, true
+				if got := render(t, id, opt); got != want {
+					t.Errorf("shards=%d audited output diverges from the golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
+						shards, want, shards, got)
 				}
 			}
 		})

@@ -110,7 +110,7 @@ func build(sc Scenario, falcon, withAudit bool) *bed {
 		MTU: sc.MTU, Seed: sc.Seed,
 		// TCP endpoints share connection state, so scenarios with any
 		// TCP flow colocate both hosts on one shard.
-		Shards: sc.Shards, Colocate: !sc.UDPOnly(), FixedHorizon: sc.FixedHorizon,
+		Shards: sc.Shards, Colocate: !sc.UDPOnly(),
 		// A drain or a crash fail-over needs the spare host carrying
 		// standby twins of every server container.
 		Spare:   sc.HasDrain() || sc.HasCrash(),

@@ -69,7 +69,7 @@ type Cluster struct {
 	declMin  []Time // min declared pairwise bound (0 = none yet)
 	effOut   []Time // effective min outgoing lookahead (maxTime = cannot send)
 
-	adaptive bool
+	adaptive bool // adaptive horizons; off only in tests (static reference)
 	curEnd   Time // current window end; -1 outside windows (Post guard)
 
 	nexts   []Time // per-LP NextAt cache for the window scan
@@ -207,13 +207,6 @@ func (c *Cluster) NumShards() int { return len(c.lps) }
 // Lookahead returns the current global cross-shard lookahead (0:
 // unbounded — no cross-shard link registered yet).
 func (c *Cluster) Lookahead() Time { return c.look }
-
-// SetAdaptive toggles adaptive safe-horizon windows. On (the default),
-// window ends are derived per-window from each busy shard's next event
-// and pairwise lookaheads; off, every window is clipped to the static
-// global lookahead — the PR-5 behaviour, kept for A/B testing. The
-// event schedule is byte-identical either way.
-func (c *Cluster) SetAdaptive(on bool) { c.adaptive = on }
 
 // Bound lowers the cluster-wide lookahead floor to d: a cross-shard
 // sender that does not (or cannot) declare a pairwise bound is held to

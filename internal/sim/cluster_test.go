@@ -220,6 +220,14 @@ func TestClusterBudget(t *testing.T) {
 	c.RunUntil(1_000_000)
 }
 
+// setAdaptive toggles adaptive safe-horizon windows. On (the default),
+// window ends are derived per-window from each busy shard's next event
+// and pairwise lookaheads; off, every window is clipped to the static
+// global lookahead. The static bound is the reference these tests hold
+// the adaptive derivation to: the event schedule must be byte-identical
+// either way.
+func (c *Cluster) setAdaptive(on bool) { c.adaptive = on }
+
 // staleClockTopology builds the one hazard the adaptive horizon adds
 // over the static one: shard 0 sends through shard 1's endpoint while
 // shard 1 is still parked at the barrier. The per-endpoint lookahead
@@ -228,7 +236,7 @@ func TestClusterBudget(t *testing.T) {
 // next *pending* event — which is later than its clock.
 func staleClockTopology(adaptive bool) (*Cluster, *Time) {
 	c := NewCluster(1, 2, 1)
-	c.SetAdaptive(adaptive)
+	c.setAdaptive(adaptive)
 	s0, s1 := c.Shard(0), c.Shard(1)
 	out := c.Source(s1, s0)
 	out.Bound(10_000)
@@ -279,10 +287,10 @@ func TestClusterAdaptiveGuardFixedOK(t *testing.T) {
 // global floor. Static windows are clipped to the 800ns floor on every
 // round; adaptive windows stretch to shard 0's declared bound whenever
 // shard 2's next event is far away. Shard 1 only receives.
-func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats) {
+func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats, uint64) {
 	t.Helper()
 	c := NewCluster(5, 3, 1)
-	c.SetAdaptive(adaptive)
+	c.setAdaptive(adaptive)
 	ae, be, ce := c.Shard(0), c.Shard(1), c.Shard(2)
 	ab, cb := c.Source(ae, be), c.Source(ce, be)
 	ab.Bound(8000)
@@ -305,17 +313,21 @@ func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats) {
 	ae.After(0, stepA)
 	ce.After(7, stepC)
 	c.RunUntil(300_000)
-	return trace, c.Stats()
+	return trace, c.Stats(), c.Fired() + c.Inlined()
 }
 
 // TestClusterAdaptiveWindowsWider is the perf property of adaptive
 // horizons, asserted rather than eyeballed: on the asymmetric workload
 // the adaptive run needs a small fraction of the static run's barriers,
 // and the delivery schedule stays byte-identical — windows change, the
-// simulation does not.
+// simulation does not. Both runs are sharded, so the executed events
+// (fired plus inlined) must match too: adaptive horizons may only move
+// window barriers, never an event. Only the split between fired and
+// inlined may move, since a window end also bounds how far a core runs
+// ahead.
 func TestClusterAdaptiveWindowsWider(t *testing.T) {
-	fixedTrace, fixedStats := runAsym(t, false)
-	adptTrace, adptStats := runAsym(t, true)
+	fixedTrace, fixedStats, fixedExec := runAsym(t, false)
+	adptTrace, adptStats, adptExec := runAsym(t, true)
 	if len(fixedTrace) == 0 {
 		t.Fatal("workload produced no deliveries")
 	}
@@ -326,6 +338,9 @@ func TestClusterAdaptiveWindowsWider(t *testing.T) {
 	if adptStats.Msgs != fixedStats.Msgs {
 		t.Fatalf("cross-shard message count changed: fixed %d, adaptive %d",
 			fixedStats.Msgs, adptStats.Msgs)
+	}
+	if adptExec != fixedExec {
+		t.Fatalf("executed events changed: fixed %d, adaptive %d", fixedExec, adptExec)
 	}
 	if 2*adptStats.Windows >= fixedStats.Windows {
 		t.Fatalf("adaptive horizons did not widen windows: %d windows adaptive vs %d static",

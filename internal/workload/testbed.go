@@ -62,10 +62,6 @@ type TestbedConfig struct {
 	// via sim.AutoShards — serial when the bed colocates its hosts on
 	// one shard or the machine has a single CPU.
 	Shards int
-	// FixedHorizon disables adaptive safe-horizon windows on sharded
-	// runs (results are byte-identical either way; only synchronization
-	// counts change).
-	FixedHorizon bool
 	// Colocate forces both hosts onto shard 0 even when Shards > 1 —
 	// required by workloads whose endpoints share state across hosts
 	// (TCP connections and closed-loop RPC apps).
@@ -137,9 +133,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	var e sim.Sim
 	if shards > 1 {
-		cl := sim.NewCluster(cfg.Seed, shards, workers)
-		cl.SetAdaptive(!cfg.FixedHorizon)
-		e = cl
+		e = sim.NewCluster(cfg.Seed, shards, workers)
 	} else {
 		e = sim.New(cfg.Seed)
 	}
