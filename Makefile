@@ -16,13 +16,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full self-audit: fig10 and abl-chaos with runtime verification on
-# (SKB ledger, conservation invariants, watchdog), fenced by wall-clock
-# and event budgets. Any invariant breach aborts nonzero and leaves a
-# falcon-audit-*.dump for -replay.
+# Full self-audit, as in CI's audit job: every experiment (quick
+# windows) with runtime verification on (SKB ledger, conservation
+# invariants, watchdog), fenced by wall-clock and event budgets, and its
+# output diffed against the audit-off run. Any invariant breach aborts
+# nonzero and leaves a falcon-audit-*.dump for -replay.
 audit:
-	$(GO) run -race ./cmd/falconsim -exp fig10,abl-chaos -audit \
-		-deadline 20m -max-events 2000000000
+	$(GO) run ./cmd/falconsim -all -quick -audit \
+		-deadline 20m -max-events 2000000000 > audit-all.out
+	$(GO) run ./cmd/falconsim -all -quick \
+		-deadline 20m -max-events 2000000000 > plain-all.out
+	diff audit-all.out plain-all.out
 
 # Hot reconfiguration under load: generation swaps (kernel roll,
 # graceful drain + re-add, steering flips) with convergence SLOs and

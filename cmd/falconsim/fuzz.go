@@ -48,6 +48,13 @@ func runScenario(path string, shards int) int {
 		return 2
 	}
 	sc.Shards = shards
+	return checkScenario(sc, names)
+}
+
+// checkScenario runs the named oracles (all applicable ones when names
+// is empty) over sc and reports: exit 1 when a violation reproduces, 0
+// when clean, 2 on a configuration error.
+func checkScenario(sc scenario.Scenario, names []string) int {
 	vs, err := scenario.Check(sc, names)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "falconsim: %v\n", err)
@@ -95,19 +102,7 @@ func replayScenarioDump(info audit.RunInfo) int {
 		names = []string{o}
 	}
 	fmt.Fprintf(os.Stderr, "falconsim: replaying scenario %q (seed %d)\n", sc.Name, sc.Seed)
-	vs, err := scenario.Check(sc, names)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "falconsim: %v\n", err)
-		return 2
-	}
-	if len(vs) == 0 {
-		fmt.Fprintf(os.Stderr, "falconsim: scenario replay completed clean — failure did not reproduce\n")
-		return 0
-	}
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "falconsim: REPRODUCED: %s\n", v)
-	}
-	return 1
+	return checkScenario(sc, names)
 }
 
 func firstLine(s string) string {

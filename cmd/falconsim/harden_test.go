@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"falcon/internal/audit"
 	"falcon/internal/experiments"
+	"falcon/internal/reconfig"
 )
 
 // chdirTemp moves the test into a temp dir (worker panics drop dump
@@ -153,5 +156,38 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	os.WriteFile(bad, []byte("hello\n"), 0o644)
 	if code := runReplay(bad, 0); code != 2 {
 		t.Fatalf("garbage dump: exit %d, want 2", code)
+	}
+}
+
+// TestReplayRestoresRunOptions: everything that shapes an experiment's
+// output — the RX cache and both schedule files included — survives the
+// trip through a dump header into the replay's options.
+func TestReplayRestoresRunOptions(t *testing.T) {
+	on := true
+	opt := experiments.Options{
+		Quick: true, Seed: 3, Kernel: "5.4", RxCache: true,
+		Reconfig: &reconfig.Schedule{Actions: []reconfig.Action{
+			{Kind: reconfig.KindRPSFlip, AtMs: 1, Host: "server", Enable: &on}}},
+		Crash: &reconfig.CrashSchedule{Crashes: []reconfig.CrashEvent{
+			{Host: "server", AtMs: 2, RebootMs: 5}}},
+	}
+	var b bytes.Buffer
+	audit.WriteDump(&b, dumpInfo("abl-crash", opt), nil, nil)
+	info, err := audit.ParseDumpHeader(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replayOptions(info, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := opt
+	want.Audit, want.MaxEvents = true, 9
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay options %+v, want %+v", got, want)
+	}
+	info.Crash = `{"crashes":[]}`
+	if _, err := replayOptions(info, 0); err == nil {
+		t.Fatal("invalid crash schedule in a dump header accepted")
 	}
 }

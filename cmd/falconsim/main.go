@@ -23,6 +23,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -255,12 +256,13 @@ func runReplay(path string, maxEvents uint64) int {
 		fmt.Fprintf(os.Stderr, "falconsim: dump names unknown experiment %q\n", info.Exp)
 		return 2
 	}
-	opt := experiments.Options{
-		Quick: info.Quick, Kernel: info.Kernel, Seed: uint64(info.Seed),
-		Audit: true, MaxEvents: maxEvents,
+	opt, err := replayOptions(info, maxEvents)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "falconsim: dump header: %v\n", err)
+		return 2
 	}
-	fmt.Fprintf(os.Stderr, "falconsim: replaying %s (seed %d, kernel %q, quick %t)\n",
-		info.Exp, info.Seed, info.Kernel, info.Quick)
+	fmt.Fprintf(os.Stderr, "falconsim: replaying %s (seed %d, kernel %q, quick %t, cache %t)\n",
+		info.Exp, info.Seed, info.Kernel, info.Quick, info.Cache)
 	code := 0
 	func() {
 		defer func() {
@@ -280,6 +282,45 @@ func runReplay(path string, maxEvents uint64) int {
 		fmt.Fprintf(os.Stderr, "falconsim: replay completed clean — failure did not reproduce\n")
 	}
 	return code
+}
+
+// replayOptions rebuilds the options of the run a dump header names,
+// with auditing on.
+func replayOptions(info audit.RunInfo, maxEvents uint64) (experiments.Options, error) {
+	opt := experiments.Options{
+		Quick: info.Quick, Kernel: info.Kernel, Seed: uint64(info.Seed),
+		Audit: true, MaxEvents: maxEvents, RxCache: info.Cache,
+	}
+	var err error
+	if info.Reconfig != "" {
+		if opt.Reconfig, err = reconfig.FromJSON([]byte(info.Reconfig)); err != nil {
+			return opt, err
+		}
+	}
+	if info.Crash != "" {
+		opt.Crash, err = reconfig.CrashFromJSON([]byte(info.Crash))
+	}
+	return opt, err
+}
+
+// dumpInfo names a run in a dump header: everything -replay needs to
+// rerun it with the same output.
+func dumpInfo(id string, opt experiments.Options) audit.RunInfo {
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	info := audit.RunInfo{Exp: id, Seed: int64(seed), Kernel: opt.Kernel, Quick: opt.Quick, Cache: opt.RxCache}
+	// Schedules are plain structs: marshaling cannot fail.
+	if opt.Reconfig != nil {
+		b, _ := json.Marshal(opt.Reconfig)
+		info.Reconfig = string(b)
+	}
+	if opt.Crash != nil {
+		b, _ := json.Marshal(opt.Crash)
+		info.Crash = string(b)
+	}
+	return info
 }
 
 // parseShards maps the -shards flag to an Options.Shards value: empty or
@@ -344,13 +385,9 @@ func runExperiments(exps []experiments.Experiment, opt experiments.Options, out 
 // experiment and seed on stderr, plus a replayable dump file for audit
 // aborts and a state dump for event-budget breaches.
 func reportRunPanic(e experiments.Experiment, opt experiments.Options, idx, total int, r any) {
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	info := dumpInfo(e.ID, opt)
 	fmt.Fprintf(os.Stderr, "falconsim: PANIC in %s (seed %d, experiment %d/%d): %v\n",
-		e.ID, seed, idx+1, total, r)
-	info := audit.RunInfo{Exp: e.ID, Seed: int64(seed), Kernel: opt.Kernel, Quick: opt.Quick}
+		e.ID, info.Seed, idx+1, total, r)
 	switch v := r.(type) {
 	case *audit.Abort:
 		path := fmt.Sprintf("falcon-audit-%s.dump", e.ID)

@@ -41,8 +41,19 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	if !costmodel.Known(*kernel) {
-		fmt.Fprintf(os.Stderr, "flowgen: -kernel: want \"4.19\" or \"5.4\" (optionally \"linux-\" prefixed), got %q\n", *kernel)
+	var bad string
+	switch {
+	case !costmodel.Known(*kernel):
+		bad = fmt.Sprintf(`-kernel: want "4.19" or "5.4" (optionally "linux-" prefixed), got %q`, *kernel)
+	case *size <= 0:
+		bad = fmt.Sprintf("-size: want a positive message size, got %d", *size)
+	case *flows < 1:
+		bad = fmt.Sprintf("-flows: want at least one flow, got %d", *flows)
+	case !(*linkGbps > 0):
+		bad = fmt.Sprintf("-link: want a positive rate in Gb/s, got %g", *linkGbps)
+	}
+	if bad != "" {
+		fmt.Fprintf(os.Stderr, "flowgen: %s\n", bad)
 		os.Exit(2)
 	}
 

@@ -35,8 +35,15 @@ func main() {
 		topN     = flag.Int("top", 15, "number of functions to print")
 	)
 	flag.Parse()
-	if !costmodel.Known(*kernel) {
-		fmt.Fprintf(os.Stderr, "netprof: -kernel: want \"4.19\" or \"5.4\" (optionally \"linux-\" prefixed), got %q\n", *kernel)
+	var bad string
+	switch {
+	case !costmodel.Known(*kernel):
+		bad = fmt.Sprintf(`-kernel: want "4.19" or "5.4" (optionally "linux-" prefixed), got %q`, *kernel)
+	case *size <= 0:
+		bad = fmt.Sprintf("-size: want a positive message size, got %d", *size)
+	}
+	if bad != "" {
+		fmt.Fprintf(os.Stderr, "netprof: %s\n", bad)
 		os.Exit(2)
 	}
 

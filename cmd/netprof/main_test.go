@@ -10,24 +10,31 @@ import (
 )
 
 // TestUnknownKernelRejected runs the command with a kernel name no cost
-// profile answers to: it must exit 2 naming the flag rather than
-// silently simulate the 4.19 default.
+// profile answers to, and with each out-of-range numeric flag: every
+// one must exit 2 naming the flag rather than silently simulate a
+// default, panic, or print an empty report.
 func TestUnknownKernelRejected(t *testing.T) {
-	if os.Getenv("NETPROF_RUN_MAIN") == "1" {
-		os.Args = []string{"netprof", "-kernel", "5.10"}
+	if args := os.Getenv("NETPROF_RUN_MAIN"); args != "" {
+		os.Args = append([]string{"netprof"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownKernelRejected$")
-	cmd.Env = append(os.Environ(), "NETPROF_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("netprof -kernel 5.10: err = %v, want exit status 2 (stderr: %s)", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-kernel") {
-		t.Fatalf("error does not name the flag: %s", stderr.String())
+	for _, in := range [][2]string{
+		{"-kernel", "5.10"},
+		{"-size", "-1"},
+		{"-size", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownKernelRejected$")
+		cmd.Env = append(os.Environ(), "NETPROF_RUN_MAIN="+in[0]+" "+in[1])
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("netprof %s %s: err = %v, want exit status 2 (stderr: %s)", in[0], in[1], err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), in[0]+":") {
+			t.Fatalf("netprof %s %s: error does not name the flag: %s", in[0], in[1], stderr.String())
+		}
 	}
 }

@@ -249,6 +249,11 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 	for _, info := range []RunInfo{
 		{Exp: "fig10", Seed: 1, Kernel: "", Quick: true},
 		{Exp: "abl-chaos", Seed: 99, Kernel: "5.4", Quick: false},
+		{Exp: "abl-reconfig", Seed: 2, Quick: true, Cache: true,
+			Reconfig: `{"actions":[{"kind":"drain","at_ms":1,"host":"server","to":"spare"}]}`},
+		{Exp: "abl-crash", Seed: 3, Kernel: "linux-5.4", Cache: true,
+			Crash: `{"crashes":[{"host":"server","at_ms":2,"reboot_ms":4}]}`},
+		{Exp: "fuzz/conservation", Seed: 4, Scenario: `{"flows":[{"proto":"udp"}]}`},
 	} {
 		var b strings.Builder
 		WriteDump(&b, info, &Violation{Kind: "leak", Detail: "x"}, nil)
@@ -262,6 +267,18 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseDumpHeader(strings.NewReader("not a dump\n")); err == nil {
 		t.Fatal("foreign file parsed as an audit dump")
+	}
+	// A dump written before cache= and the schedules existed still
+	// parses, with the new fields at their zero values.
+	old := dumpMagic + ` exp=fig10 seed=5 kernel="5.4" quick=true` + "\n"
+	if got, err := ParseDumpHeader(strings.NewReader(old)); err != nil ||
+		got != (RunInfo{Exp: "fig10", Seed: 5, Kernel: "5.4", Quick: true}) {
+		t.Fatalf("older dump header: got %+v, %v", got, err)
+	}
+	for _, bad := range []string{`exp=fig10 kernel="5.4`, `exp=fig10 seed=x`, `exp=fig10 stray`} {
+		if _, err := ParseDumpHeader(strings.NewReader(dumpMagic + " " + bad + "\n")); err == nil {
+			t.Fatalf("malformed header %q parsed", bad)
+		}
 	}
 }
 

@@ -70,6 +70,12 @@ type RunInfo struct {
 	Seed   int64
 	Kernel string
 	Quick  bool
+	// Cache records the RX decap fast path (-cache).
+	Cache bool
+	// Reconfig and Crash, when non-empty, embed the compact JSON of a
+	// -reconfig / -crash schedule that replaced the experiment's
+	// built-in plan.
+	Reconfig, Crash string
 	// Scenario, when non-empty, embeds a fuzz scenario's compact JSON:
 	// the dump then replays through the oracle battery (falconsim
 	// routes -replay to the scenario runner) instead of an experiment.
@@ -82,9 +88,14 @@ const dumpMagic = "FALCON-AUDIT-DUMP v1"
 // naming the experiment/seed/config, the violation, and the auditor's
 // full state (ledger, dispositions, per-core dumps, trace ring).
 func WriteDump(w io.Writer, info RunInfo, v *Violation, a *Auditor) {
-	fmt.Fprintf(w, "%s exp=%s seed=%d kernel=%q quick=%t", dumpMagic, info.Exp, info.Seed, info.Kernel, info.Quick)
-	if info.Scenario != "" {
-		fmt.Fprintf(w, " scenario=%q", info.Scenario)
+	fmt.Fprintf(w, "%s exp=%s seed=%d kernel=%q quick=%t cache=%t",
+		dumpMagic, info.Exp, info.Seed, info.Kernel, info.Quick, info.Cache)
+	for _, f := range []struct{ key, json string }{
+		{"reconfig", info.Reconfig}, {"crash", info.Crash}, {"scenario", info.Scenario},
+	} {
+		if f.json != "" {
+			fmt.Fprintf(w, " %s=%q", f.key, f.json)
+		}
 	}
 	fmt.Fprintln(w)
 	if v != nil {
@@ -136,6 +147,12 @@ func ParseDumpHeader(r io.Reader) (RunInfo, error) {
 			info.Kernel, err = strconv.Unquote(v)
 		case "quick":
 			info.Quick = v == "true"
+		case "cache":
+			info.Cache = v == "true"
+		case "reconfig":
+			info.Reconfig, err = strconv.Unquote(v)
+		case "crash":
+			info.Crash, err = strconv.Unquote(v)
 		case "scenario":
 			info.Scenario, err = strconv.Unquote(v)
 		}

@@ -119,51 +119,15 @@ type workItem struct {
 	run  func() // invoked when the slice completes; may submit more work
 }
 
-// workQueue is a FIFO of work items that recycles its backing array:
-// popping advances a head index instead of reslicing, a fully drained
-// queue rewinds to the front of the array, and once the consumed head
-// passes half the array's capacity the live tail is copied down to the
-// front. The drain-refill cycle of a softirq queue under load then stops
-// allocating entirely — with the `q = q[1:]` idiom every drain strands
-// the array's capacity behind the slice pointer and the next push
-// reallocates from scratch — and a queue that never drains (a core that
-// never goes idle) keeps its array within a small multiple of its peak
-// depth instead of growing for the whole run. Each copy moves fewer
-// items than were popped since the last one, so it is O(1) amortized.
-type workQueue struct {
-	items []workItem
-	head  int
-}
-
-func (q *workQueue) push(it workItem) { q.items = append(q.items, it) }
-
-func (q *workQueue) pop() workItem {
-	it := q.items[q.head]
-	q.items[q.head] = workItem{} // release the completion closure
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head*2 >= cap(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[q.head:]) // the moved items' old slots
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return it
-}
-
-func (q *workQueue) len() int { return len(q.items) - q.head }
-
 // Core is one CPU. Work is executed in strict context priority
 // (hardirq > softirq > task) with FIFO order within a context, except
 // for the ksoftirqd anti-starvation rule.
 type Core struct {
 	id   int
 	m    *Machine
-	hard workQueue
-	soft workQueue
-	task workQueue
+	hard sim.FIFO[workItem]
+	soft sim.FIFO[workItem]
+	task sim.FIFO[workItem]
 	busy bool
 
 	softStreak int // consecutive softirq items while tasks waited
@@ -194,11 +158,11 @@ func (c *Core) Machine() *Machine { return c.m }
 func (c *Core) QueueLen(ctx stats.CPUContext) int {
 	switch ctx {
 	case stats.CtxHardIRQ:
-		return c.hard.len()
+		return c.hard.Len()
 	case stats.CtxSoftIRQ:
-		return c.soft.len()
+		return c.soft.Len()
 	case stats.CtxTask:
-		return c.task.len()
+		return c.task.Len()
 	default:
 		return 0
 	}
@@ -206,7 +170,7 @@ func (c *Core) QueueLen(ctx stats.CPUContext) int {
 
 // Idle reports whether the core has no running or queued work.
 func (c *Core) Idle() bool {
-	return !c.busy && c.hard.len() == 0 && c.soft.len() == 0 && c.task.len() == 0
+	return !c.busy && c.hard.Len() == 0 && c.soft.Len() == 0 && c.task.Len() == 0
 }
 
 // SetStalled freezes (true) or resumes (false) the core. While stalled,
@@ -249,11 +213,11 @@ func (c *Core) Submit(ctx stats.CPUContext, fn costmodel.Func, cost sim.Time, do
 	item := workItem{ctx: ctx, fn: fn, cost: cost, run: done}
 	switch ctx {
 	case stats.CtxHardIRQ:
-		c.hard.push(item)
+		c.hard.Push(item)
 	case stats.CtxSoftIRQ:
-		c.soft.push(item)
+		c.soft.Push(item)
 	case stats.CtxTask:
-		c.task.push(item)
+		c.task.Push(item)
 	default:
 		panic("cpu: invalid submit context")
 	}
@@ -269,18 +233,18 @@ func (c *Core) Exec(ctx stats.CPUContext, fn costmodel.Func, bytes int, done fun
 }
 
 func (c *Core) next() (workItem, bool) {
-	if c.hard.len() > 0 {
-		return c.hard.pop(), true
+	if c.hard.Len() > 0 {
+		return c.hard.Pop(), true
 	}
 	// ksoftirqd rule: after a long softirq streak with tasks waiting,
 	// let one task slice through.
-	if c.task.len() > 0 && (c.soft.len() == 0 || c.softStreak >= ksoftirqdBatch) {
+	if c.task.Len() > 0 && (c.soft.Len() == 0 || c.softStreak >= ksoftirqdBatch) {
 		c.softStreak = 0
-		return c.task.pop(), true
+		return c.task.Pop(), true
 	}
-	if c.soft.len() > 0 {
-		it := c.soft.pop()
-		if c.task.len() > 0 {
+	if c.soft.Len() > 0 {
+		it := c.soft.Pop()
+		if c.task.Len() > 0 {
 			c.softStreak++
 		} else {
 			c.softStreak = 0

@@ -227,24 +227,24 @@ func TestOnTickCallback(t *testing.T) {
 	}
 }
 
-// TestWorkQueueStaysBounded: a queue kept non-empty through a million
-// push/pop pairs never drains fully, so only the half-array compaction
-// keeps its backing array from growing for the whole run.
+// TestWorkQueueStaysBounded: a core's work queue kept non-empty through
+// a million push/pop pairs never drains fully, so only the half-array
+// compaction keeps its backing array from growing for the whole run.
 func TestWorkQueueStaysBounded(t *testing.T) {
-	var q workQueue
+	var q sim.FIFO[workItem]
 	for i := 0; i < 8; i++ {
-		q.push(workItem{cost: sim.Time(i)})
+		q.Push(workItem{cost: sim.Time(i)})
 	}
 	for i := 8; i < 1_000_000+8; i++ {
-		q.push(workItem{cost: sim.Time(i)})
-		if it := q.pop(); it.cost != sim.Time(i-8) {
+		q.Push(workItem{cost: sim.Time(i)})
+		if it := q.Pop(); it.cost != sim.Time(i-8) {
 			t.Fatalf("pop %d returned item %d: FIFO order broken", i-8, it.cost)
 		}
 	}
-	if q.len() != 8 {
-		t.Fatalf("len = %d, want 8", q.len())
+	if q.Len() != 8 {
+		t.Fatalf("len = %d, want 8", q.Len())
 	}
-	if c := cap(q.items); c > 64 {
+	if c := q.Cap(); c > 64 {
 		t.Fatalf("backing array grew to cap %d for 8 live items", c)
 	}
 }

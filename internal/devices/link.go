@@ -61,7 +61,6 @@ type Link struct {
 
 	busyUntil   sim.Time
 	lastArrival sim.Time
-	queued      int
 	rng         *sim.Rand
 
 	// inflight is the FIFO of frames on the wire. Arrival times are
@@ -69,9 +68,8 @@ type Link struct {
 	// engine fires equal-time events in schedule order, so the head of
 	// this ring is always the frame whose delivery event fires next —
 	// letting delivery run through one shared AtArg trampoline instead of
-	// a per-frame closure.
-	inflight []wireFrame
-	head     int
+	// a per-frame closure. Its length is the frames queued or serializing.
+	inflight sim.FIFO[wireFrame]
 
 	Sent    stats.Counter
 	Dropped stats.Counter
@@ -118,7 +116,7 @@ func (l *Link) Lookahead() sim.Time {
 }
 
 // QueueLen returns frames currently queued or serializing.
-func (l *Link) QueueLen() int { return l.queued }
+func (l *Link) QueueLen() int { return l.inflight.Len() }
 
 // Send enqueues a frame for transmission. It reports false when the
 // transmit queue is full (frame dropped).
@@ -127,12 +125,11 @@ func (l *Link) Send(s *skb.SKB) bool {
 	if limit <= 0 {
 		limit = DefaultTxQueueLen
 	}
-	if l.queued >= limit {
+	if l.inflight.Len() >= limit {
 		l.Dropped.Inc()
 		// The frame is dropped here, not handed back: no caller retries a
 		// full tx queue, so the SKB's lifetime ends at this stage.
-		s.Stage("drop:link-txq")
-		s.Free()
+		s.Drop(skb.DropLinkTxq)
 		return false
 	}
 	now := l.E.Now()
@@ -142,7 +139,6 @@ func (l *Link) Send(s *skb.SKB) bool {
 	}
 	txEnd := start + l.SerializationTime(s.Len())
 	l.busyUntil = txEnd
-	l.queued++
 	if s.WireTime == 0 {
 		s.WireTime = now
 	}
@@ -172,14 +168,14 @@ func (l *Link) Send(s *skb.SKB) bool {
 		if lost {
 			wf.s = s
 		}
-		l.inflight = append(l.inflight, wf)
+		l.inflight.Push(wf)
 		l.E.AtArg(arrival, linkRemotePop, l)
 		if !lost {
 			l.Remote.Send(s, arrival)
 		}
 		return true
 	}
-	l.inflight = append(l.inflight, wireFrame{s: s, lost: lost})
+	l.inflight.Push(wireFrame{s: s, lost: lost})
 	l.E.AtArg(arrival, linkDeliver, l)
 	return true
 }
@@ -190,48 +186,32 @@ type wireFrame struct {
 	lost bool
 }
 
+// pop retires the head-of-wire frame from the serializer queue and
+// disposes it if the wire lost it. It returns the frame to deliver: nil
+// when lost, and always nil for a cross-shard link, whose live frames
+// the receiving shard delivers (the cluster scheduled it at the same
+// nanosecond).
+func (l *Link) pop() *skb.SKB {
+	f := l.inflight.Pop()
+	if f.lost {
+		l.Lost.Inc()
+		f.s.Drop(skb.DropLinkLoss)
+		return nil
+	}
+	return f.s
+}
+
 // linkDeliver fires when the head-of-wire frame arrives.
 func linkDeliver(v any) {
 	l := v.(*Link)
-	f := l.inflight[l.head]
-	l.inflight[l.head] = wireFrame{}
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	}
-	l.queued--
-	if f.lost {
-		l.Lost.Inc()
-		f.s.Stage("drop:link-loss")
-		f.s.Free()
-		return
-	}
-	if l.Deliver != nil {
-		l.Deliver(f.s)
+	if s := l.pop(); s != nil && l.Deliver != nil {
+		l.Deliver(s)
 	}
 }
 
 // linkRemotePop fires at a cross-shard frame's arrival time on the
-// sending shard: it retires the frame from the serializer queue and
-// disposes lost frames locally. Delivery of live frames happens on the
-// receiving shard (the cluster scheduled it at the same nanosecond).
-func linkRemotePop(v any) {
-	l := v.(*Link)
-	f := l.inflight[l.head]
-	l.inflight[l.head] = wireFrame{}
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	}
-	l.queued--
-	if f.lost {
-		l.Lost.Inc()
-		f.s.Stage("drop:link-loss")
-		f.s.Free()
-	}
-}
+// sending shard.
+func linkRemotePop(v any) { v.(*Link).pop() }
 
 // Utilization returns the fraction of time [since, now] the wire was busy
 // — approximated by whether the serializer is backed up.

@@ -180,14 +180,20 @@ func (n *PNIC) QueueState(core int) (ringLen, budget int, active bool) {
 
 // EachRing visits every instantiated rx ring in core order.
 func (n *PNIC) EachRing(yield func(core int, ring *skb.Queue)) {
-	cores := make([]int, 0, len(n.queues))
-	for c := range n.queues {
+	for _, c := range sortedCores(n.queues) {
+		yield(c, n.queues[c].ring)
+	}
+}
+
+// sortedCores returns a per-core map's cores in ascending order, the
+// deterministic visiting order for Go's randomized map iteration.
+func sortedCores[V any](m map[int]V) []int {
+	cores := make([]int, 0, len(m))
+	for c := range m {
 		cores = append(cores, c)
 	}
 	sort.Ints(cores)
-	for _, c := range cores {
-		yield(c, n.queues[c].ring)
-	}
+	return cores
 }
 
 // GROMerged sums segments absorbed into held super-packets across every
@@ -224,22 +230,15 @@ func (n *PNIC) SetDown(down bool, drops *stats.Counter) {
 // alone: those SKBs are owned by continuation chains that terminate at
 // the stack's own down checks.
 func (n *PNIC) PurgeRings(drops *stats.Counter) {
-	cores := make([]int, 0, len(n.queues))
-	for c := range n.queues {
-		cores = append(cores, c)
-	}
-	sort.Ints(cores)
-	for _, c := range cores {
+	for _, c := range sortedCores(n.queues) {
 		q := n.queues[c]
 		for q.ring.Len() > 0 {
 			s := q.ring.Dequeue()
-			s.Stage("drop:nic-down")
-			s.Free()
+			s.Drop(skb.DropNICDown)
 			drops.Inc()
 		}
 		for _, s := range q.gro.Flush() {
-			s.Stage("drop:nic-down")
-			s.Free()
+			s.Drop(skb.DropNICDown)
 			drops.Inc()
 		}
 	}
@@ -251,8 +250,7 @@ func (n *PNIC) PurgeRings(drops *stats.Counter) {
 // the wire.
 func (n *PNIC) Arrive(s *skb.SKB) {
 	if n.down {
-		s.Stage("drop:nic-down")
-		s.Free()
+		s.Drop(skb.DropNICDown)
 		if n.crashDrops != nil {
 			n.crashDrops.Inc()
 		}
@@ -263,23 +261,20 @@ func (n *PNIC) Arrive(s *skb.SKB) {
 	s.Migrations = 0
 	if err := s.SetFlowHash(); err != nil {
 		n.Drops.Inc()
-		s.Stage("drop:nic-frame")
-		s.Free()
+		s.Drop(skb.DropNICFrame)
 		return
 	}
 	s.IfIndex = n.Ifindex
 	q := n.queue(n.RSS.CoreFor(s.Hash))
 	if n.ringLimit > 0 && q.ring.Len() >= n.ringLimit {
 		n.Drops.Inc()
-		s.Stage("drop:nic-ring")
-		s.Free()
+		s.Drop(skb.DropNICRing)
 		return
 	}
 	s.Stage("nic-ring")
 	if !q.ring.Enqueue(s) {
 		n.Drops.Inc()
-		s.Stage("drop:nic-ring")
-		s.Free()
+		s.Drop(skb.DropNICRing)
 		return
 	}
 	if q.active || q.irqArmed {

@@ -1,8 +1,6 @@
 package devices
 
 import (
-	"sort"
-
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
 	"falcon/internal/gro"
@@ -133,15 +131,9 @@ func (rx *RxPath) InnerGROHeld() int {
 // core order, counting each into drops — a host crash kills held
 // inner-GRO state with the kernel that was accumulating it.
 func (rx *RxPath) PurgeHeld(drops *stats.Counter) {
-	cores := make([]int, 0, len(rx.innerGRO))
-	for c := range rx.innerGRO {
-		cores = append(cores, c)
-	}
-	sort.Ints(cores)
-	for _, c := range cores {
+	for _, c := range sortedCores(rx.innerGRO) {
 		for _, s := range rx.innerGRO[c].Flush() {
-			s.Stage("drop:host-crash")
-			s.Free()
+			s.Drop(skb.DropHostCrash)
 			drops.Inc()
 		}
 	}
@@ -245,11 +237,11 @@ func (w *rxWalk) deliver() {
 	rx.DeliverL4(c, s, done)
 }
 
-// drop disposes the packet at the named stage and ends the walk.
-func (w *rxWalk) drop(stage string) {
+// drop disposes the packet as a path drop for reason r and ends the
+// walk.
+func (w *rxWalk) drop(r skb.DropReason) {
 	w.rx.PathDrops.Inc()
-	w.s.Stage(stage)
-	w.s.Free()
+	w.s.Drop(r)
 	w.finish()
 }
 
@@ -389,7 +381,7 @@ func (w *rxWalk) fastPath(cost sim.Time) {
 	if !s.DecapVXLAN() {
 		// Unreachable for a probed hit (the probe parsed the inner frame),
 		// kept for parity with the walk's decap stage.
-		w.drop("drop:decap")
+		w.drop(skb.DropDecap)
 		return
 	}
 	s.IfIndex = rx.VXLANIf
@@ -408,8 +400,7 @@ func (rx *RxPath) reassemble(c *cpu.Core, s *skb.SKB, done func()) {
 	whole, err := rx.Reasm.Add(s.Data, rx.St.M.E.Now())
 	if err != nil {
 		rx.PathDrops.Inc()
-		s.Stage("drop:reasm")
-		s.Free()
+		s.Drop(skb.DropReasm)
 		done()
 		return
 	}
@@ -452,7 +443,7 @@ func (w *rxWalk) vxlanRcv() {
 func (w *rxWalk) decap() {
 	rx, c, s := w.rx, w.c, w.s
 	if !s.DecapVXLAN() {
-		w.drop("drop:decap")
+		w.drop(skb.DropDecap)
 		return
 	}
 	s.IfIndex = rx.VXLANIf
@@ -569,13 +560,13 @@ func (w *rxWalk) bridged() {
 	} else if eth, err := proto.ParseEthernet(s.Data); err == nil {
 		dst = eth.Dst
 	} else {
-		w.drop("drop:bridge")
+		w.drop(skb.DropBridge)
 		return
 	}
 	veth, ok := rx.VethByMAC[dst]
 	if !ok {
 		rx.Bridge.Flooded.Inc()
-		w.drop("drop:fdb")
+		w.drop(skb.DropFDB)
 		return
 	}
 	s.Stage("bridge")

@@ -109,18 +109,7 @@ func ablSlim(opt Options) []*stats.Table {
 			c.StartContinuous()
 			cs = append(cs, c)
 		}
-		tb.Run(opt.warmup())
-		var base uint64
-		for _, c := range cs {
-			base += c.BytesAssembled.Value()
-		}
-		tb.Run(opt.warmup() + opt.window())
-		var bytes uint64
-		for _, c := range cs {
-			bytes += c.BytesAssembled.Value()
-			c.Close()
-		}
-		return float64(bytes-base) * 8 / opt.window().Seconds() / 1e9
+		return tcpGoodput(tb, cs, opt)
 	}
 	t.AddRow("Slim-style redirection", fGbps(slim()), "unsupported (connection-less)")
 	return []*stats.Table{t}
@@ -182,19 +171,7 @@ func runTCPBulkConns(tb *workload.Testbed, n int, opt Options) float64 {
 		c.StartContinuous()
 		cs = append(cs, c)
 	}
-	tb.Run(opt.warmup())
-	var base uint64
-	for _, c := range cs {
-		base += c.BytesAssembled.Value()
-	}
-	tb.Run(opt.warmup() + opt.window())
-	var bytes uint64
-	for _, c := range cs {
-		bytes += c.BytesAssembled.Value()
-		c.Close()
-	}
-	bytes -= base
-	return float64(bytes) * 8 / opt.window().Seconds() / 1e9
+	return tcpGoodput(tb, cs, opt)
 }
 
 // ablGROSplit: the Section 6.4 discussion — splitting helps TCP with

@@ -21,49 +21,41 @@ func init() {
 	registerHidden("audit-stall", "Audit selftest: stalled NAPI/softirq core (must abort)", auditStall)
 }
 
-// auditSelftestBed is the single-flow bed with auditing always on
-// (selftests are meaningless without it).
-func auditSelftestBed(opt Options, cfg audit.Config) *workload.Testbed {
+// auditSelftest runs the single-flow bed with auditing always on
+// (selftests are meaningless without it): one UDP flow at rate pps
+// until the given time, with the seeded defect planted at time at.
+func auditSelftest(opt Options, cfg audit.Config, pps float64, until, at sim.Time, defect func(tb *workload.Testbed)) []*stats.Table {
 	opt.Audit = false // attached below with the selftest's own config
 	tb := newSingleFlowBed(workload.ModeCon, opt, 100*devices.Gbps, false)
 	tb.EnableAudit(cfg)
-	return tb
-}
-
-// auditLeak acquires one ledgered SKB mid-run and never frees it: the
-// teardown leak check must abort naming site "selftest:leak".
-func auditLeak(opt Options) []*stats.Table {
-	tb := auditSelftestBed(opt, audit.Config{})
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
-	until := opt.warmup()
-	f.SendAtRate(20_000, until)
-	tb.E.At(opt.warmup()/2, func() {
-		s := skb.NewTx(64, 0)
-		s.Audit(tb.Audit, "selftest:leak")
-		s.Stage("selftest:limbo")
-	})
+	f.SendAtRate(pps, until)
+	tb.E.At(at, func() { defect(tb) })
 	tb.Run(until + 5*sim.Millisecond)
 	finishAudit(tb, until+5*sim.Millisecond)
 	return nil
 }
 
+// auditLeak acquires one ledgered SKB mid-run and never frees it: the
+// teardown leak check must abort naming site "selftest:leak".
+func auditLeak(opt Options) []*stats.Table {
+	return auditSelftest(opt, audit.Config{}, 20_000, opt.warmup(), opt.warmup()/2, func(tb *workload.Testbed) {
+		s := skb.NewTx(64, 0)
+		s.Audit(tb.Audit, "selftest:leak")
+		s.Stage("selftest:limbo")
+	})
+}
+
 // auditDoubleFree frees one ledgered SKB twice: the pool rejects the
 // second free and the auditor must abort with kind "double-free".
 func auditDoubleFree(opt Options) []*stats.Table {
-	tb := auditSelftestBed(opt, audit.Config{})
-	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
-	until := opt.warmup()
-	f.SendAtRate(20_000, until)
-	tb.E.At(opt.warmup()/2, func() {
+	return auditSelftest(opt, audit.Config{}, 20_000, opt.warmup(), opt.warmup()/2, func(tb *workload.Testbed) {
 		s := skb.NewTx(64, 0)
 		s.Audit(tb.Audit, "selftest:double-free")
 		s.Stage("selftest:used")
 		s.Free()
 		s.Free() // the seeded defect
 	})
-	tb.Run(until + 5*sim.Millisecond)
-	finishAudit(tb, until+5*sim.Millisecond)
-	return nil
 }
 
 // auditStall wedges the RPS core mid-run and never revives it: packets
@@ -72,14 +64,8 @@ func auditDoubleFree(opt Options) []*stats.Table {
 // stall is injected through the same fault mechanism the chaos harness
 // uses (which the watchdog exempts by default).
 func auditStall(opt Options) []*stats.Table {
-	tb := auditSelftestBed(opt, audit.Config{WatchFrozen: true})
-	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
 	until := opt.warmup() + opt.window()
-	f.SendAtRate(100_000, until)
-	tb.E.At(opt.warmup(), func() {
+	return auditSelftest(opt, audit.Config{WatchFrozen: true}, 100_000, until, opt.warmup(), func(tb *workload.Testbed) {
 		tb.Server.M.Core(1).SetStalled(true) // the seeded defect: never unstalled
 	})
-	tb.Run(until + 5*sim.Millisecond)
-	finishAudit(tb, until+5*sim.Millisecond)
-	return nil
 }

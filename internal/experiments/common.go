@@ -270,3 +270,23 @@ func sizeLabel(size int) string {
 		return strconv.Itoa(size) + "B"
 	}
 }
+
+// tcpGoodput runs tb through the warmup and the measurement window and
+// returns the connections' aggregate goodput over the window in Gb/s,
+// closing them afterwards.
+func tcpGoodput(tb *workload.Testbed, cs []*transport.Conn, opt Options) float64 {
+	assembled := func() (n uint64) {
+		for _, c := range cs {
+			n += c.BytesAssembled.Value()
+		}
+		return n
+	}
+	tb.Run(opt.warmup())
+	base := assembled()
+	tb.Run(opt.warmup() + opt.window())
+	bytes := assembled() - base
+	for _, c := range cs {
+		c.Close()
+	}
+	return float64(bytes) * 8 / opt.window().Seconds() / 1e9
+}

@@ -165,29 +165,23 @@ func ablCrash(opt Options) []*stats.Table {
 
 		base := runDisturbed(mode, opt, nil)
 		run := runDisturbed(mode, opt, armCrash(opt, cs))
-		conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
-		for i, rec := range run.recs {
-			c := conv[i]
-			detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
-				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
-				fmt.Sprintf("%d", c.LossPkts),
-				fmt.Sprintf("%d/%d/%d", c.Drops.Crash, c.Drops.Resolve, c.Drops.NIC),
-				fRecover(float64(c.RecoverMs), 0))
-		}
-
+		addGenRows(detail, mode, opt, base, run,
+			[3]overlay.DropBucket{overlay.BucketCrash, overlay.BucketResolve, overlay.BucketNIC})
 		// Steady state starts after the last scheduled event has settled.
-		steadyFrom := scheduleEndMs(nil, cs) + 2
-		baseSteady := steadyMean(base.samples, steadyFrom)
-		runSteady := steadyMean(run.samples, steadyFrom)
-		ratio := 0.0
-		if baseSteady > 0 {
-			ratio = runSteady / baseSteady
-		}
+		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(nil, cs)+2)
 
 		// The crash run's SLOs are measured directly against the baseline
 		// buckets: the blackout starts at the (unrecorded) crash instant,
-		// not at the fail-over generation the detector declares later.
-		firstCrashMs := cs.Crashes[0].AtMs
+		// not at the fail-over generation the detector declares later. A
+		// partition-only schedule has nothing to detect and starts at its
+		// first partition.
+		crashes := len(cs.Crashes) > 0
+		firstCrashMs := 0
+		if crashes {
+			firstCrashMs = cs.Crashes[0].AtMs
+		} else {
+			firstCrashMs = cs.Partitions[0].AtMs
+		}
 		blackout := crashBlackout(run.samples, base.samples)
 		recover := crashRecover(run.samples, base.samples, firstCrashMs)
 
@@ -217,7 +211,7 @@ func ablCrash(opt Options) []*stats.Table {
 		}
 
 		v := "OK"
-		if ratio < 0.98 || run.unaccounted() != 0 || detectMs < 0 || !detached ||
+		if ratio < 0.98 || run.unaccounted() != 0 || crashes && (detectMs < 0 || !detached) ||
 			recover < 0 || blackout > crashBlackoutBudgetMs || (wantRejoin && !rejoined) {
 			v = "FAIL"
 		}

@@ -93,19 +93,7 @@ func fig13(opt Options) []*stats.Table {
 			c.StartContinuous()
 			cs = append(cs, c)
 		}
-		tb.Run(opt.warmup())
-		base := uint64(0)
-		for _, c := range cs {
-			base += c.BytesAssembled.Value()
-		}
-		tb.Run(opt.warmup() + opt.window())
-		var bytes uint64
-		for _, c := range cs {
-			bytes += c.BytesAssembled.Value()
-			c.Close()
-		}
-		bytes -= base
-		return float64(bytes) * 8 / opt.window().Seconds() / 1e9
+		return tcpGoodput(tb, cs, opt)
 	}
 	for _, flows := range flowCounts {
 		h := tcp(workload.ModeHost, flows, false)

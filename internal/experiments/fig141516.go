@@ -29,29 +29,6 @@ func ablBalancer(opt Options) []*stats.Table {
 		Title:   "Ablation: balancer strategies under a hotspot (100G)",
 		Columns: []string{"balancer", "throughput(Kpps)", "vs static", "order violations"},
 	}
-	run := func(twoChoice, leastLoaded bool, seed uint64) (float64, uint64) {
-		o := opt
-		o.Seed = seed
-		cfg := falconcore.DefaultConfig([]int{0, 1, 2, 3, 4, 5})
-		cfg.TwoChoice = twoChoice
-		cfg.LeastLoaded = leastLoaded
-		tb := busySystemBed(o, &cfg)
-		stop := o.warmup() + o.window() + 5*sim.Millisecond
-		var list []*workload.UDPFlow
-		for i := 0; i < 8; i++ {
-			f := tb.NewUDPFlow(tb.ClientCtrs[i], tb.ServerCtrs[i].IP,
-				uint16(7000+i), 5001, 1024, 2+i%6, 6+i%10, uint64(i+1))
-			f.SendAtRate(60_000, stop)
-			list = append(list, f)
-		}
-		tb.E.At(o.warmup()/2, func() { list[0].SetRate(400_000) })
-		res := measureFlows(tb, list, o)
-		var viols uint64
-		for _, f := range list {
-			viols += f.Sock.OrderViols
-		}
-		return res.PPS, viols
-	}
 	seeds := []uint64{1, 2}
 	if opt.Quick {
 		seeds = []uint64{1}
@@ -70,7 +47,7 @@ func ablBalancer(opt Options) []*stats.Table {
 		var pps float64
 		var viols uint64
 		for _, seed := range seeds {
-			p, v := run(r.twoChoice, r.leastLoaded, seed)
+			p, v := hotspot(opt, seed, r.twoChoice, r.leastLoaded)
 			pps += p
 			viols += v
 		}
@@ -206,36 +183,46 @@ func fig16(opt Options) []*stats.Table {
 		Title:   "Fig 16: hotspot adaptability (Kpps after intensity shift)",
 		Columns: []string{"balancer", "throughput", "vs static"},
 	}
-	run := func(twoChoice bool, seed uint64) float64 {
-		o := opt
-		o.Seed = seed
-		cfg := falconcore.DefaultConfig([]int{0, 1, 2, 3, 4, 5})
-		cfg.TwoChoice = twoChoice
-		tb := busySystemBed(o, &cfg)
-		stop := o.warmup() + o.window() + 5*sim.Millisecond
-		var list []*workload.UDPFlow
-		for i := 0; i < 8; i++ {
-			f := tb.NewUDPFlow(tb.ClientCtrs[i], tb.ServerCtrs[i].IP,
-				uint16(7000+i), 5001, 1024, 2+i%6, 6+i%10, uint64(i+1))
-			f.SendAtRate(60_000, stop)
-			list = append(list, f)
-		}
-		// Mid-warmup, one flow becomes an elephant.
-		tb.E.At(o.warmup()/2, func() { list[0].SetRate(400_000) })
-		return measureFlows(tb, list, o).PPS
-	}
 	seeds := []uint64{1, 2, 3}
 	if opt.Quick {
 		seeds = []uint64{1}
 	}
 	var stat, dyn float64
 	for _, s := range seeds {
-		stat += run(false, s)
-		dyn += run(true, s)
+		st, _ := hotspot(opt, s, false, false)
+		dy, _ := hotspot(opt, s, true, false)
+		stat, dyn = stat+st, dyn+dy
 	}
 	stat /= float64(len(seeds))
 	dyn /= float64(len(seeds))
 	t.AddRow("static (first choice only)", fKpps(stat), "1.00x")
 	t.AddRow("dynamic (two-choice)", fKpps(dyn), fRatio(dyn/stat))
 	return []*stats.Table{t}
+}
+
+// hotspot runs the busy-system bed's eight fixed-rate flows, one of
+// which becomes an elephant mid-warmup, under the given balancer, and
+// returns the delivered rate and the flows' order violations.
+func hotspot(opt Options, seed uint64, twoChoice, leastLoaded bool) (float64, uint64) {
+	o := opt
+	o.Seed = seed
+	cfg := falconcore.DefaultConfig([]int{0, 1, 2, 3, 4, 5})
+	cfg.TwoChoice = twoChoice
+	cfg.LeastLoaded = leastLoaded
+	tb := busySystemBed(o, &cfg)
+	stop := o.warmup() + o.window() + 5*sim.Millisecond
+	var list []*workload.UDPFlow
+	for i := 0; i < 8; i++ {
+		f := tb.NewUDPFlow(tb.ClientCtrs[i], tb.ServerCtrs[i].IP,
+			uint16(7000+i), 5001, 1024, 2+i%6, 6+i%10, uint64(i+1))
+		f.SendAtRate(60_000, stop)
+		list = append(list, f)
+	}
+	tb.E.At(o.warmup()/2, func() { list[0].SetRate(400_000) })
+	res := measureFlows(tb, list, o)
+	var viols uint64
+	for _, f := range list {
+		viols += f.Sock.OrderViols
+	}
+	return res.PPS, viols
 }

@@ -5,6 +5,7 @@ import (
 
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
+	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
@@ -99,20 +100,17 @@ func newReconfigBed(mode workload.Mode, opt Options) *workload.Testbed {
 type reconfigRun struct {
 	samples   []uint64 // cumulative delivery at warmup + i*1ms
 	recs      []*reconfig.GenRecord
-	final     reconfig.DropSnapshot
+	final     overlay.Drops
 	sent      uint64
 	delivered uint64
 	sockDrops uint64
 	txPending uint64
 }
 
-// unaccounted is the conservation residue: every sent packet must be
-// delivered, counted at a socket drop, counted in a datapath drop
-// bucket, or still inside the transmit path. Zero or the run lost
-// packets silently.
+// unaccounted is the run's conservation residue (overlay.Unaccounted):
+// nonzero means the run lost packets silently.
 func (r reconfigRun) unaccounted() int64 {
-	return int64(r.sent) - int64(r.delivered) - int64(r.sockDrops) -
-		int64(r.final.Total()) - int64(r.txPending)
+	return overlay.Unaccounted(r.sent, r.delivered, r.sockDrops, r.txPending, r.final)
 }
 
 // runDisturbed drives one reconfig bed's fixed-rate UDP flow for warmup
@@ -146,18 +144,18 @@ func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed
 	}
 	finishAudit(tb, until)
 
-	if mgr == nil {
-		mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
-	}
-	return reconfigRun{
+	run := reconfigRun{
 		samples:   samples,
-		recs:      mgr.Records(),
-		final:     mgr.Snapshot(),
+		final:     tb.Net.Drops(),
 		sent:      f.Sent(),
 		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
 		sockDrops: f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value(),
 		txPending: tb.Client.TxPending() + tb.Server.TxPending() + tb.Spare.TxPending(),
 	}
+	if mgr != nil {
+		run.recs = mgr.Records()
+	}
+	return run
 }
 
 // scheduleEndMs is the last ms offset at which either schedule acts
@@ -178,6 +176,32 @@ func scheduleEndMs(rs *reconfig.Schedule, cs *reconfig.CrashSchedule) int {
 		}
 	}
 	return last
+}
+
+// addGenRows analyzes run's generations against the undisturbed base
+// run and renders one detail row per generation; show names the three
+// census buckets of the drop column.
+func addGenRows(detail *stats.Table, mode workload.Mode, opt Options, base, run reconfigRun, show [3]overlay.DropBucket) []reconfig.Convergence {
+	conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
+	for i, rec := range run.recs {
+		c := conv[i]
+		detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
+			fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
+			fmt.Sprintf("%d", c.LossPkts),
+			fmt.Sprintf("%d/%d/%d", c.Drops[show[0]], c.Drops[show[1]], c.Drops[show[2]]),
+			fRecover(float64(c.RecoverMs), 0))
+	}
+	return conv
+}
+
+// steadyRatio compares the disturbed run's steady-state delivery with
+// the base run's, both measured from bucket from on.
+func steadyRatio(base, run reconfigRun, from int) (baseSteady, runSteady, ratio float64) {
+	baseSteady, runSteady = steadyMean(base.samples, from), steadyMean(run.samples, from)
+	if baseSteady > 0 {
+		ratio = runSteady / baseSteady
+	}
+	return baseSteady, runSteady, ratio
 }
 
 // steadyMean is the mean per-ms delivery over buckets [from, end) — the
@@ -221,15 +245,9 @@ func ablReconfig(opt Options) []*stats.Table {
 			}
 			return mgr
 		})
-		conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
-
-		steadyFrom := scheduleEndMs(sched, nil) + 1
-		baseSteady := steadyMean(base.samples, steadyFrom)
-		runSteady := steadyMean(run.samples, steadyFrom)
-		ratio := 0.0
-		if baseSteady > 0 {
-			ratio = runSteady / baseSteady
-		}
+		conv := addGenRows(detail, mode, opt, base, run,
+			[3]overlay.DropBucket{overlay.BucketResolve, overlay.BucketNIC, overlay.BucketBacklog})
+		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(sched, nil)+1)
 
 		maxBlackout, recovered, detached, quiesceUs := 0, true, true, -1.0
 		for _, c := range conv {
@@ -240,19 +258,13 @@ func ablReconfig(opt Options) []*stats.Table {
 				recovered = false
 			}
 		}
-		for i, rec := range run.recs {
+		for _, rec := range run.recs {
 			if rec.Action.Kind == reconfig.KindDrain {
 				detached = detached && rec.Detached
 				if rec.QuiescedAt >= 0 {
 					quiesceUs = float64(rec.QuiescedAt-rec.Applied) / 1e3
 				}
 			}
-			c := conv[i]
-			detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
-				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
-				fmt.Sprintf("%d", c.LossPkts),
-				fmt.Sprintf("%d/%d/%d", c.Drops.Resolve, c.Drops.NIC, c.Drops.Backlog),
-				fRecover(float64(c.RecoverMs), 0))
 		}
 
 		v := "OK"

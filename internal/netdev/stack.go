@@ -18,6 +18,7 @@ import (
 
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
+	"falcon/internal/sim"
 	"falcon/internal/skb"
 	"falcon/internal/stats"
 )
@@ -160,37 +161,6 @@ type backlogEntry struct {
 	h Handler
 }
 
-// entryQueue is a FIFO of backlog entries that recycles its backing
-// array (same shape as cpu's workQueue): popping advances a head index,
-// a fully drained queue rewinds to the array's front, and once the
-// consumed head passes half the capacity the live tail is copied to the
-// front, so the steady-state drain-refill cycle never reallocates and a
-// backlog that never drains stays bounded.
-type entryQueue struct {
-	items []backlogEntry
-	head  int
-}
-
-func (q *entryQueue) push(e backlogEntry) { q.items = append(q.items, e) }
-
-func (q *entryQueue) pop() backlogEntry {
-	e := q.items[q.head]
-	q.items[q.head] = backlogEntry{}
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head*2 >= cap(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[q.head:]) // the moved entries' old slots
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return e
-}
-
-func (q *entryQueue) len() int { return len(q.items) - q.head }
-
 // perCPUBacklog is one core's input_pkt_queue plus its NAPI-style state.
 // pending mirrors the NET_RX bit in the softirq pending mask: set by
 // netif_rx, cleared when a softirq invocation begins. draining tracks
@@ -209,8 +179,8 @@ func (q *entryQueue) len() int { return len(q.items) - q.head }
 // first, so packets already inside the pipeline finish before new ones
 // are admitted.
 type perCPUBacklog struct {
-	local    entryQueue
-	remote   entryQueue
+	local    sim.FIFO[backlogEntry]
+	remote   sim.FIFO[backlogEntry]
 	pending  bool
 	draining bool
 	dropped  uint64
@@ -297,7 +267,7 @@ func (st *Stack) DeviceName(ifindex int) string {
 // BacklogLen returns the queue depth of core's backlog (both classes).
 func (st *Stack) BacklogLen(core int) int {
 	b := &st.backlogs[core]
-	return b.local.len() + b.remote.len()
+	return b.local.Len() + b.remote.Len()
 }
 
 // BacklogDropped returns drops on one core's backlog.
@@ -312,8 +282,7 @@ func (st *Stack) BacklogDropped(core int) uint64 { return st.backlogs[core].drop
 // It reports false when the backlog is full and the packet was dropped.
 func (st *Stack) NetifRx(from *cpu.Core, target int, s *skb.SKB, h Handler) bool {
 	if st.down {
-		s.Stage("drop:stack-down")
-		s.Free()
+		s.Drop(skb.DropStackDown)
 		if st.crashDrops != nil {
 			st.crashDrops.Inc()
 		}
@@ -327,7 +296,7 @@ func (st *Stack) NetifRx(from *cpu.Core, target int, s *skb.SKB, h Handler) bool
 		// input_pkt_queue admission limit. Scheduling an idle per-device
 		// NAPI counts a NET_RX invocation — this is why the overlay path
 		// shows multiples of the native softirq count (paper Fig. 4).
-		if b.local.len() == 0 {
+		if b.local.Len() == 0 {
 			st.M.IRQ.Inc(target, stats.IRQNetRX)
 			// The fresh invocation of this device's NAPI pays softirq
 			// entry overhead on the core, as each net_rx_action restart
@@ -335,16 +304,15 @@ func (st *Stack) NetifRx(from *cpu.Core, target int, s *skb.SKB, h Handler) bool
 			from.Exec(stats.CtxSoftIRQ, costmodel.FnSoftIRQEntry, 0, nil)
 		}
 		s.Stage("backlog")
-		b.local.push(backlogEntry{s: s, h: h})
+		b.local.Push(backlogEntry{s: s, h: h})
 		b.idleFlushed = false
 		st.ensureDraining(target)
 		return true
 	}
-	if b.remote.len() >= st.MaxBacklog {
+	if b.remote.Len() >= st.MaxBacklog {
 		b.dropped++
 		st.Drops.Inc()
-		s.Stage("drop:backlog")
-		s.Free()
+		s.Drop(skb.DropBacklog)
 		return false
 	}
 	if from != nil {
@@ -358,7 +326,7 @@ func (st *Stack) NetifRx(from *cpu.Core, target int, s *skb.SKB, h Handler) bool
 		}
 	}
 	s.Stage("backlog")
-	b.remote.push(backlogEntry{s: s, h: h})
+	b.remote.Push(backlogEntry{s: s, h: h})
 	b.idleFlushed = false
 	st.kick(target)
 	return true
@@ -368,7 +336,7 @@ func (st *Stack) NetifRx(from *cpu.Core, target int, s *skb.SKB, h Handler) bool
 // queue depths plus the pending/draining softirq bits.
 func (st *Stack) BacklogState(core int) (local, remote int, pending, draining bool) {
 	b := &st.backlogs[core]
-	return b.local.len(), b.remote.len(), b.pending, b.draining
+	return b.local.Len(), b.remote.Len(), b.pending, b.draining
 }
 
 // kick raises NET_RX on the target: set the pending bit (counting one
@@ -403,10 +371,10 @@ func (st *Stack) drain(core *cpu.Core) {
 	b := &st.backlogs[core.ID()]
 	var e backlogEntry
 	switch {
-	case b.local.len() > 0:
-		e = b.local.pop()
-	case b.remote.len() > 0:
-		e = b.remote.pop()
+	case b.local.Len() > 0:
+		e = b.local.Pop()
+	case b.remote.Len() > 0:
+		e = b.remote.Pop()
 	default:
 		if b.pending {
 			core.Exec(stats.CtxSoftIRQ, costmodel.FnSoftIRQEntry, 0, b.enter)
@@ -447,18 +415,11 @@ func (st *Stack) SetDown(down bool, drops *stats.Counter) {
 // the queues empty.
 func (st *Stack) PurgeBacklogs(drops *stats.Counter) {
 	for i := range st.backlogs {
-		b := &st.backlogs[i]
-		for b.local.len() > 0 {
-			e := b.local.pop()
-			e.s.Stage("drop:stack-down")
-			e.s.Free()
-			drops.Inc()
-		}
-		for b.remote.len() > 0 {
-			e := b.remote.pop()
-			e.s.Stage("drop:stack-down")
-			e.s.Free()
-			drops.Inc()
+		for _, q := range []*sim.FIFO[backlogEntry]{&st.backlogs[i].local, &st.backlogs[i].remote} {
+			for q.Len() > 0 {
+				q.Pop().s.Drop(skb.DropStackDown)
+				drops.Inc()
+			}
 		}
 	}
 }

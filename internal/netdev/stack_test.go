@@ -66,24 +66,24 @@ func TestNetifRxProcessesFIFO(t *testing.T) {
 // TestEntryQueueStaysBounded: a backlog kept non-empty through a million
 // push/pop pairs keeps FIFO order and a bounded backing array.
 func TestEntryQueueStaysBounded(t *testing.T) {
-	var q entryQueue
+	var q sim.FIFO[backlogEntry]
 	pkts := make([]*skb.SKB, 9)
 	for i := range pkts {
 		pkts[i] = skb.New(nil)
 	}
 	for i := 0; i < 8; i++ {
-		q.push(backlogEntry{s: pkts[i]})
+		q.Push(backlogEntry{s: pkts[i]})
 	}
 	for i := 8; i < 1_000_000+8; i++ {
-		q.push(backlogEntry{s: pkts[i%9]})
-		if e := q.pop(); e.s != pkts[(i-8)%9] {
+		q.Push(backlogEntry{s: pkts[i%9]})
+		if e := q.Pop(); e.s != pkts[(i-8)%9] {
 			t.Fatalf("pop %d: FIFO order broken", i-8)
 		}
 	}
-	if q.len() != 8 {
-		t.Fatalf("len = %d, want 8", q.len())
+	if q.Len() != 8 {
+		t.Fatalf("len = %d, want 8", q.Len())
 	}
-	if c := cap(q.items); c > 64 {
+	if c := q.Cap(); c > 64 {
 		t.Fatalf("backing array grew to cap %d for 8 live entries", c)
 	}
 }

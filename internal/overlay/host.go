@@ -261,20 +261,8 @@ func (h *Host) DisableFalcon() {
 // AddContainer creates a container with the given private IP, wires its
 // veth pair into the bridge, and publishes it in the overlay KV store.
 func (h *Host) AddContainer(name string, ip proto.IPv4Addr) *Container {
-	id := len(h.containers) + 1
-	mac := proto.MACFromUint64(uint64(ip))
-	brIf := h.St.RegisterDevice(fmt.Sprintf("%s-veth%d", h.Name, id))
-	ctIf := h.St.RegisterDevice(fmt.Sprintf("%s-c%d-eth0", h.Name, id))
-	vbr, vct := devices.NewVethPair(
-		fmt.Sprintf("%s-veth%d", h.Name, id),
-		fmt.Sprintf("%s-c%d-eth0", h.Name, id),
-		brIf, ctIf, mac, id)
-	c := &Container{Host: h, ID: id, Name: name, IP: ip, MAC: mac, VethBr: vbr, VethCt: vct}
-	port := h.Bridge.AddPort(vbr.Name)
-	h.Bridge.Learn(mac, port)
-	h.Rx.VethByMAC[mac] = vbr
-	h.containers = append(h.containers, c)
-	h.Net.KV.Put(ip, EndpointInfo{ContainerMAC: mac, HostIP: h.IP, HostMAC: h.MAC})
+	c := h.AddStandbyContainer(name, ip)
+	h.Net.KV.Put(ip, c.Endpoint())
 	return c
 }
 
@@ -521,8 +509,7 @@ func (op *l4Op) dispatch() {
 	fn, ok := h.handlers[key]
 	if !ok {
 		h.L4Drops.Inc()
-		s.Stage("drop:l4-unbound")
-		s.Free()
+		s.Drop(skb.DropL4Unbound)
 		done()
 		return
 	}
@@ -534,16 +521,14 @@ func (op *l4Op) dispatch() {
 func (h *Host) deliverL4(c *cpu.Core, s *skb.SKB, done func()) {
 	if h.crashed {
 		h.CrashDrops.Inc()
-		s.Stage("drop:host-crash")
-		s.Free()
+		s.Drop(skb.DropHostCrash)
 		done()
 		return
 	}
 	f, err := s.Frame()
 	if err != nil {
 		h.L4Drops.Inc()
-		s.Stage("drop:l4-frame")
-		s.Free()
+		s.Drop(skb.DropL4Frame)
 		done()
 		return
 	}

@@ -220,6 +220,10 @@ func TestCrashPartitionStaleServeAndReconcile(t *testing.T) {
 	if got := b.client.NegCacheHits.Value(); got != 1 {
 		t.Fatalf("negative-cache hits = %d, want 1", got)
 	}
+	// The suppressed send is a counted resolve drop, not silent loss.
+	if got := b.client.TxResolveDrops.Value(); got != 2 {
+		t.Fatalf("resolve drops after the negative-cache hit = %d, want 2", got)
+	}
 
 	// Heal: partition lifts, caches reconcile, resolution is real again.
 	b.e.At(8*sim.Millisecond, func() {
@@ -273,6 +277,10 @@ func TestNegCachePurgedByRemap(t *testing.T) {
 	b.e.RunUntil(30 * sim.Microsecond)
 	if got := b.client.NegCacheHits.Value(); got != 1 {
 		t.Fatalf("negative-cache hits = %d, want 1", got)
+	}
+	// The suppressed send is a counted resolve drop, not silent loss.
+	if got := b.client.TxResolveDrops.Value(); got != 2 {
+		t.Fatalf("resolve drops after the negative-cache hit = %d, want 2", got)
 	}
 	if got := b.client.TxResolveDrops.Value(); got != 2 {
 		t.Fatalf("resolve drops = %d, want 2", got)

@@ -34,6 +34,13 @@ type SendParams struct {
 	FromSoftirq bool
 }
 
+// report tells the sender whether the frame made it onto the wire.
+func (p SendParams) report(ok bool) {
+	if p.Done != nil {
+		p.Done(ok)
+	}
+}
+
 // SendUDP transmits one UDP message through the full transmit path in
 // task context: container stack → veth → bridge → vxlan_xmit
 // encapsulation → pNIC, or the plain host stack for host networking.
@@ -146,9 +153,7 @@ func (h *Host) sendL4(p SendParams, ipProto uint8, tcp *proto.TCPHdr) {
 		// The host is dead: the (schedule-driven) send is counted and
 		// destroyed without charging work — dead silicon runs nothing.
 		h.CrashDrops.Inc()
-		if p.Done != nil {
-			p.Done(false)
-		}
+		p.report(false)
 		return
 	}
 	h.txPending++
@@ -406,23 +411,18 @@ func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlow
 // writes would survive past the fault window — so chaos schedules stay
 // byte-identical to the pre-cache simulator.
 func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipProto uint8, tcp *proto.TCPHdr, start sim.Time) {
-	finish := func(ok bool) {
-		if p.Done != nil {
-			p.Done(ok)
-		}
-	}
 	h.resolve(p, func(info EndpointInfo, ok bool) {
 		if !ok {
 			h.TxResolveDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		inner, err := h.buildInner(p, ipProto, tcp, info)
 		if err != nil {
 			h.TxBuildDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		s := skb.New(inner)
@@ -434,15 +434,14 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 		s.Seq = p.Seq
 		s.SendTime = start
 		if err := s.SetFlowHash(); err != nil {
-			s.Stage("drop:tx-frame")
-			s.Free()
-			finish(false)
+			s.Drop(skb.DropTxFrame)
+			p.report(false)
 			return
 		}
 		if p.From == nil {
 			// Host networking: straight out the NIC.
 			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				finish(h.sendWire(core, ctx, s, p.DstIP))
+				p.report(h.sendWire(core, ctx, s, p.DstIP))
 			})
 			return
 		}
@@ -450,7 +449,7 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 			// Same-host container: the bridge forwards locally; the frame
 			// enters the destination's veth backlog without encapsulation.
 			s.WireTime = h.E.Now()
-			finish(h.Rx.InjectLocal(nil, p.Core, s))
+			p.report(h.Rx.InjectLocal(nil, p.Core, s))
 			return
 		}
 		// Cross-host: encapsulate and transmit.
@@ -460,7 +459,7 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 				entropy, h.Net.VNI, h.nextIPID())
 			s.SetData(outer)
 			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				finish(h.sendWire(core, ctx, s, info.HostIP))
+				p.report(h.sendWire(core, ctx, s, info.HostIP))
 			})
 		})
 	})
@@ -523,16 +522,12 @@ func (h *Host) sendPartitioned(op *txOp) {
 	core, ctx, ipProto, tcp, start := op.core, op.ctx, op.ipProto, op.tcp, op.start
 	op.p.Done = nil // the retry loop owns completion now
 	op.finish(false)
-	finish := func(ok bool) {
-		if p.Done != nil {
-			p.Done(ok)
-		}
-	}
 	if ne, ok := h.negCache[p.DstIP]; ok {
 		if ne.epoch == h.cacheEpoch && h.E.Now() < ne.until && ne.kvVersion == ver {
 			h.NegCacheHits.Inc()
+			h.TxResolveDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		delete(h.negCache, p.DstIP)
@@ -543,7 +538,7 @@ func (h *Host) sendPartitioned(op *txOp) {
 		if h.crashed {
 			h.CrashDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		if !h.Net.KV.Partitioned(h.IP) {
@@ -554,13 +549,9 @@ func (h *Host) sendPartitioned(op *txOp) {
 		}
 		if attempt >= kvMaxRetries {
 			h.TxResolveDrops.Inc()
-			h.negCache[p.DstIP] = negEntry{
-				until:     h.E.Now() + NegCacheTTL,
-				kvVersion: h.Net.KV.Version(),
-				epoch:     h.cacheEpoch,
-			}
+			h.negMiss(p.DstIP)
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		backoff := kvRetryBase << attempt
@@ -583,6 +574,11 @@ type negEntry struct {
 	until     sim.Time
 	kvVersion uint64
 	epoch     uint64
+}
+
+// negMiss records a definitive KV miss for ip in the negative cache.
+func (h *Host) negMiss(ip proto.IPv4Addr) {
+	h.negCache[ip] = negEntry{until: h.E.Now() + NegCacheTTL, kvVersion: h.Net.KV.Version(), epoch: h.cacheEpoch}
 }
 
 // resolve produces the EndpointInfo for p's destination and calls cont
@@ -634,11 +630,7 @@ func (h *Host) resolve(p SendParams, cont func(EndpointInfo, bool)) {
 			}
 			info, err := h.Net.KV.Get(p.DstIP)
 			if err != nil {
-				h.negCache[p.DstIP] = negEntry{
-					until:     h.E.Now() + NegCacheTTL,
-					kvVersion: h.Net.KV.Version(),
-					epoch:     h.cacheEpoch,
-				}
+				h.negMiss(p.DstIP)
 				cont(EndpointInfo{}, false)
 				return
 			}
@@ -694,8 +686,7 @@ func (h *Host) buildInner(p SendParams, ipProto uint8, tcp *proto.TCPHdr, info E
 func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHostIP proto.IPv4Addr) bool {
 	l := h.links[dstHostIP]
 	if l == nil {
-		s.Stage("drop:tx-route")
-		s.Free()
+		s.Drop(skb.DropTxRoute)
 		return false
 	}
 	if l.MTU <= 0 {
@@ -703,8 +694,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 	}
 	parts, err := ipfrag.Fragment(s.Data, l.MTU)
 	if err != nil {
-		s.Stage("drop:tx-frag")
-		s.Free()
+		s.Drop(skb.DropTxFrag)
 		return false
 	}
 	if len(parts) > 1 {

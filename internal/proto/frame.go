@@ -85,17 +85,8 @@ func ParseFrame(b []byte) (Frame, error) {
 // BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame around
 // payload. ipID feeds the IPv4 identification field.
 func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payload []byte) []byte {
-	total := EthLen + IPv4Len + UDPLen + len(payload)
-	b := make([]byte, total)
-	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
-	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + UDPLen + len(payload)),
-		ID:       ipID,
-		TTL:      64,
-		Protocol: ProtoUDP,
-		Src:      srcIP,
-		Dst:      dstIP,
-	})
+	b := make([]byte, EthLen+IPv4Len+UDPLen+len(payload))
+	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoUDP, ipID, UDPLen+len(payload))
 	PutUDP(b[EthLen+IPv4Len:], UDPHdr{
 		SrcPort: srcPort,
 		DstPort: dstPort,
@@ -107,18 +98,19 @@ func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort u
 
 // BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payload []byte) []byte {
-	total := EthLen + IPv4Len + TCPLen + len(payload)
-	b := make([]byte, total)
-	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
-	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + TCPLen + len(payload)),
-		ID:       ipID,
-		TTL:      64,
-		Protocol: ProtoTCP,
-		Src:      srcIP,
-		Dst:      dstIP,
-	})
+	b := make([]byte, EthLen+IPv4Len+TCPLen+len(payload))
+	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoTCP, ipID, TCPLen+len(payload))
 	PutTCP(b[EthLen+IPv4Len:], hdr)
 	copy(b[EthLen+IPv4Len+TCPLen:], payload)
 	return b
+}
+
+// putEthIPv4 writes the Ethernet and IPv4 headers of a frame carrying
+// l4Len bytes of protocol ipProto.
+func putEthIPv4(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, ipProto uint8, ipID uint16, l4Len int) {
+	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
+	PutIPv4(b[EthLen:], IPv4Hdr{
+		TotalLen: uint16(IPv4Len + l4Len), ID: ipID, TTL: 64,
+		Protocol: ipProto, Src: srcIP, Dst: dstIP,
+	})
 }

@@ -38,23 +38,8 @@ func ParseVXLAN(b []byte) (VXLANHdr, error) {
 // host spread distinct inner flows across NIC queues, matching kernel
 // behaviour (udp_flow_src_port).
 func Encapsulate(inner []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort uint16, vni uint32, ipID uint16) []byte {
-	total := OverlayOverhead + len(inner)
-	b := make([]byte, total)
-	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
-	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + UDPLen + VXLANLen + len(inner)),
-		ID:       ipID,
-		TTL:      64,
-		Protocol: ProtoUDP,
-		Src:      srcIP,
-		Dst:      dstIP,
-	})
-	PutUDP(b[EthLen+IPv4Len:], UDPHdr{
-		SrcPort: srcPort,
-		DstPort: VXLANPort,
-		Length:  uint16(UDPLen + VXLANLen + len(inner)),
-	})
-	PutVXLAN(b[EthLen+IPv4Len+UDPLen:], VXLANHdr{VNI: vni})
+	b := make([]byte, OverlayOverhead+len(inner))
+	PutEncapHeaders(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, vni, ipID, len(inner))
 	copy(b[OverlayOverhead:], inner)
 	return b
 }
@@ -64,15 +49,7 @@ func Encapsulate(inner []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPor
 // innerLen bytes — the in-place variant of Encapsulate used when the skb
 // has headroom (the kernel's skb_push path in vxlan_xmit).
 func PutEncapHeaders(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort uint16, vni uint32, ipID uint16, innerLen int) {
-	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
-	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + UDPLen + VXLANLen + innerLen),
-		ID:       ipID,
-		TTL:      64,
-		Protocol: ProtoUDP,
-		Src:      srcIP,
-		Dst:      dstIP,
-	})
+	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoUDP, ipID, UDPLen+VXLANLen+innerLen)
 	PutUDP(b[EthLen+IPv4Len:], UDPHdr{
 		SrcPort: srcPort,
 		DstPort: VXLANPort,

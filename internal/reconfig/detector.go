@@ -178,13 +178,7 @@ func (m *Manager) failover(mon *hostMonitor, t sim.Time) {
 		To:        mon.twin.Name,
 		TransitUs: m.det.cfg.TransitUs,
 	}
-	rec := &GenRecord{
-		Gen:        m.Net.BumpGeneration(),
-		Action:     a,
-		Applied:    t,
-		Drops:      m.Snapshot(),
-		QuiescedAt: -1,
-	}
+	rec := m.open(a, t)
 	ips := make([]proto.IPv4Addr, 0, len(h.Containers()))
 	for _, c := range h.Containers() {
 		ips = append(ips, c.IP)
@@ -195,10 +189,7 @@ func (m *Manager) failover(mon *hostMonitor, t sim.Time) {
 		}
 	}
 	m.beginDrain(a, h, rec)
-	m.records = append(m.records, rec)
-	if m.OnGeneration != nil {
-		m.OnGeneration(rec)
-	}
+	m.commit(rec)
 }
 
 // rejoin re-admits a rebooted host: a generation bump records the
@@ -207,17 +198,8 @@ func (m *Manager) failover(mon *hostMonitor, t sim.Time) {
 // fresh heartbeats came from); its containers stay on the twins.
 func (m *Manager) rejoin(mon *hostMonitor, t sim.Time) {
 	h := mon.host
-	rec := &GenRecord{
-		Gen:        m.Net.BumpGeneration(),
-		Action:     Action{Kind: KindRejoin, AtMs: int(t / sim.Millisecond), Host: h.Name},
-		Applied:    t,
-		Drops:      m.Snapshot(),
-		QuiescedAt: -1,
-		Reattached: true,
-	}
+	rec := m.open(Action{Kind: KindRejoin, AtMs: int(t / sim.Millisecond), Host: h.Name}, t)
+	rec.Reattached = true
 	delete(m.draining, h.Name)
-	m.records = append(m.records, rec)
-	if m.OnGeneration != nil {
-		m.OnGeneration(rec)
-	}
+	m.commit(rec)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	falconcore "falcon/internal/core"
-	"falcon/internal/devices"
 	"falcon/internal/overlay"
-	"falcon/internal/proto"
 	"falcon/internal/sim"
 )
 
@@ -21,38 +19,6 @@ const (
 	quiesceMaxChecks = 200
 )
 
-// DropSnapshot is a cumulative host-datapath drop census at one instant:
-// the per-generation drop buckets of the convergence report come from
-// deltas between consecutive snapshots.
-type DropSnapshot struct {
-	Resolve     uint64 // tx resolution failures (KV miss during transit)
-	Build       uint64 // tx frame-build failures
-	NIC         uint64 // NIC ring/frame drops
-	Backlog     uint64 // softirq backlog overflow
-	Path        uint64 // rx-path discards (unparsable, unknown MAC)
-	L4          uint64 // no bound endpoint
-	LinkLost    uint64 // random wire loss
-	LinkDropped uint64 // link tx-queue overflow
-	Crash       uint64 // packets destroyed by a host crash (purged + blackholed)
-}
-
-// Total sums every bucket.
-func (d DropSnapshot) Total() uint64 {
-	return d.Resolve + d.Build + d.NIC + d.Backlog + d.Path + d.L4 +
-		d.LinkLost + d.LinkDropped + d.Crash
-}
-
-// Sub returns the per-bucket difference d - prev.
-func (d DropSnapshot) Sub(prev DropSnapshot) DropSnapshot {
-	return DropSnapshot{
-		Resolve: d.Resolve - prev.Resolve, Build: d.Build - prev.Build,
-		NIC: d.NIC - prev.NIC, Backlog: d.Backlog - prev.Backlog,
-		Path: d.Path - prev.Path, L4: d.L4 - prev.L4,
-		LinkLost: d.LinkLost - prev.LinkLost, LinkDropped: d.LinkDropped - prev.LinkDropped,
-		Crash: d.Crash - prev.Crash,
-	}
-}
-
 // GenRecord documents one applied generation: the action, when it took
 // effect, the drop census at its boundary (counters the instant before
 // application), and — for drains — when the host's datapath quiesced
@@ -64,7 +30,7 @@ type GenRecord struct {
 	// Drops is the cumulative snapshot at the generation boundary; the
 	// drops attributed to this generation are the next boundary's
 	// snapshot minus this one.
-	Drops DropSnapshot
+	Drops overlay.Drops
 	// QuiescedAt is when the drained host's datapath emptied (-1 while
 	// pending or for non-drain actions); Detached reports the LP's
 	// ticker was stopped, Reattached that an add restarted it.
@@ -104,25 +70,6 @@ func New(net *overlay.Network, sched *Schedule) *Manager {
 
 // Records returns the per-generation records in application order.
 func (m *Manager) Records() []*GenRecord { return m.records }
-
-// Snapshot takes a drop census over every host and link right now.
-func (m *Manager) Snapshot() DropSnapshot {
-	var s DropSnapshot
-	for _, h := range m.Net.Hosts() {
-		s.Resolve += h.TxResolveDrops.Value()
-		s.Build += h.TxBuildDrops.Value()
-		s.NIC += h.NIC.Drops.Value()
-		s.Backlog += h.St.Drops.Value()
-		s.Path += h.Rx.PathDrops.Value()
-		s.L4 += h.L4Drops.Value()
-		s.Crash += h.CrashDrops.Value()
-		h.EachLink(func(_ proto.IPv4Addr, l *devices.Link) {
-			s.LinkLost += l.Lost.Value()
-			s.LinkDropped += l.Dropped.Value()
-		})
-	}
-	return s
-}
 
 // Arm resolves the schedule against the network and pre-schedules every
 // action at base + AtMs. Must run before the simulation starts (or at
@@ -180,17 +127,25 @@ func (m *Manager) hostByName(name string) *overlay.Host {
 	return nil
 }
 
-// apply executes one action at its effective time. The drop snapshot is
-// taken before the action mutates anything, so it marks the generation
-// boundary exactly.
-func (m *Manager) apply(a Action, h *overlay.Host, t sim.Time) {
-	rec := &GenRecord{
-		Gen:        m.Net.BumpGeneration(),
-		Action:     a,
-		Applied:    t,
-		Drops:      m.Snapshot(),
-		QuiescedAt: -1,
+// open starts the record of a generation applied at t: the generation
+// bump plus the drop census, taken before the action mutates anything,
+// so the census marks the generation boundary exactly.
+func (m *Manager) open(a Action, t sim.Time) *GenRecord {
+	return &GenRecord{Gen: m.Net.BumpGeneration(), Action: a, Applied: t,
+		Drops: m.Net.Drops(), QuiescedAt: -1}
+}
+
+// commit appends an applied generation's record and reports it.
+func (m *Manager) commit(rec *GenRecord) {
+	m.records = append(m.records, rec)
+	if m.OnGeneration != nil {
+		m.OnGeneration(rec)
 	}
+}
+
+// apply executes one action at its effective time.
+func (m *Manager) apply(a Action, h *overlay.Host, t sim.Time) {
+	rec := m.open(a, t)
 	switch a.Kind {
 	case KindKernelUpgrade:
 		h.SetKernel(a.Kernel)
@@ -211,10 +166,7 @@ func (m *Manager) apply(a Action, h *overlay.Host, t sim.Time) {
 		h.M.StartTicker()
 		rec.Reattached = true
 	}
-	m.records = append(m.records, rec)
-	if m.OnGeneration != nil {
-		m.OnGeneration(rec)
-	}
+	m.commit(rec)
 }
 
 // beginDrain unpublishes the host's containers, schedules their landing

@@ -6,6 +6,7 @@ import (
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/faults"
+	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
@@ -130,14 +131,12 @@ func TestDrainQuiescesAndDetaches(t *testing.T) {
 
 	// Conservation across the swaps: every send is delivered on one of
 	// the two sockets, counted in a drop bucket, or still in the TX path.
-	snap := mgr.Snapshot()
+	snap := tb.Net.Drops()
 	delivered := f.Sock.Delivered.Value() + spareSock.Delivered.Value()
 	sockDrops := f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value()
-	unaccounted := int64(f.Sent()) - int64(delivered) - int64(sockDrops) -
-		int64(snap.Total()) - int64(tb.Client.TxPending())
-	if unaccounted != 0 {
-		t.Fatalf("%d packets unaccounted across the drain/add (sent=%d delivered=%d drops=%d)",
-			unaccounted, f.Sent(), delivered, snap.Total())
+	if unaccounted := overlay.Unaccounted(f.Sent(), delivered, sockDrops, tb.Client.TxPending(), snap); unaccounted != 0 {
+		t.Fatalf("%d packets unaccounted across the drain/add (sent=%d delivered=%d drops: %v)",
+			unaccounted, f.Sent(), delivered, snap)
 	}
 }
 
@@ -221,7 +220,7 @@ func runCrashBed(t *testing.T, shards int) (*workload.Testbed, *reconfig.Manager
 	tb.Run(16 * sim.Millisecond)
 	tl := crashTimeline{
 		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
-		crashed:   mgr.Snapshot().Crash,
+		crashed:   tb.Net.Drops()[overlay.BucketCrash],
 	}
 	for _, rec := range mgr.Records() {
 		tl.kinds = append(tl.kinds, rec.Action.Kind)
@@ -269,17 +268,15 @@ func TestDetectorFailoverAndRejoin(t *testing.T) {
 	if spareSock.Delivered.Value() == 0 {
 		t.Fatal("no packets delivered on the spare twin after fail-over")
 	}
-	snap := mgr.Snapshot()
-	if snap.Crash == 0 {
+	snap := tb.Net.Drops()
+	if snap[overlay.BucketCrash] == 0 {
 		t.Fatal("crash drop bucket empty — the blackout destroyed nothing?")
 	}
 	delivered := f.Sock.Delivered.Value() + spareSock.Delivered.Value()
 	sockDrops := f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value()
-	unaccounted := int64(f.Sent()) - int64(delivered) - int64(sockDrops) -
-		int64(snap.Total()) - int64(tb.Client.TxPending())
-	if unaccounted != 0 {
-		t.Fatalf("%d packets unaccounted across crash+reboot (sent=%d delivered=%d crash=%d)",
-			unaccounted, f.Sent(), delivered, snap.Crash)
+	if unaccounted := overlay.Unaccounted(f.Sent(), delivered, sockDrops, tb.Client.TxPending(), snap); unaccounted != 0 {
+		t.Fatalf("%d packets unaccounted across crash+reboot (sent=%d delivered=%d drops: %v)",
+			unaccounted, f.Sent(), delivered, snap)
 	}
 }
 

@@ -1,6 +1,9 @@
 package reconfig
 
-import "falcon/internal/sim"
+import (
+	"falcon/internal/overlay"
+	"falcon/internal/sim"
+)
 
 // recoverFrac is the fraction of baseline per-bucket throughput a bucket
 // must reach to count as recovered (same threshold the chaos experiments
@@ -21,7 +24,7 @@ type Convergence struct {
 	// LossPkts is the drop-census delta across the generation's window
 	// (this boundary to the next), bucketed in Drops.
 	LossPkts uint64
-	Drops    DropSnapshot
+	Drops    overlay.Drops
 	// RecoverMs is the time from the effective instant to the first
 	// bucket at ≥80% of pre-reconfig throughput (-1: never recovered
 	// inside the window).
@@ -41,7 +44,7 @@ type Convergence struct {
 // both runs) cancels and only datapath divergence counts. Without a
 // reference the baseline is the mean bucket before the first
 // generation's effective time.
-func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final DropSnapshot) []Convergence {
+func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final overlay.Drops) []Convergence {
 	nb := len(samples) - 1
 	if nb <= 0 || len(recs) == 0 {
 		return nil
@@ -77,7 +80,7 @@ func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final Drop
 	for i, r := range recs {
 		start := evMs(r)
 		end := nb
-		var nextSnap DropSnapshot
+		var nextSnap overlay.Drops
 		if i+1 < len(recs) {
 			end = evMs(recs[i+1])
 			nextSnap = recs[i+1].Drops

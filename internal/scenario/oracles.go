@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"falcon/internal/overlay"
 )
 
 // Oracle tolerances. Ratio checks always carry an absolute slack floor
@@ -301,26 +303,30 @@ func ByName(names []string) ([]Oracle, error) {
 
 func checkConservation(c *Ctx) *Violation {
 	sc := c.SC
-	// Vanilla accounting run: exact equations + per-flow order. (Order
-	// is asserted only here: Falcon's load gate and two-choice rehash
+	// Exact equations in every mode, plus per-flow order on the vanilla
+	// run. (Order is asserted only there: Falcon's load gate and two-choice rehash
 	// may legitimately migrate a flow mid-stream, which can transiently
 	// reorder; vanilla RPS pins each flow to one core, so any sequence
 	// regression is a real bug.)
-	av := c.account(sc, false)
-	if v := conservationOn(sc, av, "vanilla"); v != nil {
-		return v
-	}
-	if sc.UDPOnly() && !reorderingFault(sc) && !reorderingReconfig(sc) && av.OrderViols > 0 {
-		return &Violation{"conservation",
-			fmt.Sprintf("vanilla: %d per-flow order violations on UDP sockets", av.OrderViols)}
-	}
-	if hasFalcon(sc) {
-		af := c.account(sc, true)
-		if v := conservationOn(sc, af, "falcon"); v != nil {
+	for _, mode := range applicableModes(sc) {
+		ac := c.account(sc, mode)
+		if v := conservationOn(sc, ac, modeLabel(mode)); v != nil {
 			return v
+		}
+		if !mode && sc.UDPOnly() && !reorderingFault(sc) && !reorderingReconfig(sc) && ac.OrderViols > 0 {
+			return &Violation{"conservation",
+				fmt.Sprintf("vanilla: %d per-flow order violations on UDP sockets", ac.OrderViols)}
 		}
 	}
 	return nil
+}
+
+// modeLabel names a mode in violation details.
+func modeLabel(falcon bool) string {
+	if falcon {
+		return "falcon"
+	}
+	return "vanilla"
 }
 
 // conservationOn checks one accounting run: the audit subsystem must be
@@ -340,19 +346,20 @@ func conservationOn(sc Scenario, ac AccountResult, mode string) *Violation {
 	if !sc.UDPOnly() || sc.MTU != 0 {
 		return nil // exact frame accounting needs UDP-only, unfragmented
 	}
-	clientSide := ac.Wire + ac.TxResolveDrops + ac.TxBuildDrops + ac.LinkDropped
+	// Client side: every send() left on the wire or died before it.
+	d := ac.Drops
+	clientSide := ac.Wire + d[overlay.BucketResolve] + d[overlay.BucketBuild] + d[overlay.BucketLinkTxq]
 	if ac.Sent != clientSide {
 		return &Violation{"conservation",
 			fmt.Sprintf("%s: client side: sent=%d != wire=%d + resolve=%d + build=%d + txq=%d",
-				mode, ac.Sent, ac.Wire, ac.TxResolveDrops, ac.TxBuildDrops, ac.LinkDropped)}
+				mode, ac.Sent, ac.Wire, d[overlay.BucketResolve], d[overlay.BucketBuild], d[overlay.BucketLinkTxq])}
 	}
-	serverSide := ac.Delivered + ac.NICDrops + ac.BacklogDrops + ac.SocketDrops +
-		ac.PathDrops + ac.L4Drops + ac.LinkLost + ac.CrashDrops
-	if ac.Wire != serverSide {
+	// Whole run (drain-complete, so nothing in flight): with the client
+	// side closed, this is the server-side equation for the wire.
+	if r := overlay.Unaccounted(ac.Sent, ac.Delivered, ac.SocketDrops, 0, d); r != 0 {
 		return &Violation{"conservation",
-			fmt.Sprintf("%s: server side: wire=%d != delivered=%d + nic=%d + backlog=%d + sock=%d + path=%d + l4=%d + lost=%d + crash=%d",
-				mode, ac.Wire, ac.Delivered, ac.NICDrops, ac.BacklogDrops,
-				ac.SocketDrops, ac.PathDrops, ac.L4Drops, ac.LinkLost, ac.CrashDrops)}
+			fmt.Sprintf("%s: whole run: %d unaccounted: sent=%d delivered=%d sock=%d %v",
+				mode, r, ac.Sent, ac.Delivered, ac.SocketDrops, d)}
 	}
 	return nil
 }
@@ -367,11 +374,7 @@ func conservationOn(sc Scenario, ac AccountResult, mode string) *Violation {
 func checkReconfigConservation(c *Ctx) *Violation {
 	sc := c.SC
 	for _, mode := range applicableModes(sc) {
-		label := "vanilla+reconfig"
-		if mode {
-			label = "falcon+reconfig"
-		}
-		if v := conservationOn(sc, c.account(sc, mode), label); v != nil {
+		if v := conservationOn(sc, c.account(sc, mode), modeLabel(mode)+"+reconfig"); v != nil {
 			return &Violation{"reconfig-conservation", v.Detail}
 		}
 	}
@@ -398,10 +401,7 @@ func checkCrashConservation(c *Ctx) *Violation {
 		}
 	}
 	for _, mode := range applicableModes(sc) {
-		label := "vanilla+crash"
-		if mode {
-			label = "falcon+crash"
-		}
+		label := modeLabel(mode) + "+crash"
 		ac := c.account(sc, mode)
 		if v := conservationOn(sc, ac, label); v != nil {
 			return &Violation{"crash-conservation", v.Detail}
@@ -444,7 +444,7 @@ func checkEquivalence(c *Ctx) *Violation {
 	if sc.FixedRateOnly() && sc.MTU == 0 {
 		av := c.account(sc, false)
 		af := c.account(sc, true)
-		if totalDrops(av) == 0 && totalDrops(af) == 0 {
+		if av.Lost() == 0 && af.Lost() == 0 {
 			for i := range av.PerFlowSent {
 				if av.PerFlowSent[i] != af.PerFlowSent[i] {
 					return &Violation{"equivalence",
@@ -460,12 +460,6 @@ func checkEquivalence(c *Ctx) *Violation {
 		}
 	}
 	return nil
-}
-
-// totalDrops sums every loss bucket of an accounting run.
-func totalDrops(ac AccountResult) uint64 {
-	return ac.NICDrops + ac.BacklogDrops + ac.SocketDrops + ac.PathDrops +
-		ac.L4Drops + ac.LinkLost + ac.LinkDropped + ac.TxResolveDrops + ac.TxBuildDrops
 }
 
 func checkMonotonicity(c *Ctx) *Violation {
@@ -547,10 +541,7 @@ func checkTailSanity(c *Ctx) *Violation {
 	sc := c.SC
 	span := int64(sc.Warmup() + sc.Window())
 	for _, mode := range applicableModes(sc) {
-		label := "vanilla"
-		if mode {
-			label = "falcon"
-		}
+		label := modeLabel(mode)
 		r := c.measure(sc, mode)
 		if r.Delivered < MinComparable {
 			continue
@@ -627,11 +618,11 @@ func checkCacheTransparency(c *Ctx) *Violation {
 		return &Violation{"cache-transparency", v.Detail}
 	}
 	if onSh.Sent != on.Sent || onSh.Wire != on.Wire || onSh.Delivered != on.Delivered ||
-		totalDrops(onSh)+onSh.CrashDrops != totalDrops(on)+on.CrashDrops {
+		onSh.Lost() != on.Lost() {
 		return &Violation{"cache-transparency",
 			fmt.Sprintf("cached run diverges across shard counts: serial sent=%d wire=%d delivered=%d drops=%d, 4-shard sent=%d wire=%d delivered=%d drops=%d",
-				on.Sent, on.Wire, on.Delivered, totalDrops(on)+on.CrashDrops,
-				onSh.Sent, onSh.Wire, onSh.Delivered, totalDrops(onSh)+onSh.CrashDrops)}
+				on.Sent, on.Wire, on.Delivered, on.Lost(),
+				onSh.Sent, onSh.Wire, onSh.Delivered, onSh.Lost())}
 	}
 	// Delivery-set half: closed-loop flood adapts its send schedule to
 	// the datapath under test (the cache changes costs, so the schedules
@@ -643,7 +634,7 @@ func checkCacheTransparency(c *Ctx) *Violation {
 	off := sc
 	off.RxCache = false
 	ao := c.account(off, mode)
-	if totalDrops(on)+on.CrashDrops != 0 || totalDrops(ao)+ao.CrashDrops != 0 {
+	if on.Lost() != 0 || ao.Lost() != 0 {
 		return nil // a dropped packet makes set comparison meaningless
 	}
 	for i := range ao.PerFlowSent {

@@ -66,12 +66,10 @@ type AccountResult struct {
 
 	PerFlowSent, PerFlowDelivered []uint64 // per UDP flow
 
-	NICDrops, BacklogDrops, SocketDrops, PathDrops, L4Drops uint64
-	LinkLost, LinkDropped, TxResolveDrops, TxBuildDrops     uint64
-	// CrashDrops counts packets destroyed by a host crash on the receive
-	// side: frames blackholed at the dead NIC/stack plus queue-resident
-	// packets purged when the host went down.
-	CrashDrops uint64
+	// Drops is the whole-network drop census; SocketDrops counts
+	// receive-queue overflows, which the census leaves out.
+	Drops       overlay.Drops
+	SocketDrops uint64
 
 	OrderViols uint64 // per-flow sequence regressions on UDP sockets
 
@@ -387,31 +385,14 @@ func Account(sc Scenario, falcon bool) AccountResult {
 	// also puts post-migration frames on the client→spare link.
 	b.tb.Client.EachLink(func(_ proto.IPv4Addr, l *devices.Link) {
 		out.Wire += l.Sent.Value()
-		out.LinkLost += l.Lost.Value()
-		out.LinkDropped += l.Dropped.Value()
 	})
-	cli := b.tb.Client
-	for _, h := range rxHosts(b.tb) {
-		out.NICDrops += h.NIC.Drops.Value()
-		out.BacklogDrops += h.St.Drops.Value()
-		out.PathDrops += h.Rx.PathDrops.Value()
-		out.L4Drops += h.L4Drops.Value()
-		out.CrashDrops += h.CrashDrops.Value()
-	}
-	out.TxResolveDrops = cli.TxResolveDrops.Value()
-	out.TxBuildDrops = cli.TxBuildDrops.Value()
+	out.Drops = b.tb.Net.Drops()
 	return out
 }
 
-// rxHosts returns every host packets can be delivered on: the server,
-// plus the spare when the scenario provisioned one.
-func rxHosts(tb *workload.Testbed) []*overlay.Host {
-	hs := []*overlay.Host{tb.Server}
-	if tb.Spare != nil {
-		hs = append(hs, tb.Spare)
-	}
-	return hs
-}
+// Lost counts every packet the run destroyed: the census plus socket
+// drops.
+func (a AccountResult) Lost() uint64 { return a.Drops.Total() + a.SocketDrops }
 
 // dedupe collapses repeated violation strings (a stuck balance fires
 // every sweep) while preserving first-seen order.

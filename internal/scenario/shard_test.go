@@ -110,11 +110,7 @@ func TestCorpusAdaptiveShardInvariance(t *testing.T) {
 func accountFingerprint(a AccountResult) string {
 	out := ""
 	out += "sent=" + itoa(a.Sent) + " wire=" + itoa(a.Wire) + " delivered=" + itoa(a.Delivered)
-	out += " nic=" + itoa(a.NICDrops) + " backlog=" + itoa(a.BacklogDrops) + " sock=" + itoa(a.SocketDrops)
-	out += " path=" + itoa(a.PathDrops) + " l4=" + itoa(a.L4Drops)
-	out += " lost=" + itoa(a.LinkLost) + " txq=" + itoa(a.LinkDropped)
-	out += " resolve=" + itoa(a.TxResolveDrops) + " build=" + itoa(a.TxBuildDrops)
-	out += " crash=" + itoa(a.CrashDrops)
+	out += " " + a.Drops.String() + " sock=" + itoa(a.SocketDrops)
 	out += " order=" + itoa(a.OrderViols)
 	out += " flows=["
 	for i := range a.PerFlowSent {

@@ -99,8 +99,7 @@ func (sk *Socket) RcvQueue() *skb.Queue { return sk.rcvQ }
 func (sk *Socket) Deliver(c *cpu.Core, s *skb.SKB) bool {
 	if !sk.rcvQ.Enqueue(s) {
 		sk.SocketDrops.Inc()
-		s.Stage("drop:sock-overflow")
-		s.Free()
+		s.Drop(skb.DropSockOverflow)
 		return false
 	}
 	s.Stage("sock-queue")

@@ -187,8 +187,7 @@ func (c *Conn) Close() {
 	// Buffered out-of-order segments will never be delivered.
 	for seq, s := range c.oooSegs {
 		delete(c.oooSegs, seq)
-		s.Stage("drop:tcp-closed")
-		s.Free()
+		s.Drop(skb.DropTCPClosed)
 	}
 	c.cfg.ReceiverHost.Unbind(overlay.SockKey{IP: c.dstIP, Port: c.cfg.DstPort, Proto: proto.ProtoTCP})
 	c.cfg.SenderHost.Unbind(overlay.SockKey{IP: c.srcIP, Port: c.cfg.SrcPort, Proto: proto.ProtoTCP})

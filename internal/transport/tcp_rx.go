@@ -13,8 +13,7 @@ import (
 // for in-order arrivals, immediate duplicates for out-of-order ones.
 func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 	if c.closed {
-		s.Stage("drop:tcp-closed")
-		s.Free()
+		s.Drop(skb.DropTCPClosed)
 		done()
 		return
 	}
@@ -55,15 +54,13 @@ func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 		if _, dup := c.oooSegs[seq]; !dup {
 			c.oooSegs[seq] = s
 		} else {
-			s.Stage("drop:tcp-dup")
-			s.Free()
+			s.Drop(skb.DropTCPDup)
 		}
 		c.sendAck(core, true)
 	default:
 		// Duplicate of already-received data (spurious retransmit):
 		// re-ACK so the sender advances.
-		s.Stage("drop:tcp-dup")
-		s.Free()
+		s.Drop(skb.DropTCPDup)
 		c.sendAck(core, true)
 	}
 	done()
@@ -124,8 +121,7 @@ func (c *Conn) sendAck(core *cpu.Core, immediate bool) {
 // duplicate ACK.
 func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 	if c.closed {
-		s.Stage("drop:tcp-closed")
-		s.Free()
+		s.Drop(skb.DropTCPClosed)
 		done()
 		return
 	}

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"falcon/internal/audit"
-	"falcon/internal/devices"
 	"falcon/internal/overlay"
-	"falcon/internal/proto"
 	"falcon/internal/skb"
 	"falcon/internal/socket"
 )
@@ -37,37 +35,31 @@ func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
 		}
 	}
 
-	// Every named drop counter pairs with the ledger dispositions freed
-	// at that stage; a packet that vanishes without touching its stage's
-	// counter (or vice versa) breaks the pair immediately.
-	a.Balance("nic-drops",
-		[]audit.Term{audit.T("nic.Drops", sum(func(h *overlay.Host) uint64 { return h.NIC.Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:nic-ring", "drop:nic-frame"))})
-	a.Balance("backlog-drops",
-		[]audit.Term{audit.T("stack.Drops", sum(func(h *overlay.Host) uint64 { return h.St.Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:backlog"))})
-	a.Balance("link-loss",
-		[]audit.Term{audit.T("link.Lost", sum(func(h *overlay.Host) uint64 {
-			return linkSum(h, func(l *devices.Link) uint64 { return l.Lost.Value() })
-		}))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:link-loss"))})
-	a.Balance("link-txq",
-		[]audit.Term{audit.T("link.Dropped", sum(func(h *overlay.Host) uint64 {
-			return linkSum(h, func(l *devices.Link) uint64 { return l.Dropped.Value() })
-		}))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:link-txq"))})
+	// Every census bucket with a balance pairs its counter with the
+	// ledger's frees under its drop reasons; a packet that vanishes
+	// without touching its bucket's counter (or vice versa) breaks the
+	// pair immediately.
+	for b := overlay.DropBucket(0); b < overlay.NumDropBuckets; b++ {
+		if b.Balance() == "" {
+			continue
+		}
+		stages := make([]string, len(b.Reasons()))
+		for i, r := range b.Reasons() {
+			stages[i] = r.String()
+		}
+		a.Balance(b.Balance(),
+			[]audit.Term{audit.T(b.Counter(), sum(func(h *overlay.Host) uint64 { return h.Drops()[b] }))},
+			[]audit.Term{audit.T("ledger", a.Disposed(stages...))})
+	}
 	a.Balance("gro-absorbed",
 		[]audit.Term{
 			audit.T("nic.GROMerged", sum(func(h *overlay.Host) uint64 { return h.NIC.GROMerged() })),
 			audit.T("innerGROMerged", sum(func(h *overlay.Host) uint64 { return h.Rx.InnerGROMerged() })),
 		},
 		[]audit.Term{audit.T("ledger", a.Disposed("gro-absorbed"))})
-	a.Balance("l4-drops",
-		[]audit.Term{audit.T("host.L4Drops", sum(func(h *overlay.Host) uint64 { return h.L4Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:l4-frame", "drop:l4-unbound"))})
 	sockDrops := a.Balance("sock-drops",
 		[]audit.Term{}, // per-socket terms appended on open
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:sock-overflow"))})
+		[]audit.Term{audit.T("ledger", a.Disposed(skb.DropSockOverflow.String()))})
 	delivered := a.Balance("delivered",
 		[]audit.Term{}, // per-socket terms appended on open
 		[]audit.Term{audit.T("ledger", a.Disposed("delivered"))})
@@ -121,21 +113,11 @@ func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
 	return a
 }
 
-// linkSum aggregates a counter over every outgoing link of h. Each
-// unidirectional link is owned by exactly one sending host, so summing
-// per-host egress links visits every link in the testbed exactly once.
-func linkSum(h *overlay.Host, get func(l *devices.Link) uint64) uint64 {
-	var n uint64
-	h.EachLink(func(_ proto.IPv4Addr, l *devices.Link) { n += get(l) })
-	return n
-}
-
 // dumpHost renders one host's per-core state for watchdog reports and
 // failure dumps.
 func dumpHost(w io.Writer, h *overlay.Host) {
-	fmt.Fprintf(w, "host %s: txmsgs=%d resolve-drops=%d build-drops=%d pending=%d nic-drops=%d backlog-drops=%d l4-drops=%d\n",
-		h.Name, h.TxMsgs.Value(), h.TxResolveDrops.Value(), h.TxBuildDrops.Value(),
-		h.TxPending(), h.NIC.Drops.Value(), h.St.Drops.Value(), h.L4Drops.Value())
+	fmt.Fprintf(w, "host %s: txmsgs=%d pending=%d drops: %v\n",
+		h.Name, h.TxMsgs.Value(), h.TxPending(), h.Drops())
 	for c := 0; c < h.M.NumCores(); c++ {
 		core := h.M.Core(c)
 		local, remote, pending, draining := h.St.BacklogState(c)

@@ -35,7 +35,6 @@ func AverageSize(mix []IMIXEntry) float64 {
 // SendIMIXAtRate emits packets whose sizes follow the mixture, at the
 // given average rate with Poisson arrivals, until the absolute time.
 func (f *UDPFlow) SendIMIXAtRate(mix []IMIXEntry, pps float64, until sim.Time) {
-	f.rate = pps
 	wsum := 0.0
 	for _, e := range mix {
 		wsum += e.Weight
@@ -51,18 +50,5 @@ func (f *UDPFlow) SendIMIXAtRate(mix []IMIXEntry, pps float64, until sim.Time) {
 		}
 		return mix[len(mix)-1].Size
 	}
-	var tick func()
-	tick = func() {
-		if f.stopped || f.tb.Client.E.Now() >= until || f.rate <= 0 {
-			return
-		}
-		f.Size = pick()
-		f.send(nil)
-		gap := sim.Time(f.rng.ExpFloat64() * 1e9 / f.rate)
-		if gap < 1 {
-			gap = 1
-		}
-		f.tb.Client.E.After(gap, tick)
-	}
-	tick()
+	f.sendPoisson(pps, until, pick)
 }
