@@ -1,30 +1,44 @@
 package experiments
 
 import (
+	"path/filepath"
 	"testing"
 
 	"falcon/internal/reconfig"
 )
 
 // TestCrashScheduleWithClientPartition drives abl-crash with schedules
-// the built-in plan never uses: the sender cut off from the KV long
-// enough to negative-cache its destination, with and without a server
-// crash. Every send must stay accounted (a negative-cache hit on the
-// partitioned transmit path used to vanish uncounted), and the
-// partition-only schedule must run at all (it used to index the empty
-// crash list).
+// the built-in plan never uses, each loaded from testdata/<name>.json:
+//   - abl-crash-partition: the sender cut off from the KV from 1 to
+//     12 ms, across the server crash and fail-over, long enough to
+//     negative-cache its destination;
+//   - abl-crash-partition-only: the same partition without a crash;
+//   - abl-crash-partition-rejoin: the sender cut off from 5 to 12 ms,
+//     so the rejoin's remap expires its entries toward the spare and it
+//     serves them stale up to PartitionStaleBound, then retries.
+//
+// Each schedule's rendered tables are pinned byte for byte to
+// golden_<name>_quick_seed1.txt, which pins the partitioned transmit
+// path: stale serves, retry/backoff, the negative cache and the heal.
+// Every send must also stay accounted under the audit.
 func TestCrashScheduleWithClientPartition(t *testing.T) {
-	part := []reconfig.PartitionEvent{{Host: "client", AtMs: 1, HealMs: 12}}
-	for _, cs := range []*reconfig.CrashSchedule{
-		{Crashes: []reconfig.CrashEvent{{Host: "server", AtMs: 2, RebootMs: 6}}, Partitions: part},
-		{Partitions: part},
-	} {
-		opt := goldenOpt
-		opt.Crash, opt.Audit = cs, true
-		for _, row := range ablCrash(opt)[1].Rows {
-			if row[4] != "0" {
-				t.Errorf("%d crash(es), %s: %s packets unaccounted", len(cs.Crashes), row[0], row[4])
+	for _, name := range []string{"abl-crash-partition", "abl-crash-partition-only", "abl-crash-partition-rejoin"} {
+		t.Run(name, func(t *testing.T) {
+			cs, err := reconfig.LoadCrashFile(filepath.Join("testdata", name+".json"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			opt := goldenOpt
+			opt.Crash, opt.Audit = cs, true
+			tables := ablCrash(opt)
+			for _, row := range tables[1].Rows {
+				if row[4] != "0" {
+					t.Errorf("%s: %s packets unaccounted", row[0], row[4])
+				}
+			}
+			if got, want := renderTables(tables), golden(t, name); got != want {
+				t.Fatalf("%s output diverged from its golden.\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+			}
+		})
 	}
 }
