@@ -21,7 +21,7 @@ const historyDepth = 16
 type record struct {
 	seq    uint64 // allocation sequence number within its ledger, 1-based
 	gen    uint32 // skb generation at allocation
-	site   string // allocation site ("tx:fast", "tx:frag", ...)
+	site   string // allocation site: "tx:send" (every L4 send) or "tx:frag"
 	at     sim.Time
 	freeAt sim.Time
 	n      int // stages recorded (may exceed historyDepth)

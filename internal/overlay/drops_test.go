@@ -13,7 +13,6 @@ import (
 var unbucketed = map[skb.DropReason]string{
 	// Transmit-side frees of an already-built SKB: the send was counted
 	// as created on the tx-msgs balance, and no host counter follows it.
-	skb.DropTxFrame: "tx frame failed to dissect",
 	skb.DropTxRoute: "no link toward the destination host",
 	skb.DropTxFrag:  "fragmentation to the link MTU failed",
 	// TCP discards segments the transport already accounts for

@@ -395,6 +395,45 @@ func (h *Host) PurgeDeadHost(hostIP proto.IPv4Addr, containerIPs []proto.IPv4Add
 	}
 }
 
+// stamp is the validity stamp a TX or RX flow-cache entry carries: the
+// control-plane state it was built under. One rule revalidates both
+// caches through three host methods: evicted, fresh and servesStale.
+type stamp struct {
+	kvVersion uint64   // KV store version at build
+	gen       uint64   // network configuration generation at build
+	epoch     uint64   // host cacheEpoch at build (lazy ReconcileKV)
+	born      uint64   // host purgeClock at build (lazy PurgeDeadHost)
+	builtAt   sim.Time // build time (partition staleness bound)
+}
+
+// newStamp stamps an entry built now.
+func (h *Host) newStamp() stamp {
+	return stamp{kvVersion: h.Net.KV.Version(), gen: h.Net.Generation(),
+		epoch: h.cacheEpoch, born: h.purgeClock, builtAt: h.E.Now()}
+}
+
+// evicted reports whether an entry stamped st that routes through (TX)
+// or arrives from (RX) peer is dead: a ReconcileKV since its build, or a
+// PurgeDeadHost of peer declared after it.
+func (h *Host) evicted(st *stamp, peer proto.IPv4Addr) bool {
+	return st.epoch != h.cacheEpoch || h.deadAt[peer] > st.born
+}
+
+// fresh reports whether st still matches the KV version and the
+// configuration generation, so a Put/Delete and a reconfiguration that
+// never touches the KV both expire it.
+func (h *Host) fresh(st *stamp) bool {
+	return st.kvVersion == h.Net.KV.Version() && st.gen == h.Net.Generation()
+}
+
+// servesStale reports whether a version-expired entry stamped st may
+// still be served: only by a host partitioned from the control plane,
+// which cannot revalidate, and only within PartitionStaleBound of the
+// build.
+func (h *Host) servesStale(st *stamp) bool {
+	return h.Net.KV.Partitioned(h.IP) && h.E.Now()-st.builtAt <= PartitionStaleBound
+}
+
 // Quiesced reports whether the host's datapath is empty: no message
 // inside the transmit path, no held inner-GRO segments, and every core
 // idle with empty backlog and NIC ring. Wire occupancy (frames still in

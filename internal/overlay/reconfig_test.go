@@ -167,8 +167,8 @@ func TestCrashPurgeDeadHostEvictsCaches(t *testing.T) {
 	}
 	// The purge is generation-lazy: dead entries are physically evicted by
 	// the next lookup that touches them, not by a scan at declare time.
-	if _, ok := b.client.txLookup(2, txFlowKey{from: b.cliCtr, dstIP: srvCtrIP,
-		srcPort: 7000, dstPort: 5001, ipProto: proto.ProtoUDP, payload: 64}); ok {
+	if b.client.txLookup(2, txFlowKey{from: b.cliCtr, dstIP: srvCtrIP,
+		srcPort: 7000, dstPort: 5001, ipProto: proto.ProtoUDP, payload: 64}) != nil {
 		t.Fatal("txLookup returned an entry routing through the dead host")
 	}
 }
@@ -308,5 +308,37 @@ func TestNegCachePurgedByRemap(t *testing.T) {
 	}
 	if got := b.client.NegCacheHits.Value(); got != 1 {
 		t.Fatalf("negative-cache hits after remap = %d, want 1 (no further hits)", got)
+	}
+}
+
+// delayFault is a LookupFault that delays every attempt by d and never
+// fails.
+type delayFault struct{ d sim.Time }
+
+func (f delayFault) Lookup(_, _ proto.IPv4Addr) (sim.Time, bool) { return f.d, false }
+
+// TestCrashDuringFaultedLookup: a host that dies while a send waits on a
+// slow KV lookup must not transmit once the lookup returns. The send
+// ends as a counted crash drop and reports failure; nothing reaches the
+// server.
+func TestCrashDuringFaultedLookup(t *testing.T) {
+	b := newBed(t, "", 100*devices.Gbps)
+	sock := b.server.OpenUDP(srvCtrIP, 5001, 2)
+	b.n.KV.SetFault(delayFault{d: 100 * sim.Microsecond})
+	var done []bool
+	b.e.At(0, func() { sendOne(b, 1, func(ok bool) { done = append(done, ok) }) })
+	b.e.At(50*sim.Microsecond, func() { b.client.Crash() })
+	b.e.RunUntil(sim.Millisecond)
+	if len(done) != 1 || done[0] {
+		t.Fatalf("Done calls = %v, want exactly one false", done)
+	}
+	if got := b.client.CrashDrops.Value(); got != 1 {
+		t.Fatalf("crash drops = %d, want 1", got)
+	}
+	if got := sock.Delivered.Value(); got != 0 {
+		t.Fatalf("delivered %d, want 0", got)
+	}
+	if got := b.client.TxPending(); got != 0 {
+		t.Fatalf("tx pending = %d, want 0", got)
 	}
 }

@@ -26,17 +26,12 @@ type rxFlowKey struct {
 // the host's cost profile, with the per-byte rewrite term applied to the
 // live frame at hit time (GRO-merged frames vary in length).
 //
-// Entries carry the same revalidation discipline as the TX flow cache:
-// (kvVersion, gen) freshness, the host's lazy-eviction epoch
-// (ReconcileKV), and the purge clock of the outer source host
-// (PurgeDeadHost) — so crash and reconfiguration runs behave identically
-// whether eviction happens eagerly or on the next probe.
+// Entries carry the same validity stamp as the TX flow cache, so crash
+// and reconfiguration runs behave identically whether eviction happens
+// eagerly or on the next probe; the purge clock is checked against the
+// outer source host.
 type rxFlowEntry struct {
-	kvVersion uint64
-	gen       uint64
-	epoch     uint64   // host cacheEpoch at build (ReconcileKV laziness)
-	born      uint64   // host purgeClock at build (PurgeDeadHost laziness)
-	builtAt   sim.Time // when the walk populated the entry (staleness bound)
+	stamp
 	srcHostIP proto.IPv4Addr
 	base      float64 // cached cost sum: lookup + deliver base ns
 	perByte   float64 // per-byte rewrite cost applied to the inner frame
@@ -100,23 +95,20 @@ func (rc *rxCache) Probe(core int, s *skb.SKB) (sim.Time, bool) {
 		h.RxCacheMisses.Inc()
 		return 0, false
 	}
-	if e.epoch != h.cacheEpoch || h.deadAt[e.srcHostIP] > e.born {
-		delete(t, key)
-		h.RxCacheMisses.Inc()
-		return 0, false
-	}
-	innerLen := s.Len() - proto.OverlayOverhead
-	if e.kvVersion == h.Net.KV.Version() && e.gen == h.Net.Generation() {
-		h.RxCacheHits.Inc()
-		return sim.Time(e.base + e.perByte*float64(innerLen)), true
-	}
-	// Version-expired: a control-plane-partitioned host cannot revalidate,
-	// so it keeps fast-pathing on the last mapping it saw for the same
-	// bounded window the TX cache allows (the walk it would fall into
-	// consults no KV either — staleness here affects costs, not routing).
-	if h.Net.KV.Partitioned(h.IP) && h.E.Now()-e.builtAt <= PartitionStaleBound {
-		h.RxCacheStale.Inc()
-		return sim.Time(e.base + e.perByte*float64(innerLen)), true
+	if !h.evicted(&e.stamp, e.srcHostIP) {
+		cost := sim.Time(e.base + e.perByte*float64(s.Len()-proto.OverlayOverhead))
+		if h.fresh(&e.stamp) {
+			h.RxCacheHits.Inc()
+			return cost, true
+		}
+		// Version-expired: a partitioned host keeps fast-pathing on the
+		// last mapping it saw for the bounded window the TX cache allows
+		// (the walk it would fall into consults no KV either — staleness
+		// here affects costs, not routing).
+		if h.servesStale(&e.stamp) {
+			h.RxCacheStale.Inc()
+			return cost, true
+		}
 	}
 	delete(t, key)
 	h.RxCacheMisses.Inc()
@@ -151,11 +143,7 @@ func (rc *rxCache) Learn(core int, s *skb.SKB) {
 	lk, dl := m.Get(costmodel.FnRxCacheLookup), m.Get(costmodel.FnRxCacheDeliver)
 	key := rxFlowKey{srcIP: f.IP.Src, dstIP: f.IP.Dst, srcPort: f.SrcPort(), dstPort: f.DstPort()}
 	t[key] = &rxFlowEntry{
-		kvVersion: h.Net.KV.Version(),
-		gen:       h.Net.Generation(),
-		epoch:     h.cacheEpoch,
-		born:      h.purgeClock,
-		builtAt:   h.E.Now(),
+		stamp:     h.newStamp(),
 		srcHostIP: outer.IP.Src,
 		base:      lk.Base + dl.Base,
 		perByte:   lk.PerByte + dl.PerByte,
@@ -163,8 +151,8 @@ func (rc *rxCache) Learn(core int, s *skb.SKB) {
 }
 
 // rxEntries counts RX fast-path entries across every core's table that
-// survive lazy eviction (epoch and dead-host purge; version freshness
-// is a revalidation concern, not eviction). Test and stats helper —
+// survive lazy eviction (version freshness is a revalidation concern,
+// not eviction). Test and stats helper —
 // physical map sizes include lazily dead entries.
 func (h *Host) rxEntries() int {
 	if h.rxCache == nil {
@@ -173,7 +161,7 @@ func (h *Host) rxEntries() int {
 	n := 0
 	for _, t := range h.rxCache.tables {
 		for _, e := range t {
-			if e.epoch == h.cacheEpoch && h.deadAt[e.srcHostIP] <= e.born {
+			if !h.evicted(&e.stamp, e.srcHostIP) {
 				n++
 			}
 		}

@@ -204,7 +204,7 @@ func TestCacheLazyEvictionNoScan(t *testing.T) {
 	// A lookup lazily evicts: probe one stale key and watch it vanish.
 	key := txFlowKey{from: b.cliCtr, dstIP: srvCtrIP, srcPort: 7000, dstPort: 5001,
 		ipProto: proto.ProtoUDP, payload: 64}
-	if _, ok := b.client.txLookup(2, key); ok {
+	if b.client.txLookup(2, key) != nil {
 		t.Fatal("txLookup returned an epoch-stale entry")
 	}
 	if got := len(b.client.flowCaches[2]); got != physTx-1 {

@@ -7,8 +7,7 @@ package skb
 type DropReason uint8
 
 const (
-	DropTxFrame      DropReason = iota // built frame failed to dissect on transmit
-	DropTxRoute                        // no link toward the destination host
+	DropTxRoute      DropReason = iota // no link toward the destination host
 	DropTxFrag                         // frame could not be fragmented to the link MTU
 	DropLinkTxq                        // link transmit queue full
 	DropLinkLoss                       // random wire loss (in flight or on arrival)
@@ -32,7 +31,6 @@ const (
 
 // dropNames are the ledger stage names, one per reason.
 var dropNames = [NumDropReasons]string{
-	DropTxFrame:      "drop:tx-frame",
 	DropTxRoute:      "drop:tx-route",
 	DropTxFrag:       "drop:tx-frag",
 	DropLinkTxq:      "drop:link-txq",

@@ -70,7 +70,7 @@ func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
 	a.Balance("tx-msgs",
 		[]audit.Term{audit.T("tx.Msgs", sum(func(h *overlay.Host) uint64 { return h.TxMsgs.Value() }))},
 		[]audit.Term{
-			audit.T("skb.created", a.CreatedAt("tx:fast", "tx:slow")),
+			audit.T("skb.created", a.CreatedAt(overlay.TxSite)),
 			audit.T("tx.ResolveDrops", sum(func(h *overlay.Host) uint64 { return h.TxResolveDrops.Value() })),
 			audit.T("tx.BuildDrops", sum(func(h *overlay.Host) uint64 { return h.TxBuildDrops.Value() })),
 			audit.T("tx.Pending", sum(func(h *overlay.Host) uint64 { return h.TxPending() })),
