@@ -5,7 +5,6 @@
 package falcon_test
 
 import (
-	"fmt"
 	"testing"
 
 	falcon "falcon"
@@ -169,26 +168,39 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineSlices: k busy cores of one machine each run a chain of
-// fixed-cost slices, started k-th of a slice apart so their completions
-// interleave, as Falcon's pipelined softirq stages do. An op is one
-// slice; fired/slice counts the engine events it took.
+// BenchmarkMachineSlices: k busy cores each run a chain of fixed-cost
+// slices, started k-th of a slice apart so their completions interleave,
+// as Falcon's pipelined softirq stages do. The cores=k cases put all k
+// on one machine; machines=2 puts one on each of two machines sharing
+// the engine, as a client and a server are. An op is one slice;
+// fired/slice counts the engine events it took.
 func BenchmarkMachineSlices(b *testing.B) {
 	const cost = 120
-	for _, k := range []int{1, 3, 6} {
-		b.Run(fmt.Sprintf("cores=%d", k), func(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		machines, k int
+	}{
+		{"cores=1", 1, 1},
+		{"cores=3", 1, 3},
+		{"cores=6", 1, 6},
+		{"machines=2", 2, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			e := sim.New(1)
-			m := cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond)
+			ms := make([]*cpu.Machine, bc.machines)
+			for i := range ms {
+				ms[i] = cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond)
+			}
 			n := 0
-			for i := 0; i < k; i++ {
-				c := m.Core(i)
+			for i := 0; i < bc.k; i++ {
+				c := ms[i%bc.machines].Core(i / bc.machines)
 				var next func()
 				next = func() {
 					if n++; n < b.N {
 						c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, next)
 					}
 				}
-				e.At(sim.Time(i*cost/k), func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, next) })
+				e.At(sim.Time(i*cost/bc.k), func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, next) })
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

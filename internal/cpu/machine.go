@@ -30,7 +30,7 @@ type Machine struct {
 	Prof  *trace.Profile
 
 	cores      []*Core
-	slices     *sim.Group // one slice-completion slot per core
+	slices     sim.Slots // one slice-completion slot per core
 	tickPeriod sim.Time
 	onTick     []func(now sim.Time)
 	ticker     sim.Timer
@@ -57,7 +57,7 @@ func NewMachine(e *sim.Engine, model *costmodel.Model, n int, tickPeriod sim.Tim
 	for i := range m.cores {
 		m.cores[i] = &Core{id: i, m: m}
 	}
-	m.slices = sim.NewGroup(e, n, m.complete)
+	m.slices = e.NewSlots(n, m.complete)
 	return m
 }
 
@@ -270,9 +270,10 @@ func (c *Core) dispatch() {
 }
 
 // complete finishes core i's in-flight slice: charge accounting, run the
-// completion, start the next item. It is the machine's sim.Group
-// callback, so the completions of all cores share one engine event and
-// run inline while each is provably the engine's next.
+// completion, start the next item. It is the callback of the machine's
+// slots in the engine's slot group, so the completions of all cores, and
+// of every other machine on the engine, share one engine event and run
+// inline while each is provably the engine's next.
 func (m *Machine) complete(i int) {
 	c := m.cores[i]
 	item := c.cur

@@ -88,23 +88,37 @@ func refComplete(v any) {
 	refDispatch(c)
 }
 
-// runOrderProgram drives two machines on one engine through ops with a
-// seeded random program: hardirq bursts at random times, slices of random
-// cost, context and function whose completions submit to random cores of
-// either machine, ticker callbacks that submit task work, and cores
-// stalled or taken offline for random spans. It returns the completion
-// trace.
-func runOrderProgram(seed uint64, ops coreOps) (*sim.Engine, []*Machine, []completion) {
+// orderProgram shapes a runOrderProgram run: the machines' core counts
+// (machine i ticks every 50+20i µs), and whether a completion hands off
+// only to cores of other machines.
+type orderProgram struct {
+	cores []int
+	cross bool
+}
+
+// runOrderProgram drives machines on one engine through ops with a seeded
+// random program: hardirq bursts at random times, slices of random cost,
+// context and function whose completions submit to random cores (of any
+// machine, or with cross of any other machine), ticker callbacks that
+// submit task work, and cores stalled or taken offline for random spans.
+// It returns the completion trace.
+func runOrderProgram(seed uint64, p orderProgram, ops coreOps) (*sim.Engine, []*Machine, []completion) {
 	e := sim.New(seed)
 	r := sim.NewRand(seed)
-	ms := []*Machine{
-		NewMachine(e, costmodel.Kernel419(), 6, 50*sim.Microsecond),
-		NewMachine(e, costmodel.Kernel419(), 3, 70*sim.Microsecond),
+	ms := make([]*Machine, len(p.cores))
+	for i, n := range p.cores {
+		ms[i] = NewMachine(e, costmodel.Kernel419(), n, sim.Time(50+20*i)*sim.Microsecond)
 	}
-	pick := func() (int, *Core) {
-		mi := r.Intn(len(ms))
+	pickOn := func(mi int) (int, *Core) {
 		c := ms[mi].Core(r.Intn(ms[mi].NumCores()))
 		return mi*8 + c.ID(), c
+	}
+	pick := func() (int, *Core) { return pickOn(r.Intn(len(ms))) }
+	pickAfter := func(from int) (int, *Core) {
+		if !p.cross {
+			return pick()
+		}
+		return pickOn((from/8 + 1 + r.Intn(len(ms)-1)) % len(ms))
 	}
 	costs := []sim.Time{0, 40, 40, 100, 100, 250, 1000}
 	ctxs := []stats.CPUContext{stats.CtxHardIRQ, stats.CtxSoftIRQ, stats.CtxSoftIRQ, stats.CtxTask}
@@ -116,7 +130,7 @@ func runOrderProgram(seed uint64, ops coreOps) (*sim.Engine, []*Machine, []compl
 		ops.submit(c, ctx, fn, cost, func() {
 			trace = append(trace, completion{e.Now(), id, fn, ctx})
 			for k := r.Intn(3); k > 0 && depth < 5; k-- {
-				id, c := pick()
+				id, c := pickAfter(id)
 				slice(id, c, ctxs[r.Intn(len(ctxs))], depth+1)
 			}
 		})
@@ -153,14 +167,16 @@ func runOrderProgram(seed uint64, ops coreOps) (*sim.Engine, []*Machine, []compl
 	return e, ms, trace
 }
 
-// TestMachineOrderMatchesPerCoreEvents: with all cores of a machine
-// sharing one completion group, slices complete at the same times, in the
-// same order and with the same accounting as with one engine event per
-// core, and every slice is exactly one fired or inlined step.
-func TestMachineOrderMatchesPerCoreEvents(t *testing.T) {
+// checkOrderMatchesPerCoreEvents runs p under seeds 1–20 with the
+// machines' shared slot group and with one engine event per core, and
+// requires the same completions, at the same times, in the same order,
+// with the same accounting, and every slice to be exactly one fired or
+// inlined step.
+func checkOrderMatchesPerCoreEvents(t *testing.T, p orderProgram) {
+	t.Helper()
 	for seed := uint64(1); seed <= 20; seed++ {
-		e, ms, got := runOrderProgram(seed, machineOps)
-		re, rms, want := runOrderProgram(seed, perCoreOps)
+		e, ms, got := runOrderProgram(seed, p, machineOps)
+		re, rms, want := runOrderProgram(seed, p, perCoreOps)
 		if len(want) < 1000 {
 			t.Fatalf("seed %d: only %d completions; the program is too small", seed, len(want))
 		}
@@ -182,6 +198,57 @@ func TestMachineOrderMatchesPerCoreEvents(t *testing.T) {
 		if e.Now() != re.Now() || e.Fired()+e.Inlined() != re.Fired() || e.Inlined() == 0 {
 			t.Fatalf("seed %d: now %v fired %d inlined %d; per-core events: now %v fired %d",
 				seed, e.Now(), e.Fired(), e.Inlined(), re.Now(), re.Fired())
+		}
+	}
+}
+
+// TestMachineOrderMatchesPerCoreEvents: with the cores of two machines
+// sharing their engine's slot group, slices complete at the same times,
+// in the same order and with the same accounting as with one engine
+// event per core.
+func TestMachineOrderMatchesPerCoreEvents(t *testing.T) {
+	checkOrderMatchesPerCoreEvents(t, orderProgram{cores: []int{6, 3}})
+}
+
+// TestCrossMachineOrderMatchesPerCoreEvents: the same with three
+// machines whose every completion hands off to another machine, as a
+// client's transmit hands off to the server's receive, so slot runs
+// interleave across machines throughout.
+func TestCrossMachineOrderMatchesPerCoreEvents(t *testing.T) {
+	checkOrderMatchesPerCoreEvents(t, orderProgram{cores: []int{4, 2, 3}, cross: true})
+}
+
+// TestMachinesAlternateInline: a chain of slices alternating between two
+// machines (A, B, A, B, ...) on an otherwise idle engine is always the
+// engine's next work, so after the first fire every slice runs inline:
+// the machines share one slot group, and a hand-off between them needs
+// no engine event.
+func TestMachinesAlternateInline(t *testing.T) {
+	e := sim.New(1)
+	ms := []*Machine{
+		NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond),
+		NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond),
+	}
+	const slices = 100
+	var done []sim.Time
+	var next func()
+	next = func() {
+		done = append(done, e.Now())
+		if len(done) < slices {
+			ms[len(done)%2].Core(1).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100, next)
+		}
+	}
+	ms[0].Core(1).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100, next)
+	e.Run()
+	if len(done) != slices || done[slices-1] != slices*100 {
+		t.Fatalf("%d slices, the last at %v; want %d, the last at %v", len(done), done[len(done)-1], slices, sim.Time(slices*100))
+	}
+	if e.Fired() != 1 || e.Inlined() != slices-1 {
+		t.Fatalf("fired %d, inlined %d; want 1 and %d", e.Fired(), e.Inlined(), slices-1)
+	}
+	for i, m := range ms {
+		if got := m.Acct.Busy(1, stats.CtxSoftIRQ); got != slices/2*100 {
+			t.Fatalf("machine %d charged %d, want %d", i, got, slices/2*100)
 		}
 	}
 }

@@ -213,6 +213,6 @@ func linkDeliver(v any) {
 // sending shard.
 func linkRemotePop(v any) { v.(*Link).pop() }
 
-// Utilization returns the fraction of time [since, now] the wire was busy
-// — approximated by whether the serializer is backed up.
+// Busy reports whether the serializer is still putting an earlier frame
+// on the wire, so a frame sent now would queue behind it.
 func (l *Link) Busy() bool { return l.busyUntil > l.E.Now() }

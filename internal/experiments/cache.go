@@ -26,6 +26,7 @@ func init() {
 type cacheRun struct {
 	res                 workload.Result
 	hits, misses, stale uint64
+	fired               uint64 // engine events fired over the whole run
 }
 
 // hitRate is the warm-window fast-path hit fraction on the server.
@@ -66,6 +67,7 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 		hits:   tb.Server.RxCacheHits.Value(),
 		misses: tb.Server.RxCacheMisses.Value(),
 		stale:  tb.Server.RxCacheStale.Value(),
+		fired:  tb.E.Fired(),
 	}
 }
 

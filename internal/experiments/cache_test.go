@@ -24,24 +24,29 @@ func TestAblCacheFloors(t *testing.T) {
 	}
 }
 
+// hotPathBeds are the two hot paths whose per-packet cost
+// TestHotPathAllocs and TestHotPathEvents bound: the full-window Falcon
+// stress with 1500B packets and the quick 16B stress through the RX
+// cache's hit leg. Each bound is the measured figure plus 10%.
+var hotPathBeds = []struct {
+	name   string
+	mode   workload.Mode
+	opt    Options
+	size   int
+	cache  bool
+	allocs float64 // heap allocations per delivered packet
+	events float64 // engine events fired per delivered packet
+}{
+	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10, 15.8275 * 1.10},
+	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10, 15.0033 * 1.10},
+}
+
 // TestHotPathAllocs bounds the simulator's heap allocations per
-// delivered packet on two hot paths: the full-window Falcon stress with
-// 1500B packets and the quick 16B stress through the RX cache's hit leg.
-// Each bound is the measured figure plus 10%. The count is the
-// process-wide malloc delta, so this test must stay sequential: parallel
-// top-level tests only start once the sequential ones have finished.
+// delivered packet on the hot path beds. The count is the process-wide
+// malloc delta, so this test must stay sequential: parallel top-level
+// tests only start once the sequential ones have finished.
 func TestHotPathAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		mode  workload.Mode
-		opt   Options
-		size  int
-		cache bool
-		limit float64
-	}{
-		{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10},
-		{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10},
-	} {
+	for _, tc := range hotPathBeds {
 		t.Run(tc.name, func(t *testing.T) {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
@@ -52,9 +57,30 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal("no packets delivered")
 			}
 			per := float64(m1.Mallocs-m0.Mallocs) / float64(r.res.Delivered)
-			t.Logf("%.4f allocs/pkt over %d packets (limit %.4f)", per, r.res.Delivered, tc.limit)
-			if per > tc.limit {
-				t.Errorf("%.4f allocs/pkt > %.4f (measured baseline +10%%)", per, tc.limit)
+			t.Logf("%.4f allocs/pkt over %d packets (limit %.4f)", per, r.res.Delivered, tc.allocs)
+			if per > tc.allocs {
+				t.Errorf("%.4f allocs/pkt > %.4f (measured baseline +10%%)", per, tc.allocs)
+			}
+		})
+	}
+}
+
+// TestHotPathEvents bounds the engine events fired per delivered packet,
+// over the whole run, on the hot path beds, so a change that stops work
+// running inline (CPU slices handing off across cores and machines)
+// fails here and not only in the benchmark. The count is deterministic
+// for the seed.
+func TestHotPathEvents(t *testing.T) {
+	for _, tc := range hotPathBeds {
+		t.Run(tc.name, func(t *testing.T) {
+			r := cacheStress(tc.mode, tc.opt, tc.size, tc.cache)
+			if r.res.Delivered == 0 {
+				t.Fatal("no packets delivered")
+			}
+			per := float64(r.fired) / float64(r.res.Delivered)
+			t.Logf("%.4f events/pkt over %d packets (limit %.4f)", per, r.res.Delivered, tc.events)
+			if per > tc.events {
+				t.Errorf("%.4f events/pkt > %.4f (measured baseline +10%%)", per, tc.events)
 			}
 		})
 	}

@@ -30,9 +30,9 @@ const (
 // order: schedAt is the clock when the event was scheduled, so ties at
 // the same firing time resolve in FIFO scheduling order. For a serial
 // engine schedAt is monotone in seq and the pair degenerates to plain
-// seq order (a Group re-arms with a key stamped earlier, which keeps
-// that); a Cluster draining cross-shard messages inserts them with the
-// sender's clock as schedAt, reproducing the serial engine's
+// seq order (the slot group re-arms with a key stamped earlier, which
+// keeps that); a Cluster draining cross-shard messages inserts them with
+// the sender's clock as schedAt, reproducing the serial engine's
 // schedule-chronology tie-break across shard boundaries.
 type event struct {
 	at      Time
@@ -76,7 +76,7 @@ func (ev *event) firesBefore(o *event) bool {
 
 // insert places ev keeping the bucket sorted by (schedAt, seq).
 // Schedule-time inserts always hit the O(1) tail fast path (both keys
-// are monotonic); cascades, heap merges, cross-shard drains and Group
+// are monotonic); cascades, heap merges, cross-shard drains and group
 // re-arms (an earlier stamp) may walk backward, which is rare.
 func (b *bucket) insert(ev *event) {
 	ev.in = b
@@ -159,6 +159,7 @@ type Engine struct {
 	inlined  uint64 // work run ahead inline (runAhead) instead of fired
 	budget   uint64 // max events to fire or inline; 0 = unlimited
 	shard    int    // logical-process index when owned by a Cluster
+	group    *group // the slots reserved by NewSlots; nil before the first
 
 	due bucket // events at exactly cur, ready to fire, seq-ordered
 
@@ -175,8 +176,8 @@ type Engine struct {
 	// none). advance() rescans it once after collecting each slot and
 	// jumps straight to it on the next call; schedule() min-updates it.
 	// The bound is one-sided — a cancel may leave it stale-low, never
-	// stale-high — so NextAt and runAhead are single compares, and a
-	// stale-low hint costs at most one empty cursor jump.
+	// stale-high — so NextAt is a single compare, runAhead is one on its
+	// fast path, and a stale-low hint costs at most one empty cursor jump.
 	nextHint uint64
 
 	free *event // recycled event free list, linked via next
@@ -216,10 +217,11 @@ func (e *Engine) SetClock(t Time) {
 
 // NextAt returns a lower bound on the firing time of the engine's next
 // event, and whether any event is pending. It reads the cached hint, so
-// it is O(1): the bound is exact right after a scan when the next event
-// sits in wheel level 0 or the overflow heap; for events parked in upper
-// wheel levels it may be the next cascade boundary instead, and a cancel
-// may leave it stale-low (a time before the event, never after it).
+// it is O(1): the bound is exact right after a cursor move, by the run
+// loop or by runAhead, when the next event sits in wheel level 0 or the
+// overflow heap; for events parked in upper wheel levels it may be the
+// next cascade boundary instead, and a cancel may leave it stale-low (a
+// time before the event, never after it).
 // Underestimation is safe for window-based synchronization: the window
 // merely shrinks to the bound and the next iteration makes strict
 // progress.
@@ -238,23 +240,31 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // runAhead lets the callback of the event being fired run a successor
-// inline (a Group's next slot): it reports whether an event at t would
+// inline (the group's next slot): it reports whether an event at t would
 // be the engine's next event to fire within the current run, whatever
 // its tie-break key, and, if so, advances the clock to t as firing it
 // would. The caller then performs that event's work directly, with no
 // schedule and no fire.
 //
-// It is exact, not a heuristic: t must lie strictly below nextHint (a
-// lower bound on every pending event outside the due list), the due list
-// must be empty, t must not pass the current Run/RunUntil deadline, and
-// the run must not have been stopped. An equal-time pending event may
-// fire first, depending on the keys, hence the strict bound. The wheel
-// cursor is not moved; the engine already tolerates a cursor behind the
-// clock. Outside a run, and for t before now, runAhead reports false.
-// Inlined work counts towards the event budget and is reported by
+// It is exact, not a heuristic. The due list must be empty, t must not
+// pass the current Run/RunUntil deadline, and the run must not have been
+// stopped. When t lies strictly below nextHint (a lower bound on every
+// pending event outside the due list) that is enough. Otherwise the hint
+// may be stale-low or a cascade boundary, so runAhead moves the wheel
+// cursor toward t exactly as the run loop's advance would, cascading
+// upper levels, and succeeds only if nothing falls due at or before t.
+// An equal-time pending event may fire first, depending on the keys, so
+// it refuses. Outside a run, and for t before now, runAhead reports
+// false. Inlined work counts towards the event budget and is reported by
 // Inlined.
+//
+// A refusal may have moved the cursor, and the clock with it, to the
+// time of the event that fell due, which is never past t. The caller
+// must therefore schedule nothing after a refusal except with a key
+// stamped before it: groupFire re-arms with the slot's stamped key.
 func (e *Engine) runAhead(t Time) bool {
-	if uint64(t) >= e.nextHint || t > e.deadline || t < e.now || e.due.head != nil || e.stopped {
+	if t > e.deadline || t < e.now || e.due.head != nil || e.stopped ||
+		uint64(t) >= e.nextHint && e.advance(uint64(t)) {
 		return false
 	}
 	e.inlined++
@@ -265,8 +275,7 @@ func (e *Engine) runAhead(t Time) bool {
 	return true
 }
 
-// overBudget raises the event-budget panic. A separate function keeps
-// runAhead within the compiler's inlining budget.
+// overBudget raises the event-budget panic for fireOne and runAhead.
 func (e *Engine) overBudget() {
 	panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
 }
@@ -428,10 +437,10 @@ func (e *Engine) stamp() uint64 {
 }
 
 // atStamped schedules fn(arg) at absolute time t with an explicit
-// tie-break key. A Group arms its event with a key stamped when the slot
-// was set. The Cluster's barrier drain passes the sending shard's clock
-// as schedAt, so a cross-shard delivery interleaves with the
-// destination's same-nanosecond events exactly as it would have on a
+// tie-break key. The slot group arms its event with a key stamped when
+// the slot was set. The Cluster's barrier drain passes the sending
+// shard's clock as schedAt, so a cross-shard delivery interleaves with
+// the destination's same-nanosecond events exactly as it would have on a
 // single serial engine.
 func (e *Engine) atStamped(t, schedAt Time, seq uint64, fn func(any), arg any) Timer {
 	if t < e.now {

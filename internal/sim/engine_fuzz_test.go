@@ -1,22 +1,28 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // FuzzEngineOrder runs a byte-coded program of schedules (At, AtArg),
-// Group slot sets, timer cancels, clock moves (SetClock), event budgets
-// and bounded runs (RunUntil, Run) against the engine. Every executed
-// step's callback may schedule more work, set group slots, cancel
-// timers and stop the run. An event's callback may then hand off to a
-// successor directly: try runAhead, and schedule the successor only if
-// that is refused. A reference model treats every set slot as one event
-// keyed (at, schedAt, seq) with the key stamped at Set, orders all
-// pending work by that key, and checks that:
+// slot sets in two ranges of the engine's group, timer cancels, clock
+// moves (SetClock), event budgets and bounded runs (RunUntil, Run)
+// against the engine. Every executed step's callback may schedule more
+// work, set slots, cancel timers and stop the run. An event's callback
+// may then hand off to a successor directly: try runAhead, and schedule
+// the successor only if that is refused, with a key stamped before the
+// try. A reference model treats every set slot as one event keyed (at,
+// schedAt, seq) with the key stamped at Set, orders all pending work by
+// that key, and checks that:
 //   - every step, fired or inlined, is the reference's next one, at the
 //     engine clock the reference expects;
-//   - runAhead never succeeds while a live event is due at or before t,
-//     past the run's deadline, after Stop, or outside a run; a group
-//     slot runs inline only under the same conditions, and each slot
-//     run is exactly one fire or one inline;
+//   - runAhead succeeds exactly when no live event is due at or before
+//     t, within the run's deadline, before Stop; it refuses outside a
+//     run. The group runs its next slot inline under the same
+//     conditions, other set slots aside; each slot run is exactly one
+//     fire or one inline, and runs its own range's callback with the
+//     slot's index in that range;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
 //     reports liveness exactly, NextAt never overestimates, the
 //     Fired/Inlined/Pending counters match (a group holds one engine
@@ -31,7 +37,8 @@ func FuzzEngineOrder(f *testing.F) {
 			prog = prog[:4096]
 		}
 		m := &orderModel{t: t, e: New(1), prog: prog, deadline: -1}
-		m.g = NewGroup(m.e, groupSlots, m.onSlot)
+		m.ranges[0] = m.e.NewSlots(rangeSlots, m.onSlot)
+		m.ranges[1] = m.e.NewSlots(groupSlots-rangeSlots, func(i int) { m.onSlot(rangeSlots + i) })
 		m.run()
 	})
 }
@@ -45,7 +52,7 @@ const (
 	opRun             // Run to completion
 	opSetClock        // delay: SetClock(now+delay), clamped to the next event
 	opRunAhead        // delay: runAhead outside a run must refuse
-	opSet             // slot, delay: Group.Set outside any firing
+	opSet             // slot, delay: Slots.Set outside any firing
 	opBudget          // n: the engine may execute n%32+1 more steps
 	numOps
 )
@@ -69,7 +76,11 @@ const (
 )
 
 // groupSlots is the fuzzed group's size; a slot byte picks one modulo it.
-const groupSlots = 4
+// The first rangeSlots of them are one range, the rest a second one.
+const (
+	groupSlots = 4
+	rangeSlots = 2
+)
 
 // refEvent is the reference model's record of one step, queued or inlined.
 type refEvent struct {
@@ -92,11 +103,11 @@ func (a *refEvent) before(b *refEvent) bool {
 }
 
 type orderModel struct {
-	t    *testing.T
-	e    *Engine
-	g    *Group
-	prog []byte
-	pos  int
+	t      *testing.T
+	e      *Engine
+	ranges [2]Slots
+	prog   []byte
+	pos    int
 
 	now      Time
 	seq      uint64
@@ -104,6 +115,10 @@ type orderModel struct {
 	slots    [groupSlots]*refEvent
 	deadline Time // -1 outside runs
 	stopped  bool
+
+	// mustInline is the slot the group tries next after a slot run when
+	// nothing may refuse it: it must run inline, not fire.
+	mustInline *refEvent
 
 	fired, inlined uint64
 	budget         uint64 // 0: none
@@ -188,7 +203,11 @@ func (m *orderModel) setSlot(b byte, t Time) {
 	ev := m.evs[m.newStep(t)]
 	ev.queued, ev.slot = true, true
 	m.slots[i] = ev
-	m.g.Set(i, t)
+	if i < rangeSlots {
+		m.ranges[0].Set(i, t)
+	} else {
+		m.ranges[1].Set(i-rangeSlots, t)
+	}
 }
 
 func (m *orderModel) stopTimer(i int) {
@@ -228,9 +247,11 @@ func (m *orderModel) onFire(arg any) {
 	m.step(ev, true)
 }
 
-// onSlot is the group's callback. The first slot of a group firing is an
-// engine fire; every further one must be an inline step that runAhead
-// allowed.
+// onSlot is both ranges' callback, with i the slot's index in the group.
+// The first slot of a group firing is an engine fire; every further one
+// must be an inline step that runAhead allowed. After the slot's body,
+// the group tries its next slot: if nothing may refuse it, it must run
+// inline.
 func (m *orderModel) onSlot(i int) {
 	ev := m.slots[i]
 	if ev == nil {
@@ -240,6 +261,9 @@ func (m *orderModel) onSlot(i int) {
 	m.retire(ev)
 	switch f, n := m.e.Fired(), m.e.Inlined(); {
 	case f == m.fired+1 && n == m.inlined:
+		if ev == m.mustInline {
+			m.t.Fatalf("group refused its slot at %v with nothing due at or before it", ev.at)
+		}
 		m.fired++
 	case f == m.fired && n == m.inlined+1:
 		m.checkRunAhead(ev, false)
@@ -247,7 +271,22 @@ func (m *orderModel) onSlot(i int) {
 	default:
 		m.t.Fatalf("slot run moved fired %d→%d, inlined %d→%d", m.fired, f, m.inlined, n)
 	}
+	m.mustInline = nil
 	m.step(ev, false)
+	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at, false) == "" {
+		m.mustInline = nx
+	}
+}
+
+// nextSlot returns the reference's earliest set slot, or nil.
+func (m *orderModel) nextSlot() *refEvent {
+	var best *refEvent
+	for _, ev := range m.slots {
+		if ev != nil && (best == nil || ev.before(best)) {
+			best = ev
+		}
+	}
+	return best
 }
 
 // step runs one executed step's body and, for an engine event (succ),
@@ -279,8 +318,16 @@ func (m *orderModel) step(ev *refEvent, succ bool) {
 		}
 		id := m.newStep(m.now + m.delay())
 		ev = m.evs[id]
+		seq := m.e.stamp()
 		if !m.e.runAhead(ev.at) {
-			m.schedule(id, true)
+			// The refusal may have moved the clock to the event that fell
+			// due: schedule with the key stamped before it, as the group
+			// re-arms.
+			if m.refusal(ev.at, true) == "" {
+				m.t.Fatalf("runAhead(%v) refused with nothing due at or before it", ev.at)
+			}
+			ev.queued = true
+			ev.timer = m.e.atStamped(ev.at, ev.schedAt, seq, m.onFire, id)
 			return
 		}
 		ev.done = true
@@ -290,27 +337,36 @@ func (m *orderModel) step(ev *refEvent, succ bool) {
 }
 
 // checkRunAhead checks an inlined step against runAhead's conditions.
-// Set slots count as live events (their group's event is on the engine)
-// unless the group itself is running ahead (slots false).
 func (m *orderModel) checkRunAhead(ev *refEvent, slots bool) {
+	if why := m.refusal(ev.at, slots); why != "" {
+		m.t.Fatalf("runAhead(%v) succeeded %s", ev.at, why)
+	}
+}
+
+// refusal returns why a runAhead to t within the current run must be
+// refused, or "" when it must succeed. Set slots count as live events
+// (their group's event is on the engine) unless the group itself is
+// running ahead (slots false).
+func (m *orderModel) refusal(t Time, slots bool) string {
 	switch {
 	case m.stopped:
-		m.t.Fatalf("runAhead(%v) succeeded after Stop", ev.at)
-	case ev.at > m.deadline:
-		m.t.Fatalf("runAhead(%v) succeeded past the deadline %v", ev.at, m.deadline)
+		return "after Stop"
+	case t > m.deadline:
+		return fmt.Sprintf("past the deadline %v", m.deadline)
 	}
 	for _, o := range m.evs {
-		if o.queued && !o.done && o.at <= ev.at && (slots || !o.slot) {
-			m.t.Fatalf("runAhead(%v) succeeded with a live event at %v", ev.at, o.at)
+		if o.queued && !o.done && o.at <= t && (slots || !o.slot) {
+			return fmt.Sprintf("with a live event at %v", o.at)
 		}
 	}
+	return ""
 }
 
 // runTo runs the engine to deadline. It reports false when the event
 // budget stopped the run, which must happen exactly at the first step
 // past the budget.
 func (m *orderModel) runTo(deadline Time) (ok bool) {
-	m.deadline, m.stopped = deadline, false
+	m.deadline, m.stopped, m.mustInline = deadline, false, nil
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -470,6 +526,12 @@ func engineOrderSeeds() [][]byte {
 		// nextHint: the slot must not run inline (catches <= nextHint).
 		cat([]byte{opAtArg}, small(15), set(0, small(10)), []byte{opRun},
 			[]byte{1}, cbSetOp(0, small(5)), []byte{0, 0}, []byte{0}),
+		// Slot 0 fires and sets slot 2, in the other range, at 257: past
+		// the cascade boundary 256 that a level-1 event at 258 leaves in
+		// nextHint, with nothing due before it. Slot 2 must run inline
+		// (catches a run-ahead that stops at a stale or cascade hint).
+		cat(set(0, small(10)), []byte{opAtArg}, cascade(1, 4), []byte{opRun},
+			[]byte{1}, cbSetOp(2, small(247))),
 		// A top-level Set that preempts the armed slot (1 at 10 before 0
 		// at 20) and a deadline refusal (slot 0 past 15); a Stop inside
 		// slot 0's callback refusing slot 2 due at the same time; then a

@@ -1,23 +1,24 @@
 package sim
 
-// Group multiplexes n slots onto one engine event. A slot holds at most
-// one pending firing of the group's callback, keyed exactly as an AtArg
-// schedule made when the slot was set: (at, schedAt, seq), with the
-// tie-break half stamped from the engine at Set time. The group keeps one
-// engine event armed with its earliest slot's key. When that event fires,
-// the group runs the slot, then keeps running whichever slot is next in
-// key order, inline, for as long as runAhead proves it is the engine's
-// next event; the first slot runAhead refuses re-arms the event with its
-// own stamped key. Slot callbacks therefore run in precisely the order one
-// event per slot would give them (DESIGN.md §2), and a run of consecutive
-// slot firings costs one engine fire instead of one each.
+import "slices"
+
+// group multiplexes every slot of an engine onto one engine event. A slot
+// holds at most one pending firing of its owner's callback, keyed exactly
+// as an AtArg schedule made when the slot was set: (at, schedAt, seq),
+// with the tie-break half stamped from the engine at Set time. The group
+// keeps one engine event armed with its earliest slot's key. When that
+// event fires, the group runs the slot, then keeps running whichever slot
+// is next in key order, inline, for as long as runAhead proves it is the
+// engine's next event; the first slot runAhead refuses re-arms the event
+// with its own stamped key. Slot callbacks therefore run in precisely the
+// order one event per slot would give them (DESIGN.md §2), and a run of
+// consecutive slot firings costs one engine fire instead of one each.
 //
-// cpu.Machine keeps one group with a slot per core: a host's cores finish
-// slices in turn, so the next completion is far more often another core's
-// than the same core's.
-type Group struct {
-	e  *Engine
-	fn func(slot int)
+// Owners reserve ranges of slots with Engine.NewSlots. Since one group
+// serves the whole engine, a hand-off from one owner to another (a client
+// machine's slice completing just before the server's) runs inline too.
+type group struct {
+	e *Engine
 
 	slots      []slot
 	head, tail int // the set slots, linked in key order; -1 when none
@@ -26,24 +27,51 @@ type Group struct {
 	firing bool  // inside the armed event: Set leaves arming to the loop
 }
 
-// slot is one pending firing: its time and stamped tie-break key, and its
-// neighbours in key order.
+// slot is one pending firing: its time and stamped tie-break key, its
+// neighbours in key order, and the owner callback it runs with its index
+// in the owner's range.
 type slot struct {
 	at, schedAt Time
 	seq         uint64
 	prev, next  int
 	set         bool
+
+	fn    func(slot int)
+	local int
 }
 
-// NewGroup returns a group of n empty slots on engine e whose firings run
-// fn(slot).
-func NewGroup(e *Engine, n int, fn func(slot int)) *Group {
-	return &Group{e: e, fn: fn, slots: make([]slot, n), head: -1, tail: -1}
+// Slots is a range of slots in its engine's group, reserved by NewSlots.
+type Slots struct {
+	g       *group
+	base, n int
 }
 
-// Set schedules slot i to fire at t, stamping its tie-break key now. The
-// slot must be empty; setting a time before now panics, as At does.
-func (g *Group) Set(i int, t Time) {
+// NewSlots reserves n empty slots in the engine's group whose firings
+// run fn(i), i being the slot's index in the range.
+func (e *Engine) NewSlots(n int, fn func(slot int)) Slots {
+	if e.group == nil {
+		e.group = &group{e: e, head: -1, tail: -1}
+	}
+	g := e.group
+	base := len(g.slots)
+	g.slots = slices.Grow(g.slots, n)
+	for i := 0; i < n; i++ {
+		g.slots = append(g.slots, slot{fn: fn, local: i})
+	}
+	return Slots{g: g, base: base, n: n}
+}
+
+// Set schedules slot i of the range to fire at t, stamping its tie-break
+// key now. The slot must be empty; setting a time before now panics, as
+// At does.
+func (r Slots) Set(i int, t Time) {
+	if uint(i) >= uint(r.n) {
+		panic("sim: slot index out of range")
+	}
+	r.g.set(r.base+i, t)
+}
+
+func (g *group) set(i int, t Time) {
 	e := g.e
 	if t < e.now {
 		panic("sim: group slot set before now")
@@ -81,7 +109,7 @@ func (g *Group) Set(i int, t Time) {
 }
 
 // arm schedules the group's one event with slot i's stamped key.
-func (g *Group) arm(i int) {
+func (g *group) arm(i int) {
 	s := &g.slots[i]
 	g.armed = g.e.atStamped(s.at, s.schedAt, s.seq, groupFire, g)
 }
@@ -90,7 +118,7 @@ func (g *Group) arm(i int) {
 // every next earliest slot that is provably the engine's next event.
 // Package-level so arming needs no closure.
 func groupFire(v any) {
-	g := v.(*Group)
+	g := v.(*group)
 	g.firing = true
 	for i := g.head; ; {
 		s := &g.slots[i]
@@ -100,7 +128,7 @@ func groupFire(v any) {
 		} else {
 			g.slots[g.head].prev = -1
 		}
-		g.fn(i)
+		s.fn(s.local)
 		if i = g.head; i < 0 {
 			break
 		}

@@ -1,0 +1,45 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// TestSlotRunsAheadPastCascadeBoundary: an event pending in wheel level 1
+// leaves nextHint at its cascade boundary, below its firing time. A slot
+// set past that boundary must still run inline when nothing really fires
+// before it, and must be refused, firing after the event, when the event
+// comes first.
+func TestSlotRunsAheadPastCascadeBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		event          Time // level 1: its cascade boundary is 768
+		want           []string
+		fired, inlined uint64
+	}{
+		{"event-after-slot", 1000, []string{"a@10", "b@900", "event@1000"}, 2, 1},
+		{"event-before-slot", 800, []string{"a@10", "event@800", "b@900"}, 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			var got []string
+			note := func(what string) { got = append(got, fmt.Sprintf("%s@%d", what, e.Now())) }
+			var b Slots
+			a := e.NewSlots(1, func(int) {
+				note("a")
+				b.Set(0, 900)
+			})
+			b = e.NewSlots(1, func(int) { note("b") })
+			e.At(tc.event, func() { note("event") })
+			a.Set(0, 10)
+			e.Run()
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ran %v, want %v", got, tc.want)
+			}
+			if e.Fired() != tc.fired || e.Inlined() != tc.inlined {
+				t.Fatalf("fired %d, inlined %d; want %d and %d", e.Fired(), e.Inlined(), tc.fired, tc.inlined)
+			}
+		})
+	}
+}
