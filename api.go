@@ -226,11 +226,10 @@ type (
 // Result.LatencyHist across runs.
 func NewHistogram() *Histogram { return stats.NewHistogram() }
 
-// Open-loop load generation and trace replay (DESIGN.md §3.1). Both
-// attach to a Testbed: tb.StartOpenLoop(cfg, until) /
-// tb.StartReplay(cfg). Their send schedules are drawn independently of
-// the datapath, so offered load is honest under overload and identical
-// across modes and shard counts.
+// Open-loop load generation (DESIGN.md §3.1): tb.StartOpenLoop(cfg,
+// until) attaches a flow population to a Testbed. Its send schedule is
+// drawn independently of the datapath, so offered load is honest under
+// overload and identical across modes and shard counts.
 type (
 	// Sampler draws flow sizes; Pareto and Lognormal are shipped.
 	Sampler = workload.Sampler
@@ -248,10 +247,6 @@ type (
 	OpenLoopConfig = workload.OpenLoopConfig
 	// OpenLoop is a running population (Testbed.StartOpenLoop).
 	OpenLoop = workload.OpenLoop
-	// ReplayConfig schedules pcap records onto testbed flows.
-	ReplayConfig = workload.ReplayConfig
-	// Replay is a running trace replay (Testbed.StartReplay).
-	Replay = workload.Replay
 )
 
 // LognormalWithMean builds a Lognormal with the given expectation and
@@ -260,28 +255,14 @@ func LognormalWithMean(mean, sigma float64) Lognormal {
 	return workload.LognormalWithMean(mean, sigma)
 }
 
-// Pcap traces: capture the virtual wire to tcpdump-readable files and
-// read captures back for ReplayConfig.Records.
-type (
-	// PcapWriter writes a pcap stream (NewPcapWriter; attach with TapLink).
-	PcapWriter = pcap.Writer
-	// PcapReader iterates records from a pcap stream.
-	PcapReader = pcap.Reader
-	// PcapRecord is one captured frame with its timestamp.
-	PcapRecord = pcap.Record
-)
+// PcapWriter captures the virtual wire to a tcpdump-readable pcap
+// stream (NewPcapWriter; attach with TapLink).
+type PcapWriter = pcap.Writer
 
 // NewPcapWriter starts a pcap stream; snapLen 0 captures full frames.
 func NewPcapWriter(w io.Writer, snapLen int) (*PcapWriter, error) {
 	return pcap.NewWriter(w, snapLen)
 }
-
-// NewPcapReader opens a pcap stream written by PcapWriter (strict
-// little-endian µs/ns subset).
-func NewPcapReader(r io.Reader) (*PcapReader, error) { return pcap.NewReader(r) }
-
-// ReadPcap slurps a whole capture, e.g. for ReplayConfig.Records.
-func ReadPcap(r io.Reader) ([]PcapRecord, error) { return pcap.ReadAll(r) }
 
 // TapLink mirrors every frame crossing a link into a pcap stream.
 func TapLink(l *Link, pw *PcapWriter) { pcap.Tap(l, pw) }

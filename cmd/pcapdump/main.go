@@ -15,11 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"falcon/internal/pcap"
-	"falcon/internal/sim"
-	"falcon/internal/transport"
-	"falcon/internal/workload"
-
 	falcon "falcon"
 )
 
@@ -42,22 +37,22 @@ func main() {
 		os.Exit(1)
 	}
 	defer fh.Close()
-	pw, err := pcap.NewWriter(fh, 0)
+	pw, err := falcon.NewPcapWriter(fh, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pcapdump: %v\n", err)
 		os.Exit(1)
 	}
 	// Tap both directions of the inter-host wire.
-	pcap.Tap(tb.Client.LinkTo(workload.ServerIP), pw)
-	pcap.Tap(tb.Server.LinkTo(workload.ClientIP), pw)
+	falcon.TapLink(tb.Client.LinkTo(falcon.ServerIP), pw)
+	falcon.TapLink(tb.Server.LinkTo(falcon.ClientIP), pw)
 
-	until := sim.Time(*count) * 50 * sim.Microsecond
+	until := falcon.Time(*count) * 50 * falcon.Microsecond
 	if *proto_ == "udp" || *proto_ == "both" {
 		f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 256, 2, 3, 1)
 		f.SendAtRate(20_000, until)
 	}
 	if *proto_ == "tcp" || *proto_ == "both" {
-		c, err := transport.Dial(transport.Config{
+		c, err := falcon.DialTCP(falcon.TCPConfig{
 			Net:        tb.Net,
 			SenderHost: tb.Client, SenderCtr: tb.ClientCtrs[0], SenderCore: 4, SrcPort: 40000,
 			ReceiverHost: tb.Server, ReceiverCtr: tb.ServerCtrs[0], AppCore: 5, DstPort: 5201,
@@ -69,7 +64,7 @@ func main() {
 		}
 		c.Send(*count / 4)
 	}
-	tb.Run(until + 10*sim.Millisecond)
+	tb.Run(until + 10*falcon.Millisecond)
 
 	fmt.Printf("wrote %d frames to %s\n", pw.Packets(), *out)
 	fmt.Println("inspect with: tcpdump -r " + *out + " -nn 'udp port 4789'")

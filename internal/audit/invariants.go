@@ -40,10 +40,9 @@ func (a *Auditor) Balance(name string, lhs, rhs []Term) *Balance {
 	return b
 }
 
-// AddLHS / AddRHS append terms (used by OpenUDP to register per-socket
+// AddLHS appends a term (used by OpenUDP to register per-socket
 // delivery counters after the balance already exists).
 func (b *Balance) AddLHS(t Term) { b.LHS = append(b.LHS, t); b.primed = false }
-func (b *Balance) AddRHS(t Term) { b.RHS = append(b.RHS, t); b.primed = false }
 
 func (b *Balance) prime() {
 	b.baseL = sample(b.LHS, b.baseL)

@@ -163,9 +163,6 @@ func (n *PNIC) queue(core int) *nicQueue {
 	return q
 }
 
-// RingLen returns the rx ring depth of the queue affined to core.
-func (n *PNIC) RingLen(core int) int { return n.queue(core).ring.Len() }
-
 // QueueState reports the queue affined to core without creating it:
 // ring depth, remaining poll budget, and whether NAPI is active. The
 // audit watchdog probes through here every sweep, so instantiating

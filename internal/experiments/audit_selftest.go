@@ -27,12 +27,11 @@ func init() {
 func auditSelftest(opt Options, cfg audit.Config, pps float64, until, at sim.Time, defect func(tb *workload.Testbed)) []*stats.Table {
 	opt.Audit = false // attached below with the selftest's own config
 	tb := newSingleFlowBed(workload.ModeCon, opt, 100*devices.Gbps, false)
-	tb.EnableAudit(cfg)
+	opt.track(tb.EnableAudit(cfg))
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
 	f.SendAtRate(pps, until)
 	tb.E.At(at, func() { defect(tb) })
 	tb.Run(until + 5*sim.Millisecond)
-	finishAudit(tb, until+5*sim.Millisecond)
 	return nil
 }
 

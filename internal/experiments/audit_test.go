@@ -129,3 +129,23 @@ func TestGoldenUnchangedWithAuditEnabled(t *testing.T) {
 		})
 	}
 }
+
+// TestFinishAuditWaitsForOverloadedClient finishes Fig. 15's saturated
+// bed (32 containers, no Falcon) at its generators' stop time. The
+// client is overloaded, so sends still queued on its cores keep
+// creating SKBs after that time: the live count climbs for about 20 ms
+// before it drains to zero. The end-of-run leak check must wait the
+// climb out instead of reporting those SKBs as leaked.
+func TestFinishAuditWaitsForOverloadedClient(t *testing.T) {
+	var got []*audit.Violation
+	tb := busySystemBed(goldenOpt, nil)
+	a := tb.EnableAudit(audit.Config{OnViolation: func(v *audit.Violation) { got = append(got, v) }})
+	runBusy(tb, goldenOpt, 32, perContainerRate)
+	finishAudit(a)
+	if len(got) > 0 {
+		t.Fatalf("%d violations, first: %v", len(got), got[0])
+	}
+	if live := a.LiveCount(); live != 0 {
+		t.Fatalf("%d SKBs still live after the drain", live)
+	}
+}

@@ -61,7 +61,6 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 	until := o.warmup() + o.window() + 5*sim.Millisecond
 	sock, _ := tb.StressFlood(true, 3, size, singleFlowAppCore, until)
 	res := workload.MeasureWindow(tb, []*socket.Socket{sock}, o.warmup(), o.window())
-	finishAudit(tb, until)
 	return cacheRun{
 		res:    res,
 		hits:   tb.Server.RxCacheHits.Value(),

@@ -136,7 +136,6 @@ func runChaosScenario(mode workload.Mode, opt Options, sc chaosScenario) chaosOu
 		out.Fallbacks = fal.Faults.Fallbacks.Value()
 		out.DegradedMs = float64(fal.Faults.DegradedNs.Value()) / 1e6
 	}
-	finishAudit(tb, until)
 	return out
 }
 

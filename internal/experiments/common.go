@@ -27,9 +27,10 @@ var (
 // run-wide Options reach a bed: the kernel profile, seed, shard count
 // and RX cache are copied into cfg, and the event budget and audit
 // harness are attached, so every flag holds for every testbed-based
-// experiment. Set cfg.Colocate when endpoints share state across hosts
-// (TCP connections, closed-loop RPC apps): transport.Dial rejects
-// split endpoints.
+// experiment. An audited bed ends with the audit's end-of-run checks
+// (Options.track). Set cfg.Colocate when endpoints
+// share state across hosts (TCP connections, closed-loop RPC apps):
+// transport.Dial rejects split endpoints.
 func newBed(opt Options, cfg workload.TestbedConfig) *workload.Testbed {
 	cfg.Kernel, cfg.Seed = opt.Kernel, opt.seed()
 	cfg.Shards, cfg.RxCache = opt.Shards, opt.RxCache
@@ -38,7 +39,7 @@ func newBed(opt Options, cfg workload.TestbedConfig) *workload.Testbed {
 		tb.E.SetEventBudget(opt.MaxEvents)
 	}
 	if opt.Audit {
-		tb.EnableAudit(audit.Config{})
+		opt.track(tb.EnableAudit(audit.Config{}))
 	}
 	return tb
 }
@@ -66,24 +67,25 @@ func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bo
 	return tb
 }
 
-// finishAudit drains the simulation until every ledgered SKB is freed,
-// then runs the auditor's teardown checks — the end-of-run leak check
-// included. Traffic has stopped by `until`, but a full transmit queue
-// of large frames can take tens of ms to serialize, so it keeps running
-// 2 ms slices for as long as the live count keeps falling and gives up
-// after 10 slices without a new low: a genuine leak stops making
-// progress and still fails Final. No-op without audit.
-func finishAudit(tb *workload.Testbed, until sim.Time) {
-	a := tb.Audit
-	if a == nil {
-		return
-	}
-	low := a.LiveCount()
-	for stalled := 0; low > 0 && stalled < 10; stalled++ {
-		until += 2 * sim.Millisecond
-		tb.Run(until)
-		if live := a.LiveCount(); live < low {
-			low, stalled = live, -1
+// finishAudit drains the auditor's simulation until every ledgered SKB
+// is freed, then runs the teardown checks — the end-of-run leak check
+// included. Draining is not monotone: a full transmit queue of large
+// frames takes tens of ms to serialize, and an overloaded client keeps
+// creating SKBs after its generators' stop time while the sends queued
+// on its cores run. So it runs 2 ms slices until the live count has not
+// changed for 10 slices in a row — a genuine leak stops moving and
+// fails Final — or until maxDrainSlices, so a generator that never
+// stops cannot spin forever.
+func finishAudit(a *audit.Auditor) {
+	const maxDrainSlices = 500
+	t, live := a.E.Now(), a.LiveCount()
+	for still, n := 0, 0; live > 0 && still < 10 && n < maxDrainSlices; n++ {
+		t += 2 * sim.Millisecond
+		a.E.RunUntil(t)
+		if l := a.LiveCount(); l != live {
+			live, still = l, 0
+		} else {
+			still++
 		}
 	}
 	a.Final()
@@ -95,9 +97,7 @@ func udpStress(mode workload.Mode, opt Options, link float64, size int) workload
 	tb := newSingleFlowBed(mode, opt, link, false)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	sock, _ := tb.StressFlood(mode != workload.ModeHost, 3, size, singleFlowAppCore, until)
-	res := workload.MeasureWindow(tb, []*socket.Socket{sock}, opt.warmup(), opt.window())
-	finishAudit(tb, until)
-	return res
+	return workload.MeasureWindow(tb, []*socket.Socket{sock}, opt.warmup(), opt.window())
 }
 
 // udpFixedRate runs one single flow at a fixed packet rate.
@@ -111,9 +111,7 @@ func udpFixedRate(mode workload.Mode, opt Options, link float64, size int, pps f
 		f = tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, size, 2, singleFlowAppCore, 1)
 	}
 	f.SendAtRate(pps, until)
-	res := workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
-	finishAudit(tb, until)
-	return res
+	return workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
 }
 
 // tcpResult is a measured TCP window.

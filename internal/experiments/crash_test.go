@@ -30,7 +30,7 @@ func TestCrashScheduleWithClientPartition(t *testing.T) {
 			}
 			opt := goldenOpt
 			opt.Crash, opt.Audit = cs, true
-			tables := ablCrash(opt)
+			tables := experiment(t, "abl-crash").Run(opt)
 			for _, row := range tables[1].Rows {
 				if row[4] != "0" {
 					t.Errorf("%s: %s packets unaccounted", row[0], row[4])

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"falcon/internal/audit"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
@@ -27,9 +28,9 @@ type Options struct {
 	// Seed for determinism (0 → 1).
 	Seed uint64
 	// Audit enables the runtime verification subsystem (internal/audit)
-	// on every testbed; an invariant breach aborts the run with an
-	// *audit.Abort panic. The fabric beds (mesh8, abl-cache's mesh rows)
-	// have no audit harness.
+	// on every testbed and fabric; an invariant breach aborts the run
+	// with an *audit.Abort panic. Each bed ends with the end-of-run
+	// leak check once the experiment has moved on from it.
 	Audit bool
 	// MaxEvents, when positive, aborts the run with *sim.BudgetExceeded
 	// after executing that many engine events, fired plus inlined (a
@@ -57,6 +58,34 @@ type Options struct {
 	// default: the cache is the abl-cache ablation's subject, and the
 	// goldens pin the uncached behavior.
 	RxCache bool
+
+	// teardown holds the running experiment's unfinished audited bed
+	// (track); withTeardown sets it. It is per-run state, not an option.
+	teardown *teardown
+}
+
+// teardown is the one audited bed of a running experiment that has not
+// had its end-of-run checks yet.
+type teardown struct{ open *audit.Auditor }
+
+// track hands a bed's auditor to the running experiment. It first
+// finishes the bed tracked before: an experiment is done with a bed
+// once it builds the next one, and finishing it here keeps one bed's
+// packets in flight at a time. Holding every bed until the experiment
+// returns runs fig2b's 64 KB beds out of memory at full windows.
+func (o Options) track(a *audit.Auditor) {
+	if o.teardown != nil {
+		o.teardown.finish()
+		o.teardown.open = a
+	}
+}
+
+// finish runs the open bed's end-of-run checks (finishAudit).
+func (td *teardown) finish() {
+	if td.open != nil {
+		finishAudit(td.open)
+		td.open = nil
+	}
 }
 
 // ShardsAuto is the Options.Shards sentinel for "pick shard and worker
@@ -111,11 +140,26 @@ type Experiment struct {
 var registry []Experiment
 
 func register(id, title string, run func(Options) []*stats.Table) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+	registry = append(registry, Experiment{ID: id, Title: title, Run: withTeardown(run)})
 }
 
 func registerHidden(id, title string, run func(Options) []*stats.Table) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run, Hidden: true})
+	registry = append(registry, Experiment{ID: id, Title: title, Run: withTeardown(run), Hidden: true})
+}
+
+// withTeardown runs an experiment so that every audited bed it builds
+// ends with its end-of-run checks: each bed when the experiment builds
+// the next (Options.track), the last after the experiment has returned
+// its tables. A bed is finished only once the experiment has moved on
+// from it, so the checks cannot change what it prints; CI's audit-on
+// versus audit-off diff of every experiment holds that to account.
+func withTeardown(run func(Options) []*stats.Table) func(Options) []*stats.Table {
+	return func(opt Options) []*stats.Table {
+		opt.teardown = &teardown{}
+		tables := run(opt)
+		opt.teardown.finish()
+		return tables
+	}
 }
 
 // All returns every non-hidden experiment, sorted by id.

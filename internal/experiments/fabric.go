@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"falcon/internal/audit"
 	"falcon/internal/overlay"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
+	"falcon/internal/workload"
 )
 
 // fabricConfig sizes a multi-host overlay fabric: N identical hosts with
@@ -87,6 +89,9 @@ func buildFabric(opt Options, cfg fabricConfig) *fabric {
 	})
 	if opt.MaxEvents > 0 {
 		e.SetEventBudget(opt.MaxEvents)
+	}
+	if opt.Audit {
+		opt.track(workload.AuditHosts(e, fb.Hosts, audit.Config{}))
 	}
 	return fb
 }

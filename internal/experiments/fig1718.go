@@ -46,7 +46,14 @@ func fig17(opt Options) []*stats.Table {
 	if opt.Quick {
 		users = 200
 	}
-	run := func(falconOn bool) *apps.Web {
+	// webOp is one operation's measured window, read out before the
+	// next bed is built (which finishes this one under -audit).
+	type webOp struct {
+		name        string
+		completed   uint64
+		resp, delay float64
+	}
+	run := func(falconOn bool) []webOp {
 		tb := appsBed(opt, falconOn)
 		stop := 3*opt.warmup() + 3*opt.window()
 		w := apps.StartWeb(apps.WebConfig{
@@ -61,7 +68,11 @@ func fig17(opt Options) []*stats.Table {
 		tb.Run(opt.warmup() * 3)
 		w.ResetMeasurement()
 		tb.Run(3*opt.warmup() + 3*opt.window())
-		return w
+		ops := make([]webOp, len(w.Stats))
+		for i, st := range w.Stats {
+			ops[i] = webOp{st.Op.Name, st.Completed.Value(), st.Resp.Mean(), st.Delay.Mean()}
+		}
+		return ops
 	}
 	con := run(false)
 	fal := run(true)
@@ -79,19 +90,17 @@ func fig17(opt Options) []*stats.Table {
 		Columns: []string{"operation", "Con", "Falcon", "reduction"},
 	}
 	secs := (3 * opt.window()).Seconds()
-	for i := range con.Stats {
-		c, f := con.Stats[i], fal.Stats[i]
-		if c.Completed.Value() == 0 && f.Completed.Value() == 0 {
+	for i := range con {
+		c, f := con[i], fal[i]
+		if c.completed == 0 && f.completed == 0 {
 			continue
 		}
-		cr := float64(c.Completed.Value()) / secs
-		fr := float64(f.Completed.Value()) / secs
-		rate.AddRow(c.Op.Name, fmt.Sprintf("%.1f", cr), fmt.Sprintf("%.1f", fr),
+		cr := float64(c.completed) / secs
+		fr := float64(f.completed) / secs
+		rate.AddRow(c.name, fmt.Sprintf("%.1f", cr), fmt.Sprintf("%.1f", fr),
 			fPct(fr/maxf(cr, 0.001)-1))
-		cm, fm := c.Resp.Mean(), f.Resp.Mean()
-		resp.AddRow(c.Op.Name, fUs(int64(cm)), fUs(int64(fm)), fPct(1-fm/maxf(cm, 1)))
-		cd, fd := c.Delay.Mean(), f.Delay.Mean()
-		delay.AddRow(c.Op.Name, fUs(int64(cd)), fUs(int64(fd)), fPct(1-fd/maxf(cd, 1)))
+		resp.AddRow(c.name, fUs(int64(c.resp)), fUs(int64(f.resp)), fPct(1-f.resp/maxf(c.resp, 1)))
+		delay.AddRow(c.name, fUs(int64(c.delay)), fUs(int64(f.delay)), fPct(1-f.delay/maxf(c.delay, 1)))
 	}
 	return []*stats.Table{rate, resp, delay}
 }

@@ -142,7 +142,6 @@ func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed
 		until += 2 * sim.Millisecond
 		tb.Run(until)
 	}
-	finishAudit(tb, until)
 
 	run := reconfigRun{
 		samples:   samples,

@@ -56,10 +56,10 @@ func TestAdaptiveHorizonInvariance(t *testing.T) {
 // full audit harness attached: per-shard SKB ledgers, cross-shard
 // record handoffs at barriers, and coordinator-driven invariant sweeps
 // must not perturb a single simulated result either, serial or sharded.
-// (mesh8 builds its topology directly on overlay.Network and has no
-// audit harness, so the audited check covers the testbed-based goldens.)
+// mesh8 covers the fabric beds, which are audited through the same
+// harness as the testbeds.
 func TestShardInvarianceWithAudit(t *testing.T) {
-	for _, id := range []string{"fig10", "abl-chaos", "abl-tail"} {
+	for _, id := range []string{"fig10", "abl-chaos", "abl-tail", "mesh8"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			want := golden(t, id)

@@ -83,7 +83,6 @@ func runTailPoint(mode workload.Mode, opt Options, offered float64) tailPoint {
 	tb.E.At(opt.warmup(), func() { sent0 = ol.Sent() })
 	tb.E.At(opt.warmup()+opt.window(), func() { sent1 = ol.Sent() })
 	res := workload.MeasureWindow(tb, ol.Socks, opt.warmup(), opt.window())
-	finishAudit(tb, until)
 	return tailPoint{
 		offered: offered,
 		sentPPS: stats.Rate(sent1-sent0, int64(opt.window())),

@@ -423,13 +423,3 @@ func (st *Stack) PurgeBacklogs(drops *stats.Counter) {
 		}
 	}
 }
-
-// ChargeMigrationTask applies the same penalty in task context — used by
-// the socket layer when the application thread reads a packet that was
-// processed on other cores (the user-space locality loss the paper
-// identifies as Falcon's residual gap from host performance).
-func (st *Stack) ChargeMigrationTask(core *cpu.Core, s *skb.SKB) {
-	if s.Touch(core.ID()) {
-		core.Submit(stats.CtxTask, costmodel.FnUserCopy, st.M.Model.Migration(), nil)
-	}
-}

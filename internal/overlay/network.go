@@ -130,9 +130,6 @@ func (h *Host) EachLink(yield func(peer proto.IPv4Addr, l *devices.Link)) {
 	}
 }
 
-// HostByIP finds a host by its public IP (nil when absent).
-func (n *Network) HostByIP(ip proto.IPv4Addr) *Host { return n.hostByIP(ip) }
-
 // hostByIP finds a host by its public IP.
 func (n *Network) hostByIP(ip proto.IPv4Addr) *Host {
 	for _, h := range n.hosts {

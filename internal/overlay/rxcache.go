@@ -57,12 +57,6 @@ func (h *Host) EnableRxCache() {
 	h.Rx.Cache = h.rxCache
 }
 
-// DisableRxCache restores the full decap walk for every packet.
-func (h *Host) DisableRxCache() { h.Rx.Cache = nil }
-
-// RxCacheEnabled reports whether the fast path is installed.
-func (h *Host) RxCacheEnabled() bool { return h.rxCache != nil && h.Rx.Cache != nil }
-
 // innerUDP parses the arriving VXLAN frame's inner flow, accepting only
 // complete inner UDP frames (the cacheable population).
 func innerUDP(s *skb.SKB) (*proto.Frame, bool) {

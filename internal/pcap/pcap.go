@@ -77,88 +77,6 @@ func (pw *Writer) WriteFrame(t sim.Time, frame []byte) error {
 	return nil
 }
 
-// Record is one captured frame: its capture timestamp (microsecond
-// resolution, the format's native unit) and the frame bytes.
-type Record struct {
-	T     sim.Time
-	Frame []byte
-}
-
-// Reader streams records from a classic-format pcap capture.
-type Reader struct {
-	r       io.Reader
-	packets uint64
-}
-
-// NewReader validates the pcap global header and returns the reader.
-// Only the simulator's own dialect is accepted: classic little-endian
-// magic, version 2.4, Ethernet link type, microsecond timestamps.
-func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: global header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != magicNumber {
-		return nil, fmt.Errorf("pcap: bad magic %#08x (want %#08x)", m, uint32(magicNumber))
-	}
-	major := binary.LittleEndian.Uint16(hdr[4:6])
-	minor := binary.LittleEndian.Uint16(hdr[6:8])
-	if major != versionMajor || minor != versionMinor {
-		return nil, fmt.Errorf("pcap: unsupported version %d.%d", major, minor)
-	}
-	if lt := binary.LittleEndian.Uint32(hdr[20:24]); lt != linkTypeEth {
-		return nil, fmt.Errorf("pcap: unsupported link type %d", lt)
-	}
-	return &Reader{r: r}, nil
-}
-
-// Packets returns how many records have been read.
-func (pr *Reader) Packets() uint64 { return pr.packets }
-
-// Next returns the next record, or io.EOF at a clean end of capture.
-// A capture truncated mid-record is an error, not EOF.
-func (pr *Reader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("pcap: record header: %w", err)
-	}
-	secs := binary.LittleEndian.Uint32(hdr[0:4])
-	frac := binary.LittleEndian.Uint32(hdr[4:8])
-	capLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if capLen > maxSnapLen {
-		return Record{}, fmt.Errorf("pcap: record length %d exceeds snap limit", capLen)
-	}
-	frame := make([]byte, capLen)
-	if _, err := io.ReadFull(pr.r, frame); err != nil {
-		return Record{}, fmt.Errorf("pcap: record body: %w", err)
-	}
-	pr.packets++
-	t := sim.Time(int64(secs)*1e6+int64(frac)) * sim.Microsecond
-	return Record{T: t, Frame: frame}, nil
-}
-
-// ReadAll drains the capture into memory.
-func ReadAll(r io.Reader) ([]Record, error) {
-	pr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	for {
-		rec, err := pr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-}
-
 // Tap attaches the writer to a link: every frame put on the wire is
 // recorded at its transmit time. Chain-safe: the link's existing
 // Deliver callback is preserved.

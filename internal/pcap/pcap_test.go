@@ -77,65 +77,6 @@ func TestSnapLenTruncates(t *testing.T) {
 	}
 }
 
-func TestReaderRoundTrip(t *testing.T) {
-	// Write a small capture, read it back, re-write the records: both
-	// byte streams must be identical (timestamps are µs-quantized by the
-	// format, so write→read→write is exact even though sim.Time is ns).
-	var buf bytes.Buffer
-	pw, _ := NewWriter(&buf, 0)
-	var frames [][]byte
-	for i := 0; i < 8; i++ {
-		frame := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-			proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2),
-			uint16(4000+i), uint16(5000+i%3), uint16(i), make([]byte, 16+i*32))
-		frames = append(frames, frame)
-		at := sim.Time(i)*137*sim.Microsecond + sim.Second
-		if err := pw.WriteFrame(at, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(frames) {
-		t.Fatalf("read %d records, wrote %d", len(recs), len(frames))
-	}
-	var out bytes.Buffer
-	pw2, _ := NewWriter(&out, 0)
-	for i, rec := range recs {
-		if !bytes.Equal(rec.Frame, frames[i]) {
-			t.Fatalf("record %d frame bytes differ", i)
-		}
-		want := (sim.Second + sim.Time(i)*137*sim.Microsecond) / sim.Microsecond * sim.Microsecond
-		if rec.T != want {
-			t.Fatalf("record %d time = %d, want %d", i, rec.T, want)
-		}
-		if err := pw2.WriteFrame(rec.T, rec.Frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(out.Bytes(), buf.Bytes()) {
-		t.Fatal("write→read→write capture bytes differ")
-	}
-}
-
-func TestReaderRejectsBadHeader(t *testing.T) {
-	bad := make([]byte, 24)
-	binary.LittleEndian.PutUint32(bad[0:4], 0xdeadbeef)
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	var buf bytes.Buffer
-	pw, _ := NewWriter(&buf, 0)
-	_ = pw.WriteFrame(0, make([]byte, 100))
-	// Truncate mid-record: Next must report an error, not clean EOF.
-	trunc := buf.Bytes()[:24+16+10]
-	if _, err := ReadAll(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated record read as clean EOF")
-	}
-}
-
 func TestTapRecordsLinkTraffic(t *testing.T) {
 	e := sim.New(1)
 	l := devices.NewLink(e, 10*devices.Gbps, 0)

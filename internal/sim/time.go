@@ -41,6 +41,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%dns", int64(t))
 	}
 }
-
-// FromSeconds builds a Time from floating-point seconds.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }

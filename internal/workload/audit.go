@@ -7,23 +7,30 @@ import (
 
 	"falcon/internal/audit"
 	"falcon/internal/overlay"
+	"falcon/internal/sim"
 	"falcon/internal/skb"
 	"falcon/internal/socket"
 )
 
-// EnableAudit attaches a run auditor to the testbed: the SKB lifecycle
-// ledger on both hosts' transmit paths, one conservation balance per
-// named drop stage (every counter the datapath increments when it frees
-// a packet must match the ledger's dispositions at that stage), queue
-// validation over every NIC ring and socket receive queue, and a
-// per-core softirq watchdog. Call before traffic starts.
+// EnableAudit attaches a run auditor to the testbed's hosts (see
+// AuditHosts). Call before traffic starts.
+func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
+	tb.Audit = AuditHosts(tb.E, tb.Hosts(), cfg)
+	return tb.Audit
+}
+
+// AuditHosts attaches a run auditor to hosts on simulation e: the SKB
+// lifecycle ledger on every host's transmit path, one conservation
+// balance per named drop stage (every counter the datapath increments
+// when it frees a packet must match the ledger's dispositions at that
+// stage), queue validation over every NIC ring and socket receive
+// queue, and a per-core softirq watchdog. Call after the hosts are
+// built and before sockets open or traffic starts.
 //
 // The auditor observes and never mutates: enabling it leaves the run's
 // schedule — and therefore its printed output — byte-identical.
-func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
-	a := audit.New(tb.E, cfg)
-	tb.Audit = a
-	hosts := tb.Hosts()
+func AuditHosts(e sim.Sim, hosts []*overlay.Host, cfg audit.Config) *audit.Auditor {
+	a := audit.New(e, cfg)
 
 	sum := func(get func(h *overlay.Host) uint64) func() uint64 {
 		return func() uint64 {

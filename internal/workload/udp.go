@@ -106,19 +106,12 @@ func (f *UDPFlow) Flood(until sim.Time) {
 // SendAtRate emits packets at the given average rate with Poisson
 // arrivals until `until` (the underloaded/fixed-rate tests). The rate
 // can be changed live via SetRate.
-func (f *UDPFlow) SendAtRate(pps float64, until sim.Time) { f.sendPoisson(pps, until, nil) }
-
-// sendPoisson is SendAtRate with an optional size picker, drawn before
-// each packet.
-func (f *UDPFlow) sendPoisson(pps float64, until sim.Time, size func() int) {
+func (f *UDPFlow) SendAtRate(pps float64, until sim.Time) {
 	f.rate = pps
 	var tick func()
 	tick = func() {
 		if f.stopped || f.tb.Client.E.Now() >= until || f.rate <= 0 {
 			return
-		}
-		if size != nil {
-			f.Size = size()
 		}
 		f.send(nil)
 		gap := sim.Time(f.rng.ExpFloat64() * 1e9 / f.rate)

@@ -186,32 +186,3 @@ func TestMTUModeSmallPacketsUntouched(t *testing.T) {
 		t.Fatal("small packets fragmented unnecessarily")
 	}
 }
-
-func TestIMIXAverageSize(t *testing.T) {
-	avg := AverageSize(SimpleIMIX)
-	if avg < 300 || avg > 350 {
-		t.Fatalf("IMIX average = %.1f, want ~332", avg)
-	}
-	if AverageSize(nil) != 0 {
-		t.Fatal("empty mix average != 0")
-	}
-}
-
-func TestIMIXFlowMixesSizes(t *testing.T) {
-	tb := stdBed(t, 1)
-	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 0, 2, 6, 1)
-	f.SendIMIXAtRate(SimpleIMIX, 100_000, 20*sim.Millisecond)
-	tb.Run(30 * sim.Millisecond)
-	if f.Sock.Delivered.Value() != f.Sent() {
-		t.Fatalf("delivered %d of %d", f.Sock.Delivered.Value(), f.Sent())
-	}
-	// Mean delivered frame size (headers add 42B) must track the mix.
-	meanFrame := float64(f.Sock.Bytes.Value()) / float64(f.Sock.Delivered.Value())
-	avg := AverageSize(SimpleIMIX) + 42
-	if meanFrame < avg*0.85 || meanFrame > avg*1.15 {
-		t.Fatalf("mean frame %.0f, want ~%.0f", meanFrame, avg)
-	}
-	if f.Sock.OrderViols != 0 {
-		t.Fatal("order violated")
-	}
-}
