@@ -10,6 +10,7 @@ import (
 	falcon "falcon"
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
+	"falcon/internal/devices"
 	"falcon/internal/gro"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
@@ -208,6 +209,40 @@ func BenchmarkMachineSlices(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slice")
 			b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/slice")
 		})
+	}
+}
+
+// BenchmarkLinkArrivals: back-to-back 64 B frames on one 100G link into
+// a sink that sends the next frame as each one arrives, so a window of
+// frames keeps the serializer busy. An op is one frame; fired/frame
+// counts the engine events its arrival took.
+func BenchmarkLinkArrivals(b *testing.B) {
+	const window = 64 // frames on the wire: more than the 100 ns delay holds
+	e := sim.New(1)
+	l := devices.NewLink(e, 100*devices.Gbps, 100)
+	sent := 0
+	send := func() {
+		sent++
+		if !l.Send(skb.NewTx(64, 0)) {
+			b.Fatal("link queue full")
+		}
+	}
+	l.Deliver = func(s *skb.SKB) {
+		s.Free()
+		if sent < b.N {
+			send()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent < min(window, b.N) {
+		send()
+	}
+	e.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+	b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/frame")
+	if got := l.Sent.Value(); got != uint64(b.N) {
+		b.Fatalf("sent %d frames, want %d", got, b.N)
 	}
 }
 

@@ -63,13 +63,15 @@ type Link struct {
 	lastArrival sim.Time
 	rng         *sim.Rand
 
-	// inflight is the FIFO of frames on the wire. Arrival times are
-	// monotone (serialization order, and jitter is monotonized), and the
-	// engine fires equal-time events in schedule order, so the head of
-	// this ring is always the frame whose delivery event fires next —
-	// letting delivery run through one shared AtArg trampoline instead of
-	// a per-frame closure. Its length is the frames queued or serializing.
+	// inflight is the FIFO of frames on the wire; its length is the
+	// frames queued or serializing. Arrival times are monotone
+	// (serialization order, and jitter is monotonized) and so are the
+	// keys stamped at Send, so the head is always the frame that arrives
+	// next. One engine-group slot, arrival, is set to the head's arrival
+	// under the key stamped when the head was sent: it fires exactly
+	// where a per-frame delivery event would have.
 	inflight sim.FIFO[wireFrame]
+	arrival  sim.Slots
 
 	Sent    stats.Counter
 	Dropped stats.Counter
@@ -80,10 +82,12 @@ type Link struct {
 
 // NewLink builds a link of the given rate on engine e.
 func NewLink(e *sim.Engine, rateBitsPerSec float64, delay sim.Time) *Link {
-	return &Link{
+	l := &Link{
 		E: e, RateBitsPerSec: rateBitsPerSec, Delay: delay,
 		TxQueueLen: DefaultTxQueueLen, rng: e.Rand().Fork(),
 	}
+	l.arrival = e.NewSlots(1, l.arrive)
+	return l
 }
 
 // RemoteEgress carries frames whose delivery belongs to another PDES
@@ -158,41 +162,43 @@ func (l *Link) Send(s *skb.SKB) bool {
 	}
 	l.lastArrival = arrival
 	lost := l.LossRate > 0 && l.rng.Float64() < l.LossRate
-	if l.Remote != nil {
+	f := wireFrame{s: s, at: arrival, key: l.E.Stamp(), lost: lost}
+	if l.Remote != nil && !lost {
 		// Cross-shard wire: the receiving shard owns live frames from
 		// here on, so the in-flight ring keeps the SKB pointer only for
 		// lost frames (disposed locally, at the same simulated time and
-		// drop site as the serial path). The pop event still runs for
+		// drop site as the serial path). The arrival slot still runs for
 		// every frame to retire the serializer queue in FIFO order.
-		wf := wireFrame{lost: lost}
-		if lost {
-			wf.s = s
-		}
-		l.inflight.Push(wf)
-		l.E.AtArg(arrival, linkRemotePop, l)
-		if !lost {
-			l.Remote.Send(s, arrival)
-		}
-		return true
+		f.s = nil
+		l.Remote.Send(s, arrival)
 	}
-	l.inflight.Push(wireFrame{s: s, lost: lost})
-	l.E.AtArg(arrival, linkDeliver, l)
+	l.inflight.Push(f)
+	if l.inflight.Len() == 1 {
+		l.arrival.SetKey(0, f.at, f.key)
+	}
 	return true
 }
 
-// wireFrame is one frame in flight on a link.
+// wireFrame is one frame in flight on a link, with its arrival time and
+// the tie-break key stamped when it was sent.
 type wireFrame struct {
 	s    *skb.SKB
+	at   sim.Time
+	key  sim.Key
 	lost bool
 }
 
-// pop retires the head-of-wire frame from the serializer queue and
-// disposes it if the wire lost it. It returns the frame to deliver: nil
-// when lost, and always nil for a cross-shard link, whose live frames
-// the receiving shard delivers (the cluster scheduled it at the same
-// nanosecond).
+// pop retires the head-of-wire frame from the serializer queue, sets the
+// arrival slot to the next head, and disposes the frame if the wire lost
+// it. It returns the frame to deliver: nil when lost, and always nil for
+// a cross-shard link, whose live frames the receiving shard delivers
+// (the cluster scheduled it at the same nanosecond).
 func (l *Link) pop() *skb.SKB {
 	f := l.inflight.Pop()
+	if l.inflight.Len() > 0 {
+		h := l.inflight.Peek()
+		l.arrival.SetKey(0, h.at, h.key)
+	}
 	if f.lost {
 		l.Lost.Inc()
 		f.s.Drop(skb.DropLinkLoss)
@@ -201,17 +207,13 @@ func (l *Link) pop() *skb.SKB {
 	return f.s
 }
 
-// linkDeliver fires when the head-of-wire frame arrives.
-func linkDeliver(v any) {
-	l := v.(*Link)
+// arrive is the arrival slot's callback: the head-of-wire frame reaches
+// the far end.
+func (l *Link) arrive(int) {
 	if s := l.pop(); s != nil && l.Deliver != nil {
 		l.Deliver(s)
 	}
 }
-
-// linkRemotePop fires at a cross-shard frame's arrival time on the
-// sending shard.
-func linkRemotePop(v any) { v.(*Link).pop() }
 
 // Busy reports whether the serializer is still putting an earlier frame
 // on the wire, so a frame sent now would queue behind it.

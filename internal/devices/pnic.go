@@ -75,7 +75,8 @@ type nicQueue struct {
 	active       bool
 	gro          *gro.Engine
 	lastComplete sim.Time // when the previous NAPI cycle finished
-	irqArmed     bool     // a delayed (moderated) hardirq is scheduled
+	irqArmed     bool     // the moderated hardirq's slot is set
+	irq          sim.Slots
 
 	// Per-cycle poll state, held on the queue (instead of per-packet
 	// closures) so the cached continuations below drive the whole NAPI
@@ -122,6 +123,7 @@ func (n *PNIC) queue(core int) *nicQueue {
 			n.St.M.IRQ.Inc(q.core, stats.IRQHard)
 			n.St.M.Core(q.core).Exec(stats.CtxHardIRQ, costmodel.FnHardIRQ, 0, q.raiseFn)
 		}
+		q.irq = n.St.M.E.NewSlots(1, func(int) { q.fire() })
 		q.raiseFn = func() { n.raiseNetRX(q) }
 		q.pollStart = func() {
 			q.budget = n.Budget
@@ -284,7 +286,7 @@ func (n *PNIC) Arrive(s *skb.SKB) {
 	now := n.St.M.E.Now()
 	if hold := q.lastComplete + mod - now; mod > 0 && hold > 0 {
 		q.irqArmed = true
-		n.St.M.E.After(hold, q.fire)
+		q.irq.Set(0, now+hold)
 		return
 	}
 	q.fire()

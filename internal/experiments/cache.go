@@ -27,6 +27,7 @@ type cacheRun struct {
 	res                 workload.Result
 	hits, misses, stale uint64
 	fired               uint64 // engine events fired over the whole run
+	inlined             uint64 // engine events run inline over the whole run
 }
 
 // hitRate is the warm-window fast-path hit fraction on the server.
@@ -62,11 +63,12 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 	sock, _ := tb.StressFlood(true, 3, size, singleFlowAppCore, until)
 	res := workload.MeasureWindow(tb, []*socket.Socket{sock}, o.warmup(), o.window())
 	return cacheRun{
-		res:    res,
-		hits:   tb.Server.RxCacheHits.Value(),
-		misses: tb.Server.RxCacheMisses.Value(),
-		stale:  tb.Server.RxCacheStale.Value(),
-		fired:  tb.E.Fired(),
+		res:     res,
+		hits:    tb.Server.RxCacheHits.Value(),
+		misses:  tb.Server.RxCacheMisses.Value(),
+		stale:   tb.Server.RxCacheStale.Value(),
+		fired:   tb.E.Fired(),
+		inlined: tb.E.Inlined(),
 	}
 }
 

@@ -29,16 +29,17 @@ func TestAblCacheFloors(t *testing.T) {
 // stress with 1500B packets and the quick 16B stress through the RX
 // cache's hit leg. Each bound is the measured figure plus 10%.
 var hotPathBeds = []struct {
-	name   string
-	mode   workload.Mode
-	opt    Options
-	size   int
-	cache  bool
-	allocs float64 // heap allocations per delivered packet
-	events float64 // engine events fired per delivered packet
+	name     string
+	mode     workload.Mode
+	opt      Options
+	size     int
+	cache    bool
+	allocs   float64 // heap allocations per delivered packet
+	events   float64 // engine events fired per delivered packet
+	executed float64 // engine events fired or run inline per delivered packet
 }{
-	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10, 15.8275 * 1.10},
-	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10, 15.0033 * 1.10},
+	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10, 0.008295 * 1.10, 94.7730 * 1.10},
+	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10, 0.007875 * 1.10, 65.3015 * 1.10},
 }
 
 // TestHotPathAllocs bounds the simulator's heap allocations per
@@ -67,9 +68,11 @@ func TestHotPathAllocs(t *testing.T) {
 
 // TestHotPathEvents bounds the engine events fired per delivered packet,
 // over the whole run, on the hot path beds, so a change that stops work
-// running inline (CPU slices handing off across cores and machines)
-// fails here and not only in the benchmark. The count is deterministic
-// for the seed.
+// running inline (CPU slices, link arrivals, moderated interrupts and
+// flood sends handing off through the engine group) fails here and not
+// only in the benchmark. It bounds the events fired or run inline too, so
+// work moved inline stays bounded. Both counts are deterministic for the
+// seed.
 func TestHotPathEvents(t *testing.T) {
 	for _, tc := range hotPathBeds {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,9 +81,14 @@ func TestHotPathEvents(t *testing.T) {
 				t.Fatal("no packets delivered")
 			}
 			per := float64(r.fired) / float64(r.res.Delivered)
-			t.Logf("%.4f events/pkt over %d packets (limit %.4f)", per, r.res.Delivered, tc.events)
+			t.Logf("%.6f events/pkt over %d packets (limit %.6f)", per, r.res.Delivered, tc.events)
 			if per > tc.events {
-				t.Errorf("%.4f events/pkt > %.4f (measured baseline +10%%)", per, tc.events)
+				t.Errorf("%.6f events/pkt > %.6f (measured baseline +10%%)", per, tc.events)
+			}
+			executed := float64(r.fired+r.inlined) / float64(r.res.Delivered)
+			t.Logf("%.4f fired+inlined/pkt (limit %.4f)", executed, tc.executed)
+			if executed > tc.executed {
+				t.Errorf("%.4f fired+inlined/pkt > %.4f (measured baseline +10%%)", executed, tc.executed)
 			}
 		})
 	}

@@ -6,15 +6,19 @@ import (
 )
 
 // FuzzEngineOrder runs a byte-coded program of schedules (At, AtArg),
-// slot sets in two ranges of the engine's group, timer cancels, clock
-// moves (SetClock), event budgets and bounded runs (RunUntil, Run)
-// against the engine. Every executed step's callback may schedule more
-// work, set slots, cancel timers and stop the run. An event's callback
-// may then hand off to a successor directly: try runAhead, and schedule
-// the successor only if that is refused, with a key stamped before the
-// try. A reference model treats every set slot as one event keyed (at,
-// schedAt, seq) with the key stamped at Set, orders all pending work by
-// that key, and checks that:
+// slot sets in two ranges of the engine's group, pushes onto queue
+// owners, timer cancels, clock moves (SetClock), event budgets and
+// bounded runs (RunUntil, Run) against the engine. A queue owner works as
+// a link does: it reserves its one slot on its first push, possibly
+// mid-run, stamps each push's key with Engine.Stamp, never pushes a time
+// before its last one, and keeps its slot set to its head with SetKey.
+// Every executed step's callback may schedule more work, set slots, push,
+// cancel timers and stop the run. An event's callback may then hand off
+// to a successor directly: try runAhead, and schedule the successor only
+// if that is refused, with a key stamped before the try. A reference
+// model treats every set slot and every push as one event keyed (at,
+// schedAt, seq) with the key stamped at Set or push, orders all pending
+// work by that key, and checks that:
 //   - every step, fired or inlined, is the reference's next one, at the
 //     engine clock the reference expects;
 //   - runAhead succeeds exactly when no live event is due at or before
@@ -22,7 +26,7 @@ import (
 //     run. The group runs its next slot inline under the same
 //     conditions, other set slots aside; each slot run is exactly one
 //     fire or one inline, and runs its own range's callback with the
-//     slot's index in that range;
+//     slot's index in that range, or its queue's head;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
 //     reports liveness exactly, NextAt never overestimates, the
 //     Fired/Inlined/Pending counters match (a group holds one engine
@@ -54,17 +58,20 @@ const (
 	opRunAhead        // delay: runAhead outside a run must refuse
 	opSet             // slot, delay: Slots.Set outside any firing
 	opBudget          // n: the engine may execute n%32+1 more steps
+	opPush            // queue, delay: push onto a queue owner
 	numOps
 )
 
 // Callback body ops (after a count byte); 0–3 schedule, 4–6 stop a
-// timer, 7 stops the run, 8 sets a group slot (slot, delay).
+// timer, 7 stops the run, 8 sets a group slot (slot, delay), 9 pushes
+// onto a queue owner (queue, delay).
 const (
 	cbSchedule   = 0
 	cbStopTimer  = 4
 	cbStopEngine = 7
 	cbSet        = 8
-	numCbOps     = 9
+	cbPush       = 9
+	numCbOps     = 10
 )
 
 // Delay classes (low two bits of the delay's first byte).
@@ -77,9 +84,11 @@ const (
 
 // groupSlots is the fuzzed group's size; a slot byte picks one modulo it.
 // The first rangeSlots of them are one range, the rest a second one.
+// A queue byte picks one of queueOwners modulo it.
 const (
-	groupSlots = 4
-	rangeSlots = 2
+	groupSlots  = 4
+	rangeSlots  = 2
+	queueOwners = 3
 )
 
 // refEvent is the reference model's record of one step, queued or inlined.
@@ -87,8 +96,8 @@ type refEvent struct {
 	at, schedAt Time
 	seq         uint64
 	timer       Timer
-	queued      bool // on the engine or in a group slot (not inlined)
-	slot        bool // a group slot: no Timer, no engine event of its own
+	queued      bool // on the engine, in a group slot or queued (not inlined)
+	slot        bool // a group slot or push: no Timer, no engine event of its own
 	done        bool // fired, inlined or cancelled
 }
 
@@ -102,6 +111,15 @@ func (a *refEvent) before(b *refEvent) bool {
 	return a.seq < b.seq
 }
 
+// refQueue is a queue owner: its pushes not yet run, in push order, each
+// with the key Engine.Stamp gave it, behind one slot set to the head.
+type refQueue struct {
+	slot  Slots
+	steps []*refEvent
+	keys  []Key
+	last  Time // the latest push's time: no push may go before it
+}
+
 type orderModel struct {
 	t      *testing.T
 	e      *Engine
@@ -113,7 +131,8 @@ type orderModel struct {
 	seq      uint64
 	evs      []*refEvent
 	slots    [groupSlots]*refEvent
-	deadline Time // -1 outside runs
+	queues   [queueOwners]*refQueue // nil until the first push
+	deadline Time                   // -1 outside runs
 	stopped  bool
 
 	// mustInline is the slot the group tries next after a slot run when
@@ -210,6 +229,29 @@ func (m *orderModel) setSlot(b byte, t Time) {
 	}
 }
 
+// push queues a step on queue owner b%queueOwners at now+d, or at its
+// last push's time if that is later, reserving the owner's slot on its
+// first push. The slot is set when the push finds the queue empty.
+func (m *orderModel) push(b byte, d Time) {
+	q := m.queues[b%queueOwners]
+	if q == nil {
+		q = &refQueue{}
+		q.slot = m.e.NewSlots(1, func(int) { m.onQueue(q) })
+		m.queues[b%queueOwners] = q
+	}
+	q.last = max(q.last, m.now+d)
+	ev := m.evs[m.newStep(q.last)]
+	ev.queued, ev.slot = true, true
+	k := m.e.Stamp()
+	if k != (Key{ev.schedAt, ev.seq}) {
+		m.t.Fatalf("Stamp = %+v, reference (%v, %d)", k, ev.schedAt, ev.seq)
+	}
+	q.steps, q.keys = append(q.steps, ev), append(q.keys, k)
+	if len(q.steps) == 1 {
+		q.slot.SetKey(0, ev.at, k)
+	}
+}
+
 func (m *orderModel) stopTimer(i int) {
 	if len(m.evs) == 0 {
 		return
@@ -258,6 +300,25 @@ func (m *orderModel) onSlot(i int) {
 		m.t.Fatalf("group ran empty slot %d", i)
 	}
 	m.slots[i] = nil
+	m.slotRun(ev)
+}
+
+// onQueue is a queue owner's slot callback: it pops the head, sets the
+// slot to the next one with its stamped key, then runs the popped step.
+func (m *orderModel) onQueue(q *refQueue) {
+	if len(q.steps) == 0 {
+		m.t.Fatalf("group ran an empty queue's slot")
+	}
+	ev := q.steps[0]
+	q.steps, q.keys = q.steps[1:], q.keys[1:]
+	if len(q.steps) > 0 {
+		q.slot.SetKey(0, q.steps[0].at, q.keys[0])
+	}
+	m.slotRun(ev)
+}
+
+// slotRun checks and runs one slot step.
+func (m *orderModel) slotRun(ev *refEvent) {
 	m.retire(ev)
 	switch f, n := m.e.Fired(), m.e.Inlined(); {
 	case f == m.fired+1 && n == m.inlined:
@@ -278,12 +339,21 @@ func (m *orderModel) onSlot(i int) {
 	}
 }
 
-// nextSlot returns the reference's earliest set slot, or nil.
+// nextSlot returns the reference's earliest set slot or queue head, or
+// nil.
 func (m *orderModel) nextSlot() *refEvent {
 	var best *refEvent
-	for _, ev := range m.slots {
+	consider := func(ev *refEvent) {
 		if ev != nil && (best == nil || ev.before(best)) {
 			best = ev
+		}
+	}
+	for _, ev := range m.slots {
+		consider(ev)
+	}
+	for _, q := range m.queues {
+		if q != nil && len(q.steps) > 0 {
+			consider(q.steps[0])
 		}
 	}
 	return best
@@ -308,9 +378,12 @@ func (m *orderModel) step(ev *refEvent, succ bool) {
 			case op == cbStopEngine:
 				m.e.Stop()
 				m.stopped = true
-			default:
+			case op == cbSet:
 				b := m.next()
 				m.setSlot(b, m.now+m.delay())
+			default:
+				b := m.next()
+				m.push(b, m.delay())
 			}
 		}
 		if !succ || m.next()&1 == 0 {
@@ -433,6 +506,9 @@ func (m *orderModel) run() {
 		case opBudget:
 			m.budget = m.fired + m.inlined + uint64(m.next()%32) + 1
 			m.e.SetEventBudget(m.budget)
+		case opPush:
+			b := m.next()
+			m.push(b, m.delay())
 		}
 		m.checkState()
 	}
@@ -488,6 +564,10 @@ func engineOrderSeeds() [][]byte {
 	// inside a callback body.
 	set := func(b byte, d []byte) []byte { return cat([]byte{opSet, b}, d) }
 	cbSetOp := func(b byte, d []byte) []byte { return cat([]byte{cbSet, b}, d) }
+	// push, cbPushOp: a push onto queue byte b at delay d, top-level and
+	// inside a callback body.
+	push := func(b byte, d []byte) []byte { return cat([]byte{opPush, b}, d) }
+	cbPushOp := func(b byte, d []byte) []byte { return cat([]byte{cbPush, b}, d) }
 	return [][]byte{
 		// Steps and successors straddling every cascade boundary.
 		cat([]byte{opAtArg}, cascade(1, 2), []byte{opAt}, cascade(2, 1),
@@ -542,5 +622,18 @@ func engineOrderSeeds() [][]byte {
 			[]byte{opRun}, []byte{0}, []byte{0},
 			set(0, small(1)), set(1, small(2)), set(2, small(3)), set(3, small(4)),
 			[]byte{opBudget, 2}, []byte{opRun}, []byte{0}, []byte{0}, []byte{0}),
+		// Two pushes onto queue 0 and then a Set of slot 0, all at 10:
+		// when the first push runs, the queue re-sets its slot with the
+		// second push's key, stamped before slot 0's, which must still run
+		// first (catches linking a slot by its time alone).
+		cat(push(0, small(10)), push(0, small(10)), set(0, small(10)), []byte{opRun},
+			[]byte{0}, []byte{0}, []byte{0}),
+		// Slot 0's callback reserves queue 1 with a push at 15, pushes
+		// again (clamped to 15) and sets slot 1 at 15; the queue's first
+		// step reserves queue 2 with a push at 15 too. All four run at 15
+		// in stamp order while slots are reserved mid-firing.
+		cat(set(0, small(10)), []byte{opRun},
+			[]byte{3}, cbPushOp(1, small(5)), cbPushOp(1, small(0)), cbSetOp(1, small(5)),
+			[]byte{1}, cbPushOp(2, small(0)), []byte{0}, []byte{0}, []byte{0}),
 	}
 }

@@ -38,6 +38,10 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// Peek returns the head item without removing it; the queue must not be
+// empty.
+func (q *FIFO[T]) Peek() T { return q.items[q.head] }
+
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 

@@ -5,7 +5,8 @@ import "testing"
 // TestFIFOStaysBounded: a queue kept non-empty through a million
 // push/pop pairs never drains fully, so only the half-array compaction
 // keeps its backing array from growing for the whole run. Order is FIFO
-// throughout, and popped slots are zeroed.
+// throughout, Peek sees the item Pop returns next, and popped slots are
+// zeroed.
 func TestFIFOStaysBounded(t *testing.T) {
 	var q FIFO[*int]
 	vals := make([]int, 1_000_000+8)
@@ -14,6 +15,9 @@ func TestFIFOStaysBounded(t *testing.T) {
 	}
 	for i := 8; i < len(vals); i++ {
 		q.Push(&vals[i])
+		if v := q.Peek(); v != &vals[i-8] {
+			t.Fatalf("peek %d: not the head", i-8)
+		}
 		if v := q.Pop(); v != &vals[i-8] {
 			t.Fatalf("pop %d: FIFO order broken", i-8)
 		}

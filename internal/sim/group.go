@@ -4,19 +4,24 @@ import "slices"
 
 // group multiplexes every slot of an engine onto one engine event. A slot
 // holds at most one pending firing of its owner's callback, keyed exactly
-// as an AtArg schedule made when the slot was set: (at, schedAt, seq),
-// with the tie-break half stamped from the engine at Set time. The group
-// keeps one engine event armed with its earliest slot's key. When that
-// event fires, the group runs the slot, then keeps running whichever slot
-// is next in key order, inline, for as long as runAhead proves it is the
-// engine's next event; the first slot runAhead refuses re-arms the event
-// with its own stamped key. Slot callbacks therefore run in precisely the
-// order one event per slot would give them (DESIGN.md §2), and a run of
+// as an AtArg schedule would be: (at, schedAt, seq). Set stamps the
+// tie-break half from the engine then; SetKey takes one stamped earlier
+// with Engine.Stamp, so an owner with several firings pending in FIFO
+// order (a link with frames on the wire) keeps one slot set to its head
+// under the key the head's own event would have had. The group keeps one
+// engine event armed with its earliest slot's key. When that event fires,
+// the group runs the slot, then keeps running whichever slot is next in
+// key order, inline, for as long as runAhead proves it is the engine's
+// next event; the first slot runAhead refuses re-arms the event with its
+// own stamped key. Slot callbacks therefore run in precisely the order
+// one event per firing would give them (DESIGN.md §2), and a run of
 // consecutive slot firings costs one engine fire instead of one each.
 //
-// Owners reserve ranges of slots with Engine.NewSlots. Since one group
-// serves the whole engine, a hand-off from one owner to another (a client
-// machine's slice completing just before the server's) runs inline too.
+// Owners reserve ranges of slots with Engine.NewSlots, at construction or
+// mid-run. Since one group serves the whole engine, a hand-off from one
+// owner to another (a frame's arrival raising the receiving NIC's
+// interrupt, a client machine's slice completing just before the
+// server's) runs inline too.
 type group struct {
 	e *Engine
 
@@ -61,34 +66,60 @@ func (e *Engine) NewSlots(n int, fn func(slot int)) Slots {
 	return Slots{g: g, base: base, n: n}
 }
 
+// Key is the tie-break half of an event's firing key: the clock when the
+// event was scheduled and a sequence number drawn from the engine then.
+type Key struct {
+	schedAt Time
+	seq     uint64
+}
+
+// Stamp draws the tie-break key an event scheduled now would get. An
+// owner queueing firings behind one slot stamps each when it is queued
+// and sets the slot with SetKey when that firing reaches the head.
+func (e *Engine) Stamp() Key { return Key{e.now, e.stamp()} }
+
 // Set schedules slot i of the range to fire at t, stamping its tie-break
 // key now. The slot must be empty; setting a time before now panics, as
 // At does.
-func (r Slots) Set(i int, t Time) {
+func (r Slots) Set(i int, t Time) { r.SetKey(i, t, r.g.e.Stamp()) }
+
+// SetKey schedules slot i of the range to fire at t under key k, stamped
+// by Engine.Stamp on the same engine, now or earlier. The slot fires
+// where an event scheduled when k was stamped would have fired.
+func (r Slots) SetKey(i int, t Time, k Key) {
 	if uint(i) >= uint(r.n) {
 		panic("sim: slot index out of range")
 	}
-	r.g.set(r.base+i, t)
+	r.g.set(r.base+i, t, k)
 }
 
-func (g *group) set(i int, t Time) {
-	e := g.e
-	if t < e.now {
+func (g *group) set(i int, t Time, k Key) {
+	if t < g.e.now {
 		panic("sim: group slot set before now")
 	}
 	s := &g.slots[i]
 	if s.set {
 		panic("sim: group slot already set")
 	}
-	s.at, s.schedAt, s.seq, s.set = t, e.now, e.stamp(), true
-	// Link it in (at, schedAt, seq) order, searching back from the latest
-	// slot: a slot set now usually completes after most of those already
-	// set. Every slot already set holds an earlier stamp from this engine,
-	// whose clock never runs backwards, so the search passes only the
-	// slots with a later time and stops at an equal one.
+	s.at, s.schedAt, s.seq, s.set = t, k.schedAt, k.seq, true
+	// Link it in (at, schedAt, seq) order after p, searching from the end
+	// of the list nearer to t: a CPU slice set now usually completes
+	// before most set slots, a frame on a long wire arrives after them. A
+	// key stamped earlier may sort before a set slot at an equal time, so
+	// the search compares whole keys.
 	p := g.tail
-	for p >= 0 && t < g.slots[p].at {
-		p = g.slots[p].prev
+	if h := g.head; h >= 0 && t-g.slots[h].at < g.slots[p].at-t {
+		// t is before the tail's time, so the search stops at the tail
+		// at the latest.
+		n := h
+		for g.slots[n].before(s) {
+			n = g.slots[n].next
+		}
+		p = g.slots[n].prev
+	} else {
+		for p >= 0 && s.before(&g.slots[p]) {
+			p = g.slots[p].prev
+		}
 	}
 	s.prev = p
 	if p < 0 {
@@ -106,6 +137,17 @@ func (g *group) set(i int, t Time) {
 	}
 	g.armed.Stop() // a no-op when nothing was armed
 	g.arm(i)
+}
+
+// before reports whether s fires before o: the (at, schedAt, seq) order.
+func (s *slot) before(o *slot) bool {
+	if s.at != o.at {
+		return s.at < o.at
+	}
+	if s.schedAt != o.schedAt {
+		return s.schedAt < o.schedAt
+	}
+	return s.seq < o.seq
 }
 
 // arm schedules the group's one event with slot i's stamped key.

@@ -43,3 +43,24 @@ func TestSlotRunsAheadPastCascadeBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestSlotKeyOrdersEqualTimes: a slot set with a key stamped before
+// another slot's Set runs first at an equal time, as an event scheduled
+// when its key was stamped would, whichever slot was set first. A search
+// that links slots by time alone puts it behind the equal-time slot.
+func TestSlotKeyOrdersEqualTimes(t *testing.T) {
+	e := New(1)
+	var got []string
+	a := e.NewSlots(1, func(int) { got = append(got, "early-stamp") })
+	b := e.NewSlots(1, func(int) { got = append(got, "late-stamp") })
+	k := e.Stamp()
+	b.Set(0, 10)
+	a.SetKey(0, 10, k)
+	e.Run()
+	if want := []string{"early-stamp", "late-stamp"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if e.Fired() != 1 || e.Inlined() != 1 {
+		t.Fatalf("fired %d, inlined %d; want 1 and 1", e.Fired(), e.Inlined())
+	}
+}

@@ -89,16 +89,17 @@ func (f *UDPFlow) send(done func(ok bool)) {
 // identical senders phase-lock against full queues and deterministic
 // drop patterns starve individual flows.
 func (f *UDPFlow) Flood(until sim.Time) {
-	// next and fire are allocated once and reference each other; the
-	// per-packet schedule reuses fire instead of wrapping a fresh
-	// closure around every send.
+	// The gap before the next send is one slot of the engine's group, so
+	// the send runs inline when nothing else comes first. next is
+	// allocated once and reused as every send's completion callback.
+	e := f.tb.Client.E
 	var next func(bool)
-	fire := func() { f.send(next) }
+	gap := e.NewSlots(1, func(int) { f.send(next) })
 	next = func(bool) {
-		if f.stopped || f.tb.Client.E.Now() >= until {
+		if f.stopped || e.Now() >= until {
 			return
 		}
-		f.tb.Client.E.After(sim.Time(f.rng.Intn(200)), fire)
+		gap.Set(0, e.Now()+sim.Time(f.rng.Intn(200)))
 	}
 	f.send(next)
 }
