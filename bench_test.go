@@ -212,6 +212,34 @@ func BenchmarkMachineSlices(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerSlices: a wheel timer that, like a Poisson generator's
+// tick, submits a CPU slice and reschedules itself, a gap longer than the
+// slice ahead. An op is one tick; fired/tick counts the engine events the
+// tick and its slice took: the slice runs inline when the tick returns,
+// since nothing else is due before it completes.
+func BenchmarkTimerSlices(b *testing.B) {
+	const cost, gap = 120, 1000
+	e := sim.New(1)
+	c := cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond).Core(0)
+	n := 0
+	var tick func()
+	tick = func() {
+		c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, nil)
+		if n++; n < b.N {
+			e.After(gap, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(gap, tick)
+	e.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+	b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/tick")
+	if n != b.N {
+		b.Fatalf("%d ticks ran, want %d", n, b.N)
+	}
+}
+
 // BenchmarkLinkArrivals: back-to-back 64 B frames on one 100G link into
 // a sink that sends the next frame as each one arrives, so a window of
 // frames keeps the serializer busy. An op is one frame; fired/frame

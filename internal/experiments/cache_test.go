@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"falcon/internal/devices"
 	"falcon/internal/workload"
 )
 
@@ -24,22 +25,39 @@ func TestAblCacheFloors(t *testing.T) {
 	}
 }
 
-// hotPathBeds are the two hot paths whose per-packet cost
-// TestHotPathAllocs and TestHotPathEvents bound: the full-window Falcon
-// stress with 1500B packets and the quick 16B stress through the RX
-// cache's hit leg. Each bound is the measured figure plus 10%.
-var hotPathBeds = []struct {
+// hotPathBeds are the hot paths whose per-packet cost TestHotPathAllocs
+// and TestHotPathEvents bound: the full-window Falcon stress with 1500B
+// packets, the quick 16B stress through the RX cache's hit leg, and a
+// quick Poisson-paced single flow through the RX cache, whose generator
+// ticks stay wheel timers. Each bound is the measured figure plus 10%.
+var hotPathBeds = []hotPathBed{
+	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0.6417 * 1.10, 0.005631 * 1.10, 94.7730 * 1.10},
+	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0.8106 * 1.10, 0.005479 * 1.10, 65.3015 * 1.10},
+	{"con-cache-poisson-64B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 64, true, 100_000, 0.3870 * 1.10, 1.529190 * 1.10, 35.8879 * 1.10},
+}
+
+type hotPathBed struct {
 	name     string
 	mode     workload.Mode
 	opt      Options
 	size     int
 	cache    bool
+	pps      float64 // SendAtRate's Poisson rate; 0 for the 3-client flood
 	allocs   float64 // heap allocations per delivered packet
 	events   float64 // engine events fired per delivered packet
 	executed float64 // engine events fired or run inline per delivered packet
-}{
-	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0.6417 * 1.10, 0.008295 * 1.10, 94.7730 * 1.10},
-	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0.8106 * 1.10, 0.007875 * 1.10, 65.3015 * 1.10},
+}
+
+// run runs the bed: the flood through cacheStress, a paced flow through
+// udpFixedRateBed.
+func (b hotPathBed) run() cacheRun {
+	if b.pps == 0 {
+		return cacheStress(b.mode, b.opt, b.size, b.cache)
+	}
+	o := b.opt
+	o.RxCache = b.cache
+	tb, res := udpFixedRateBed(b.mode, o, 100*devices.Gbps, b.size, b.pps)
+	return cacheRun{res: res, fired: tb.E.Fired(), inlined: tb.E.Inlined()}
 }
 
 // TestHotPathAllocs bounds the simulator's heap allocations per
@@ -52,7 +70,7 @@ func TestHotPathAllocs(t *testing.T) {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			r := cacheStress(tc.mode, tc.opt, tc.size, tc.cache)
+			r := tc.run()
 			runtime.ReadMemStats(&m1)
 			if r.res.Delivered == 0 {
 				t.Fatal("no packets delivered")
@@ -76,7 +94,7 @@ func TestHotPathAllocs(t *testing.T) {
 func TestHotPathEvents(t *testing.T) {
 	for _, tc := range hotPathBeds {
 		t.Run(tc.name, func(t *testing.T) {
-			r := cacheStress(tc.mode, tc.opt, tc.size, tc.cache)
+			r := tc.run()
 			if r.res.Delivered == 0 {
 				t.Fatal("no packets delivered")
 			}

@@ -102,6 +102,12 @@ func udpStress(mode workload.Mode, opt Options, link float64, size int) workload
 
 // udpFixedRate runs one single flow at a fixed packet rate.
 func udpFixedRate(mode workload.Mode, opt Options, link float64, size int, pps float64) workload.Result {
+	_, res := udpFixedRateBed(mode, opt, link, size, pps)
+	return res
+}
+
+// udpFixedRateBed is udpFixedRate, also returning the testbed it ran.
+func udpFixedRateBed(mode workload.Mode, opt Options, link float64, size int, pps float64) (*workload.Testbed, workload.Result) {
 	tb := newSingleFlowBed(mode, opt, link, false)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	var f *workload.UDPFlow
@@ -111,7 +117,7 @@ func udpFixedRate(mode workload.Mode, opt Options, link float64, size int, pps f
 		f = tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, size, 2, singleFlowAppCore, 1)
 	}
 	f.SendAtRate(pps, until)
-	return workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
+	return tb, workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
 }
 
 // tcpResult is a measured TCP window.

@@ -276,7 +276,7 @@ func (c *Cluster) Fired() uint64 {
 	return n
 }
 
-// Inlined returns the total runAhead steps across all engines. A shard
+// Inlined returns the total inline steps across all engines. A shard
 // sees fewer foreign events than the serial engine, so it inlines more.
 func (c *Cluster) Inlined() uint64 {
 	n := c.global.Inlined()

@@ -156,7 +156,7 @@ type Engine struct {
 	stopped  bool
 	deadline Time // current run's deadline; -1 outside Run/RunUntil
 	fired    uint64
-	inlined  uint64 // work run ahead inline (runAhead) instead of fired
+	inlined  uint64 // work run ahead by inline instead of fired
 	budget   uint64 // max events to fire or inline; 0 = unlimited
 	shard    int    // logical-process index when owned by a Cluster
 	group    *group // the slots reserved by NewSlots; nil before the first
@@ -176,7 +176,7 @@ type Engine struct {
 	// none). advance() rescans it once after collecting each slot and
 	// jumps straight to it on the next call; schedule() min-updates it.
 	// The bound is one-sided — a cancel may leave it stale-low, never
-	// stale-high — so NextAt is a single compare, runAhead is one on its
+	// stale-high — so NextAt is a single compare, inline is one on its
 	// fast path, and a stale-low hint costs at most one empty cursor jump.
 	nextHint uint64
 
@@ -218,7 +218,7 @@ func (e *Engine) SetClock(t Time) {
 // NextAt returns a lower bound on the firing time of the engine's next
 // event, and whether any event is pending. It reads the cached hint, so
 // it is O(1): the bound is exact right after a cursor move, by the run
-// loop or by runAhead, when the next event sits in wheel level 0 or the
+// loop or by inline, when the next event sits in wheel level 0 or the
 // overflow heap; for events parked in upper wheel levels it may be the
 // next cascade boundary instead, and a cancel may leave it stale-low (a
 // time before the event, never after it).
@@ -240,29 +240,41 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // runAhead lets the callback of the event being fired run a successor
-// inline (the group's next slot): it reports whether an event at t would
-// be the engine's next event to fire within the current run, whatever
-// its tie-break key, and, if so, advances the clock to t as firing it
-// would. The caller then performs that event's work directly, with no
-// schedule and no fire.
+// inline: it reports whether an event at t would be the engine's next
+// event to fire within the current run, whatever its tie-break key, and,
+// if so, advances the clock to t as firing it would. The caller then
+// performs that event's work directly, with no schedule and no fire.
 //
-// It is exact, not a heuristic. The due list must be empty, t must not
-// pass the current Run/RunUntil deadline, and the run must not have been
-// stopped. When t lies strictly below nextHint (a lower bound on every
-// pending event outside the due list) that is enough. Otherwise the hint
-// may be stale-low or a cascade boundary, so runAhead moves the wheel
-// cursor toward t exactly as the run loop's advance would, cascading
-// upper levels, and succeeds only if nothing falls due at or before t.
-// An equal-time pending event may fire first, depending on the keys, so
-// it refuses. Outside a run, and for t before now, runAhead reports
-// false. Inlined work counts towards the event budget and is reported by
+// It is exact, not a heuristic. No set group slot may be due at or
+// before t: inside a run the group arms its event only when the fired
+// event returns (settle), so a slot set earlier in this callback is not
+// yet on the wheel, and the slot must run first whatever its key. The
+// rest is inline's check against every pending engine event.
+func (e *Engine) runAhead(t Time) bool {
+	if g := e.group; g != nil && g.head >= 0 && t >= g.slots[g.head].at {
+		return false
+	}
+	return e.inline(t)
+}
+
+// inline is runAhead without the group's slots: the group asks it for
+// its own first slot. The due list must be empty, t must not pass the
+// current Run/RunUntil deadline, and the run must not have been stopped.
+// When t lies strictly below nextHint (a lower bound on every pending
+// event outside the due list) that is enough. Otherwise the hint may be
+// stale-low or a cascade boundary, so inline moves the wheel cursor
+// toward t exactly as the run loop's advance would, cascading upper
+// levels, and succeeds only if nothing falls due at or before t. An
+// equal-time pending event may fire first, depending on the keys, so it
+// refuses. Outside a run, and for t before now, it reports false.
+// Inlined work counts towards the event budget and is reported by
 // Inlined.
 //
 // A refusal may have moved the cursor, and the clock with it, to the
 // time of the event that fell due, which is never past t. The caller
 // must therefore schedule nothing after a refusal except with a key
-// stamped before it: groupFire re-arms with the slot's stamped key.
-func (e *Engine) runAhead(t Time) bool {
+// stamped before it: the group arms with the slot's stamped key.
+func (e *Engine) inline(t Time) bool {
 	if t > e.deadline || t < e.now || e.due.head != nil || e.stopped ||
 		uint64(t) >= e.nextHint && e.advance(uint64(t)) {
 		return false
@@ -275,7 +287,7 @@ func (e *Engine) runAhead(t Time) bool {
 	return true
 }
 
-// overBudget raises the event-budget panic for fireOne and runAhead.
+// overBudget raises the event-budget panic for fireOne and inline.
 func (e *Engine) overBudget() {
 	panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
 }
@@ -294,7 +306,7 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // diagnostics). Work run ahead inline is counted by Inlined instead.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Inlined returns the number of runAhead steps taken so far: events that
+// Inlined returns the number of inline steps taken so far: events that
 // would have been scheduled and fired next, executed inline instead.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
@@ -350,7 +362,7 @@ func (e *Engine) schedule(ev *event) {
 	x := uint64(ev.at) ^ e.cur
 	if x == 0 {
 		// Due events are outside the hint: they fire before any cursor
-		// move, and runAhead checks the due list directly.
+		// move, and inline checks the due list directly.
 		e.due.insert(ev)
 		return
 	}
@@ -500,7 +512,9 @@ func (e *Engine) run(deadline Time) {
 
 // fireOne pops the head of the due list and runs it. The event is
 // recycled before the callback executes, so callbacks can schedule new
-// work that reuses it, and stale Stop calls are already no-ops.
+// work that reuses it, and stale Stop calls are already no-ops. After
+// any event but the group's own, the group settles: its first slot runs
+// inline if it is now the engine's next event, or is armed.
 func (e *Engine) fireOne() {
 	ev := e.due.head
 	e.due.unlink(ev)
@@ -508,6 +522,7 @@ func (e *Engine) fireOne() {
 		e.now = ev.at
 	}
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	own := e.group != nil && e.group.armed == Timer{ev, ev.gen}
 	e.recycle(ev)
 	e.live--
 	e.fired++
@@ -518,6 +533,9 @@ func (e *Engine) fireOne() {
 		fn()
 	} else {
 		afn(arg)
+	}
+	if g := e.group; g != nil && g.head >= 0 && !own {
+		g.settle()
 	}
 }
 

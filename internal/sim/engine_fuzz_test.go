@@ -21,12 +21,15 @@ import (
 // work by that key, and checks that:
 //   - every step, fired or inlined, is the reference's next one, at the
 //     engine clock the reference expects;
-//   - runAhead succeeds exactly when no live event is due at or before
-//     t, within the run's deadline, before Stop; it refuses outside a
-//     run. The group runs its next slot inline under the same
-//     conditions, other set slots aside; each slot run is exactly one
-//     fire or one inline, and runs its own range's callback with the
-//     slot's index in that range, or its queue's head;
+//   - runAhead succeeds exactly when no live event or set slot is due at
+//     or before t, within the run's deadline, before Stop; it refuses
+//     outside a run. The group runs its next slot inline under the same
+//     conditions, other set slots aside, both after a slot run and when
+//     any other fired event returns (the settle rule): the slot then
+//     fires as an engine event only if that inline step was refused.
+//     Each slot run is exactly one fire or one inline, and runs its own
+//     range's callback with the slot's index in that range, or its
+//     queue's head;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
 //     reports liveness exactly, NextAt never overestimates, the
 //     Fired/Inlined/Pending counters match (a group holds one engine
@@ -135,8 +138,9 @@ type orderModel struct {
 	deadline Time                   // -1 outside runs
 	stopped  bool
 
-	// mustInline is the slot the group tries next after a slot run when
-	// nothing may refuse it: it must run inline, not fire.
+	// mustInline is the slot the group tries next, after a slot run or
+	// when any other fired event returns, when nothing may refuse it: it
+	// must run inline, not fire.
 	mustInline *refEvent
 
 	fired, inlined uint64
@@ -282,18 +286,30 @@ func (m *orderModel) retire(ev *refEvent) {
 	ev.done = true
 }
 
+// onFire is every engine event's callback. When it returns the group
+// settles: if nothing may refuse its first slot, that slot must run
+// inline.
 func (m *orderModel) onFire(arg any) {
 	ev := m.evs[arg.(int)]
 	m.retire(ev)
 	m.fired++
 	m.step(ev, true)
+	m.expectInline()
+}
+
+// expectInline sets mustInline to the group's first slot when nothing
+// may refuse it, and clears it otherwise.
+func (m *orderModel) expectInline() {
+	m.mustInline = nil
+	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at, false) == "" {
+		m.mustInline = nx
+	}
 }
 
 // onSlot is both ranges' callback, with i the slot's index in the group.
-// The first slot of a group firing is an engine fire; every further one
-// must be an inline step that runAhead allowed. After the slot's body,
-// the group tries its next slot: if nothing may refuse it, it must run
-// inline.
+// A slot runs as the group's engine fire or as an inline step that the
+// inline check allowed. After the slot's body, the group tries its next
+// slot: if nothing may refuse it, it must run inline.
 func (m *orderModel) onSlot(i int) {
 	ev := m.slots[i]
 	if ev == nil {
@@ -332,11 +348,8 @@ func (m *orderModel) slotRun(ev *refEvent) {
 	default:
 		m.t.Fatalf("slot run moved fired %d→%d, inlined %d→%d", m.fired, f, m.inlined, n)
 	}
-	m.mustInline = nil
 	m.step(ev, false)
-	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at, false) == "" {
-		m.mustInline = nx
-	}
+	m.expectInline()
 }
 
 // nextSlot returns the reference's earliest set slot or queue head, or
@@ -635,5 +648,11 @@ func engineOrderSeeds() [][]byte {
 		cat(set(0, small(10)), []byte{opRun},
 			[]byte{3}, cbPushOp(1, small(5)), cbPushOp(1, small(0)), cbSetOp(1, small(5)),
 			[]byte{1}, cbPushOp(2, small(0)), []byte{0}, []byte{0}, []byte{0}),
+		// An event at 10 sets slot 0 at 15 and hands off to a successor
+		// at 20: the slot is not armed yet, and runAhead must refuse the
+		// successor, which fires after the slot has run inline when the
+		// event returns (catches a runAhead that checks only the wheel).
+		cat([]byte{opAtArg}, small(10), []byte{opRun},
+			[]byte{1}, cbSetOp(0, small(5)), []byte{1}, small(10), []byte{0}, []byte{0, 0}),
 	}
 }

@@ -8,14 +8,20 @@ import "slices"
 // tie-break half from the engine then; SetKey takes one stamped earlier
 // with Engine.Stamp, so an owner with several firings pending in FIFO
 // order (a link with frames on the wire) keeps one slot set to its head
-// under the key the head's own event would have had. The group keeps one
-// engine event armed with its earliest slot's key. When that event fires,
-// the group runs the slot, then keeps running whichever slot is next in
-// key order, inline, for as long as runAhead proves it is the engine's
-// next event; the first slot runAhead refuses re-arms the event with its
-// own stamped key. Slot callbacks therefore run in precisely the order
-// one event per firing would give them (DESIGN.md §2), and a run of
-// consecutive slot firings costs one engine fire instead of one each.
+// under the key the head's own event would have had. Between events the
+// group keeps one engine event armed with its earliest slot's key. When
+// that event fires, the group runs the slot, then keeps running whichever
+// slot is next in key order, inline, for as long as the engine's inline
+// check proves it is the engine's next event; the first slot it refuses
+// arms the event with its own stamped key. Any other fired event settles
+// the group when its callback returns: the armed event is cancelled and
+// the first slot runs inline the same way, or is armed. A Set inside a
+// run therefore only links the slot, and a wheel timer's callback that
+// sets one (a generator tick submitting a send) goes on into it without
+// a second engine event. Slot callbacks run in precisely the order one
+// event per firing would give them (DESIGN.md §2), and a run of
+// consecutive slot firings costs at most one engine fire instead of one
+// each.
 //
 // Owners reserve ranges of slots with Engine.NewSlots, at construction or
 // mid-run. Since one group serves the whole engine, a hand-off from one
@@ -28,8 +34,7 @@ type group struct {
 	slots      []slot
 	head, tail int // the set slots, linked in key order; -1 when none
 
-	armed  Timer // carries the first slot's key while no firing runs
-	firing bool  // inside the armed event: Set leaves arming to the loop
+	armed Timer // carries the first slot's key between events
 }
 
 // slot is one pending firing: its time and stamped tie-break key, its
@@ -132,7 +137,9 @@ func (g *group) set(i int, t Time, k Key) {
 	} else {
 		g.slots[s.next].prev = i
 	}
-	if g.firing || g.head != i {
+	// Inside a run every Set comes from an event's callback, and the
+	// group's own loop, or the settle after any other event, arms it.
+	if g.e.deadline >= 0 || g.head != i {
 		return
 	}
 	g.armed.Stop() // a no-op when nothing was armed
@@ -156,13 +163,31 @@ func (g *group) arm(i int) {
 	g.armed = g.e.atStamped(s.at, s.schedAt, s.seq, groupFire, g)
 }
 
-// groupFire runs the armed slot, which is the earliest, and then, inline,
-// every next earliest slot that is provably the engine's next event.
-// Package-level so arming needs no closure.
+// groupFire runs the armed slot, which is the earliest, and then the
+// slots after it. Package-level so arming needs no closure.
 func groupFire(v any) {
 	g := v.(*group)
-	g.firing = true
-	for i := g.head; ; {
+	g.run(g.head)
+}
+
+// settle runs the first slot inline if it is the engine's next event,
+// after an event other than the group's own, or arms it. Any armed event
+// is cancelled first: the fired event may have set an earlier slot, and
+// the armed event would make the inline check refuse its own slot.
+func (g *group) settle() {
+	g.armed.Stop()
+	if i := g.head; g.e.inline(g.slots[i].at) {
+		g.run(i)
+	} else {
+		g.arm(i)
+	}
+}
+
+// run runs slot i, the first, and then, inline, every next first slot
+// that is provably the engine's next event, arming the first that is
+// not.
+func (g *group) run(i int) {
+	for {
 		s := &g.slots[i]
 		s.set, g.head = false, s.next
 		if g.head < 0 {
@@ -172,12 +197,11 @@ func groupFire(v any) {
 		}
 		s.fn(s.local)
 		if i = g.head; i < 0 {
-			break
+			return
 		}
-		if !g.e.runAhead(g.slots[i].at) {
+		if !g.e.inline(g.slots[i].at) {
 			g.arm(i)
-			break
+			return
 		}
 	}
-	g.firing = false
 }
