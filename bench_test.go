@@ -5,6 +5,7 @@
 package falcon_test
 
 import (
+	"fmt"
 	"testing"
 
 	falcon "falcon"
@@ -169,6 +170,46 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPendingTimers: k engine timers pending at once, each
+// rescheduling itself a pseudo-random gap of up to 1 µs ahead, so every
+// dispatch finds about k events queued. Each tick also re-arms one
+// retransmit-style timer 1 ms ahead with Stop and AfterArg, as TCP does
+// per segment; it never fires. k = 8 and k = 256 bracket the 3–179
+// events the benchmark workloads keep pending. An op is one tick.
+// BenchmarkEventDispatch keeps one event pending and cannot show what
+// the queue's depth costs.
+func BenchmarkPendingTimers(b *testing.B) {
+	for _, k := range []int{8, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			e := sim.New(1)
+			rng := sim.NewRand(1)
+			var rto sim.Timer
+			fired := func(any) { b.Fatal("retransmit timer fired") }
+			n := 0
+			var tick func(any)
+			tick = func(any) {
+				if n++; n >= b.N {
+					e.Stop()
+					return
+				}
+				e.AfterArg(sim.Time(1+rng.Intn(1000)), tick, nil)
+				rto.Stop()
+				rto = e.AfterArg(sim.Millisecond, fired, nil)
+			}
+			for i := 0; i < k; i++ {
+				e.AfterArg(sim.Time(1+rng.Intn(1000)), tick, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+			if n != b.N {
+				b.Fatalf("%d ticks ran, want %d", n, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkMachineSlices: k busy cores each run a chain of fixed-cost
 // slices, started k-th of a slice apart so their completions interleave,
 // as Falcon's pipelined softirq stages do. The cores=k cases put all k
@@ -212,7 +253,7 @@ func BenchmarkMachineSlices(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerSlices: a wheel timer that, like a Poisson generator's
+// BenchmarkTimerSlices: an engine timer that, like a Poisson generator's
 // tick, submits a CPU slice and reschedules itself, a gap longer than the
 // slice ahead. An op is one tick; fired/tick counts the engine events the
 // tick and its slice took: the slice runs inline when the tick returns,

@@ -29,7 +29,7 @@ func TestAblCacheFloors(t *testing.T) {
 // and TestHotPathEvents bound: the full-window Falcon stress with 1500B
 // packets, the quick 16B stress through the RX cache's hit leg, and a
 // quick Poisson-paced single flow through the RX cache, whose generator
-// ticks stay wheel timers. Each bound is the measured figure plus 10%.
+// ticks stay engine timers. Each bound is the measured figure plus 10%.
 var hotPathBeds = []hotPathBed{
 	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0.6417 * 1.10, 0.005631 * 1.10, 94.7730 * 1.10},
 	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0.8106 * 1.10, 0.005479 * 1.10, 65.3015 * 1.10},

@@ -64,7 +64,7 @@ func goldenTables(t testing.TB, id string) []*stats.Table {
 // TestGoldenDeterminism pins every visible experiment's output byte for
 // byte to its committed golden — every latency percentile, verdict and
 // counter included. This is the determinism contract (pooled events and
-// SKBs, the timing wheel, run-ahead slices and the flow caches must not
+// SKBs, the event heap, run-ahead slices and the flow caches must not
 // change a single simulated result) and the proof obligation of every
 // harness refactor. A new experiment without a golden fails here.
 func TestGoldenDeterminism(t *testing.T) {

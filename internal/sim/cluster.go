@@ -10,7 +10,7 @@ import (
 
 // Cluster is a conservative parallel discrete-event engine (PDES,
 // DESIGN.md §6). The topology is partitioned into logical processes
-// (LPs) — one timing-wheel Engine per shard, each owning the complete
+// (LPs) — one Engine per shard, each owning the complete
 // state of the hosts mapped to it — plus a coordinator-owned global
 // engine for control-plane events (experiment samplers, fault windows,
 // audit sweeps).
@@ -451,8 +451,8 @@ func (c *Cluster) drain() {
 const maxTime = Time(math.MaxInt64)
 
 // minNext fills c.nexts and returns the earliest pending LP event time.
-// Engine.NextAt reads the engine's cached hint, so this sweep costs
-// O(shards) loads, not O(shards) wheel scans.
+// Engine.NextAt reads the top of the engine's heap, so this sweep costs
+// O(shards) loads.
 func (c *Cluster) minNext() (Time, bool) {
 	t, ok := maxTime, false
 	for i, lp := range c.lps {

@@ -13,25 +13,22 @@ import (
 // mid-run, stamps each push's key with Engine.Stamp, never pushes a time
 // before its last one, and keeps its slot set to its head with SetKey.
 // Every executed step's callback may schedule more work, set slots, push,
-// cancel timers and stop the run. An event's callback may then hand off
-// to a successor directly: try runAhead, and schedule the successor only
-// if that is refused, with a key stamped before the try. A reference
-// model treats every set slot and every push as one event keyed (at,
-// schedAt, seq) with the key stamped at Set or push, orders all pending
-// work by that key, and checks that:
+// cancel timers and stop the run. A reference model treats every set
+// slot and every push as one event keyed (at, schedAt, seq) with the key
+// stamped at Set or push, orders all pending work by that key, and
+// checks that:
 //   - every step, fired or inlined, is the reference's next one, at the
 //     engine clock the reference expects;
-//   - runAhead succeeds exactly when no live event or set slot is due at
-//     or before t, within the run's deadline, before Stop; it refuses
-//     outside a run. The group runs its next slot inline under the same
-//     conditions, other set slots aside, both after a slot run and when
-//     any other fired event returns (the settle rule): the slot then
-//     fires as an engine event only if that inline step was refused.
-//     Each slot run is exactly one fire or one inline, and runs its own
+//   - the group runs its next slot inline exactly when no live event is
+//     due at or before the slot's time, within the run's deadline, before
+//     Stop, both after a slot run and when any other fired event returns
+//     (the settle rule): the slot fires as an engine event only if that
+//     inline step was refused. Outside a run inline always refuses. Each
+//     slot run is exactly one fire or one inline, and runs its own
 //     range's callback with the slot's index in that range, or its
 //     queue's head;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
-//     reports liveness exactly, NextAt never overestimates, the
+//     reports liveness exactly, NextAt is the next event's time, the
 //     Fired/Inlined/Pending counters match (a group holds one engine
 //     event while any slot is set), and the budget panics exactly at the
 //     first step past it.
@@ -58,7 +55,7 @@ const (
 	opRunUntil        // delay: RunUntil(now+delay)
 	opRun             // Run to completion
 	opSetClock        // delay: SetClock(now+delay), clamped to the next event
-	opRunAhead        // delay: runAhead outside a run must refuse
+	opInline          // delay: inline outside a run must refuse
 	opSet             // slot, delay: Slots.Set outside any firing
 	opBudget          // n: the engine may execute n%32+1 more steps
 	opPush            // queue, delay: push onto a queue owner
@@ -77,12 +74,14 @@ const (
 	numCbOps     = 10
 )
 
-// Delay classes (low two bits of the delay's first byte).
+// Delay classes (low two bits of the delay's first byte). The boundary
+// classes aim at the digit boundaries of the base-256 timing wheel the
+// engine once used; they stay as inputs.
 const (
 	dSmall    = iota // v ns
-	dCascade         // next base-256 boundary of level 1–3, ±2 ns
+	dCascade         // next multiple of 2^8, 2^16 or 2^24, ±2 ns
 	dShifted         // v << 8, 16 or 24
-	dOverflow        // next 2^32 (wheel horizon) boundary + v - 128
+	dOverflow        // next multiple of 2^32 + v - 128
 )
 
 // groupSlots is the fuzzed group's size; a slot byte picks one modulo it.
@@ -94,12 +93,12 @@ const (
 	queueOwners = 3
 )
 
-// refEvent is the reference model's record of one step, queued or inlined.
+// refEvent is the reference model's record of one scheduled event, set
+// slot or push.
 type refEvent struct {
 	at, schedAt Time
 	seq         uint64
 	timer       Timer
-	queued      bool // on the engine, in a group slot or queued (not inlined)
 	slot        bool // a group slot or push: no Timer, no engine event of its own
 	done        bool // fired, inlined or cancelled
 }
@@ -173,11 +172,11 @@ func (m *orderModel) delay() Time {
 	return v
 }
 
-// nextLive returns the reference's next queued event or slot, or nil.
+// nextLive returns the reference's next pending event or slot, or nil.
 func (m *orderModel) nextLive() *refEvent {
 	var best *refEvent
 	for _, ev := range m.evs {
-		if ev.queued && !ev.done && (best == nil || ev.before(best)) {
+		if !ev.done && (best == nil || ev.before(best)) {
 			best = ev
 		}
 	}
@@ -190,7 +189,7 @@ func (m *orderModel) live() int {
 	n, group := 0, 0
 	for _, ev := range m.evs {
 		switch {
-		case !ev.queued || ev.done:
+		case ev.done:
 		case ev.slot:
 			group = 1
 		default:
@@ -209,7 +208,6 @@ func (m *orderModel) newStep(t Time) int {
 
 func (m *orderModel) schedule(id int, arg bool) {
 	ev := m.evs[id]
-	ev.queued = true
 	if arg {
 		ev.timer = m.e.AtArg(ev.at, m.onFire, id)
 	} else {
@@ -224,7 +222,7 @@ func (m *orderModel) setSlot(b byte, t Time) {
 		return
 	}
 	ev := m.evs[m.newStep(t)]
-	ev.queued, ev.slot = true, true
+	ev.slot = true
 	m.slots[i] = ev
 	if i < rangeSlots {
 		m.ranges[0].Set(i, t)
@@ -245,7 +243,7 @@ func (m *orderModel) push(b byte, d Time) {
 	}
 	q.last = max(q.last, m.now+d)
 	ev := m.evs[m.newStep(q.last)]
-	ev.queued, ev.slot = true, true
+	ev.slot = true
 	k := m.e.Stamp()
 	if k != (Key{ev.schedAt, ev.seq}) {
 		m.t.Fatalf("Stamp = %+v, reference (%v, %d)", k, ev.schedAt, ev.seq)
@@ -264,7 +262,7 @@ func (m *orderModel) stopTimer(i int) {
 	if ev.slot {
 		return
 	}
-	want := ev.queued && !ev.done
+	want := !ev.done
 	if got := ev.timer.Stop(); got != want {
 		m.t.Fatalf("Timer.Stop = %t, want %t (at %v, now %v)", got, want, ev.at, m.now)
 	}
@@ -293,7 +291,7 @@ func (m *orderModel) onFire(arg any) {
 	ev := m.evs[arg.(int)]
 	m.retire(ev)
 	m.fired++
-	m.step(ev, true)
+	m.step(ev)
 	m.expectInline()
 }
 
@@ -301,7 +299,7 @@ func (m *orderModel) onFire(arg any) {
 // may refuse it, and clears it otherwise.
 func (m *orderModel) expectInline() {
 	m.mustInline = nil
-	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at, false) == "" {
+	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at) == "" {
 		m.mustInline = nx
 	}
 }
@@ -343,12 +341,14 @@ func (m *orderModel) slotRun(ev *refEvent) {
 		}
 		m.fired++
 	case f == m.fired && n == m.inlined+1:
-		m.checkRunAhead(ev, false)
+		if why := m.refusal(ev.at); why != "" {
+			m.t.Fatalf("group ran its slot at %v inline %s", ev.at, why)
+		}
 		m.inlined++
 	default:
 		m.t.Fatalf("slot run moved fired %d→%d, inlined %d→%d", m.fired, f, m.inlined, n)
 	}
-	m.step(ev, false)
+	m.step(ev)
 	m.expectInline()
 }
 
@@ -372,68 +372,35 @@ func (m *orderModel) nextSlot() *refEvent {
 	return best
 }
 
-// step runs one executed step's body and, for an engine event (succ),
-// its run-ahead successors. A slot callback takes no successor: during a
-// group firing the other slots are not on the engine, so only the group
-// may run ahead.
-func (m *orderModel) step(ev *refEvent, succ bool) {
-	for {
-		m.now = ev.at
-		if got := m.e.Now(); got != m.now {
-			m.t.Fatalf("clock %v at a step due %v", got, m.now)
+// step runs one executed step's body.
+func (m *orderModel) step(ev *refEvent) {
+	m.now = ev.at
+	if got := m.e.Now(); got != m.now {
+		m.t.Fatalf("clock %v at a step due %v", got, m.now)
+	}
+	for n := m.next() % 4; n > 0; n-- {
+		switch op := m.next() % numCbOps; {
+		case op < cbStopTimer:
+			m.schedule(m.newStep(m.now+m.delay()), op&1 == 1)
+		case op < cbStopEngine:
+			m.stopTimer(int(m.next()))
+		case op == cbStopEngine:
+			m.e.Stop()
+			m.stopped = true
+		case op == cbSet:
+			b := m.next()
+			m.setSlot(b, m.now+m.delay())
+		default:
+			b := m.next()
+			m.push(b, m.delay())
 		}
-		for n := m.next() % 4; n > 0; n-- {
-			switch op := m.next() % numCbOps; {
-			case op < cbStopTimer:
-				m.schedule(m.newStep(m.now+m.delay()), op&1 == 1)
-			case op < cbStopEngine:
-				m.stopTimer(int(m.next()))
-			case op == cbStopEngine:
-				m.e.Stop()
-				m.stopped = true
-			case op == cbSet:
-				b := m.next()
-				m.setSlot(b, m.now+m.delay())
-			default:
-				b := m.next()
-				m.push(b, m.delay())
-			}
-		}
-		if !succ || m.next()&1 == 0 {
-			return
-		}
-		id := m.newStep(m.now + m.delay())
-		ev = m.evs[id]
-		seq := m.e.stamp()
-		if !m.e.runAhead(ev.at) {
-			// The refusal may have moved the clock to the event that fell
-			// due: schedule with the key stamped before it, as the group
-			// re-arms.
-			if m.refusal(ev.at, true) == "" {
-				m.t.Fatalf("runAhead(%v) refused with nothing due at or before it", ev.at)
-			}
-			ev.queued = true
-			ev.timer = m.e.atStamped(ev.at, ev.schedAt, seq, m.onFire, id)
-			return
-		}
-		ev.done = true
-		m.checkRunAhead(ev, true)
-		m.inlined++
 	}
 }
 
-// checkRunAhead checks an inlined step against runAhead's conditions.
-func (m *orderModel) checkRunAhead(ev *refEvent, slots bool) {
-	if why := m.refusal(ev.at, slots); why != "" {
-		m.t.Fatalf("runAhead(%v) succeeded %s", ev.at, why)
-	}
-}
-
-// refusal returns why a runAhead to t within the current run must be
-// refused, or "" when it must succeed. Set slots count as live events
-// (their group's event is on the engine) unless the group itself is
-// running ahead (slots false).
-func (m *orderModel) refusal(t Time, slots bool) string {
+// refusal returns why the group's inline step to t within the current
+// run must be refused, or "" when it must succeed. Set slots other than
+// the one tried do not count: the group holds them, not the engine.
+func (m *orderModel) refusal(t Time) string {
 	switch {
 	case m.stopped:
 		return "after Stop"
@@ -441,7 +408,7 @@ func (m *orderModel) refusal(t Time, slots bool) string {
 		return fmt.Sprintf("past the deadline %v", m.deadline)
 	}
 	for _, o := range m.evs {
-		if o.queued && !o.done && o.at <= t && (slots || !o.slot) {
+		if !o.done && o.at <= t && !o.slot {
 			return fmt.Sprintf("with a live event at %v", o.at)
 		}
 	}
@@ -509,9 +476,9 @@ func (m *orderModel) run() {
 			}
 			m.e.SetClock(t)
 			m.now = max(m.now, t)
-		case opRunAhead:
-			if t := m.now + m.delay(); m.e.runAhead(t) {
-				m.t.Fatalf("runAhead(%v) succeeded outside a run", t)
+		case opInline:
+			if t := m.now + m.delay(); m.e.inline(t) {
+				m.t.Fatalf("inline(%v) succeeded outside a run", t)
 			}
 		case opSet:
 			b := m.next()
@@ -552,13 +519,13 @@ func (m *orderModel) checkState() {
 	switch {
 	case ok != (nx != nil):
 		m.t.Fatalf("NextAt reports pending=%t, reference %t", ok, nx != nil)
-	case ok && (at > nx.at || at < m.now):
-		m.t.Fatalf("NextAt = %v outside [now %v, next %v]", at, m.now, nx.at)
+	case ok && at != nx.at:
+		m.t.Fatalf("NextAt = %v, reference next %v", at, nx.at)
 	}
 }
 
-// engineOrderSeeds is the seed corpus: programs aimed at wheel cascade
-// boundaries, the overflow heap, equal-time ties, cancels and clock
+// engineOrderSeeds is the seed corpus: programs aimed at base-256
+// digit boundaries, far-future events, equal-time ties, cancels and clock
 // moves around inlined steps, and group slots.
 func engineOrderSeeds() [][]byte {
 	small := func(v byte) []byte { return []byte{dSmall, v} }
@@ -571,8 +538,8 @@ func engineOrderSeeds() [][]byte {
 		}
 		return out
 	}
-	// body: one scheduled child at d, then a run-ahead successor at s.
-	body := func(d, s []byte) []byte { return cat([]byte{1, cbSchedule}, d, []byte{1}, s) }
+	// body: two scheduled children, At at d and AtArg at s.
+	body := func(d, s []byte) []byte { return cat([]byte{2, cbSchedule}, d, []byte{cbSchedule + 1}, s) }
 	// set: a top-level Set of slot byte b at delay d; cbSetOp: the same
 	// inside a callback body.
 	set := func(b byte, d []byte) []byte { return cat([]byte{opSet, b}, d) }
@@ -582,28 +549,36 @@ func engineOrderSeeds() [][]byte {
 	push := func(b byte, d []byte) []byte { return cat([]byte{opPush, b}, d) }
 	cbPushOp := func(b byte, d []byte) []byte { return cat([]byte{cbPush, b}, d) }
 	return [][]byte{
-		// Steps and successors straddling every cascade boundary.
+		// Events, and children of theirs, at and around 2^8, 2^16 and
+		// 2^24, under a run that ends just past 2^24.
 		cat([]byte{opAtArg}, cascade(1, 2), []byte{opAt}, cascade(2, 1),
 			[]byte{opAtArg}, cascade(3, 3), []byte{opRunUntil}, cascade(3, 4),
 			body(cascade(1, 2), small(7)), body(cascade(2, 2), cascade(1, 0)),
 			body(small(0), cascade(1, 4)), []byte{opRun}),
-		// Overflow-heap events, a run to just before the horizon and past it.
+		// Events near 2^32 and 2^33, a run to just before 2^32, and
+		// children 2^32 ahead.
 		cat([]byte{opAt}, overflow(0, 128), []byte{opAtArg}, overflow(1, 127),
 			[]byte{opAtArg}, small(3), []byte{opRunUntil}, overflow(0, 127),
 			body(overflow(0, 200), small(1)), body(small(5), overflow(1, 128)),
 			[]byte{opRun}),
-		// A heap event scheduled by a step bounds that step's successor.
+		// A step schedules children about 2^32 and 2^33 ahead, and the
+		// nearer one two children at its own time.
 		cat([]byte{opAtArg}, small(5), []byte{opRun},
 			body(overflow(0, 128), overflow(1, 128)), body(small(0), small(0))),
-		// Equal-time ties: a successor at the time of a queued event (or
-		// beside a due one) must be refused and fire after it.
+		// Equal-time ties: the event at 10 sets slot 0 at 20, and the
+		// first of two events queued at 20 sets slot 1 at 20. Inline must
+		// refuse both while an event at 20 is queued; when the second
+		// returns, both run inline in stamp order.
 		cat([]byte{opAtArg}, small(10), []byte{opAt}, small(20), []byte{opAtArg}, small(20),
 			[]byte{opRunUntil}, small(30),
-			[]byte{0, 1}, small(10), []byte{0, 1}, small(0), []byte{0, 1}, small(0), []byte{0, 0}),
-		// Cancels, a stop inside a callback, and clock moves between runs.
+			[]byte{1}, cbSetOp(0, small(10)), []byte{1}, cbSetOp(1, small(0)),
+			[]byte{0}, []byte{0}, []byte{0}),
+		// Cancels, inline outside a run, a callback that stops its own
+		// (spent) timer, stops the run and sets a slot, which inline must
+		// then refuse, and clock moves between runs.
 		cat([]byte{opAtArg}, small(50), []byte{opAt}, small(60), []byte{opStop, 1},
-			[]byte{opSetClock}, small(40), []byte{opRunAhead}, small(1),
-			[]byte{opRunUntil}, small(100), []byte{2, cbStopTimer, 0, cbStopEngine, 1}, small(1),
+			[]byte{opSetClock}, small(40), []byte{opInline}, small(1),
+			[]byte{opRunUntil}, small(100), []byte{3, cbStopTimer, 0, cbStopEngine}, cbSetOp(0, small(1)),
 			[]byte{opAtArg}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
 		// Slot 2 fires and sets slots 3 and then 1 at one time: 3 has the
 		// earlier stamp and runs first (catches ties broken against stamp
@@ -611,18 +586,21 @@ func engineOrderSeeds() [][]byte {
 		cat(set(2, small(10)), []byte{opRun},
 			[]byte{2}, cbSetOp(3, small(5)), cbSetOp(1, small(5)), []byte{0}, []byte{0}),
 		// Slot 0 fires, sets slot 1 and then schedules an event, both at
-		// 15: runAhead refuses the slot, and its re-arm must keep the
-		// earlier stamp (catches a re-arm that draws a fresh seq).
+		// 15: inline refuses the slot, and the group's event must carry
+		// the slot's earlier stamp (catches an arm that draws a fresh seq).
 		cat(set(0, small(10)), []byte{opRun},
-			[]byte{2}, cbSetOp(1, small(5)), []byte{cbSchedule}, small(5), []byte{0}, []byte{0, 0}),
-		// An event queued first at exactly the next slot's time, which is
-		// nextHint: the slot must not run inline (catches <= nextHint).
+			[]byte{2}, cbSetOp(1, small(5)), []byte{cbSchedule}, small(5), []byte{0}, []byte{0}),
+		// An event queued first at exactly the next slot's time: the slot
+		// must not run inline before it (catches an inline check that
+		// refuses only events strictly before the slot), and runs inline
+		// when it returns.
 		cat([]byte{opAtArg}, small(15), set(0, small(10)), []byte{opRun},
-			[]byte{1}, cbSetOp(0, small(5)), []byte{0, 0}, []byte{0}),
-		// Slot 0 fires and sets slot 2, in the other range, at 257: past
-		// the cascade boundary 256 that a level-1 event at 258 leaves in
-		// nextHint, with nothing due before it. Slot 2 must run inline
-		// (catches a run-ahead that stops at a stale or cascade hint).
+			[]byte{1}, cbSetOp(0, small(5)), []byte{0}, []byte{0}),
+		// Slot 0 fires and sets slot 2, in the other range, at 257, with
+		// an event pending at 258 and nothing due before it. Slot 2 must
+		// run inline (catches an inline check against a bound below the
+		// next event's time, such as the 256 a timing wheel's level-1
+		// boundary gives).
 		cat(set(0, small(10)), []byte{opAtArg}, cascade(1, 4), []byte{opRun},
 			[]byte{1}, cbSetOp(2, small(247))),
 		// A top-level Set that preempts the armed slot (1 at 10 before 0
@@ -648,11 +626,11 @@ func engineOrderSeeds() [][]byte {
 		cat(set(0, small(10)), []byte{opRun},
 			[]byte{3}, cbPushOp(1, small(5)), cbPushOp(1, small(0)), cbSetOp(1, small(5)),
 			[]byte{1}, cbPushOp(2, small(0)), []byte{0}, []byte{0}, []byte{0}),
-		// An event at 10 sets slot 0 at 15 and hands off to a successor
-		// at 20: the slot is not armed yet, and runAhead must refuse the
-		// successor, which fires after the slot has run inline when the
-		// event returns (catches a runAhead that checks only the wheel).
+		// An event at 10 sets slot 0 at 15 and schedules an event at 20.
+		// The slot is not armed while the callback runs; when it returns
+		// the slot is the engine's next event and must run inline, before
+		// the event at 20 fires (catches a settle that always arms).
 		cat([]byte{opAtArg}, small(10), []byte{opRun},
-			[]byte{1}, cbSetOp(0, small(5)), []byte{1}, small(10), []byte{0}, []byte{0, 0}),
+			[]byte{2}, cbSetOp(0, small(5)), []byte{cbSchedule}, small(10), []byte{0}, []byte{0}),
 	}
 }

@@ -16,7 +16,7 @@ import "slices"
 // arms the event with its own stamped key. Any other fired event settles
 // the group when its callback returns: the armed event is cancelled and
 // the first slot runs inline the same way, or is armed. A Set inside a
-// run therefore only links the slot, and a wheel timer's callback that
+// run therefore only links the slot, and an engine timer's callback that
 // sets one (a generator tick submitting a send) goes on into it without
 // a second engine event. Slot callbacks run in precisely the order one
 // event per firing would give them (DESIGN.md §2), and a run of

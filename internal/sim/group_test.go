@@ -6,16 +6,17 @@ import (
 	"testing"
 )
 
-// TestSlotRunsAheadPastCascadeBoundary: an event pending in wheel level 1
-// leaves nextHint at its cascade boundary, below its firing time. A slot
-// set past that boundary must still run inline when nothing really fires
-// before it, and must be refused when the event comes first. The event
-// then settles the group as it returns, and the slot, now the engine's
-// next event, runs inline after it instead of firing.
+// TestSlotRunsAheadPastCascadeBoundary: a slot at 900 must run inline
+// when the one pending engine timer comes after it, and must be refused
+// when the timer comes first. The timer then settles the group as it
+// returns, and the slot, now the engine's next event, runs inline after
+// it instead of firing. (Both timers sit past 768, the level-1 boundary
+// of the timing wheel the engine once was, which a check against a lower
+// bound on the next event stopped at.)
 func TestSlotRunsAheadPastCascadeBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
-		event          Time // level 1: its cascade boundary is 768
+		event          Time
 		want           []string
 		fired, inlined uint64
 	}{

@@ -55,19 +55,21 @@ func TestStopAfterStopIsNoOp(t *testing.T) {
 
 // TestTimerStressSmallPool hammers schedule/fire/stop so every event
 // struct is recycled many times, checking that exactly the un-stopped
-// callbacks run, in non-decreasing time order, with Pending consistent.
+// callbacks run, each at its scheduled time, with Pending consistent.
+// Stops from the middle of the heap exercise removal's sift-up and
+// sift-down.
 func TestTimerStressSmallPool(t *testing.T) {
 	e := New(42)
 	rng := NewRand(7)
 	var fired, stopped, scheduled int
 	var last Time
 	var timers []Timer
-	var tick func()
-	tick = func() {
-		if e.Now() < last {
-			t.Fatalf("time went backwards: %v after %v", e.Now(), last)
+	var tick func(at Time)
+	tick = func(at Time) {
+		if e.Now() != at || at < last {
+			t.Fatalf("timer due %v ran at %v, after %v", at, e.Now(), last)
 		}
-		last = e.Now()
+		last = at
 		fired++
 		if scheduled >= 5000 {
 			return
@@ -76,8 +78,8 @@ func TestTimerStressSmallPool(t *testing.T) {
 		// (many of which are stale by now).
 		for i := 0; i < 3; i++ {
 			scheduled++
-			d := Time(rng.Intn(2000)) // spans level-0 and level-1 slots
-			timers = append(timers, e.After(d, tick))
+			at := e.Now() + Time(rng.Intn(2000))
+			timers = append(timers, e.At(at, func() { tick(at) }))
 		}
 		for i := 0; i < 2 && len(timers) > 0; i++ {
 			j := rng.Intn(len(timers))
@@ -90,7 +92,7 @@ func TestTimerStressSmallPool(t *testing.T) {
 		}
 	}
 	scheduled++
-	e.After(0, tick)
+	e.At(0, func() { tick(0) })
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after drain", e.Pending())
@@ -103,16 +105,17 @@ func TestTimerStressSmallPool(t *testing.T) {
 	}
 }
 
-// TestWheelAndHeapOrdering schedules events across every wheel level and
-// the overflow heap in shuffled order and verifies global (at, seq)
-// firing order.
+// TestWheelAndHeapOrdering schedules engine timers at and around 2^8,
+// 2^16, 2^24 and past 2^32 ns (the digit boundaries and horizon of the
+// timing wheel the engine once was) in shuffled order and verifies
+// global (at, seq) firing order.
 func TestWheelAndHeapOrdering(t *testing.T) {
 	e := New(1)
 	delays := []Time{
-		0, 1, 2, 255, 256, 257, // level 0 → 1 boundary
-		65535, 65536, 70000, // level 1 → 2 boundary
-		1 << 24, 1<<24 + 3, // level 3
-		1 << 32, 1<<32 + 1, 1 << 33, // beyond the horizon: heap
+		0, 1, 2, 255, 256, 257,
+		65535, 65536, 70000,
+		1 << 24, 1<<24 + 3,
+		1 << 32, 1<<32 + 1, 1 << 33,
 	}
 	perm := NewRand(9).Perm(len(delays))
 	type rec struct {
@@ -139,14 +142,15 @@ func TestWheelAndHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestHeapEventCrossesIntoWheel checks that a far-future event parked in
-// the overflow heap still fires at exactly its scheduled time.
+// TestHeapEventCrossesIntoWheel checks that an engine timer 5·2^32 ns
+// ahead (past the horizon of the timing wheel the engine once was) fires
+// at exactly its scheduled time while nearer events come and go.
 func TestHeapEventCrossesIntoWheel(t *testing.T) {
 	e := New(1)
-	const far = Time(5) << 32 // well past the wheel horizon
+	const far = Time(5) << 32
 	var at Time
 	e.At(far, func() { at = e.Now() })
-	// Keep the wheel busy on the way there.
+	// Keep the engine busy on the way there.
 	n := 0
 	var hop func()
 	hop = func() {
@@ -158,6 +162,6 @@ func TestHeapEventCrossesIntoWheel(t *testing.T) {
 	e.After(0, hop)
 	e.Run()
 	if at != far {
-		t.Fatalf("heap event fired at %v, want %v", at, far)
+		t.Fatalf("far event fired at %v, want %v", at, far)
 	}
 }
