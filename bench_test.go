@@ -100,29 +100,39 @@ func BenchmarkDeviceFlowHash(b *testing.B) {
 	}
 }
 
+// encapSKB is vxlan_xmit's in-place encapsulation, as the transmit path
+// runs it: inner headers (followed by payLen payload bytes) in an SKB
+// with headroom, skb_push, then the outer headers.
+func encapSKB(inner []byte, payLen int, ipID uint16) *skb.SKB {
+	s := skb.NewTx(len(inner), payLen, proto.OverlayOverhead)
+	copy(s.Data, inner)
+	s.Push(proto.OverlayOverhead)
+	proto.PutEncapHeaders(s.Data, proto.MACFromUint64(3), proto.MACFromUint64(4),
+		proto.IP4(192, 168, 1, 1), proto.IP4(192, 168, 1, 2), 49152, 42, ipID, len(inner)+payLen)
+	return s
+}
+
 func BenchmarkEncapsulate(b *testing.B) {
 	inner := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		proto.IP4(10, 32, 0, 1), proto.IP4(10, 32, 0, 2), 7000, 5001, 1,
-		make([]byte, 1400))
-	b.SetBytes(int64(len(inner)))
+		proto.IP4(10, 32, 0, 1), proto.IP4(10, 32, 0, 2), 7000, 5001, 1, 1400)
+	b.SetBytes(int64(len(inner) + 1400))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = proto.Encapsulate(inner, proto.MACFromUint64(3), proto.MACFromUint64(4),
-			proto.IP4(192, 168, 1, 1), proto.IP4(192, 168, 1, 2), 49152, 42, uint16(i))
+		encapSKB(inner, 1400, uint16(i)).Free()
 	}
 }
 
 func BenchmarkDecapsulate(b *testing.B) {
 	inner := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		proto.IP4(10, 32, 0, 1), proto.IP4(10, 32, 0, 2), 7000, 5001, 1,
-		make([]byte, 1400))
-	outer := proto.Encapsulate(inner, proto.MACFromUint64(3), proto.MACFromUint64(4),
-		proto.IP4(192, 168, 1, 1), proto.IP4(192, 168, 1, 2), 49152, 42, 7)
-	b.SetBytes(int64(len(outer)))
+		proto.IP4(10, 32, 0, 1), proto.IP4(10, 32, 0, 2), 7000, 5001, 1, 1400)
+	s := encapSKB(inner, 1400, 7)
+	outer := s.Data
+	b.SetBytes(int64(s.Len()))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := proto.Decapsulate(outer); err != nil {
-			b.Fatal(err)
+		s.SetData(outer, 1400)
+		if !s.DecapVXLAN() {
+			b.Fatal("decap failed")
 		}
 	}
 }
@@ -132,7 +142,7 @@ func BenchmarkGROPushFlush(b *testing.B) {
 		return proto.BuildTCPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
 			proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2),
 			proto.TCPHdr{SrcPort: 5000, DstPort: 80, Seq: seq, Flags: proto.TCPAck, Window: 65535},
-			0, make([]byte, 1400))
+			0, 1400)
 	}
 	frames := make([][]byte, 8)
 	for i := range frames {
@@ -144,7 +154,7 @@ func BenchmarkGROPushFlush(b *testing.B) {
 		for _, fr := range frames {
 			buf := make([]byte, len(fr))
 			copy(buf, fr)
-			e.Push(skb.New(buf))
+			e.Push(skb.New(buf, 1400))
 		}
 		if out := e.Flush(); len(out) != 1 {
 			b.Fatalf("flush = %d", len(out))
@@ -292,7 +302,7 @@ func BenchmarkLinkArrivals(b *testing.B) {
 	sent := 0
 	send := func() {
 		sent++
-		if !l.Send(skb.NewTx(64, 0)) {
+		if !l.Send(skb.NewTx(64, 0, 0)) {
 			b.Fatal("link queue full")
 		}
 	}

@@ -66,7 +66,7 @@ func NewServer(h *overlay.Host, ctr *overlay.Container, port uint16, appCore int
 	srv.Sock = h.OpenUDP(ip, port, appCore)
 	srv.Sock.AppWork = appWork
 	srv.Sock.OnDeliver = func(s *skb.SKB) {
-		f, err := proto.ParseFrame(s.Data)
+		f, err := s.Frame()
 		if err != nil {
 			return
 		}
@@ -74,7 +74,7 @@ func NewServer(h *overlay.Host, ctr *overlay.Container, port uint16, appCore int
 		req := Request{
 			ConnID:  s.FlowID,
 			Seq:     s.Seq,
-			Size:    len(f.Payload),
+			Size:    f.PayloadLen(),
 			SrcIP:   f.IP.Src,
 			SrcPort: f.SrcPort(),
 		}

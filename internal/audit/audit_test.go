@@ -30,7 +30,7 @@ func kinds(vs []Violation) []string {
 
 func TestLeakDetectedAtFinal(t *testing.T) {
 	e, a, got := collector(t, Config{})
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:leak-site")
 	s.Stage("test:limbo")
 	e.RunUntil(3 * sim.Millisecond)
@@ -50,7 +50,7 @@ func TestLeakDetectedAtFinal(t *testing.T) {
 
 func TestDoubleFreeAttribution(t *testing.T) {
 	_, a, got := collector(t, Config{})
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:df-site")
 	s.Stage("test:df-stage")
 	s.Free()
@@ -66,7 +66,7 @@ func TestDoubleFreeAttribution(t *testing.T) {
 
 func TestStaleHandleFree(t *testing.T) {
 	_, a, got := collector(t, Config{})
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:stale-site")
 	h := s.Handle()
 	s.Free()
@@ -86,7 +86,7 @@ func TestStaleHandleFree(t *testing.T) {
 
 func TestStageAfterFreeIsUseAfterFree(t *testing.T) {
 	_, a, got := collector(t, Config{})
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:uaf")
 	s.Free()
 	s.Stage("test:too-late")
@@ -208,7 +208,7 @@ func TestQueueValidationCleanAndLedgerCoherence(t *testing.T) {
 	q := skb.NewQueue(8)
 	a.AddQueue("test-ring", q)
 	for i := 0; i < 4; i++ {
-		s := skb.NewTx(64, 0)
+		s := skb.NewTx(64, 0, 0)
 		s.Audit(a, "test:q")
 		q.Enqueue(s)
 	}
@@ -229,7 +229,7 @@ func TestAbortPanicsWithoutCollector(t *testing.T) {
 	e := sim.New(1)
 	a := New(e, Config{}) // no OnViolation: violations abort
 	a.Start()
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:abort")
 	s.Free()
 	defer func() {
@@ -284,7 +284,7 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 
 func TestDumpIncludesStateAndRing(t *testing.T) {
 	e, a, _ := collector(t, Config{})
-	s := skb.NewTx(64, 0)
+	s := skb.NewTx(64, 0, 0)
 	s.Audit(a, "test:dump")
 	s.Stage("test:stage-a")
 	s.Free()

@@ -18,7 +18,7 @@ func newFalcon(cores int, cfg Config) (*sim.Engine, *cpu.Machine, *Falcon) {
 }
 
 func testSKB(flow uint16) *skb.SKB {
-	s := skb.New(nil)
+	s := skb.New(nil, 0)
 	s.Hash = skb.FlowKey{SrcPort: flow, DstPort: 80, Proto: 17}.Hash()
 	s.HashValid = true
 	return s

@@ -19,7 +19,7 @@ func TestLinkLossRate(t *testing.T) {
 		if i == n {
 			return
 		}
-		l.Send(skb.New(make([]byte, 64)))
+		l.Send(skb.New(nil, 64))
 		e.After(100, func() { send(i + 1) })
 	}
 	send(0)
@@ -43,7 +43,7 @@ func TestLinkJitterPreservesOrder(t *testing.T) {
 	var got []uint64
 	l.Deliver = func(s *skb.SKB) { got = append(got, s.Seq) }
 	for i := uint64(0); i < 200; i++ {
-		s := skb.New(make([]byte, 64))
+		s := skb.New(nil, 64)
 		s.Seq = i
 		l.Send(s)
 	}
@@ -66,7 +66,7 @@ func TestLinkJitterDelaysDelivery(t *testing.T) {
 		var last sim.Time
 		l.Deliver = func(s *skb.SKB) { last = e.Now() }
 		for i := 0; i < 50; i++ {
-			l.Send(skb.New(make([]byte, 64)))
+			l.Send(skb.New(nil, 64))
 		}
 		e.Run()
 		return last
@@ -82,7 +82,7 @@ func TestLinkZeroImpairmentsUnchanged(t *testing.T) {
 	delivered := 0
 	l.Deliver = func(s *skb.SKB) { delivered++ }
 	for i := 0; i < 100; i++ {
-		l.Send(skb.New(make([]byte, 64)))
+		l.Send(skb.New(nil, 64))
 	}
 	e.Run()
 	if delivered != 100 || l.Lost.Value() != 0 {

@@ -31,7 +31,7 @@ func TestLinkDeliversInOrderWithDelay(t *testing.T) {
 		times = append(times, e.Now())
 	}
 	for i := uint64(0); i < 3; i++ {
-		s := skb.New(make([]byte, 1500))
+		s := skb.New(nil, 1500)
 		s.Seq = i
 		if !l.Send(s) {
 			t.Fatal("send failed")
@@ -101,7 +101,7 @@ func TestLinkLookaheadNeverOverestimated(t *testing.T) {
 			l.Jitter = 0
 			l.LossRate = 0
 		}
-		s := skb.New(make([]byte, 64+rng.Intn(1400)))
+		s := skb.New(nil, 64+rng.Intn(1400))
 		s.Seq = seq
 		sent[seq] = e.Now()
 		seq++
@@ -122,7 +122,7 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	l.Deliver = func(s *skb.SKB) {}
 	sent := 0
 	for i := 0; i < 20; i++ {
-		if l.Send(skb.New(make([]byte, 1500))) {
+		if l.Send(skb.New(nil, 1500)) {
 			sent++
 		}
 	}
@@ -134,7 +134,7 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	}
 	e.Run()
 	// After drain the queue frees up.
-	if !l.Send(skb.New(make([]byte, 64))) {
+	if !l.Send(skb.New(nil, 64)) {
 		t.Fatal("send after drain failed")
 	}
 }
@@ -144,7 +144,7 @@ func TestLinkStampsWireTime(t *testing.T) {
 	l := NewLink(e, 10*Gbps, 0)
 	l.Deliver = func(s *skb.SKB) {}
 	e.After(1000, func() {
-		s := skb.New(make([]byte, 64))
+		s := skb.New(nil, 64)
 		l.Send(s)
 		if s.WireTime != 1000 {
 			t.Errorf("wire time = %v", s.WireTime)
@@ -160,7 +160,7 @@ func TestLinkBusy(t *testing.T) {
 	if l.Busy() {
 		t.Fatal("idle link busy")
 	}
-	l.Send(skb.New(make([]byte, 9000)))
+	l.Send(skb.New(nil, 9000))
 	if !l.Busy() {
 		t.Fatal("transmitting link not busy")
 	}

@@ -1,7 +1,6 @@
 package devices
 
 import (
-	"bytes"
 	"testing"
 
 	"falcon/internal/costmodel"
@@ -27,17 +26,17 @@ func newNIC(t *testing.T, cores int, rssCores []int, groOn bool) (*sim.Engine, *
 
 func udpSKB(srcPort uint16, seq uint64) *skb.SKB {
 	s := skb.New(proto.BuildUDPFrame(macFor(1), macFor(2),
-		proto.IP4(192, 168, 0, 1), proto.IP4(192, 168, 0, 2), srcPort, 9000, uint16(seq), []byte("pp")))
+		proto.IP4(192, 168, 0, 1), proto.IP4(192, 168, 0, 2), srcPort, 9000, uint16(seq), 2), 2)
 	s.Seq = seq
 	s.FlowID = uint64(srcPort)
 	return s
 }
 
-func tcpSKB(srcPort uint16, seq uint32, payload []byte) *skb.SKB {
+func tcpSKB(srcPort uint16, seq uint32, payLen int) *skb.SKB {
 	return skb.New(proto.BuildTCPFrame(macFor(1), macFor(2),
 		proto.IP4(192, 168, 0, 1), proto.IP4(192, 168, 0, 2),
 		proto.TCPHdr{SrcPort: srcPort, DstPort: 80, Seq: seq, Flags: proto.TCPAck, Window: 65535},
-		0, payload))
+		0, payLen), payLen)
 }
 
 func TestPNICDeliversPackets(t *testing.T) {
@@ -138,7 +137,7 @@ func TestPNICDropsUnparsableFrame(t *testing.T) {
 	e, _, nic := newNIC(t, 1, []int{0}, false)
 	delivered := 0
 	nic.OnReceive = func(c *cpu.Core, s *skb.SKB, done func()) { delivered++; done() }
-	nic.Arrive(skb.New([]byte{1, 2, 3}))
+	nic.Arrive(skb.New([]byte{1, 2, 3}, 0))
 	e.Run()
 	if nic.Drops.Value() != 1 || delivered != 0 {
 		t.Fatal("garbage frame not dropped")
@@ -152,7 +151,7 @@ func TestPNICGROMergesTCPBatch(t *testing.T) {
 		out = append(out, s)
 		done()
 	}
-	payload := bytes.Repeat([]byte{'x'}, 1000)
+	payload := 1000
 	for i := 0; i < 8; i++ {
 		nic.Arrive(tcpSKB(5000, uint32(i*1000), payload))
 	}
@@ -163,7 +162,7 @@ func TestPNICGROMergesTCPBatch(t *testing.T) {
 	if out[0].Segs != 8 {
 		t.Fatalf("segs = %d, want 8", out[0].Segs)
 	}
-	if _, err := proto.ParseFrame(out[0].Data); err != nil {
+	if _, err := out[0].Frame(); err != nil {
 		t.Fatalf("merged frame invalid: %v", err)
 	}
 }
@@ -173,7 +172,7 @@ func TestPNICGROOffNoMerge(t *testing.T) {
 	count := 0
 	nic.OnReceive = func(c *cpu.Core, s *skb.SKB, done func()) { count++; done() }
 	for i := 0; i < 8; i++ {
-		nic.Arrive(tcpSKB(5000, uint32(i*100), bytes.Repeat([]byte{'x'}, 100)))
+		nic.Arrive(tcpSKB(5000, uint32(i*100), 100))
 	}
 	e.Run()
 	if count != 8 {
@@ -196,7 +195,7 @@ func TestPNICGROFlushOnBudgetExhaustion(t *testing.T) {
 		out = append(out, s)
 		done()
 	}
-	payload := bytes.Repeat([]byte{'x'}, 1000)
+	payload := 1000
 	for i := 0; i < 10; i++ {
 		nic.Arrive(tcpSKB(6000, uint32(i*1000), payload))
 	}
@@ -210,7 +209,7 @@ func TestPNICGROFlushOnBudgetExhaustion(t *testing.T) {
 		if s.Segs > nic.Budget {
 			t.Fatalf("packet %d merged %d segs across a budget boundary", i, s.Segs)
 		}
-		if _, err := proto.ParseFrame(s.Data); err != nil {
+		if _, err := s.Frame(); err != nil {
 			t.Fatalf("super-packet %d invalid: %v", i, err)
 		}
 	}

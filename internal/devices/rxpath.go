@@ -397,25 +397,23 @@ func (rx *RxPath) reassemble(c *cpu.Core, s *skb.SKB, done func()) {
 	if rx.Reasm == nil {
 		rx.Reasm = ipfrag.NewReassembler()
 	}
-	whole, err := rx.Reasm.Add(s.Data, rx.St.M.E.Now())
+	whole, err := rx.Reasm.Add(s.Data, s.PayLen(), rx.St.M.E.Now())
 	if err != nil {
 		rx.PathDrops.Inc()
 		s.Drop(skb.DropReasm)
 		done()
 		return
 	}
-	if whole == nil {
-		// Datagram incomplete: the reassembler retained the fragment's
-		// payload bytes, so the buffer must not be recycled with the skb.
-		s.DisownBuf()
+	if whole.Data == nil {
+		// Datagram incomplete: the reassembler holds the fragment.
 		s.Stage("reasm-absorbed")
 		s.Free()
 		done()
 		return
 	}
-	s.SetData(whole)
+	s.SetData(whole.Data, whole.PayLen)
 	// The linearization copy of the completed datagram.
-	c.Exec(stats.CtxSoftIRQ, costmodel.FnSKBAlloc, len(whole), func() {
+	c.Exec(stats.CtxSoftIRQ, costmodel.FnSKBAlloc, s.Len(), func() {
 		rx.l3Entry(c, s, done)
 	})
 }

@@ -39,7 +39,7 @@ func auditSelftest(opt Options, cfg audit.Config, pps float64, until, at sim.Tim
 // teardown leak check must abort naming site "selftest:leak".
 func auditLeak(opt Options) []*stats.Table {
 	return auditSelftest(opt, audit.Config{}, 20_000, opt.warmup(), opt.warmup()/2, func(tb *workload.Testbed) {
-		s := skb.NewTx(64, 0)
+		s := skb.NewTx(64, 0, 0)
 		s.Audit(tb.Audit, "selftest:leak")
 		s.Stage("selftest:limbo")
 	})
@@ -49,7 +49,7 @@ func auditLeak(opt Options) []*stats.Table {
 // second free and the auditor must abort with kind "double-free".
 func auditDoubleFree(opt Options) []*stats.Table {
 	return auditSelftest(opt, audit.Config{}, 20_000, opt.warmup(), opt.warmup()/2, func(tb *workload.Testbed) {
-		s := skb.NewTx(64, 0)
+		s := skb.NewTx(64, 0, 0)
 		s.Audit(tb.Audit, "selftest:double-free")
 		s.Stage("selftest:used")
 		s.Free()

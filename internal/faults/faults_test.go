@@ -30,7 +30,7 @@ func TestLinkLossBurstWindow(t *testing.T) {
 
 	// One frame before, one inside, one after the window.
 	for _, at := range []sim.Time{500 * sim.Microsecond, 1500 * sim.Microsecond, 2500 * sim.Microsecond} {
-		e.At(at, func() { l.Send(skb.New(make([]byte, 64))) })
+		e.At(at, func() { l.Send(skb.New(nil, 64)) })
 	}
 	e.Run()
 

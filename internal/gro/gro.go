@@ -6,9 +6,10 @@
 // why Falcon's softirq *splitting* moves napi_gro_receive to its own
 // core ("GRO-splitting", Section 4.2).
 //
-// The engine operates on real frame bytes: merged super-packets carry a
-// rewritten IPv4 header (length + checksum) so they still parse as valid
-// frames downstream.
+// The engine operates on real header bytes and payload lengths: a merge
+// adds the absorbed segment's payload length to the super-packet and
+// rewrites its IPv4 header (length + checksum), so it still parses as a
+// valid frame downstream.
 package gro
 
 import "falcon/internal/skb"
@@ -61,23 +62,23 @@ func (e *Engine) Push(s *skb.SKB) *skb.SKB {
 	id := flowKeyID{key: gi.key}
 	h, found := e.table[id]
 	if !found {
-		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(len(gi.payload)), innerOff: gi.innerOff}
+		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(gi.payLen), innerOff: gi.innerOff}
 		e.order = append(e.order, id)
 		return nil
 	}
 	// Contiguity, size and same-encapsulation checks.
 	if gi.seq != h.nextSeq || gi.innerOff != h.innerOff ||
-		len(h.s.Data)+len(gi.payload) > MaxMergedBytes {
+		h.s.Len()+gi.payLen > MaxMergedBytes {
 		// Release the held super-packet; s becomes the new head.
 		out := h.s
-		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(len(gi.payload)), innerOff: gi.innerOff}
+		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(gi.payLen), innerOff: gi.innerOff}
 		return out
 	}
-	mergeAt(h.s, gi.payload, h.innerOff)
+	mergeAt(h.s, gi.payLen, h.innerOff)
 	h.s.Segs += s.Segs
-	h.nextSeq += uint32(len(gi.payload))
+	h.nextSeq += uint32(gi.payLen)
 	e.Merged++
-	// The absorbed segment's payload was copied into the super-packet;
+	// The absorbed segment's payload now counts in the super-packet;
 	// recycle it (the kernel frees merged skbs in gro_pull_from_frag0).
 	s.Stage("gro-absorbed")
 	s.Free()

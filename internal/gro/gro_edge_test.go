@@ -1,9 +1,6 @@
 package gro
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestOutOfOrderAbsorbTable pins Push's merge decision against every
 // out-of-order shape one flow can produce relative to a held run
@@ -27,11 +24,10 @@ func TestOutOfOrderAbsorbTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()
-			head := bytes.Repeat([]byte{'a'}, 100)
-			if e.Push(tcpSeg(5000, 1000, head)) != nil {
+			if e.Push(tcpSeg(5000, 1000, 100)) != nil {
 				t.Fatal("head segment not held")
 			}
-			out := e.Push(tcpSeg(5000, tc.seq, bytes.Repeat([]byte{'b'}, 100)))
+			out := e.Push(tcpSeg(5000, tc.seq, 100))
 			if tc.absorb {
 				if out != nil {
 					t.Fatal("exact-next segment not absorbed")
@@ -43,7 +39,7 @@ func TestOutOfOrderAbsorbTable(t *testing.T) {
 				if out == nil {
 					t.Fatalf("seq %d did not release the held packet", tc.seq)
 				}
-				if got := payloadOf(t, out); !bytes.Equal(got, head) {
+				if seq, n := segOf(t, out); seq != 1000 || n != 100 {
 					t.Fatal("released packet is not the held head")
 				}
 				if e.Merged != 0 {
@@ -56,7 +52,7 @@ func TestOutOfOrderAbsorbTable(t *testing.T) {
 			if e.HeldCount() != 1 {
 				t.Fatalf("HeldCount = %d, want 1", e.HeldCount())
 			}
-			if e.Push(tcpSeg(5000, tc.newNext, []byte("zz"))) != nil {
+			if e.Push(tcpSeg(5000, tc.newNext, 2)) != nil {
 				t.Fatalf("segment at new nextSeq %d not absorbed", tc.newNext)
 			}
 			if fl := e.Flush(); len(fl) != 1 {
@@ -73,13 +69,13 @@ func TestOutOfOrderAbsorbTable(t *testing.T) {
 // not disturb another flow's in-progress merge.
 func TestInterleavedFlowsKeepIndependentRuns(t *testing.T) {
 	e := New()
-	e.Push(tcpSeg(5000, 0, bytes.Repeat([]byte{'a'}, 50)))
-	e.Push(tcpSeg(6000, 0, bytes.Repeat([]byte{'x'}, 50)))
+	e.Push(tcpSeg(5000, 0, 50))
+	e.Push(tcpSeg(6000, 0, 50))
 	// Flow 5000 jumps; flow 6000 stays contiguous.
-	if e.Push(tcpSeg(5000, 7777, bytes.Repeat([]byte{'b'}, 50))) == nil {
+	if e.Push(tcpSeg(5000, 7777, 50)) == nil {
 		t.Fatal("gap on flow 5000 not released")
 	}
-	if e.Push(tcpSeg(6000, 50, bytes.Repeat([]byte{'y'}, 50))) != nil {
+	if e.Push(tcpSeg(6000, 50, 50)) != nil {
 		t.Fatal("contiguous segment on flow 6000 not absorbed")
 	}
 	out := e.Flush()
@@ -90,7 +86,7 @@ func TestInterleavedFlowsKeepIndependentRuns(t *testing.T) {
 	// flow's reset in between.
 	var found bool
 	for _, s := range out {
-		if s.Segs == 2 && len(payloadOf(t, s)) == 100 {
+		if _, n := segOf(t, s); s.Segs == 2 && n == 100 {
 			found = true
 		}
 	}

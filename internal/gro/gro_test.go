@@ -1,33 +1,37 @@
 package gro
 
 import (
-	"bytes"
 	"testing"
 
 	"falcon/internal/proto"
 	"falcon/internal/skb"
 )
 
-func tcpSeg(srcPort uint16, seq uint32, payload []byte) *skb.SKB {
+func tcpSeg(srcPort uint16, seq uint32, payLen int) *skb.SKB {
 	frame := proto.BuildTCPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
 		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2),
 		proto.TCPHdr{SrcPort: srcPort, DstPort: 80, Seq: seq, Flags: proto.TCPAck, Window: 65535},
-		0, payload)
-	return skb.New(frame)
+		0, payLen)
+	return skb.New(frame, payLen)
 }
 
 func udpPkt() *skb.SKB {
 	return skb.New(proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 100, 200, 0, []byte("u")))
+		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 100, 200, 0, 1), 1)
 }
 
-func payloadOf(t *testing.T, s *skb.SKB) []byte {
+// segOf parses s and returns its TCP sequence number and payload
+// length: the run a (super-)packet carries.
+func segOf(t *testing.T, s *skb.SKB) (seq uint32, payLen int) {
 	t.Helper()
-	f, err := proto.ParseFrame(s.Data)
+	f, err := s.Frame()
 	if err != nil {
 		t.Fatalf("merged frame does not parse: %v", err)
 	}
-	return f.Payload
+	if s.Len() != proto.EthLen+int(f.IP.TotalLen) {
+		t.Fatalf("skb length %d disagrees with IPv4 total length %d", s.Len(), f.IP.TotalLen)
+	}
+	return f.TCP.Seq, f.PayloadLen()
 }
 
 func TestUDPPassesThrough(t *testing.T) {
@@ -43,7 +47,7 @@ func TestUDPPassesThrough(t *testing.T) {
 
 func TestUnparsablePassesThrough(t *testing.T) {
 	e := New()
-	p := skb.New([]byte{1, 2, 3})
+	p := skb.New([]byte{1, 2, 3}, 0)
 	if got := e.Push(p); got != p {
 		t.Fatal("garbage not passed through")
 	}
@@ -51,7 +55,7 @@ func TestUnparsablePassesThrough(t *testing.T) {
 
 func TestControlSegmentsPassThrough(t *testing.T) {
 	e := New()
-	syn := tcpSeg(5000, 0, nil)
+	syn := tcpSeg(5000, 0, 0)
 	// Zero-payload control packet passes straight through.
 	if got := e.Push(syn); got != syn {
 		t.Fatal("SYN-ish zero payload segment held")
@@ -60,9 +64,9 @@ func TestControlSegmentsPassThrough(t *testing.T) {
 
 func TestContiguousSegmentsMerge(t *testing.T) {
 	e := New()
-	a := tcpSeg(5000, 1000, bytes.Repeat([]byte{'a'}, 100))
-	b := tcpSeg(5000, 1100, bytes.Repeat([]byte{'b'}, 100))
-	c := tcpSeg(5000, 1200, bytes.Repeat([]byte{'c'}, 100))
+	a := tcpSeg(5000, 1000, 100)
+	b := tcpSeg(5000, 1100, 100)
+	c := tcpSeg(5000, 1200, 100)
 	if e.Push(a) != nil || e.Push(b) != nil || e.Push(c) != nil {
 		t.Fatal("contiguous segments not absorbed")
 	}
@@ -74,9 +78,8 @@ func TestContiguousSegmentsMerge(t *testing.T) {
 	if m.Segs != 3 {
 		t.Fatalf("segs = %d, want 3", m.Segs)
 	}
-	pl := payloadOf(t, m)
-	if len(pl) != 300 || pl[0] != 'a' || pl[100] != 'b' || pl[200] != 'c' {
-		t.Fatalf("merged payload wrong: len=%d", len(pl))
+	if seq, n := segOf(t, m); seq != 1000 || n != 300 {
+		t.Fatalf("merged run = seq %d len %d, want seq 1000 len 300", seq, n)
 	}
 	if e.Merged != 2 {
 		t.Fatalf("merged counter = %d, want 2", e.Merged)
@@ -85,27 +88,30 @@ func TestContiguousSegmentsMerge(t *testing.T) {
 
 func TestNonContiguousReleasesHeld(t *testing.T) {
 	e := New()
-	a := tcpSeg(5000, 1000, bytes.Repeat([]byte{'a'}, 100))
-	gap := tcpSeg(5000, 9000, bytes.Repeat([]byte{'g'}, 100))
+	a := tcpSeg(5000, 1000, 100)
+	gap := tcpSeg(5000, 9000, 100)
 	e.Push(a)
 	out := e.Push(gap)
 	if out == nil {
 		t.Fatal("gap did not release held packet")
 	}
-	if string(payloadOf(t, out)) != string(bytes.Repeat([]byte{'a'}, 100)) {
+	if seq, n := segOf(t, out); seq != 1000 || n != 100 {
 		t.Fatal("released wrong packet")
 	}
 	// The gap segment is now held.
 	fl := e.Flush()
-	if len(fl) != 1 || payloadOf(t, fl[0])[0] != 'g' {
+	if len(fl) != 1 {
+		t.Fatal("gap segment not held after release")
+	}
+	if seq, _ := segOf(t, fl[0]); seq != 9000 {
 		t.Fatal("gap segment not held after release")
 	}
 }
 
 func TestDistinctFlowsDoNotMerge(t *testing.T) {
 	e := New()
-	a := tcpSeg(5000, 0, []byte("aaaa"))
-	b := tcpSeg(6000, 0, []byte("bbbb"))
+	a := tcpSeg(5000, 0, 4)
+	b := tcpSeg(6000, 0, 4)
 	e.Push(a)
 	e.Push(b)
 	out := e.Flush()
@@ -119,12 +125,12 @@ func TestDistinctFlowsDoNotMerge(t *testing.T) {
 
 func TestFlushOrderIsArrivalOrder(t *testing.T) {
 	e := New()
-	e.Push(tcpSeg(7000, 0, []byte("x")))
-	e.Push(tcpSeg(5000, 0, []byte("y")))
-	e.Push(tcpSeg(6000, 0, []byte("z")))
+	e.Push(tcpSeg(7000, 0, 1))
+	e.Push(tcpSeg(5000, 0, 1))
+	e.Push(tcpSeg(6000, 0, 1))
 	out := e.Flush()
-	f0, _ := proto.ParseFrame(out[0].Data)
-	f2, _ := proto.ParseFrame(out[2].Data)
+	f0, _ := out[0].Frame()
+	f2, _ := out[2].Frame()
 	if f0.TCP.SrcPort != 7000 || f2.TCP.SrcPort != 6000 {
 		t.Fatal("flush order != arrival order")
 	}
@@ -139,30 +145,30 @@ func TestSizeCapReleases(t *testing.T) {
 	seq := uint32(0)
 	var released *skb.SKB
 	for i := 0; i < 8 && released == nil; i++ {
-		released = e.Push(tcpSeg(5000, seq, bytes.Repeat([]byte{'x'}, seg)))
+		released = e.Push(tcpSeg(5000, seq, seg))
 		seq += uint32(seg)
 	}
 	if released == nil {
 		t.Fatal("size cap never triggered")
 	}
-	if len(released.Data) > MaxMergedBytes {
-		t.Fatalf("released frame exceeds cap: %d", len(released.Data))
+	if released.Len() > MaxMergedBytes {
+		t.Fatalf("released frame exceeds cap: %d", released.Len())
 	}
 	// Released super-packet must still parse with a valid checksum.
-	if _, err := proto.ParseFrame(released.Data); err != nil {
-		t.Fatalf("capped super-packet invalid: %v", err)
+	if _, n := segOf(t, released); n != released.Segs*seg {
+		t.Fatalf("capped super-packet carries %d payload bytes, want %d", n, released.Segs*seg)
 	}
 }
 
 func TestMergedFrameChecksumValid(t *testing.T) {
 	e := New()
-	e.Push(tcpSeg(5000, 0, bytes.Repeat([]byte{'p'}, 500)))
-	e.Push(tcpSeg(5000, 500, bytes.Repeat([]byte{'q'}, 500)))
+	e.Push(tcpSeg(5000, 0, 500))
+	e.Push(tcpSeg(5000, 500, 500))
 	out := e.Flush()
 	if len(out) != 1 {
 		t.Fatal("merge failed")
 	}
-	f, err := proto.ParseFrame(out[0].Data)
+	f, err := out[0].Frame()
 	if err != nil {
 		t.Fatalf("checksum/parse error: %v", err)
 	}

@@ -18,7 +18,7 @@ import (
 type groInfo struct {
 	key      skb.FlowKey
 	seq      uint32
-	payload  []byte
+	payLen   int // the segment's TCP payload length
 	innerOff int // offset of the inner IPv4 header (VXLAN); -1 for plain
 }
 
@@ -29,26 +29,26 @@ func dissect(s *skb.SKB) (groInfo, bool) {
 	}
 	switch {
 	case f.IP.Protocol == proto.ProtoTCP:
-		if f.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || len(f.Payload) == 0 {
+		if f.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || f.PayloadLen() == 0 {
 			return groInfo{}, false
 		}
 		return groInfo{
 			key: skb.FlowKey{SrcIP: f.IP.Src, DstIP: f.IP.Dst,
 				SrcPort: f.TCP.SrcPort, DstPort: f.TCP.DstPort, Proto: proto.ProtoTCP},
-			seq: f.TCP.Seq, payload: f.Payload, innerOff: -1,
+			seq: f.TCP.Seq, payLen: f.PayloadLen(), innerOff: -1,
 		}, true
 	case f.IP.Protocol == proto.ProtoUDP && f.UDP.DstPort == proto.VXLANPort:
 		fi, ok := s.VXLANInner()
 		if !ok || fi.IP.Protocol != proto.ProtoTCP {
 			return groInfo{}, false
 		}
-		if fi.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || len(fi.Payload) == 0 {
+		if fi.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || fi.PayloadLen() == 0 {
 			return groInfo{}, false
 		}
 		return groInfo{
 			key: skb.FlowKey{SrcIP: fi.IP.Src, DstIP: fi.IP.Dst,
 				SrcPort: fi.TCP.SrcPort, DstPort: fi.TCP.DstPort, Proto: proto.ProtoTCP},
-			seq: fi.TCP.Seq, payload: fi.Payload,
+			seq: fi.TCP.Seq, payLen: fi.PayloadLen(),
 			innerOff: proto.OverlayOverhead + proto.EthLen,
 		}, true
 	default:
@@ -68,12 +68,13 @@ func TCPBytes(s *skb.SKB) int {
 	return 0
 }
 
-// mergeAt appends payload to the merged frame and patches every length
-// and checksum on the path to it: for plain TCP the single IPv4 header;
-// for VXLAN both the outer IPv4/UDP and the inner IPv4.
-func mergeAt(dst *skb.SKB, payload []byte, innerOff int) {
-	dst.SetData(append(dst.Data, payload...))
-	n := uint16(len(payload))
+// mergeAt grows the merged frame by a segment's payLen payload bytes
+// and patches every length and checksum on the path to it: for plain
+// TCP the single IPv4 header; for VXLAN both the outer IPv4/UDP and the
+// inner IPv4.
+func mergeAt(dst *skb.SKB, payLen, innerOff int) {
+	dst.Grow(payLen)
+	n := uint16(payLen)
 	patchIPv4 := func(off int) {
 		ip := dst.Data[off:]
 		total := binary.BigEndian.Uint16(ip[2:4]) + n

@@ -46,7 +46,7 @@ func TestNetifRxProcessesFIFO(t *testing.T) {
 	var processed []uint64
 	h := passthrough(&processed)
 	for i := uint64(0); i < 5; i++ {
-		s := skb.New(nil)
+		s := skb.New(nil, 0)
 		s.Seq = i
 		if !st.NetifRx(nil, 0, s, h) {
 			t.Fatal("enqueue failed")
@@ -69,7 +69,7 @@ func TestEntryQueueStaysBounded(t *testing.T) {
 	var q sim.FIFO[backlogEntry]
 	pkts := make([]*skb.SKB, 9)
 	for i := range pkts {
-		pkts[i] = skb.New(nil)
+		pkts[i] = skb.New(nil, 0)
 	}
 	for i := 0; i < 8; i++ {
 		q.Push(backlogEntry{s: pkts[i]})
@@ -94,14 +94,14 @@ func TestNetifRxCountsNetRXPerActivation(t *testing.T) {
 	h := passthrough(&processed)
 	// Burst of 10 packets while the softirq is pending: one activation.
 	for i := 0; i < 10; i++ {
-		st.NetifRx(nil, 0, skb.New(nil), h)
+		st.NetifRx(nil, 0, skb.New(nil, 0), h)
 	}
 	e.Run()
 	if got := st.M.IRQ.Core(0, stats.IRQNetRX); got != 1 {
 		t.Fatalf("NET_RX = %d for one burst, want 1 (coalesced raise)", got)
 	}
 	// A second, later burst: second activation.
-	st.NetifRx(nil, 0, skb.New(nil), h)
+	st.NetifRx(nil, 0, skb.New(nil, 0), h)
 	e.Run()
 	if got := st.M.IRQ.Core(0, stats.IRQNetRX); got != 2 {
 		t.Fatalf("NET_RX = %d after second burst, want 2", got)
@@ -119,7 +119,7 @@ func TestNetifRxRemoteCountsRES(t *testing.T) {
 			done()
 		})
 	}
-	st.NetifRx(nil, 0, skb.New(nil), fwd)
+	st.NetifRx(nil, 0, skb.New(nil, 0), fwd)
 	e.Run()
 	if len(processed) != 1 {
 		t.Fatalf("processed = %d", len(processed))
@@ -139,7 +139,7 @@ func TestNetifRxBacklogOverflowDrops(t *testing.T) {
 	h := passthrough(&processed)
 	ok := 0
 	for i := 0; i < 10; i++ {
-		if st.NetifRx(nil, 0, skb.New(nil), h) {
+		if st.NetifRx(nil, 0, skb.New(nil, 0), h) {
 			ok++
 		}
 	}
@@ -159,7 +159,7 @@ func TestMigrationPenaltyCharged(t *testing.T) {
 	e, st := newStack(2)
 	var processed []uint64
 	h := passthrough(&processed)
-	s := skb.New(nil)
+	s := skb.New(nil, 0)
 	s.LastCore = 1 // pretend stage ran on core 1 before
 	st.NetifRx(nil, 0, s, h)
 	e.Run()
@@ -167,7 +167,7 @@ func TestMigrationPenaltyCharged(t *testing.T) {
 		t.Fatalf("migrations = %d, want 1", s.Migrations)
 	}
 	// Same-core processing must not count a migration.
-	s2 := skb.New(nil)
+	s2 := skb.New(nil, 0)
 	s2.LastCore = 0
 	st.NetifRx(nil, 0, s2, h)
 	e.Run()
@@ -234,7 +234,7 @@ func TestPipelinedStagesRunConcurrently(t *testing.T) {
 			})
 		}
 		for i := 0; i < n; i++ {
-			st.NetifRx(nil, 0, skb.New(nil), stage1)
+			st.NetifRx(nil, 0, skb.New(nil, 0), stage1)
 		}
 		e.Run()
 		if delivered != n {

@@ -10,14 +10,24 @@ import (
 	"falcon/internal/skb"
 )
 
+// vxlanToServer encapsulates inner headers, followed by payLen payload
+// bytes, from the client host to the server host the way vxlan_xmit
+// does: skb_push into the headroom, then the outer headers.
+func vxlanToServer(b *bed, inner []byte, payLen int, srcPort, ipID uint16) *skb.SKB {
+	s := skb.NewTx(len(inner), payLen, proto.OverlayOverhead)
+	copy(s.Data, inner)
+	s.Push(proto.OverlayOverhead)
+	proto.PutEncapHeaders(s.Data, b.client.MAC, b.server.MAC, clientIP, serverIP,
+		srcPort, b.n.VNI, ipID, len(inner)+payLen)
+	return s
+}
+
 func TestUnknownMACDropsAtBridge(t *testing.T) {
 	b := newBed(t, "", 100*devices.Gbps)
 	// Forge a VXLAN frame whose inner dst MAC no container owns.
 	inner := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(0x999),
-		cliCtrIP, srvCtrIP, 7000, 5001, 1, []byte("x"))
-	outer := proto.Encapsulate(inner, b.client.MAC, b.server.MAC,
-		clientIP, serverIP, 49200, b.n.VNI, 7)
-	b.client.LinkTo(serverIP).Send(skb.New(outer))
+		cliCtrIP, srvCtrIP, 7000, 5001, 1, 1)
+	b.client.LinkTo(serverIP).Send(vxlanToServer(b, inner, 1, 49200, 7))
 	b.e.RunUntil(5 * sim.Millisecond)
 	if b.server.Rx.PathDrops.Value() != 1 {
 		t.Fatalf("path drops = %d, want 1 (unknown MAC)", b.server.Rx.PathDrops.Value())
@@ -30,11 +40,10 @@ func TestUnknownMACDropsAtBridge(t *testing.T) {
 func TestCorruptedFrameDroppedAtNIC(t *testing.T) {
 	b := newBed(t, "", 100*devices.Gbps)
 	inner := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		cliCtrIP, srvCtrIP, 7000, 5001, 1, []byte("x"))
-	outer := proto.Encapsulate(inner, b.client.MAC, b.server.MAC,
-		clientIP, serverIP, 49200, b.n.VNI, 8)
-	outer[proto.EthLen+13] ^= 0xFF // corrupt a header byte in flight
-	b.client.LinkTo(serverIP).Send(skb.New(outer))
+		cliCtrIP, srvCtrIP, 7000, 5001, 1, 1)
+	s := vxlanToServer(b, inner, 1, 49200, 8)
+	s.Data[proto.EthLen+13] ^= 0xFF // corrupt a header byte in flight
+	b.client.LinkTo(serverIP).Send(s)
 	b.e.RunUntil(5 * sim.Millisecond)
 	if b.server.NIC.Drops.Value() != 1 {
 		t.Fatalf("NIC drops = %d, want 1 (checksum)", b.server.NIC.Drops.Value())

@@ -16,10 +16,8 @@ func benchRxBed(tb testing.TB) (*bed, *rxCache, *skb.SKB) {
 	b := newBed(tb, "", 100*devices.Gbps)
 	b.server.EnableRxCache()
 	inner := proto.BuildUDPFrame(b.cliCtr.MAC, b.srvCtr.MAC, cliCtrIP, srvCtrIP,
-		7000, 5001, 1, make([]byte, 64))
-	outer := proto.Encapsulate(inner, b.client.MAC, b.server.MAC, clientIP, serverIP,
-		40000, DefaultVNI, 1)
-	return b, b.server.rxCache, skb.New(outer)
+		7000, 5001, 1, 64)
+	return b, b.server.rxCache, vxlanToServer(b, inner, 64, 40000, 1)
 }
 
 // TestCacheRxHitPathZeroAlloc pins the fast path's allocation budget:

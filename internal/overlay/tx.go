@@ -58,19 +58,20 @@ type txFlowKey struct {
 // txFlowEntry is one flow's resolved destination and frame templates —
 // the simulation analogue of an ONCache/flow-table entry that amortizes
 // the per-packet vxlan_xmit work (FIB/neighbor lookup + header
-// construction) across a flow. The inner template carries IP ID 0 (and
-// a zero TCP header); each packet copies the template and patches only
-// the ID (+ TCP header), which produces byte-identical frames to a
-// from-scratch build. Every send resolves to an entry: healthy sends
-// through the per-core flow cache, degraded container sends (KV fault,
-// or a partition the cache cannot serve) through an uncached one.
+// construction) across a flow. The templates are headers only: the
+// inner one carries IP ID 0 (and a zero TCP header); each packet copies
+// it and patches only the ID (+ TCP header), which produces
+// byte-identical frames to a from-scratch build. Every send resolves to
+// an entry: healthy sends through the per-core flow cache, degraded
+// container sends (KV fault, or a partition the cache cannot serve)
+// through an uncached one.
 type txFlowEntry struct {
 	stamp
 	info     EndpointInfo
 	sameHost bool
 	hostNet  bool
 	hash     uint32
-	inner    []byte // inner frame template (IP ID 0, TCP header zero)
+	inner    []byte // inner headers template (IP ID 0, TCP header zero)
 	outer    []byte // outer VXLAN header template (cross-host only)
 }
 
@@ -260,7 +261,7 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	if !e.sameHost && !e.hostNet {
 		headroom = proto.OverlayOverhead
 	}
-	s := h.Arena.NewTx(len(e.inner), headroom)
+	s := h.Arena.NewTx(len(e.inner), p.Payload, headroom)
 	if h.Audit != nil {
 		s.Audit(h.Audit, TxSite)
 	}
@@ -290,7 +291,7 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	}
 	// Cross-host: encapsulate in place (skb_push into the headroom) and
 	// transmit.
-	core.Exec(ctx, costmodel.FnVXLANXmit, len(s.Data), op.afterVXLAN)
+	core.Exec(ctx, costmodel.FnVXLANXmit, s.Len(), op.afterVXLAN)
 }
 
 // hostDone wires out a host-network frame after the NIC doorbell.
@@ -369,7 +370,7 @@ func (h *Host) txEntries() int {
 	return n
 }
 
-// newTxEntry builds op's flow entry toward info: the inner frame
+// newTxEntry builds op's flow entry toward info: the inner headers
 // template, the flow hash and, cross-host, the outer VXLAN headers. It
 // returns nil when the payload exceeds the frame limit.
 func (h *Host) newTxEntry(op *txOp, info EndpointInfo) *txFlowEntry {
@@ -384,7 +385,6 @@ func (h *Host) newTxEntry(op *txOp, info EndpointInfo) *txFlowEntry {
 	e := &txFlowEntry{stamp: h.newStamp(), info: info, hostNet: p.From == nil}
 	e.sameHost = !e.hostNet && info.HostIP == h.IP
 	key := op.key()
-	payload := make([]byte, p.Payload)
 	srcMAC, srcIP := h.MAC, h.IP
 	dstMAC := info.HostMAC
 	if p.From != nil {
@@ -392,9 +392,9 @@ func (h *Host) newTxEntry(op *txOp, info EndpointInfo) *txFlowEntry {
 		dstMAC = info.ContainerMAC
 	}
 	if op.ipProto == proto.ProtoTCP {
-		e.inner = proto.BuildTCPFrame(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, payload)
+		e.inner = proto.BuildTCPFrame(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, p.Payload)
 	} else {
-		e.inner = proto.BuildUDPFrame(srcMAC, dstMAC, srcIP, p.DstIP, key.srcPort, key.dstPort, 0, payload)
+		e.inner = proto.BuildUDPFrame(srcMAC, dstMAC, srcIP, p.DstIP, key.srcPort, key.dstPort, 0, p.Payload)
 	}
 	e.hash = skb.FlowKey{SrcIP: srcIP, DstIP: p.DstIP,
 		SrcPort: key.srcPort, DstPort: key.dstPort, Proto: op.ipProto}.Hash()
@@ -402,7 +402,7 @@ func (h *Host) newTxEntry(op *txOp, info EndpointInfo) *txFlowEntry {
 		entropy := uint16(49152 + (e.hash % 16384))
 		e.outer = make([]byte, proto.OverlayOverhead)
 		proto.PutEncapHeaders(e.outer, h.MAC, info.HostMAC, h.IP, info.HostIP,
-			entropy, h.Net.VNI, 0, len(e.inner))
+			entropy, h.Net.VNI, 0, len(e.inner)+p.Payload)
 	}
 	return e
 }
@@ -552,7 +552,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 	if l.MTU <= 0 {
 		return l.Send(s)
 	}
-	parts, err := ipfrag.Fragment(s.Data, l.MTU)
+	parts, err := ipfrag.Fragment(s.Data, s.PayLen(), l.MTU)
 	if err != nil {
 		s.Drop(skb.DropTxFrag)
 		return false
@@ -567,7 +567,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 	for i, part := range parts {
 		fs := s
 		if i > 0 || len(parts) > 1 {
-			fs = skb.New(part)
+			fs = skb.New(part.Data, part.PayLen)
 			if h.Audit != nil {
 				fs.Audit(h.Audit, "tx:frag")
 			}
@@ -581,7 +581,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 		}
 	}
 	if len(parts) > 1 {
-		// Fragment copies are on the wire; the original frame is done.
+		// The fragments are on the wire; the original frame is done.
 		s.Stage("tx:fragmented")
 		s.Free()
 	}

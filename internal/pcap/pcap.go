@@ -1,10 +1,11 @@
 // Package pcap writes simulated traffic as standard pcap capture files
 // (readable by tcpdump/Wireshark). Because the simulator builds real
-// frame bytes — Ethernet, IPv4 with checksums, UDP/TCP, VXLAN — captures
-// taken on the virtual wire dissect exactly like captures from a
-// physical testbed, which makes datapath debugging and demonstration
+// header bytes — Ethernet, IPv4 with checksums, UDP/TCP, VXLAN —
+// captures taken on the virtual wire dissect exactly like captures from
+// a physical testbed, which makes datapath debugging and demonstration
 // concrete: `tcpdump -r run.pcap 'udp port 4789'` shows the overlay's
-// encapsulated traffic.
+// encapsulated traffic. Frames do not store their payloads, so the
+// writer fills each payload with zeros at capture time.
 package pcap
 
 import (
@@ -55,23 +56,31 @@ func NewWriter(w io.Writer, snapLen int) (*Writer, error) {
 // Packets returns how many records have been written.
 func (pw *Writer) Packets() uint64 { return pw.packets }
 
-// WriteFrame records one frame at virtual time t.
-func (pw *Writer) WriteFrame(t sim.Time, frame []byte) error {
-	capLen := len(frame)
-	if capLen > pw.snapLen {
-		capLen = pw.snapLen
-	}
+// zeros is the fill for captured payload bytes.
+var zeros [4096]byte
+
+// WriteFrame records at virtual time t one frame: its header bytes
+// followed by payLen payload bytes, written as zeros.
+func (pw *Writer) WriteFrame(t sim.Time, frame []byte, payLen int) error {
+	frameLen := len(frame) + payLen
+	capLen := min(frameLen, pw.snapLen)
 	var rec [16]byte
 	usec := int64(t) / 1000
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(usec/1e6))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(usec%1e6))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(capLen))
-	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(rec[12:16], uint32(frameLen))
 	if _, err := pw.w.Write(rec[:]); err != nil {
 		return fmt.Errorf("pcap: record header: %w", err)
 	}
-	if _, err := pw.w.Write(frame[:capLen]); err != nil {
+	hdr := frame[:min(capLen, len(frame))]
+	if _, err := pw.w.Write(hdr); err != nil {
 		return fmt.Errorf("pcap: record body: %w", err)
+	}
+	for fill := capLen - len(hdr); fill > 0; fill -= len(zeros) {
+		if _, err := pw.w.Write(zeros[:min(fill, len(zeros))]); err != nil {
+			return fmt.Errorf("pcap: record body: %w", err)
+		}
 	}
 	pw.packets++
 	return nil
@@ -84,7 +93,7 @@ func Tap(l *devices.Link, pw *Writer) {
 	next := l.Deliver
 	l.Deliver = func(s *skb.SKB) {
 		// Record at delivery time (the far end of the wire).
-		_ = pw.WriteFrame(l.E.Now(), s.Data)
+		_ = pw.WriteFrame(l.E.Now(), s.Data, s.PayLen())
 		if next != nil {
 			next(s)
 		}

@@ -35,9 +35,9 @@ func TestWriteFrameRecord(t *testing.T) {
 	var buf bytes.Buffer
 	pw, _ := NewWriter(&buf, 0)
 	frame := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 1, 2, 0, []byte("payload"))
+		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 1, 2, 0, 7)
 	at := 3*sim.Second + 250*sim.Millisecond
-	if err := pw.WriteFrame(at, frame); err != nil {
+	if err := pw.WriteFrame(at, frame, 7); err != nil {
 		t.Fatal(err)
 	}
 	if pw.Packets() != 1 {
@@ -50,10 +50,13 @@ func TestWriteFrameRecord(t *testing.T) {
 	if binary.LittleEndian.Uint32(rec[4:8]) != 250000 {
 		t.Fatalf("ts_usec = %d", binary.LittleEndian.Uint32(rec[4:8]))
 	}
-	if int(binary.LittleEndian.Uint32(rec[8:12])) != len(frame) {
-		t.Fatal("caplen mismatch")
+	if int(binary.LittleEndian.Uint32(rec[8:12])) != len(frame)+7 ||
+		int(binary.LittleEndian.Uint32(rec[12:16])) != len(frame)+7 {
+		t.Fatal("caplen/origlen mismatch")
 	}
-	if !bytes.Equal(rec[16:16+len(frame)], frame) {
+	// The header bytes, then the payload as zeros.
+	want := append(append([]byte(nil), frame...), make([]byte, 7)...)
+	if !bytes.Equal(rec[16:], want) {
 		t.Fatal("frame bytes corrupted")
 	}
 }
@@ -61,8 +64,9 @@ func TestWriteFrameRecord(t *testing.T) {
 func TestSnapLenTruncates(t *testing.T) {
 	var buf bytes.Buffer
 	pw, _ := NewWriter(&buf, 64)
-	frame := make([]byte, 512)
-	if err := pw.WriteFrame(0, frame); err != nil {
+	frame := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
+		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 1, 2, 0, 470)
+	if err := pw.WriteFrame(0, frame, 470); err != nil {
 		t.Fatal(err)
 	}
 	rec := buf.Bytes()[24:]
@@ -74,6 +78,9 @@ func TestSnapLenTruncates(t *testing.T) {
 	}
 	if len(rec) != 16+64 {
 		t.Fatalf("record size = %d", len(rec))
+	}
+	if !bytes.Equal(rec[16:16+len(frame)], frame) || !bytes.Equal(rec[16+len(frame):], make([]byte, 64-len(frame))) {
+		t.Fatal("truncated record is not the headers followed by zeros")
 	}
 }
 
@@ -89,8 +96,8 @@ func TestTapRecordsLinkTraffic(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		frame := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-			proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 100, 200, uint16(i), []byte("x"))
-		l.Send(skb.New(frame))
+			proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), 100, 200, uint16(i), 1)
+		l.Send(skb.New(frame, 1))
 	}
 	e.Run()
 
@@ -105,7 +112,7 @@ func TestTapRecordsLinkTraffic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		caplen := int(binary.LittleEndian.Uint32(data[8:12]))
 		frame := data[16 : 16+caplen]
-		if _, err := proto.ParseFrame(frame); err != nil {
+		if _, err := proto.ParseFrame(frame, 0); err != nil {
 			t.Fatalf("captured frame %d unparsable: %v", i, err)
 		}
 		data = data[16+caplen:]

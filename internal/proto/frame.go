@@ -2,18 +2,26 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
 // Frame is a fully parsed Ethernet frame through L4. It is the
 // simulation's equivalent of the kernel's flow dissector output.
 type Frame struct {
-	Eth     EthernetHdr
-	IP      IPv4Hdr
-	UDP     UDPHdr // valid when IP.Protocol == ProtoUDP
-	TCP     TCPHdr // valid when IP.Protocol == ProtoTCP
-	Payload []byte // L4 payload (points into the original buffer)
+	Eth EthernetHdr
+	IP  IPv4Hdr
+	UDP UDPHdr // valid when IP.Protocol == ProtoUDP
+	TCP TCPHdr // valid when IP.Protocol == ProtoTCP
+	// Payload is the stored part of the L4 payload (points into the
+	// original buffer): the headers of an encapsulated frame, or nothing.
+	// PayLen more payload bytes follow it unstored.
+	Payload []byte
+	PayLen  int
 }
+
+// PayloadLen returns the L4 payload's length, stored bytes included.
+func (f *Frame) PayloadLen() int { return len(f.Payload) + f.PayLen }
 
 // SrcPort returns the L4 source port regardless of protocol.
 func (f *Frame) SrcPort() uint16 {
@@ -31,10 +39,24 @@ func (f *Frame) DstPort() uint16 {
 	return f.UDP.DstPort
 }
 
-// ParseFrame dissects an Ethernet frame down to L4.
-func ParseFrame(b []byte) (Frame, error) {
+// span returns the first n bytes of a region whose stored bytes are b:
+// the stored part and the length of the unstored rest.
+func span(b []byte, n int) ([]byte, int) {
+	if n <= len(b) {
+		return b[:n], 0
+	}
+	return b, n - len(b)
+}
+
+// ParseFrame dissects an Ethernet frame down to L4. b holds the frame's
+// stored bytes, which must include every header; payLen more payload
+// bytes follow them unstored.
+func ParseFrame(b []byte, payLen int) (Frame, error) {
 	var f Frame
 	var err error
+	if payLen < 0 {
+		return f, errors.New("proto: negative payload length")
+	}
 	if f.Eth, err = ParseEthernet(b); err != nil {
 		return f, err
 	}
@@ -42,13 +64,14 @@ func ParseFrame(b []byte) (Frame, error) {
 		return f, fmt.Errorf("proto: unsupported ethertype %#04x", f.Eth.EtherType)
 	}
 	ip := b[EthLen:]
-	if f.IP, err = ParseIPv4(ip); err != nil {
+	if f.IP, err = ParseIPv4(ip, payLen); err != nil {
 		return f, err
 	}
-	l4 := ip[IPv4Len:int(f.IP.TotalLen)]
+	ip, payLen = span(ip, int(f.IP.TotalLen))
+	l4 := ip[IPv4Len:]
 	if f.IP.FragOff != 0 {
 		// Non-first fragment: no L4 header, raw payload only.
-		f.Payload = l4
+		f.Payload, f.PayLen = l4, payLen
 		return f, nil
 	}
 	switch f.IP.Protocol {
@@ -64,44 +87,45 @@ func ParseFrame(b []byte) (Frame, error) {
 				DstPort: binary.BigEndian.Uint16(l4[2:4]),
 				Length:  binary.BigEndian.Uint16(l4[4:6]),
 			}
-			f.Payload = l4[UDPLen:]
+			f.Payload, f.PayLen = l4[UDPLen:], payLen
 			return f, nil
 		}
-		if f.UDP, err = ParseUDP(l4); err != nil {
+		if f.UDP, err = ParseUDP(l4, payLen); err != nil {
 			return f, err
 		}
-		f.Payload = l4[UDPLen:f.UDP.Length]
+		l4, payLen = span(l4, int(f.UDP.Length))
+		f.Payload, f.PayLen = l4[UDPLen:], payLen
 	case ProtoTCP:
 		if f.TCP, err = ParseTCP(l4); err != nil {
 			return f, err
 		}
-		f.Payload = l4[TCPLen:]
+		f.Payload, f.PayLen = l4[TCPLen:], payLen
 	default:
 		return f, fmt.Errorf("proto: unsupported IP protocol %d", f.IP.Protocol)
 	}
 	return f, nil
 }
 
-// BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame around
-// payload. ipID feeds the IPv4 identification field.
-func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payload []byte) []byte {
-	b := make([]byte, EthLen+IPv4Len+UDPLen+len(payload))
-	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoUDP, ipID, UDPLen+len(payload))
+// BuildUDPFrame returns the Ethernet+IPv4+UDP headers of a frame
+// carrying payLen payload bytes. ipID feeds the IPv4 identification
+// field.
+func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payLen int) []byte {
+	b := make([]byte, EthLen+IPv4Len+UDPLen)
+	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoUDP, ipID, UDPLen+payLen)
 	PutUDP(b[EthLen+IPv4Len:], UDPHdr{
 		SrcPort: srcPort,
 		DstPort: dstPort,
-		Length:  uint16(UDPLen + len(payload)),
+		Length:  uint16(UDPLen + payLen),
 	})
-	copy(b[EthLen+IPv4Len+UDPLen:], payload)
 	return b
 }
 
-// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame.
-func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payload []byte) []byte {
-	b := make([]byte, EthLen+IPv4Len+TCPLen+len(payload))
-	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoTCP, ipID, TCPLen+len(payload))
+// BuildTCPFrame returns the Ethernet+IPv4+TCP headers of a frame
+// carrying payLen payload bytes.
+func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payLen int) []byte {
+	b := make([]byte, EthLen+IPv4Len+TCPLen)
+	putEthIPv4(b, srcMAC, dstMAC, srcIP, dstIP, ProtoTCP, ipID, TCPLen+payLen)
 	PutTCP(b[EthLen+IPv4Len:], hdr)
-	copy(b[EthLen+IPv4Len+TCPLen:], payload)
 	return b
 }
 

@@ -1,9 +1,15 @@
 // Package proto implements byte-accurate network headers: Ethernet, IPv4
 // (with RFC 1071 checksums), UDP, TCP, and the VXLAN encapsulation used by
 // Docker overlay networks. The simulated devices build and parse real
-// frames, so the "prolonged data path" the paper analyses — encapsulation
+// headers, so the "prolonged data path" the paper analyses — encapsulation
 // on transmit, decapsulation on receive — is actually executed on every
 // packet rather than merely charged as an abstract cost.
+//
+// A frame is stored as its header bytes followed by a payload length:
+// payload content never affects a result, so it is not stored. Every
+// parser takes the header bytes and the length of the payload that
+// follows them, and its length checks count that payload as part of the
+// frame.
 package proto
 
 import (
@@ -165,8 +171,9 @@ func PatchIPv4ID(b []byte, id uint16) {
 	binary.BigEndian.PutUint16(ip[10:12], csum)
 }
 
-// ParseIPv4 reads and validates an IPv4 header from b.
-func ParseIPv4(b []byte) (IPv4Hdr, error) {
+// ParseIPv4 reads and validates an IPv4 header from b, the stored bytes
+// of a packet followed by payLen bytes that are not stored.
+func ParseIPv4(b []byte, payLen int) (IPv4Hdr, error) {
 	if len(b) < IPv4Len {
 		return IPv4Hdr{}, errTruncated("ipv4", len(b), IPv4Len)
 	}
@@ -190,8 +197,11 @@ func ParseIPv4(b []byte) (IPv4Hdr, error) {
 		MoreFrags: flags&0x2000 != 0,
 		FragOff:   (flags & 0x1FFF) * 8,
 	}
-	if int(h.TotalLen) > len(b) {
-		return IPv4Hdr{}, errTruncated("ipv4 payload", len(b), int(h.TotalLen))
+	if h.TotalLen < IPv4Len {
+		return IPv4Hdr{}, fmt.Errorf("proto: IPv4 total length %d below header length", h.TotalLen)
+	}
+	if int(h.TotalLen) > len(b)+payLen {
+		return IPv4Hdr{}, errTruncated("ipv4 payload", len(b)+payLen, int(h.TotalLen))
 	}
 	return h, nil
 }
@@ -211,8 +221,9 @@ func PutUDP(b []byte, h UDPHdr) {
 	binary.BigEndian.PutUint16(b[6:8], 0)
 }
 
-// ParseUDP reads a UDP header from b.
-func ParseUDP(b []byte) (UDPHdr, error) {
+// ParseUDP reads a UDP header from b, the stored bytes of a datagram
+// followed by payLen bytes that are not stored.
+func ParseUDP(b []byte, payLen int) (UDPHdr, error) {
 	if len(b) < UDPLen {
 		return UDPHdr{}, errTruncated("udp", len(b), UDPLen)
 	}
@@ -221,8 +232,8 @@ func ParseUDP(b []byte) (UDPHdr, error) {
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Length:  binary.BigEndian.Uint16(b[4:6]),
 	}
-	if int(h.Length) > len(b) || h.Length < UDPLen {
-		return UDPHdr{}, errTruncated("udp payload", len(b), int(h.Length))
+	if int(h.Length) > len(b)+payLen || h.Length < UDPLen {
+		return UDPHdr{}, errTruncated("udp payload", len(b)+payLen, int(h.Length))
 	}
 	return h, nil
 }

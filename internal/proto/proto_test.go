@@ -1,10 +1,6 @@
 package proto
 
-import (
-	"bytes"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestMACString(t *testing.T) {
 	m := MAC{0x02, 0xab, 0x00, 0x01, 0x02, 0x03}
@@ -65,7 +61,7 @@ func TestIPv4RoundTrip(t *testing.T) {
 		Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2)}
 	b := make([]byte, 120)
 	PutIPv4(b, h)
-	got, err := ParseIPv4(b)
+	got, err := ParseIPv4(b, 0)
 	if err != nil || got != h {
 		t.Fatalf("round trip: %+v err=%v", got, err)
 	}
@@ -76,7 +72,7 @@ func TestIPv4CorruptionDetected(t *testing.T) {
 	PutIPv4(b, IPv4Hdr{TotalLen: 60, TTL: 64, Protocol: ProtoUDP,
 		Src: IP4(1, 2, 3, 4), Dst: IP4(5, 6, 7, 8)})
 	b[15] ^= 0x40 // flip a bit in the source address
-	if _, err := ParseIPv4(b); err != ErrBadChecksum {
+	if _, err := ParseIPv4(b, 0); err != ErrBadChecksum {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
@@ -85,8 +81,20 @@ func TestIPv4Truncated(t *testing.T) {
 	b := make([]byte, 25)
 	PutIPv4(b, IPv4Hdr{TotalLen: 60, TTL: 64, Protocol: ProtoUDP,
 		Src: IP4(1, 2, 3, 4), Dst: IP4(5, 6, 7, 8)})
-	if _, err := ParseIPv4(b); err == nil {
+	if _, err := ParseIPv4(b, 0); err == nil {
 		t.Fatal("TotalLen beyond buffer accepted")
+	}
+	// The unstored payload counts as part of the packet.
+	if _, err := ParseIPv4(b, 34); err == nil {
+		t.Fatal("TotalLen beyond buffer and payload accepted")
+	}
+	if _, err := ParseIPv4(b, 35); err != nil {
+		t.Fatalf("TotalLen covered by the payload rejected: %v", err)
+	}
+	// A total length shorter than the header itself is malformed.
+	PutIPv4(b, IPv4Hdr{TotalLen: 10, TTL: 64, Protocol: ProtoUDP})
+	if _, err := ParseIPv4(b, 100); err == nil {
+		t.Fatal("TotalLen below the header length accepted")
 	}
 }
 
@@ -94,9 +102,16 @@ func TestUDPRoundTrip(t *testing.T) {
 	h := UDPHdr{SrcPort: 1234, DstPort: 4789, Length: 20}
 	b := make([]byte, 20)
 	PutUDP(b, h)
-	got, err := ParseUDP(b)
+	got, err := ParseUDP(b, 0)
 	if err != nil || got != h {
 		t.Fatalf("round trip: %+v err=%v", got, err)
+	}
+	// Headers only: the Length field counts the unstored payload.
+	if _, err := ParseUDP(b[:UDPLen], 11); err == nil {
+		t.Fatal("Length beyond header and payload accepted")
+	}
+	if got, err := ParseUDP(b[:UDPLen], 12); err != nil || got != h {
+		t.Fatalf("headers-only round trip: %+v err=%v", got, err)
 	}
 }
 
@@ -112,38 +127,45 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestBuildParseUDPFrame(t *testing.T) {
-	payload := []byte("hello overlay")
 	b := BuildUDPFrame(MACFromUint64(1), MACFromUint64(2),
-		IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), 5555, 6666, 9, payload)
-	f, err := ParseFrame(b)
+		IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), 5555, 6666, 9, 13)
+	if len(b) != EthLen+IPv4Len+UDPLen {
+		t.Fatalf("built %d bytes, want the headers only", len(b))
+	}
+	f, err := ParseFrame(b, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.IP.Protocol != ProtoUDP || f.SrcPort() != 5555 || f.DstPort() != 6666 {
 		t.Fatalf("ports: %d→%d", f.SrcPort(), f.DstPort())
 	}
-	if !bytes.Equal(f.Payload, payload) {
-		t.Fatal("payload mismatch")
+	if f.IP.ID != 9 || f.IP.TotalLen != IPv4Len+UDPLen+13 || f.UDP.Length != UDPLen+13 {
+		t.Fatalf("lengths: ip %+v udp %+v", f.IP, f.UDP)
+	}
+	if len(f.Payload) != 0 || f.PayLen != 13 || f.PayloadLen() != 13 {
+		t.Fatalf("payload: %d stored + %d", len(f.Payload), f.PayLen)
+	}
+	if _, err := ParseFrame(b, 12); err == nil {
+		t.Fatal("frame shorter than its headers say accepted")
 	}
 }
 
 func TestBuildParseTCPFrame(t *testing.T) {
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
+	hdr := TCPHdr{SrcPort: 33000, DstPort: 80, Seq: 77, Flags: TCPAck, Window: 1000}
 	b := BuildTCPFrame(MACFromUint64(3), MACFromUint64(4),
-		IP4(172, 17, 0, 2), IP4(172, 17, 0, 3),
-		TCPHdr{SrcPort: 33000, DstPort: 80, Seq: 77, Flags: TCPAck, Window: 1000}, 3, payload)
-	f, err := ParseFrame(b)
+		IP4(172, 17, 0, 2), IP4(172, 17, 0, 3), hdr, 3, 1000)
+	if len(b) != EthLen+IPv4Len+TCPLen {
+		t.Fatalf("built %d bytes, want the headers only", len(b))
+	}
+	f, err := ParseFrame(b, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.TCP.Seq != 77 || f.TCP.Flags != TCPAck {
+	if f.TCP != hdr {
 		t.Fatalf("tcp hdr: %+v", f.TCP)
 	}
-	if !bytes.Equal(f.Payload, payload) {
-		t.Fatal("payload mismatch")
+	if f.IP.TotalLen != IPv4Len+TCPLen+1000 || f.PayloadLen() != 1000 || len(f.Payload) != 0 {
+		t.Fatalf("lengths: total %d payload %d", f.IP.TotalLen, f.PayloadLen())
 	}
 }
 
@@ -160,81 +182,25 @@ func TestVXLANHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncapDecapRoundTrip(t *testing.T) {
-	inner := BuildUDPFrame(MACFromUint64(10), MACFromUint64(11),
-		IP4(10, 32, 0, 2), IP4(10, 32, 0, 3), 7000, 8000, 1, []byte("container payload"))
-	outer := Encapsulate(inner, MACFromUint64(20), MACFromUint64(21),
-		IP4(192, 168, 1, 1), IP4(192, 168, 1, 2), 49152, 42, 2)
-
-	if len(outer) != len(inner)+OverlayOverhead {
-		t.Fatalf("outer len = %d, want %d", len(outer), len(inner)+OverlayOverhead)
-	}
-	if !IsVXLAN(outer) {
-		t.Fatal("IsVXLAN false for encapsulated frame")
-	}
-	if IsVXLAN(inner) {
-		t.Fatal("IsVXLAN true for plain frame")
-	}
-
-	got, vni, err := Decapsulate(outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vni != 42 {
-		t.Fatalf("vni = %d", vni)
-	}
-	if !bytes.Equal(got, inner) {
-		t.Fatal("inner frame corrupted by encap/decap")
-	}
-	// Inner frame must still parse cleanly.
-	f, err := ParseFrame(got)
-	if err != nil || string(f.Payload) != "container payload" {
-		t.Fatalf("inner parse: %v", err)
-	}
-}
-
-func TestDecapsulateRejectsNonVXLAN(t *testing.T) {
-	plain := BuildUDPFrame(MACFromUint64(1), MACFromUint64(2),
-		IP4(1, 1, 1, 1), IP4(2, 2, 2, 2), 100, 200, 0, []byte("x"))
-	if _, _, err := Decapsulate(plain); err == nil {
-		t.Fatal("decap of non-VXLAN frame succeeded")
-	}
-}
-
-func TestEncapDecapProperty(t *testing.T) {
-	// Any payload survives encap→decap byte-for-byte.
-	if err := quick.Check(func(payload []byte, vni uint32, sport uint16) bool {
-		if len(payload) > 9000 {
-			payload = payload[:9000]
-		}
-		vni &= 0xFFFFFF
-		inner := BuildUDPFrame(MACFromUint64(1), MACFromUint64(2),
-			IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), 1000, 2000, 5, payload)
-		outer := Encapsulate(inner, MACFromUint64(3), MACFromUint64(4),
-			IP4(192, 168, 0, 1), IP4(192, 168, 0, 2), sport|0x8000, vni, 6)
-		got, gotVNI, err := Decapsulate(outer)
-		return err == nil && gotVNI == vni && bytes.Equal(got, inner)
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestParseFrameErrors(t *testing.T) {
-	if _, err := ParseFrame(nil); err == nil {
+	if _, err := ParseFrame(nil, 0); err == nil {
 		t.Fatal("nil frame parsed")
 	}
 	// Unsupported ethertype.
 	b := make([]byte, 60)
 	PutEthernet(b, EthernetHdr{EtherType: 0x86DD}) // IPv6
-	if _, err := ParseFrame(b); err == nil {
+	if _, err := ParseFrame(b, 0); err == nil {
 		t.Fatal("IPv6 ethertype accepted")
 	}
 	// Unsupported L4.
 	PutEthernet(b, EthernetHdr{EtherType: EtherTypeIPv4})
 	PutIPv4(b[EthLen:], IPv4Hdr{TotalLen: 40, TTL: 64, Protocol: 1, // ICMP
 		Src: IP4(1, 1, 1, 1), Dst: IP4(2, 2, 2, 2)})
-	if _, err := ParseFrame(b); err == nil {
+	if _, err := ParseFrame(b, 0); err == nil {
 		t.Fatal("ICMP accepted")
+	}
+	if _, err := ParseFrame(b, -1); err == nil {
+		t.Fatal("negative payload length accepted")
 	}
 }
 
@@ -244,7 +210,7 @@ func TestIPv4FragmentFlagsRoundTrip(t *testing.T) {
 		Src: IP4(1, 2, 3, 4), Dst: IP4(5, 6, 7, 8),
 		MoreFrags: true, FragOff: 1480}
 	PutIPv4(b, h)
-	got, err := ParseIPv4(b)
+	got, err := ParseIPv4(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +220,14 @@ func TestIPv4FragmentFlagsRoundTrip(t *testing.T) {
 	// Last fragment: MF clear, offset set.
 	h.MoreFrags = false
 	PutIPv4(b, h)
-	got, _ = ParseIPv4(b)
+	got, _ = ParseIPv4(b, 0)
 	if got.MoreFrags || got.FragOff != 1480 || !got.IsFragment() {
 		t.Fatalf("last-fragment state lost: %+v", got)
 	}
 	// Non-fragment carries DF and is not a fragment.
 	h.FragOff = 0
 	PutIPv4(b, h)
-	got, _ = ParseIPv4(b)
+	got, _ = ParseIPv4(b, 0)
 	if got.IsFragment() {
 		t.Fatal("plain header reports fragment")
 	}
@@ -270,34 +236,35 @@ func TestIPv4FragmentFlagsRoundTrip(t *testing.T) {
 func TestParseFrameFirstFragmentUDP(t *testing.T) {
 	// A first fragment exposes the UDP ports (for hashing) but its
 	// Length field describes the full datagram.
-	full := BuildUDPFrame(MACFromUint64(1), MACFromUint64(2),
-		IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), 7000, 5001, 3, make([]byte, 4000))
-	// Truncate to 1500 of IP payload and mark MF.
-	frag := make([]byte, EthLen+IPv4Len+1480)
-	copy(frag, full[:len(frag)])
+	frag := BuildUDPFrame(MACFromUint64(1), MACFromUint64(2),
+		IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), 7000, 5001, 3, 4000)
+	// Cut to 1480 bytes of IP payload and mark MF.
 	PutIPv4(frag[EthLen:], IPv4Hdr{TotalLen: uint16(IPv4Len + 1480), ID: 3, TTL: 64,
 		Protocol: ProtoUDP, Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2), MoreFrags: true})
-	f, err := ParseFrame(frag)
+	f, err := ParseFrame(frag, 1480-UDPLen)
 	if err != nil {
 		t.Fatalf("first fragment unparsable: %v", err)
 	}
 	if f.SrcPort() != 7000 || f.DstPort() != 5001 {
 		t.Fatalf("ports lost: %d->%d", f.SrcPort(), f.DstPort())
 	}
+	if f.UDP.Length != UDPLen+4000 || f.PayloadLen() != 1480-UDPLen {
+		t.Fatalf("udp length %d, fragment payload %d", f.UDP.Length, f.PayloadLen())
+	}
 }
 
 func TestParseFrameContinuationFragment(t *testing.T) {
-	frag := make([]byte, EthLen+IPv4Len+1000)
+	frag := make([]byte, EthLen+IPv4Len)
 	PutEthernet(frag, EthernetHdr{Dst: MACFromUint64(1), Src: MACFromUint64(2), EtherType: EtherTypeIPv4})
 	PutIPv4(frag[EthLen:], IPv4Hdr{TotalLen: uint16(IPv4Len + 1000), ID: 3, TTL: 64,
 		Protocol: ProtoUDP, Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2),
 		MoreFrags: true, FragOff: 1480})
-	f, err := ParseFrame(frag)
+	f, err := ParseFrame(frag, 1000)
 	if err != nil {
 		t.Fatalf("continuation fragment unparsable: %v", err)
 	}
-	if len(f.Payload) != 1000 {
-		t.Fatalf("raw payload = %d", len(f.Payload))
+	if f.PayloadLen() != 1000 {
+		t.Fatalf("raw payload = %d", f.PayloadLen())
 	}
 	if f.SrcPort() != 0 {
 		t.Fatal("continuation fragment claims ports")

@@ -1,42 +1,35 @@
 package skb
 
-// Arena is a shard-local SKB and buffer allocator. The global
-// sync.Pools are safe but pay per-operation atomics and bounce cache
-// lines between the PDES worker goroutines that run different shards;
-// an Arena is plain single-owner free lists — each simulated host gets
-// one, and a host's entire datapath runs on one logical process, so
-// gets and puts never race. Cross-shard packets move their pool
-// affinity at the cluster barrier (SKB.Rehome, with every LP parked),
-// so a frame always recycles into the arena of the shard that freed
-// it.
+// Arena is a shard-local SKB allocator. The global sync.Pool is safe
+// but pays per-operation atomics and bounces cache lines between the
+// PDES worker goroutines that run different shards; an Arena is a plain
+// single-owner free list — each simulated host gets one, and a host's
+// entire datapath runs on one logical process, so gets and puts never
+// race. Cross-shard packets move their pool affinity at the cluster
+// barrier (SKB.Rehome, with every LP parked), so a frame always
+// recycles into the arena of the shard that freed it.
 //
-// The lists are capped: overflow spills to the global pools (which
-// also serve as the miss path), so a bursty host cannot strand
-// unbounded memory in its arena.
+// The list is capped: overflow spills to the global pool (which also
+// serves as the miss path), so a bursty host cannot strand unbounded
+// memory in its arena.
 type Arena struct {
-	skbs   []*SKB
-	bufs   []*[pooledBufCap]byte
-	jumbos []*[jumboBufCap]byte
+	skbs []*SKB
 }
 
-// Arena free-list caps: enough to cover a host's steady-state in-flight
-// window (ring + backlog + GRO holds) without stranding memory.
-const (
-	arenaSKBCap   = 512
-	arenaBufCap   = 512
-	arenaJumboCap = 16
-)
+// arenaSKBCap caps the free list: enough to cover a host's steady-state
+// in-flight window (ring + backlog + GRO holds) without stranding
+// memory.
+const arenaSKBCap = 512
 
 // NewArena returns an empty arena. It fills lazily from the global
-// pools as traffic flows.
+// pool as traffic flows.
 func NewArena() *Arena { return &Arena{} }
 
-// NewTx is Arena-affine NewTx: the SKB and its backing buffer come from
-// (and will recycle into) this arena. A nil arena falls back to the
-// global pools.
-func (a *Arena) NewTx(size, headroom int) *SKB {
+// NewTx is Arena-affine NewTx: the SKB comes from (and will recycle
+// into) this arena. A nil arena falls back to the global pool.
+func (a *Arena) NewTx(hdrLen, payLen, headroom int) *SKB {
 	if a == nil {
-		return NewTx(size, headroom)
+		return NewTx(hdrLen, payLen, headroom)
 	}
 	var s *SKB
 	if n := len(a.skbs); n > 0 {
@@ -51,50 +44,12 @@ func (a *Arena) NewTx(size, headroom int) *SKB {
 		s = getSKB()
 		s.arena = a
 	}
-	total := size + headroom
-	if total <= pooledBufCap {
-		if n := len(a.bufs); n > 0 {
-			s.buf = a.bufs[n-1]
-			a.bufs[n-1] = nil
-			a.bufs = a.bufs[:n-1]
-		} else {
-			s.buf = bufPool.Get().(*[pooledBufCap]byte)
-		}
-		s.back = s.buf[:]
-	} else if total <= jumboBufCap {
-		if n := len(a.jumbos); n > 0 {
-			s.jumbo = a.jumbos[n-1]
-			a.jumbos[n-1] = nil
-			a.jumbos = a.jumbos[:n-1]
-		} else {
-			s.jumbo = jumboPool.Get().(*[jumboBufCap]byte)
-		}
-		s.back = s.jumbo[:]
-	} else {
-		s.back = make([]byte, total)
-	}
-	s.off = headroom
-	s.Data = s.back[headroom : headroom+size]
-	return s
+	return s.initTx(hdrLen, payLen, headroom)
 }
 
-// put recycles a freed SKB and its buffer into the arena (overflow
-// spills to the global pools). Called from Free with s.arena == a.
+// put recycles a freed SKB into the arena (overflow spills to the
+// global pool). Called from Free with s.arena == a.
 func (a *Arena) put(s *SKB) {
-	if s.buf != nil {
-		if len(a.bufs) < arenaBufCap {
-			a.bufs = append(a.bufs, s.buf)
-		} else {
-			bufPool.Put(s.buf)
-		}
-	}
-	if s.jumbo != nil {
-		if len(a.jumbos) < arenaJumboCap {
-			a.jumbos = append(a.jumbos, s.jumbo)
-		} else {
-			jumboPool.Put(s.jumbo)
-		}
-	}
 	aud, gen := s.aud, s.gen
 	*s = SKB{}
 	s.aud, s.gen, s.freed = aud, gen+1, true

@@ -8,7 +8,7 @@ import "testing"
 
 func TestDoubleFreeSuppressedAndCounted(t *testing.T) {
 	base := PoolMisuses()
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	gen := s.Gen()
 	s.Free()
 	s.Free()
@@ -21,7 +21,7 @@ func TestDoubleFreeSuppressedAndCounted(t *testing.T) {
 }
 
 func TestHandleGoesStaleOnFree(t *testing.T) {
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	h := s.Handle()
 	if !h.Valid() || h.Get() != s {
 		t.Fatal("fresh handle invalid")
@@ -43,7 +43,7 @@ func TestHandleGoesStaleOnFree(t *testing.T) {
 }
 
 func TestHandleFreeWorksWhileLive(t *testing.T) {
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	h := s.Handle()
 	if !h.Free() {
 		t.Fatal("live handle free failed")
@@ -57,10 +57,10 @@ func TestHandleSurvivesReincarnation(t *testing.T) {
 	// After a free the pool may hand the same *SKB out again with a
 	// bumped generation; the old handle must not free the new owner's
 	// packet out from under it.
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	h := s.Handle()
 	s.Free()
-	s2 := NewTx(64, 0) // likely the same pooled object, next generation
+	s2 := NewTx(64, 0, 0) // likely the same pooled object, next generation
 	if h.Valid() {
 		t.Fatal("handle valid across incarnations")
 	}
@@ -74,7 +74,7 @@ func TestHandleSurvivesReincarnation(t *testing.T) {
 func TestQueueCountersAndValidate(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 6; i++ {
-		q.Enqueue(NewTx(16, 0))
+		q.Enqueue(NewTx(16, 0, 0))
 	}
 	if q.Enqueued() != 4 || q.Dropped() != 2 {
 		t.Fatalf("enq=%d dropped=%d, want 4/2", q.Enqueued(), q.Dropped())
@@ -115,7 +115,7 @@ func (r *recordingAuditor) SKBMisuse(s *SKB, kind string) {
 
 func TestAuditorHookSequence(t *testing.T) {
 	rec := &recordingAuditor{}
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	s.Audit(rec, "site-a")
 	s.Stage("stage-1")
 	s.Stage("stage-2")
@@ -133,7 +133,7 @@ func TestAuditorHookSequence(t *testing.T) {
 }
 
 func TestStageWithoutAuditorIsNoop(t *testing.T) {
-	s := NewTx(64, 0)
+	s := NewTx(64, 0, 0)
 	s.Stage("anything") // must not panic or allocate
 	s.Free()
 }

@@ -49,25 +49,27 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, p)
 }
 
-// FlowKeyOf dissects a frame into its flow key, as the kernel's flow
-// dissector does when computing skb->hash. IP fragments hash on the
-// 3-tuple only (ports are unavailable or must match across fragments so
-// they land on the same core for reassembly).
-func FlowKeyOf(frame []byte) (FlowKey, error) {
-	f, err := proto.ParseFrame(frame)
+// FlowKeyOf dissects a frame (header bytes followed by payLen unstored
+// payload bytes) into its flow key, as the kernel's flow dissector does
+// when computing skb->hash.
+func FlowKeyOf(frame []byte, payLen int) (FlowKey, error) {
+	f, err := proto.ParseFrame(frame, payLen)
 	if err != nil {
 		return FlowKey{}, err
 	}
-	k := FlowKey{
-		SrcIP: f.IP.Src,
-		DstIP: f.IP.Dst,
-		Proto: f.IP.Protocol,
-	}
+	return keyOf(&f), nil
+}
+
+// keyOf returns a parsed frame's flow key. IP fragments hash on the
+// 3-tuple only (ports are unavailable or must match across fragments so
+// they land on the same core for reassembly).
+func keyOf(f *proto.Frame) FlowKey {
+	k := FlowKey{SrcIP: f.IP.Src, DstIP: f.IP.Dst, Proto: f.IP.Protocol}
 	if !f.IP.IsFragment() {
 		k.SrcPort = f.SrcPort()
 		k.DstPort = f.DstPort()
 	}
-	return k, nil
+	return k
 }
 
 // Hash computes the flow hash over the key, mirroring the kernel's
@@ -77,11 +79,17 @@ func (k FlowKey) Hash() uint32 {
 		uint32(k.SrcPort)<<16|uint32(k.DstPort)|uint32(k.Proto)<<8)
 }
 
-// SKB is the simulation's sk_buff. It carries the real frame bytes plus
-// the metadata the datapath needs: the flow hash, the current device
-// (skb->dev), GRO segment count, and timestamps for latency measurement.
+// SKB is the simulation's sk_buff. It carries the frame's real header
+// bytes and the length of its payload, plus the metadata the datapath
+// needs: the flow hash, the current device (skb->dev), GRO segment
+// count, and timestamps for latency measurement. Payload content never
+// affects a result, so it is not stored: every cost is charged on Len.
 type SKB struct {
-	Data []byte // current frame bytes (outer headers while encapsulated)
+	// Data is the frame's stored bytes: every header, outer ones
+	// included while encapsulated. payLen payload bytes follow them
+	// unstored.
+	Data   []byte
+	payLen int
 
 	// Hash is the flow hash, computed once when the packet first enters
 	// the stack (HashValid) and preserved across decapsulation updates.
@@ -121,20 +129,18 @@ type SKB struct {
 	// next links skbs inside intrusive queues (rx rings, backlogs).
 	next *SKB
 
-	// Buffer ownership. buf is the pooled backing buffer (nil when Data
-	// wraps externally owned bytes); back is the full backing slice
-	// including unused headroom, with Data starting at back[off]. Push
-	// grows Data into the headroom (the kernel's skb_push, used for
-	// in-place VXLAN encapsulation).
-	buf   *[pooledBufCap]byte
-	jumbo *[jumboBufCap]byte
-	back  []byte
-	off   int
+	// Header buffer. hdr is the SKB's own storage for the headers NewTx
+	// writes; back is the full backing slice including unused headroom,
+	// with Data starting at back[off]. Push grows Data into the headroom
+	// (the kernel's skb_push, used for in-place VXLAN encapsulation).
+	hdr  [hdrBufCap]byte
+	back []byte
+	off  int
 
 	// Parsed-header cache: the flow dissector output for the current
 	// Data, carried across device stages so each hop does not re-parse
 	// the frame, plus the VXLAN inner dissect for tunnel GRO. Both are
-	// invalidated whenever Data changes (SetData / Push).
+	// invalidated whenever the frame changes (SetData / Push / Grow).
 	frame      proto.Frame
 	frameState uint8 // 0 unparsed, 1 valid, 2 unparsable
 	inner      proto.Frame
@@ -160,25 +166,16 @@ type SKB struct {
 	arena *Arena
 }
 
-// pooledBufCap is the frame-buffer pool's small size class: an MTU
-// frame plus VXLAN overhead and headroom with room to spare.
-// jumboBufCap is the large class, sized for a maximum IP datagram plus
-// encapsulation headroom (the jumbo-frame sends of the large-message
-// experiments previously heap-allocated a fresh 64 KB buffer per
-// packet). Frames beyond both fall back to plain allocation.
-const (
-	pooledBufCap = 2048
-	jumboBufCap  = 65536 + 128
-)
+// hdrBufCap sizes the SKB's own header buffer: an encapsulated TCP
+// frame's headers (outer Ethernet+IPv4+UDP+VXLAN, inner
+// Ethernet+IPv4+TCP) with room to spare. Larger header blocks fall back
+// to plain allocation.
+const hdrBufCap = 128
 
 // ErrBadFrame is returned by Frame for unparsable frames.
 var ErrBadFrame = errors.New("skb: unparsable frame")
 
-var (
-	skbPool   = sync.Pool{New: func() any { return new(SKB) }}
-	bufPool   = sync.Pool{New: func() any { return new([pooledBufCap]byte) }}
-	jumboPool = sync.Pool{New: func() any { return new([jumboBufCap]byte) }}
-)
+var skbPool = sync.Pool{New: func() any { return new(SKB) }}
 
 func getSKB() *SKB {
 	s := skbPool.Get().(*SKB)
@@ -244,24 +241,23 @@ func (s *SKB) Stage(name string) {
 // Gen returns the SKB's pool generation (bumped on every Free).
 func (s *SKB) Gen() uint32 { return s.gen }
 
-// NewTx returns an SKB with a writable frame buffer of size bytes and
-// the given headroom in front of it (for later in-place encapsulation).
-// The buffer comes from a pool when it fits; callers MUST overwrite all
-// size bytes — the buffer is not zeroed.
-func NewTx(size, headroom int) *SKB {
-	s := getSKB()
-	total := size + headroom
-	if total <= pooledBufCap {
-		s.buf = bufPool.Get().(*[pooledBufCap]byte)
-		s.back = s.buf[:]
-	} else if total <= jumboBufCap {
-		s.jumbo = jumboPool.Get().(*[jumboBufCap]byte)
-		s.back = s.jumbo[:]
+// NewTx returns an SKB for a frame of hdrLen header bytes followed by
+// payLen payload bytes, with the given headroom in front of the headers
+// (for later in-place encapsulation). The caller writes the headers
+// into Data.
+func NewTx(hdrLen, payLen, headroom int) *SKB {
+	return getSKB().initTx(hdrLen, payLen, headroom)
+}
+
+func (s *SKB) initTx(hdrLen, payLen, headroom int) *SKB {
+	if hdrLen+headroom <= hdrBufCap {
+		s.back = s.hdr[:]
 	} else {
-		s.back = make([]byte, total)
+		s.back = make([]byte, hdrLen+headroom)
 	}
 	s.off = headroom
-	s.Data = s.back[headroom : headroom+size]
+	s.Data = s.back[headroom : headroom+hdrLen]
+	s.payLen = payLen
 	return s
 }
 
@@ -277,25 +273,24 @@ func (s *SKB) Push(n int) bool {
 	return true
 }
 
-// SetData replaces the frame bytes and invalidates the parse caches.
-// Buffer ownership is retained (Free still recycles the pooled buffer),
-// but headroom is gone: the new bytes need not alias the old buffer.
-func (s *SKB) SetData(b []byte) {
-	s.Data = b
+// SetData replaces the frame with header bytes b followed by payLen
+// payload bytes and invalidates the parse caches. Headroom is gone: the
+// new bytes need not alias the old buffer.
+func (s *SKB) SetData(b []byte, payLen int) {
+	s.Data, s.payLen = b, payLen
 	s.back = nil
 	s.frameState, s.innerState = 0, 0
 }
 
-// DisownBuf releases the SKB's claim on its backing buffer without
-// recycling it — for frames whose payload bytes were retained by a
-// longer-lived structure (e.g. the IP reassembler).
-func (s *SKB) DisownBuf() {
-	s.buf = nil
-	s.jumbo = nil
-	s.back = nil
+// Grow extends the payload by n bytes — how GRO absorbs a segment — and
+// invalidates the parse caches; the caller patches the length fields in
+// the headers.
+func (s *SKB) Grow(n int) {
+	s.payLen += n
+	s.frameState, s.innerState = 0, 0
 }
 
-// Free returns the SKB (and its owned buffer, if pooled) for reuse.
+// Free returns the SKB for reuse.
 // Callers must hold no references to the SKB or its Data afterwards.
 // Terminal points on the datapath — application consume, drops, loss,
 // GRO absorption — free their packets so steady flows recycle a small
@@ -318,12 +313,6 @@ func (s *SKB) Free() {
 	if a := s.arena; a != nil {
 		a.put(s)
 		return
-	}
-	if s.buf != nil {
-		bufPool.Put(s.buf)
-	}
-	if s.jumbo != nil {
-		jumboPool.Put(s.jumbo)
 	}
 	aud, gen := s.aud, s.gen
 	*s = SKB{}
@@ -382,7 +371,7 @@ func (s *SKB) Frame() (*proto.Frame, error) {
 	case 2:
 		return nil, ErrBadFrame
 	}
-	f, err := proto.ParseFrame(s.Data)
+	f, err := proto.ParseFrame(s.Data, s.payLen)
 	if err != nil {
 		s.frameState = 2
 		return nil, ErrBadFrame
@@ -418,7 +407,7 @@ func (s *SKB) VXLANInner() (*proto.Frame, bool) {
 		s.innerState = 2
 		return nil, false
 	}
-	fi, err := proto.ParseFrame(f.Payload[proto.VXLANLen:])
+	fi, err := proto.ParseFrame(f.Payload[proto.VXLANLen:], f.PayLen)
 	if err != nil {
 		s.innerState = 2
 		return nil, false
@@ -438,8 +427,8 @@ func (s *SKB) DecapVXLAN() bool {
 		return false
 	}
 	f, _ := s.Frame()
-	s.Data = f.Payload[proto.VXLANLen:]
-	s.back = nil // headroom is gone; buffer ownership retained
+	s.Data, s.payLen = f.Payload[proto.VXLANLen:], f.PayLen
+	s.back = nil // headroom is gone
 	s.frame = *fi
 	s.frameState = 1
 	s.innerState = 0
@@ -461,17 +450,20 @@ func (s *SKB) Touch(core int) bool {
 	return migrated
 }
 
-// New returns an SKB wrapping the given frame bytes, with one segment
-// and no core affinity yet. The bytes are externally owned (never
-// recycled by Free).
-func New(data []byte) *SKB {
+// New returns an SKB for a frame of header bytes data followed by payLen
+// payload bytes, with one segment and no core affinity yet. The bytes
+// are externally owned.
+func New(data []byte, payLen int) *SKB {
 	s := getSKB()
-	s.Data = data
+	s.Data, s.payLen = data, payLen
 	return s
 }
 
-// Len returns the frame length in bytes.
-func (s *SKB) Len() int { return len(s.Data) }
+// Len returns the frame length in bytes, payload included.
+func (s *SKB) Len() int { return len(s.Data) + s.payLen }
+
+// PayLen returns the length of the payload that follows Data unstored.
+func (s *SKB) PayLen() int { return s.payLen }
 
 // SetFlowHash computes and pins the flow hash from the current frame
 // bytes. Like the kernel, the hash is computed only once per packet; the
@@ -485,12 +477,7 @@ func (s *SKB) SetFlowHash() error {
 	if err != nil {
 		return err
 	}
-	k := FlowKey{SrcIP: f.IP.Src, DstIP: f.IP.Dst, Proto: f.IP.Protocol}
-	if !f.IP.IsFragment() {
-		k.SrcPort = f.SrcPort()
-		k.DstPort = f.DstPort()
-	}
-	s.Hash = k.Hash()
+	s.Hash = keyOf(f).Hash()
 	s.HashValid = true
 	return nil
 }

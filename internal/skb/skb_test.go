@@ -9,11 +9,11 @@ import (
 
 func udpFrame(srcPort, dstPort uint16) []byte {
 	return proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2),
-		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), srcPort, dstPort, 0, []byte("x"))
+		proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2), srcPort, dstPort, 0, 1)
 }
 
 func TestFlowKeyOf(t *testing.T) {
-	k, err := FlowKeyOf(udpFrame(1111, 2222))
+	k, err := FlowKeyOf(udpFrame(1111, 2222), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestFlowHashDistinguishesFlows(t *testing.T) {
 }
 
 func TestSetFlowHashOnce(t *testing.T) {
-	s := &SKB{Data: udpFrame(100, 200), Segs: 1}
+	s := New(udpFrame(100, 200), 1)
 	if err := s.SetFlowHash(); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Hash
 	// Change the frame; hash must stay pinned until reset.
-	s.SetData(udpFrame(300, 400))
+	s.SetData(udpFrame(300, 400), 1)
 	if err := s.SetFlowHash(); err != nil {
 		t.Fatal(err)
 	}

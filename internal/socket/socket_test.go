@@ -16,7 +16,7 @@ func newSock(cores, appCore int) (*sim.Engine, *cpu.Machine, *Socket) {
 }
 
 func pkt(flow, seq uint64, n int) *skb.SKB {
-	s := skb.New(make([]byte, n))
+	s := skb.New(nil, n)
 	s.FlowID = flow
 	s.Seq = seq
 	return s

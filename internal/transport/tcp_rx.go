@@ -21,7 +21,7 @@ func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 	// (transfer volumes in the experiments stay below 2^32, so the low
 	// bits identify the segment uniquely).
 	seq := uint64(f.TCP.Seq)
-	segLen := uint64(len(f.Payload))
+	segLen := uint64(f.PayloadLen())
 
 	switch {
 	case seq == c.rcvNxt:
@@ -40,8 +40,8 @@ func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			if err != nil {
 				break
 			}
-			c.rcvNxt += uint64(len(nf.Payload))
-			c.deliver(core, nxt, uint64(len(nf.Payload)))
+			c.rcvNxt += uint64(nf.PayloadLen())
+			c.deliver(core, nxt, uint64(nf.PayloadLen()))
 		}
 		c.ackEvery += segs
 		if c.ackEvery >= 2 {
