@@ -60,7 +60,7 @@ func (f *Falcon) dynTick() {
 	engage := false
 	clear := true
 	for _, w := range f.dynWatch {
-		cand := f.m.Prof.CoreTime(w.core, costmodel.FnGROReceive)
+		cand := f.m.Acct.CoreTime(w.core, costmodel.FnGROReceive)
 		total := f.m.Acct.TotalBusy(w.core)
 		dCand := cand - w.lastCand
 		dTotal := total - w.lastTotal

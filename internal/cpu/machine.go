@@ -1,8 +1,9 @@
 // Package cpu models a multi-core machine executing the kernel datapath:
 // cores with prioritized hardirq/softirq/task contexts, non-preemptive
-// work items, ksoftirqd-style anti-starvation, per-core accounting, and
-// the periodic timer tick that refreshes the system load estimate
-// Falcon's Algorithm 1 reads.
+// work items, ksoftirqd-style anti-starvation, one CPU ledger charged
+// once per slice by context and by function, and the periodic timer
+// tick that refreshes the per-core load estimate Falcon's Algorithm 1
+// reads.
 package cpu
 
 import (
@@ -11,7 +12,6 @@ import (
 	"falcon/internal/costmodel"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
-	"falcon/internal/trace"
 )
 
 // ksoftirqdBatch bounds consecutive softirq items run while tasks are
@@ -24,10 +24,12 @@ const ksoftirqdBatch = 16
 type Machine struct {
 	E     *sim.Engine
 	Model *costmodel.Model
-	Acct  *stats.CPUAccount
+	Acct  *Ledger // every slice's CPU time, by core, context and function
 	IRQ   *stats.IRQCounters
-	Load  *stats.LoadMeter
-	Prof  *trace.Profile
+	Load  *LoadMeter
+	// Prof is a second name for Acct, kept only for bench/, which reads
+	// function call counts through it.
+	Prof *Ledger
 
 	cores      []*Core
 	slices     sim.Slots // one slice-completion slot per core
@@ -47,12 +49,12 @@ func NewMachine(e *sim.Engine, model *costmodel.Model, n int, tickPeriod sim.Tim
 	m := &Machine{
 		E:          e,
 		Model:      model,
-		Acct:       stats.NewCPUAccount(n),
+		Acct:       newLedger(n),
 		IRQ:        stats.NewIRQCounters(n),
-		Load:       stats.NewLoadMeter(n, int64(tickPeriod)),
-		Prof:       trace.NewProfile(n),
+		Load:       NewLoadMeter(n),
 		tickPeriod: tickPeriod,
 	}
+	m.Prof = m.Acct
 	m.cores = make([]*Core, n)
 	for i := range m.cores {
 		m.cores[i] = &Core{id: i, m: m}
@@ -103,12 +105,12 @@ func (m *Machine) StopTicker() {
 	m.ticker.Stop()
 }
 
-// ResetMeasurement clears accounting, profile and IRQ counters at the
-// current time — used to discard warm-up before a measured window.
+// ResetMeasurement starts the CPU ledger's measurement window and
+// clears the IRQ counters at the current time — used to discard warm-up
+// before a measured window.
 func (m *Machine) ResetMeasurement() {
-	m.Acct.ResetAt(int64(m.E.Now()))
+	m.Acct.reset(int64(m.E.Now()))
 	m.IRQ.Reset()
-	m.Prof.Reset()
 }
 
 // workItem is one non-preemptible slice of CPU work.
@@ -269,7 +271,7 @@ func (c *Core) dispatch() {
 	}
 }
 
-// complete finishes core i's in-flight slice: charge accounting, run the
+// complete finishes core i's in-flight slice: charge the ledger, run the
 // completion, start the next item. It is the callback of the machine's
 // slots in the engine's slot group, so the completions of all cores, and
 // of every other machine on the engine, share one engine event and run
@@ -278,8 +280,7 @@ func (m *Machine) complete(i int) {
 	c := m.cores[i]
 	item := c.cur
 	c.cur = workItem{} // release the completion closure for reuse
-	m.Acct.Charge(i, item.ctx, int64(item.cost), int64(m.E.Now()))
-	m.Prof.Charge(i, item.fn, int64(item.cost))
+	m.Acct.charge(i, item.ctx, item.fn, int64(item.cost), int64(m.E.Now()))
 	if item.run != nil {
 		item.run()
 	}

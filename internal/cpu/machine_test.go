@@ -60,8 +60,8 @@ func TestCoreExecutesAndCharges(t *testing.T) {
 	if m.Acct.Busy(0, stats.CtxSoftIRQ) != 500 {
 		t.Fatalf("charged %d", m.Acct.Busy(0, stats.CtxSoftIRQ))
 	}
-	if m.Prof.Time(costmodel.FnBridge) != 500 {
-		t.Fatal("profile not charged")
+	if m.Acct.CoreTime(0, costmodel.FnBridge) != 500 || m.Acct.Calls(costmodel.FnBridge) != 1 {
+		t.Fatal("function time not charged")
 	}
 }
 
@@ -311,7 +311,8 @@ func TestResetMeasurement(t *testing.T) {
 	m.IRQ.Inc(0, stats.IRQNetRX)
 	e.Run()
 	m.ResetMeasurement()
-	if m.Acct.TotalBusy(0) != 0 || m.IRQ.Total(stats.IRQNetRX) != 0 || m.Prof.Total() != 0 {
+	if m.Acct.TotalBusy(0) != 0 || m.IRQ.Total(stats.IRQNetRX) != 0 ||
+		m.Acct.CoreTime(0, costmodel.FnBridge) != 0 || m.Acct.Calls(costmodel.FnBridge) != 0 {
 		t.Fatal("reset incomplete")
 	}
 }

@@ -80,8 +80,7 @@ func refComplete(v any) {
 	c := v.(*Core)
 	item := c.cur
 	c.cur = workItem{}
-	c.m.Acct.Charge(c.id, item.ctx, int64(item.cost), int64(c.m.E.Now()))
-	c.m.Prof.Charge(c.id, item.fn, int64(item.cost))
+	c.m.Acct.charge(c.id, item.ctx, item.fn, int64(item.cost), int64(c.m.E.Now()))
 	if item.run != nil {
 		item.run()
 	}
@@ -190,8 +189,8 @@ func checkOrderMatchesPerCoreEvents(t *testing.T, p orderProgram) {
 		}
 		for i, m := range ms {
 			rm := rms[i]
-			if !reflect.DeepEqual(*m.Acct, *rm.Acct) || !reflect.DeepEqual(*m.Prof, *rm.Prof) ||
-				!reflect.DeepEqual(*m.IRQ, *rm.IRQ) || !reflect.DeepEqual(*m.Load, *rm.Load) {
+			if !reflect.DeepEqual(*m.Acct, *rm.Acct) || !reflect.DeepEqual(*m.IRQ, *rm.IRQ) ||
+				!reflect.DeepEqual(*m.Load, *rm.Load) {
 				t.Fatalf("seed %d: machine %d accounting differs from per-core events", seed, i)
 			}
 		}

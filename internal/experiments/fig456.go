@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"falcon/internal/costmodel"
+	"falcon/internal/cpu"
 	"falcon/internal/devices"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
-	"falcon/internal/trace"
 	"falcon/internal/workload"
 )
 
@@ -148,8 +148,8 @@ func fig6(opt Options) []*stats.Table {
 	tb.Run(opt.warmup())
 	tb.Server.ResetMeasurement()
 	tb.Run(opt.warmup() + opt.window())
-	tables = append(tables, tb.Server.M.Prof.Table("Fig 6 (sockperf, overlay): CPU share by function", 10))
-	tables = append(tables, inclusiveStageShares(tb.Server.M.Prof,
+	tables = append(tables, tb.Server.M.Acct.Table("Fig 6 (sockperf, overlay): CPU share by function", 10))
+	tables = append(tables, inclusiveStageShares(tb.Server.M.Acct,
 		"Fig 6 (sockperf): inclusive poll-subtree shares (flamegraph view)"))
 
 	// memcached: mixed sizes and bidirectional traffic. Its closed-loop
@@ -160,8 +160,8 @@ func fig6(opt Options) []*stats.Table {
 	tbm.Run(opt.warmup())
 	tbm.Server.ResetMeasurement()
 	tbm.Run(opt.warmup() + opt.window())
-	tables = append(tables, tbm.Server.M.Prof.Table("Fig 6 (memcached, overlay): CPU share by function", 10))
-	tables = append(tables, inclusiveStageShares(tbm.Server.M.Prof,
+	tables = append(tables, tbm.Server.M.Acct.Table("Fig 6 (memcached, overlay): CPU share by function", 10))
+	tables = append(tables, inclusiveStageShares(tbm.Server.M.Acct,
 		"Fig 6 (memcached): inclusive poll-subtree shares (flamegraph view)"))
 	return tables
 }
@@ -169,7 +169,7 @@ func fig6(opt Options) []*stats.Table {
 // inclusiveStageShares renders flamegraph-style *inclusive* shares for
 // the three poll functions the paper annotates: everything executed
 // under mlx5e_napi_poll, gro_cell_poll, and process_backlog.
-func inclusiveStageShares(p *trace.Profile, title string) *stats.Table {
+func inclusiveStageShares(p *cpu.Ledger, title string) *stats.Table {
 	t := &stats.Table{Title: title, Columns: []string{"subtree", "inclusive share"}}
 	sum := func(fns ...costmodel.Func) float64 {
 		s := 0.0

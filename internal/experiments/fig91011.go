@@ -30,12 +30,12 @@ func fig9a(opt Options) []*stats.Table {
 		tb.Run(opt.warmup())
 		tb.Server.ResetMeasurement()
 		tb.Run(opt.warmup() + opt.window())
-		prof := tb.Server.M.Prof
+		acct := tb.Server.M.Acct
 		// Shares of the NAPI core's softirq time.
-		napiBusy := tb.Server.M.Acct.Utilization(0)
-		coreTotal := float64(tb.Server.M.Acct.TotalBusy(0))
-		alloc := float64(prof.CoreTime(0, costmodel.FnSKBAlloc)) / maxf(coreTotal, 1)
-		gro := float64(prof.CoreTime(0, costmodel.FnGROReceive)) / maxf(coreTotal, 1)
+		napiBusy := acct.Utilization(0)
+		coreTotal := float64(acct.TotalBusy(0))
+		alloc := float64(acct.CoreTime(0, costmodel.FnSKBAlloc)) / maxf(coreTotal, 1)
+		gro := float64(acct.CoreTime(0, costmodel.FnGROReceive)) / maxf(coreTotal, 1)
 		t.AddRow(sizeLabel(size), fPct(napiBusy), fPct(alloc), fPct(gro), fPct(alloc+gro))
 		c.Close()
 	}

@@ -196,7 +196,7 @@ func TestRunChainExecutesAllSteps(t *testing.T) {
 	if e.Now() != want {
 		t.Fatalf("chain took %v, want %v", e.Now(), want)
 	}
-	if st.M.Prof.Calls(costmodel.FnUDPRcv) != 1 {
+	if st.M.Acct.Calls(costmodel.FnUDPRcv) != 1 {
 		t.Fatal("per-function profile not charged")
 	}
 }

@@ -96,70 +96,6 @@ func TestTableSortRows(t *testing.T) {
 	}
 }
 
-func TestCPUAccount(t *testing.T) {
-	a := NewCPUAccount(2)
-	a.ResetAt(0)
-	a.Charge(0, CtxSoftIRQ, 500, 1000)
-	a.Charge(0, CtxHardIRQ, 100, 1000)
-	a.Charge(1, CtxTask, 250, 1000)
-	if a.TotalBusy(0) != 600 {
-		t.Fatalf("busy0 = %d", a.TotalBusy(0))
-	}
-	if u := a.Utilization(0); u != 0.6 {
-		t.Fatalf("util0 = %v", u)
-	}
-	if s := a.ContextShare(0, CtxSoftIRQ); s != 0.5 {
-		t.Fatalf("softirq share = %v", s)
-	}
-	if u := a.SystemUtilization(); u != (0.6+0.25)/2 {
-		t.Fatalf("system util = %v", u)
-	}
-	a.ResetAt(1000)
-	if a.TotalBusy(0) != 0 || a.Span() != 0 {
-		t.Fatal("ResetAt did not clear")
-	}
-}
-
-func TestCPUAccountClamp(t *testing.T) {
-	a := NewCPUAccount(1)
-	a.ResetAt(0)
-	a.Charge(0, CtxSoftIRQ, 5000, 1000) // overcommitted
-	if u := a.Utilization(0); u != 1 {
-		t.Fatalf("util should clamp to 1, got %v", u)
-	}
-}
-
-func TestLoadMeterStaleness(t *testing.T) {
-	a := NewCPUAccount(2)
-	a.ResetAt(0)
-	m := NewLoadMeter(2, 1000)
-
-	a.Charge(0, CtxSoftIRQ, 800, 1000)
-	m.Tick(a, 1000)
-	if l := m.Load(0); l != 0.8 {
-		t.Fatalf("load0 = %v, want 0.8", l)
-	}
-	if l := m.Load(1); l != 0 {
-		t.Fatalf("load1 = %v, want 0", l)
-	}
-	if avg := m.SystemAvg(); avg != 0.4 {
-		t.Fatalf("avg = %v, want 0.4", avg)
-	}
-
-	// Between ticks the meter reports stale values even as busy accrues.
-	a.Charge(1, CtxSoftIRQ, 900, 2000)
-	if l := m.Load(1); l != 0 {
-		t.Fatalf("load should be stale between ticks, got %v", l)
-	}
-	m.Tick(a, 2000)
-	if l := m.Load(1); l != 0.9 {
-		t.Fatalf("load1 after tick = %v, want 0.9", l)
-	}
-	if l := m.Load(0); l != 0 {
-		t.Fatalf("load0 after idle window = %v, want 0", l)
-	}
-}
-
 func TestCPUContextString(t *testing.T) {
 	if CtxSoftIRQ.String() != "softirq" || CtxIdle.String() != "idle" {
 		t.Fatal("context names wrong")

@@ -13,7 +13,7 @@ const (
 	CtxHardIRQ
 	CtxSoftIRQ
 	CtxTask
-	numContexts
+	NumContexts // the number of contexts
 )
 
 // String names the context as in the paper's figures.
@@ -31,147 +31,3 @@ func (c CPUContext) String() string {
 		return fmt.Sprintf("ctx(%d)", int(c))
 	}
 }
-
-// CPUAccount accumulates busy nanoseconds per core per context.
-type CPUAccount struct {
-	busy  [][numContexts]int64
-	since int64 // start of the accounting interval
-	until int64 // end of the accounting interval (latest sample)
-}
-
-// NewCPUAccount returns an account for cores CPU cores starting at time 0.
-func NewCPUAccount(cores int) *CPUAccount {
-	return &CPUAccount{busy: make([][numContexts]int64, cores)}
-}
-
-// Charge records ns nanoseconds of context ctx on core, ending at time
-// `end` (virtual nanoseconds).
-func (a *CPUAccount) Charge(core int, ctx CPUContext, ns, end int64) {
-	a.busy[core][ctx] += ns
-	if end > a.until {
-		a.until = end
-	}
-}
-
-// Busy returns the busy ns of ctx on core since the last Reset.
-func (a *CPUAccount) Busy(core int, ctx CPUContext) int64 {
-	return a.busy[core][ctx]
-}
-
-// TotalBusy returns the busy ns of core across all non-idle contexts.
-func (a *CPUAccount) TotalBusy(core int) int64 {
-	var t int64
-	for ctx := CtxHardIRQ; ctx < numContexts; ctx++ {
-		t += a.busy[core][ctx]
-	}
-	return t
-}
-
-// Cores returns the number of cores tracked.
-func (a *CPUAccount) Cores() int { return len(a.busy) }
-
-// Utilization returns core's busy fraction over the interval
-// [since, until]. It is clamped to [0, 1].
-func (a *CPUAccount) Utilization(core int) float64 {
-	span := a.until - a.since
-	if span <= 0 {
-		return 0
-	}
-	u := float64(a.TotalBusy(core)) / float64(span)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// ContextShare returns the fraction of the interval core spent in ctx.
-func (a *CPUAccount) ContextShare(core int, ctx CPUContext) float64 {
-	span := a.until - a.since
-	if span <= 0 {
-		return 0
-	}
-	u := float64(a.busy[core][ctx]) / float64(span)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// SystemUtilization returns the mean utilization across all cores.
-func (a *CPUAccount) SystemUtilization() float64 {
-	if len(a.busy) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for c := range a.busy {
-		sum += a.Utilization(c)
-	}
-	return sum / float64(len(a.busy))
-}
-
-// ResetAt starts a fresh accounting interval at time now, discarding all
-// accumulated busy time. Used to drop warm-up phases from measurements.
-func (a *CPUAccount) ResetAt(now int64) {
-	for i := range a.busy {
-		a.busy[i] = [numContexts]int64{}
-	}
-	a.since = now
-	a.until = now
-}
-
-// Span returns the length of the current accounting interval in ns.
-func (a *CPUAccount) Span() int64 { return a.until - a.since }
-
-// LoadMeter maintains a sliding-window per-core load estimate — the
-// simulation's analogue of sampling /proc/stat from the timer interrupt,
-// which is exactly how the paper's Falcon implementation measures load
-// (Section 5). Loads update only when Tick is called, so readers between
-// ticks observe slightly stale values, reproducing the paper's
-// observation that per-packet balancing lacks timely load information.
-type LoadMeter struct {
-	window    int64   // ns of history the load estimate covers
-	lastBusy  []int64 // TotalBusy at the previous tick
-	lastTick  int64
-	load      []float64
-	systemAvg float64
-}
-
-// NewLoadMeter returns a meter over the given account with the given
-// window (ns between ticks).
-func NewLoadMeter(cores int, window int64) *LoadMeter {
-	return &LoadMeter{
-		window:   window,
-		lastBusy: make([]int64, cores),
-		load:     make([]float64, cores),
-	}
-}
-
-// Tick recomputes per-core load from the busy deltas since the last tick.
-// now is the current virtual time.
-func (m *LoadMeter) Tick(a *CPUAccount, now int64) {
-	span := now - m.lastTick
-	if span <= 0 {
-		return
-	}
-	sum := 0.0
-	for c := range m.load {
-		busy := a.TotalBusy(c)
-		delta := busy - m.lastBusy[c]
-		m.lastBusy[c] = busy
-		l := float64(delta) / float64(span)
-		if l > 1 {
-			l = 1
-		}
-		m.load[c] = l
-		sum += l
-	}
-	m.systemAvg = sum / float64(len(m.load))
-	m.lastTick = now
-}
-
-// Load returns the most recent load estimate of a core in [0,1].
-func (m *LoadMeter) Load(core int) float64 { return m.load[core] }
-
-// SystemAvg returns the most recent system-wide average load — the
-// paper's L_avg used in Algorithm 1's enable gate.
-func (m *LoadMeter) SystemAvg() float64 { return m.systemAvg }

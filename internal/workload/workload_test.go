@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	falconcore "falcon/internal/core"
+	"falcon/internal/costmodel"
 	"falcon/internal/devices"
+	"falcon/internal/overlay"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 )
@@ -185,4 +187,40 @@ func TestMTUModeSmallPacketsUntouched(t *testing.T) {
 	if tb.Client.LinkTo(ServerIP).Sent.Value() != f.Sent() {
 		t.Fatal("small packets fragmented unnecessarily")
 	}
+}
+
+// TestLedgerFunctionsSumToContexts: every slice is charged once to the
+// CPU ledger, so on every core of an overlay Falcon bed the time summed
+// over functions equals the time summed over contexts, over the whole
+// run and over a measurement window after a reset.
+func TestLedgerFunctionsSumToContexts(t *testing.T) {
+	tb := stdBed(t, 1)
+	tb.EnableFalconOnServer(falconcore.DefaultConfig([]int{3, 4, 5}))
+	tb.StressFlood(true, 3, 64, 6, 30*sim.Millisecond)
+	check := func(when string) {
+		t.Helper()
+		for _, h := range []*overlay.Host{tb.Client, tb.Server} {
+			acct := h.M.Acct
+			busy := int64(0)
+			for c := 0; c < h.M.NumCores(); c++ {
+				var fns int64
+				for fn := costmodel.Func(0); fn < costmodel.NumFuncs; fn++ {
+					fns += acct.CoreTime(c, fn)
+				}
+				if fns != acct.TotalBusy(c) {
+					t.Fatalf("%s, %s core %d: functions sum to %d ns, contexts to %d", when, h.Name, c, fns, acct.TotalBusy(c))
+				}
+				busy += fns
+			}
+			if busy == 0 {
+				t.Fatalf("%s, %s: no CPU time charged", when, h.Name)
+			}
+		}
+	}
+	tb.Run(10 * sim.Millisecond)
+	check("whole run")
+	tb.Client.ResetMeasurement()
+	tb.Server.ResetMeasurement()
+	tb.Run(20 * sim.Millisecond)
+	check("after a reset")
 }
