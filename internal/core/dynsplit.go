@@ -60,16 +60,10 @@ func (f *Falcon) dynTick() {
 	engage := false
 	clear := true
 	for _, w := range f.dynWatch {
-		cand := f.m.Acct.CoreTime(w.core, costmodel.FnGROReceive)
-		total := f.m.Acct.TotalBusy(w.core)
+		cand := f.m.Acct.CoreTimeSinceBoot(w.core, costmodel.FnGROReceive)
+		total := f.m.Acct.BusySinceBoot(w.core)
 		dCand := cand - w.lastCand
 		dTotal := total - w.lastTotal
-		// Profile resets (measurement windows) rewind the counters;
-		// resynchronize without acting on garbage deltas.
-		if dCand < 0 || dTotal < 0 {
-			w.lastCand, w.lastTotal = cand, total
-			continue
-		}
 		w.lastCand, w.lastTotal = cand, total
 
 		load := f.m.Load.Load(w.core)

@@ -123,7 +123,7 @@ func TestDynamicSplitSurvivesProfileReset(t *testing.T) {
 	mi := &machineIface{f: f}
 	driveCore(e, mi, 0, costmodel.FnGROReceive, 0.97, 50*sim.Millisecond)
 	e.RunUntil(20 * sim.Millisecond)
-	m.ResetMeasurement() // rewinds profile counters mid-run
+	m.ResetMeasurement() // starts a measurement window mid-run
 	e.RunUntil(50 * sim.Millisecond)
 	m.StopTicker()
 	if !f.DynamicSplitActive() {

@@ -53,7 +53,7 @@ type coreHealth struct {
 	sick       bool
 	sickStreak int
 	wellStreak int
-	lastBusy   int64 // Acct.TotalBusy at the previous tick
+	lastBusy   int64 // Acct.BusySinceBoot at the previous tick
 }
 
 func (f *Falcon) initHealth() {
@@ -95,10 +95,8 @@ func (f *Falcon) updateHealth(now sim.Time) {
 	for i, id := range f.cfg.CPUs {
 		c := f.m.Core(id)
 		h := &f.health[i]
-		busy := f.m.Acct.TotalBusy(id)
-		// A measurement reset rewinds the account; treat any change —
-		// forward or backward — as progress.
-		progressed := busy != h.lastBusy
+		busy := f.m.Acct.BusySinceBoot(id)
+		progressed := busy > h.lastBusy
 		h.lastBusy = busy
 		queued := c.QueueLen(stats.CtxHardIRQ) +
 			c.QueueLen(stats.CtxSoftIRQ) +

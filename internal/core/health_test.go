@@ -53,6 +53,42 @@ func TestHealthBlacklistsStalledCoreWithHysteresis(t *testing.T) {
 	}
 }
 
+// TestHealthBlacklistsStalledCoreAcrossReset: a measurement reset is
+// not progress, so a core wedged across one is blacklisted on the same
+// tick as without it.
+func TestHealthBlacklistsStalledCoreAcrossReset(t *testing.T) {
+	e, f, cpus := healthBed(3)
+	wedge(f, cpus[0])
+	e.RunUntil(1500 * sim.Microsecond)
+	f.m.ResetMeasurement()
+	e.RunUntil(3*sim.Millisecond + 1)
+	if f.isHealthy(cpus[0]) {
+		t.Fatalf("core wedged across a reset still healthy after SickAfter ticks; healthy = %v", f.HealthyCPUs())
+	}
+}
+
+// TestHealthResetIsNotAStall: a saturated core with work queued keeps
+// making progress across a measurement reset, so even a tracker that
+// blacklists after one sick tick leaves it healthy.
+func TestHealthResetIsNotAStall(t *testing.T) {
+	cfg := DefaultConfig([]int{2, 3, 4})
+	cfg.Health.SickAfter = 1
+	e, m, f := newFalcon(5, cfg)
+	m.StartTicker()
+	c := m.Core(2)
+	var feed func()
+	feed = func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 50*sim.Microsecond, feed) }
+	feed()
+	feed() // one slice always waits behind the running one
+	e.RunUntil(2500 * sim.Microsecond)
+	m.ResetMeasurement()
+	e.RunUntil(5 * sim.Millisecond)
+	m.StopTicker()
+	if !f.isHealthy(2) {
+		t.Fatalf("saturated core blacklisted across a reset; healthy = %v", f.HealthyCPUs())
+	}
+}
+
 func TestHealthReinstatesAfterWellStreak(t *testing.T) {
 	e, f, cpus := healthBed(3)
 	wedge(f, cpus[1])

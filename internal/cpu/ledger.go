@@ -14,11 +14,19 @@ import (
 // the load signal); the function view is perf's (the flamegraph tables
 // of Figs. 6 and 9a). Neither derives from the other: FnAppWork runs in
 // softirq and in task context, and FnTxNIC in either.
+//
+// Its counters run from the machine's start and, like /proc/stat's, no
+// reset rewinds them: a reset only moves the start of the measurement
+// window, which the window readers subtract. The load meter, Falcon's
+// health tracker and the dynamic GRO split read the counters since
+// start, so measurement never steers them.
 type Ledger struct {
-	cores []coreTime
-	calls [costmodel.NumFuncs]uint64
-	since int64 // start of the measurement window
-	until int64 // end of the latest charged slice
+	cores      []coreTime // since the machine started
+	start      []coreTime // cores at the start of the measurement window
+	calls      [costmodel.NumFuncs]uint64
+	startCalls [costmodel.NumFuncs]uint64
+	since      int64 // start of the measurement window
+	until      int64 // end of the latest charged slice
 }
 
 // coreTime is one core's busy nanoseconds by context and by function.
@@ -28,7 +36,7 @@ type coreTime struct {
 }
 
 func newLedger(cores int) *Ledger {
-	return &Ledger{cores: make([]coreTime, cores)}
+	return &Ledger{cores: make([]coreTime, cores), start: make([]coreTime, cores)}
 }
 
 // charge records one slice of ns nanoseconds of fn in context ctx on
@@ -45,14 +53,31 @@ func (l *Ledger) charge(core int, ctx stats.CPUContext, fn costmodel.Func, ns, e
 
 // reset starts a fresh measurement window at time now.
 func (l *Ledger) reset(now int64) {
-	clear(l.cores)
-	l.calls = [costmodel.NumFuncs]uint64{}
+	copy(l.start, l.cores)
+	l.startCalls = l.calls
 	l.since, l.until = now, now
+}
+
+// BusySinceBoot returns the busy ns of core across all non-idle
+// contexts since the machine started: /proc/stat's view, which no
+// measurement reset rewinds.
+func (l *Ledger) BusySinceBoot(core int) int64 {
+	var t int64
+	for ctx := stats.CtxHardIRQ; ctx < stats.NumContexts; ctx++ {
+		t += l.cores[core].ctx[ctx]
+	}
+	return t
+}
+
+// CoreTimeSinceBoot returns the ns of fn on core since the machine
+// started, which no measurement reset rewinds.
+func (l *Ledger) CoreTimeSinceBoot(core int, fn costmodel.Func) int64 {
+	return l.cores[core].fn[fn]
 }
 
 // Busy returns the busy ns of ctx on core in the measurement window.
 func (l *Ledger) Busy(core int, ctx stats.CPUContext) int64 {
-	return l.cores[core].ctx[ctx]
+	return l.cores[core].ctx[ctx] - l.start[core].ctx[ctx]
 }
 
 // TotalBusy returns the busy ns of core across all non-idle contexts in
@@ -87,11 +112,11 @@ func (l *Ledger) fraction(ns int64) float64 {
 
 // CoreTime returns the ns of fn on core in the measurement window.
 func (l *Ledger) CoreTime(core int, fn costmodel.Func) int64 {
-	return l.cores[core].fn[fn]
+	return l.cores[core].fn[fn] - l.start[core].fn[fn]
 }
 
 // Calls returns the number of slices of fn in the measurement window.
-func (l *Ledger) Calls(fn costmodel.Func) uint64 { return l.calls[fn] }
+func (l *Ledger) Calls(fn costmodel.Func) uint64 { return l.calls[fn] - l.startCalls[fn] }
 
 // funcTimes returns the ns of every function summed over cores, and
 // their total.
@@ -136,7 +161,7 @@ func (l *Ledger) Top(n int) []FuncShare {
 	for f, ns := range fns {
 		if ns > 0 {
 			fn := costmodel.Func(f)
-			all = append(all, FuncShare{Func: fn, Ns: ns, Share: float64(ns) / float64(total), Calls: l.calls[fn]})
+			all = append(all, FuncShare{Func: fn, Ns: ns, Share: float64(ns) / float64(total), Calls: l.Calls(fn)})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -185,8 +210,8 @@ func NewLoadMeter(cores int) *LoadMeter {
 	}
 }
 
-// Tick recomputes per-core load from the busy deltas in l since the
-// last tick. now is the current virtual time.
+// Tick recomputes per-core load from l's busy time since the last tick.
+// now is the current virtual time.
 func (m *LoadMeter) Tick(l *Ledger, now int64) {
 	span := now - m.lastTick
 	if span <= 0 {
@@ -194,7 +219,7 @@ func (m *LoadMeter) Tick(l *Ledger, now int64) {
 	}
 	sum := 0.0
 	for c := range m.load {
-		busy := l.TotalBusy(c)
+		busy := l.BusySinceBoot(c)
 		load := min(float64(busy-m.lastBusy[c])/float64(span), 1)
 		m.lastBusy[c] = busy
 		m.load[c] = load

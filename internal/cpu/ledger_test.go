@@ -107,6 +107,14 @@ func TestLedgerReset(t *testing.T) {
 	if u := l.Utilization(0); u != 0.6 {
 		t.Fatalf("utilization after reset = %v, want 0.6 of the 500 ns since it", u)
 	}
+	if l.TotalBusy(0) != 300 || l.Calls(costmodel.FnBridge) != 1 || l.CoreTime(0, costmodel.FnBridge) != 300 {
+		t.Fatal("window after reset does not count only the slices since it")
+	}
+	// Like /proc/stat, the counters since boot never rewind.
+	if l.BusySinceBoot(0) != 400 || l.CoreTimeSinceBoot(0, costmodel.FnBridge) != 400 {
+		t.Fatalf("since boot: busy %d, bridge %d; want 400 and 400",
+			l.BusySinceBoot(0), l.CoreTimeSinceBoot(0, costmodel.FnBridge))
+	}
 }
 
 func TestLedgerTable(t *testing.T) {

@@ -207,6 +207,28 @@ func TestTickerUpdatesLoad(t *testing.T) {
 	}
 }
 
+// TestLoadSurvivesMeasurementReset: a measurement reset between two
+// ticks does not rewind the busy time the load meter reads, as no
+// reset rewinds /proc/stat, so a saturated core still reads a load in
+// [0, 1] on the next tick.
+func TestLoadSurvivesMeasurementReset(t *testing.T) {
+	e, m := newTestMachine(1)
+	m.StartTicker()
+	var feed func()
+	feed = func() { m.Core(0).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100*sim.Microsecond, feed) }
+	feed()
+	e.RunUntil(2*sim.Millisecond + 500*sim.Microsecond)
+	m.ResetMeasurement()
+	e.RunUntil(3*sim.Millisecond + 1)
+	m.StopTicker()
+	if l := m.Load.Load(0); l < 0 || l > 1 {
+		t.Fatalf("saturated core reads load %v after a reset, want [0, 1]", l)
+	}
+	if u := m.Acct.Utilization(0); u != 1 {
+		t.Fatalf("utilization since the reset = %v, want 1", u)
+	}
+}
+
 func TestOnTickCallback(t *testing.T) {
 	e, m := newTestMachine(1)
 	ticks := 0

@@ -109,7 +109,7 @@ func AuditHosts(e sim.Sim, hosts []*overlay.Host, cfg audit.Config) *audit.Audit
 				ring, _, _ := h.NIC.QueueState(c)
 				return audit.WatchState{
 					Queued:   local + remote + ring,
-					Progress: uint64(h.M.Acct.TotalBusy(c)),
+					Progress: uint64(h.M.Acct.BusySinceBoot(c)),
 					Frozen:   core.Stalled() || core.Offline(),
 				}
 			})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	falconcore "falcon/internal/core"
@@ -89,5 +90,35 @@ func TestConservationOfPackets(t *testing.T) {
 			wire, accounted, sock.Delivered.Value(), tb.Server.NIC.Drops.Value(),
 			tb.Server.St.Drops.Value(), sock.SocketDrops.Value(),
 			tb.Server.Rx.PathDrops.Value(), tb.Server.L4Drops.Value())
+	}
+}
+
+// TestMeasurementResetDoesNotSteerFalcon: a measurement reset only moves
+// the start of the measured window. A load-gated two-choice Falcon bed
+// run to the same end with and without one makes the same placements
+// and fires the same events.
+func TestMeasurementResetDoesNotSteerFalcon(t *testing.T) {
+	run := func(reset bool) []uint64 {
+		tb := NewTestbed(TestbedConfig{
+			LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
+			RSSCores: []int{0}, RPSCores: []int{1},
+			GRO: true, InnerGRO: true, Seed: 7,
+		})
+		tb.EnableFalconOnServer(falconcore.DefaultConfig([]int{3, 4, 5}))
+		tb.StressFlood(true, 3, 64, 2, 20*sim.Millisecond)
+		// Both runs stop at the reset time, since a stop alone can turn
+		// an inline slice into a fired event.
+		tb.Run(5*sim.Millisecond + 500*sim.Microsecond)
+		if reset {
+			tb.Client.ResetMeasurement()
+			tb.Server.ResetMeasurement()
+		}
+		tb.Run(15 * sim.Millisecond)
+		first, second, gated := tb.Server.Falcon.Stats()
+		return []uint64{first, second, gated, tb.E.Fired()}
+	}
+	plain, reset := run(false), run(true)
+	if !reflect.DeepEqual(plain, reset) {
+		t.Fatalf("first/second/gated/fired = %v with a reset, %v without", reset, plain)
 	}
 }
