@@ -35,6 +35,15 @@ type coreTime struct {
 	fn  [costmodel.NumFuncs]int64
 }
 
+// busy sums the non-idle contexts.
+func (c *coreTime) busy() int64 {
+	var t int64
+	for _, ns := range c.ctx[stats.CtxHardIRQ:] {
+		t += ns
+	}
+	return t
+}
+
 func newLedger(cores int) *Ledger {
 	return &Ledger{cores: make([]coreTime, cores), start: make([]coreTime, cores)}
 }
@@ -61,13 +70,7 @@ func (l *Ledger) reset(now int64) {
 // BusySinceBoot returns the busy ns of core across all non-idle
 // contexts since the machine started: /proc/stat's view, which no
 // measurement reset rewinds.
-func (l *Ledger) BusySinceBoot(core int) int64 {
-	var t int64
-	for ctx := stats.CtxHardIRQ; ctx < stats.NumContexts; ctx++ {
-		t += l.cores[core].ctx[ctx]
-	}
-	return t
-}
+func (l *Ledger) BusySinceBoot(core int) int64 { return l.cores[core].busy() }
 
 // CoreTimeSinceBoot returns the ns of fn on core since the machine
 // started, which no measurement reset rewinds.
@@ -83,11 +86,7 @@ func (l *Ledger) Busy(core int, ctx stats.CPUContext) int64 {
 // TotalBusy returns the busy ns of core across all non-idle contexts in
 // the measurement window.
 func (l *Ledger) TotalBusy(core int) int64 {
-	var t int64
-	for ctx := stats.CtxHardIRQ; ctx < stats.NumContexts; ctx++ {
-		t += l.Busy(core, ctx)
-	}
-	return t
+	return l.cores[core].busy() - l.start[core].busy()
 }
 
 // Utilization returns core's busy fraction of the measurement window,
@@ -192,7 +191,7 @@ func (l *Ledger) Table(title string, n int) *stats.Table {
 // LoadMeter maintains a per-core load estimate over the last tick — the
 // simulation's analogue of sampling /proc/stat from the timer interrupt,
 // which is exactly how the paper's Falcon implementation measures load
-// (Section 5). Loads update only when Tick is called, so readers between
+// (Section 5). Loads update only on a tick, so readers between
 // ticks observe slightly stale values, reproducing the paper's
 // observation that per-packet balancing lacks timely load information.
 type LoadMeter struct {
@@ -202,17 +201,17 @@ type LoadMeter struct {
 	systemAvg float64
 }
 
-// NewLoadMeter returns a meter for cores CPU cores.
-func NewLoadMeter(cores int) *LoadMeter {
+// newLoadMeter returns a meter for cores CPU cores.
+func newLoadMeter(cores int) *LoadMeter {
 	return &LoadMeter{
 		lastBusy: make([]int64, cores),
 		load:     make([]float64, cores),
 	}
 }
 
-// Tick recomputes per-core load from l's busy time since the last tick.
+// tick recomputes per-core load from l's busy time since the last tick.
 // now is the current virtual time.
-func (m *LoadMeter) Tick(l *Ledger, now int64) {
+func (m *LoadMeter) tick(l *Ledger, now int64) {
 	span := now - m.lastTick
 	if span <= 0 {
 		return

@@ -132,10 +132,10 @@ func TestLedgerTable(t *testing.T) {
 
 func TestLoadMeterStaleness(t *testing.T) {
 	l := newLedger(2)
-	m := NewLoadMeter(2)
+	m := newLoadMeter(2)
 
 	l.charge(0, stats.CtxSoftIRQ, costmodel.FnBridge, 800, 1000)
-	m.Tick(l, 1000)
+	m.tick(l, 1000)
 	if v := m.Load(0); v != 0.8 {
 		t.Fatalf("load0 = %v, want 0.8", v)
 	}
@@ -151,7 +151,7 @@ func TestLoadMeterStaleness(t *testing.T) {
 	if v := m.Load(1); v != 0 {
 		t.Fatalf("load should be stale between ticks, got %v", v)
 	}
-	m.Tick(l, 2000)
+	m.tick(l, 2000)
 	if v := m.Load(1); v != 0.9 {
 		t.Fatalf("load1 after tick = %v, want 0.9", v)
 	}

@@ -51,7 +51,7 @@ func NewMachine(e *sim.Engine, model *costmodel.Model, n int, tickPeriod sim.Tim
 		Model:      model,
 		Acct:       newLedger(n),
 		IRQ:        stats.NewIRQCounters(n),
-		Load:       NewLoadMeter(n),
+		Load:       newLoadMeter(n),
 		tickPeriod: tickPeriod,
 	}
 	m.Prof = m.Acct
@@ -91,7 +91,7 @@ func (m *Machine) StartTicker() {
 	tick = func() {
 		now := m.E.Now()
 		m.IRQ.Inc(0, stats.IRQTimer)
-		m.Load.Tick(m.Acct, int64(now))
+		m.Load.tick(m.Acct, int64(now))
 		for _, fn := range m.onTick {
 			fn(now)
 		}
