@@ -19,7 +19,7 @@ import (
 // reset rewinds them: a reset only moves the start of the measurement
 // window, which the window readers subtract. The load meter, Falcon's
 // health tracker and the dynamic GRO split read the counters since
-// start, so measurement never steers them.
+// boot, so measurement never steers them.
 type Ledger struct {
 	cores      []coreTime // since the machine started
 	start      []coreTime // cores at the start of the measurement window
