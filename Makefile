@@ -7,8 +7,10 @@ all: vet build test
 build:
 	$(GO) build ./...
 
+# As in CI's vet step: go vet, and every file gofmt-clean.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

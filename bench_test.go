@@ -241,7 +241,7 @@ func BenchmarkMachineSlices(b *testing.B) {
 			e := sim.New(1)
 			ms := make([]*cpu.Machine, bc.machines)
 			for i := range ms {
-				ms[i] = cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond)
+				ms[i] = cpu.NewMachine(e, costmodel.Kernel419(), 8)
 			}
 			n := 0
 			for i := 0; i < bc.k; i++ {
@@ -271,7 +271,7 @@ func BenchmarkMachineSlices(b *testing.B) {
 func BenchmarkTimerSlices(b *testing.B) {
 	const cost, gap = 120, 1000
 	e := sim.New(1)
-	c := cpu.NewMachine(e, costmodel.Kernel419(), 8, sim.Millisecond).Core(0)
+	c := cpu.NewMachine(e, costmodel.Kernel419(), 8).Core(0)
 	n := 0
 	var tick func()
 	tick = func() {

@@ -22,24 +22,20 @@ import (
 	"falcon/internal/skb"
 )
 
-// Defaults for Config zero values.
 const (
-	DefaultCheckEvery     = sim.Millisecond
-	DefaultWatchdogWindow = 5 * sim.Millisecond
-	DefaultRingSize       = 256
+	// checkEvery is the sim-time cadence of the periodic invariant
+	// sweep (conservation balances, queue validation, watchdog scan).
+	checkEvery = sim.Millisecond
+	// watchdogWindow is how long a watch may hold queued work without
+	// progress before the watchdog aborts the run.
+	watchdogWindow = 5 * sim.Millisecond
+	// ringSize bounds the trace ring (recent lifecycle events kept for
+	// the failure dump) and the recently-freed record ring.
+	ringSize = 256
 )
 
 // Config tunes one auditor.
 type Config struct {
-	// CheckEvery is the sim-time cadence of the periodic invariant
-	// sweep (conservation balances, queue validation, watchdog scan).
-	CheckEvery sim.Time
-	// WatchdogWindow is how long a watch may hold queued work without
-	// progress before the watchdog aborts the run.
-	WatchdogWindow sim.Time
-	// RingSize bounds the trace ring (recent lifecycle events kept for
-	// the failure dump).
-	RingSize int
 	// WatchFrozen includes cores that fault injection deliberately
 	// froze (Stalled/Offline) in watchdog stall detection. Off by
 	// default: the chaos harness stalls cores on purpose and the
@@ -49,19 +45,6 @@ type Config struct {
 	// aborting the run — negative tests use it to assert attribution.
 	// When nil, the first violation panics with *Abort.
 	OnViolation func(*Violation)
-}
-
-func (c Config) withDefaults() Config {
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = DefaultCheckEvery
-	}
-	if c.WatchdogWindow <= 0 {
-		c.WatchdogWindow = DefaultWatchdogWindow
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
-	return c
 }
 
 // Violation is one detected invariant breach.
@@ -128,7 +111,7 @@ type Auditor struct {
 func New(e sim.Sim, cfg Config) *Auditor {
 	return &Auditor{
 		E:        e,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		byEngine: make(map[*sim.Engine]*Ledger),
 	}
 }
@@ -168,7 +151,7 @@ func (a *Auditor) SKBMisuse(s *skb.SKB, kind string) { a.defLedger().SKBMisuse(s
 
 // Start arms the periodic invariant sweep.
 func (a *Auditor) Start() {
-	a.timer = a.E.AfterArg(a.cfg.CheckEvery, auditTick, a)
+	a.timer = a.E.AfterArg(checkEvery, auditTick, a)
 }
 
 func auditTick(v any) {
@@ -177,7 +160,7 @@ func auditTick(v any) {
 		return
 	}
 	a.runChecks()
-	a.timer = a.E.AfterArg(a.cfg.CheckEvery, auditTick, a)
+	a.timer = a.E.AfterArg(checkEvery, auditTick, a)
 }
 
 // NoteReset tells the auditor that external measurement counters are

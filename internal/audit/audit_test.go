@@ -254,6 +254,9 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 		{Exp: "abl-crash", Seed: 3, Kernel: "linux-5.4", Cache: true,
 			Crash: `{"crashes":[{"host":"server","at_ms":2,"reboot_ms":4}]}`},
 		{Exp: "fuzz/conservation", Seed: 4, Scenario: `{"flows":[{"proto":"udp"}]}`},
+		// Quoted values may contain spaces.
+		{Exp: "scenario", Scenario: `{"name":"tcp mtu mix"}`},
+		{Exp: "abl-crash", Kernel: "linux 5.4", Crash: `{"crashes": []}`},
 	} {
 		var b strings.Builder
 		WriteDump(&b, info, &Violation{Kind: "leak", Detail: "x"}, nil)
@@ -275,7 +278,8 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 		got != (RunInfo{Exp: "fig10", Seed: 5, Kernel: "5.4", Quick: true}) {
 		t.Fatalf("older dump header: got %+v, %v", got, err)
 	}
-	for _, bad := range []string{`exp=fig10 kernel="5.4`, `exp=fig10 seed=x`, `exp=fig10 stray`} {
+	for _, bad := range []string{`exp=fig10 kernel="5.4`, `exp=fig10 seed=x`, `exp=fig10 stray`,
+		`exp=fig10 kernel="5.4"x`, `exp=fig10 crash="a b`} {
 		if _, err := ParseDumpHeader(strings.NewReader(dumpMagic + " " + bad + "\n")); err == nil {
 			t.Fatalf("malformed header %q parsed", bad)
 		}

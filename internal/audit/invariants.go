@@ -154,7 +154,7 @@ type watch struct {
 
 // Watch registers a stall probe. The watchdog fires when a probe
 // reports queued work with no progress (no Progress movement, no queue
-// shrink) for a full WatchdogWindow.
+// shrink) for a full watchdogWindow.
 func (a *Auditor) Watch(name string, probe func() WatchState) {
 	a.watches = append(a.watches, &watch{name: name, probe: probe})
 }
@@ -175,7 +175,7 @@ func (a *Auditor) scanWatches() {
 			w.since = now
 			continue
 		}
-		if now-w.since >= a.cfg.WatchdogWindow {
+		if now-w.since >= watchdogWindow {
 			a.violate("watchdog", "%s hung: %d queued, no progress for %v (progress=%d frozen=%t)\n%s",
 				w.name, st.Queued, now-w.since, st.Progress, st.Frozen, a.stateString())
 			// In collect mode re-arm so one stall yields one violation

@@ -114,7 +114,7 @@ func (l *Ledger) getRecord() *record {
 // whatever it displaces.
 func (l *Ledger) retire(r *record) {
 	if l.recent == nil {
-		l.recent = make([]*record, l.a.cfg.RingSize)
+		l.recent = make([]*record, ringSize)
 	}
 	if old := l.recent[l.recentAt]; old != nil {
 		l.freeRecs = append(l.freeRecs, old)
@@ -200,7 +200,7 @@ func (l *Ledger) SKBMisuse(s *skb.SKB, kind string) {
 			kind, r.seq, r.site, r.at, r.gen, r.freeAt, r.history())
 		return
 	}
-	l.a.violateAt(l.E.Now(), kind, "%s of skb gen %d (record evicted from ring; raise Config.RingSize to retain history)",
+	l.a.violateAt(l.E.Now(), kind, "%s of skb gen %d (record evicted from ring)",
 		kind, s.Gen())
 }
 

@@ -24,7 +24,7 @@ type traceEv struct {
 
 func (l *Ledger) trace(kind byte, label string, seq uint64, gen uint32) {
 	if l.ring == nil {
-		l.ring = make([]traceEv, l.a.cfg.RingSize)
+		l.ring = make([]traceEv, ringSize)
 	}
 	l.ring[l.ringAt] = traceEv{at: l.E.Now(), kind: kind, label: label, seq: seq, gen: gen}
 	l.ringAt = (l.ringAt + 1) % len(l.ring)
@@ -132,11 +132,21 @@ func ParseDumpHeader(r io.Reader) (RunInfo, error) {
 	if !strings.HasPrefix(line, dumpMagic+" ") {
 		return info, fmt.Errorf("audit: not an audit dump (want %q header)", dumpMagic)
 	}
-	for _, f := range strings.Fields(strings.TrimPrefix(line, dumpMagic+" ")) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
+	// Fields are space-separated key=value pairs. A quoted value may
+	// itself contain spaces, so it ends at its closing quote.
+	rest := strings.TrimPrefix(line, dumpMagic+" ")
+	for rest = strings.TrimLeft(rest, " "); rest != ""; rest = strings.TrimLeft(rest, " ") {
+		k, v, ok := strings.Cut(rest, "=")
+		if !ok || strings.Contains(k, " ") {
+			f, _, _ := strings.Cut(rest, " ")
 			return info, fmt.Errorf("audit: malformed dump header field %q", f)
 		}
+		if q, err := strconv.QuotedPrefix(v); err == nil && (len(q) == len(v) || v[len(q)] == ' ') {
+			v, rest = q, v[len(q):]
+		} else {
+			v, rest, _ = strings.Cut(v, " ")
+		}
+		f := k + "=" + v
 		var err error
 		switch k {
 		case "exp":

@@ -57,17 +57,6 @@ type Config struct {
 	// allocation stays on the NAPI core while napi_gro_receive and
 	// everything after move to a Falcon core (Section 4.2).
 	GROSplit bool
-
-	// UpdateEvery sets how many timer ticks pass between L_avg
-	// refreshes (the paper updates "every N timer interrupts").
-	// Zero means every tick.
-	UpdateEvery int
-
-	// Health configures the per-core health tracker (health.go). The
-	// zero value enables tracking with defaults; tracking is passive
-	// (tick-driven reads of existing accounting) and changes placement
-	// only when a core actually sickens.
-	Health HealthConfig
 }
 
 // DefaultConfig returns the full Falcon configuration over the given
@@ -86,8 +75,7 @@ type Falcon struct {
 	cfg Config
 	m   *cpu.Machine
 
-	lavg      float64
-	tickCount int
+	lavg float64
 
 	// Dynamic GRO-split controller state (dynsplit.go).
 	dynEnabled bool
@@ -110,20 +98,16 @@ type Falcon struct {
 	gatedOff     uint64 // placements declined because L_avg was high
 }
 
-// New attaches Falcon to machine m and registers its periodic L_avg
-// refresh on the machine's timer tick.
+// New attaches Falcon to machine m and registers its L_avg refresh and
+// health scan on every timer tick.
 func New(m *cpu.Machine, cfg Config) *Falcon {
 	if cfg.LoadThreshold == 0 {
 		cfg.LoadThreshold = DefaultLoadThreshold
 	}
-	cfg.Health = cfg.Health.withDefaults()
 	f := &Falcon{cfg: cfg, m: m}
 	f.initHealth()
 	m.OnTick(func(now sim.Time) {
-		f.tickCount++
-		if cfg.UpdateEvery <= 1 || f.tickCount%cfg.UpdateEvery == 0 {
-			f.lavg = f.falconLoad()
-		}
+		f.lavg = f.falconLoad()
 		f.updateHealth(now)
 	})
 	return f
@@ -147,7 +131,7 @@ func (f *Falcon) falconLoad() float64 {
 // Config returns the active configuration.
 func (f *Falcon) Config() Config { return f.cfg }
 
-// LAvg returns the current (periodically refreshed) system load average.
+// LAvg returns the system load average as of the last timer tick.
 func (f *Falcon) LAvg() float64 { return f.lavg }
 
 // Enabled implements Algorithm 1 line 6: Falcon parallelizes only while
@@ -191,7 +175,7 @@ func (f *Falcon) GetCPU(s *skb.SKB, ifindex int) (int, bool) {
 		// Some FALCON_CPUS are blacklisted. Below the floor, decline
 		// placement entirely: the caller keeps the vanilla same-core
 		// path, which needs no healthy spare cores at all.
-		if len(f.healthy) < f.cfg.Health.MinHealthy {
+		if len(f.healthy) < DefaultMinHealthy {
 			f.Faults.Fallbacks.Inc()
 			return 0, false
 		}

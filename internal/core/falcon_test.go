@@ -12,7 +12,7 @@ import (
 
 func newFalcon(cores int, cfg Config) (*sim.Engine, *cpu.Machine, *Falcon) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), cores, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), cores)
 	f := New(m, cfg)
 	return e, m, f
 }
@@ -184,30 +184,6 @@ func TestStaticBalancerSticksToHotCore(t *testing.T) {
 	m.StopTicker()
 	if got, _ := f.GetCPU(s, 1); got != hot {
 		t.Fatal("static balancer should not divert from hot core")
-	}
-}
-
-func TestUpdateEveryThrottlesLavg(t *testing.T) {
-	cfg := DefaultConfig([]int{0})
-	cfg.UpdateEvery = 5
-	e, m, f := newFalcon(1, cfg)
-	m.StartTicker()
-	var feed func()
-	feed = func() {
-		if e.Now() < 4*sim.Millisecond {
-			m.Core(0).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 500*sim.Microsecond, feed)
-		}
-	}
-	feed()
-	// After 4 ticks (ticks at 1ms), L_avg must not have refreshed yet.
-	e.RunUntil(4*sim.Millisecond + 1)
-	if f.LAvg() != 0 {
-		t.Fatalf("lavg refreshed early: %v", f.LAvg())
-	}
-	e.RunUntil(6 * sim.Millisecond)
-	m.StopTicker()
-	if f.LAvg() == 0 {
-		t.Fatal("lavg never refreshed")
 	}
 }
 

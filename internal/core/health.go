@@ -5,7 +5,7 @@ import (
 	"falcon/internal/stats"
 )
 
-// Health-tracking defaults. Detection is deliberately asymmetric:
+// Health-tracking thresholds. Detection is deliberately asymmetric:
 // blacklisting fast bounds the packets parked behind a wedged core,
 // while reinstating slowly prevents a flapping core from oscillating
 // placement (the hysteresis the two-choice balancer needs to stay
@@ -22,31 +22,6 @@ const (
 	// to the vanilla same-core path.
 	DefaultMinHealthy = 2
 )
-
-// HealthConfig tunes the per-core health tracker.
-type HealthConfig struct {
-	// Disabled turns tracking off entirely (every core permanently
-	// healthy), the pre-chaos behaviour.
-	Disabled bool
-	// SickAfter / WellAfter are the hysteresis streak lengths in timer
-	// ticks (0 → defaults).
-	SickAfter, WellAfter int
-	// MinHealthy is the healthy-set floor (0 → default).
-	MinHealthy int
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.SickAfter == 0 {
-		h.SickAfter = DefaultSickAfter
-	}
-	if h.WellAfter == 0 {
-		h.WellAfter = DefaultWellAfter
-	}
-	if h.MinHealthy == 0 {
-		h.MinHealthy = DefaultMinHealthy
-	}
-	return h
-}
 
 // coreHealth is one FALCON_CPU's tracker state.
 type coreHealth struct {
@@ -88,7 +63,7 @@ func (f *Falcon) Degraded() bool { return f.degraded }
 // watchdog's signal. The scan only reads existing accounting, schedules
 // nothing, and draws no randomness, so it cannot perturb a healthy run.
 func (f *Falcon) updateHealth(now sim.Time) {
-	if f.cfg.Health.Disabled || len(f.cfg.CPUs) == 0 {
+	if len(f.cfg.CPUs) == 0 {
 		return
 	}
 	changed := false
@@ -106,14 +81,14 @@ func (f *Falcon) updateHealth(now sim.Time) {
 			h.wellStreak = 0
 			h.sickStreak++
 			// Offlining is an explicit notification: blacklist at once.
-			if !h.sick && (c.Offline() || h.sickStreak >= f.cfg.Health.SickAfter) {
+			if !h.sick && (c.Offline() || h.sickStreak >= DefaultSickAfter) {
 				h.sick = true
 				changed = true
 			}
 		} else {
 			h.sickStreak = 0
 			h.wellStreak++
-			if h.sick && h.wellStreak >= f.cfg.Health.WellAfter {
+			if h.sick && h.wellStreak >= DefaultWellAfter {
 				h.sick = false
 				changed = true
 			}
@@ -127,7 +102,7 @@ func (f *Falcon) updateHealth(now sim.Time) {
 			}
 		}
 	}
-	below := len(f.healthy) < f.cfg.Health.MinHealthy
+	below := len(f.healthy) < DefaultMinHealthy
 	switch {
 	case below && !f.degraded:
 		f.degraded = true

@@ -68,18 +68,22 @@ func TestHealthBlacklistsStalledCoreAcrossReset(t *testing.T) {
 }
 
 // TestHealthResetIsNotAStall: a saturated core with work queued keeps
-// making progress across a measurement reset, so even a tracker that
-// blacklists after one sick tick leaves it healthy.
+// making progress across a measurement reset, so its sick streak stays
+// 0 on every tick. (A single false sick tick would stay below
+// DefaultSickAfter and never blacklist, so the streak is what shows it.)
 func TestHealthResetIsNotAStall(t *testing.T) {
-	cfg := DefaultConfig([]int{2, 3, 4})
-	cfg.Health.SickAfter = 1
-	e, m, f := newFalcon(5, cfg)
-	m.StartTicker()
+	e, m, f := newFalcon(5, DefaultConfig([]int{2, 3, 4}))
 	c := m.Core(2)
 	var feed func()
 	feed = func() { c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 50*sim.Microsecond, feed) }
 	feed()
 	feed() // one slice always waits behind the running one
+	m.OnTick(func(now sim.Time) {
+		if n := f.health[0].sickStreak; n != 0 {
+			t.Errorf("saturated core has sick streak %d at %v", n, now)
+		}
+	})
+	m.StartTicker()
 	e.RunUntil(2500 * sim.Microsecond)
 	m.ResetMeasurement()
 	e.RunUntil(5 * sim.Millisecond)
@@ -203,19 +207,5 @@ func TestHealthIdleCoresStayHealthy(t *testing.T) {
 	e.RunUntil(10 * sim.Millisecond)
 	if len(f.HealthyCPUs()) != 3 || f.Degraded() {
 		t.Fatalf("idle machine degraded: healthy=%v", f.HealthyCPUs())
-	}
-}
-
-func TestHealthDisabledConfigSkipsTracking(t *testing.T) {
-	cpus := []int{2, 3, 4}
-	cfg := DefaultConfig(cpus)
-	cfg.Health.Disabled = true
-	e, m, f := newFalcon(5, cfg)
-	m.StartTicker()
-	wedge(f, 2)
-	m.Core(3).SetOffline(true)
-	e.RunUntil(10 * sim.Millisecond)
-	if len(f.HealthyCPUs()) != 3 {
-		t.Fatalf("disabled tracker blacklisted: %v", f.HealthyCPUs())
 	}
 }

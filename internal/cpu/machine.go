@@ -20,6 +20,10 @@ import (
 // ksoftirqd under sustained load so user threads are not fully starved.
 const ksoftirqdBatch = 16
 
+// tickPeriod is the timer-tick interval used for load estimation (the
+// kernel's do_timer cadence; the paper samples /proc/stat from it).
+const tickPeriod = sim.Millisecond
+
 // Machine is a simulated multi-core host.
 type Machine struct {
 	E     *sim.Engine
@@ -31,28 +35,24 @@ type Machine struct {
 	// function call counts through it.
 	Prof *Ledger
 
-	cores      []*Core
-	slices     sim.Slots // one slice-completion slot per core
-	tickPeriod sim.Time
-	onTick     []func(now sim.Time)
-	ticker     sim.Timer
+	cores  []*Core
+	slices sim.Slots // one slice-completion slot per core
+	onTick []func(now sim.Time)
+	ticker sim.Timer
 }
 
 // NewMachine builds a machine with n cores on engine e using the given
-// cost model. tickPeriod is the timer-tick interval used for load
-// estimation (the kernel's do_timer cadence; the paper samples
-// /proc/stat from it).
-func NewMachine(e *sim.Engine, model *costmodel.Model, n int, tickPeriod sim.Time) *Machine {
+// cost model.
+func NewMachine(e *sim.Engine, model *costmodel.Model, n int) *Machine {
 	if n <= 0 {
 		panic("cpu: machine needs at least one core")
 	}
 	m := &Machine{
-		E:          e,
-		Model:      model,
-		Acct:       newLedger(n),
-		IRQ:        stats.NewIRQCounters(n),
-		Load:       newLoadMeter(n),
-		tickPeriod: tickPeriod,
+		E:     e,
+		Model: model,
+		Acct:  newLedger(n),
+		IRQ:   stats.NewIRQCounters(n),
+		Load:  newLoadMeter(n),
 	}
 	m.Prof = m.Acct
 	m.cores = make([]*Core, n)
@@ -95,9 +95,9 @@ func (m *Machine) StartTicker() {
 		for _, fn := range m.onTick {
 			fn(now)
 		}
-		m.ticker = m.E.After(m.tickPeriod, tick)
+		m.ticker = m.E.After(tickPeriod, tick)
 	}
-	m.ticker = m.E.After(m.tickPeriod, tick)
+	m.ticker = m.E.After(tickPeriod, tick)
 }
 
 // StopTicker cancels the periodic tick (so Engine.Run can drain).

@@ -10,7 +10,7 @@ import (
 
 func newTestMachine(n int) (*sim.Engine, *Machine) {
 	e := sim.New(1)
-	m := NewMachine(e, costmodel.Kernel419(), n, sim.Millisecond)
+	m := NewMachine(e, costmodel.Kernel419(), n)
 	return e, m
 }
 
@@ -43,7 +43,7 @@ func TestNewMachineZeroCoresPanics(t *testing.T) {
 			t.Error("zero cores did not panic")
 		}
 	}()
-	NewMachine(sim.New(1), costmodel.Kernel419(), 0, sim.Millisecond)
+	NewMachine(sim.New(1), costmodel.Kernel419(), 0)
 }
 
 func TestCoreExecutesAndCharges(t *testing.T) {

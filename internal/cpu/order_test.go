@@ -87,9 +87,8 @@ func refComplete(v any) {
 	refDispatch(c)
 }
 
-// orderProgram shapes a runOrderProgram run: the machines' core counts
-// (machine i ticks every 50+20i µs), and whether a completion hands off
-// only to cores of other machines.
+// orderProgram shapes a runOrderProgram run: the machines' core counts,
+// and whether a completion hands off only to cores of other machines.
 type orderProgram struct {
 	cores []int
 	cross bool
@@ -98,15 +97,17 @@ type orderProgram struct {
 // runOrderProgram drives machines on one engine through ops with a seeded
 // random program: hardirq bursts at random times, slices of random cost,
 // context and function whose completions submit to random cores (of any
-// machine, or with cross of any other machine), ticker callbacks that
-// submit task work, and cores stalled or taken offline for random spans.
+// machine, or with cross of any other machine), periodic timers
+// (machine i's every 50+20i µs) that submit task work beside the
+// machines' own tickers, and cores stalled or taken offline for random
+// spans.
 // It returns the completion trace.
 func runOrderProgram(seed uint64, p orderProgram, ops coreOps) (*sim.Engine, []*Machine, []completion) {
 	e := sim.New(seed)
 	r := sim.NewRand(seed)
 	ms := make([]*Machine, len(p.cores))
 	for i, n := range p.cores {
-		ms[i] = NewMachine(e, costmodel.Kernel419(), n, sim.Time(50+20*i)*sim.Microsecond)
+		ms[i] = NewMachine(e, costmodel.Kernel419(), n)
 	}
 	pickOn := func(mi int) (int, *Core) {
 		c := ms[mi].Core(r.Intn(ms[mi].NumCores()))
@@ -150,15 +151,22 @@ func runOrderProgram(seed uint64, p orderProgram, ops coreOps) (*sim.Engine, []*
 		e.At(at, func() { ops.freeze(c, offline, true) })
 		e.At(at+sim.Time(r.Intn(200_000)), func() { ops.freeze(c, offline, false) })
 	}
+	const end = span + 500*sim.Microsecond
 	for mi, m := range ms {
-		m.OnTick(func(sim.Time) {
+		period := sim.Time(50+20*mi) * sim.Microsecond
+		var tick func()
+		tick = func() {
 			if r.Intn(3) == 0 {
 				slice(mi*8, m.Core(0), stats.CtxTask, 3)
 			}
-		})
+			if e.Now()+period <= end {
+				e.After(period, tick)
+			}
+		}
+		e.After(period, tick)
 		m.StartTicker()
 	}
-	e.RunUntil(span + 500*sim.Microsecond)
+	e.RunUntil(end)
 	for _, m := range ms {
 		m.StopTicker()
 	}
@@ -225,8 +233,8 @@ func TestCrossMachineOrderMatchesPerCoreEvents(t *testing.T) {
 func TestMachinesAlternateInline(t *testing.T) {
 	e := sim.New(1)
 	ms := []*Machine{
-		NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond),
-		NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond),
+		NewMachine(e, costmodel.Kernel419(), 2),
+		NewMachine(e, costmodel.Kernel419(), 2),
 	}
 	const slices = 100
 	var done []sim.Time

@@ -37,7 +37,7 @@ type Link struct {
 	// Deliver receives each frame at the far end.
 	Deliver func(s *skb.SKB)
 
-	// TxQueueLen bounds frames in flight on the serializer (0 = default).
+	// TxQueueLen bounds frames in flight on the serializer.
 	TxQueueLen int
 
 	// MTU, when positive, is the largest IP packet the wire carries;
@@ -125,11 +125,7 @@ func (l *Link) QueueLen() int { return l.inflight.Len() }
 // Send enqueues a frame for transmission. It reports false when the
 // transmit queue is full (frame dropped).
 func (l *Link) Send(s *skb.SKB) bool {
-	limit := l.TxQueueLen
-	if limit <= 0 {
-		limit = DefaultTxQueueLen
-	}
-	if l.inflight.Len() >= limit {
+	if l.inflight.Len() >= l.TxQueueLen {
 		l.Dropped.Inc()
 		// The frame is dropped here, not handed back: no caller retries a
 		// full tx queue, so the SKB's lifetime ends at this stage.

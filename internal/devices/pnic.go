@@ -19,13 +19,13 @@ const DefaultRingSize = 4096
 // the poll yields (net_rx_action's budget).
 const DefaultNAPIBudget = 64
 
-// DefaultModeration is the adaptive interrupt-moderation window: after a
+// moderation is the adaptive interrupt-moderation window: after a
 // NAPI cycle completes, the next hardirq is held off this long so
 // back-to-back traffic accumulates into poll batches (and GRO gets
 // segments to merge). An arrival after a quiet period interrupts
 // immediately, so idle-flow latency is unaffected — the "adaptive
 // interrupt coalescing" the paper's testbed enables.
-const DefaultModeration = 12 * sim.Microsecond
+const moderation = 12 * sim.Microsecond
 
 // PNIC is a multi-queue physical NIC on the receive side: RSS spreads
 // flows across queues, each queue's hardirq is affined to a core, and a
@@ -40,9 +40,6 @@ type PNIC struct {
 	GROEnabled bool
 	RingSize   int
 	Budget     int
-	// Moderation is the interrupt-coalescing window (0 = default;
-	// negative = disabled).
-	Moderation sim.Time
 
 	// OnReceive continues the stack after poll+alloc(+GRO merge): it is
 	// the netif_receive_skb entry installed by the receive path builder.
@@ -279,12 +276,8 @@ func (n *PNIC) Arrive(s *skb.SKB) {
 	if q.active || q.irqArmed {
 		return // NAPI polling or a moderated interrupt pending
 	}
-	mod := n.Moderation
-	if mod == 0 {
-		mod = DefaultModeration
-	}
 	now := n.St.M.E.Now()
-	if hold := q.lastComplete + mod - now; mod > 0 && hold > 0 {
+	if hold := q.lastComplete + moderation - now; hold > 0 {
 		q.irqArmed = true
 		q.irq.Set(0, now+hold)
 		return

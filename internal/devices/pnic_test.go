@@ -18,7 +18,7 @@ func macFor(v uint64) proto.MAC { return proto.MACFromUint64(v) }
 func newNIC(t *testing.T, cores int, rssCores []int, groOn bool) (*sim.Engine, *netdev.Stack, *PNIC) {
 	t.Helper()
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), cores, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), cores)
 	st := netdev.NewStack(m)
 	nic := NewPNIC(st, "eth0", steering.RSS{QueueCores: rssCores}, groOn)
 	return e, st, nic

@@ -27,13 +27,9 @@ func init() {
 }
 
 // crashBlackoutBudgetMs bounds any full-blackout stretch: detector
-// timeout (2ms) + SickAfter scans (2 x 0.5ms) + remap transit (0.2ms) +
+// timeout (2ms) + two sick scans (2 x 0.5ms) + remap transit (0.2ms) +
 // heartbeat age at death (<= one 1ms tick), rounded to whole buckets.
 const crashBlackoutBudgetMs = 4
-
-// crashTransitUs is the fail-over remap's transit gap (matches the
-// default drain schedule).
-const crashTransitUs = 200
 
 // defaultCrashSchedule kills the server early enough that detection,
 // fail-over and reboot all land inside the window: times are in units of
@@ -103,8 +99,7 @@ func armCrash(opt Options, cs *reconfig.CrashSchedule) func(*workload.Testbed, s
 			}
 			twins[c.Host] = "spare"
 		}
-		if err := mgr.StartDetector(reconfig.DetectorConfig{TransitUs: crashTransitUs},
-			twins, opt.warmup(), until); err != nil {
+		if err := mgr.StartDetector(twins, opt.warmup(), until); err != nil {
 			panic(fmt.Sprintf("abl-crash: %v", err))
 		}
 		installCrashFaults(tb, cs, opt.warmup(), until)

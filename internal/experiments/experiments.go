@@ -16,9 +16,8 @@ import (
 )
 
 // Options tunes a run. Every testbed-based experiment builds its beds
-// through newBed and every multi-host one through buildFabric, so each
-// field below holds for every experiment unless its comment says
-// otherwise.
+// through newBed and the mesh ring through buildMesh, so each field
+// below holds for every experiment unless its comment says otherwise.
 type Options struct {
 	// Kernel selects the cost profile ("linux-4.19" default).
 	Kernel string
@@ -28,7 +27,7 @@ type Options struct {
 	// Seed for determinism (0 → 1).
 	Seed uint64
 	// Audit enables the runtime verification subsystem (internal/audit)
-	// on every testbed and fabric; an invariant breach aborts the run
+	// on every testbed and mesh ring; an invariant breach aborts the run
 	// with an *audit.Abort panic. Each bed ends with the end-of-run
 	// leak check once the experiment has moved on from it.
 	Audit bool

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"falcon/internal/audit"
 	"falcon/internal/devices"
 	"falcon/internal/overlay"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 	"falcon/internal/stats"
+	"falcon/internal/workload"
 )
 
 func init() {
@@ -64,36 +66,51 @@ func (n *meshNode) tick() {
 	n.host.E.After(gap, n.tick)
 }
 
-// buildMesh constructs the ring via the shared fabric builder: host i is
-// pinned to shard i%shards (serial engine when shards <= 1), and each
-// node's traffic-driver RNG forks at the host's construction point so
-// the draw order — and thus the golden output — matches the pre-fabric
-// wiring exactly.
+// buildMesh constructs the ring on a serial engine (Shards <= 1) or a
+// PDES cluster with host i pinned to shard i%shards: everything a host
+// owns runs on its own shard, and only the inter-host wires cross
+// shards. Each node's traffic-driver RNG forks right after its host and
+// container are built, and link construction forks RNGs too, so the
+// order below is part of the deterministic schedule the goldens pin.
 func buildMesh(opt Options) (sim.Sim, []*meshNode) {
+	var e sim.Sim
+	if shards, workers := resolveShards(opt.Shards, meshHosts); shards > 1 {
+		e = sim.NewCluster(opt.seed(), shards, workers)
+	} else {
+		e = sim.New(opt.seed())
+	}
+	net := overlay.NewNetwork(e)
 	nodes := make([]*meshNode, meshHosts)
-	fb := buildFabric(opt, fabricConfig{
-		Hosts: meshHosts,
-		// 8 cores: RSS on 0, RPS to 1, app on 2 — the single-flow layout
-		// scaled down to a rack node.
-		Cores: 8, RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true,
-		LinkRate: meshLinkRate, LinkDelay: meshLinkDelay,
-		HostName: func(i int) string { return fmt.Sprintf("m%d", i) },
-		HostIP:   func(i int) proto.IPv4Addr { return proto.IP4(192, 168, 2, byte(10+i)) },
-		CtrIP:    func(i int) proto.IPv4Addr { return proto.IP4(10, 33, byte(i), 1) },
-		Links:    ringLinks(meshHosts),
-		OnHost: func(i int, h *overlay.Host, ctr *overlay.Container) {
-			nodes[i] = &meshNode{host: h, ctr: ctr, rng: h.Net.E.Rand().Fork()}
-		},
-	})
+	for i := range nodes {
+		h := net.AddHost(overlay.HostConfig{
+			Name: fmt.Sprintf("m%d", i), IP: proto.IP4(192, 168, 2, byte(10+i)),
+			// 8 cores: RSS on 0, RPS to 1, app on 2 — the single-flow
+			// layout scaled down to a rack node.
+			Cores: 8, RSSCores: []int{0}, RPSCores: []int{1},
+			GRO: true, InnerGRO: true, Kernel: opt.Kernel, Shard: i,
+		})
+		if opt.RxCache {
+			h.EnableRxCache()
+		}
+		ctr := h.AddContainer(fmt.Sprintf("m%d-c1", i), proto.IP4(10, 33, byte(i), 1))
+		nodes[i] = &meshNode{host: h, ctr: ctr, rng: e.Rand().Fork()}
+	}
 	for i, n := range nodes {
-		n.dst = nodes[(i+1)%meshHosts].ctr.IP
+		next := nodes[(i+1)%meshHosts]
+		net.Connect(n.host, next.host, meshLinkRate, meshLinkDelay)
+		n.dst = next.ctr.IP
+	}
+	if opt.MaxEvents > 0 {
+		e.SetEventBudget(opt.MaxEvents)
+	}
+	if opt.Audit {
+		opt.track(workload.AuditHosts(e, net.Hosts(), audit.Config{}))
 	}
 	// Open sockets after all links exist so rings and KV are complete.
 	for _, n := range nodes {
 		n.sock = n.host.OpenUDP(n.ctr.IP, meshPort, 2)
 	}
-	return fb.E, nodes
+	return e, nodes
 }
 
 // runMesh builds the ring, starts every node's sender, runs the warm-up,

@@ -56,7 +56,7 @@ func TestAdaptiveHorizonInvariance(t *testing.T) {
 // full audit harness attached: per-shard SKB ledgers, cross-shard
 // record handoffs at barriers, and coordinator-driven invariant sweeps
 // must not perturb a single simulated result either, serial or sharded.
-// mesh8 covers the fabric beds, which are audited through the same
+// mesh8 covers the mesh ring, which is audited through the same
 // harness as the testbeds.
 func TestShardInvarianceWithAudit(t *testing.T) {
 	for _, id := range []string{"fig10", "abl-chaos", "abl-tail", "mesh8"} {

@@ -66,7 +66,7 @@ func TestLinkJitterBurstRestores(t *testing.T) {
 
 func TestCoreStallFreezesAndResumes(t *testing.T) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), 2)
 	in := faults.NewInjector(e)
 	in.Install(faults.Plan{Items: []faults.Item{
 		{At: 10 * sim.Microsecond, For: 90 * sim.Microsecond,
@@ -96,7 +96,7 @@ func TestCoreStallFreezesAndResumes(t *testing.T) {
 
 func TestCoreStallFinishesInflightWork(t *testing.T) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), 1, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), 1)
 	in := faults.NewInjector(e)
 	in.Install(faults.Plan{Items: []faults.Item{
 		{At: 50, For: 1000, Fault: &faults.CoreStall{M: m, Cores: []int{0}}},
@@ -117,7 +117,7 @@ func TestCoreStallFinishesInflightWork(t *testing.T) {
 
 func TestCoreOfflineVisible(t *testing.T) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), 2)
 	in := faults.NewInjector(e)
 	in.Install(faults.Plan{Items: []faults.Item{
 		{At: 10, For: 10, Fault: &faults.CoreOffline{M: m, Cores: []int{1}}},
@@ -134,7 +134,7 @@ func TestCoreOfflineVisible(t *testing.T) {
 
 func TestNoisyNeighborBurnsCPU(t *testing.T) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), 2, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), 2)
 	in := faults.NewInjector(e)
 	in.Install(faults.Plan{Items: []faults.Item{
 		{At: sim.Millisecond, For: 10 * sim.Millisecond,

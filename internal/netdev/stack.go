@@ -14,7 +14,6 @@ package netdev
 
 import (
 	"fmt"
-	"sync"
 
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
@@ -43,43 +42,24 @@ type Step struct {
 // steps), so caller step-slice literals never escape, and the
 // continuation passed to Exec is the cached self method value — the
 // whole multi-step charge sequence costs zero allocations per packet.
-//
-// Chains recycle through their owning entity's free list: per-Stack via
-// (*Stack).RunChain on the datapath (a stack — and thus its chains —
-// lives entirely on one PDES shard, so a plain single-owner list works
-// without atomics), or the package-level sync.Pool for the ownerless
-// helper RunChain.
+// Chains recycle through their stack's free list.
 type chain struct {
+	st   *Stack
 	c    *cpu.Core
 	ctx  stats.CPUContext
 	buf  [4]Step
 	n, i int
 	then func()
 	self func() // cached ch.step method value
-	put  func(*chain)
 	next *chain // Stack free list
 }
-
-var chainPool sync.Pool
-
-func init() {
-	// Assigned in init: a composite-literal New would form an
-	// initialization cycle through ch.step's use of the pool.
-	chainPool.New = func() any {
-		ch := new(chain)
-		ch.self = ch.step
-		ch.put = poolPutChain
-		return ch
-	}
-}
-
-func poolPutChain(ch *chain) { chainPool.Put(ch) }
 
 func (ch *chain) step() {
 	if ch.i >= ch.n {
 		then := ch.then
 		ch.c, ch.then = nil, nil
-		ch.put(ch)
+		ch.next = ch.st.chains
+		ch.st.chains = ch
 		if then != nil {
 			then()
 		}
@@ -90,70 +70,42 @@ func (ch *chain) step() {
 	ch.c.Exec(ch.ctx, s.Fn, s.Bytes, ch.self)
 }
 
-// run copies steps into the chain and starts it (steps fits ch.buf).
-func (ch *chain) run(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
-	ch.c, ch.ctx, ch.then = c, ctx, then
-	ch.n, ch.i = copy(ch.buf[:], steps), 0
-	ch.step()
-}
-
-// runChainSlow handles the degenerate RunChain shapes shared by both
-// entry points: empty chains and chains longer than the inline buffer.
-func runChainSlow(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
+// RunChain executes steps sequentially on c in context ctx, charging each
+// through the machine's cost model, then calls then (which may be nil).
+// Chain state recycles through the stack's single-owner free list: every
+// chain a stack runs starts and finishes on the stack's own PDES shard,
+// so a plain list works without atomics.
+func (st *Stack) RunChain(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
 	if len(steps) == 0 {
 		if then != nil {
 			then()
 		}
 		return
 	}
-	// Long chains fall back to the recursive form (none exist on the
-	// datapath today). The remainder is copied so the closure never
-	// captures the caller's slice: keeping the steps parameter
-	// non-escaping is what lets every per-packet step literal on the
-	// hot path live on the caller's stack.
-	rest := make([]Step, len(steps)-1)
-	copy(rest, steps[1:])
-	c.Exec(ctx, steps[0].Fn, steps[0].Bytes, func() {
-		RunChain(c, ctx, rest, then)
-	})
-}
-
-// RunChain executes steps sequentially on c in context ctx, charging each
-// through the machine's cost model, then calls then (which may be nil).
-// Chain state recycles through a global pool; datapath callers that own a
-// Stack should prefer (*Stack).RunChain, whose free list avoids the
-// pool's atomics.
-func RunChain(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
-	if len(steps) == 0 || len(steps) > len(chain{}.buf) {
-		runChainSlow(c, ctx, steps, then)
-		return
-	}
-	chainPool.Get().(*chain).run(c, ctx, steps, then)
-}
-
-// RunChain is the Stack-affine form of the package RunChain: chain state
-// recycles through the stack's single-owner free list (every chain a
-// stack runs starts and finishes on the stack's own shard).
-func (st *Stack) RunChain(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
-	if len(steps) == 0 || len(steps) > len(chain{}.buf) {
-		runChainSlow(c, ctx, steps, then)
+	if len(steps) > len(chain{}.buf) {
+		// Long chains fall back to the recursive form (none exist on the
+		// datapath today). The remainder is copied so the closure never
+		// captures the caller's slice: keeping the steps parameter
+		// non-escaping is what lets every per-packet step literal on the
+		// hot path live on the caller's stack.
+		rest := make([]Step, len(steps)-1)
+		copy(rest, steps[1:])
+		c.Exec(ctx, steps[0].Fn, steps[0].Bytes, func() {
+			st.RunChain(c, ctx, rest, then)
+		})
 		return
 	}
 	ch := st.chains
 	if ch == nil {
-		ch = new(chain)
+		ch = &chain{st: st}
 		ch.self = ch.step
-		ch.put = st.putChain
 	} else {
 		st.chains = ch.next
 		ch.next = nil
 	}
-	ch.run(c, ctx, steps, then)
-}
-
-func (st *Stack) putChain(ch *chain) {
-	ch.next = st.chains
-	st.chains = ch
+	ch.c, ch.ctx, ch.then = c, ctx, then
+	ch.n, ch.i = copy(ch.buf[:], steps), 0
+	ch.step()
 }
 
 type backlogEntry struct {

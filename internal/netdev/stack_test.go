@@ -12,7 +12,7 @@ import (
 
 func newStack(cores int) (*sim.Engine, *Stack) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), cores, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), cores)
 	return e, NewStack(m)
 }
 
@@ -185,7 +185,7 @@ func TestRunChainExecutesAllSteps(t *testing.T) {
 		{Fn: costmodel.FnUDPRcv},
 		{Fn: costmodel.FnSocketDeliver},
 	}
-	RunChain(c, stats.CtxSoftIRQ, steps, func() { doneRan = true })
+	st.RunChain(c, stats.CtxSoftIRQ, steps, func() { doneRan = true })
 	e.Run()
 	if !doneRan {
 		t.Fatal("chain completion not called")
@@ -204,7 +204,7 @@ func TestRunChainExecutesAllSteps(t *testing.T) {
 func TestRunChainEmpty(t *testing.T) {
 	e, st := newStack(1)
 	ran := false
-	RunChain(st.M.Core(0), stats.CtxSoftIRQ, nil, func() { ran = true })
+	st.RunChain(st.M.Core(0), stats.CtxSoftIRQ, nil, func() { ran = true })
 	e.Run()
 	if !ran {
 		t.Fatal("empty chain did not call then")

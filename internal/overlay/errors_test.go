@@ -18,7 +18,7 @@ func vxlanToServer(b *bed, inner []byte, payLen int, srcPort, ipID uint16) *skb.
 	copy(s.Data, inner)
 	s.Push(proto.OverlayOverhead)
 	proto.PutEncapHeaders(s.Data, b.client.MAC, b.server.MAC, clientIP, serverIP,
-		srcPort, b.n.VNI, ipID, len(inner)+payLen)
+		srcPort, VNI, ipID, len(inner)+payLen)
 	return s
 }
 

@@ -49,8 +49,6 @@ type HostConfig struct {
 	// machine, stack and devices schedule runs on that shard's engine.
 	// Ignored (everything is shard 0) on a serial engine.
 	Shard int
-	// TickPeriod is the timer tick (default 1ms).
-	TickPeriod sim.Time
 }
 
 // Host is one simulated server: machine, network stack, NIC, bridge and
@@ -201,15 +199,12 @@ func newHost(n *Network, cfg HostConfig, hostID uint64) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 8
 	}
-	if cfg.TickPeriod == 0 {
-		cfg.TickPeriod = sim.Millisecond
-	}
 	if len(cfg.RSSCores) == 0 {
 		cfg.RSSCores = []int{0}
 	}
 	model := costmodel.ByName(cfg.Kernel)
 	e := n.E.Shard(cfg.Shard)
-	m := cpu.NewMachine(e, model, cfg.Cores, cfg.TickPeriod)
+	m := cpu.NewMachine(e, model, cfg.Cores)
 	st := netdev.NewStack(m)
 	h := &Host{
 		Net:        n,

@@ -7,8 +7,8 @@ import (
 	"falcon/internal/skb"
 )
 
-// DefaultVNI is the VXLAN network identifier overlays are built with.
-const DefaultVNI = 42
+// VNI is the VXLAN network identifier of every overlay.
+const VNI = 42
 
 // Network is a set of hosts joined by point-to-point links and one
 // overlay (VXLAN) segment backed by a shared KV store. E is the whole
@@ -16,9 +16,8 @@ const DefaultVNI = 42
 // host additionally pins to one shard engine (Host.E) chosen by
 // HostConfig.Shard, and every object a host owns schedules there.
 type Network struct {
-	E   sim.Sim
-	KV  *KVStore
-	VNI uint32
+	E  sim.Sim
+	KV *KVStore
 
 	hosts []*Host
 
@@ -45,7 +44,7 @@ func (n *Network) BumpGeneration() uint64 {
 
 // NewNetwork returns an empty network on simulation e.
 func NewNetwork(e sim.Sim) *Network {
-	return &Network{E: e, KV: NewKVStore(), VNI: DefaultVNI}
+	return &Network{E: e, KV: NewKVStore()}
 }
 
 // AddHost creates a host from cfg.

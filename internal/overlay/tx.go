@@ -402,7 +402,7 @@ func (h *Host) newTxEntry(op *txOp, info EndpointInfo) *txFlowEntry {
 		entropy := uint16(49152 + (e.hash % 16384))
 		e.outer = make([]byte, proto.OverlayOverhead)
 		proto.PutEncapHeaders(e.outer, h.MAC, info.HostMAC, h.IP, info.HostIP,
-			entropy, h.Net.VNI, 0, len(e.inner)+p.Payload)
+			entropy, VNI, 0, len(e.inner)+p.Payload)
 	}
 	return e
 }

@@ -9,56 +9,28 @@ import (
 	"falcon/internal/sim"
 )
 
-// Failure-detector defaults. The hysteresis is the core-health
+// Failure-detector constants. The hysteresis is the core-health
 // tracker's, lifted a level: declare death fast (a corpse bounds the
 // packets blackholed at its NIC), re-admit slowly (a host flapping
 // across its reboot must not oscillate the KV mappings).
 const (
-	// DefaultDetectPeriod is the heartbeat scan cadence.
-	DefaultDetectPeriod = 500 * sim.Microsecond
-	// DefaultDetectTimeout is the heartbeat age past which a scan counts
-	// the host sick. Heartbeats ride the 1ms machine tick, so the
-	// timeout must exceed one tick period.
-	DefaultDetectTimeout = 2 * sim.Millisecond
-	// DefaultDetectSickAfter is how many consecutive sick scans declare
-	// a host dead (fail-over fires).
-	DefaultDetectSickAfter = 2
-	// DefaultDetectWellAfter is how many consecutive fresh-heartbeat
-	// scans re-admit a rebooted host (rejoin fires).
-	DefaultDetectWellAfter = 4
+	// detectPeriod is the heartbeat scan cadence.
+	detectPeriod = 500 * sim.Microsecond
+	// detectTimeout is the heartbeat age past which a scan counts the
+	// host sick. Heartbeats ride the 1ms machine tick, so the timeout
+	// must exceed one tick period.
+	detectTimeout = 2 * sim.Millisecond
+	// detectSickAfter is how many consecutive sick scans declare a host
+	// dead (fail-over fires).
+	detectSickAfter = 2
+	// detectWellAfter is how many consecutive fresh-heartbeat scans
+	// re-admit a rebooted host (rejoin fires).
+	detectWellAfter = 4
+	// failoverTransitUs is the fail-over remap's transit gap: the window
+	// between the dead host's mappings being deleted and the standby
+	// twins' publication.
+	failoverTransitUs = 200
 )
-
-// DetectorConfig tunes the deterministic failure detector.
-type DetectorConfig struct {
-	// Period is the scan cadence (0 → DefaultDetectPeriod).
-	Period sim.Time
-	// Timeout is the heartbeat age that marks a host sick (0 →
-	// DefaultDetectTimeout).
-	Timeout sim.Time
-	// SickAfter / WellAfter are the hysteresis streak lengths in scans
-	// (0 → defaults).
-	SickAfter, WellAfter int
-	// TransitUs is the fail-over remap's transit gap: the window between
-	// the dead host's mappings being deleted and the standby twins'
-	// publication.
-	TransitUs int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Period == 0 {
-		c.Period = DefaultDetectPeriod
-	}
-	if c.Timeout == 0 {
-		c.Timeout = DefaultDetectTimeout
-	}
-	if c.SickAfter == 0 {
-		c.SickAfter = DefaultDetectSickAfter
-	}
-	if c.WellAfter == 0 {
-		c.WellAfter = DefaultDetectWellAfter
-	}
-	return c
-}
 
 // hostMonitor is the detector's per-host tracker state.
 type hostMonitor struct {
@@ -78,7 +50,6 @@ type hostMonitor struct {
 // sim-time heartbeat detector whose declarations produce generation
 // bumps exactly like scheduled actions do.
 type detector struct {
-	cfg      DetectorConfig
 	monitors map[string]*hostMonitor
 	order    []string // sorted monitor names: scan order is deterministic
 }
@@ -87,24 +58,23 @@ type detector struct {
 // maps each monitored host's name to the standby host that receives its
 // containers on fail-over (every container needs a standby twin there,
 // as with a scheduled drain). Scans are pre-declared coordinator events
-// at every Period in (from, until] — the event set is fixed up front,
-// so the schedule is identical at every shard count. Heartbeats ride
-// each host's machine tick; a crashed host stops beating and, after
-// Timeout + SickAfter scans, the detector deletes its KV mappings,
-// purges every survivor's cached routes to it, lands the mappings on
-// the twins TransitUs later, and detaches the corpse's LP through the
-// quiesce ladder. A rebooted host beats again and is re-admitted after
-// WellAfter fresh scans (its containers stay on the twins, as after a
-// drain+add).
-func (m *Manager) StartDetector(cfg DetectorConfig, twins map[string]string, from, until sim.Time) error {
+// at every detectPeriod in (from, until] — the event set is fixed up
+// front, so the schedule is identical at every shard count. Heartbeats
+// ride each host's machine tick; a crashed host stops beating and, after
+// detectTimeout + detectSickAfter scans, the detector deletes its KV
+// mappings, purges every survivor's cached routes to it, lands the
+// mappings on the twins failoverTransitUs later, and detaches the
+// corpse's LP through the quiesce ladder. A rebooted host beats again
+// and is re-admitted after detectWellAfter fresh scans (its containers
+// stay on the twins, as after a drain+add).
+func (m *Manager) StartDetector(twins map[string]string, from, until sim.Time) error {
 	if m.det != nil {
 		return fmt.Errorf("reconfig: detector started twice")
 	}
 	if until <= from {
 		return fmt.Errorf("reconfig: detector window [%v,%v) is empty", from, until)
 	}
-	cfg = cfg.withDefaults()
-	d := &detector{cfg: cfg, monitors: make(map[string]*hostMonitor)}
+	d := &detector{monitors: make(map[string]*hostMonitor)}
 	for name, twinName := range twins {
 		h := m.hostByName(name)
 		if h == nil {
@@ -130,7 +100,7 @@ func (m *Manager) StartDetector(cfg DetectorConfig, twins map[string]string, fro
 	}
 	sort.Strings(d.order)
 	m.det = d
-	for t := from + cfg.Period; t <= until; t += cfg.Period {
+	for t := from + detectPeriod; t <= until; t += detectPeriod {
 		m.Net.E.At(t, m.detectorScan)
 	}
 	return nil
@@ -145,10 +115,10 @@ func (m *Manager) detectorScan() {
 	now := m.Net.E.Now()
 	for _, name := range d.order {
 		mon := d.monitors[name]
-		if now-mon.beatAt > d.cfg.Timeout {
+		if now-mon.beatAt > detectTimeout {
 			mon.wellStreak = 0
 			mon.sickStreak++
-			if !mon.dead && mon.sickStreak >= d.cfg.SickAfter {
+			if !mon.dead && mon.sickStreak >= detectSickAfter {
 				mon.dead = true
 				m.failover(mon, now)
 			}
@@ -156,7 +126,7 @@ func (m *Manager) detectorScan() {
 		}
 		mon.sickStreak = 0
 		mon.wellStreak++
-		if mon.dead && mon.wellStreak >= d.cfg.WellAfter {
+		if mon.dead && mon.wellStreak >= detectWellAfter {
 			mon.dead = false
 			m.rejoin(mon, now)
 		}
@@ -176,7 +146,7 @@ func (m *Manager) failover(mon *hostMonitor, t sim.Time) {
 		AtMs:      int(t / sim.Millisecond),
 		Host:      h.Name,
 		To:        mon.twin.Name,
-		TransitUs: m.det.cfg.TransitUs,
+		TransitUs: failoverTransitUs,
 	}
 	rec := m.open(a, t)
 	ips := make([]proto.IPv4Addr, 0, len(h.Containers()))

@@ -192,8 +192,8 @@ func newCrashTestbed(t *testing.T, shards int) (*workload.Testbed, *reconfig.Man
 		GRO: true, InnerGRO: true, Seed: 1, Spare: true, Shards: shards,
 	})
 	mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
-	if err := mgr.StartDetector(reconfig.DetectorConfig{TransitUs: 200},
-		map[string]string{"server": "spare"}, 0, 16*sim.Millisecond); err != nil {
+	if err := mgr.StartDetector(map[string]string{"server": "spare"},
+		0, 16*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	crashAt := 1500 * sim.Microsecond
@@ -245,7 +245,7 @@ func TestDetectorFailoverAndRejoin(t *testing.T) {
 	if fo.Action.Kind != reconfig.KindFailover || fo.Action.To != "spare" {
 		t.Fatalf("first record is %+v, want fail-over onto spare", fo.Action)
 	}
-	// Detection bound: timeout (2ms) + SickAfter scans (2 x 0.5ms) +
+	// Detection bound: timeout (2ms) + two sick scans (2 x 0.5ms) +
 	// heartbeat age at death (< one 1ms tick).
 	if lat := fo.Applied - crashAt; lat > 4*sim.Millisecond {
 		t.Fatalf("detection latency %v exceeds the detector bound", lat)

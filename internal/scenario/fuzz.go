@@ -55,9 +55,6 @@ type FuzzOptions struct {
 	ReproDir string
 	// NoShrink skips minimization (reproducers carry the raw scenario).
 	NoShrink bool
-	// ShrinkBudget caps oracle re-checks per shrink (default
-	// DefaultShrinkBudget).
-	ShrinkBudget int
 	// Workers runs seeds concurrently (each scenario run owns its
 	// engine; runs share nothing but buffer pools). Default 1.
 	Workers int
@@ -156,7 +153,7 @@ func fuzzOne(opt FuzzOptions, seed uint64) (out seedResult) {
 		min, note := sc, ""
 		if !opt.NoShrink {
 			var checks int
-			min, checks = Shrink(sc, o.Name, opt.ShrinkBudget)
+			min, checks = Shrink(sc, o.Name, shrinkBudget)
 			note = "  " + ShrinkSummary(sc, min, checks) + "\n"
 			// Re-derive the violation detail from the minimal scenario
 			// when it still reproduces cleanly.

@@ -198,8 +198,8 @@ func build(sc Scenario, falcon, withAudit bool) *bed {
 		// containers over to the spare's standby twins, and re-admits
 		// it after the reboot.
 		b.mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
-		if err := b.mgr.StartDetector(reconfig.DetectorConfig{TransitUs: 200},
-			map[string]string{"server": "spare"}, sc.Warmup(), until); err != nil {
+		if err := b.mgr.StartDetector(map[string]string{"server": "spare"},
+			sc.Warmup(), until); err != nil {
 			panic(fmt.Sprintf("scenario: starting failure detector: %v", err))
 		}
 		in := faults.NewInjector(tb.E)

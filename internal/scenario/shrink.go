@@ -2,10 +2,10 @@ package scenario
 
 import "fmt"
 
-// DefaultShrinkBudget bounds how many oracle re-checks one shrink may
-// spend. Each check is a handful of simulation runs, so the budget is
-// the real wall-clock knob.
-const DefaultShrinkBudget = 60
+// shrinkBudget bounds how many oracle re-checks one shrink in a fuzz
+// campaign may spend. Each check is a handful of simulation runs, so the
+// budget is the real wall-clock knob.
+const shrinkBudget = 60
 
 // Shrink greedily minimizes a violating scenario: it tries one
 // structural reduction at a time (drop a flow, drop a fault, halve the
@@ -18,9 +18,6 @@ const DefaultShrinkBudget = 60
 // and re-scanning from the strongest reductions after every success
 // converges in a few passes on these small scenarios.
 func Shrink(sc Scenario, oracleName string, budget int) (Scenario, int) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
 	oracles, err := ByName([]string{oracleName})
 	if err != nil {
 		return sc, 0

@@ -11,7 +11,7 @@ import (
 
 func newSock(cores, appCore int) (*sim.Engine, *cpu.Machine, *Socket) {
 	e := sim.New(1)
-	m := cpu.NewMachine(e, costmodel.Kernel419(), cores, sim.Millisecond)
+	m := cpu.NewMachine(e, costmodel.Kernel419(), cores)
 	return e, m, New(m, appCore)
 }
 

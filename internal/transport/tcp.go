@@ -24,15 +24,15 @@ import (
 	"falcon/internal/stats"
 )
 
-// Default connection parameters.
+// Connection parameters.
 const (
-	DefaultInitialCwnd = 10  // segments (RFC 6928)
-	DefaultMaxCwnd     = 256 // segments; stands in for the receive window
-	DefaultRTO         = 10 * sim.Millisecond
-	MinRTO             = 500 * sim.Microsecond
-	MaxRTO             = sim.Second
-	delayedAckTimeout  = 200 * sim.Microsecond
-	dupAckThreshold    = 3
+	InitialCwnd       = 10  // segments (RFC 6928)
+	MaxCwnd           = 256 // segments; stands in for the receive window
+	DefaultRTO        = 10 * sim.Millisecond
+	MinRTO            = 500 * sim.Microsecond
+	MaxRTO            = sim.Second
+	delayedAckTimeout = 200 * sim.Microsecond
+	dupAckThreshold   = 3
 )
 
 // Config describes one unidirectional TCP data flow (data sender →
@@ -54,9 +54,6 @@ type Config struct {
 
 	// MsgSize is the application write (= segment payload) in bytes.
 	MsgSize int
-
-	// InitialCwnd / MaxCwnd in segments (0 → defaults).
-	InitialCwnd, MaxCwnd int
 
 	// FlowID instruments measurement attribution.
 	FlowID uint64
@@ -124,12 +121,6 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 	if cfg.MsgSize <= 0 {
 		return nil, fmt.Errorf("transport: MsgSize must be positive")
 	}
-	if cfg.InitialCwnd == 0 {
-		cfg.InitialCwnd = DefaultInitialCwnd
-	}
-	if cfg.MaxCwnd == 0 {
-		cfg.MaxCwnd = DefaultMaxCwnd
-	}
 	if cfg.SenderHost.E != cfg.ReceiverHost.E {
 		return nil, fmt.Errorf("transport: TCP endpoints must be colocated on one shard (%s and %s live on different engines)",
 			cfg.SenderHost.Name, cfg.ReceiverHost.Name)
@@ -137,8 +128,8 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 	c := &Conn{
 		cfg:      cfg,
 		e:        cfg.SenderHost.E,
-		cwnd:     float64(cfg.InitialCwnd),
-		ssthresh: float64(cfg.MaxCwnd),
+		cwnd:     InitialCwnd,
+		ssthresh: MaxCwnd,
 		rto:      DefaultRTO,
 		oooSegs:  make(map[uint64]*skb.SKB),
 	}

@@ -154,8 +154,8 @@ func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			} else {
 				c.cwnd += 1 / c.cwnd // congestion avoidance
 			}
-			if c.cwnd > float64(c.cfg.MaxCwnd) {
-				c.cwnd = float64(c.cfg.MaxCwnd)
+			if c.cwnd > MaxCwnd {
+				c.cwnd = MaxCwnd
 			}
 		}
 		if c.sndUna == c.sndNxt {

@@ -113,7 +113,7 @@ func TestTCPCwndGrowsInBulkMode(t *testing.T) {
 	c := dialOverlay(t, b, 4096)
 	c.StartContinuous()
 	b.e.RunUntil(20 * sim.Millisecond)
-	if c.Cwnd() <= float64(DefaultInitialCwnd) {
+	if c.Cwnd() <= InitialCwnd {
 		t.Fatalf("cwnd = %.1f never grew", c.Cwnd())
 	}
 	if c.Socket().Delivered.Value() == 0 {
@@ -160,7 +160,7 @@ func TestTCPCloseStopsTraffic(t *testing.T) {
 	b.e.RunUntil(10 * sim.Millisecond)
 	// A few in-flight segments may still land, but the stream must stop.
 	after := c.Socket().Delivered.Value()
-	if after > delivered+uint64(2*DefaultMaxCwnd) {
+	if after > delivered+uint64(2*MaxCwnd) {
 		t.Fatalf("traffic continued after close: %d -> %d", delivered, after)
 	}
 }

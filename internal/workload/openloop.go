@@ -164,6 +164,15 @@ func (m *MMPP2) NextGap(r *sim.Rand) sim.Time {
 	}
 }
 
+const (
+	// openLoopBasePort is the first server port of an open-loop
+	// population; flows map to ports by flow ID.
+	openLoopBasePort = 6000
+	// openLoopBaseFlowID offsets packet flow IDs so the population
+	// cannot collide with explicitly configured flows.
+	openLoopBaseFlowID = 10_000
+)
+
 // OpenLoopConfig describes a heavy-tailed open-loop flow population:
 // flows arrive by Arrivals, each draws a size (packets) from FlowSize,
 // and sends its packets at FlowRate with Poisson pacing. Thousands of
@@ -176,9 +185,8 @@ type OpenLoopConfig struct {
 	// FlowRate is each live flow's send rate in packets/s.
 	FlowRate float64
 	// Ports spreads the population across that many server sockets
-	// (BasePort..BasePort+Ports-1); flows map to ports by flow ID.
-	Ports    int
-	BasePort uint16
+	// (openLoopBasePort onward).
+	Ports int
 	// SendCores are the client cores flows rotate over; AppCore is the
 	// server core the receiving sockets pin to.
 	SendCores []int
@@ -186,9 +194,6 @@ type OpenLoopConfig struct {
 	// Ctr selects the overlay container pair (1-based); 0 sends over
 	// the host network.
 	Ctr int
-	// BaseFlowID offsets packet flow IDs so the population cannot
-	// collide with explicitly configured flows.
-	BaseFlowID uint64
 }
 
 func (cfg OpenLoopConfig) withDefaults() OpenLoopConfig {
@@ -201,14 +206,8 @@ func (cfg OpenLoopConfig) withDefaults() OpenLoopConfig {
 	if cfg.Ports == 0 {
 		cfg.Ports = 1
 	}
-	if cfg.BasePort == 0 {
-		cfg.BasePort = 6000
-	}
 	if len(cfg.SendCores) == 0 {
 		cfg.SendCores = []int{2}
-	}
-	if cfg.BaseFlowID == 0 {
-		cfg.BaseFlowID = 10_000
 	}
 	return cfg
 }
@@ -256,7 +255,7 @@ func (tb *Testbed) StartOpenLoop(cfg OpenLoopConfig, until sim.Time) *OpenLoop {
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		ol.Socks = append(ol.Socks,
-			tb.Server.OpenUDP(ol.dstIP, cfg.BasePort+uint16(i), cfg.AppCore))
+			tb.Server.OpenUDP(ol.dstIP, openLoopBasePort+uint16(i), cfg.AppCore))
 	}
 	ol.arrive()
 	return ol
@@ -286,9 +285,9 @@ func (ol *OpenLoop) arrive() {
 	ol.nextID++
 	f := &olFlow{
 		ol:   ol,
-		id:   ol.cfg.BaseFlowID + id,
+		id:   openLoopBaseFlowID + id,
 		size: size,
-		port: ol.cfg.BasePort + uint16(id%uint64(ol.cfg.Ports)),
+		port: openLoopBasePort + uint16(id%uint64(ol.cfg.Ports)),
 		// Source ports rotate over a wide range so the population
 		// exercises many distinct 5-tuples (RSS spread, flow-cache
 		// population) without ever colliding with a receive port.
