@@ -149,8 +149,12 @@ func (a *Auditor) SKBStage(s *skb.SKB, stage string) { a.defLedger().SKBStage(s,
 func (a *Auditor) SKBFree(s *skb.SKB)                { a.defLedger().SKBFree(s) }
 func (a *Auditor) SKBMisuse(s *skb.SKB, kind string) { a.defLedger().SKBMisuse(s, kind) }
 
-// Start arms the periodic invariant sweep.
+// Start primes every balance and arms the periodic invariant sweep, so
+// the first sweep checks the interval since Start.
 func (a *Auditor) Start() {
+	for _, b := range a.balances {
+		b.prime()
+	}
 	a.timer = a.E.AfterArg(checkEvery, auditTick, a)
 }
 

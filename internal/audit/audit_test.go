@@ -120,6 +120,52 @@ func TestConservationBreachNamesTerms(t *testing.T) {
 	}
 }
 
+// TestFirstIntervalChecked: a balance registered before Start is primed
+// there, so packets that vanish before the first sweep break it at that
+// sweep; priming at the first sweep would take the imbalance in as the
+// baseline.
+func TestFirstIntervalChecked(t *testing.T) {
+	e := sim.New(1)
+	var got []Violation
+	a := New(e, Config{OnViolation: func(v *Violation) { got = append(got, *v) }})
+	var injected, delivered uint64
+	a.Balance("pkts",
+		[]Term{T("injected", func() uint64 { return injected })},
+		[]Term{T("delivered", func() uint64 { return delivered })})
+	a.Start()
+	e.At(sim.Millisecond/2, func() { injected, delivered = 8, 5 })
+	e.RunUntil(sim.Millisecond)
+	if len(got) != 1 || got[0].Kind != "conservation" || !strings.Contains(got[0].Detail, "missing 3") {
+		t.Fatalf("want one conservation violation missing 3 at the first sweep, got %v", got)
+	}
+}
+
+// TestAddLHSKeepsOtherBaselines: a term appended to a primed balance
+// starts from its current value and the other terms keep their
+// baselines, so a packet that vanishes in the interval the term joins
+// in is still reported; re-priming the whole balance would take it in as
+// the new baseline.
+func TestAddLHSKeepsOtherBaselines(t *testing.T) {
+	e, a, got := collector(t, Config{})
+	var ledger, sockA, sockB uint64
+	b := a.Balance("delivered",
+		[]Term{T("sock-a", func() uint64 { return sockA })},
+		[]Term{T("ledger", func() uint64 { return ledger })})
+	e.RunUntil(sim.Millisecond) // primes the balance registered after Start
+	ledger, sockA = 4, 4
+	e.RunUntil(2 * sim.Millisecond)
+	if len(*got) != 0 {
+		t.Fatalf("balanced counters violated: %v", *got)
+	}
+	sockB = 2 // counted before it joins: part of its baseline
+	b.AddLHS(T("sock-b", func() uint64 { return sockB }))
+	ledger, sockB = 7, 4 // one of three deliveries is not counted
+	e.RunUntil(3 * sim.Millisecond)
+	if len(*got) != 1 || !strings.Contains((*got)[0].Detail, "missing -1") {
+		t.Fatalf("want one violation missing -1 in the interval sock-b joined, got %v", *got)
+	}
+}
+
 func TestNoteResetRebasesInsteadOfComparing(t *testing.T) {
 	e, a, got := collector(t, Config{})
 	var injected, delivered uint64

@@ -32,8 +32,10 @@ type Balance struct {
 	primed   bool
 }
 
-// Balance registers a conservation equation. Terms may be appended to
-// the returned value until the first sweep.
+// Balance registers a conservation equation. Start primes it, so the
+// first sweep already compares; one registered after Start is primed by
+// its first sweep. Terms may be appended to the returned value at any
+// time.
 func (a *Auditor) Balance(name string, lhs, rhs []Term) *Balance {
 	b := &Balance{Name: name, LHS: lhs, RHS: rhs}
 	a.balances = append(a.balances, b)
@@ -41,8 +43,15 @@ func (a *Auditor) Balance(name string, lhs, rhs []Term) *Balance {
 }
 
 // AddLHS appends a term (used by OpenUDP to register per-socket
-// delivery counters after the balance already exists).
-func (b *Balance) AddLHS(t Term) { b.LHS = append(b.LHS, t); b.primed = false }
+// delivery counters after the balance already exists). On a primed
+// balance the term's current value becomes its baseline, so the other
+// terms keep theirs and the interval it joins in is still checked.
+func (b *Balance) AddLHS(t Term) {
+	b.LHS = append(b.LHS, t)
+	if b.primed {
+		b.baseL = append(b.baseL, t.Fn())
+	}
+}
 
 func (b *Balance) prime() {
 	b.baseL = sample(b.LHS, b.baseL)

@@ -77,7 +77,7 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 func runMeshCache(opt Options, cache bool) (float64, stats.Summary, uint64, uint64) {
 	o := opt
 	o.RxCache = cache
-	_, nodes := runMesh(o)
+	nodes := runMesh(meshSim(o), o)
 
 	var delivered, hits, misses uint64
 	agg := stats.NewHistogram()

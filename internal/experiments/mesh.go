@@ -66,19 +66,22 @@ func (n *meshNode) tick() {
 	n.host.E.After(gap, n.tick)
 }
 
-// buildMesh constructs the ring on a serial engine (Shards <= 1) or a
-// PDES cluster with host i pinned to shard i%shards: everything a host
-// owns runs on its own shard, and only the inter-host wires cross
-// shards. Each node's traffic-driver RNG forks right after its host and
-// container are built, and link construction forks RNGs too, so the
-// order below is part of the deterministic schedule the goldens pin.
-func buildMesh(opt Options) (sim.Sim, []*meshNode) {
-	var e sim.Sim
+// meshSim returns the engine the ring runs on: a serial engine
+// (Shards <= 1) or a PDES cluster.
+func meshSim(opt Options) sim.Sim {
 	if shards, workers := resolveShards(opt.Shards, meshHosts); shards > 1 {
-		e = sim.NewCluster(opt.seed(), shards, workers)
-	} else {
-		e = sim.New(opt.seed())
+		return sim.NewCluster(opt.seed(), shards, workers)
 	}
+	return sim.New(opt.seed())
+}
+
+// buildMesh constructs the ring on e with host i pinned to shard
+// i%shards: everything a host owns runs on its own shard, and only the
+// inter-host wires cross shards. Each node's traffic-driver RNG forks
+// right after its host and container are built, and link construction
+// forks RNGs too, so the order below is part of the deterministic
+// schedule the goldens pin.
+func buildMesh(e sim.Sim, opt Options) []*meshNode {
 	net := overlay.NewNetwork(e)
 	nodes := make([]*meshNode, meshHosts)
 	for i := range nodes {
@@ -110,14 +113,14 @@ func buildMesh(opt Options) (sim.Sim, []*meshNode) {
 	for _, n := range nodes {
 		n.sock = n.host.OpenUDP(n.ctr.IP, meshPort, 2)
 	}
-	return e, nodes
+	return nodes
 }
 
-// runMesh builds the ring, starts every node's sender, runs the warm-up,
-// resets the measurement counters and runs one measured window. The
-// engine comes back parked at the window's end.
-func runMesh(opt Options) (sim.Sim, []*meshNode) {
-	e, nodes := buildMesh(opt)
+// runMesh builds the ring on e, starts every node's sender, runs the
+// warm-up, resets the measurement counters and runs one measured window.
+// The engine comes back parked at the window's end.
+func runMesh(e sim.Sim, opt Options) []*meshNode {
+	nodes := buildMesh(e, opt)
 	warmup, window := opt.warmup(), opt.window()
 	until := warmup + window + 5*sim.Millisecond
 	for _, n := range nodes {
@@ -129,7 +132,7 @@ func runMesh(opt Options) (sim.Sim, []*meshNode) {
 		n.sock.ResetMeasurement()
 	}
 	e.RunUntil(warmup + window)
-	return e, nodes
+	return nodes
 }
 
 // mesh8 runs the ring for one measured window and reports per-host
@@ -137,7 +140,7 @@ func runMesh(opt Options) (sim.Sim, []*meshNode) {
 // byte-identical table is produced by N-way parallel execution — the
 // multi-host run BenchmarkMeshShards times.
 func mesh8(opt Options) []*stats.Table {
-	_, nodes := runMesh(opt)
+	nodes := runMesh(meshSim(opt), opt)
 	window := opt.window()
 
 	t := &stats.Table{

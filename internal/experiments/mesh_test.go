@@ -24,7 +24,9 @@ func BenchmarkMeshShards(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var ws sim.ClusterStats
 			for i := 0; i < b.N; i++ {
-				e, _ := runMesh(Options{Seed: 1, Shards: bc.shards})
+				opt := Options{Seed: 1, Shards: bc.shards}
+				e := meshSim(opt)
+				runMesh(e, opt)
 				cl, ok := e.(*sim.Cluster)
 				if !ok {
 					continue

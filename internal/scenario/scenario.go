@@ -426,14 +426,19 @@ func FromJSON(data []byte) (Scenario, error) {
 	return sc, sc.Validate()
 }
 
-// LoadFile reads a scenario file: either a bare Scenario or a
-// reproducer (see Reproducer). It returns the scenario plus the
-// oracle names the file asks to check (nil: all applicable).
+// LoadFile reads a scenario file and parses it with Parse.
 func LoadFile(path string) (Scenario, []string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Scenario{}, nil, err
 	}
+	return Parse(data)
+}
+
+// Parse reads a scenario file's contents: either a bare Scenario or a
+// reproducer (see Reproducer). It returns the scenario plus the oracle
+// names the file asks to check (nil: all applicable).
+func Parse(data []byte) (Scenario, []string, error) {
 	var rep Reproducer
 	if err := json.Unmarshal(data, &rep); err == nil && rep.Magic == ReproMagic {
 		return rep.Scenario, rep.Oracles(), rep.Scenario.Validate()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync/atomic"
 )
 
@@ -29,7 +28,9 @@ import (
 // cross-shard senders are idle or their pairwise bounds exceed L.
 // Frames sent across a shard boundary during the window therefore
 // never preempt a running LP: they park in per-source outboxes and the
-// coordinator drains them into the destination engines at the barrier.
+// coordinator moves them into per-source inboxes on the destination
+// engines at the barrier, where each inbox's head waits in one group
+// slot, as a link's head-of-wire frame does.
 // The widening is provably safe (DESIGN.md §6) and additionally
 // *checked*: Post panics if an arrival ever lands inside the window
 // that produced it.
@@ -39,14 +40,16 @@ import (
 //     Fork during single-threaded topology construction consumes the
 //     root stream exactly as the serial engine would. Runtime draws
 //     come only from forks owned by a single LP.
-//   - The barrier drain schedules cross-shard messages in (arrival,
-//     send time, source id, per-source sequence) order, so
-//     same-nanosecond deliveries from different shards always
-//     tie-break identically.
-//   - Window boundaries do not influence the merge: two runs that
-//     window the same event set differently still drain every message
-//     before its arrival time with the same key order, so adaptive
-//     and fixed horizons produce byte-identical schedules.
+//   - Every source's arrivals are monotone in (arrival, send time), and
+//     the barrier drain stamps each message's sequence number on its
+//     destination source by source in ascending id, each in FIFO
+//     order. Deliveries therefore fire in (arrival, send time, source
+//     id, send order) order, so same-nanosecond deliveries from
+//     different shards always tie-break identically.
+//   - Window boundaries do not influence that order: messages with
+//     equal arrival and send time were sent in the same window and are
+//     stamped in the same drain, so adaptive and fixed horizons
+//     produce byte-identical schedules.
 //   - Global events at time g run with every LP parked at g, before
 //     any LP event at g — matching the serial engine, where control
 //     events are construction-scheduled and hence carry lower
@@ -58,10 +61,7 @@ type Cluster struct {
 	look    Time // global lookahead; 0 until a cross-shard link bounds it
 	workers int
 
-	outbox []outQ  // per-PostSource send buffers, drained at barriers
-	act    [][]int // per-shard ids of outboxes that went non-empty
-	actScr []int   // coordinator merge scratch over active outbox ids
-	nsrc   int     // PostSource ids handed out (construction order)
+	srcs []*PostSource // by id: construction order
 
 	// Per-shard outgoing-lookahead state for adaptive horizons.
 	srcTotal []int  // sources whose sending engine is this shard
@@ -96,46 +96,19 @@ type ClusterStats struct {
 // Stats returns the synchronization counters accumulated so far.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// xmsg is one cross-shard message: run fn(arg) on dst at time at. prep,
-// when set, runs on the coordinator just before scheduling — the hook
-// the audit layer and the SKB arenas use to hand a packet's ledger
+// xmsg is one cross-shard message: run fn(arg) on the destination at
+// time at. prep, when set, runs on the coordinator at the drain — the
+// hook the audit layer and the SKB arenas use to hand a packet's ledger
 // record and buffer ownership from the source shard to the destination
-// shard while both are parked. schedAt is the sender's clock at Post
-// time and seq the send order within the source: with the source id
-// they make the drain order — and hence every same-nanosecond tie at
-// the destination — independent of the host-to-shard layout.
+// shard while both are parked. key.schedAt is the sender's clock at
+// Post; key.seq is stamped on the destination at the drain.
 type xmsg struct {
-	at      Time
-	schedAt Time
-	seq     uint64
-	dst     *Engine
-	prep    func(any)
-	fn      func(any)
-	arg     any
+	at   Time
+	key  Key
+	prep func(any)
+	fn   func(any)
+	arg  any
 }
-
-// outQ is one source's outbox: an array-rewind FIFO drained in full at
-// every barrier. Posts from one source are usually already in (at,
-// schedAt) order — links monotonize arrivals — so the queue just tracks
-// whether an out-of-order append happened and sorts only then.
-type outQ struct {
-	items    []xmsg
-	head     int // consumed prefix during the barrier merge
-	unsorted bool
-}
-
-func (q *outQ) Len() int { return len(q.items) }
-func (q *outQ) Less(a, b int) bool {
-	x, y := &q.items[a], &q.items[b]
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.schedAt != y.schedAt {
-		return x.schedAt < y.schedAt
-	}
-	return x.seq < y.seq
-}
-func (q *outQ) Swap(a, b int) { q.items[a], q.items[b] = q.items[b], q.items[a] }
 
 // NewCluster returns a PDES cluster with the given number of logical
 // processes. workers caps the goroutines running LPs within a window
@@ -158,7 +131,6 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 		c.lps[i] = NewShared(c.root)
 		c.lps[i].shard = i
 	}
-	c.act = make([][]int, shards)
 	c.srcTotal = make([]int, shards)
 	c.srcBound = make([]int, shards)
 	c.declMin = make([]Time, shards)
@@ -287,42 +259,47 @@ func (c *Cluster) Inlined() uint64 {
 }
 
 // Pending returns the number of scheduled events across all engines
-// plus undrained cross-shard messages.
+// plus every cross-shard message not yet delivered, whether parked in
+// its outbox or waiting in its inbox.
 func (c *Cluster) Pending() int {
 	n := c.global.Pending()
 	for _, lp := range c.lps {
 		n += lp.Pending()
 	}
-	for i := range c.outbox {
-		q := &c.outbox[i]
-		n += len(q.items) - q.head
+	for _, p := range c.srcs {
+		n += len(p.out) + p.in.Len()
 	}
 	return n
 }
 
 // PostSource is one stable cross-shard send endpoint (in the overlay,
-// one direction of one inter-host link). Its id is allocated in
-// topology-construction order and its sequence counter advances in
-// send order on the owning shard, so both are independent of how hosts
-// were laid out onto shards — the property the drain merge needs for
-// shard-count-invariant tie-breaking.
+// one direction of one inter-host link). Its id is its index in
+// topology-construction order, so it is independent of how hosts were
+// laid out onto shards — the property the drain needs for
+// shard-count-invariant tie-breaking. Messages wait in its outbox until
+// the barrier, then in its inbox on the destination engine, whose head
+// is set in the source's one group slot there.
 type PostSource struct {
 	c        *Cluster
 	src, dst *Engine
-	id       int
 	look     Time // declared pairwise lookahead (0: global floor only)
-	seq      uint64
+	last     Time // latest arrival posted so far
+
+	out  []xmsg     // posted this window, in send order
+	in   FIFO[xmsg] // drained, not yet delivered
+	slot Slots      // set to the inbox head
 }
 
 // Source allocates a cross-shard send endpoint from src to dst. Call
 // from coordinator context only (topology construction, or a
 // reconfiguration barrier) — never from a running LP.
 func (c *Cluster) Source(src, dst *Engine) *PostSource {
-	c.nsrc++
-	c.outbox = append(c.outbox, outQ{})
+	p := &PostSource{c: c, src: src, dst: dst}
+	p.slot = dst.NewSlots(1, p.deliver)
+	c.srcs = append(c.srcs, p)
 	c.srcTotal[src.shard]++
 	c.recomputeOut()
-	return &PostSource{c: c, src: src, dst: dst, id: c.nsrc}
+	return p
 }
 
 // Bound declares this endpoint's minimum sender→receiver latency: no
@@ -349,13 +326,17 @@ func (p *PostSource) Bound(d Time) {
 
 // Post sends a cross-shard message: fn(arg) runs on the destination
 // shard at time at. Called from LP context mid-window; the message
-// parks in the source's outbox until the barrier. Two invariants are
+// parks in the source's outbox until the barrier. Three invariants are
 // enforced on every send:
 //   - the arrival respects the endpoint's advertised lookahead — a
 //     violation means a link advertised a latency it can undercut,
 //     which would corrupt causality;
 //   - the arrival lands strictly after the current window — the
-//     adaptive horizon's safety argument, checked rather than assumed.
+//     adaptive horizon's safety argument, checked rather than assumed;
+//   - arrivals through one source never go backwards in (arrival, send
+//     time), as links guarantee by clamping, so the inbox is in firing
+//     order. The send time is the sender's clock, which never goes
+//     back, so only the arrival needs comparing.
 func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
 	c := p.c
 	eff := c.look
@@ -370,82 +351,50 @@ func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the active window ending %v (adaptive horizon unsafe)",
 			p.src.shard, p.src.now, at, end))
 	}
-	q := &c.outbox[p.id-1]
-	if n := len(q.items); n > 0 {
-		if last := &q.items[n-1]; at < last.at || (at == last.at && p.src.now < last.schedAt) {
-			q.unsorted = true
-		}
-	} else {
-		s := p.src.shard
-		c.act[s] = append(c.act[s], p.id-1)
+	if at < p.last {
+		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, before the previous arrival %v through the same source (arrivals must be monotone)",
+			p.src.shard, p.src.now, at, p.last))
 	}
-	p.seq++
-	q.items = append(q.items, xmsg{
-		at: at, schedAt: p.src.now, seq: p.seq,
-		dst: p.dst, prep: prep, fn: fn, arg: arg,
-	})
+	p.last = at
+	p.out = append(p.out, xmsg{at: at, key: Key{schedAt: p.src.now}, prep: prep, fn: fn, arg: arg})
 }
 
-// drain moves every parked cross-shard message into its destination
-// engine with an allocation-free k-way merge over the per-source
-// outboxes. Messages are scheduled with the sender's clock as their
-// tie-break key (Engine.atStamped), in (arrival, send time, source id,
-// source sequence) order: deliveries therefore interleave with the
-// destination's own same-nanosecond events exactly as on one serial
-// engine, and ties between messages resolve identically for every
-// shard count. Per-source runs are almost always already sorted (links
-// monotonize arrivals), so the merge is a min-scan over k queue heads
-// — no global re-sort, no comparator closure.
+// deliver is the inbox slot's callback: it pops the head, sets the slot
+// to the next head, and runs the message.
+func (p *PostSource) deliver(int) {
+	m := p.in.Pop()
+	if p.in.Len() > 0 {
+		h := p.in.Peek()
+		p.slot.SetKey(0, h.at, h.key)
+	}
+	m.fn(m.arg)
+}
+
+// drain moves every parked cross-shard message into its source's inbox
+// on the destination engine, stamping its sequence number there, and
+// sets the source's slot when the inbox was empty. A delivery thus fires
+// where an event scheduled at the barrier with the sender's clock as
+// schedAt would. The stamp orders only messages with equal arrival and
+// send time, whose serial order (which sender ran first) no shard
+// knows: sources are drained in ascending id, each in FIFO order, so
+// the lower id goes first.
 func (c *Cluster) drain() {
-	act := c.actScr[:0]
-	for s := range c.act {
-		for _, id := range c.act[s] {
-			q := &c.outbox[id]
-			if q.unsorted {
-				sort.Sort(q)
-				q.unsorted = false
+	for _, p := range c.srcs {
+		for i := range p.out {
+			m := &p.out[i]
+			if m.prep != nil {
+				m.prep(m.arg)
 			}
-			act = append(act, id)
-		}
-		c.act[s] = c.act[s][:0]
-	}
-	if len(act) == 0 {
-		return
-	}
-	for len(act) > 0 {
-		b, bq := 0, &c.outbox[act[0]]
-		for j := 1; j < len(act); j++ {
-			q := &c.outbox[act[j]]
-			x, y := &q.items[q.head], &bq.items[bq.head]
-			switch {
-			case x.at != y.at:
-				if x.at < y.at {
-					b, bq = j, q
-				}
-			case x.schedAt != y.schedAt:
-				if x.schedAt < y.schedAt {
-					b, bq = j, q
-				}
-			case act[j] < act[b]:
-				b, bq = j, q
+			m.key.seq = p.dst.stamp()
+			if p.in.Len() == 0 {
+				p.slot.SetKey(0, m.at, m.key)
 			}
+			p.in.Push(*m)
+			*m = xmsg{} // the inbox holds it now; drop the outbox's refs
 		}
-		m := &bq.items[bq.head]
-		if m.prep != nil {
-			m.prep(m.arg)
-		}
-		m.dst.atStamped(m.at, m.schedAt, m.dst.stamp(), m.fn, m.arg)
-		*m = xmsg{} // drop refs so drained args can be collected
-		c.stats.Msgs++
-		bq.head++
-		if bq.head == len(bq.items) {
-			bq.items, bq.head = bq.items[:0], 0
-			last := len(act) - 1
-			act[b] = act[last]
-			act = act[:last]
-		}
+		c.stats.Msgs += uint64(len(p.out))
+		p.out = p.out[:0]
 	}
-	c.actScr = act[:0]
 }
 
 const maxTime = Time(math.MaxInt64)

@@ -27,6 +27,7 @@ type pdesNode struct {
 	out   *PostSource // nil when the next node shares this engine
 	rng   *Rand
 	next  *pdesNode
+	last  Time // latest arrival sent to next
 	count uint64
 	trace []string
 }
@@ -41,9 +42,11 @@ func (n *pdesNode) step() {
 	n.count++
 	n.trace = append(n.trace, fmt.Sprintf("step %d @%d", n.count, n.e.Now()))
 	// Occasionally message the next node; arrival respects the link's
-	// minimum latency, with jitter on top.
+	// minimum latency, with jitter on top, and is clamped to be monotone
+	// as Link.Send clamps it, on the serial path too.
 	if n.rng.Intn(3) == 0 {
-		at := n.e.Now() + pdesLinkDelay + Time(n.rng.Intn(500))
+		at := max(n.e.Now()+pdesLinkDelay+Time(n.rng.Intn(500)), n.last)
+		n.last = at
 		if n.out == nil {
 			n.next.e.AtArg(at, pdesRecv, n.next)
 		} else {
@@ -136,6 +139,59 @@ func TestClusterHorizonGuard(t *testing.T) {
 		}
 	}()
 	src.Post(999, nil, func(any) {}, nil)
+}
+
+// TestClusterPostOutOfOrderPanics: an arrival before the previous one
+// through the same source must panic — the source's inbox would fire
+// out of order. An arrival equal to the previous one is legal.
+func TestClusterPostOutOfOrderPanics(t *testing.T) {
+	c := NewCluster(1, 2, 1)
+	c.Bound(1000)
+	src := c.Source(c.Shard(0), c.Shard(1))
+	nop := func(any) {}
+	src.Post(2000, nil, nop, nil)
+	src.Post(2000, nil, nop, nil)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("out-of-order post did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(r), "arrivals must be monotone") {
+			t.Fatalf("wrong panic: %v", r)
+		}
+	}()
+	src.Post(1999, nil, nop, nil)
+}
+
+// TestClusterPending: Pending counts a cross-shard message from its
+// post until it is delivered — parked in the outbox, then waiting in
+// the inbox — besides every scheduled event, here the receiving shard's
+// one group event, armed with the inbox head.
+func TestClusterPending(t *testing.T) {
+	c := NewCluster(1, 2, 1)
+	c.Bound(1000)
+	src := c.Source(c.Shard(0), c.Shard(1))
+	delivered := 0
+	for _, at := range []Time{1000, 1001, 1002} {
+		src.Post(at, nil, func(any) { delivered++ }, nil)
+	}
+	for _, step := range []struct {
+		run       func()
+		pending   int
+		delivered int
+		stage     string
+	}{
+		{func() {}, 3, 0, "in the outbox"},
+		{c.drain, 4, 0, "in the inbox"},
+		{func() { c.RunUntil(1000) }, 3, 1, "after one delivery"},
+		{func() { c.RunUntil(2000) }, 0, 3, "after every delivery"},
+	} {
+		step.run()
+		if got := c.Pending(); got != step.pending || delivered != step.delivered {
+			t.Fatalf("%s: Pending %d with %d delivered, want %d with %d",
+				step.stage, got, delivered, step.pending, step.delivered)
+		}
+	}
 }
 
 // TestClusterPostAtHorizonOK: arrival exactly at now+lookahead is legal
@@ -340,10 +396,11 @@ func TestClusterAdaptiveWindowsWider(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterDrain measures the barrier's k-way merge: 12 sources
-// (a 4-shard full mesh) each park a sorted run of messages, and drain
-// interleaves them into the destination engines. After warmup the merge
-// itself must not allocate — outboxes, the active-source list and the
+// BenchmarkClusterDrain measures the barrier drain and the deliveries
+// after it: 12 sources (a 4-shard full mesh) each park a sorted run of
+// messages, the drain moves them into the sources' inboxes, and the
+// destination engines deliver them through their slots. After warmup
+// nothing allocates — outboxes, inboxes, the active-source list and the
 // engines' event pools are all reused, so allocs/op ~ 0.
 func BenchmarkClusterDrain(b *testing.B) {
 	const nShards, msgsPerSrc = 4, 64

@@ -18,7 +18,7 @@ import "fmt"
 // the same firing time resolve in FIFO scheduling order. For a serial
 // engine schedAt is monotone in seq and the pair degenerates to plain
 // seq order (the slot group re-arms with a key stamped earlier, which
-// keeps that); a Cluster draining cross-shard messages inserts them with
+// keeps that); a Cluster's cross-shard deliveries take slots keyed with
 // the sender's clock as schedAt, reproducing the serial engine's
 // schedule-chronology tie-break across shard boundaries.
 type event struct {
@@ -230,11 +230,8 @@ func (e *Engine) stamp() uint64 {
 }
 
 // atStamped schedules fn(arg) at absolute time t with an explicit
-// tie-break key. The slot group arms its event with a key stamped when
-// the slot was set. The Cluster's barrier drain passes the sending
-// shard's clock as schedAt, so a cross-shard delivery interleaves with
-// the destination's same-nanosecond events exactly as it would have on a
-// single serial engine.
+// tie-break key: the slot group arms its event with a key stamped when
+// the slot was set.
 func (e *Engine) atStamped(t, schedAt Time, seq uint64, fn func(any), arg any) Timer {
 	ev := e.schedule(t, schedAt, seq)
 	ev.afn, ev.arg = fn, arg
