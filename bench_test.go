@@ -184,8 +184,9 @@ func BenchmarkEventDispatch(b *testing.B) {
 // rescheduling itself a pseudo-random gap of up to 1 µs ahead, so every
 // dispatch finds about k events queued. Each tick also re-arms one
 // retransmit-style timer 1 ms ahead with Stop and AfterArg, as TCP does
-// per segment; it never fires. k = 8 and k = 256 bracket the 3–179
-// events the benchmark workloads keep pending. An op is one tick.
+// per segment; it never fires. k = 8 is about the 3–9 events the
+// benchmark workloads keep pending, and k = 256 shows what a deeper queue
+// costs. An op is one tick.
 // BenchmarkEventDispatch keeps one event pending and cannot show what
 // the queue's depth costs.
 func BenchmarkPendingTimers(b *testing.B) {
@@ -263,31 +264,48 @@ func BenchmarkMachineSlices(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerSlices: an engine timer that, like a Poisson generator's
-// tick, submits a CPU slice and reschedules itself, a gap longer than the
-// slice ahead. An op is one tick; fired/tick counts the engine events the
-// tick and its slice took: the slice runs inline when the tick returns,
-// since nothing else is due before it completes.
+// BenchmarkTimerSlices: a generator's tick that submits a CPU slice and
+// paces the next tick a gap longer than the slice ahead, either with an
+// engine timer (timer) or through one slot of the engine group (slot),
+// as the traffic generators do. An op is one tick; fired/tick counts the
+// engine events the tick and its slice took. With a timer, each tick is
+// one fired event and its slice runs inline when the tick returns, since
+// nothing else is due before it completes; with a slot, the next tick
+// runs inline after the slice too.
 func BenchmarkTimerSlices(b *testing.B) {
 	const cost, gap = 120, 1000
-	e := sim.New(1)
-	c := cpu.NewMachine(e, costmodel.Kernel419(), 8).Core(0)
-	n := 0
-	var tick func()
-	tick = func() {
-		c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, nil)
-		if n++; n < b.N {
-			e.After(gap, tick)
+	for _, slot := range []bool{false, true} {
+		name := "timer"
+		if slot {
+			name = "slot"
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(gap, tick)
-	e.Run()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
-	b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/tick")
-	if n != b.N {
-		b.Fatalf("%d ticks ran, want %d", n, b.N)
+		b.Run(name, func(b *testing.B) {
+			e := sim.New(1)
+			c := cpu.NewMachine(e, costmodel.Kernel419(), 8).Core(0)
+			n := 0
+			var tick, pace func()
+			tick = func() {
+				c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, cost, nil)
+				if n++; n < b.N {
+					pace()
+				}
+			}
+			if slot {
+				s := e.NewSlots(1, func(int) { tick() })
+				pace = func() { s.Set(0, e.Now()+gap) }
+			} else {
+				pace = func() { e.After(gap, tick) }
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			pace()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+			b.ReportMetric(float64(e.Fired())/float64(b.N), "fired/tick")
+			if n != b.N {
+				b.Fatalf("%d ticks ran, want %d", n, b.N)
+			}
+		})
 	}
 }
 

@@ -121,10 +121,12 @@ type Conn struct {
 	e       *sim.Engine
 	until   sim.Time
 	stopped bool
+	next    sim.Slots // the think gap before the next request
 
 	seq      uint64
 	sentAt   sim.Time
 	inflight bool
+	retry    sim.Timer // the outstanding request's retry timeout
 
 	// RTT is the per-response round-trip histogram; Completed counts
 	// responses received.
@@ -156,6 +158,7 @@ func NewConn(id uint64, h *overlay.Host, ctr *overlay.Container, localPort uint1
 	}
 	sock := h.OpenUDP(ip, localPort, core)
 	sock.OnDeliver = c.onResponse
+	c.next = h.E.NewSlots(1, func(int) { c.sendNext() })
 	return c
 }
 
@@ -190,7 +193,7 @@ func (c *Conn) transmit(size int) {
 		Payload: size, Core: c.core,
 		FlowID: c.ID, Seq: seq,
 	})
-	c.e.After(retryTimeout, func() {
+	c.retry = c.e.After(retryTimeout, func() {
 		if !c.stopped && c.inflight && c.seq == seq {
 			c.Retries.Inc()
 			c.transmit(size)
@@ -203,6 +206,7 @@ func (c *Conn) onResponse(s *skb.SKB) {
 		return // stale or duplicate response
 	}
 	c.inflight = false
+	c.retry.Stop()
 	rtt := c.e.Now() - c.sentAt
 	c.RTT.Record(int64(rtt))
 	c.Completed.Inc()
@@ -216,5 +220,5 @@ func (c *Conn) onResponse(s *skb.SKB) {
 			gap = 1
 		}
 	}
-	c.e.After(gap, func() { c.sendNext() })
+	c.next.Set(0, c.e.Now()+gap)
 }

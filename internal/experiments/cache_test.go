@@ -29,16 +29,18 @@ func TestAblCacheFloors(t *testing.T) {
 // hotPathBeds are the hot paths whose per-packet cost TestHotPathAllocs
 // and TestHotPathEvents bound: the full-window Falcon stress with 1500B
 // packets, the quick 16B stress through the RX cache's hit leg, a quick
-// Poisson-paced single flow through the RX cache, whose generator ticks
-// stay engine timers, and the quick mesh8 ring on a 4-shard, 1-worker
-// cluster, whose frames cross shards through the cluster's inbox slots
-// and whose Poisson ticks stay engine timers. Each bound is the measured
-// figure plus 10%.
+// Poisson-paced single flow through the RX cache, the quick abl-tail
+// open-loop population of short Pareto-sized flows at 160 Kpps, and the
+// quick mesh8 ring on a 4-shard, 1-worker cluster, whose frames cross
+// shards through the cluster's inbox slots. Every generator paces its
+// sends through its own slot of the engine group. Each bound is the
+// measured figure plus 10%.
 var hotPathBeds = []hotPathBed{
-	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0, 0.6417 * 1.10, 0.005631 * 1.10, 94.7730 * 1.10},
-	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0, 0.8106 * 1.10, 0.005479 * 1.10, 65.3015 * 1.10},
-	{"con-cache-poisson-64B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 64, true, 100_000, 0, 0.3870 * 1.10, 1.529190 * 1.10, 35.8879 * 1.10},
-	{"mesh8-4shards-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, meshPayload, false, 0, 4, 1.7376 * 1.10, 1.756511 * 1.10, 52.9407 * 1.10},
+	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0, 0, 0.6417 * 1.10, 0.005631 * 1.10, 94.7730 * 1.10},
+	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0, 0, 0.8106 * 1.10, 0.005479 * 1.10, 65.3015 * 1.10},
+	{"con-cache-poisson-64B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 64, true, 100_000, 0, 0, 0.3635 * 1.10, 0.030132 * 1.10, 35.8879 * 1.10},
+	{"con-openloop-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, tailPayload, false, 0, 160_000, 0, 0.6692 * 1.10, 0.020118 * 1.10, 46.0615 * 1.10},
+	{"mesh8-4shards-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, meshPayload, false, 0, 0, 4, 0.2314 * 1.10, 0.260017 * 1.10, 52.9407 * 1.10},
 }
 
 type hotPathBed struct {
@@ -48,14 +50,16 @@ type hotPathBed struct {
 	size     int
 	cache    bool
 	pps      float64 // SendAtRate's Poisson rate; 0 for the 3-client flood
+	offered  float64 // runTailPoint's open-loop rate in packets/s; 0 for the other beds
 	shards   int     // mesh8 on a cluster of this many shards and 1 worker; 0 for the single-flow beds
 	allocs   float64 // heap allocations per delivered packet
 	events   float64 // engine events fired per delivered packet
 	executed float64 // engine events fired or run inline per delivered packet
 }
 
-// run runs the bed: the mesh ring through runMesh, the flood through
-// cacheStress, a paced flow through udpFixedRateBed.
+// run runs the bed: the mesh ring through runMesh, an open-loop
+// population through runTailPoint, the flood through cacheStress, a
+// paced flow through udpFixedRateBed.
 func (b hotPathBed) run() cacheRun {
 	if b.shards > 0 {
 		c := sim.NewCluster(b.opt.seed(), b.shards, 1)
@@ -64,6 +68,10 @@ func (b hotPathBed) run() cacheRun {
 			res.Delivered += n.sock.Delivered.Value()
 		}
 		return cacheRun{res: res, fired: c.Fired(), inlined: c.Inlined()}
+	}
+	if b.offered > 0 {
+		tb, pt := runTailPoint(b.mode, b.opt, b.offered)
+		return cacheRun{res: pt.res, fired: tb.E.Fired(), inlined: tb.E.Inlined()}
 	}
 	if b.pps == 0 {
 		return cacheStress(b.mode, b.opt, b.size, b.cache)

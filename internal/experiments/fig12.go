@@ -76,15 +76,17 @@ func tcpPaced(mode workload.Mode, opt Options, link float64, msgSize int, gap si
 	tb := newSingleFlowBed(mode, opt, link, true)
 	c := mustDial(tb, newTCPConfig(tb, mode, msgSize, 0))
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
-	var tick func()
-	tick = func() {
-		if tb.Client.E.Now() >= until {
+	e := tb.Client.E
+	var pace sim.Slots
+	tick := func(int) {
+		if e.Now() >= until {
 			return
 		}
 		c.Send(1)
-		tb.Client.E.After(gap, tick)
+		pace.Set(0, e.Now()+gap)
 	}
-	tick()
+	pace = e.NewSlots(1, tick)
+	tick(0)
 	res := workload.MeasureWindow(tb, []*socket.Socket{c.Socket()}, opt.warmup(), opt.window())
 	c.Close()
 	return res.Latency

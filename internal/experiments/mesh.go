@@ -40,6 +40,7 @@ type meshNode struct {
 	// Sender side: Poisson process toward the next host's container.
 	dst     proto.IPv4Addr
 	rng     *sim.Rand
+	gap     sim.Slots // the gap before the next send
 	seq     uint64
 	stopped bool
 	until   sim.Time
@@ -47,6 +48,7 @@ type meshNode struct {
 
 func (n *meshNode) start(until sim.Time) {
 	n.until = until
+	n.gap = n.host.E.NewSlots(1, func(int) { n.tick() })
 	n.tick()
 }
 
@@ -59,11 +61,7 @@ func (n *meshNode) tick() {
 		From: n.ctr, SrcPort: 7000, DstIP: n.dst, DstPort: meshPort,
 		Payload: meshPayload, Core: 2, FlowID: uint64(n.ctr.Host.IP), Seq: n.seq,
 	})
-	gap := sim.Time(n.rng.ExpFloat64() * 1e9 / meshRatePPS)
-	if gap < 1 {
-		gap = 1
-	}
-	n.host.E.After(gap, n.tick)
+	n.gap.Set(0, n.host.E.Now()+workload.PoissonArrivals{Rate: meshRatePPS}.NextGap(n.rng))
 }
 
 // meshSim returns the engine the ring runs on: a serial engine

@@ -62,7 +62,7 @@ type tailPoint struct {
 
 // runTailPoint drives one open-loop MMPP/Pareto population at the given
 // offered rate against one mode's testbed and measures the window.
-func runTailPoint(mode workload.Mode, opt Options, offered float64) tailPoint {
+func runTailPoint(mode workload.Mode, opt Options, offered float64) (*workload.Testbed, tailPoint) {
 	tb := newSingleFlowBed(mode, opt, tailLink, false)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	flowsPerSec := offered / tailMeanPkts
@@ -83,7 +83,7 @@ func runTailPoint(mode workload.Mode, opt Options, offered float64) tailPoint {
 	tb.E.At(opt.warmup(), func() { sent0 = ol.Sent() })
 	tb.E.At(opt.warmup()+opt.window(), func() { sent1 = ol.Sent() })
 	res := workload.MeasureWindow(tb, ol.Socks, opt.warmup(), opt.window())
-	return tailPoint{
+	return tb, tailPoint{
 		offered: offered,
 		sentPPS: stats.Rate(sent1-sent0, int64(opt.window())),
 		res:     res,
@@ -111,7 +111,7 @@ func ablTail(opt Options) []*stats.Table {
 	for _, factor := range tailFactors(opt.Quick) {
 		offered := factor * capacity
 		for _, mode := range modes {
-			pt := runTailPoint(mode, opt, offered)
+			_, pt := runTailPoint(mode, opt, offered)
 			pt.factor = factor
 			points[mode] = append(points[mode], pt)
 			s := pt.res.Latency

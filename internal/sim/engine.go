@@ -5,7 +5,7 @@ import "fmt"
 // The scheduler is one binary min-heap of pending events (DESIGN.md §2
 // "Engine internals"). Almost all per-packet work runs as slots of the
 // engine's group, which holds a single engine event, so the heap stays
-// shallow: at most 179 events on the benchmark workloads. Every event
+// shallow: at most 9 events on the benchmark workloads. Every event
 // keeps its heap index, so a cancel removes it at once.
 //
 // Events are pooled on a free list and recycled immediately after they

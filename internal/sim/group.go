@@ -17,11 +17,11 @@ import "slices"
 // the group when its callback returns: the armed event is cancelled and
 // the first slot runs inline the same way, or is armed. A Set inside a
 // run therefore only links the slot, and an engine timer's callback that
-// sets one (a generator tick submitting a send) goes on into it without
-// a second engine event. Slot callbacks run in precisely the order one
-// event per firing would give them (DESIGN.md §2), and a run of
-// consecutive slot firings costs at most one engine fire instead of one
-// each.
+// sets one (a TCP retransmit timeout resending a segment) goes on into
+// it without a second engine event. Slot callbacks run in precisely the
+// order one event per firing would give them (DESIGN.md §2), and a run
+// of consecutive slot firings costs at most one engine fire instead of
+// one each.
 //
 // Owners reserve ranges of slots with Engine.NewSlots, at construction or
 // mid-run. Since one group serves the whole engine, a hand-off from one

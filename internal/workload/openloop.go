@@ -147,10 +147,7 @@ func (m *MMPP2) NextGap(r *sim.Rand) sim.Time {
 		if m.burst {
 			rate = m.BurstRate
 		}
-		gap := sim.Time(r.ExpFloat64() * 1e9 / rate)
-		if gap < 1 {
-			gap = 1
-		}
+		gap := PoissonArrivals{Rate: rate}.NextGap(r)
 		if gap <= m.left {
 			m.left -= gap
 			total += gap
@@ -230,6 +227,12 @@ type OpenLoop struct {
 	rng   *sim.Rand
 	until sim.Time
 
+	// arrival is the slot of the next flow arrival. Each olFlow owns one
+	// slot too; a finished flow waits in free for the next arrival, so
+	// the population reserves Peak()+1 slots however many flows churn.
+	arrival sim.Slots
+	free    []*olFlow
+
 	nextID  uint64
 	live    int
 	peak    int
@@ -257,6 +260,7 @@ func (tb *Testbed) StartOpenLoop(cfg OpenLoopConfig, until sim.Time) *OpenLoop {
 		ol.Socks = append(ol.Socks,
 			tb.Server.OpenUDP(ol.dstIP, openLoopBasePort+uint16(i), cfg.AppCore))
 	}
+	ol.arrival = tb.Client.E.NewSlots(1, func(int) { ol.arrive() })
 	ol.arrive()
 	return ol
 }
@@ -274,7 +278,8 @@ func (ol *OpenLoop) Finished() uint64 { return ol.done }
 
 // arrive launches one flow and schedules the next arrival.
 func (ol *OpenLoop) arrive() {
-	if ol.stopped || ol.tb.Client.E.Now() >= ol.until {
+	e := ol.tb.Client.E
+	if ol.stopped || e.Now() >= ol.until {
 		return
 	}
 	size := int(ol.cfg.FlowSize.Sample(ol.rng))
@@ -283,8 +288,16 @@ func (ol *OpenLoop) arrive() {
 	}
 	id := ol.nextID
 	ol.nextID++
-	f := &olFlow{
+	var f *olFlow
+	if n := len(ol.free); n > 0 {
+		f, ol.free = ol.free[n-1], ol.free[:n-1]
+	} else {
+		f = new(olFlow)
+		f.gap = e.NewSlots(1, func(int) { f.tick() })
+	}
+	*f = olFlow{
 		ol:   ol,
+		gap:  f.gap,
 		id:   openLoopBaseFlowID + id,
 		size: size,
 		port: openLoopBasePort + uint16(id%uint64(ol.cfg.Ports)),
@@ -293,7 +306,7 @@ func (ol *OpenLoop) arrive() {
 		// population) without ever colliding with a receive port.
 		srcPort: uint16(20_000 + id%20_000),
 		core:    ol.cfg.SendCores[int(id)%len(ol.cfg.SendCores)],
-		rng:     ol.rng.Fork(),
+		rng:     *ol.rng.Fork(),
 	}
 	ol.live++
 	ol.started++
@@ -301,28 +314,30 @@ func (ol *OpenLoop) arrive() {
 		ol.peak = ol.live
 	}
 	f.tick()
-	ol.tb.Client.E.After(ol.cfg.Arrivals.NextGap(ol.rng), ol.arrive)
+	ol.arrival.Set(0, e.Now()+ol.cfg.Arrivals.NextGap(ol.rng))
 }
 
-// olFlow is one live open-loop flow.
+// olFlow is one live open-loop flow, or a finished one waiting in the
+// population's free list; gap is its slot, the gap before its next send.
 type olFlow struct {
 	ol      *OpenLoop
+	gap     sim.Slots
 	id      uint64
 	seq     uint64
 	size    int
 	port    uint16
 	srcPort uint16
 	core    int
-	rng     *sim.Rand
+	rng     sim.Rand
 }
 
 // tick sends the flow's next packet and schedules the one after, until
 // the drawn size is exhausted or the population halts.
 func (f *olFlow) tick() {
 	ol := f.ol
-	if ol.stopped || ol.tb.Client.E.Now() >= ol.until {
-		ol.live--
-		ol.done++
+	e := ol.tb.Client.E
+	if ol.stopped || e.Now() >= ol.until {
+		f.finish()
 		return
 	}
 	f.seq++
@@ -332,13 +347,16 @@ func (f *olFlow) tick() {
 		Payload: ol.cfg.PacketSize, Core: f.core, FlowID: f.id, Seq: f.seq,
 	})
 	if int(f.seq) >= f.size {
-		ol.live--
-		ol.done++
+		f.finish()
 		return
 	}
-	gap := sim.Time(f.rng.ExpFloat64() * 1e9 / ol.cfg.FlowRate)
-	if gap < 1 {
-		gap = 1
-	}
-	ol.tb.Client.E.After(gap, f.tick)
+	f.gap.Set(0, e.Now()+PoissonArrivals{Rate: ol.cfg.FlowRate}.NextGap(&f.rng))
+}
+
+// finish retires the flow to the free list.
+func (f *olFlow) finish() {
+	ol := f.ol
+	ol.live--
+	ol.done++
+	ol.free = append(ol.free, f)
 }

@@ -154,3 +154,39 @@ func TestOpenLoopChurn(t *testing.T) {
 		t.Fatalf("OfferedPPS = %v, want 1e6", got)
 	}
 }
+
+// TestOpenLoopReusesFlows: a churning population allocates exactly
+// Peak() flows, each with its own slot, and with the arrival slot
+// reserves Peak()+1 slots, well below the Started() flows it runs. Once
+// every flow has finished, all of them wait in the free list.
+func TestOpenLoopReusesFlows(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 8, Containers: 1,
+		GRO: true, InnerGRO: true, Seed: 5,
+	})
+	until := 10 * sim.Millisecond
+	ol := tb.StartOpenLoop(OpenLoopConfig{
+		Arrivals:  PoissonArrivals{Rate: 50_000},
+		FlowSize:  Pareto{Xm: 2, Alpha: 2},
+		FlowRate:  2_000,
+		SendCores: []int{2, 3},
+		Ctr:       1,
+	}, until)
+	tb.Run(until + 20*sim.Millisecond)
+	if ol.Live() != 0 || ol.Finished() != ol.Started() {
+		t.Fatalf("live %d, finished %d of %d: the population did not drain", ol.Live(), ol.Finished(), ol.Started())
+	}
+	if uint64(ol.Peak())*3 > ol.Started() {
+		t.Fatalf("peak %d of %d started flows: too little churn to test reuse", ol.Peak(), ol.Started())
+	}
+	if len(ol.free) != ol.Peak() {
+		t.Fatalf("%d flows allocated, want Peak() = %d", len(ol.free), ol.Peak())
+	}
+	slots := map[sim.Slots]bool{ol.arrival: true}
+	for _, f := range ol.free {
+		slots[f.gap] = true
+	}
+	if len(slots) != ol.Peak()+1 {
+		t.Fatalf("%d distinct slots reserved, want Peak()+1 = %d", len(slots), ol.Peak()+1)
+	}
+}

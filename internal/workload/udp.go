@@ -106,22 +106,23 @@ func (f *UDPFlow) Flood(until sim.Time) {
 
 // SendAtRate emits packets at the given average rate with Poisson
 // arrivals until `until` (the underloaded/fixed-rate tests). The rate
-// can be changed live via SetRate.
+// can be changed live via SetRate; Stop, or a rate of 0 or less, ends
+// the sender at its next tick.
 func (f *UDPFlow) SendAtRate(pps float64, until sim.Time) {
 	f.rate = pps
-	var tick func()
-	tick = func() {
-		if f.stopped || f.tb.Client.E.Now() >= until || f.rate <= 0 {
+	// The gap before the next send is one slot of the engine's group,
+	// reserved for this sender, as in Flood.
+	e := f.tb.Client.E
+	var gap sim.Slots
+	tick := func(int) {
+		if f.stopped || e.Now() >= until || f.rate <= 0 {
 			return
 		}
 		f.send(nil)
-		gap := sim.Time(f.rng.ExpFloat64() * 1e9 / f.rate)
-		if gap < 1 {
-			gap = 1
-		}
-		f.tb.Client.E.After(gap, tick)
+		gap.Set(0, e.Now()+PoissonArrivals{Rate: f.rate}.NextGap(f.rng))
 	}
-	tick()
+	gap = e.NewSlots(1, tick)
+	tick(0)
 }
 
 // StressFlood launches n flooding clients on distinct cores, all

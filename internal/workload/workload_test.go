@@ -123,6 +123,40 @@ func TestStopHaltsFlow(t *testing.T) {
 	}
 }
 
+// TestSendAtRateEnds: Stop and SetRate(0) each end a SendAtRate sender.
+// It sends nothing after the call, and once its pending tick has run,
+// its slot stays unset: the bed keeps only the events an idle bed does.
+func TestSendAtRateEnds(t *testing.T) {
+	idle := stdBed(t, 1)
+	idle.Run(30 * sim.Millisecond)
+	for _, tc := range []struct {
+		name string
+		end  func(f *UDPFlow)
+	}{
+		{"Stop", (*UDPFlow).Stop},
+		{"SetRate(0)", func(f *UDPFlow) { f.SetRate(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := stdBed(t, 1)
+			f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, 6, 1)
+			f.SendAtRate(100_000, sim.Second)
+			tb.Run(5 * sim.Millisecond)
+			tc.end(f)
+			sent := f.Sent()
+			if sent == 0 {
+				t.Fatal("sender sent nothing before the call")
+			}
+			tb.Run(30 * sim.Millisecond)
+			if f.Sent() != sent {
+				t.Fatalf("sent %d packets after the call", f.Sent()-sent)
+			}
+			if got, want := tb.E.Pending(), idle.E.Pending(); got != want {
+				t.Fatalf("%d events pending, an idle bed keeps %d: the sender's slot is still set", got, want)
+			}
+		})
+	}
+}
+
 func TestFalconTestbedEndToEnd(t *testing.T) {
 	tb := stdBed(t, 1)
 	tb.EnableFalconOnServer(falconcore.DefaultConfig([]int{3, 4, 5}))
