@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit reconfig tail cache fuzz scale bench-smoke experiments profile clean
+.PHONY: all build vet test race audit identity reconfig tail cache fuzz scale bench-smoke experiments profile clean
 
 all: vet build test
 
@@ -29,6 +29,16 @@ audit:
 	$(GO) run ./cmd/falconsim -all -quick \
 		-deadline 20m -max-events 2000000000 > plain-all.out
 	diff audit-all.out plain-all.out
+
+# Byte-identity against another revision: builds falconsim, pcapdump and
+# the examples at BASE and from the working tree, runs every golden
+# setting (-all -quick at -shards 1/4/auto, plain, -audit and -cache),
+# the abl-crash partition schedules, full-window abl-tail and -all,
+# -fuzz -seeds 50, the examples and pcapdump with both, and prints one
+# line per run. Fails on any difference not named in ALLOW (run names).
+#   make identity BASE=HEAD~1 [ALLOW="quick-s1 quick-s4"]
+identity:
+	ALLOW="$(ALLOW)" bash scripts/identity.sh $(BASE)
 
 # Hot reconfiguration under load: generation swaps (kernel roll,
 # graceful drain + re-add, steering flips) with convergence SLOs and

@@ -206,7 +206,11 @@ func Experiments() []Experiment { return experiments.All() }
 // ExperimentByID finds one experiment.
 func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) }
 
-// Table is a labelled results grid produced by experiments.
+// Table is a labelled results grid produced by experiments. Its cells
+// are typed: a number cell keeps its value and the format that renders
+// it, a text cell a label. String renders the grid; Value reads a
+// number back by column name and leading row labels, e.g.
+// tbl.Value("Falcon", "16B").
 type Table = stats.Table
 
 // Latency instrumentation: Result.LatencyHist is a *Histogram.

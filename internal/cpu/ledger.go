@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"fmt"
 	"sort"
 
 	"falcon/internal/costmodel"
@@ -180,10 +179,8 @@ func (l *Ledger) Top(n int) []FuncShare {
 func (l *Ledger) Table(title string, n int) *stats.Table {
 	t := &stats.Table{Title: title, Columns: []string{"function", "cpu%", "calls", "time"}}
 	for _, fs := range l.Top(n) {
-		t.AddRow(fs.Func.String(),
-			fmt.Sprintf("%.2f%%", fs.Share*100),
-			fmt.Sprintf("%d", fs.Calls),
-			fmt.Sprintf("%.3fms", float64(fs.Ns)/1e6))
+		t.AddRow(stats.Text(fs.Func.String()), stats.Num("%.2f%%", fs.Share*100),
+			stats.Num("%.0f", float64(fs.Calls)), stats.Num("%.3fms", float64(fs.Ns)/1e6))
 	}
 	return t
 }

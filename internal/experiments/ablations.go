@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
@@ -68,8 +68,8 @@ func ablMTU(opt Options) []*stats.Table {
 			for _, u := range res.CoreBusy {
 				cpuCores += u
 			}
-			t.AddRow(wireName, mode.String(), fKpps(res.PPS),
-				fmt.Sprintf("%.0f", wire), fmt.Sprintf("%.2f", cpuCores), fUs(res.Latency.P99))
+			t.AddRow(stats.Text(wireName), stats.Text(mode.String()), fKpps(res.PPS),
+				stats.Num("%.0f", wire), stats.Num("%.2f", cpuCores), fUs(res.Latency.P99))
 		}
 	}
 	return []*stats.Table{t}
@@ -91,13 +91,13 @@ func ablSlim(opt Options) []*stats.Table {
 		tb := newSingleFlowBed(mode, opt, 100*devices.Gbps, true)
 		return runTCPBulkConns(tb, 3, opt)
 	}
-	udp := func(mode workload.Mode) string {
+	udp := func(mode workload.Mode) stats.Cell {
 		r := udpStress(mode, opt, 100*devices.Gbps, 16)
 		return fKpps(r.PPS)
 	}
-	t.AddRow("Host", fGbps(tcp(workload.ModeHost)), udp(workload.ModeHost))
-	t.AddRow("Con (vanilla overlay)", fGbps(tcp(workload.ModeCon)), udp(workload.ModeCon))
-	t.AddRow("Falcon overlay", fGbps(tcp(workload.ModeFalcon)), udp(workload.ModeFalcon))
+	t.AddRow(stats.Text("Host"), fGbps(tcp(workload.ModeHost)), udp(workload.ModeHost))
+	t.AddRow(stats.Text("Con (vanilla overlay)"), fGbps(tcp(workload.ModeCon)), udp(workload.ModeCon))
+	t.AddRow(stats.Text("Falcon overlay"), fGbps(tcp(workload.ModeFalcon)), udp(workload.ModeFalcon))
 	// Slim: container endpoints, host-path wire traffic. In this
 	// simulator that is precisely a host-path TCP connection (the
 	// one-time connection-setup redirection amortizes to zero).
@@ -111,7 +111,7 @@ func ablSlim(opt Options) []*stats.Table {
 		}
 		return tcpGoodput(tb, cs, opt)
 	}
-	t.AddRow("Slim-style redirection", fGbps(slim()), "unsupported (connection-less)")
+	t.AddRow(stats.Text("Slim-style redirection"), fGbps(slim()), stats.Text("unsupported (connection-less)"))
 	return []*stats.Table{t}
 }
 
@@ -152,14 +152,12 @@ func ablDynSplit(opt Options) []*stats.Table {
 		off := run(w.tcp, "off")
 		on := run(w.tcp, "on")
 		dyn := run(w.tcp, "dyn")
-		t.AddRow(w.label,
-			fGbpsOrKpps(off.value), fGbpsOrKpps(on.value), fGbpsOrKpps(dyn.value),
-			fmt.Sprintf("%v", dyn.engaged))
+		t.AddRow(stats.Text(w.label),
+			stats.Num("%.2f", off.value), stats.Num("%.2f", on.value), stats.Num("%.2f", dyn.value),
+			stats.Text(strconv.FormatBool(dyn.engaged)))
 	}
 	return []*stats.Table{t}
 }
-
-func fGbpsOrKpps(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // runTCPBulkConns drives n continuous TCP connections on an existing
 // testbed and returns aggregate goodput in Gb/s. Three connections
@@ -201,10 +199,10 @@ func ablGROSplit(opt Options) []*stats.Table {
 	}
 	tcpOff := run(false, true)
 	tcpOn := run(true, true)
-	t.AddRow("TCP 4K (Gbps)", fGbps(tcpOff), fGbps(tcpOn), fRatio(tcpOn/tcpOff))
+	t.AddRow(stats.Text("TCP 4K (Gbps)"), fGbps(tcpOff), fGbps(tcpOn), fRatio(tcpOn/tcpOff))
 	udpOff := run(false, false)
 	udpOn := run(true, false)
-	t.AddRow("UDP 16B (Kpps)", fKpps(udpOff), fKpps(udpOn), fRatio(udpOn/udpOff))
+	t.AddRow(stats.Text("UDP 16B (Kpps)"), fKpps(udpOff), fKpps(udpOn), fRatio(udpOn/udpOff))
 	return []*stats.Table{t}
 }
 
@@ -230,7 +228,7 @@ func ablLocality(opt Options) []*stats.Table {
 		}
 		con := run(workload.ModeCon)
 		fal := run(workload.ModeFalcon)
-		t.AddRow(fmt.Sprintf("%.0f", p), fKpps(con), fKpps(fal), fRatio(fal/con))
+		t.AddRow(stats.Num("%.0f", p), fKpps(con), fKpps(fal), fRatio(fal/con))
 	}
 	return []*stats.Table{t}
 }
@@ -251,21 +249,21 @@ func ablStages(opt Options) []*stats.Table {
 		return runTCPBulkConns(tb, 3, opt)
 	}
 	vanilla := run(nil)
-	t.AddRow("vanilla overlay", fGbps(vanilla), "1.00x")
+	t.AddRow(stats.Text("vanilla overlay"), fGbps(vanilla), fRatio(1))
 
 	pipe := falconcore.DefaultConfig(singleFlowFalconCPUs)
 	pipe.GROSplit = false
 	pipe.TwoChoice = false
 	g := run(&pipe)
-	t.AddRow("pipelining only", fGbps(g), fRatio(g/vanilla))
+	t.AddRow(stats.Text("pipelining only"), fGbps(g), fRatio(g/vanilla))
 
 	split := falconcore.DefaultConfig(singleFlowFalconCPUs)
 	split.TwoChoice = false
 	g = run(&split)
-	t.AddRow("pipelining + GRO split", fGbps(g), fRatio(g/vanilla))
+	t.AddRow(stats.Text("pipelining + GRO split"), fGbps(g), fRatio(g/vanilla))
 
 	full := falconcore.DefaultConfig(singleFlowFalconCPUs)
 	g = run(&full)
-	t.AddRow("full falcon", fGbps(g), fRatio(g/vanilla))
+	t.AddRow(stats.Text("full falcon"), fGbps(g), fRatio(g/vanilla))
 	return []*stats.Table{t}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"falcon/internal/devices"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
@@ -113,16 +111,16 @@ func ablCache(opt Options) []*stats.Table {
 		if i == 0 {
 			vanillaNs = ns
 		}
-		improve := "1.00x"
+		improve := fRatio(1)
 		if i > 0 && ns > 0 {
 			improve = fRatio(vanillaNs / ns)
 		}
-		hit := "-"
+		hit := stats.Text("-")
 		if c.cache {
 			hit = fPct(r.hitRate())
 		}
-		t.AddRow(c.label, fKpps(r.res.PPS), fmt.Sprintf("%.0f", ns), improve,
-			hit, fmt.Sprintf("%d", r.stale))
+		t.AddRow(stats.Text(c.label), fKpps(r.res.PPS), stats.Num("%.0f", ns), improve,
+			hit, fCount(r.stale))
 	}
 
 	m := &stats.Table{
@@ -130,12 +128,12 @@ func ablCache(opt Options) []*stats.Table {
 		Columns: []string{"configuration", "delivered(Kpps)", "p50(us)", "p99(us)", "hit-rate"},
 	}
 	offPPS, offSum, _, _ := runMeshCache(opt, false)
-	m.AddRow("mesh8", fKpps(offPPS), fUs(offSum.P50), fUs(offSum.P99), "-")
+	m.AddRow(stats.Text("mesh8"), fKpps(offPPS), fUs(offSum.P50), fUs(offSum.P99), stats.Text("-"))
 	onPPS, onSum, hits, misses := runMeshCache(opt, true)
 	hitRate := 0.0
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	m.AddRow("mesh8 + cache", fKpps(onPPS), fUs(onSum.P50), fUs(onSum.P99), fPct(hitRate))
+	m.AddRow(stats.Text("mesh8 + cache"), fKpps(onPPS), fUs(onSum.P50), fUs(onSum.P99), fPct(hitRate))
 	return []*stats.Table{t, m}
 }

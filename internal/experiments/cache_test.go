@@ -15,14 +15,14 @@ import (
 // rate of at least 90%. Both are simulated-time ratios, so the floors
 // are exact for the seed (1.85x and 100% at seed 1).
 func TestAblCacheFloors(t *testing.T) {
-	opt := Options{Quick: true, Seed: 1}
-	vanilla := cacheStress(workload.ModeCon, opt, 16, false)
-	cached := cacheStress(workload.ModeCon, opt, 16, true)
-	if improve := vanilla.softirqNsPerPkt() / cached.softirqNsPerPkt(); improve < 1.30 {
+	tbl := goldenTables(t, "abl-cache")[0]
+	vanilla := value(t, tbl, "softirq ns/pkt", "Con (vanilla)")
+	cached := value(t, tbl, "softirq ns/pkt", "Con + cache")
+	if improve := vanilla / cached; improve < 1.30 {
 		t.Errorf("rx cache improvement %.2fx over vanilla < 1.30x floor", improve)
 	}
-	if hit := cached.hitRate(); hit < 0.90 {
-		t.Errorf("rx cache hit rate %.1f%% < 90%% floor", hit*100)
+	if hit := value(t, tbl, "hit-rate", "Con + cache"); hit < 90 {
+		t.Errorf("rx cache hit rate %.1f%% < 90%% floor", hit)
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"falcon/internal/devices"
 	"falcon/internal/faults"
 	"falcon/internal/sim"
@@ -188,11 +186,9 @@ func ablChaos(opt Options) []*stats.Table {
 			case workload.ModeFalcon:
 				fal = out
 			}
-			detail.AddRow(sc.key, mode.String(), fKpps(out.Res.PPS), fUs(out.Res.Latency.P99),
-				fmt.Sprintf("%d", out.Drops), fmt.Sprintf("%d", out.KVRetries),
-				fRecover(out.RecoverMs, 1),
-				fmt.Sprintf("%d", out.Rerouted), fmt.Sprintf("%d", out.Fallbacks),
-				fmt.Sprintf("%.1f", out.DegradedMs))
+			detail.AddRow(stats.Text(sc.key), stats.Text(mode.String()), fKpps(out.Res.PPS), fUs(out.Res.Latency.P99),
+				fCount(out.Drops), fCount(out.KVRetries), fRecover(out.RecoverMs, 1),
+				fCount(out.Rerouted), fCount(out.Fallbacks), stats.Num("%.1f", out.DegradedMs))
 		}
 		ratio := 0.0
 		if con.Res.PPS > 0 {
@@ -202,8 +198,8 @@ func ablChaos(opt Options) []*stats.Table {
 		if ratio < 0.98 || fal.RecoverMs < 0 {
 			v = "FAIL"
 		}
-		verdict.AddRow(sc.key, fKpps(con.Res.PPS), fKpps(fal.Res.PPS),
-			fRatio(ratio), fRecover(fal.RecoverMs, 1), v)
+		verdict.AddRow(stats.Text(sc.key), fKpps(con.Res.PPS), fKpps(fal.Res.PPS),
+			fRatio(ratio), fRecover(fal.RecoverMs, 1), stats.Text(v))
 	}
 	return []*stats.Table{detail, verdict}
 }

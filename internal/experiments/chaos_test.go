@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-
-	"falcon/internal/workload"
-)
+import "testing"
 
 func TestChaosRegistered(t *testing.T) {
 	if _, ok := ByID("abl-chaos"); !ok {
@@ -13,88 +8,52 @@ func TestChaosRegistered(t *testing.T) {
 	}
 }
 
+// TestChaosNeverWorseAndBoundedRecovery reads abl-chaos's verdict
+// table: under every shipped fault scenario, Falcon with health
+// tracking delivers >= 0.98x the vanilla overlay, and per-ms delivery
+// recovers within half the measurement window of the fault clearing.
 func TestChaosNeverWorseAndBoundedRecovery(t *testing.T) {
-	// The PR's acceptance property: under every shipped fault scenario,
-	// Falcon with health tracking delivers >= 0.98x the vanilla overlay,
-	// and per-ms delivery recovers within half the measurement window of
-	// the fault clearing.
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	maxRecover := (quick.window() / 2).Seconds() * 1e3
+	verdict := goldenTables(t, "abl-chaos")[1]
+	maxRecover := (goldenOpt.window() / 2).Seconds() * 1e3
 	for _, sc := range chaosScenarios() {
-		sc := sc
 		t.Run(sc.key, func(t *testing.T) {
-			con := runChaosScenario(workload.ModeCon, quick, sc)
-			fal := runChaosScenario(workload.ModeFalcon, quick, sc)
-			if fal.Res.PPS < 0.98*con.Res.PPS {
-				t.Fatalf("never-worse violated: falcon=%.0f con=%.0f (%.3fx)",
-					fal.Res.PPS, con.Res.PPS, fal.Res.PPS/con.Res.PPS)
+			if ratio := value(t, verdict, "Falcon/Con", sc.key); ratio < 0.98 {
+				t.Fatalf("never-worse violated: Falcon/Con = %.3fx", ratio)
 			}
-			if fal.RecoverMs < 0 || fal.RecoverMs > maxRecover {
-				t.Fatalf("recovery out of bounds: %.1fms (budget %.1fms)",
-					fal.RecoverMs, maxRecover)
+			if rec := value(t, verdict, "Falcon recover(ms)", sc.key); rec < 0 || rec > maxRecover {
+				t.Fatalf("recovery out of bounds: %.1fms (budget %.1fms)", rec, maxRecover)
 			}
 		})
 	}
 }
 
+// TestChaosCoreOfflineDegradesGracefully reads abl-chaos's detail
+// table. Offlining 2 of 3 FALCON_CPUs pushes the healthy set below the
+// floor: Falcon must visibly fall back to the vanilla path and account
+// degraded time, while still delivering the flow.
 func TestChaosCoreOfflineDegradesGracefully(t *testing.T) {
-	// Offlining 2 of 3 FALCON_CPUs pushes the healthy set below the
-	// floor: Falcon must visibly fall back to the vanilla path and
-	// account degraded time, while still delivering the flow.
-	var offline chaosScenario
-	for _, sc := range chaosScenarios() {
-		if sc.key == "cpu-offline" {
-			offline = sc
-		}
-	}
-	out := runChaosScenario(workload.ModeFalcon, quick, offline)
-	if out.Fallbacks == 0 {
+	detail := goldenTables(t, "abl-chaos")[0]
+	if value(t, detail, "fallback", "cpu-offline", "Falcon") == 0 {
 		t.Fatal("no fallback placements during below-floor window")
 	}
-	if out.DegradedMs <= 0 {
+	if value(t, detail, "degraded(ms)", "cpu-offline", "Falcon") <= 0 {
 		t.Fatal("no degraded-mode time accounted")
 	}
-	none := runChaosScenario(workload.ModeFalcon, quick, chaosScenarios()[0])
-	if out.Res.PPS < 0.98*none.Res.PPS {
-		t.Fatalf("offline run lost throughput: %.0f vs healthy %.0f",
-			out.Res.PPS, none.Res.PPS)
-	}
-}
-
-func TestChaosExperimentDeterministic(t *testing.T) {
-	// Same seed, same plans: two full renders of the experiment must be
-	// byte-identical (the chaos layer draws only from engine-seeded
-	// RNGs).
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	render := func() string {
-		var b strings.Builder
-		for _, tbl := range ablChaos(quick) {
-			b.WriteString(tbl.String())
-		}
-		return b.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("abl-chaos diverged between identical runs:\n--- run 1\n%s\n--- run 2\n%s", a, b)
+	offline := value(t, detail, "delivered(Kpps)", "cpu-offline", "Falcon")
+	none := value(t, detail, "delivered(Kpps)", "none", "Falcon")
+	if offline < 0.98*none {
+		t.Fatalf("offline run lost throughput: %.1f vs healthy %.1f Kpps", offline, none)
 	}
 }
 
 func TestChaosVerdictTableAllOK(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tables := ablChaos(quick)
+	tables := goldenTables(t, "abl-chaos")
 	if len(tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(tables))
 	}
-	verdict := tables[1]
-	for _, row := range verdict.Rows {
-		if row[len(row)-1] != "OK" {
-			t.Fatalf("scenario %s verdict %s", row[0], row[len(row)-1])
+	for _, row := range tables[1].Rows {
+		if v := row[len(row)-1].String(); v != "OK" {
+			t.Fatalf("scenario %s verdict %s", row[0], v)
 		}
 	}
 }

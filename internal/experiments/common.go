@@ -246,13 +246,13 @@ func sampleDelivered(tb *workload.Testbed, start sim.Time, first, n int, socks .
 	return samples
 }
 
-// fRecover renders a recovery time in ms with the given decimals; a
+// fRecover is a recovery time in ms shown with the given decimals; a
 // negative time means delivery never recovered inside the window.
-func fRecover(ms float64, decimals int) string {
+func fRecover(ms float64, decimals int) stats.Cell {
 	if ms < 0 {
-		return ">window"
+		return stats.Text(">window")
 	}
-	return strconv.FormatFloat(ms, 'f', decimals, 64)
+	return stats.Num("%."+strconv.Itoa(decimals)+"f", ms)
 }
 
 // linkName labels a rate like the paper.

@@ -210,11 +210,10 @@ func ablCrash(opt Options) []*stats.Table {
 			recover < 0 || blackout > crashBlackoutBudgetMs || (wantRejoin && !rejoined) {
 			v = "FAIL"
 		}
-		verdict.AddRow(mode.String(),
+		verdict.AddRow(stats.Text(mode.String()),
 			fKpps(baseSteady*1e3), fKpps(runSteady*1e3), fRatio(ratio),
-			fmt.Sprintf("%d", run.unaccounted()),
-			fmt.Sprintf("%.1f", detectMs),
-			fmt.Sprintf("%d", blackout), fRecover(float64(recover), 0), v)
+			fCount(run.unaccounted()), stats.Num("%.1f", detectMs),
+			fCount(blackout), fRecover(float64(recover), 0), stats.Text(v))
 	}
 	return []*stats.Table{detail, verdict}
 }

@@ -32,8 +32,8 @@ func TestCrashScheduleWithClientPartition(t *testing.T) {
 			opt.Crash, opt.Audit = cs, true
 			tables := experiment(t, "abl-crash").Run(opt)
 			for _, row := range tables[1].Rows {
-				if row[4] != "0" {
-					t.Errorf("%s: %s packets unaccounted", row[0], row[4])
+				if n := value(t, tables[1], "unaccounted", row[0].String()); n != 0 {
+					t.Errorf("%s: %.0f packets unaccounted", row[0], n)
 				}
 			}
 			if got, want := renderTables(tables), golden(t, name); got != want {

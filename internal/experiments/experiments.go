@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"falcon/internal/audit"
@@ -183,14 +182,17 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Formatting helpers shared by the harnesses.
+// Cell constructors shared by the harnesses. Each stores its value in
+// the unit its column shows.
 
-func fKpps(pps float64) string { return fmt.Sprintf("%.1f", pps/1e3) }
+func fKpps(pps float64) stats.Cell { return stats.Num("%.1f", pps/1e3) }
 
-func fGbps(g float64) string { return fmt.Sprintf("%.2f", g) }
+func fGbps(g float64) stats.Cell { return stats.Num("%.2f", g) }
 
-func fUs(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e3) }
+func fUs(ns int64) stats.Cell { return stats.Num("%.1f", float64(ns)/1e3) }
 
-func fPct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
+func fPct(x float64) stats.Cell { return stats.Num("%.1f%%", x*100) }
 
-func fRatio(x float64) string { return fmt.Sprintf("%.2fx", x) }
+func fRatio(x float64) stats.Cell { return stats.Num("%.2fx", x) }
+
+func fCount[T ~int | ~int64 | ~uint64](n T) stats.Cell { return stats.Num("%.0f", float64(n)) }

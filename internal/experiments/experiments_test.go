@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"strconv"
 	"testing"
 
 	"falcon/internal/devices"
+	"falcon/internal/stats"
 	"falcon/internal/workload"
 )
 
@@ -31,38 +31,41 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestUDPStressShape reads Fig. 10's 16B row at linux-4.19, 100G. The
+// core result: Con loses badly, Falcon recovers most of it.
 func TestUDPStressShape(t *testing.T) {
-	// The core result: Con loses badly, Falcon recovers most of it.
-	host := udpStress(workload.ModeHost, quick, 100*devices.Gbps, 16)
-	con := udpStress(workload.ModeCon, quick, 100*devices.Gbps, 16)
-	fal := udpStress(workload.ModeFalcon, quick, 100*devices.Gbps, 16)
-	if con.PPS >= 0.8*host.PPS {
-		t.Fatalf("overlay loss too small: con=%.0f host=%.0f", con.PPS, host.PPS)
+	tbl := goldenTable(t, "fig10", "Fig 10: UDP stress packet rate (Kpps), linux-4.19, 100G")
+	host, con, fal := value(t, tbl, "Host", "16B"), value(t, tbl, "Con", "16B"), value(t, tbl, "Falcon", "16B")
+	if con >= 0.8*host {
+		t.Fatalf("overlay loss too small: con=%.1f host=%.1f Kpps", con, host)
 	}
-	if fal.PPS <= con.PPS*1.15 {
-		t.Fatalf("falcon gain too small: falcon=%.0f con=%.0f", fal.PPS, con.PPS)
+	if fal <= con*1.15 {
+		t.Fatalf("falcon gain too small: falcon=%.1f con=%.1f Kpps", fal, con)
 	}
-	if fal.PPS < 0.7*host.PPS {
-		t.Fatalf("falcon too far from host: falcon=%.0f host=%.0f", fal.PPS, host.PPS)
+	if fal < 0.7*host {
+		t.Fatalf("falcon too far from host: falcon=%.1f host=%.1f Kpps", fal, host)
 	}
 }
 
+// TestStress64KShape reads Fig. 2(a)'s UDP rows, the headline: about
+// half the throughput lost at 100G with 64K messages, near-native at
+// 10G.
 func TestStress64KShape(t *testing.T) {
-	// Fig 2a headline: ~half the throughput lost at 100G with 64K
-	// messages; near-native at 10G.
-	host := udpStress(workload.ModeHost, quick, 100*devices.Gbps, 65000)
-	con := udpStress(workload.ModeCon, quick, 100*devices.Gbps, 65000)
-	loss := 1 - con.PPS/host.PPS
-	if loss < 0.35 || loss > 0.70 {
+	tbl := goldenTable(t, "fig2a", "Fig 2(a): single-flow throughput, 64K messages")
+	host := value(t, tbl, "Host(Gbps)", "100G", "UDP")
+	con := value(t, tbl, "Con(Gbps)", "100G", "UDP")
+	if loss := 1 - con/host; loss < 0.35 || loss > 0.70 {
 		t.Fatalf("100G 64K loss = %.2f, want ~0.5", loss)
 	}
-	host10 := udpStress(workload.ModeHost, quick, 10*devices.Gbps, 65000)
-	con10 := udpStress(workload.ModeCon, quick, 10*devices.Gbps, 65000)
-	if con10.PPS < 0.9*host10.PPS {
-		t.Fatalf("10G 64K should be near-native: con=%.0f host=%.0f", con10.PPS, host10.PPS)
+	host10 := value(t, tbl, "Host(Gbps)", "10G", "UDP")
+	con10 := value(t, tbl, "Con(Gbps)", "10G", "UDP")
+	if con10 < 0.9*host10 {
+		t.Fatalf("10G 64K should be near-native: con=%.2f host=%.2f Gbps", con10, host10)
 	}
 }
 
+// TestFixedRateUnderloadedDeliversAll runs its bed directly: no table
+// renders the drop counters it checks.
 func TestFixedRateUnderloadedDeliversAll(t *testing.T) {
 	r := udpFixedRate(workload.ModeCon, quick, 100*devices.Gbps, 1024, 50_000)
 	if r.NICDrops+r.BacklogDrops+r.SocketDrops > 0 {
@@ -74,16 +77,18 @@ func TestFixedRateUnderloadedDeliversAll(t *testing.T) {
 	}
 }
 
+// TestLatencyOrdering reads Fig. 2(d)'s UDP average: overlay latency
+// must exceed host latency underloaded.
 func TestLatencyOrdering(t *testing.T) {
-	// Overlay latency must exceed host latency underloaded.
-	host := udpFixedRate(workload.ModeHost, quick, 100*devices.Gbps, 1024, 50_000)
-	con := udpFixedRate(workload.ModeCon, quick, 100*devices.Gbps, 1024, 50_000)
-	if con.Latency.Mean <= host.Latency.Mean {
-		t.Fatalf("overlay latency (%.0f) not above host (%.0f)",
-			con.Latency.Mean, host.Latency.Mean)
+	tbl := goldenTable(t, "fig2d", "Fig 2(d): single-flow latency (us), underloaded, 100G")
+	host, con := value(t, tbl, "Host", "UDP", "avg"), value(t, tbl, "Con", "UDP", "avg")
+	if con <= host {
+		t.Fatalf("overlay latency (%.3fus) not above host (%.3fus)", con, host)
 	}
 }
 
+// TestTCPBulkShape runs its bed directly: no table renders one TCP flow
+// of 4 KB messages.
 func TestTCPBulkShape(t *testing.T) {
 	host := tcpBulk(workload.ModeHost, quick, 100*devices.Gbps, 4096, 1, false)
 	con := tcpBulk(workload.ModeCon, quick, 100*devices.Gbps, 4096, 1, false)
@@ -95,8 +100,10 @@ func TestTCPBulkShape(t *testing.T) {
 	}
 }
 
+// TestSizeLabel covers the labels no golden renders (every golden size
+// is 16B, 256B or a KiB multiple).
 func TestSizeLabel(t *testing.T) {
-	cases := map[int]string{16: "16B", 1024: "1K", 4096: "4K", 65000: "64K", 300: "300B"}
+	cases := map[int]string{300: "300B", 1500: "1500B"}
 	for in, want := range cases {
 		if got := sizeLabel(in); got != want {
 			t.Errorf("sizeLabel(%d) = %q, want %q", in, got, want)
@@ -124,23 +131,25 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestFormatters pins the cell constructors' formats, including the
+// renderings no golden shows (a count of a signed type, a negative
+// recovery time).
 func TestFormatters(t *testing.T) {
-	if fKpps(1500) != "1.5" {
-		t.Fatalf("fKpps = %q", fKpps(1500))
-	}
-	if fPct(0.5) != "50.0%" {
-		t.Fatalf("fPct = %q", fPct(0.5))
-	}
-	if fRatio(2) != "2.00x" {
-		t.Fatalf("fRatio = %q", fRatio(2))
-	}
-	if fUs(1500) != "1.5" {
-		t.Fatalf("fUs = %q", fUs(1500))
-	}
-	if fGbps(1.234) != "1.23" {
-		t.Fatalf("fGbps = %q", fGbps(1.234))
-	}
-	if _, err := strconv.ParseFloat(fKpps(123456), 64); err != nil {
-		t.Fatal("fKpps not numeric")
+	for _, tc := range []struct {
+		got  stats.Cell
+		want string
+	}{
+		{fKpps(1500), "1.5"},
+		{fPct(0.5), "50.0%"},
+		{fRatio(2), "2.00x"},
+		{fUs(1500), "1.5"},
+		{fGbps(1.234), "1.23"},
+		{fCount(int64(-3)), "-3"},
+		{fRecover(2.25, 1), "2.2"},
+		{fRecover(-1, 0), ">window"},
+	} {
+		if tc.got.String() != tc.want {
+			t.Errorf("cell renders %q, want %q", tc.got, tc.want)
+		}
 	}
 }

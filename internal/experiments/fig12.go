@@ -22,7 +22,7 @@ func fig12(opt Options) []*stats.Table {
 	var tables []*stats.Table
 
 	addRows := func(t *stats.Table, mode workload.Mode, s stats.Summary) {
-		t.AddRow(mode.String(), fUs(int64(s.Mean)), fUs(s.P50), fUs(s.P90), fUs(s.P99), fUs(s.P999))
+		t.AddRow(stats.Text(mode.String()), fUs(int64(s.Mean)), fUs(s.P50), fUs(s.P90), fUs(s.P99), fUs(s.P999))
 	}
 	newT := func(title string) *stats.Table {
 		return &stats.Table{Title: title,

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/sim"
@@ -73,7 +71,7 @@ func fig13(opt Options) []*stats.Table {
 		h := udp(workload.ModeHost, flows)
 		c := udp(workload.ModeCon, flows)
 		f := udp(workload.ModeFalcon, flows)
-		tu.AddRow(fmt.Sprintf("%d", flows), fKpps(h), fKpps(c), fKpps(f), fRatio(f/c))
+		tu.AddRow(fCount(flows), fKpps(h), fKpps(c), fKpps(f), fRatio(f/c))
 	}
 	tables = append(tables, tu)
 
@@ -100,7 +98,7 @@ func fig13(opt Options) []*stats.Table {
 		hp := tcp(workload.ModeHost, flows, true)
 		c := tcp(workload.ModeCon, flows, false)
 		f := tcp(workload.ModeFalcon, flows, false)
-		tt.AddRow(fmt.Sprintf("%d", flows), fGbps(h), fGbps(hp), fGbps(c), fGbps(f),
+		tt.AddRow(fCount(flows), fGbps(h), fGbps(hp), fGbps(c), fGbps(f),
 			fRatio(hp/h), fRatio(f/h))
 	}
 	tables = append(tables, tt)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/sim"
@@ -55,8 +53,7 @@ func ablBalancer(opt Options) []*stats.Table {
 		if r.label == "static hash" {
 			static = pps
 		}
-		t.AddRow(r.label, fKpps(pps), fRatio(pps/maxf(static, 1)),
-			fmt.Sprintf("%d", viols))
+		t.AddRow(stats.Text(r.label), fKpps(pps), fRatio(pps/max(static, 1)), fCount(viols))
 	}
 	return []*stats.Table{t}
 }
@@ -117,7 +114,7 @@ func fig14(opt Options) []*stats.Table {
 			}
 			return s / 6
 		}
-		t.AddRow(fmt.Sprintf("%d", n), fKpps(con.PPS), fKpps(fal.PPS),
+		t.AddRow(fCount(n), fKpps(con.PPS), fKpps(fal.PPS),
 			fPct(fal.PPS/con.PPS-1), fPct(rxUtil(con)), fPct(rxUtil(fal)))
 	}
 	return []*stats.Table{t}
@@ -158,7 +155,7 @@ func fig15(opt Options) []*stats.Table {
 			Columns: []string{"threshold", "throughput(Kpps)", "vs Con"},
 		}
 		base := runBusy(busySystemBed(opt, nil), opt, load.containers, perContainerRate)
-		t.AddRow("Con (no falcon)", fKpps(base.PPS), "1.00x")
+		t.AddRow(stats.Text("Con (no falcon)"), fKpps(base.PPS), fRatio(1))
 		for _, s := range settings {
 			cfg := falconcore.DefaultConfig([]int{0, 1, 2, 3, 4, 5})
 			cfg.AlwaysOn = s.alwaysOn
@@ -166,7 +163,7 @@ func fig15(opt Options) []*stats.Table {
 				cfg.LoadThreshold = s.thr
 			}
 			r := runBusy(busySystemBed(opt, &cfg), opt, load.containers, perContainerRate)
-			t.AddRow(s.label, fKpps(r.PPS), fRatio(r.PPS/base.PPS))
+			t.AddRow(stats.Text(s.label), fKpps(r.PPS), fRatio(r.PPS/base.PPS))
 		}
 		tables = append(tables, t)
 	}
@@ -195,8 +192,8 @@ func fig16(opt Options) []*stats.Table {
 	}
 	stat /= float64(len(seeds))
 	dyn /= float64(len(seeds))
-	t.AddRow("static (first choice only)", fKpps(stat), "1.00x")
-	t.AddRow("dynamic (two-choice)", fKpps(dyn), fRatio(dyn/stat))
+	t.AddRow(stats.Text("static (first choice only)"), fKpps(stat), fRatio(1))
+	t.AddRow(stats.Text("dynamic (two-choice)"), fKpps(dyn), fRatio(dyn/stat))
 	return []*stats.Table{t}
 }
 

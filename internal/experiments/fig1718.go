@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"falcon/internal/apps"
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
@@ -97,10 +95,10 @@ func fig17(opt Options) []*stats.Table {
 		}
 		cr := float64(c.completed) / secs
 		fr := float64(f.completed) / secs
-		rate.AddRow(c.name, fmt.Sprintf("%.1f", cr), fmt.Sprintf("%.1f", fr),
-			fPct(fr/maxf(cr, 0.001)-1))
-		resp.AddRow(c.name, fUs(int64(c.resp)), fUs(int64(f.resp)), fPct(1-f.resp/maxf(c.resp, 1)))
-		delay.AddRow(c.name, fUs(int64(c.delay)), fUs(int64(f.delay)), fPct(1-f.delay/maxf(c.delay, 1)))
+		name := stats.Text(c.name)
+		rate.AddRow(name, stats.Num("%.1f", cr), stats.Num("%.1f", fr), fPct(fr/max(cr, 0.001)-1))
+		resp.AddRow(name, fUs(int64(c.resp)), fUs(int64(f.resp)), fPct(1-f.resp/max(c.resp, 1)))
+		delay.AddRow(name, fUs(int64(c.delay)), fUs(int64(f.delay)), fPct(1-f.delay/max(c.delay, 1)))
 	}
 	return []*stats.Table{rate, resp, delay}
 }
@@ -128,8 +126,8 @@ func fig18(opt Options) []*stats.Table {
 				mode = workload.ModeFalcon
 			}
 			ops := float64(m.Completed()) / (2 * opt.window()).Seconds()
-			t.AddRow(fmt.Sprintf("%d", threads), mode.String(),
-				fUs(int64(lat.Mean)), fUs(lat.P99), fmt.Sprintf("%.0f", ops))
+			t.AddRow(fCount(threads), stats.Text(mode.String()),
+				fUs(int64(lat.Mean)), fUs(lat.P99), stats.Num("%.0f", ops))
 		}
 	}
 	return []*stats.Table{t}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"falcon/internal/devices"
 	"falcon/internal/stats"
 	"falcon/internal/workload"
@@ -45,12 +43,11 @@ func fig19(opt Options) []*stats.Table {
 		con := udpFixedRate(workload.ModeCon, opt, link, 16, rate)
 		fal := udpFixedRate(workload.ModeFalcon, opt, link, 16, rate)
 		hc, cc, fc := totalCPU(host), totalCPU(con), totalCPU(fal)
-		cpu.AddRow(fKpps(rate), fmt.Sprintf("%.2f", hc), fmt.Sprintf("%.2f", cc),
-			fmt.Sprintf("%.2f", fc), fRatio(fc/maxf(cc, 0.001)))
+		cpu.AddRow(fKpps(rate), stats.Num("%.2f", hc), stats.Num("%.2f", cc),
+			stats.Num("%.2f", fc), fRatio(fc/max(cc, 0.001)))
 		irq.AddRow(fKpps(rate),
-			fmt.Sprintf("%.0f", float64(con.NetRX)/secs),
-			fmt.Sprintf("%.0f", float64(fal.NetRX)/secs),
-			fRatio(float64(fal.NetRX)/maxf(float64(con.NetRX), 1)))
+			stats.Num("%.0f", float64(con.NetRX)/secs), stats.Num("%.0f", float64(fal.NetRX)/secs),
+			fRatio(float64(fal.NetRX)/max(float64(con.NetRX), 1)))
 	}
 	return []*stats.Table{cpu, irq}
 }

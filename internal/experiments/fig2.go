@@ -30,11 +30,11 @@ func fig2a(opt Options) []*stats.Table {
 		host := udpStress(workload.ModeHost, opt, link, size)
 		con := udpStress(workload.ModeCon, opt, link, size)
 		hg, cg := host.GbpsFor(size), con.GbpsFor(size)
-		t.AddRow(linkName(link), "UDP", fGbps(hg), fGbps(cg), fPct(1-cg/hg))
+		t.AddRow(stats.Text(linkName(link)), stats.Text("UDP"), fGbps(hg), fGbps(cg), fPct(1-cg/hg))
 
 		hostT := tcpBulk(workload.ModeHost, opt, link, size, 1, false)
 		conT := tcpBulk(workload.ModeCon, opt, link, size, 1, false)
-		t.AddRow(linkName(link), "TCP", fGbps(hostT.Gbps), fGbps(conT.Gbps),
+		t.AddRow(stats.Text(linkName(link)), stats.Text("TCP"), fGbps(hostT.Gbps), fGbps(conT.Gbps),
 			fPct(1-conT.Gbps/hostT.Gbps))
 	}
 	return []*stats.Table{t}
@@ -53,7 +53,7 @@ func fig2b(opt Options) []*stats.Table {
 		for _, size := range sizes {
 			host := udpStress(workload.ModeHost, opt, link, size)
 			con := udpStress(workload.ModeCon, opt, link, size)
-			t.AddRow(sizeLabel(size), fKpps(host.PPS), fKpps(con.PPS),
+			t.AddRow(stats.Text(sizeLabel(size)), fKpps(host.PPS), fKpps(con.PPS),
 				fRatio(con.PPS/host.PPS))
 		}
 		tables = append(tables, t)
@@ -99,7 +99,7 @@ func fig2c(opt Options) []*stats.Table {
 	}{{"1:1", 4}, {"4:1", 16}} {
 		host := run(workload.ModeHost, ratio.flows)
 		con := run(workload.ModeCon, ratio.flows)
-		t.AddRow(ratio.label, fKpps(host), fKpps(con), fRatio(con/host))
+		t.AddRow(stats.Text(ratio.label), fKpps(host), fKpps(con), fRatio(con/host))
 	}
 	return []*stats.Table{t}
 }
@@ -114,16 +114,16 @@ func fig2d(opt Options) []*stats.Table {
 	link := 100 * devices.Gbps
 	hostU := udpFixedRate(workload.ModeHost, opt, link, 1024, 50_000)
 	conU := udpFixedRate(workload.ModeCon, opt, link, 1024, 50_000)
-	t.AddRow("UDP", "avg", fUs(int64(hostU.Latency.Mean)), fUs(int64(conU.Latency.Mean)),
+	t.AddRow(stats.Text("UDP"), stats.Text("avg"), fUs(int64(hostU.Latency.Mean)), fUs(int64(conU.Latency.Mean)),
 		fRatio(conU.Latency.Mean/hostU.Latency.Mean))
-	t.AddRow("UDP", "p99", fUs(hostU.Latency.P99), fUs(conU.Latency.P99),
+	t.AddRow(stats.Text("UDP"), stats.Text("p99"), fUs(hostU.Latency.P99), fUs(conU.Latency.P99),
 		fRatio(float64(conU.Latency.P99)/float64(hostU.Latency.P99)))
 
 	hostT := tcpPaced(workload.ModeHost, opt, link, 1024, 20*sim.Microsecond)
 	conT := tcpPaced(workload.ModeCon, opt, link, 1024, 20*sim.Microsecond)
-	t.AddRow("TCP", "avg", fUs(int64(hostT.Mean)), fUs(int64(conT.Mean)),
+	t.AddRow(stats.Text("TCP"), stats.Text("avg"), fUs(int64(hostT.Mean)), fUs(int64(conT.Mean)),
 		fRatio(conT.Mean/hostT.Mean))
-	t.AddRow("TCP", "p99", fUs(hostT.P99), fUs(conT.P99),
+	t.AddRow(stats.Text("TCP"), stats.Text("p99"), fUs(hostT.P99), fUs(conT.P99),
 		fRatio(float64(conT.P99)/float64(hostT.P99)))
 	return []*stats.Table{t}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
@@ -34,11 +34,11 @@ func fig4(opt Options) []*stats.Table {
 	secs := opt.window().Seconds()
 	row := func(name string, h, c uint64) {
 		hr, cr := float64(h)/secs, float64(c)/secs
-		ratio := "-"
+		ratio := stats.Text("-")
 		if hr > 0 {
 			ratio = fRatio(cr / hr)
 		}
-		t.AddRow(name, fmt.Sprintf("%.0f", hr), fmt.Sprintf("%.0f", cr), ratio)
+		t.AddRow(stats.Text(name), stats.Num("%.0f", hr), stats.Num("%.0f", cr), ratio)
 	}
 	row("HW", host.HardIRQs, con.HardIRQs)
 	row("NET_RX", host.NetRX, con.NetRX)
@@ -68,10 +68,10 @@ func fig5(opt Options) []*stats.Table {
 				maxV, maxCore = v, c
 			}
 		}
-		t1.AddRow(mode.String(),
+		t1.AddRow(stats.Text(mode.String()),
 			fPct(r.CoreBusy[0]), fPct(r.CoreBusy[1]), fPct(r.CoreBusy[2]),
 			fPct(r.CoreBusy[3]), fPct(r.CoreBusy[4]), fPct(r.CoreBusy[5]),
-			fmt.Sprintf("core%d=%s", maxCore, fPct(maxV)))
+			stats.Num("core"+strconv.Itoa(maxCore)+"=%.1f%%", maxV*100))
 	}
 	tables = append(tables, t1)
 
@@ -119,18 +119,11 @@ func fig5(opt Options) []*stats.Table {
 		if busy == 0 {
 			minV = 0
 		}
-		t2.AddRow(mode.String(), fmt.Sprintf("%d", busy), fPct(maxV), fPct(minV),
-			fRatio(maxV/maxf(minV, 0.01)))
+		t2.AddRow(stats.Text(mode.String()), fCount(busy), fPct(maxV), fPct(minV),
+			fRatio(maxV/max(minV, 0.01)))
 	}
 	tables = append(tables, t2)
 	return tables
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fig6: per-function CPU shares (the flamegraph annotations). Paper:
@@ -187,8 +180,8 @@ func inclusiveStageShares(p *cpu.Ledger, title string) *stats.Table {
 	// backlog subtree: process_backlog plus the L3/L4 receive it drives.
 	backlog := sum(costmodel.FnBacklog, costmodel.FnIPRcv, costmodel.FnUDPRcv,
 		costmodel.FnTCPRcv, costmodel.FnVXLANRcv, costmodel.FnSocketDeliver)
-	t.AddRow("mlx5e_napi_poll", fPct(napi))
-	t.AddRow("gro_cell_poll", fPct(groCell))
-	t.AddRow("process_backlog", fPct(backlog))
+	t.AddRow(stats.Text("mlx5e_napi_poll"), fPct(napi))
+	t.AddRow(stats.Text("gro_cell_poll"), fPct(groCell))
+	t.AddRow(stats.Text("process_backlog"), fPct(backlog))
 	return t
 }

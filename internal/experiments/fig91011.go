@@ -34,9 +34,9 @@ func fig9a(opt Options) []*stats.Table {
 		// Shares of the NAPI core's softirq time.
 		napiBusy := acct.Utilization(0)
 		coreTotal := float64(acct.TotalBusy(0))
-		alloc := float64(acct.CoreTime(0, costmodel.FnSKBAlloc)) / maxf(coreTotal, 1)
-		gro := float64(acct.CoreTime(0, costmodel.FnGROReceive)) / maxf(coreTotal, 1)
-		t.AddRow(sizeLabel(size), fPct(napiBusy), fPct(alloc), fPct(gro), fPct(alloc+gro))
+		alloc := float64(acct.CoreTime(0, costmodel.FnSKBAlloc)) / max(coreTotal, 1)
+		gro := float64(acct.CoreTime(0, costmodel.FnGROReceive)) / max(coreTotal, 1)
+		t.AddRow(stats.Text(sizeLabel(size)), fPct(napiBusy), fPct(alloc), fPct(gro), fPct(alloc+gro))
 		c.Close()
 	}
 	return []*stats.Table{t}
@@ -69,9 +69,9 @@ func fig10(opt Options) []*stats.Table {
 				host := udpStress(workload.ModeHost, kopt, link, size)
 				con := udpStress(workload.ModeCon, kopt, link, size)
 				fal := udpStress(workload.ModeFalcon, kopt, link, size)
-				t.AddRow(sizeLabel(size), fKpps(host.PPS), fKpps(con.PPS), fKpps(fal.PPS),
+				t.AddRow(stats.Text(sizeLabel(size)), fKpps(host.PPS), fKpps(con.PPS), fKpps(fal.PPS),
 					fRatio(con.PPS/host.PPS), fRatio(fal.PPS/host.PPS))
-				lt.AddRow(sizeLabel(size), fP3(host.Latency), fP3(con.Latency), fP3(fal.Latency))
+				lt.AddRow(stats.Text(sizeLabel(size)), fP3(host.Latency), fP3(con.Latency), fP3(fal.Latency))
 			}
 			tables = append(tables, t, lt)
 		}
@@ -79,9 +79,9 @@ func fig10(opt Options) []*stats.Table {
 	return tables
 }
 
-// fP3 renders a latency summary as "p50/p99/p99.9" in µs.
-func fP3(s stats.Summary) string {
-	return fUs(s.P50) + "/" + fUs(s.P99) + "/" + fUs(s.P999)
+// fP3 is a latency summary's "p50/p99/p99.9" in µs.
+func fP3(s stats.Summary) stats.Cell {
+	return stats.Num("%.1f/%.1f/%.1f", float64(s.P50)/1e3, float64(s.P99)/1e3, float64(s.P999)/1e3)
 }
 
 // fig11: per-core CPU breakdown for the 16B single-flow stress. Paper:
@@ -103,7 +103,7 @@ func fig11(opt Options) []*stats.Table {
 			if hard < 0 {
 				hard = 0
 			}
-			t.AddRow(mode.String(), fmt.Sprintf("core%d", c),
+			t.AddRow(stats.Text(mode.String()), stats.Text(fmt.Sprintf("core%d", c)),
 				fPct(r.CoreBusy[c]), fPct(hard), fPct(r.CoreSoftirq[c]), fPct(r.CoreTask[c]))
 		}
 	}

@@ -50,8 +50,9 @@ func golden(t testing.TB, id string) string {
 }
 
 // goldenRuns holds one goldenOpt run per experiment, shared by
-// TestGoldenDeterminism (bytes) and TestAllExperimentsProduceTables
-// (shape) so pinning every experiment costs one run each.
+// TestGoldenDeterminism (bytes), TestAllExperimentsProduceTables
+// (shape) and every test that reads numbers from an experiment's tables,
+// so pinning every experiment costs one run each.
 var goldenRuns sync.Map // id → func() []*stats.Table
 
 func goldenTables(t testing.TB, id string) []*stats.Table {
@@ -59,6 +60,29 @@ func goldenTables(t testing.TB, id string) []*stats.Table {
 	e := experiment(t, id)
 	run, _ := goldenRuns.LoadOrStore(id, sync.OnceValue(func() []*stats.Table { return e.Run(goldenOpt) }))
 	return run.(func() []*stats.Table)()
+}
+
+// goldenTable returns the table titled title from id's golden run.
+func goldenTable(t testing.TB, id, title string) *stats.Table {
+	t.Helper()
+	for _, tbl := range goldenTables(t, id) {
+		if tbl.Title == title {
+			return tbl
+		}
+	}
+	t.Fatalf("%s has no table %q", id, title)
+	return nil
+}
+
+// value reads the number in column col of tbl's row row (Table.Value),
+// failing the test if there is none.
+func value(t testing.TB, tbl *stats.Table, col string, row ...string) float64 {
+	t.Helper()
+	v, err := tbl.Value(col, row...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestGoldenDeterminism pins every visible experiment's output byte for

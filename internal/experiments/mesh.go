@@ -152,11 +152,11 @@ func mesh8(opt Options) []*stats.Table {
 		d := n.sock.Delivered.Value()
 		total += d
 		agg.Merge(n.sock.Latency)
-		t.AddRow(fmt.Sprintf("m%d", i),
+		t.AddRow(stats.Text(fmt.Sprintf("m%d", i)),
 			fKpps(stats.Rate(d, int64(window))), fUs(s.P50), fUs(s.P99), fUs(s.P999),
-			fmt.Sprintf("%d", n.sock.SocketDrops.Value()))
+			fCount(n.sock.SocketDrops.Value()))
 	}
 	a := agg.Summarize()
-	t.AddRow("aggregate", fKpps(stats.Rate(total, int64(window))), fUs(a.P50), fUs(a.P99), fUs(a.P999), "-")
+	t.AddRow(stats.Text("aggregate"), fKpps(stats.Rate(total, int64(window))), fUs(a.P50), fUs(a.P99), fUs(a.P999), stats.Text("-"))
 	return []*stats.Table{t}
 }

@@ -184,10 +184,9 @@ func addGenRows(detail *stats.Table, mode workload.Mode, opt Options, base, run 
 	conv := reconfig.Analyze(run.samples, base.samples, run.recs, opt.warmup(), run.final)
 	for i, rec := range run.recs {
 		c := conv[i]
-		detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
-			fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
-			fmt.Sprintf("%d", c.LossPkts),
-			fmt.Sprintf("%d/%d/%d", c.Drops[show[0]], c.Drops[show[1]], c.Drops[show[2]]),
+		detail.AddRow(stats.Text(mode.String()), fCount(rec.Gen), stats.Text(c.Kind),
+			fCount(c.AtMs), fCount(c.BlackoutMs), fCount(c.LossPkts),
+			stats.Num("%.0f/%.0f/%.0f", float64(c.Drops[show[0]]), float64(c.Drops[show[1]]), float64(c.Drops[show[2]])),
 			fRecover(float64(c.RecoverMs), 0))
 	}
 	return conv
@@ -271,11 +270,9 @@ func ablReconfig(opt Options) []*stats.Table {
 			maxBlackout > reconfigBlackoutBudgetMs || quiesceUs < 0 {
 			v = "FAIL"
 		}
-		verdict.AddRow(mode.String(),
+		verdict.AddRow(stats.Text(mode.String()),
 			fKpps(baseSteady*1e3), fKpps(runSteady*1e3), fRatio(ratio),
-			fmt.Sprintf("%d", run.unaccounted()),
-			fmt.Sprintf("%.1f", quiesceUs),
-			fmt.Sprintf("%d", maxBlackout), v)
+			fCount(run.unaccounted()), stats.Num("%.1f", quiesceUs), fCount(maxBlackout), stats.Text(v))
 	}
 	return []*stats.Table{detail, verdict}
 }

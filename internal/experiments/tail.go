@@ -115,9 +115,9 @@ func ablTail(opt Options) []*stats.Table {
 			pt.factor = factor
 			points[mode] = append(points[mode], pt)
 			s := pt.res.Latency
-			detail.AddRow(fRatio(factor), mode.String(), fKpps(offered), fKpps(pt.sentPPS),
+			detail.AddRow(fRatio(factor), stats.Text(mode.String()), fKpps(offered), fKpps(pt.sentPPS),
 				fKpps(pt.res.PPS), fUs(s.P50), fUs(s.P99), fUs(s.P999),
-				fmt.Sprintf("%.2f", pt.res.PPS/maxf(pt.sentPPS, 1)))
+				stats.Num("%.2f", pt.res.PPS/max(pt.sentPPS, 1)))
 		}
 	}
 
@@ -129,7 +129,7 @@ func ablTail(opt Options) []*stats.Table {
 	for _, mode := range modes {
 		pts := points[mode]
 		base, last := pts[0], pts[len(pts)-1]
-		knee := "none"
+		knee := stats.Text("none")
 		kneeOK := true
 		for _, pt := range pts {
 			if pt.res.PPS < tailKneeFrac*pt.sentPPS {
@@ -145,8 +145,8 @@ func ablTail(opt Options) []*stats.Table {
 		if !ok {
 			v = "FAIL"
 		}
-		verdict.AddRow(mode.String(), fUs(base.res.Latency.P99), knee,
-			fRatio(float64(last.res.Latency.P99)/maxf(float64(base.res.Latency.P99), 1)), v)
+		verdict.AddRow(stats.Text(mode.String()), fUs(base.res.Latency.P99), knee,
+			fRatio(float64(last.res.Latency.P99)/max(float64(base.res.Latency.P99), 1)), stats.Text(v))
 	}
 	return []*stats.Table{detail, verdict}
 }

@@ -216,14 +216,3 @@ func writeRepro(opt FuzzOptions, seed uint64, v Violation, sc Scenario) (string,
 	}
 	return path, audit.WriteDumpFile(dumpPath, info, nil, nil)
 }
-
-// Replay loads a scenario or reproducer file and re-checks it: the
-// pinned oracle for a reproducer, every applicable oracle for a bare
-// scenario. Violations mean the failure reproduces.
-func Replay(path string) ([]Violation, error) {
-	sc, names, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Check(sc, names)
-}

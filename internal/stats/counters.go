@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counter is a monotonically increasing event count (packets delivered,
 // bytes received, softirqs raised...).
@@ -98,57 +95,4 @@ func (ic *IRQCounters) Reset() {
 	for i := range ic.perCore {
 		ic.perCore[i] = [irqKinds]uint64{}
 	}
-}
-
-// Table holds a labelled results grid: the common currency between
-// experiment harnesses, benchmarks and the CLI. Each experiment prints
-// one or more Tables shaped like the paper's figures.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-}
-
-// AddRow appends a row of cells.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b []byte
-	if t.Title != "" {
-		b = append(b, "== "+t.Title+" ==\n"...)
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b = append(b, "  "...)
-			}
-			b = append(b, fmt.Sprintf("%-*s", widths[i], c)...)
-		}
-		b = append(b, '\n')
-	}
-	line(t.Columns)
-	for _, r := range t.Rows {
-		line(r)
-	}
-	return string(b)
-}
-
-// SortRows sorts rows by the first column (stable, lexicographic); useful
-// when rows are produced by map iteration.
-func (t *Table) SortRows() {
-	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCounter(t *testing.T) {
 	var c Counter
@@ -60,39 +57,6 @@ func TestIRQKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	tb := &Table{Title: "demo", Columns: []string{"name", "value"}}
-	tb.AddRow("alpha", "1")
-	tb.AddRow("b", "22222")
-	out := tb.String()
-	if !strings.Contains(out, "demo") || !strings.Contains(out, "alpha") {
-		t.Fatalf("table output missing cells:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("expected 4 lines, got %d", len(lines))
-	}
-	// Column alignment: "value" column starts at same offset in all rows.
-	h := strings.Index(lines[1], "value")
-	if h < 0 {
-		t.Fatal("header missing")
-	}
-	if lines[2][h-2:h] != "  " && lines[2][h:h+1] == "" {
-		t.Fatal("misaligned column")
-	}
-}
-
-func TestTableSortRows(t *testing.T) {
-	tb := &Table{Columns: []string{"k"}}
-	tb.AddRow("z")
-	tb.AddRow("a")
-	tb.AddRow("m")
-	tb.SortRows()
-	if tb.Rows[0][0] != "a" || tb.Rows[2][0] != "z" {
-		t.Fatalf("rows not sorted: %v", tb.Rows)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 )
 
 // subBuckets is the number of linear sub-buckets per power-of-two bucket.
@@ -190,39 +188,4 @@ func (s Summary) String() string {
 	us := func(v int64) float64 { return float64(v) / 1e3 }
 	return fmt.Sprintf("n=%d avg=%.1fus p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus",
 		s.Count, s.Mean/1e3, us(s.P50), us(s.P90), us(s.P99), us(s.P999), us(s.Max))
-}
-
-// Distribution is a helper for exact small-sample percentiles used in
-// tests to validate the histogram approximation.
-type Distribution struct{ samples []int64 }
-
-// Record adds a sample.
-func (d *Distribution) Record(v int64) { d.samples = append(d.samples, v) }
-
-// Quantile returns the exact q-quantile by sorting.
-func (d *Distribution) Quantile(q float64) int64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	s := make([]int64, len(d.samples))
-	copy(s, d.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)))
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// Bar renders an ASCII bar of width proportional to frac (0..1), used by
-// the CLI tools to sketch figure shapes in the terminal.
-func Bar(frac float64, width int) string {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	n := int(frac*float64(width) + 0.5)
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
 }

@@ -179,15 +179,3 @@ func TestSummary(t *testing.T) {
 		t.Fatal("empty summary string")
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(0.5, 10); len(got) != 10 {
-		t.Fatalf("bar length = %d", len(got))
-	}
-	if got := Bar(-1, 4); got != "...." {
-		t.Fatalf("bar(-1) = %q", got)
-	}
-	if got := Bar(2, 4); got != "####" {
-		t.Fatalf("bar(2) = %q", got)
-	}
-}

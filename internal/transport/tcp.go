@@ -284,7 +284,7 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.Timeouts.Inc()
-	c.ssthresh = maxf(c.cwnd/2, 2)
+	c.ssthresh = max(c.cwnd/2, 2)
 	c.cwnd = 1
 	c.dupAcks = 0
 	c.inFastRec = false
@@ -332,10 +332,3 @@ func (c *Conn) updateRTT(ack uint64) {
 
 // SRTT returns the smoothed round-trip estimate (0 until sampled).
 func (c *Conn) SRTT() sim.Time { return c.srtt }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

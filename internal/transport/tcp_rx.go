@@ -172,7 +172,7 @@ func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			// window, and remember the recovery point.
 			c.inFastRec = true
 			c.recover = c.sndNxt
-			c.ssthresh = maxf(c.cwnd/2, 2)
+			c.ssthresh = max(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
 			c.FastRetrans.Inc()
 			c.transmit(c.sndUna, true, nil)
