@@ -226,7 +226,7 @@ func BenchmarkPendingTimers(b *testing.B) {
 // as Falcon's pipelined softirq stages do. The cores=k cases put all k
 // on one machine; machines=2 puts one on each of two machines sharing
 // the engine, as a client and a server are. An op is one slice;
-// fired/slice counts the engine events it took.
+// fired/slice counts the heap events it took.
 func BenchmarkMachineSlices(b *testing.B) {
 	const cost = 120
 	for _, bc := range []struct {
@@ -268,10 +268,9 @@ func BenchmarkMachineSlices(b *testing.B) {
 // paces the next tick a gap longer than the slice ahead, either with an
 // engine timer (timer) or through one slot of the engine group (slot),
 // as the traffic generators do. An op is one tick; fired/tick counts the
-// engine events the tick and its slice took. With a timer, each tick is
-// one fired event and its slice runs inline when the tick returns, since
-// nothing else is due before it completes; with a slot, the next tick
-// runs inline after the slice too.
+// heap events the tick and its slice took. With a timer, each tick is one
+// fired heap event and its slice runs from the slot group after it; with
+// a slot, nothing fires.
 func BenchmarkTimerSlices(b *testing.B) {
 	const cost, gap = 120, 1000
 	for _, slot := range []bool{false, true} {
@@ -312,7 +311,7 @@ func BenchmarkTimerSlices(b *testing.B) {
 // BenchmarkLinkArrivals: back-to-back 64 B frames on one 100G link into
 // a sink that sends the next frame as each one arrives, so a window of
 // frames keeps the serializer busy. An op is one frame; fired/frame
-// counts the engine events its arrival took.
+// counts the heap events its arrival took.
 func BenchmarkLinkArrivals(b *testing.B) {
 	const window = 64 // frames on the wire: more than the 100 ns delay holds
 	e := sim.New(1)

@@ -61,7 +61,7 @@ func run() int {
 		auditOn   = flag.Bool("audit", false, "enable runtime verification (SKB ledger, conservation invariants, watchdog); breaches abort with a replayable dump")
 		cacheOn   = flag.Bool("cache", false, "enable the ONCache-style RX decap fast path (per-core flow caches) on every experiment host")
 		deadline  = flag.Duration("deadline", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
-		maxEvents = flag.Uint64("max-events", 0, "abort any single experiment after executing this many engine events, fired plus CPU slices run ahead inline (0 = no limit)")
+		maxEvents = flag.Uint64("max-events", 0, "abort any single experiment after executing this many engine steps, heap events fired plus slots run (0 = no limit)")
 		replay    = flag.String("replay", "", "re-run the exact experiment/seed/config named in an audit dump's header and exit")
 		reconfigF = flag.String("reconfig", "", "JSON generation schedule for abl-reconfig (replaces its built-in rolling-upgrade/drain/flip plan)")
 		crashF    = flag.String("crash", "", "JSON crash schedule for abl-crash (replaces its built-in server crash/reboot plan)")

@@ -272,9 +272,9 @@ func TestWorkQueueStaysBounded(t *testing.T) {
 }
 
 // TestRunAheadBudget: a zero-cost item that resubmits itself on an
-// otherwise idle engine is always the engine's next event, so the core
-// runs it ahead inline forever inside one fired event. The event budget
-// counts inlined slices, so it still stops the runaway.
+// otherwise idle engine is always the engine's next step, so the core's
+// slot runs forever without a single heap event. The event budget counts
+// slot runs, so it still stops the runaway.
 func TestRunAheadBudget(t *testing.T) {
 	e, m := newTestMachine(1)
 	c := m.Core(0)
@@ -286,15 +286,15 @@ func TestRunAheadBudget(t *testing.T) {
 		if _, ok := recover().(*sim.BudgetExceeded); !ok {
 			t.Fatal("expected *sim.BudgetExceeded panic")
 		}
-		if e.Fired() != 1 || e.Inlined() != 1000 {
-			t.Fatalf("fired %d, inlined %d; want 1 and 1000", e.Fired(), e.Inlined())
+		if e.Fired() != 0 || e.Inlined() != 1001 {
+			t.Fatalf("fired %d, inlined %d; want 0 and 1001", e.Fired(), e.Inlined())
 		}
 	}()
 	e.Run()
 }
 
-// TestRunAheadExact: slices inline only while no other event comes
-// first, and every completion lands at the same time either way.
+// TestRunAheadExact: slices run only while no other event comes first,
+// and every completion lands at the same time either way.
 func TestRunAheadExact(t *testing.T) {
 	e, m := newTestMachine(1)
 	c := m.Core(0)
@@ -303,7 +303,7 @@ func TestRunAheadExact(t *testing.T) {
 		c.Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100, func() { done = append(done, e.Now()) })
 	}
 	// A tie at the second slice's completion: the timer was scheduled
-	// first, so it fires first and the second slice cannot inline.
+	// first, so it fires first and the second slice waits for it.
 	var timerAt sim.Time
 	e.At(200, func() { timerAt = e.Now() })
 	e.Run()
@@ -316,11 +316,11 @@ func TestRunAheadExact(t *testing.T) {
 	if timerAt != 200 {
 		t.Fatalf("timer fired at %v, want 200", timerAt)
 	}
-	// Fired: the first completion and the timer. The second completion
-	// ran inline when the timer returned and settled the group, and the
-	// third slice ran ahead inside the second completion.
-	if e.Fired() != 2 || e.Inlined() != 2 {
-		t.Fatalf("fired %d, inlined %d; want 2 and 2", e.Fired(), e.Inlined())
+	// Fired: the timer alone. The three completions are slot runs: the
+	// first, the second when the timer returned, and the third straight
+	// after the second.
+	if e.Fired() != 1 || e.Inlined() != 3 {
+		t.Fatalf("fired %d, inlined %d; want 1 and 3", e.Fired(), e.Inlined())
 	}
 	if m.Acct.Busy(0, stats.CtxSoftIRQ) != 300 {
 		t.Fatalf("charged %d, want 300", m.Acct.Busy(0, stats.CtxSoftIRQ))

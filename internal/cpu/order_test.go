@@ -38,7 +38,7 @@ var machineOps = coreOps{
 
 // perCoreOps is the reference: every core's slice completes on an engine
 // event of its own, scheduled with AfterArg at dispatch, with no shared
-// group and no inline runs. It reuses the cores' queues and priority
+// group and no slot runs. It reuses the cores' queues and priority
 // rules, so the two can differ only in the order completions run in.
 var perCoreOps = coreOps{
 	submit: func(c *Core, ctx stats.CPUContext, fn costmodel.Func, cost sim.Time, done func()) {
@@ -177,8 +177,7 @@ func runOrderProgram(seed uint64, p orderProgram, ops coreOps) (*sim.Engine, []*
 // checkOrderMatchesPerCoreEvents runs p under seeds 1–20 with the
 // machines' shared slot group and with one engine event per core, and
 // requires the same completions, at the same times, in the same order,
-// with the same accounting, and every slice to be exactly one fired or
-// inlined step.
+// with the same accounting, and every slice to be exactly one slot run.
 func checkOrderMatchesPerCoreEvents(t *testing.T, p orderProgram) {
 	t.Helper()
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -227,9 +226,9 @@ func TestCrossMachineOrderMatchesPerCoreEvents(t *testing.T) {
 
 // TestMachinesAlternateInline: a chain of slices alternating between two
 // machines (A, B, A, B, ...) on an otherwise idle engine is always the
-// engine's next work, so after the first fire every slice runs inline:
-// the machines share one slot group, and a hand-off between them needs
-// no engine event.
+// engine's next work, so every slice runs from the slot group and no
+// heap event fires: the machines share one group, and a hand-off between
+// them needs no engine event.
 func TestMachinesAlternateInline(t *testing.T) {
 	e := sim.New(1)
 	ms := []*Machine{
@@ -250,8 +249,8 @@ func TestMachinesAlternateInline(t *testing.T) {
 	if len(done) != slices || done[slices-1] != slices*100 {
 		t.Fatalf("%d slices, the last at %v; want %d, the last at %v", len(done), done[len(done)-1], slices, sim.Time(slices*100))
 	}
-	if e.Fired() != 1 || e.Inlined() != slices-1 {
-		t.Fatalf("fired %d, inlined %d; want 1 and %d", e.Fired(), e.Inlined(), slices-1)
+	if e.Fired() != 0 || e.Inlined() != slices {
+		t.Fatalf("fired %d, inlined %d; want 0 and %d", e.Fired(), e.Inlined(), slices)
 	}
 	for i, m := range ms {
 		if got := m.Acct.Busy(1, stats.CtxSoftIRQ); got != slices/2*100 {

@@ -24,8 +24,8 @@ func init() {
 type cacheRun struct {
 	res                 workload.Result
 	hits, misses, stale uint64
-	fired               uint64 // engine events fired over the whole run
-	inlined             uint64 // engine events run inline over the whole run
+	fired               uint64 // heap events fired over the whole run
+	inlined             uint64 // slots run over the whole run
 }
 
 // hitRate is the warm-window fast-path hit fraction on the server.

@@ -31,8 +31,8 @@ type Options struct {
 	// leak check once the experiment has moved on from it.
 	Audit bool
 	// MaxEvents, when positive, aborts the run with *sim.BudgetExceeded
-	// after executing that many engine events, fired plus inlined (a
-	// runaway-simulation guard).
+	// after executing that many engine steps, heap events fired plus
+	// slots run (a runaway-simulation guard).
 	MaxEvents uint64
 	// Shards > 1 runs each experiment's simulation on a conservative
 	// PDES cluster with that many shards (one logical process per

@@ -36,13 +36,13 @@ type SendParams struct {
 // task context: container stack → veth → bridge → vxlan_xmit
 // encapsulation → pNIC, or the plain host stack for host networking.
 func (h *Host) SendUDP(p SendParams) {
-	h.sendL4(p, proto.ProtoUDP, nil)
+	h.sendL4(p, proto.ProtoUDP, proto.TCPHdr{})
 }
 
 // SendTCP transmits one TCP segment with the given header. Payload bytes
 // are p.Payload; ports are taken from the header.
 func (h *Host) SendTCP(p SendParams, hdr proto.TCPHdr) {
-	h.sendL4(p, proto.ProtoTCP, &hdr)
+	h.sendL4(p, proto.ProtoTCP, hdr)
 }
 
 // txFlowKey identifies one transmit flow shape: everything that
@@ -88,7 +88,7 @@ type txOp struct {
 	ctx     stats.CPUContext
 	p       SendParams
 	ipProto uint8
-	tcp     *proto.TCPHdr
+	tcp     proto.TCPHdr // the segment's header when ipProto is TCP
 	s       *skb.SKB
 	e       *txFlowEntry
 	start   sim.Time // when the app handed us the payload (skb SendTime)
@@ -121,7 +121,7 @@ func (h *Host) getTxOp() *txOp {
 // packet and legitimately reuse the same recycled op.
 func (op *txOp) finish(ok bool) {
 	h, done := op.h, op.p.Done
-	op.h, op.core, op.tcp, op.s, op.e = nil, nil, nil, nil, nil
+	op.h, op.core, op.s, op.e = nil, nil, nil, nil
 	op.p = SendParams{}
 	op.next = h.txOps
 	h.txOps = op
@@ -141,15 +141,15 @@ func (op *txOp) abort(drops *stats.Counter) {
 func (op *txOp) key() txFlowKey {
 	k := txFlowKey{from: op.p.From, dstIP: op.p.DstIP, ipProto: op.ipProto, payload: op.p.Payload,
 		srcPort: op.p.SrcPort, dstPort: op.p.DstPort}
-	if op.tcp != nil {
+	if op.ipProto == proto.ProtoTCP {
 		k.srcPort, k.dstPort = op.tcp.SrcPort, op.tcp.DstPort
 	}
 	return k
 }
 
-// sendL4 is the shared transmit machinery. For TCP, hdr carries the
-// prebuilt TCP header (ports in hdr override p's).
-func (h *Host) sendL4(p SendParams, ipProto uint8, tcp *proto.TCPHdr) {
+// sendL4 is the shared transmit machinery. For TCP, tcp is the prebuilt
+// TCP header (its ports override p's); UDP passes the zero header.
+func (h *Host) sendL4(p SendParams, ipProto uint8, tcp proto.TCPHdr) {
 	h.TxMsgs.Inc()
 	if h.crashed {
 		// The host is dead: the (schedule-driven) send is counted and
@@ -267,8 +267,8 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	}
 	h.txPending--
 	copy(s.Data, e.inner)
-	if op.tcp != nil {
-		proto.PutTCP(s.Data[proto.EthLen+proto.IPv4Len:], *op.tcp)
+	if op.ipProto == proto.ProtoTCP {
+		proto.PutTCP(s.Data[proto.EthLen+proto.IPv4Len:], op.tcp)
 	}
 	proto.PatchIPv4ID(s.Data, h.nextIPID())
 	s.FlowID = p.FlowID

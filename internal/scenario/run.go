@@ -39,9 +39,9 @@ type RunResult struct {
 
 	FalconFirst, FalconSecond, FalconGated uint64
 
-	// Fired and Inlined count engine events fired and CPU slices run
-	// ahead inline — the strictest determinism probes. Both depend on
-	// how the engine is sharded, so cross-shard comparisons clear them.
+	// Fired and Inlined count heap events fired and slots run — the
+	// strictest determinism probes. Both may depend on how the engine is
+	// sharded, so cross-shard comparisons clear them.
 	Fired, Inlined uint64
 }
 

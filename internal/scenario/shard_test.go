@@ -16,12 +16,10 @@ import (
 // worth remembering.
 //
 // The fields excluded are RunResult.Fired and Inlined: a cross-shard
-// frame fires two engine events (the sender-side serializer retire plus
-// the posted delivery on the receiving shard) where the serial engine
-// fires one, and a shard sees fewer foreign events than the serial
-// engine, so it runs more CPU slices ahead inline. Raw event counts
-// legitimately differ; everything observable about the simulated system
-// must not.
+// frame runs two slots (the sender-side serializer retire plus the
+// posted delivery on the receiving shard) where the serial engine runs
+// one. Raw step counts legitimately differ; everything observable about
+// the simulated system must not.
 func TestCorpusShardInvariance(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {

@@ -248,8 +248,7 @@ func (c *Cluster) Fired() uint64 {
 	return n
 }
 
-// Inlined returns the total inline steps across all engines. A shard
-// sees fewer foreign events than the serial engine, so it inlines more.
+// Inlined returns the total slot runs across all engines.
 func (c *Cluster) Inlined() uint64 {
 	n := c.global.Inlined()
 	for _, lp := range c.lps {
@@ -400,8 +399,8 @@ func (c *Cluster) drain() {
 const maxTime = Time(math.MaxInt64)
 
 // minNext fills c.nexts and returns the earliest pending LP event time.
-// Engine.NextAt reads the top of the engine's heap, so this sweep costs
-// O(shards) loads.
+// Engine.NextAt reads the heap's top and the first slot, so this sweep
+// costs O(shards) loads.
 func (c *Cluster) minNext() (Time, bool) {
 	t, ok := maxTime, false
 	for i, lp := range c.lps {

@@ -165,8 +165,8 @@ func TestClusterPostOutOfOrderPanics(t *testing.T) {
 
 // TestClusterPending: Pending counts a cross-shard message from its
 // post until it is delivered — parked in the outbox, then waiting in
-// the inbox — besides every scheduled event, here the receiving shard's
-// one group event, armed with the inbox head.
+// the inbox — besides every scheduled event and each engine's slot group
+// (one while any slot is set), here the receiving shard's inbox slot.
 func TestClusterPending(t *testing.T) {
 	c := NewCluster(1, 2, 1)
 	c.Bound(1000)
@@ -370,9 +370,7 @@ func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats, uint64) {
 // and the delivery schedule stays byte-identical — windows change, the
 // simulation does not. Both runs are sharded, so the executed events
 // (fired plus inlined) must match too: adaptive horizons may only move
-// window barriers, never an event. Only the split between fired and
-// inlined may move, since a window end also bounds how far a core runs
-// ahead.
+// window barriers, never an event.
 func TestClusterAdaptiveWindowsWider(t *testing.T) {
 	fixedTrace, fixedStats, fixedExec := runAsym(t, false)
 	adptTrace, adptStats, adptExec := runAsym(t, true)
@@ -452,5 +450,38 @@ func TestClusterStop(t *testing.T) {
 	}
 	if ran == 0 || ran > 11 {
 		t.Fatalf("ran %d LP events before Stop, want ~10", ran)
+	}
+}
+
+// TestClusterSlotsFireNothing: when only slots are ever set — a slice on
+// each shard that re-sets itself, as a busy core's does, and the inbox
+// slots of the cross-shard messages it posts — no heap event fires over
+// many windows: every step is a slot run, window starts included.
+func TestClusterSlotsFireNothing(t *testing.T) {
+	c := NewCluster(1, 2, 1)
+	var delivered [2]int
+	for i := range 2 {
+		e := c.Shard(i)
+		out := c.Source(e, c.Shard(1-i))
+		out.Bound(1000)
+		var slice Slots
+		runs := 0
+		slice = e.NewSlots(1, func(int) {
+			if runs++; runs%4 == 0 {
+				out.Post(e.Now()+1000, nil, func(any) { delivered[1-i]++ }, nil)
+			}
+			slice.Set(0, e.Now()+100)
+		})
+		slice.Set(0, Time(10*i))
+	}
+	c.RunUntil(20_000)
+	if w := c.Stats().Windows; w < 10 {
+		t.Fatalf("%d windows, want at least 10", w)
+	}
+	if delivered[0] == 0 || delivered[1] == 0 {
+		t.Fatalf("delivered %v, want messages both ways", delivered)
+	}
+	if f, n := c.Fired(), c.Inlined(); f != 0 || n == 0 {
+		t.Fatalf("fired %d, inlined %d; want 0 and every step a slot run", f, n)
 	}
 }

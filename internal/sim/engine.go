@@ -2,32 +2,49 @@ package sim
 
 import "fmt"
 
-// The scheduler is one binary min-heap of pending events (DESIGN.md §2
-// "Engine internals"). Almost all per-packet work runs as slots of the
-// engine's group, which holds a single engine event, so the heap stays
-// shallow: at most 9 events on the benchmark workloads. Every event
-// keeps its heap index, so a cancel removes it at once.
+// The scheduler keeps two queues (DESIGN.md §2 "Engine internals"): a
+// binary min-heap of engine timers and control events, and the slot
+// group, a list of slots sorted in the same key order, which carries
+// almost all per-packet work. The run loop compares the heap's top with
+// the first slot and runs the earlier, so the heap stays shallow. Every
+// event keeps its heap index, so a cancel removes it at once.
 //
 // Events are pooled on a free list and recycled immediately after they
 // fire or are cancelled. A Timer handle therefore carries a generation
 // stamp: Stop on a handle whose event has been recycled (and possibly
 // rescheduled for an unrelated purpose) is a safe no-op.
 
-// event is a scheduled callback. Events fire in (at, schedAt, seq)
-// order: schedAt is the clock when the event was scheduled, so ties at
-// the same firing time resolve in FIFO scheduling order. For a serial
-// engine schedAt is monotone in seq and the pair degenerates to plain
-// seq order (the slot group re-arms with a key stamped earlier, which
-// keeps that); a Cluster's cross-shard deliveries take slots keyed with
-// the sender's clock as schedAt, reproducing the serial engine's
-// schedule-chronology tie-break across shard boundaries.
+// fireKey is the firing order of events and slots: (at, schedAt, seq).
+// schedAt is the clock when the event was scheduled, so ties at the same
+// firing time resolve in FIFO scheduling order. For a serial engine
+// schedAt is monotone in seq and the pair degenerates to plain seq order
+// (a slot set with a key stamped earlier keeps that); a Cluster's
+// cross-shard deliveries take slots keyed with the sender's clock as
+// schedAt, reproducing the serial engine's schedule-chronology tie-break
+// across shard boundaries. It is a total order: seq is unique per
+// engine.
+type fireKey struct {
+	at, schedAt Time
+	seq         uint64
+}
+
+// less reports whether k fires before o.
+func (k *fireKey) less(o *fireKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	if k.schedAt != o.schedAt {
+		return k.schedAt < o.schedAt
+	}
+	return k.seq < o.seq
+}
+
+// event is a scheduled callback, fired in fireKey order.
 type event struct {
-	at      Time
-	schedAt Time
-	seq     uint64
-	gen     uint64 // bumped on every recycle; stale Timer handles mismatch
-	eng     *Engine
-	idx     int // position in the heap while pending
+	fireKey
+	gen uint64 // bumped on every recycle; stale Timer handles mismatch
+	eng *Engine
+	idx int // position in the heap while pending
 
 	// Exactly one of fn / afn is set while pending. afn avoids a closure
 	// allocation on hot paths: the argument rides in arg.
@@ -36,18 +53,6 @@ type event struct {
 	arg any
 
 	next *event // free list link
-}
-
-// before orders events by (at, schedAt, seq), a total order: seq is
-// unique per engine.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	if ev.schedAt != o.schedAt {
-		return ev.schedAt < o.schedAt
-	}
-	return ev.seq < o.seq
 }
 
 // Timer is a generation-stamped handle to a scheduled event. The zero
@@ -78,18 +83,17 @@ func (t *Timer) Stop() bool {
 
 // Engine is the discrete-event simulation core.
 type Engine struct {
-	now      Time
-	seq      uint64
-	rng      *Rand
-	stopped  bool
-	deadline Time // current run's deadline; -1 outside Run/RunUntil
-	fired    uint64
-	inlined  uint64 // work run ahead by inline instead of fired
-	budget   uint64 // max events to fire or inline; 0 = unlimited
-	shard    int    // logical-process index when owned by a Cluster
-	group    *group // the slots reserved by NewSlots; nil before the first
+	now     Time
+	seq     uint64
+	rng     *Rand
+	stopped bool
+	fired   uint64 // heap events fired
+	inlined uint64 // slots run
+	budget  uint64 // max events fired plus slots run; 0 = unlimited
+	shard   int    // logical-process index when owned by a Cluster
+	group   group  // the slots reserved by NewSlots
 
-	heap []*event // pending events, a binary min-heap in before order
+	heap []*event // pending events, a binary min-heap in fireKey order
 	free *event   // recycled event free list, linked via next
 }
 
@@ -104,7 +108,9 @@ func New(seed uint64) *Engine {
 // consume the single root stream in exactly the order the serial
 // engine would — the foundation of shard-count byte-identity.
 func NewShared(r *Rand) *Engine {
-	return &Engine{rng: r, deadline: -1}
+	e := &Engine{rng: r}
+	e.group = group{e: e, head: -1, tail: -1}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -121,39 +127,20 @@ func (e *Engine) SetClock(t Time) {
 	}
 }
 
-// NextAt returns the firing time of the engine's next event, and whether
-// any event is pending.
+// NextAt returns the time of the engine's next step, the heap's top or
+// the first slot, and whether any is pending.
 func (e *Engine) NextAt() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
+	t, ok := maxTime, false
+	if len(e.heap) > 0 {
+		t, ok = e.heap[0].at, true
 	}
-	return e.heap[0].at, true
+	if g := &e.group; g.head >= 0 && g.slots[g.head].at < t {
+		t, ok = g.slots[g.head].at, true
+	}
+	return t, ok
 }
 
-// inline lets the group run its first slot, due at t, without an engine
-// event: it reports whether an event at t would be the engine's next
-// event to fire within the current run, whatever its tie-break key, and,
-// if so, advances the clock to t as firing it would. The caller then
-// performs that work directly, with no schedule and no fire.
-//
-// It is exact: it refuses when a pending event is due at or before t (an
-// equal-time one may carry an earlier key), when t passes the current
-// Run/RunUntil deadline, and after Stop. Outside a run, and for t before
-// now, it reports false. A refusal changes nothing. Inlined work counts
-// towards the event budget and is reported by Inlined.
-func (e *Engine) inline(t Time) bool {
-	if t > e.deadline || t < e.now || e.stopped || len(e.heap) > 0 && e.heap[0].at <= t {
-		return false
-	}
-	e.inlined++
-	if e.budget > 0 && e.fired+e.inlined > e.budget {
-		e.overBudget()
-	}
-	e.now = t
-	return true
-}
-
-// overBudget raises the event-budget panic for fireOne and inline.
+// overBudget raises the event-budget panic for fireOne and group.run.
 func (e *Engine) overBudget() {
 	panic(&BudgetExceeded{Limit: e.budget, Now: e.now})
 }
@@ -168,12 +155,14 @@ func (e *Engine) NumShards() int { return 1 }
 // Rand returns the engine's root RNG. Components should Fork it.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// Fired returns the number of events fired from the queue so far (for
-// diagnostics). Work run ahead inline is counted by Inlined instead.
+// Fired returns the number of heap events fired so far (for
+// diagnostics): engine timers and control events. Slot runs are counted
+// by Inlined instead.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Inlined returns the number of inline steps taken so far: events that
-// would have been scheduled and fired next, executed inline instead.
+// Inlined returns the number of slots run so far: work that one event
+// per firing would have scheduled and fired, run from the slot group
+// instead.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
 // BudgetExceeded is the panic value raised when an engine passes its
@@ -186,16 +175,22 @@ type BudgetExceeded struct {
 }
 
 func (b *BudgetExceeded) Error() string {
-	return fmt.Sprintf("sim: event budget exceeded: %d events fired or inlined, sim time %v", b.Limit, b.Now)
+	return fmt.Sprintf("sim: event budget exceeded: %d events fired or slots run, sim time %v", b.Limit, b.Now)
 }
 
-// SetEventBudget caps the number of events this engine may execute,
-// fired and inlined together; passing the cap panics with
+// SetEventBudget caps the number of steps this engine may execute, heap
+// events fired and slots run together; passing the cap panics with
 // *BudgetExceeded. 0 removes the cap.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of scheduled, uncancelled events, counting
+// the slot group as one while any slot is set.
+func (e *Engine) Pending() int {
+	if e.group.head >= 0 {
+		return len(e.heap) + 1
+	}
+	return len(e.heap)
+}
 
 // recycle returns an event that has left the heap to the pool,
 // invalidating all outstanding Timer handles to it.
@@ -209,7 +204,7 @@ func (e *Engine) recycle(ev *event) {
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it is always a simulation bug.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t, e.now, e.stamp())
+	ev := e.schedule(t)
 	ev.fn = fn
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -218,7 +213,9 @@ func (e *Engine) At(t Time, fn func()) Timer {
 // closure: hot paths pass a package-level function and carry their state
 // in arg, making the schedule allocation-free.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
-	return e.atStamped(t, e.now, e.stamp(), fn, arg)
+	ev := e.schedule(t)
+	ev.afn, ev.arg = fn, arg
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // stamp draws the next sequence number. With the clock it is the
@@ -229,18 +226,9 @@ func (e *Engine) stamp() uint64 {
 	return s
 }
 
-// atStamped schedules fn(arg) at absolute time t with an explicit
-// tie-break key: the slot group arms its event with a key stamped when
-// the slot was set.
-func (e *Engine) atStamped(t, schedAt Time, seq uint64, fn func(any), arg any) Timer {
-	ev := e.schedule(t, schedAt, seq)
-	ev.afn, ev.arg = fn, arg
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// schedule takes an event from the pool, keys it and pushes it onto the
-// heap; the caller sets its callback.
-func (e *Engine) schedule(t, schedAt Time, seq uint64) *event {
+// schedule takes an event from the pool, keys it (t, now, stamp()) and
+// pushes it onto the heap; the caller sets its callback.
+func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -251,7 +239,7 @@ func (e *Engine) schedule(t, schedAt Time, seq uint64) *event {
 		e.free = ev.next
 		ev.next = nil
 	}
-	ev.at, ev.schedAt, ev.seq = t, schedAt, seq
+	ev.fireKey = fireKey{t, e.now, e.stamp()}
 	ev.idx = len(e.heap)
 	e.heap = append(e.heap, ev)
 	e.up(ev.idx)
@@ -289,26 +277,27 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
+// run is the two-queue loop: it runs the slot group while its first slot
+// comes before the heap's top, and otherwise fires the top.
 func (e *Engine) run(deadline Time) {
 	e.stopped = false
-	e.deadline = deadline
-	for len(e.heap) > 0 && e.heap[0].at <= deadline && !e.stopped {
+	for {
+		e.group.run(deadline)
+		if e.stopped || len(e.heap) == 0 || e.heap[0].at > deadline {
+			return
+		}
 		e.fireOne()
 	}
-	e.deadline = -1
 }
 
 // fireOne pops the earliest event and runs it. The event is recycled
 // before the callback executes, so callbacks can schedule new work that
-// reuses it, and stale Stop calls are already no-ops. After any event
-// but the group's own, the group settles: its first slot runs inline if
-// it is now the engine's next event, or is armed.
+// reuses it, and stale Stop calls are already no-ops.
 func (e *Engine) fireOne() {
 	ev := e.heap[0]
 	e.remove(0)
 	e.now = ev.at
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	own := e.group != nil && e.group.armed == Timer{ev, ev.gen}
 	e.recycle(ev)
 	e.fired++
 	if e.budget > 0 && e.fired+e.inlined > e.budget {
@@ -318,9 +307,6 @@ func (e *Engine) fireOne() {
 		fn()
 	} else {
 		afn(arg)
-	}
-	if g := e.group; g != nil && g.head >= 0 && !own {
-		g.settle()
 	}
 }
 
@@ -342,7 +328,7 @@ func (e *Engine) up(i int) {
 	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !ev.before(h[p]) {
+		if !ev.less(&h[p].fireKey) {
 			break
 		}
 		h[i] = h[p]
@@ -361,10 +347,10 @@ func (e *Engine) down(i int) {
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+		if r := c + 1; r < len(h) && h[r].less(&h[c].fireKey) {
 			c = r
 		}
-		if !h[c].before(ev) {
+		if !h[c].less(&ev.fireKey) {
 			break
 		}
 		h[i] = h[c]

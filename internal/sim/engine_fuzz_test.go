@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // FuzzEngineOrder runs a byte-coded program of schedules (At, AtArg),
 // slot sets in two ranges of the engine's group, pushes onto queue
@@ -17,21 +14,16 @@ import (
 // slot and every push as one event keyed (at, schedAt, seq) with the key
 // stamped at Set or push, orders all pending work by that key, and
 // checks that:
-//   - every step, fired or inlined, is the reference's next one, at the
-//     engine clock the reference expects;
-//   - the group runs its next slot inline exactly when no live event is
-//     due at or before the slot's time, within the run's deadline, before
-//     Stop, both after a slot run and when any other fired event returns
-//     (the settle rule): the slot fires as an engine event only if that
-//     inline step was refused. Outside a run inline always refuses. Each
-//     slot run is exactly one fire or one inline, and runs its own
-//     range's callback with the slot's index in that range, or its
-//     queue's head;
+//   - every step, heap event or slot run, is the reference's next one, at
+//     the engine clock the reference expects;
+//   - a heap event moves Fired by one and a slot run never does: a slot
+//     run moves Inlined by one, and runs its own range's callback with
+//     the slot's index in that range, or its queue's head;
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
-//     reports liveness exactly, NextAt is the next event's time, the
-//     Fired/Inlined/Pending counters match (a group holds one engine
-//     event while any slot is set), and the budget panics exactly at the
-//     first step past it.
+//     reports liveness exactly, NextAt is the next step's time, heap top
+//     or first slot, Pending counts the heap's events plus one while any
+//     slot is set, and the budget panics exactly at the first step past
+//     it.
 func FuzzEngineOrder(f *testing.F) {
 	for _, p := range engineOrderSeeds() {
 		f.Add(p)
@@ -55,7 +47,6 @@ const (
 	opRunUntil        // delay: RunUntil(now+delay)
 	opRun             // Run to completion
 	opSetClock        // delay: SetClock(now+delay), clamped to the next event
-	opInline          // delay: inline outside a run must refuse
 	opSet             // slot, delay: Slots.Set outside any firing
 	opBudget          // n: the engine may execute n%32+1 more steps
 	opPush            // queue, delay: push onto a queue owner
@@ -99,8 +90,8 @@ type refEvent struct {
 	at, schedAt Time
 	seq         uint64
 	timer       Timer
-	slot        bool // a group slot or push: no Timer, no engine event of its own
-	done        bool // fired, inlined or cancelled
+	slot        bool // a group slot or push: no Timer, no heap event
+	done        bool // run or cancelled
 }
 
 func (a *refEvent) before(b *refEvent) bool {
@@ -137,12 +128,7 @@ type orderModel struct {
 	deadline Time                   // -1 outside runs
 	stopped  bool
 
-	// mustInline is the slot the group tries next, after a slot run or
-	// when any other fired event returns, when nothing may refuse it: it
-	// must run inline, not fire.
-	mustInline *refEvent
-
-	fired, inlined uint64
+	fired, inlined uint64 // heap events fired, slots run
 	budget         uint64 // 0: none
 }
 
@@ -183,8 +169,8 @@ func (m *orderModel) nextLive() *refEvent {
 	return best
 }
 
-// live counts the engine events the reference expects: queued events,
-// plus the group's one event while any slot is set.
+// live is the Pending count the reference expects: heap events, plus one
+// while any slot is set.
 func (m *orderModel) live() int {
 	n, group := 0, 0
 	for _, ev := range m.evs {
@@ -271,8 +257,8 @@ func (m *orderModel) stopTimer(i int) {
 	}
 }
 
-// retire checks that ev is the reference's next step and within the
-// run's deadline, and marks it done.
+// retire checks that ev is the reference's next step, within the run's
+// deadline and not after a Stop in the same run, and marks it done.
 func (m *orderModel) retire(ev *refEvent) {
 	if want := m.nextLive(); want != ev {
 		m.t.Fatalf("ran step at %v seq %d, reference next is at %v seq %d",
@@ -281,33 +267,32 @@ func (m *orderModel) retire(ev *refEvent) {
 	if ev.at > m.deadline {
 		m.t.Fatalf("ran step at %v past the run deadline %v", ev.at, m.deadline)
 	}
+	if m.stopped {
+		m.t.Fatalf("ran step at %v after Stop", ev.at)
+	}
 	ev.done = true
 }
 
-// onFire is every engine event's callback. When it returns the group
-// settles: if nothing may refuse its first slot, that slot must run
-// inline.
+// onFire is every heap event's callback: it moves Fired by one and
+// Inlined not at all.
 func (m *orderModel) onFire(arg any) {
 	ev := m.evs[arg.(int)]
 	m.retire(ev)
 	m.fired++
+	m.checkCounts("heap event")
 	m.step(ev)
-	m.expectInline()
 }
 
-// expectInline sets mustInline to the group's first slot when nothing
-// may refuse it, and clears it otherwise.
-func (m *orderModel) expectInline() {
-	m.mustInline = nil
-	if nx := m.nextSlot(); nx != nil && m.refusal(nx.at) == "" {
-		m.mustInline = nx
+// checkCounts compares the engine's Fired and Inlined with the
+// reference's after a step of the kind named.
+func (m *orderModel) checkCounts(kind string) {
+	if f, n := m.e.Fired(), m.e.Inlined(); f != m.fired || n != m.inlined {
+		m.t.Fatalf("%s at %v: engine fired %d inlined %d, reference %d and %d",
+			kind, m.now, f, n, m.fired, m.inlined)
 	}
 }
 
 // onSlot is both ranges' callback, with i the slot's index in the group.
-// A slot runs as the group's engine fire or as an inline step that the
-// inline check allowed. After the slot's body, the group tries its next
-// slot: if nothing may refuse it, it must run inline.
 func (m *orderModel) onSlot(i int) {
 	ev := m.slots[i]
 	if ev == nil {
@@ -331,45 +316,13 @@ func (m *orderModel) onQueue(q *refQueue) {
 	m.slotRun(ev)
 }
 
-// slotRun checks and runs one slot step.
+// slotRun checks and runs one slot step: it moves Inlined by one and
+// Fired not at all.
 func (m *orderModel) slotRun(ev *refEvent) {
 	m.retire(ev)
-	switch f, n := m.e.Fired(), m.e.Inlined(); {
-	case f == m.fired+1 && n == m.inlined:
-		if ev == m.mustInline {
-			m.t.Fatalf("group refused its slot at %v with nothing due at or before it", ev.at)
-		}
-		m.fired++
-	case f == m.fired && n == m.inlined+1:
-		if why := m.refusal(ev.at); why != "" {
-			m.t.Fatalf("group ran its slot at %v inline %s", ev.at, why)
-		}
-		m.inlined++
-	default:
-		m.t.Fatalf("slot run moved fired %d→%d, inlined %d→%d", m.fired, f, m.inlined, n)
-	}
+	m.inlined++
+	m.checkCounts("slot run")
 	m.step(ev)
-	m.expectInline()
-}
-
-// nextSlot returns the reference's earliest set slot or queue head, or
-// nil.
-func (m *orderModel) nextSlot() *refEvent {
-	var best *refEvent
-	consider := func(ev *refEvent) {
-		if ev != nil && (best == nil || ev.before(best)) {
-			best = ev
-		}
-	}
-	for _, ev := range m.slots {
-		consider(ev)
-	}
-	for _, q := range m.queues {
-		if q != nil && len(q.steps) > 0 {
-			consider(q.steps[0])
-		}
-	}
-	return best
 }
 
 // step runs one executed step's body.
@@ -397,29 +350,11 @@ func (m *orderModel) step(ev *refEvent) {
 	}
 }
 
-// refusal returns why the group's inline step to t within the current
-// run must be refused, or "" when it must succeed. Set slots other than
-// the one tried do not count: the group holds them, not the engine.
-func (m *orderModel) refusal(t Time) string {
-	switch {
-	case m.stopped:
-		return "after Stop"
-	case t > m.deadline:
-		return fmt.Sprintf("past the deadline %v", m.deadline)
-	}
-	for _, o := range m.evs {
-		if !o.done && o.at <= t && !o.slot {
-			return fmt.Sprintf("with a live event at %v", o.at)
-		}
-	}
-	return ""
-}
-
 // runTo runs the engine to deadline. It reports false when the event
 // budget stopped the run, which must happen exactly at the first step
 // past the budget.
 func (m *orderModel) runTo(deadline Time) (ok bool) {
-	m.deadline, m.stopped, m.mustInline = deadline, false, nil
+	m.deadline, m.stopped = deadline, false
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -476,10 +411,6 @@ func (m *orderModel) run() {
 			}
 			m.e.SetClock(t)
 			m.now = max(m.now, t)
-		case opInline:
-			if t := m.now + m.delay(); m.e.inline(t) {
-				m.t.Fatalf("inline(%v) succeeded outside a run", t)
-			}
 		case opSet:
 			b := m.next()
 			m.setSlot(b, m.now+m.delay())
@@ -500,10 +431,7 @@ func (m *orderModel) run() {
 	if n := m.live(); n != 0 {
 		m.t.Fatalf("%d events never fired", n)
 	}
-	if m.e.Fired() != m.fired || m.e.Inlined() != m.inlined {
-		m.t.Fatalf("engine fired %d inlined %d, reference %d and %d",
-			m.e.Fired(), m.e.Inlined(), m.fired, m.inlined)
-	}
+	m.checkCounts("end of program")
 }
 
 // checkState compares the engine with the reference between ops.
@@ -526,7 +454,7 @@ func (m *orderModel) checkState() {
 
 // engineOrderSeeds is the seed corpus: programs aimed at base-256
 // digit boundaries, far-future events, equal-time ties, cancels and clock
-// moves around inlined steps, and group slots.
+// moves around slot runs, and group slots.
 func engineOrderSeeds() [][]byte {
 	small := func(v byte) []byte { return []byte{dSmall, v} }
 	cascade := func(level, off byte) []byte { return []byte{dCascade | (level-1)<<2, off} }
@@ -566,18 +494,18 @@ func engineOrderSeeds() [][]byte {
 		cat([]byte{opAtArg}, small(5), []byte{opRun},
 			body(overflow(0, 128), overflow(1, 128)), body(small(0), small(0))),
 		// Equal-time ties: the event at 10 sets slot 0 at 20, and the
-		// first of two events queued at 20 sets slot 1 at 20. Inline must
-		// refuse both while an event at 20 is queued; when the second
-		// returns, both run inline in stamp order.
+		// first of two events queued at 20 sets slot 1 at 20. Both events
+		// at 20 carry earlier keys, so both fire first; then both slots
+		// run in stamp order.
 		cat([]byte{opAtArg}, small(10), []byte{opAt}, small(20), []byte{opAtArg}, small(20),
 			[]byte{opRunUntil}, small(30),
 			[]byte{1}, cbSetOp(0, small(10)), []byte{1}, cbSetOp(1, small(0)),
 			[]byte{0}, []byte{0}, []byte{0}),
-		// Cancels, inline outside a run, a callback that stops its own
-		// (spent) timer, stops the run and sets a slot, which inline must
-		// then refuse, and clock moves between runs.
+		// Cancels, a callback that stops its own (spent) timer, stops the
+		// run and sets a slot, which must then wait for the next run, and
+		// clock moves between runs.
 		cat([]byte{opAtArg}, small(50), []byte{opAt}, small(60), []byte{opStop, 1},
-			[]byte{opSetClock}, small(40), []byte{opInline}, small(1),
+			[]byte{opSetClock}, small(40),
 			[]byte{opRunUntil}, small(100), []byte{3, cbStopTimer, 0, cbStopEngine}, cbSetOp(0, small(1)),
 			[]byte{opAtArg}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
 		// Slot 2 fires and sets slots 3 and then 1 at one time: 3 has the
@@ -585,28 +513,28 @@ func engineOrderSeeds() [][]byte {
 		// order, such as a lower slot index winning them).
 		cat(set(2, small(10)), []byte{opRun},
 			[]byte{2}, cbSetOp(3, small(5)), cbSetOp(1, small(5)), []byte{0}, []byte{0}),
-		// Slot 0 fires, sets slot 1 and then schedules an event, both at
-		// 15: inline refuses the slot, and the group's event must carry
-		// the slot's earlier stamp (catches an arm that draws a fresh seq).
+		// Slot 0 runs, sets slot 1 and then schedules an event, both at
+		// 15: the slot's earlier stamp must win the tie (catches a
+		// comparison by time alone that lets the heap's top go first).
 		cat(set(0, small(10)), []byte{opRun},
 			[]byte{2}, cbSetOp(1, small(5)), []byte{cbSchedule}, small(5), []byte{0}, []byte{0}),
 		// An event queued first at exactly the next slot's time: the slot
-		// must not run inline before it (catches an inline check that
-		// refuses only events strictly before the slot), and runs inline
-		// when it returns.
+		// must not run before it (catches a comparison by time alone that
+		// lets the slot go first), and runs when it returns.
 		cat([]byte{opAtArg}, small(15), set(0, small(10)), []byte{opRun},
 			[]byte{1}, cbSetOp(0, small(5)), []byte{0}, []byte{0}),
-		// Slot 0 fires and sets slot 2, in the other range, at 257, with
+		// Slot 0 runs and sets slot 2, in the other range, at 257, with
 		// an event pending at 258 and nothing due before it. Slot 2 must
-		// run inline (catches an inline check against a bound below the
-		// next event's time, such as the 256 a timing wheel's level-1
-		// boundary gives).
+		// run next (catches a comparison against a bound below the next
+		// event's time, such as the 256 a timing wheel's level-1 boundary
+		// gives).
 		cat(set(0, small(10)), []byte{opAtArg}, cascade(1, 4), []byte{opRun},
 			[]byte{1}, cbSetOp(2, small(247))),
-		// A top-level Set that preempts the armed slot (1 at 10 before 0
-		// at 20) and a deadline refusal (slot 0 past 15); a Stop inside
-		// slot 0's callback refusing slot 2 due at the same time; then a
-		// budget of three steps that runs out inside a group firing.
+		// A top-level Set that goes ahead of the first slot (1 at 10
+		// before 0 at 20) and a deadline that holds slot 0 (past 15); a
+		// Stop inside slot 0's callback holding slot 2 due at the same
+		// time; then a budget of three steps that runs out inside a group
+		// run.
 		cat(set(0, small(20)), set(1, small(10)), set(2, small(10)), []byte{opRunUntil}, small(15),
 			[]byte{0}, []byte{0},
 			set(3, small(10)), set(2, small(5)), []byte{opRun}, []byte{1, cbStopEngine},
@@ -627,9 +555,8 @@ func engineOrderSeeds() [][]byte {
 			[]byte{3}, cbPushOp(1, small(5)), cbPushOp(1, small(0)), cbSetOp(1, small(5)),
 			[]byte{1}, cbPushOp(2, small(0)), []byte{0}, []byte{0}, []byte{0}),
 		// An event at 10 sets slot 0 at 15 and schedules an event at 20.
-		// The slot is not armed while the callback runs; when it returns
-		// the slot is the engine's next event and must run inline, before
-		// the event at 20 fires (catches a settle that always arms).
+		// When the callback returns the slot is the engine's next step and
+		// must run before the event at 20 fires.
 		cat([]byte{opAtArg}, small(10), []byte{opRun},
 			[]byte{2}, cbSetOp(0, small(5)), []byte{cbSchedule}, small(10), []byte{0}, []byte{0}),
 	}

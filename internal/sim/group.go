@@ -2,49 +2,40 @@ package sim
 
 import "slices"
 
-// group multiplexes every slot of an engine onto one engine event. A slot
-// holds at most one pending firing of its owner's callback, keyed exactly
-// as an AtArg schedule would be: (at, schedAt, seq). Set stamps the
-// tie-break half from the engine then; SetKey takes one stamped earlier
-// with Engine.Stamp, so an owner with several firings pending in FIFO
-// order (a link with frames on the wire) keeps one slot set to its head
-// under the key the head's own event would have had. Between events the
-// group keeps one engine event armed with its earliest slot's key. When
-// that event fires, the group runs the slot, then keeps running whichever
-// slot is next in key order, inline, for as long as the engine's inline
-// check proves it is the engine's next event; the first slot it refuses
-// arms the event with its own stamped key. Any other fired event settles
-// the group when its callback returns: the armed event is cancelled and
-// the first slot runs inline the same way, or is armed. A Set inside a
-// run therefore only links the slot, and an engine timer's callback that
-// sets one (a TCP retransmit timeout resending a segment) goes on into
-// it without a second engine event. Slot callbacks run in precisely the
-// order one event per firing would give them (DESIGN.md §2), and a run
-// of consecutive slot firings costs at most one engine fire instead of
-// one each.
+// group holds every slot of an engine: the engine's second queue, next
+// to its heap. A slot holds at most one pending firing of its owner's
+// callback, keyed exactly as an AtArg schedule would be: (at, schedAt,
+// seq). Set stamps the tie-break half from the engine then; SetKey takes
+// one stamped earlier with Engine.Stamp, so an owner with several
+// firings pending in FIFO order (a link with frames on the wire) keeps
+// one slot set to its head under the key the head's own event would
+// have had. Set slots are linked in key order, and the engine's run loop
+// compares the first with the heap's top by the whole key and runs the
+// earlier: the group runs its first slot, then each next first slot for
+// as long as it still comes before the heap's top and within the run's
+// deadline. No slot ever enters the heap, so slot callbacks run in
+// precisely the order one event per firing would give them (DESIGN.md
+// §2), and a slot run costs a list unlink instead of a heap push and
+// pop.
 //
 // Owners reserve ranges of slots with Engine.NewSlots, at construction or
 // mid-run. Since one group serves the whole engine, a hand-off from one
 // owner to another (a frame's arrival raising the receiving NIC's
 // interrupt, a client machine's slice completing just before the
-// server's) runs inline too.
+// server's) runs in the same loop too.
 type group struct {
 	e *Engine
 
 	slots      []slot
 	head, tail int // the set slots, linked in key order; -1 when none
-
-	armed Timer // carries the first slot's key between events
 }
 
-// slot is one pending firing: its time and stamped tie-break key, its
-// neighbours in key order, and the owner callback it runs with its index
-// in the owner's range.
+// slot is one pending firing: its key, its neighbours in key order, and
+// the owner callback it runs with its index in the owner's range.
 type slot struct {
-	at, schedAt Time
-	seq         uint64
-	prev, next  int
-	set         bool
+	fireKey
+	prev, next int
+	set        bool
 
 	fn    func(slot int)
 	local int
@@ -59,10 +50,7 @@ type Slots struct {
 // NewSlots reserves n empty slots in the engine's group whose firings
 // run fn(i), i being the slot's index in the range.
 func (e *Engine) NewSlots(n int, fn func(slot int)) Slots {
-	if e.group == nil {
-		e.group = &group{e: e, head: -1, tail: -1}
-	}
-	g := e.group
+	g := &e.group
 	base := len(g.slots)
 	g.slots = slices.Grow(g.slots, n)
 	for i := 0; i < n; i++ {
@@ -106,7 +94,7 @@ func (g *group) set(i int, t Time, k Key) {
 	if s.set {
 		panic("sim: group slot already set")
 	}
-	s.at, s.schedAt, s.seq, s.set = t, k.schedAt, k.seq, true
+	s.fireKey, s.set = fireKey{t, k.schedAt, k.seq}, true
 	// Link it in (at, schedAt, seq) order after p, searching from the end
 	// of the list nearer to t: a CPU slice set now usually completes
 	// before most set slots, a frame on a long wire arrives after them. A
@@ -117,12 +105,12 @@ func (g *group) set(i int, t Time, k Key) {
 		// t is before the tail's time, so the search stops at the tail
 		// at the latest.
 		n := h
-		for g.slots[n].before(s) {
+		for g.slots[n].less(&s.fireKey) {
 			n = g.slots[n].next
 		}
 		p = g.slots[n].prev
 	} else {
-		for p >= 0 && s.before(&g.slots[p]) {
+		for p >= 0 && s.less(&g.slots[p].fireKey) {
 			p = g.slots[p].prev
 		}
 	}
@@ -137,58 +125,22 @@ func (g *group) set(i int, t Time, k Key) {
 	} else {
 		g.slots[s.next].prev = i
 	}
-	// Inside a run every Set comes from an event's callback, and the
-	// group's own loop, or the settle after any other event, arms it.
-	if g.e.deadline >= 0 || g.head != i {
-		return
-	}
-	g.armed.Stop() // a no-op when nothing was armed
-	g.arm(i)
 }
 
-// before reports whether s fires before o: the (at, schedAt, seq) order.
-func (s *slot) before(o *slot) bool {
-	if s.at != o.at {
-		return s.at < o.at
-	}
-	if s.schedAt != o.schedAt {
-		return s.schedAt < o.schedAt
-	}
-	return s.seq < o.seq
-}
-
-// arm schedules the group's one event with slot i's stamped key.
-func (g *group) arm(i int) {
-	s := &g.slots[i]
-	g.armed = g.e.atStamped(s.at, s.schedAt, s.seq, groupFire, g)
-}
-
-// groupFire runs the armed slot, which is the earliest, and then the
-// slots after it. Package-level so arming needs no closure.
-func groupFire(v any) {
-	g := v.(*group)
-	g.run(g.head)
-}
-
-// settle runs the first slot inline if it is the engine's next event,
-// after an event other than the group's own, or arms it. Any armed event
-// is cancelled first: the fired event may have set an earlier slot, and
-// the armed event would make the inline check refuse its own slot.
-func (g *group) settle() {
-	g.armed.Stop()
-	if i := g.head; g.e.inline(g.slots[i].at) {
-		g.run(i)
-	} else {
-		g.arm(i)
-	}
-}
-
-// run runs slot i, the first, and then, inline, every next first slot
-// that is provably the engine's next event, arming the first that is
-// not.
-func (g *group) run(i int) {
-	for {
+// run runs the first slot and then each next first slot, for as long as
+// it comes before the heap's top, within deadline and before Stop.
+func (g *group) run(deadline Time) {
+	e := g.e
+	for i := g.head; i >= 0 && !e.stopped; i = g.head {
 		s := &g.slots[i]
+		if s.at > deadline || len(e.heap) > 0 && !s.less(&e.heap[0].fireKey) {
+			break
+		}
+		e.now = s.at
+		e.inlined++
+		if e.budget > 0 && e.fired+e.inlined > e.budget {
+			e.overBudget()
+		}
 		s.set, g.head = false, s.next
 		if g.head < 0 {
 			g.tail = -1
@@ -196,12 +148,5 @@ func (g *group) run(i int) {
 			g.slots[g.head].prev = -1
 		}
 		s.fn(s.local)
-		if i = g.head; i < 0 {
-			return
-		}
-		if !g.e.inline(g.slots[i].at) {
-			g.arm(i)
-			return
-		}
 	}
 }

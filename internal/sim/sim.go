@@ -32,7 +32,7 @@ type Sim interface {
 	// control context (a coordinator event or between runs).
 	Stop()
 
-	// SetEventBudget caps fired plus inlined events (per logical process
+	// SetEventBudget caps heap events fired plus slots run (per logical process
 	// on a Cluster); Fired, Inlined and Pending aggregate across all of
 	// them.
 	SetEventBudget(n uint64)

@@ -1,0 +1,40 @@
+package transport
+
+import (
+	"runtime"
+	"testing"
+
+	"falcon/internal/devices"
+	"falcon/internal/sim"
+)
+
+// TestBulkAllocs bounds the heap allocations per delivered segment of a
+// bulk TCP connection over the overlay, after a warmup that fills the
+// pools and caches. A data segment's continuation and the delayed-ACK
+// timer are bound once per connection and the TCP header travels by
+// value, so a segment costs 0.63 allocations, all of them GRO's; a
+// closure per segment or per timer arm adds one or more allocations per
+// segment here. The count is the process-wide malloc delta, so the test
+// does not run in parallel.
+func TestBulkAllocs(t *testing.T) {
+	const limit = 0.8 // allocations per delivered segment
+	b := newBed(t, 100*devices.Gbps, 0)
+	c := dialOverlay(t, b, 1448)
+	c.StartContinuous()
+	b.e.RunUntil(2 * sim.Millisecond)
+	segs0 := c.SegsDelivered.Value()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.e.RunUntil(7 * sim.Millisecond)
+	runtime.ReadMemStats(&m1)
+	segs := c.SegsDelivered.Value() - segs0
+	if segs == 0 {
+		t.Fatal("no segments delivered")
+	}
+	per := float64(m1.Mallocs-m0.Mallocs) / float64(segs)
+	t.Logf("%.4f allocs/segment over %d segments (limit %.2f)", per, segs, limit)
+	if per > limit {
+		t.Errorf("%.4f allocs/segment > %.2f", per, limit)
+	}
+}

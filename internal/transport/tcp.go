@@ -81,6 +81,7 @@ type Conn struct {
 	recover   uint64
 	rtoTimer  sim.Timer
 	rto       sim.Time
+	sent      func(ok bool) // c.onSent, bound once: trySend's continuation
 
 	// RTT estimation (Jacobson/Karn): one timed segment at a time,
 	// retransmissions never sampled.
@@ -99,6 +100,7 @@ type Conn struct {
 	oooSegs  map[uint64]*skb.SKB // seq → buffered out-of-order segment
 	ackEvery int                 // delayed-ACK segment counter
 	ackTimer sim.Timer
+	ackCore  int // the receiver core the delayed ACK goes out on
 	sock     *socket.Socket
 
 	// Diagnostics.
@@ -133,6 +135,7 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 		rto:      DefaultRTO,
 		oooSegs:  make(map[uint64]*skb.SKB),
 	}
+	c.sent = c.onSent
 	if cfg.SenderCtr != nil {
 		c.srcIP = cfg.SenderCtr.IP
 	} else {
@@ -207,7 +210,8 @@ func (c *Conn) windowBytes() uint64 {
 }
 
 // trySend fills the window with queued messages. Transmissions chain
-// through the sender core's task queue, so segments serialize naturally.
+// through the sender core's task queue, so segments serialize naturally:
+// each segment's Done (c.sent) sends the next.
 func (c *Conn) trySend() {
 	if c.closed || c.sendActive {
 		return
@@ -224,14 +228,18 @@ func (c *Conn) trySend() {
 	if !c.continuous {
 		c.pendingMsgs--
 	}
-	c.transmit(seq, false, func() {
-		c.sendActive = false
-		c.trySend()
-	})
+	c.transmit(seq, false, c.sent)
 }
 
-// transmit emits one data segment starting at seq.
-func (c *Conn) transmit(seq uint64, isRetrans bool, done func()) {
+// onSent is trySend's continuation once a segment has left the sender.
+func (c *Conn) onSent(bool) {
+	c.sendActive = false
+	c.trySend()
+}
+
+// transmit emits one data segment starting at seq; done, if non-nil, is
+// its SendParams.Done.
+func (c *Conn) transmit(seq uint64, isRetrans bool, done func(ok bool)) {
 	if isRetrans {
 		// Karn's rule: a retransmission invalidates any in-flight sample
 		// (the eventual ACK is ambiguous).
@@ -256,11 +264,7 @@ func (c *Conn) transmit(seq uint64, isRetrans bool, done func()) {
 		Core:    c.cfg.SenderCore,
 		FlowID:  c.cfg.FlowID,
 		Seq:     seq,
-		Done: func(ok bool) {
-			if done != nil {
-				done()
-			}
-		},
+		Done:    done,
 	}, hdr)
 	if isRetrans {
 		c.Retransmits.Inc()

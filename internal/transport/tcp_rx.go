@@ -77,17 +77,21 @@ func (c *Conn) deliver(core *cpu.Core, s *skb.SKB, payload uint64) {
 }
 
 // armDelayedAck schedules a flush ACK so a lone segment is still
-// acknowledged promptly (the kernel's delayed-ACK timer).
+// acknowledged promptly (the kernel's delayed-ACK timer). Like armRTO it
+// schedules through AfterArg with a package-level trampoline.
 func (c *Conn) armDelayedAck(core *cpu.Core) {
 	if c.ackTimer.Pending() {
 		return
 	}
-	coreID := core.ID()
-	c.ackTimer = c.e.After(delayedAckTimeout, func() {
-		if c.ackEvery > 0 && !c.closed {
-			c.sendAck(c.cfg.ReceiverHost.M.Core(coreID), false)
-		}
-	})
+	c.ackCore = core.ID()
+	c.ackTimer = c.e.AfterArg(delayedAckTimeout, connDelayedAck, c)
+}
+
+func connDelayedAck(v any) {
+	c := v.(*Conn)
+	if c.ackEvery > 0 && !c.closed {
+		c.sendAck(c.cfg.ReceiverHost.M.Core(c.ackCore), false)
+	}
 }
 
 // sendAck emits a cumulative ACK for rcvNxt from softirq context on the
