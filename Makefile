@@ -7,9 +7,11 @@ all: vet build test
 build:
 	$(GO) build ./...
 
-# As in CI's vet step: go vet, and every file gofmt-clean.
+# As in CI's vet step: go vet, the nested bench module too, and every
+# file gofmt-clean.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
 test:
@@ -30,12 +32,13 @@ audit:
 		-deadline 20m -max-events 2000000000 > plain-all.out
 	diff audit-all.out plain-all.out
 
-# Byte-identity against another revision: builds falconsim, pcapdump and
-# the examples at BASE and from the working tree, runs every golden
-# setting (-all -quick at -shards 1/4/auto, plain, -audit and -cache),
-# the abl-crash partition schedules, full-window abl-tail and -all,
-# -fuzz -seeds 50, the examples and pcapdump with both, and prints one
-# line per run. Fails on any difference not named in ALLOW (run names).
+# Byte-identity against another revision: builds falconsim, pcapdump,
+# the examples and the benchmark at BASE and from the working tree, runs
+# every golden setting (-all -quick at -shards 1/4/auto, plain, -audit
+# and -cache), the abl-crash partition schedules, full-window abl-tail
+# and -all, -fuzz -seeds 50, the examples, pcapdump and each benchmark
+# workload's simulated results at seed 1 with both, and prints one line
+# per run. Fails on any difference not named in ALLOW (run names).
 #   make identity BASE=HEAD~1 [ALLOW="quick-s1 quick-s4"]
 identity:
 	ALLOW="$(ALLOW)" bash scripts/identity.sh $(BASE)

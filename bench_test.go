@@ -183,7 +183,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 // BenchmarkPendingTimers: k engine timers pending at once, each
 // rescheduling itself a pseudo-random gap of up to 1 µs ahead, so every
 // dispatch finds about k events queued. Each tick also re-arms one
-// retransmit-style timer 1 ms ahead with Stop and AfterArg, as TCP does
+// retransmit-style timer 1 ms ahead with Stop and After, as TCP does
 // per segment; it never fires. k = 8 is about the 3–9 events the
 // benchmark workloads keep pending, and k = 256 shows what a deeper queue
 // costs. An op is one tick.
@@ -195,20 +195,20 @@ func BenchmarkPendingTimers(b *testing.B) {
 			e := sim.New(1)
 			rng := sim.NewRand(1)
 			var rto sim.Timer
-			fired := func(any) { b.Fatal("retransmit timer fired") }
+			fired := func() { b.Fatal("retransmit timer fired") }
 			n := 0
-			var tick func(any)
-			tick = func(any) {
+			var tick func()
+			tick = func() {
 				if n++; n >= b.N {
 					e.Stop()
 					return
 				}
-				e.AfterArg(sim.Time(1+rng.Intn(1000)), tick, nil)
+				e.After(sim.Time(1+rng.Intn(1000)), tick)
 				rto.Stop()
-				rto = e.AfterArg(sim.Millisecond, fired, nil)
+				rto = e.After(sim.Millisecond, fired)
 			}
 			for i := 0; i < k; i++ {
-				e.AfterArg(sim.Time(1+rng.Intn(1000)), tick, nil)
+				e.After(sim.Time(1+rng.Intn(1000)), tick)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

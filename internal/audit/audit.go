@@ -102,6 +102,7 @@ type Auditor struct {
 	mu         sync.Mutex
 	violations []Violation
 	timer      sim.Timer
+	sweep      func() // a.onTimer, bound once: the sweep timer's callback
 	finalized  bool
 }
 
@@ -109,11 +110,13 @@ type Auditor struct {
 // *sim.Cluster). Call the registration methods (Balance, AddQueue(s),
 // Watch, AddDump), then Start.
 func New(e sim.Sim, cfg Config) *Auditor {
-	return &Auditor{
+	a := &Auditor{
 		E:        e,
 		cfg:      cfg,
 		byEngine: make(map[*sim.Engine]*Ledger),
 	}
+	a.sweep = a.onTimer
+	return a
 }
 
 // LedgerFor returns the shard-local ledger owning engine e, creating it
@@ -155,16 +158,16 @@ func (a *Auditor) Start() {
 	for _, b := range a.balances {
 		b.prime()
 	}
-	a.timer = a.E.AfterArg(checkEvery, auditTick, a)
+	a.timer = a.E.After(checkEvery, a.sweep)
 }
 
-func auditTick(v any) {
-	a := v.(*Auditor)
+// onTimer runs one sweep and re-arms the timer until Final.
+func (a *Auditor) onTimer() {
 	if a.finalized {
 		return
 	}
 	a.runChecks()
-	a.timer = a.E.AfterArg(checkEvery, auditTick, a)
+	a.timer = a.E.After(checkEvery, a.sweep)
 }
 
 // NoteReset tells the auditor that external measurement counters are

@@ -37,7 +37,7 @@ var machineOps = coreOps{
 }
 
 // perCoreOps is the reference: every core's slice completes on an engine
-// event of its own, scheduled with AfterArg at dispatch, with no shared
+// event of its own, scheduled with After at dispatch, with no shared
 // group and no slot runs. It reuses the cores' queues and priority
 // rules, so the two can differ only in the order completions run in.
 var perCoreOps = coreOps{
@@ -72,12 +72,11 @@ func refDispatch(c *Core) {
 	item, ok := c.next()
 	c.busy, c.cur = ok, item
 	if ok {
-		c.m.E.AfterArg(item.cost, refComplete, c)
+		c.m.E.After(item.cost, func() { refComplete(c) })
 	}
 }
 
-func refComplete(v any) {
-	c := v.(*Core)
+func refComplete(c *Core) {
 	item := c.cur
 	c.cur = workItem{}
 	c.m.Acct.charge(c.id, item.ctx, item.fn, int64(item.cost), int64(c.m.E.Now()))

@@ -216,12 +216,6 @@ func (c *Cluster) recomputeOut() {
 
 func (c *Cluster) At(t Time, fn func()) Timer    { return c.global.At(t, fn) }
 func (c *Cluster) After(d Time, fn func()) Timer { return c.global.After(d, fn) }
-func (c *Cluster) AtArg(t Time, fn func(any), arg any) Timer {
-	return c.global.AtArg(t, fn, arg)
-}
-func (c *Cluster) AfterArg(d Time, fn func(any), arg any) Timer {
-	return c.global.AfterArg(d, fn, arg)
-}
 
 // Stop halts the run loop at the next barrier. Control context only.
 func (c *Cluster) Stop() {

@@ -173,7 +173,7 @@ func runClusterOrder(prog []byte, shards, workers int) *orderRun {
 				if c != nil {
 					outs[pair].Post(at, nil, recv, m)
 				} else {
-					serial.AtArg(at, recv, m)
+					serial.At(at, func() { recv(m) })
 				}
 			}
 			nd.e.After(orderQ*Time(1+b&3), step(i, now))

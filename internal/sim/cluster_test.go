@@ -48,7 +48,7 @@ func (n *pdesNode) step() {
 		at := max(n.e.Now()+pdesLinkDelay+Time(n.rng.Intn(500)), n.last)
 		n.last = at
 		if n.out == nil {
-			n.next.e.AtArg(at, pdesRecv, n.next)
+			n.next.e.At(at, func() { pdesRecv(n.next) })
 		} else {
 			n.out.Post(at, nil, pdesRecv, n.next)
 		}

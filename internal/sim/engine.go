@@ -46,12 +46,7 @@ type event struct {
 	eng *Engine
 	idx int // position in the heap while pending
 
-	// Exactly one of fn / afn is set while pending. afn avoids a closure
-	// allocation on hot paths: the argument rides in arg.
-	fn  func()
-	afn func(any)
-	arg any
-
+	fn   func() // nil once recycled
 	next *event // free list link
 }
 
@@ -196,39 +191,14 @@ func (e *Engine) Pending() int {
 // invalidating all outstanding Timer handles to it.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn = nil
 	ev.next = e.free
 	e.free = ev
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it is always a simulation bug.
+// At schedules fn to run at absolute time t, keyed (t, now, stamp()).
+// Scheduling in the past panics: it is always a simulation bug.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t)
-	ev.fn = fn
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// AtArg schedules fn(arg) at absolute time t. Unlike At it needs no
-// closure: hot paths pass a package-level function and carry their state
-// in arg, making the schedule allocation-free.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
-	ev := e.schedule(t)
-	ev.afn, ev.arg = fn, arg
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// stamp draws the next sequence number. With the clock it is the
-// tie-break key (schedAt, seq) of an event scheduled now.
-func (e *Engine) stamp() uint64 {
-	s := e.seq
-	e.seq++
-	return s
-}
-
-// schedule takes an event from the pool, keys it (t, now, stamp()) and
-// pushes it onto the heap; the caller sets its callback.
-func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -240,10 +210,19 @@ func (e *Engine) schedule(t Time) *event {
 		ev.next = nil
 	}
 	ev.fireKey = fireKey{t, e.now, e.stamp()}
+	ev.fn = fn
 	ev.idx = len(e.heap)
 	e.heap = append(e.heap, ev)
 	e.up(ev.idx)
-	return ev
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// stamp draws the next sequence number. With the clock it is the
+// tie-break key (schedAt, seq) of an event scheduled now.
+func (e *Engine) stamp() uint64 {
+	s := e.seq
+	e.seq++
+	return s
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -252,14 +231,6 @@ func (e *Engine) After(d Time, fn func()) Timer {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
-}
-
-// AfterArg schedules fn(arg) d nanoseconds from now, without a closure.
-func (e *Engine) AfterArg(d Time, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtArg(e.now+d, fn, arg)
 }
 
 // Stop halts the run loop after the current event returns.
@@ -297,17 +268,13 @@ func (e *Engine) fireOne() {
 	ev := e.heap[0]
 	e.remove(0)
 	e.now = ev.at
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	fn := ev.fn
 	e.recycle(ev)
 	e.fired++
 	if e.budget > 0 && e.fired+e.inlined > e.budget {
 		e.overBudget()
 	}
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	fn()
 }
 
 // remove takes the event at heap index i out of the heap.

@@ -2,8 +2,7 @@ package sim
 
 import "testing"
 
-// FuzzEngineOrder runs a byte-coded program of schedules (At, AtArg),
-// slot sets in two ranges of the engine's group, pushes onto queue
+// FuzzEngineOrder runs a byte-coded program of At schedules, slot sets in two ranges of the engine's group, pushes onto queue
 // owners, timer cancels, clock moves (SetClock), event budgets and
 // bounded runs (RunUntil, Run) against the engine. A queue owner works as
 // a link does: it reserves its one slot on its first push, possibly
@@ -42,7 +41,6 @@ func FuzzEngineOrder(f *testing.F) {
 // Top-level program ops; each reads the arguments listed.
 const (
 	opAt       = iota // delay
-	opAtArg           // delay
 	opStop            // event index: Timer.Stop
 	opRunUntil        // delay: RunUntil(now+delay)
 	opRun             // Run to completion
@@ -192,13 +190,9 @@ func (m *orderModel) newStep(t Time) int {
 	return len(m.evs) - 1
 }
 
-func (m *orderModel) schedule(id int, arg bool) {
+func (m *orderModel) schedule(id int) {
 	ev := m.evs[id]
-	if arg {
-		ev.timer = m.e.AtArg(ev.at, m.onFire, id)
-	} else {
-		ev.timer = m.e.At(ev.at, func() { m.onFire(id) })
-	}
+	ev.timer = m.e.At(ev.at, func() { m.onFire(id) })
 }
 
 // setSlot sets group slot b%groupSlots at t unless it is already set.
@@ -275,8 +269,8 @@ func (m *orderModel) retire(ev *refEvent) {
 
 // onFire is every heap event's callback: it moves Fired by one and
 // Inlined not at all.
-func (m *orderModel) onFire(arg any) {
-	ev := m.evs[arg.(int)]
+func (m *orderModel) onFire(id int) {
+	ev := m.evs[id]
 	m.retire(ev)
 	m.fired++
 	m.checkCounts("heap event")
@@ -334,7 +328,7 @@ func (m *orderModel) step(ev *refEvent) {
 	for n := m.next() % 4; n > 0; n-- {
 		switch op := m.next() % numCbOps; {
 		case op < cbStopTimer:
-			m.schedule(m.newStep(m.now+m.delay()), op&1 == 1)
+			m.schedule(m.newStep(m.now + m.delay()))
 		case op < cbStopEngine:
 			m.stopTimer(int(m.next()))
 		case op == cbStopEngine:
@@ -391,9 +385,9 @@ func (m *orderModel) runTo(deadline Time) (ok bool) {
 
 func (m *orderModel) run() {
 	for m.pos < len(m.prog) {
-		switch op := m.next() % numOps; op {
-		case opAt, opAtArg:
-			m.schedule(m.newStep(m.now+m.delay()), op == opAtArg)
+		switch m.next() % numOps {
+		case opAt:
+			m.schedule(m.newStep(m.now + m.delay()))
 		case opStop:
 			m.stopTimer(int(m.next()))
 		case opRunUntil:
@@ -466,8 +460,8 @@ func engineOrderSeeds() [][]byte {
 		}
 		return out
 	}
-	// body: two scheduled children, At at d and AtArg at s.
-	body := func(d, s []byte) []byte { return cat([]byte{2, cbSchedule}, d, []byte{cbSchedule + 1}, s) }
+	// body: two scheduled children, at d and at s.
+	body := func(d, s []byte) []byte { return cat([]byte{2, cbSchedule}, d, []byte{cbSchedule}, s) }
 	// set: a top-level Set of slot byte b at delay d; cbSetOp: the same
 	// inside a callback body.
 	set := func(b byte, d []byte) []byte { return cat([]byte{opSet, b}, d) }
@@ -479,35 +473,35 @@ func engineOrderSeeds() [][]byte {
 	return [][]byte{
 		// Events, and children of theirs, at and around 2^8, 2^16 and
 		// 2^24, under a run that ends just past 2^24.
-		cat([]byte{opAtArg}, cascade(1, 2), []byte{opAt}, cascade(2, 1),
-			[]byte{opAtArg}, cascade(3, 3), []byte{opRunUntil}, cascade(3, 4),
+		cat([]byte{opAt}, cascade(1, 2), []byte{opAt}, cascade(2, 1),
+			[]byte{opAt}, cascade(3, 3), []byte{opRunUntil}, cascade(3, 4),
 			body(cascade(1, 2), small(7)), body(cascade(2, 2), cascade(1, 0)),
 			body(small(0), cascade(1, 4)), []byte{opRun}),
 		// Events near 2^32 and 2^33, a run to just before 2^32, and
 		// children 2^32 ahead.
-		cat([]byte{opAt}, overflow(0, 128), []byte{opAtArg}, overflow(1, 127),
-			[]byte{opAtArg}, small(3), []byte{opRunUntil}, overflow(0, 127),
+		cat([]byte{opAt}, overflow(0, 128), []byte{opAt}, overflow(1, 127),
+			[]byte{opAt}, small(3), []byte{opRunUntil}, overflow(0, 127),
 			body(overflow(0, 200), small(1)), body(small(5), overflow(1, 128)),
 			[]byte{opRun}),
 		// A step schedules children about 2^32 and 2^33 ahead, and the
 		// nearer one two children at its own time.
-		cat([]byte{opAtArg}, small(5), []byte{opRun},
+		cat([]byte{opAt}, small(5), []byte{opRun},
 			body(overflow(0, 128), overflow(1, 128)), body(small(0), small(0))),
 		// Equal-time ties: the event at 10 sets slot 0 at 20, and the
 		// first of two events queued at 20 sets slot 1 at 20. Both events
 		// at 20 carry earlier keys, so both fire first; then both slots
 		// run in stamp order.
-		cat([]byte{opAtArg}, small(10), []byte{opAt}, small(20), []byte{opAtArg}, small(20),
+		cat([]byte{opAt}, small(10), []byte{opAt}, small(20), []byte{opAt}, small(20),
 			[]byte{opRunUntil}, small(30),
 			[]byte{1}, cbSetOp(0, small(10)), []byte{1}, cbSetOp(1, small(0)),
 			[]byte{0}, []byte{0}, []byte{0}),
 		// Cancels, a callback that stops its own (spent) timer, stops the
 		// run and sets a slot, which must then wait for the next run, and
 		// clock moves between runs.
-		cat([]byte{opAtArg}, small(50), []byte{opAt}, small(60), []byte{opStop, 1},
+		cat([]byte{opAt}, small(50), []byte{opAt}, small(60), []byte{opStop, 1},
 			[]byte{opSetClock}, small(40),
 			[]byte{opRunUntil}, small(100), []byte{3, cbStopTimer, 0, cbStopEngine}, cbSetOp(0, small(1)),
-			[]byte{opAtArg}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
+			[]byte{opAt}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
 		// Slot 2 fires and sets slots 3 and then 1 at one time: 3 has the
 		// earlier stamp and runs first (catches ties broken against stamp
 		// order, such as a lower slot index winning them).
@@ -521,14 +515,14 @@ func engineOrderSeeds() [][]byte {
 		// An event queued first at exactly the next slot's time: the slot
 		// must not run before it (catches a comparison by time alone that
 		// lets the slot go first), and runs when it returns.
-		cat([]byte{opAtArg}, small(15), set(0, small(10)), []byte{opRun},
+		cat([]byte{opAt}, small(15), set(0, small(10)), []byte{opRun},
 			[]byte{1}, cbSetOp(0, small(5)), []byte{0}, []byte{0}),
 		// Slot 0 runs and sets slot 2, in the other range, at 257, with
 		// an event pending at 258 and nothing due before it. Slot 2 must
 		// run next (catches a comparison against a bound below the next
 		// event's time, such as the 256 a timing wheel's level-1 boundary
 		// gives).
-		cat(set(0, small(10)), []byte{opAtArg}, cascade(1, 4), []byte{opRun},
+		cat(set(0, small(10)), []byte{opAt}, cascade(1, 4), []byte{opRun},
 			[]byte{1}, cbSetOp(2, small(247))),
 		// A top-level Set that goes ahead of the first slot (1 at 10
 		// before 0 at 20) and a deadline that holds slot 0 (past 15); a
@@ -557,7 +551,7 @@ func engineOrderSeeds() [][]byte {
 		// An event at 10 sets slot 0 at 15 and schedules an event at 20.
 		// When the callback returns the slot is the engine's next step and
 		// must run before the event at 20 fires.
-		cat([]byte{opAtArg}, small(10), []byte{opRun},
+		cat([]byte{opAt}, small(10), []byte{opRun},
 			[]byte{2}, cbSetOp(0, small(5)), []byte{cbSchedule}, small(10), []byte{0}, []byte{0}),
 	}
 }

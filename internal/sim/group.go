@@ -4,7 +4,7 @@ import "slices"
 
 // group holds every slot of an engine: the engine's second queue, next
 // to its heap. A slot holds at most one pending firing of its owner's
-// callback, keyed exactly as an AtArg schedule would be: (at, schedAt,
+// callback, keyed exactly as an At schedule would be: (at, schedAt,
 // seq). Set stamps the tie-break half from the engine then; SetKey takes
 // one stamped earlier with Engine.Stamp, so an owner with several
 // firings pending in FIFO order (a link with frames on the wire) keeps

@@ -18,12 +18,12 @@ type Sim interface {
 	// fork owned by exactly one logical process.
 	Rand() *Rand
 
-	// At, AtArg, After and AfterArg schedule control-plane callbacks.
-	// On a Cluster these run on the coordinator with all shards parked.
+	// At and After schedule control-plane callbacks. On a Cluster these
+	// run on the coordinator with all shards parked. A callback scheduled
+	// again and again is bound once (a method value kept in a field), so
+	// the schedule allocates nothing.
 	At(t Time, fn func()) Timer
-	AtArg(t Time, fn func(any), arg any) Timer
 	After(d Time, fn func()) Timer
-	AfterArg(d Time, fn func(any), arg any) Timer
 
 	// Run executes until no events remain; RunUntil until the deadline.
 	Run()

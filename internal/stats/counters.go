@@ -36,7 +36,6 @@ type IRQKind int
 const (
 	IRQHard  IRQKind = iota // hardware interrupts from the pNIC
 	IRQNetRX                // NET_RX_SOFTIRQ software interrupts
-	IRQNetTX                // NET_TX_SOFTIRQ software interrupts
 	IRQRES                  // rescheduling IPIs (cross-core wakeups)
 	IRQTimer                // timer ticks
 	irqKinds
@@ -49,8 +48,6 @@ func (k IRQKind) String() string {
 		return "HW"
 	case IRQNetRX:
 		return "NET_RX"
-	case IRQNetTX:
-		return "NET_TX"
 	case IRQRES:
 		return "RES"
 	case IRQTimer:

@@ -38,3 +38,31 @@ func TestBulkAllocs(t *testing.T) {
 		t.Errorf("%.4f allocs/segment > %.2f", per, limit)
 	}
 }
+
+// TestTimerArmAllocs pins the bound-once contract of the connection's
+// timers: re-arming the RTO, and one delayed-ACK cycle (arm, then
+// sendAck stops the timer), allocate nothing on a live connection. Each
+// schedules the method value Dial bound; taking c.onRTO or
+// c.onDelayedAck at the schedule would allocate one closure per arm.
+// The cycle runs the engine until its ACK has reached the sender, so the
+// ACK's buffers go back to their pools.
+func TestTimerArmAllocs(t *testing.T) {
+	b := newBed(t, 100*devices.Gbps, 0)
+	c := dialOverlay(t, b, 1448)
+	c.Send(64)
+	b.e.RunUntil(2 * sim.Millisecond)
+	if c.Outstanding() != 0 {
+		t.Fatalf("%d bytes still outstanding after the transfer", c.Outstanding())
+	}
+	if n := testing.AllocsPerRun(100, c.armRTO); n != 0 {
+		t.Errorf("armRTO: %v allocs, want 0", n)
+	}
+	core := b.server.M.Core(1)
+	if n := testing.AllocsPerRun(100, func() {
+		c.armDelayedAck(core)
+		c.sendAck(core, false)
+		b.e.RunUntil(b.e.Now() + 100*sim.Microsecond)
+	}); n != 0 {
+		t.Errorf("delayed-ACK cycle: %v allocs, want 0", n)
+	}
+}

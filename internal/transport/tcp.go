@@ -81,6 +81,7 @@ type Conn struct {
 	recover   uint64
 	rtoTimer  sim.Timer
 	rto       sim.Time
+	rtoFire   func()        // c.onRTO, bound once: armRTO's callback
 	sent      func(ok bool) // c.onSent, bound once: trySend's continuation
 
 	// RTT estimation (Jacobson/Karn): one timed segment at a time,
@@ -100,7 +101,8 @@ type Conn struct {
 	oooSegs  map[uint64]*skb.SKB // seq → buffered out-of-order segment
 	ackEvery int                 // delayed-ACK segment counter
 	ackTimer sim.Timer
-	ackCore  int // the receiver core the delayed ACK goes out on
+	ackFire  func() // c.onDelayedAck, bound once: armDelayedAck's callback
+	ackCore  int    // the receiver core the delayed ACK goes out on
 	sock     *socket.Socket
 
 	// Diagnostics.
@@ -135,7 +137,7 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 		rto:      DefaultRTO,
 		oooSegs:  make(map[uint64]*skb.SKB),
 	}
-	c.sent = c.onSent
+	c.rtoFire, c.ackFire, c.sent = c.onRTO, c.onDelayedAck, c.onSent
 	if cfg.SenderCtr != nil {
 		c.srcIP = cfg.SenderCtr.IP
 	} else {
@@ -272,14 +274,12 @@ func (c *Conn) transmit(seq uint64, isRetrans bool, done func(ok bool)) {
 }
 
 // armRTO (re)starts the retransmission timer. This runs once per
-// transmitted segment, so it schedules through AfterArg with a
-// package-level trampoline instead of allocating a method-value closure.
+// transmitted segment, so it schedules the callback bound at Dial
+// instead of allocating a method value.
 func (c *Conn) armRTO() {
 	c.rtoTimer.Stop()
-	c.rtoTimer = c.e.AfterArg(c.rto, connRTO, c)
+	c.rtoTimer = c.e.After(c.rto, c.rtoFire)
 }
-
-func connRTO(v any) { v.(*Conn).onRTO() }
 
 // onRTO fires when the oldest segment went unacknowledged too long:
 // collapse the window and go-back-N from sndUna.

@@ -78,17 +78,17 @@ func (c *Conn) deliver(core *cpu.Core, s *skb.SKB, payload uint64) {
 
 // armDelayedAck schedules a flush ACK so a lone segment is still
 // acknowledged promptly (the kernel's delayed-ACK timer). Like armRTO it
-// schedules through AfterArg with a package-level trampoline.
+// schedules the callback bound at Dial.
 func (c *Conn) armDelayedAck(core *cpu.Core) {
 	if c.ackTimer.Pending() {
 		return
 	}
 	c.ackCore = core.ID()
-	c.ackTimer = c.e.AfterArg(delayedAckTimeout, connDelayedAck, c)
+	c.ackTimer = c.e.After(delayedAckTimeout, c.ackFire)
 }
 
-func connDelayedAck(v any) {
-	c := v.(*Conn)
+// onDelayedAck fires when the delayed-ACK timer expires.
+func (c *Conn) onDelayedAck() {
 	if c.ackEvery > 0 && !c.closed {
 		c.sendAck(c.cfg.ReceiverHost.M.Core(c.ackCore), false)
 	}

@@ -2,16 +2,21 @@
 # identity.sh BASE: check that the working tree prints what git revision
 # BASE prints.
 #
-# Builds falconsim, pcapdump and both examples twice: once from BASE,
-# exported with `git archive` into a temporary directory, and once from
-# the working tree. Runs the same set of runs with each build and
-# compares their stdout byte for byte. falconsim writes its wall-clock
-# timings to stderr, so stdout needs no stripping. The runs:
+# Builds falconsim, pcapdump, both examples and, when BASE has bench/,
+# the benchmark twice: once from BASE, exported with `git archive` into a
+# temporary directory, and once from the working tree. Runs the same set
+# of runs with each build and compares their stdout byte for byte.
+# falconsim writes its wall-clock timings to stderr, so its stdout needs
+# no stripping. The runs:
 #   - `-all -quick` at -shards 1, 4 and auto, each plain, -audit, -cache;
 #   - abl-crash with each pinned partition schedule (quick windows);
 #   - full-window abl-tail and full-window -all;
 #   - `-fuzz -seeds 50`;
-#   - both examples, and pcapdump (its stdout plus the capture's hash).
+#   - both examples, and pcapdump (its stdout plus the capture's hash);
+#   - each benchmark workload at seed 1 (`falconbench --workload W --seed 1
+#     --seconds 0 --trace 0`), kept to its `checks:` line and the
+#     events_per_pkt and model_* values of its JSON line: the rest is
+#     wall time.
 #
 # Prints one line per run: "identical", or where the outputs first
 # differ (the title of that table, or the line itself). Exits 1 if a run
@@ -34,8 +39,11 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/src/base" "$tmp/bin/base" "$tmp/bin/new"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/src/base"
+bench=false
+[ -d "$tmp/src/base/bench" ] && bench=true
 build() { # build <source dir> <binary dir>
-	(cd "$1" && go build -o "$2/" ./cmd/falconsim ./cmd/pcapdump ./examples/quickstart ./examples/livestream)
+	(cd "$1" && go build -o "$2/" ./cmd/falconsim ./cmd/pcapdump ./examples/quickstart ./examples/livestream) &&
+		{ ! $bench || (cd "$1/bench" && go build -o "$2/falconbench" .); }
 }
 if ! build "$tmp/src/base" "$tmp/bin/base" || ! build "$root" "$tmp/bin/new"; then
 	echo "identity: build failed" >&2
@@ -58,6 +66,11 @@ for sched in abl-crash-partition abl-crash-partition-only abl-crash-partition-re
 	runs+=("$sched|falconsim -quick -exp abl-crash -crash @/internal/experiments/testdata/$sched.json")
 done
 runs+=("quickstart|quickstart" "livestream|livestream" "pcapdump|pcapdump -o overlay.pcap")
+if $bench; then
+	for w in udp-flood-falcon udp-rxcache-fixed udp-openloop-churn tcp-bulk-falcon mesh16-auto; do
+		runs+=("bench-$w|falconbench --workload $w --seed 1 --seconds 0 --trace 0")
+	done
+fi
 
 # run <side> <name> <command>: stdout to out, exit status to status.
 run() {
@@ -72,6 +85,13 @@ run() {
 	(cd "$dir" && "${argv[@]}" >out 2>err) || status=$?
 	if [ -f "$dir/overlay.pcap" ]; then
 		(cd "$dir" && sha256sum overlay.pcap >>out)
+	fi
+	if [[ $name == bench-* ]]; then
+		mv "$dir/out" "$dir/full"
+		{
+			grep '^checks:' "$dir/full"
+			grep '^{' "$dir/full" | grep -oE '"(events_per_pkt|model_[a-z0-9_]+)":\{"value":[^,}]*'
+		} >"$dir/out" || true
 	fi
 	echo "$status" >"$dir/status"
 }
