@@ -191,6 +191,9 @@ func (l *Ledger) Table(title string, n int) *stats.Table {
 // (Section 5). Loads update only on a tick, so readers between
 // ticks observe slightly stale values, reproducing the paper's
 // observation that per-packet balancing lacks timely load information.
+// A machine ticks past its first tick only while something subscribes
+// through Machine.OnTick (Falcon does), so only such a machine's loads
+// stay fresh.
 type LoadMeter struct {
 	lastBusy  []int64 // busy ns at the previous tick
 	lastTick  int64

@@ -3,7 +3,7 @@
 // work items, ksoftirqd-style anti-starvation, one CPU ledger charged
 // once per slice by context and by function, and the periodic timer
 // tick that refreshes the per-core load estimate Falcon's Algorithm 1
-// reads.
+// reads, for as long as something subscribes to it.
 package cpu
 
 import (
@@ -36,9 +36,12 @@ type Machine struct {
 	Prof *Ledger
 
 	cores  []*Core
-	slices sim.Slots // one slice-completion slot per core
+	slices sim.Slots // one slice-completion slot per core, then the tick's
 	onTick []func(now sim.Time)
-	ticker sim.Timer
+	// ticking is set between StartTicker and StopTicker, and ticks fall
+	// on tickPhase plus whole periods.
+	ticking   bool
+	tickPhase sim.Time
 }
 
 // NewMachine builds a machine with n cores on engine e using the given
@@ -59,7 +62,7 @@ func NewMachine(e *sim.Engine, model *costmodel.Model, n int) *Machine {
 	for i := range m.cores {
 		m.cores[i] = &Core{id: i, m: m}
 	}
-	m.slices = e.NewSlots(n, m.complete)
+	m.slices = e.NewSlots(n+1, m.complete)
 	return m
 }
 
@@ -75,34 +78,53 @@ func (m *Machine) Core(i int) *Core {
 }
 
 // OnTick registers a callback invoked on every timer tick (after the
-// load meter refresh). Falcon registers its L_avg update here.
+// load meter refresh). Falcon registers its L_avg update here. On a
+// started machine whose tick has lapsed it sets the tick again, at the
+// next point of its phase.
 func (m *Machine) OnTick(fn func(now sim.Time)) {
 	m.onTick = append(m.onTick, fn)
+	m.armTick()
 }
 
-// StartTicker begins the periodic timer tick. Each tick refreshes the
-// load meter and counts a TIMER interrupt on core 0 (where the global
-// timer lands).
+// StartTicker begins the periodic timer tick, one period from now. Each
+// tick refreshes the load meter and runs the OnTick callbacks. The tick
+// is the last slot of the machine's range, and it stays set only while
+// there is a callback to run: with none, the first tick lapses, until
+// OnTick sets it again.
 func (m *Machine) StartTicker() {
-	if m.ticker.Pending() {
+	if m.ticking {
 		return
 	}
-	var tick func()
-	tick = func() {
-		now := m.E.Now()
-		m.IRQ.Inc(0, stats.IRQTimer)
-		m.Load.tick(m.Acct, int64(now))
-		for _, fn := range m.onTick {
-			fn(now)
-		}
-		m.ticker = m.E.After(tickPeriod, tick)
-	}
-	m.ticker = m.E.After(tickPeriod, tick)
+	m.ticking, m.tickPhase = true, m.E.Now()+tickPeriod
+	m.slices.Set(len(m.cores), m.tickPhase)
 }
 
 // StopTicker cancels the periodic tick (so Engine.Run can drain).
 func (m *Machine) StopTicker() {
-	m.ticker.Stop()
+	m.ticking = false
+	m.slices.Clear(len(m.cores))
+}
+
+// tick is one timer tick: refresh the load meter, run the callbacks,
+// and set the next tick if there is a callback to run at it.
+func (m *Machine) tick() {
+	now := m.E.Now()
+	m.Load.tick(m.Acct, int64(now))
+	for _, fn := range m.onTick {
+		fn(now)
+	}
+	m.armTick()
+}
+
+// armTick sets the tick of a started machine with a subscriber, unless
+// it is set, at the first point of its phase after now.
+func (m *Machine) armTick() {
+	i := len(m.cores)
+	if !m.ticking || len(m.onTick) == 0 || m.slices.IsSet(i) {
+		return
+	}
+	now := m.E.Now()
+	m.slices.Set(i, now+tickPeriod-(now-m.tickPhase)%tickPeriod)
 }
 
 // ResetMeasurement starts the CPU ledger's measurement window and
@@ -275,8 +297,13 @@ func (c *Core) dispatch() {
 // completion, start the next item. It is the callback of the machine's
 // slots in the engine's slot group, so the completions of all cores, and
 // of every other machine on the engine, share one engine event and run
-// inline while each is provably the engine's next.
+// inline while each is provably the engine's next. The slot after the
+// cores' is the timer tick.
 func (m *Machine) complete(i int) {
+	if i == len(m.cores) {
+		m.tick()
+		return
+	}
 	c := m.cores[i]
 	item := c.cur
 	c.cur = workItem{} // release the completion closure for reuse

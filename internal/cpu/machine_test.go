@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"falcon/internal/costmodel"
@@ -202,8 +203,9 @@ func TestTickerUpdatesLoad(t *testing.T) {
 	if avg := m.Load.SystemAvg(); avg < 0.4 || avg > 0.6 {
 		t.Fatalf("system avg = %v, want ~0.5", avg)
 	}
-	if m.IRQ.Total(stats.IRQTimer) == 0 {
-		t.Fatal("no timer interrupts counted")
+	// Nothing subscribes, so the first tick was the only refresh.
+	if m.Load.lastTick != int64(tickPeriod) {
+		t.Fatalf("load meter last refreshed at %d, want the first tick at %v", m.Load.lastTick, tickPeriod)
 	}
 }
 
@@ -213,6 +215,7 @@ func TestTickerUpdatesLoad(t *testing.T) {
 // [0, 1] on the next tick.
 func TestLoadSurvivesMeasurementReset(t *testing.T) {
 	e, m := newTestMachine(1)
+	m.OnTick(func(sim.Time) {}) // keeps the machine ticking past the reset
 	m.StartTicker()
 	var feed func()
 	feed = func() { m.Core(0).Submit(stats.CtxSoftIRQ, costmodel.FnBridge, 100*sim.Microsecond, feed) }
@@ -246,6 +249,74 @@ func TestOnTickCallback(t *testing.T) {
 	m.StopTicker()
 	if ticks != 10 {
 		t.Fatalf("ticks = %d, want 10", ticks)
+	}
+}
+
+// TestTickLapsesWithoutSubscriber: a started machine with nothing
+// subscribed ticks once, one period after the start, as a slot run, and
+// then sets no further tick, so nothing is left pending.
+func TestTickLapsesWithoutSubscriber(t *testing.T) {
+	e, m := newTestMachine(2)
+	m.StartTicker()
+	e.RunUntil(10 * sim.Millisecond)
+	if e.Fired() != 0 || e.Inlined() != 1 || e.Pending() != 0 {
+		t.Fatalf("fired %d, inlined %d, pending %d; want 0, 1 and 0", e.Fired(), e.Inlined(), e.Pending())
+	}
+	if m.Load.lastTick != int64(tickPeriod) {
+		t.Fatalf("load meter refreshed at %d, want %v", m.Load.lastTick, tickPeriod)
+	}
+}
+
+// TestSubscriberRearmsLapsedTick: OnTick on a machine whose tick has
+// lapsed sets it again at the next point of the phase StartTicker began,
+// whether the subscriber comes between two points or on one.
+func TestSubscriberRearmsLapsedTick(t *testing.T) {
+	const start = 300 * sim.Microsecond
+	for _, at := range []sim.Time{3500 * sim.Microsecond, 3300 * sim.Microsecond} {
+		e, m := newTestMachine(1)
+		e.RunUntil(start)
+		m.StartTicker()
+		var ticks []sim.Time
+		e.At(at, func() { m.OnTick(func(now sim.Time) { ticks = append(ticks, now) }) })
+		e.RunUntil(6 * sim.Millisecond)
+		want := []sim.Time{start + 4*sim.Millisecond, start + 5*sim.Millisecond}
+		if !slices.Equal(ticks, want) {
+			t.Fatalf("subscribed at %v: ticks at %v, want %v", at, ticks, want)
+		}
+	}
+}
+
+// TestStopTickerDrains: after StopTicker a subscribed machine's tick is
+// gone, so Run drains and leaves the clock at the last slice, not at a
+// tick that would have come after it.
+func TestStopTickerDrains(t *testing.T) {
+	e, m := newTestMachine(1)
+	ticks := 0
+	m.OnTick(func(sim.Time) { ticks++ })
+	m.StartTicker()
+	m.Core(0).Submit(stats.CtxTask, costmodel.FnBridge, 2500*sim.Microsecond, nil)
+	e.RunUntil(2 * sim.Millisecond)
+	m.StopTicker()
+	e.Run()
+	if e.Now() != 2500*sim.Microsecond || ticks != 2 {
+		t.Fatalf("drained at %v after %d ticks, want 2.5ms after 2", e.Now(), ticks)
+	}
+}
+
+// TestTickerRestartsPhase: StopTicker then StartTicker starts a new
+// phase, one period from the restart.
+func TestTickerRestartsPhase(t *testing.T) {
+	e, m := newTestMachine(1)
+	var ticks []sim.Time
+	m.OnTick(func(now sim.Time) { ticks = append(ticks, now) })
+	m.StartTicker()
+	e.RunUntil(2500 * sim.Microsecond)
+	m.StopTicker()
+	m.StartTicker()
+	e.RunUntil(5 * sim.Millisecond)
+	want := []sim.Time{1 * sim.Millisecond, 2 * sim.Millisecond, 3500 * sim.Microsecond, 4500 * sim.Microsecond}
+	if !slices.Equal(ticks, want) {
+		t.Fatalf("ticks at %v, want %v", ticks, want)
 	}
 }
 

@@ -33,14 +33,17 @@ func TestAblCacheFloors(t *testing.T) {
 // open-loop population of short Pareto-sized flows at 160 Kpps, and the
 // quick mesh8 ring on a 4-shard, 1-worker cluster, whose frames cross
 // shards through the cluster's inbox slots. Every generator paces its
-// sends through its own slot of the engine group. Each bound is the
-// measured figure plus 10%.
+// sends through its own slot of the engine group, and a machine's timer
+// tick is a slot too, set only while something subscribes to it (Falcon
+// does), so four beds fire no heap event at all. con-openloop's two are
+// runTailPoint's samples of the sent count at the window's start and
+// end. Each bound is the measured figure plus 10%.
 var hotPathBeds = []hotPathBed{
-	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0, 0, 0.6417 * 1.10, 0.005530 * 1.10, 94.7730 * 1.10},
-	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0, 0, 0.8106 * 1.10, 0.005136 * 1.10, 65.3015 * 1.10},
-	{"con-cache-poisson-64B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 64, true, 100_000, 0, 0, 0.3635 * 1.10, 0.028249 * 1.10, 35.8879 * 1.10},
-	{"con-openloop-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, tailPayload, false, 0, 160_000, 0, 0.6692 * 1.10, 0.018935 * 1.10, 46.0615 * 1.10},
-	{"mesh8-4shards-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, meshPayload, false, 0, 0, 4, 0.2314 * 1.10, 0.010017 * 1.10, 52.9407 * 1.10},
+	{"falcon-1500B-full", workload.ModeFalcon, Options{Seed: 1}, 1500, false, 0, 0, 0, 0.6417 * 1.10, 0, 94.7703 * 1.10},
+	{"con-cache-16B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 16, true, 0, 0, 0, 0.8106 * 1.10, 0, 65.2967 * 1.10},
+	{"con-cache-poisson-64B-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, 64, true, 100_000, 0, 0, 0.3635 * 1.10, 0, 35.8616 * 1.10},
+	{"con-openloop-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, tailPayload, false, 0, 160_000, 0, 0.6692 * 1.10, 0.001183 * 1.10, 46.0450 * 1.10},
+	{"mesh8-4shards-quick", workload.ModeCon, Options{Quick: true, Seed: 1}, meshPayload, false, 0, 0, 4, 0.2314 * 1.10, 0, 52.9313 * 1.10},
 }
 
 type hotPathBed struct {

@@ -2,17 +2,18 @@ package sim
 
 import "testing"
 
-// FuzzEngineOrder runs a byte-coded program of At schedules, slot sets in two ranges of the engine's group, pushes onto queue
+// FuzzEngineOrder runs a byte-coded program of At schedules, slot sets
+// and clears in two ranges of the engine's group, pushes onto queue
 // owners, timer cancels, clock moves (SetClock), event budgets and
 // bounded runs (RunUntil, Run) against the engine. A queue owner works as
 // a link does: it reserves its one slot on its first push, possibly
 // mid-run, stamps each push's key with Engine.Stamp, never pushes a time
 // before its last one, and keeps its slot set to its head with SetKey.
-// Every executed step's callback may schedule more work, set slots, push,
-// cancel timers and stop the run. A reference model treats every set
-// slot and every push as one event keyed (at, schedAt, seq) with the key
-// stamped at Set or push, orders all pending work by that key, and
-// checks that:
+// Every executed step's callback may schedule more work, set and clear
+// slots, push, cancel timers and stop the run. A reference model treats
+// every set slot and every push as one event keyed (at, schedAt, seq)
+// with the key stamped at Set or push, and a cleared slot as a cancelled
+// one, orders all pending work by that key, and checks that:
 //   - every step, heap event or slot run, is the reference's next one, at
 //     the engine clock the reference expects;
 //   - a heap event moves Fired by one and a slot run never does: a slot
@@ -21,8 +22,8 @@ import "testing"
 //   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
 //     reports liveness exactly, NextAt is the next step's time, heap top
 //     or first slot, Pending counts the heap's events plus one while any
-//     slot is set, and the budget panics exactly at the first step past
-//     it.
+//     slot is set, IsSet is the reference's slot state, and the budget
+//     panics exactly at the first step past it.
 func FuzzEngineOrder(f *testing.F) {
 	for _, p := range engineOrderSeeds() {
 		f.Add(p)
@@ -48,19 +49,21 @@ const (
 	opSet             // slot, delay: Slots.Set outside any firing
 	opBudget          // n: the engine may execute n%32+1 more steps
 	opPush            // queue, delay: push onto a queue owner
+	opClear           // slot: Slots.Clear outside any firing
 	numOps
 )
 
 // Callback body ops (after a count byte); 0–3 schedule, 4–6 stop a
 // timer, 7 stops the run, 8 sets a group slot (slot, delay), 9 pushes
-// onto a queue owner (queue, delay).
+// onto a queue owner (queue, delay), 10 clears a group slot (slot).
 const (
 	cbSchedule   = 0
 	cbStopTimer  = 4
 	cbStopEngine = 7
 	cbSet        = 8
 	cbPush       = 9
-	numCbOps     = 10
+	cbClear      = 10
+	numCbOps     = 11
 )
 
 // Delay classes (low two bits of the delay's first byte). The boundary
@@ -204,11 +207,28 @@ func (m *orderModel) setSlot(b byte, t Time) {
 	ev := m.evs[m.newStep(t)]
 	ev.slot = true
 	m.slots[i] = ev
-	if i < rangeSlots {
-		m.ranges[0].Set(i, t)
-	} else {
-		m.ranges[1].Set(i-rangeSlots, t)
+	r, j := m.rangeOf(i)
+	r.Set(j, t)
+}
+
+// clearSlot clears group slot b%groupSlots, cancelling its step if it
+// is set.
+func (m *orderModel) clearSlot(b byte) {
+	i := int(b % groupSlots)
+	if ev := m.slots[i]; ev != nil {
+		ev.done = true
+		m.slots[i] = nil
 	}
+	r, j := m.rangeOf(i)
+	r.Clear(j)
+}
+
+// rangeOf returns the range holding group slot i and its index there.
+func (m *orderModel) rangeOf(i int) (Slots, int) {
+	if i < rangeSlots {
+		return m.ranges[0], i
+	}
+	return m.ranges[1], i - rangeSlots
 }
 
 // push queues a step on queue owner b%queueOwners at now+d, or at its
@@ -337,6 +357,8 @@ func (m *orderModel) step(ev *refEvent) {
 		case op == cbSet:
 			b := m.next()
 			m.setSlot(b, m.now+m.delay())
+		case op == cbClear:
+			m.clearSlot(m.next())
 		default:
 			b := m.next()
 			m.push(b, m.delay())
@@ -414,6 +436,8 @@ func (m *orderModel) run() {
 		case opPush:
 			b := m.next()
 			m.push(b, m.delay())
+		case opClear:
+			m.clearSlot(m.next())
 		}
 		m.checkState()
 	}
@@ -435,6 +459,11 @@ func (m *orderModel) checkState() {
 	}
 	if got, want := m.e.Pending(), m.live(); got != want {
 		m.t.Fatalf("Pending = %d, reference %d", got, want)
+	}
+	for i, ev := range m.slots {
+		if r, j := m.rangeOf(i); r.IsSet(j) != (ev != nil) {
+			m.t.Fatalf("slot %d IsSet = %t, reference %t", i, r.IsSet(j), ev != nil)
+		}
 	}
 	nx := m.nextLive()
 	at, ok := m.e.NextAt()
@@ -470,6 +499,10 @@ func engineOrderSeeds() [][]byte {
 	// inside a callback body.
 	push := func(b byte, d []byte) []byte { return cat([]byte{opPush, b}, d) }
 	cbPushOp := func(b byte, d []byte) []byte { return cat([]byte{cbPush, b}, d) }
+	// clear, cbClearOp: a Clear of slot byte b, top-level and inside a
+	// callback body.
+	clear := func(b byte) []byte { return []byte{opClear, b} }
+	cbClearOp := func(b byte) []byte { return []byte{cbClear, b} }
 	return [][]byte{
 		// Events, and children of theirs, at and around 2^8, 2^16 and
 		// 2^24, under a run that ends just past 2^24.
@@ -553,5 +586,18 @@ func engineOrderSeeds() [][]byte {
 		// must run before the event at 20 fires.
 		cat([]byte{opAt}, small(10), []byte{opRun},
 			[]byte{2}, cbSetOp(0, small(5)), []byte{cbSchedule}, small(10), []byte{0}, []byte{0}),
+		// Slots 0–3 set at 10, 20, 30 and 40; clears of the head (0), a
+		// middle slot (2), the tail (3) and the now empty 0; then 3, 0 and
+		// 2 set again at 5, 25 and 20. They run 3, 1, 2, 0: a cleared slot
+		// left linked runs early or twice, and a wrong head or tail after
+		// an unlink loses or misorders the slots set after it.
+		cat(set(0, small(10)), set(1, small(20)), set(2, small(30)), set(3, small(40)),
+			clear(0), clear(2), clear(3), clear(0),
+			set(3, small(5)), set(0, small(25)), set(2, small(20)), []byte{opRun},
+			[]byte{0}, []byte{0}, []byte{0}, []byte{0}),
+		// Slot 0's callback at 10 clears slot 1 (due at 20) and the empty
+		// slot 2, then sets slot 1 again at 15, where it runs.
+		cat(set(1, small(20)), set(0, small(10)), []byte{opRun},
+			[]byte{3}, cbClearOp(1), cbClearOp(2), cbSetOp(1, small(5)), []byte{0}),
 	}
 }

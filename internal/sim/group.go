@@ -5,11 +5,11 @@ import "slices"
 // group holds every slot of an engine: the engine's second queue, next
 // to its heap. A slot holds at most one pending firing of its owner's
 // callback, keyed exactly as an At schedule would be: (at, schedAt,
-// seq). Set stamps the tie-break half from the engine then; SetKey takes
-// one stamped earlier with Engine.Stamp, so an owner with several
-// firings pending in FIFO order (a link with frames on the wire) keeps
-// one slot set to its head under the key the head's own event would
-// have had. Set slots are linked in key order, and the engine's run loop
+// seq), and Clear cancels it as Timer.Stop cancels an event. Set stamps
+// the tie-break half from the engine then; SetKey takes one stamped
+// earlier with Engine.Stamp, so an owner with several firings pending
+// in FIFO order (a link with frames on the wire) keeps one slot set to
+// its head under the key the head's own event would have had. Set slots are linked in key order, and the engine's run loop
 // compares the first with the heap's top by the whole key and runs the
 // earlier: the group runs its first slot, then each next first slot for
 // as long as it still comes before the heap's top and within the run's
@@ -79,11 +79,26 @@ func (r Slots) Set(i int, t Time) { r.SetKey(i, t, r.g.e.Stamp()) }
 // SetKey schedules slot i of the range to fire at t under key k, stamped
 // by Engine.Stamp on the same engine, now or earlier. The slot fires
 // where an event scheduled when k was stamped would have fired.
-func (r Slots) SetKey(i int, t Time, k Key) {
+func (r Slots) SetKey(i int, t Time, k Key) { r.g.set(r.index(i), t, k) }
+
+// Clear empties slot i of the range: a set slot is unlinked and does not
+// run, and an empty one stays empty.
+func (r Slots) Clear(i int) {
+	if s := &r.g.slots[r.index(i)]; s.set {
+		s.set = false
+		r.g.unlink(s)
+	}
+}
+
+// IsSet reports whether slot i of the range is set.
+func (r Slots) IsSet(i int) bool { return r.g.slots[r.index(i)].set }
+
+// index returns slot i of the range's index in the group.
+func (r Slots) index(i int) int {
 	if uint(i) >= uint(r.n) {
 		panic("sim: slot index out of range")
 	}
-	r.g.set(r.base+i, t, k)
+	return r.base + i
 }
 
 func (g *group) set(i int, t Time, k Key) {
@@ -141,12 +156,22 @@ func (g *group) run(deadline Time) {
 		if e.budget > 0 && e.fired+e.inlined > e.budget {
 			e.overBudget()
 		}
-		s.set, g.head = false, s.next
-		if g.head < 0 {
-			g.tail = -1
-		} else {
-			g.slots[g.head].prev = -1
-		}
+		s.set = false
+		g.unlink(s)
 		s.fn(s.local)
+	}
+}
+
+// unlink takes set slot s out of the key-ordered list.
+func (g *group) unlink(s *slot) {
+	if s.prev < 0 {
+		g.head = s.next
+	} else {
+		g.slots[s.prev].next = s.next
+	}
+	if s.next < 0 {
+		g.tail = s.prev
+	} else {
+		g.slots[s.next].prev = s.prev
 	}
 }

@@ -67,3 +67,34 @@ func TestSlotKeyOrdersEqualTimes(t *testing.T) {
 		t.Fatalf("fired %d, inlined %d; want 0 and 2", e.Fired(), e.Inlined())
 	}
 }
+
+// TestSlotClear: Clear unlinks a set slot wherever it sits in the key
+// order, head, middle or tail, so it never runs, and leaves an empty slot
+// empty; a cleared slot set again runs at its new time. Only set slots
+// run, each once.
+func TestSlotClear(t *testing.T) {
+	e := New(1)
+	var got []string
+	r := e.NewSlots(4, func(i int) { got = append(got, fmt.Sprintf("%d@%d", i, e.Now())) })
+	for i := range 4 {
+		r.Set(i, Time(10*(i+1)))
+	}
+	for _, i := range []int{0, 2, 3, 0} {
+		r.Clear(i)
+	}
+	for i, want := range []bool{false, true, false, false} {
+		if r.IsSet(i) != want {
+			t.Fatalf("slot %d IsSet = %t after the clears, want %t", i, r.IsSet(i), want)
+		}
+	}
+	r.Set(3, 5)
+	r.Set(2, 20)
+	e.Run()
+	if want := []string{"3@5", "1@20", "2@20"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if e.Fired() != 0 || e.Inlined() != 3 || e.Pending() != 0 || e.Now() != 20 {
+		t.Fatalf("fired %d, inlined %d, pending %d, now %v; want 0, 3, 0 and 20",
+			e.Fired(), e.Inlined(), e.Pending(), e.Now())
+	}
+}

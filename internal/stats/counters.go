@@ -37,7 +37,6 @@ const (
 	IRQHard  IRQKind = iota // hardware interrupts from the pNIC
 	IRQNetRX                // NET_RX_SOFTIRQ software interrupts
 	IRQRES                  // rescheduling IPIs (cross-core wakeups)
-	IRQTimer                // timer ticks
 	irqKinds
 )
 
@@ -50,8 +49,6 @@ func (k IRQKind) String() string {
 		return "NET_RX"
 	case IRQRES:
 		return "RES"
-	case IRQTimer:
-		return "TIMER"
 	default:
 		return fmt.Sprintf("IRQ(%d)", int(k))
 	}

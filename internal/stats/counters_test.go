@@ -50,7 +50,7 @@ func TestIRQCounters(t *testing.T) {
 
 func TestIRQKindString(t *testing.T) {
 	names := map[IRQKind]string{
-		IRQHard: "HW", IRQNetRX: "NET_RX", IRQRES: "RES", IRQTimer: "TIMER",
+		IRQHard: "HW", IRQNetRX: "NET_RX", IRQRES: "RES",
 	}
 	for k, want := range names {
 		if k.String() != want {

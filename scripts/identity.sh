@@ -19,7 +19,8 @@
 #     wall time.
 #
 # Prints one line per run: "identical", or where the outputs first
-# differ (the title of that table, or the line itself). Exits 1 if a run
+# differ (the title of that table, or the line itself); for a benchmark
+# run, every value that differs, as "name base → new". Exits 1 if a run
 # differs and ALLOW (space-separated run names) does not list it, 2 if a
 # build fails. A run's exit status is compared like its stdout.
 #
@@ -121,6 +122,21 @@ firstdiff() {
 	' "$2"
 }
 
+# metricdiff <base out> <new out>: each benchmark value (the checks line
+# or a metric) that differs, as "name base → new".
+metricdiff() {
+	awk '
+		{ sub(/^"/, ""); sub(/":\{"value":/, " "); k = $1; v = substr($0, length(k) + 2) }
+		NR == FNR { base[k] = v; next }
+		{ seen[k] = 1 }
+		!(k in base) || base[k] != v { out = out sep k " " (k in base ? base[k] : "-") " → " v; sep = ", " }
+		END {
+			for (k in base) if (!(k in seen)) { out = out sep k " " base[k] " → -"; sep = ", " }
+			print out
+		}
+	' "$1" "$2"
+}
+
 failed=0
 for r in "${runs[@]}"; do
 	name=${r%%|*}
@@ -130,6 +146,8 @@ for r in "${runs[@]}"; do
 	elif cmp -s "$b/out" "$n/out"; then
 		printf '%-28s identical\n' "$name"
 		continue
+	elif [[ $name == bench-* ]]; then
+		verdict=$(metricdiff "$b/out" "$n/out")
 	else
 		verdict=$(firstdiff "$b/out" "$n/out")
 	fi
