@@ -183,8 +183,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 // BenchmarkPendingTimers: k engine timers pending at once, each
 // rescheduling itself a pseudo-random gap of up to 1 µs ahead, so every
 // dispatch finds about k events queued. Each tick also re-arms one
-// retransmit-style timer 1 ms ahead with Stop and After, as TCP does
-// per segment; it never fires. k = 8 is about the 3–9 events the
+// retransmit-style timer 1 ms ahead, a slot cleared and set again as
+// TCP's is per segment; it never fires. k = 8 is about the 3–9 events the
 // benchmark workloads keep pending, and k = 256 shows what a deeper queue
 // costs. An op is one tick.
 // BenchmarkEventDispatch keeps one event pending and cannot show what
@@ -194,8 +194,7 @@ func BenchmarkPendingTimers(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			e := sim.New(1)
 			rng := sim.NewRand(1)
-			var rto sim.Timer
-			fired := func() { b.Fatal("retransmit timer fired") }
+			rto := e.NewSlots(1, func(int) { b.Fatal("retransmit timer fired") })
 			n := 0
 			var tick func()
 			tick = func() {
@@ -204,8 +203,8 @@ func BenchmarkPendingTimers(b *testing.B) {
 					return
 				}
 				e.After(sim.Time(1+rng.Intn(1000)), tick)
-				rto.Stop()
-				rto = e.After(sim.Millisecond, fired)
+				rto.Clear(0)
+				rto.Set(0, e.Now()+sim.Millisecond)
 			}
 			for i := 0; i < k; i++ {
 				e.After(sim.Time(1+rng.Intn(1000)), tick)

@@ -66,6 +66,55 @@ func TestRPCClosedLoopOneOutstanding(t *testing.T) {
 	}
 }
 
+// TestRPCRetry: a request that goes unanswered is resent once, with its
+// sequence number and size, after retryTimeout, and the answer to the
+// resend ends the loop. The answer cancels the retry timeout, so no
+// second retry follows.
+func TestRPCRetry(t *testing.T) {
+	tb := appBed(t)
+	var seen []Request
+	NewServer(tb.Server, tb.ServerCtrs[0], 9000, 6, 0,
+		func(req Request, respond func(int)) {
+			if seen = append(seen, req); len(seen) > 1 {
+				respond(128) // the first request is lost
+			}
+		})
+	c := NewConn(1, tb.Client, tb.ClientCtrs[0], 21000,
+		tb.ServerCtrs[0].IP, 9000, 3, func() int { return 64 }, 0)
+	c.Start(sim.Microsecond) // one request: none follows its answer
+	tb.Run(5 * retryTimeout)
+	if c.Retries.Value() != 1 || c.Completed.Value() != 1 {
+		t.Fatalf("retries %d, completed %d; want 1 and 1", c.Retries.Value(), c.Completed.Value())
+	}
+	if len(seen) != 2 || seen[1].Seq != seen[0].Seq || seen[1].Size != seen[0].Size {
+		t.Fatalf("server saw %+v, want one request and its resend", seen)
+	}
+	if rtt := sim.Time(c.RTT.Max()); rtt >= retryTimeout {
+		t.Fatalf("round trip %v timed from the first send, want from the resend", rtt)
+	}
+}
+
+// TestRPCNoRetryWhenAnswered: on a lossless run every answer cancels its
+// request's retry timeout, so nothing is resent and, once the loop ends,
+// no timer is left set.
+func TestRPCNoRetryWhenAnswered(t *testing.T) {
+	tb := appBed(t)
+	NewServer(tb.Server, tb.ServerCtrs[0], 9000, 6, 0,
+		func(req Request, respond func(int)) { respond(128) })
+	c := NewConn(1, tb.Client, tb.ClientCtrs[0], 21000,
+		tb.ServerCtrs[0].IP, 9000, 3, func() int { return 64 }, sim.Millisecond)
+	c.Start(20 * sim.Millisecond)
+	tb.Run(20*sim.Millisecond + 2*retryTimeout)
+	if c.Completed.Value() < 5 || c.Retries.Value() != 0 {
+		t.Fatalf("completed %d, retries %d; want at least 5 and 0", c.Completed.Value(), c.Retries.Value())
+	}
+	for _, slot := range []int{slotNext, slotRetry} {
+		if c.timers.IsSet(slot) {
+			t.Fatalf("timer slot %d still set after the loop ended", slot)
+		}
+	}
+}
+
 func TestMemcachedMix(t *testing.T) {
 	tb := appBed(t)
 	m := StartMemcached(MemcachedConfig{

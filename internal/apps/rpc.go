@@ -121,12 +121,12 @@ type Conn struct {
 	e       *sim.Engine
 	until   sim.Time
 	stopped bool
-	next    sim.Slots // the think gap before the next request
+	timers  sim.Slots // slotNext, the think gap, and slotRetry
 
 	seq      uint64
+	size     int // the outstanding request's payload size
 	sentAt   sim.Time
 	inflight bool
-	retry    sim.Timer // the outstanding request's retry timeout
 
 	// RTT is the per-response round-trip histogram; Completed counts
 	// responses received.
@@ -158,8 +158,27 @@ func NewConn(id uint64, h *overlay.Host, ctr *overlay.Container, localPort uint1
 	}
 	sock := h.OpenUDP(ip, localPort, core)
 	sock.OnDeliver = c.onResponse
-	c.next = h.E.NewSlots(1, func(int) { c.sendNext() })
+	c.timers = h.E.NewSlots(2, c.onTimer)
 	return c
+}
+
+// The connection's timers, slots of Conn.timers: the think gap before
+// the next request, and the outstanding request's retry timeout.
+const (
+	slotNext = iota
+	slotRetry
+)
+
+// onTimer is the timers' callback. A response cancels the retry
+// timeout, so when it fires the request is still outstanding.
+func (c *Conn) onTimer(slot int) {
+	switch {
+	case slot == slotNext:
+		c.sendNext()
+	case !c.stopped:
+		c.Retries.Inc()
+		c.transmit()
+	}
 }
 
 // Start begins the request loop until the given absolute time.
@@ -181,24 +200,20 @@ func (c *Conn) sendNext() {
 	}
 	c.inflight = true
 	c.seq++
-	c.transmit(c.nextReq())
+	c.size = c.nextReq()
+	c.transmit()
 }
 
-func (c *Conn) transmit(size int) {
+// transmit sends the outstanding request and arms its retry timeout.
+func (c *Conn) transmit() {
 	c.sentAt = c.e.Now()
-	seq := c.seq
 	c.host.SendUDP(overlay.SendParams{
 		From: c.ctr, SrcPort: c.port,
 		DstIP: c.dstIP, DstPort: c.dstPort,
-		Payload: size, Core: c.core,
-		FlowID: c.ID, Seq: seq,
+		Payload: c.size, Core: c.core,
+		FlowID: c.ID, Seq: c.seq,
 	})
-	c.retry = c.e.After(retryTimeout, func() {
-		if !c.stopped && c.inflight && c.seq == seq {
-			c.Retries.Inc()
-			c.transmit(size)
-		}
-	})
+	c.timers.Set(slotRetry, c.e.Now()+retryTimeout)
 }
 
 func (c *Conn) onResponse(s *skb.SKB) {
@@ -206,7 +221,7 @@ func (c *Conn) onResponse(s *skb.SKB) {
 		return // stale or duplicate response
 	}
 	c.inflight = false
-	c.retry.Stop()
+	c.timers.Clear(slotRetry)
 	rtt := c.e.Now() - c.sentAt
 	c.RTT.Record(int64(rtt))
 	c.Completed.Inc()
@@ -220,5 +235,5 @@ func (c *Conn) onResponse(s *skb.SKB) {
 			gap = 1
 		}
 	}
-	c.next.Set(0, c.e.Now()+gap)
+	c.timers.Set(slotNext, c.e.Now()+gap)
 }

@@ -101,9 +101,7 @@ type Auditor struct {
 	// already a failed run).
 	mu         sync.Mutex
 	violations []Violation
-	timer      sim.Timer
-	sweep      func() // a.onTimer, bound once: the sweep timer's callback
-	finalized  bool
+	timer      sim.Slots // the periodic sweep
 }
 
 // New builds an auditor over simulation e (a serial *sim.Engine or a
@@ -115,7 +113,7 @@ func New(e sim.Sim, cfg Config) *Auditor {
 		cfg:      cfg,
 		byEngine: make(map[*sim.Engine]*Ledger),
 	}
-	a.sweep = a.onTimer
+	a.timer = e.NewSlots(1, a.onTimer)
 	return a
 }
 
@@ -158,16 +156,13 @@ func (a *Auditor) Start() {
 	for _, b := range a.balances {
 		b.prime()
 	}
-	a.timer = a.E.After(checkEvery, a.sweep)
+	a.timer.Set(0, a.E.Now()+checkEvery)
 }
 
-// onTimer runs one sweep and re-arms the timer until Final.
-func (a *Auditor) onTimer() {
-	if a.finalized {
-		return
-	}
+// onTimer runs one sweep and re-arms the timer; Final cancels it.
+func (a *Auditor) onTimer(int) {
 	a.runChecks()
-	a.timer = a.E.After(checkEvery, a.sweep)
+	a.timer.Set(0, a.E.Now()+checkEvery)
 }
 
 // NoteReset tells the auditor that external measurement counters are
@@ -207,8 +202,7 @@ func (a *Auditor) runChecks() {
 // stage history). It returns all collected violations; in abort mode
 // the first teardown violation panics.
 func (a *Auditor) Final() []Violation {
-	a.finalized = true
-	a.timer.Stop()
+	a.timer.Clear(0)
 	a.runChecks()
 	created, freed, live := a.ledgerTotals()
 	if created != freed+uint64(live) {

@@ -48,6 +48,24 @@ func TestLeakDetectedAtFinal(t *testing.T) {
 	s.Free() // unpoison the pool for other tests
 }
 
+// TestFinalStopsSweep: the periodic sweep runs every checkEvery until
+// Final, which runs the last one and cancels the timer, so the engine
+// runs no further sweep.
+func TestFinalStopsSweep(t *testing.T) {
+	e, a, _ := collector(t, Config{})
+	sweeps := 0
+	a.Watch("probe", func() WatchState { sweeps++; return WatchState{} })
+	e.RunUntil(3 * checkEvery)
+	if sweeps != 3 {
+		t.Fatalf("%d sweeps in 3 intervals, want 3", sweeps)
+	}
+	a.Final()
+	e.RunUntil(e.Now() + 3*checkEvery)
+	if sweeps != 4 {
+		t.Fatalf("%d sweeps after Final's own, want none", sweeps-4)
+	}
+}
+
 func TestDoubleFreeAttribution(t *testing.T) {
 	_, a, got := collector(t, Config{})
 	s := skb.NewTx(64, 0, 0)

@@ -61,8 +61,8 @@ func (n *Network) Hosts() []*Host { return n.hosts }
 // one-way delay (two unidirectional links delivering into each peer's
 // NIC). Each unidirectional link lives on its sending host's shard
 // engine; when the hosts sit on different shards the link becomes a
-// cross-shard boundary — frames travel through a cluster PostSource and
-// the link's minimum latency lower-bounds the cluster's lookahead.
+// cross-shard boundary — frames travel through a cluster PostSource
+// whose lookahead is the link's minimum latency.
 func (n *Network) Connect(a, b *Host, rateBitsPerSec float64, delay sim.Time) {
 	ab := devices.NewLink(a.E, rateBitsPerSec, delay)
 	ba := devices.NewLink(b.E, rateBitsPerSec, delay)
@@ -70,16 +70,11 @@ func (n *Network) Connect(a, b *Host, rateBitsPerSec float64, delay sim.Time) {
 		ab.Deliver = b.NIC.Arrive
 		ba.Deliver = a.NIC.Arrive
 	} else {
+		// Each direction declares its own link's minimum latency, so
+		// adaptive horizons can stretch windows past the slowest pair.
 		cl := n.E.(*sim.Cluster)
-		abs, bas := cl.Source(a.E, b.E), cl.Source(b.E, a.E)
-		ab.Remote = newRemoteEgress(abs, b)
-		ba.Remote = newRemoteEgress(bas, a)
-		// Per-source bounds: each direction declares its own link's
-		// minimum latency, so adaptive horizons can stretch windows past
-		// the slowest pair instead of clipping everything to the global
-		// minimum (PostSource.Bound also feeds the global floor).
-		abs.Bound(ab.Lookahead())
-		bas.Bound(ba.Lookahead())
+		ab.Remote = newRemoteEgress(cl.Source(a.E, b.E, ab.Lookahead()), b)
+		ba.Remote = newRemoteEgress(cl.Source(b.E, a.E, ba.Lookahead()), a)
 	}
 	a.links[b.IP] = ab
 	b.links[a.IP] = ba

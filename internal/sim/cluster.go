@@ -15,17 +15,17 @@ import (
 // audit sweeps).
 //
 // Synchronization is a safe-horizon window barrier. Each cross-shard
-// link registers its minimum sender→receiver latency (serialization of
-// an empty frame + propagation delay) as a lookahead bound — per
-// source endpoint via PostSource.Bound, or globally via Bound. Each
-// iteration the coordinator computes the earliest pending LP event t
-// and a window end E such that no cross-shard frame sent during [t, E]
-// can arrive at or before E: with adaptive horizons (the default) E is
-// the minimum over busy shards of (next event + that shard's minimum
-// outgoing lookahead) - 1, which degenerates to the classic uniform
-// [t, t+L-1] when every shard is busy and every pairwise bound equals
-// the global minimum L, and widens — often dramatically — when
-// cross-shard senders are idle or their pairwise bounds exceed L.
+// send endpoint (Source) declares its link's minimum sender→receiver
+// latency (serialization of an empty frame + propagation delay) as its
+// lookahead. Each iteration the coordinator computes the earliest
+// pending LP event t and a window end E such that no cross-shard frame
+// sent during [t, E] can arrive at or before E: with adaptive horizons
+// (the default) E is the minimum over busy shards of (next event + that
+// shard's minimum outgoing lookahead) - 1, which degenerates to the
+// classic uniform [t, t+L-1] when every shard is busy and every
+// source's lookahead equals the minimum L, and widens — often
+// dramatically — when cross-shard senders are idle or their lookaheads
+// exceed L.
 // Frames sent across a shard boundary during the window therefore
 // never preempt a running LP: they park in per-source outboxes and the
 // coordinator moves them into per-source inboxes on the destination
@@ -58,16 +58,11 @@ type Cluster struct {
 	root    *Rand
 	global  *Engine // coordinator control queue; its clock is Now()
 	lps     []*Engine
-	look    Time // global lookahead; 0 until a cross-shard link bounds it
+	look    Time // minimum lookahead over all sources; 0 while there are none
 	workers int
 
-	srcs []*PostSource // by id: construction order
-
-	// Per-shard outgoing-lookahead state for adaptive horizons.
-	srcTotal []int  // sources whose sending engine is this shard
-	srcBound []int  // of those, how many declared a pairwise bound
-	declMin  []Time // min declared pairwise bound (0 = none yet)
-	effOut   []Time // effective min outgoing lookahead (maxTime = cannot send)
+	srcs   []*PostSource // by id: construction order
+	outMin []Time        // per shard: its sources' minimum lookahead (maxTime: none)
 
 	adaptive bool // adaptive horizons; off only in tests (static reference)
 	curEnd   Time // current window end; -1 outside windows (Post guard)
@@ -131,11 +126,10 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 		c.lps[i] = NewShared(c.root)
 		c.lps[i].shard = i
 	}
-	c.srcTotal = make([]int, shards)
-	c.srcBound = make([]int, shards)
-	c.declMin = make([]Time, shards)
-	c.effOut = make([]Time, shards)
-	c.recomputeOut()
+	c.outMin = make([]Time, shards)
+	for i := range c.outMin {
+		c.outMin[i] = maxTime
+	}
 	c.nexts = make([]Time, shards)
 	c.perr = make([]any, shards)
 	return c
@@ -176,46 +170,13 @@ func (c *Cluster) Shard(i int) *Engine { return c.lps[i%len(c.lps)] }
 // NumShards returns the number of logical processes.
 func (c *Cluster) NumShards() int { return len(c.lps) }
 
-// Lookahead returns the current global cross-shard lookahead (0:
-// unbounded — no cross-shard link registered yet).
-func (c *Cluster) Lookahead() Time { return c.look }
-
-// Bound lowers the cluster-wide lookahead floor to d: a cross-shard
-// sender that does not (or cannot) declare a pairwise bound is held to
-// this floor instead. The lookahead must never overestimate the true
-// minimum latency — Post enforces this at every cross-shard send.
-func (c *Cluster) Bound(d Time) {
-	if d < 1 {
-		d = 1 // progress requires a strictly positive lookahead
-	}
-	if c.look == 0 || d < c.look {
-		c.look = d
-	}
-	c.recomputeOut()
-}
-
-// recomputeOut refreshes every shard's effective minimum outgoing
-// lookahead: the widest window the shard's pending work permits is
-// next-event + effOut - 1. A shard with no sources cannot send at all
-// (effOut = maxTime); a shard with any source that never declared a
-// pairwise bound is only guaranteed the global floor.
-func (c *Cluster) recomputeOut() {
-	for s := range c.effOut {
-		switch {
-		case c.srcTotal[s] == 0:
-			c.effOut[s] = maxTime
-		case c.srcBound[s] < c.srcTotal[s] || c.declMin[s] == 0:
-			c.effOut[s] = c.look
-		default:
-			c.effOut[s] = c.declMin[s]
-		}
-	}
-}
-
 // Control-plane scheduling: runs on the coordinator at barriers.
 
-func (c *Cluster) At(t Time, fn func()) Timer    { return c.global.At(t, fn) }
-func (c *Cluster) After(d Time, fn func()) Timer { return c.global.After(d, fn) }
+func (c *Cluster) At(t Time, fn func())    { c.global.At(t, fn) }
+func (c *Cluster) After(d Time, fn func()) { c.global.After(d, fn) }
+func (c *Cluster) NewSlots(n int, fn func(slot int)) Slots {
+	return c.global.NewSlots(n, fn)
+}
 
 // Stop halts the run loop at the next barrier. Control context only.
 func (c *Cluster) Stop() {
@@ -275,7 +236,7 @@ func (c *Cluster) Pending() int {
 type PostSource struct {
 	c        *Cluster
 	src, dst *Engine
-	look     Time // declared pairwise lookahead (0: global floor only)
+	look     Time // minimum sender→receiver latency, at least 1
 	last     Time // latest arrival posted so far
 
 	out  []xmsg     // posted this window, in send order
@@ -283,38 +244,22 @@ type PostSource struct {
 	slot Slots      // set to the inbox head
 }
 
-// Source allocates a cross-shard send endpoint from src to dst. Call
-// from coordinator context only (topology construction, or a
-// reconfiguration barrier) — never from a running LP.
-func (c *Cluster) Source(src, dst *Engine) *PostSource {
-	p := &PostSource{c: c, src: src, dst: dst}
+// Source allocates a cross-shard send endpoint from src to dst whose
+// arrivals never come sooner than look after their send: the link's
+// minimum latency, at least 1 ns, since progress needs a positive
+// lookahead. Post holds the endpoint to its word. Call from coordinator
+// context only (topology construction, or a reconfiguration barrier) —
+// never from a running LP.
+func (c *Cluster) Source(src, dst *Engine, look Time) *PostSource {
+	look = max(look, 1)
+	p := &PostSource{c: c, src: src, dst: dst, look: look}
 	p.slot = dst.NewSlots(1, p.deliver)
 	c.srcs = append(c.srcs, p)
-	c.srcTotal[src.shard]++
-	c.recomputeOut()
+	c.outMin[src.shard] = min(c.outMin[src.shard], look)
+	if c.look == 0 || look < c.look {
+		c.look = look
+	}
 	return p
-}
-
-// Bound declares this endpoint's minimum sender→receiver latency: no
-// Post through it will ever arrive sooner than send+d. Tighter (larger)
-// pairwise bounds let the adaptive horizon widen windows beyond the
-// global floor; the guard in Post holds the endpoint to its word.
-func (p *PostSource) Bound(d Time) {
-	if d < 1 {
-		d = 1
-	}
-	c := p.c
-	if p.look == 0 {
-		c.srcBound[p.src.shard]++
-	}
-	if p.look == 0 || d < p.look {
-		p.look = d
-	}
-	s := p.src.shard
-	if c.declMin[s] == 0 || d < c.declMin[s] {
-		c.declMin[s] = d
-	}
-	c.Bound(d) // keeps the global floor ≤ every declared pairwise bound
 }
 
 // Post sends a cross-shard message: fn(arg) runs on the destination
@@ -331,16 +276,11 @@ func (p *PostSource) Bound(d Time) {
 //     order. The send time is the sender's clock, which never goes
 //     back, so only the arrival needs comparing.
 func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
-	c := p.c
-	eff := c.look
-	if p.look > eff {
-		eff = p.look
-	}
-	if at < p.src.now+eff {
+	if at < p.src.now+p.look {
 		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the lookahead horizon %v (lookahead overestimated)",
-			p.src.shard, p.src.now, at, p.src.now+eff))
+			p.src.shard, p.src.now, at, p.src.now+p.look))
 	}
-	if end := c.curEnd; end >= 0 && at <= end {
+	if end := p.c.curEnd; end >= 0 && at <= end {
 		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the active window ending %v (adaptive horizon unsafe)",
 			p.src.shard, p.src.now, at, end))
 	}
@@ -424,7 +364,7 @@ func (c *Cluster) adaptiveEnd() Time {
 		if n == maxTime {
 			continue
 		}
-		l := c.effOut[i]
+		l := c.outMin[i]
 		if l >= maxTime-n {
 			continue
 		}

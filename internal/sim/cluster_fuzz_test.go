@@ -125,7 +125,6 @@ func runClusterOrder(prog []byte, shards, workers int) *orderRun {
 	}
 	if shards > 0 {
 		c = NewCluster(1, shards, workers)
-		c.Bound(orderL)
 	} else {
 		serial = New(1)
 	}
@@ -143,8 +142,7 @@ func runClusterOrder(prog []byte, shards, workers int) *orderRun {
 	sseq := make([]int, n*n)
 	if c != nil {
 		for i := range outs {
-			outs[i] = c.Source(engine(i/n), engine(i%n))
-			outs[i].Bound(orderL)
+			outs[i] = c.Source(engine(i/n), engine(i%n), orderL)
 		}
 	}
 	recv := func(v any) {

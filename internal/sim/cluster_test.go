@@ -67,7 +67,6 @@ func pdesRecv(v any) {
 func runPDES(t *testing.T, shards, workers int) ([][]string, []string) {
 	t.Helper()
 	c := NewCluster(1, shards, workers)
-	c.Bound(pdesLinkDelay)
 	nodes := make([]*pdesNode, pdesNodes)
 	for i := range nodes {
 		nodes[i] = &pdesNode{id: i, e: c.Shard(i), rng: c.Rand().Fork()}
@@ -75,7 +74,7 @@ func runPDES(t *testing.T, shards, workers int) ([][]string, []string) {
 	for i, n := range nodes {
 		n.next = nodes[(i+1)%len(nodes)]
 		if n.next.e != n.e {
-			n.out = c.Source(n.e, n.next.e)
+			n.out = c.Source(n.e, n.next.e, pdesLinkDelay)
 		}
 		n.e.After(Time(80*i+i), n.step)
 	}
@@ -131,8 +130,7 @@ func TestClusterDeterminism(t *testing.T) {
 // the lookahead horizon must panic — the lookahead was overestimated.
 func TestClusterHorizonGuard(t *testing.T) {
 	c := NewCluster(1, 2, 1)
-	c.Bound(1000)
-	src := c.Source(c.Shard(0), c.Shard(1))
+	src := c.Source(c.Shard(0), c.Shard(1), 1000)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected horizon-violation panic")
@@ -146,8 +144,7 @@ func TestClusterHorizonGuard(t *testing.T) {
 // out of order. An arrival equal to the previous one is legal.
 func TestClusterPostOutOfOrderPanics(t *testing.T) {
 	c := NewCluster(1, 2, 1)
-	c.Bound(1000)
-	src := c.Source(c.Shard(0), c.Shard(1))
+	src := c.Source(c.Shard(0), c.Shard(1), 1000)
 	nop := func(any) {}
 	src.Post(2000, nil, nop, nil)
 	src.Post(2000, nil, nop, nil)
@@ -169,8 +166,7 @@ func TestClusterPostOutOfOrderPanics(t *testing.T) {
 // (one while any slot is set), here the receiving shard's inbox slot.
 func TestClusterPending(t *testing.T) {
 	c := NewCluster(1, 2, 1)
-	c.Bound(1000)
-	src := c.Source(c.Shard(0), c.Shard(1))
+	src := c.Source(c.Shard(0), c.Shard(1), 1000)
 	delivered := 0
 	for _, at := range []Time{1000, 1001, 1002} {
 		src.Post(at, nil, func(any) { delivered++ }, nil)
@@ -198,9 +194,8 @@ func TestClusterPending(t *testing.T) {
 // and delivered at the right time on the destination shard.
 func TestClusterPostAtHorizonOK(t *testing.T) {
 	c := NewCluster(1, 2, 2)
-	c.Bound(1000)
 	src, dst := c.Shard(0), c.Shard(1)
-	out := c.Source(src, dst)
+	out := c.Source(src, dst, 1000)
 	var deliveredAt Time = -1
 	src.After(0, func() {
 		out.Post(src.Now()+1000, nil, func(any) {
@@ -252,7 +247,6 @@ func TestNextAtLowerBound(t *testing.T) {
 // surfaces as the usual *BudgetExceeded panic on the coordinator.
 func TestClusterBudget(t *testing.T) {
 	c := NewCluster(1, 2, 2)
-	c.Bound(100)
 	for i := 0; i < 2; i++ {
 		e := c.Shard(i)
 		var spin func()
@@ -270,8 +264,8 @@ func TestClusterBudget(t *testing.T) {
 
 // setAdaptive toggles adaptive safe-horizon windows. On (the default),
 // window ends are derived per-window from each busy shard's next event
-// and pairwise lookaheads; off, every window is clipped to the static
-// global lookahead. The static bound is the reference these tests hold
+// and its sources' lookaheads; off, every window is clipped to the
+// minimum lookahead over all sources. The static bound is the reference these tests hold
 // the adaptive derivation to: the event schedule must be byte-identical
 // either way.
 func (c *Cluster) setAdaptive(on bool) { c.adaptive = on }
@@ -286,8 +280,7 @@ func staleClockTopology(adaptive bool) (*Cluster, *Time) {
 	c := NewCluster(1, 2, 1)
 	c.setAdaptive(adaptive)
 	s0, s1 := c.Shard(0), c.Shard(1)
-	out := c.Source(s1, s0)
-	out.Bound(10_000)
+	out := c.Source(s1, s0, 10_000)
 	deliveredAt := Time(-1)
 	s0.After(0, func() {
 		// at=12_000 respects out's declared bound against s1's parked
@@ -330,19 +323,17 @@ func TestClusterAdaptiveGuardFixedOK(t *testing.T) {
 }
 
 // runAsym is a workload where adaptive horizons should pay off: shard 0
-// steps densely but declares a wide outgoing bound (8000ns), while
-// shard 2 steps rarely with a tight bound (800ns) that also sets the
-// global floor. Static windows are clipped to the 800ns floor on every
-// round; adaptive windows stretch to shard 0's declared bound whenever
+// steps densely but declares a wide outgoing lookahead (8000ns), while
+// shard 2 steps rarely with a tight one (800ns), the minimum over all
+// sources. Static windows are clipped to that 800ns on every round;
+// adaptive windows stretch to shard 0's declared lookahead whenever
 // shard 2's next event is far away. Shard 1 only receives.
 func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats, uint64) {
 	t.Helper()
 	c := NewCluster(5, 3, 1)
 	c.setAdaptive(adaptive)
 	ae, be, ce := c.Shard(0), c.Shard(1), c.Shard(2)
-	ab, cb := c.Source(ae, be), c.Source(ce, be)
-	ab.Bound(8000)
-	cb.Bound(800)
+	ab, cb := c.Source(ae, be, 8000), c.Source(ce, be, 800)
 	var trace []string
 	rngA, rngC := c.Rand().Fork(), c.Rand().Fork()
 	var stepA, stepC func()
@@ -398,17 +389,16 @@ func TestClusterAdaptiveWindowsWider(t *testing.T) {
 // after it: 12 sources (a 4-shard full mesh) each park a sorted run of
 // messages, the drain moves them into the sources' inboxes, and the
 // destination engines deliver them through their slots. After warmup
-// nothing allocates — outboxes, inboxes, the active-source list and the
-// engines' event pools are all reused, so allocs/op ~ 0.
+// nothing allocates — outboxes and inboxes keep their capacity and a
+// delivery is a slot run, so allocs/op ~ 0.
 func BenchmarkClusterDrain(b *testing.B) {
 	const nShards, msgsPerSrc = 4, 64
 	c := NewCluster(1, nShards, 1)
-	c.Bound(100)
 	var srcs []*PostSource
 	for i := 0; i < nShards; i++ {
 		for j := 0; j < nShards; j++ {
 			if i != j {
-				srcs = append(srcs, c.Source(c.Shard(i), c.Shard(j)))
+				srcs = append(srcs, c.Source(c.Shard(i), c.Shard(j), 100))
 			}
 		}
 	}
@@ -437,7 +427,6 @@ func BenchmarkClusterDrain(b *testing.B) {
 // barrier, leaving later work pending.
 func TestClusterStop(t *testing.T) {
 	c := NewCluster(1, 2, 2)
-	c.Bound(100)
 	e := c.Shard(0)
 	ran := 0
 	var spin func()
@@ -462,8 +451,7 @@ func TestClusterSlotsFireNothing(t *testing.T) {
 	var delivered [2]int
 	for i := range 2 {
 		e := c.Shard(i)
-		out := c.Source(e, c.Shard(1-i))
-		out.Bound(1000)
+		out := c.Source(e, c.Shard(1-i), 1000)
 		var slice Slots
 		runs := 0
 		slice = e.NewSlots(1, func(int) {

@@ -3,16 +3,12 @@ package sim
 import "fmt"
 
 // The scheduler keeps two queues (DESIGN.md §2 "Engine internals"): a
-// binary min-heap of engine timers and control events, and the slot
-// group, a list of slots sorted in the same key order, which carries
-// almost all per-packet work. The run loop compares the heap's top with
-// the first slot and runs the earlier, so the heap stays shallow. Every
-// event keeps its heap index, so a cancel removes it at once.
-//
-// Events are pooled on a free list and recycled immediately after they
-// fire or are cancelled. A Timer handle therefore carries a generation
-// stamp: Stop on a handle whose event has been recycled (and possibly
-// rescheduled for an unrelated purpose) is a safe no-op.
+// binary min-heap of engine events, and the slot group, a list of slots
+// sorted in the same key order, which carries almost all per-packet work
+// and every cancellable timer. The run loop compares the heap's top with
+// the first slot and runs the earlier, so the heap stays shallow. A heap
+// event cannot be cancelled: an owner that re-arms or cancels a timer
+// keeps it in a slot and clears that.
 
 // fireKey is the firing order of events and slots: (at, schedAt, seq).
 // schedAt is the clock when the event was scheduled, so ties at the same
@@ -42,38 +38,7 @@ func (k *fireKey) less(o *fireKey) bool {
 // event is a scheduled callback, fired in fireKey order.
 type event struct {
 	fireKey
-	gen uint64 // bumped on every recycle; stale Timer handles mismatch
-	eng *Engine
-	idx int // position in the heap while pending
-
-	fn   func() // nil once recycled
-	next *event // free list link
-}
-
-// Timer is a generation-stamped handle to a scheduled event. The zero
-// Timer is valid and inert. Handles stay safe after their event fires:
-// the pooled event's generation is bumped on recycle, so Stop and
-// Pending on a stale handle are no-ops.
-type Timer struct {
-	ev  *event
-	gen uint64
-}
-
-// Pending reports whether the timer is scheduled and not yet fired or
-// stopped.
-func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
-
-// Stop cancels the timer. It reports whether the callback was prevented
-// from running (false when it already fired, was already stopped, or the
-// handle is stale).
-func (t *Timer) Stop() bool {
-	if !t.Pending() {
-		return false
-	}
-	e := t.ev.eng
-	e.remove(t.ev.idx)
-	e.recycle(t.ev)
-	return true
+	fn func()
 }
 
 // Engine is the discrete-event simulation core.
@@ -88,8 +53,7 @@ type Engine struct {
 	shard   int    // logical-process index when owned by a Cluster
 	group   group  // the slots reserved by NewSlots
 
-	heap []*event // pending events, a binary min-heap in fireKey order
-	free *event   // recycled event free list, linked via next
+	heap []event // pending events, a binary min-heap in fireKey order
 }
 
 // New returns an engine with its clock at zero, seeded with seed.
@@ -178,7 +142,7 @@ func (b *BudgetExceeded) Error() string {
 // *BudgetExceeded. 0 removes the cap.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
-// Pending returns the number of scheduled, uncancelled events, counting
+// Pending returns the number of pending heap events, counting
 // the slot group as one while any slot is set.
 func (e *Engine) Pending() int {
 	if e.group.head >= 0 {
@@ -187,34 +151,14 @@ func (e *Engine) Pending() int {
 	return len(e.heap)
 }
 
-// recycle returns an event that has left the heap to the pool,
-// invalidating all outstanding Timer handles to it.
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.next = e.free
-	e.free = ev
-}
-
 // At schedules fn to run at absolute time t, keyed (t, now, stamp()).
 // Scheduling in the past panics: it is always a simulation bug.
-func (e *Engine) At(t Time, fn func()) Timer {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.free
-	if ev == nil {
-		ev = &event{eng: e}
-	} else {
-		e.free = ev.next
-		ev.next = nil
-	}
-	ev.fireKey = fireKey{t, e.now, e.stamp()}
-	ev.fn = fn
-	ev.idx = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.up(ev.idx)
-	return Timer{ev: ev, gen: ev.gen}
+	e.heap = append(e.heap, event{fireKey{t, e.now, e.stamp()}, fn})
+	e.up(len(e.heap) - 1)
 }
 
 // stamp draws the next sequence number. With the clock it is the
@@ -226,11 +170,11 @@ func (e *Engine) stamp() uint64 {
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) Timer {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // Stop halts the run loop after the current event returns.
@@ -261,33 +205,23 @@ func (e *Engine) run(deadline Time) {
 	}
 }
 
-// fireOne pops the earliest event and runs it. The event is recycled
-// before the callback executes, so callbacks can schedule new work that
-// reuses it, and stale Stop calls are already no-ops.
+// fireOne pops the earliest event and runs it.
 func (e *Engine) fireOne() {
-	ev := e.heap[0]
-	e.remove(0)
+	h := e.heap
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the popped callback's reference
+	e.heap = h[:n]
+	if n > 0 {
+		e.down(0)
+	}
 	e.now = ev.at
-	fn := ev.fn
-	e.recycle(ev)
 	e.fired++
 	if e.budget > 0 && e.fired+e.inlined > e.budget {
 		e.overBudget()
 	}
-	fn()
-}
-
-// remove takes the event at heap index i out of the heap.
-func (e *Engine) remove(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
-	if i < n {
-		e.heap[i] = last
-		e.down(i)
-		e.up(i)
-	}
+	ev.fn()
 }
 
 func (e *Engine) up(i int) {
@@ -299,11 +233,9 @@ func (e *Engine) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = i
 		i = p
 	}
 	h[i] = ev
-	ev.idx = i
 }
 
 func (e *Engine) down(i int) {
@@ -321,9 +253,7 @@ func (e *Engine) down(i int) {
 			break
 		}
 		h[i] = h[c]
-		h[i].idx = i
 		i = c
 	}
 	h[i] = ev
-	ev.idx = i
 }

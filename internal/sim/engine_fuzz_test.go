@@ -4,13 +4,13 @@ import "testing"
 
 // FuzzEngineOrder runs a byte-coded program of At schedules, slot sets
 // and clears in two ranges of the engine's group, pushes onto queue
-// owners, timer cancels, clock moves (SetClock), event budgets and
-// bounded runs (RunUntil, Run) against the engine. A queue owner works as
-// a link does: it reserves its one slot on its first push, possibly
-// mid-run, stamps each push's key with Engine.Stamp, never pushes a time
-// before its last one, and keeps its slot set to its head with SetKey.
-// Every executed step's callback may schedule more work, set and clear
-// slots, push, cancel timers and stop the run. A reference model treats
+// owners, clock moves (SetClock), event budgets and bounded runs
+// (RunUntil, Run) against the engine. A queue owner works as a link
+// does: it reserves its one slot on its first push, possibly mid-run,
+// stamps each push's key with Engine.Stamp, never pushes a time before
+// its last one, and keeps its slot set to its head with SetKey. Every
+// executed step's callback may schedule more work, set and clear slots,
+// push and stop the run. A reference model treats
 // every set slot and every push as one event keyed (at, schedAt, seq)
 // with the key stamped at Set or push, and a cleared slot as a cancelled
 // one, orders all pending work by that key, and checks that:
@@ -19,11 +19,11 @@ import "testing"
 //   - a heap event moves Fired by one and a slot run never does: a slot
 //     run moves Inlined by one, and runs its own range's callback with
 //     the slot's index in that range, or its queue's head;
-//   - RunUntil leaves nothing due at or before its deadline, Timer.Stop
-//     reports liveness exactly, NextAt is the next step's time, heap top
-//     or first slot, Pending counts the heap's events plus one while any
-//     slot is set, IsSet is the reference's slot state, and the budget
-//     panics exactly at the first step past it.
+//   - RunUntil leaves nothing due at or before its deadline, NextAt is
+//     the next step's time, heap top or first slot, Pending counts the
+//     heap's events plus one while any slot is set, IsSet is the
+//     reference's slot state, and the budget panics exactly at the first
+//     step past it.
 func FuzzEngineOrder(f *testing.F) {
 	for _, p := range engineOrderSeeds() {
 		f.Add(p)
@@ -42,7 +42,6 @@ func FuzzEngineOrder(f *testing.F) {
 // Top-level program ops; each reads the arguments listed.
 const (
 	opAt       = iota // delay
-	opStop            // event index: Timer.Stop
 	opRunUntil        // delay: RunUntil(now+delay)
 	opRun             // Run to completion
 	opSetClock        // delay: SetClock(now+delay), clamped to the next event
@@ -53,17 +52,16 @@ const (
 	numOps
 )
 
-// Callback body ops (after a count byte); 0–3 schedule, 4–6 stop a
-// timer, 7 stops the run, 8 sets a group slot (slot, delay), 9 pushes
-// onto a queue owner (queue, delay), 10 clears a group slot (slot).
+// Callback body ops (after a count byte); 0–3 schedule, 4 stops the
+// run, 5 sets a group slot (slot, delay), 6 pushes onto a queue owner
+// (queue, delay), 7 clears a group slot (slot).
 const (
 	cbSchedule   = 0
-	cbStopTimer  = 4
-	cbStopEngine = 7
-	cbSet        = 8
-	cbPush       = 9
-	cbClear      = 10
-	numCbOps     = 11
+	cbStopEngine = 4
+	cbSet        = 5
+	cbPush       = 6
+	cbClear      = 7
+	numCbOps     = 8
 )
 
 // Delay classes (low two bits of the delay's first byte). The boundary
@@ -90,8 +88,7 @@ const (
 type refEvent struct {
 	at, schedAt Time
 	seq         uint64
-	timer       Timer
-	slot        bool // a group slot or push: no Timer, no heap event
+	slot        bool // a group slot or push, not a heap event
 	done        bool // run or cancelled
 }
 
@@ -194,8 +191,7 @@ func (m *orderModel) newStep(t Time) int {
 }
 
 func (m *orderModel) schedule(id int) {
-	ev := m.evs[id]
-	ev.timer = m.e.At(ev.at, func() { m.onFire(id) })
+	m.e.At(m.evs[id].at, func() { m.onFire(id) })
 }
 
 // setSlot sets group slot b%groupSlots at t unless it is already set.
@@ -251,23 +247,6 @@ func (m *orderModel) push(b byte, d Time) {
 	q.steps, q.keys = append(q.steps, ev), append(q.keys, k)
 	if len(q.steps) == 1 {
 		q.slot.SetKey(0, ev.at, k)
-	}
-}
-
-func (m *orderModel) stopTimer(i int) {
-	if len(m.evs) == 0 {
-		return
-	}
-	ev := m.evs[i%len(m.evs)]
-	if ev.slot {
-		return
-	}
-	want := !ev.done
-	if got := ev.timer.Stop(); got != want {
-		m.t.Fatalf("Timer.Stop = %t, want %t (at %v, now %v)", got, want, ev.at, m.now)
-	}
-	if want {
-		ev.done = true
 	}
 }
 
@@ -347,10 +326,8 @@ func (m *orderModel) step(ev *refEvent) {
 	}
 	for n := m.next() % 4; n > 0; n-- {
 		switch op := m.next() % numCbOps; {
-		case op < cbStopTimer:
-			m.schedule(m.newStep(m.now + m.delay()))
 		case op < cbStopEngine:
-			m.stopTimer(int(m.next()))
+			m.schedule(m.newStep(m.now + m.delay()))
 		case op == cbStopEngine:
 			m.e.Stop()
 			m.stopped = true
@@ -410,8 +387,6 @@ func (m *orderModel) run() {
 		switch m.next() % numOps {
 		case opAt:
 			m.schedule(m.newStep(m.now + m.delay()))
-		case opStop:
-			m.stopTimer(int(m.next()))
 		case opRunUntil:
 			if !m.runTo(m.now + m.delay()) {
 				return
@@ -528,12 +503,12 @@ func engineOrderSeeds() [][]byte {
 			[]byte{opRunUntil}, small(30),
 			[]byte{1}, cbSetOp(0, small(10)), []byte{1}, cbSetOp(1, small(0)),
 			[]byte{0}, []byte{0}, []byte{0}),
-		// Cancels, a callback that stops its own (spent) timer, stops the
+		// A cancel, a callback that clears its own (spent) slot, stops the
 		// run and sets a slot, which must then wait for the next run, and
 		// clock moves between runs.
-		cat([]byte{opAt}, small(50), []byte{opAt}, small(60), []byte{opStop, 1},
+		cat(set(0, small(50)), set(1, small(60)), clear(1),
 			[]byte{opSetClock}, small(40),
-			[]byte{opRunUntil}, small(100), []byte{3, cbStopTimer, 0, cbStopEngine}, cbSetOp(0, small(1)),
+			[]byte{opRunUntil}, small(100), []byte{3}, cbClearOp(0), []byte{cbStopEngine}, cbSetOp(0, small(1)),
 			[]byte{opAt}, cascade(1, 2), []byte{opSetClock}, cascade(1, 2), []byte{opRun}),
 		// Slot 2 fires and sets slots 3 and then 1 at one time: 3 has the
 		// earlier stamp and runs first (catches ties broken against stamp

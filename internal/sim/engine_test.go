@@ -84,31 +84,6 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestTimerStop(t *testing.T) {
-	e := New(1)
-	ran := false
-	tm := e.After(10, func() { ran = true })
-	if !tm.Stop() {
-		t.Fatal("first Stop returned false")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	e.Run()
-	if ran {
-		t.Fatal("cancelled timer still fired")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	e := New(1)
-	tm := e.After(10, func() {})
-	e.Run()
-	if tm.Stop() {
-		t.Fatal("Stop after firing returned true")
-	}
-}
-
 func TestEngineStop(t *testing.T) {
 	e := New(1)
 	count := 0
@@ -247,15 +222,83 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// TestPendingCount: Pending counts each heap event, and the slot group
+// as one while any slot is set; clearing the last set slot drops it.
 func TestPendingCount(t *testing.T) {
 	e := New(1)
-	t1 := e.After(10, func() {})
+	s := e.NewSlots(2, func(int) {})
 	e.After(20, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	s.Set(0, 10)
+	s.Set(1, 30)
+	for _, step := range []struct {
+		clear, want int
+	}{{-1, 2}, {0, 2}, {1, 1}} {
+		if step.clear >= 0 {
+			s.Clear(step.clear)
+		}
+		if got := e.Pending(); got != step.want {
+			t.Fatalf("Pending = %d after clearing slot %d, want %d", got, step.clear, step.want)
+		}
 	}
-	t1.Stop()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
+}
+
+// TestEngineOrderingAcrossDigitBoundaries schedules events at and
+// around 2^8, 2^16, 2^24 and past 2^32 ns (the digit boundaries and
+// horizon of the timing wheel the engine once was) in shuffled order and
+// verifies global (at, seq) firing order.
+func TestEngineOrderingAcrossDigitBoundaries(t *testing.T) {
+	e := New(1)
+	delays := []Time{
+		0, 1, 2, 255, 256, 257,
+		65535, 65536, 70000,
+		1 << 24, 1<<24 + 3,
+		1 << 32, 1<<32 + 1, 1 << 33,
+	}
+	perm := NewRand(9).Perm(len(delays))
+	type rec struct {
+		at  Time
+		idx int
+	}
+	var got []rec
+	for i, pi := range perm {
+		d := delays[pi]
+		i := i
+		e.At(d, func() { got = append(got, rec{e.Now(), i}) })
+	}
+	e.Run()
+	if len(got) != len(delays) {
+		t.Fatalf("fired %d of %d", len(got), len(delays))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].at < got[i-1].at {
+			t.Fatalf("out of time order at %d: %v < %v", i, got[i].at, got[i-1].at)
+		}
+		if got[i].at == got[i-1].at && got[i].idx < got[i-1].idx {
+			t.Fatalf("FIFO tie-break violated at %v", got[i].at)
+		}
+	}
+}
+
+// TestEngineFarEventFiresOnTime checks that an event 5·2^32 ns ahead
+// (past the horizon of the timing wheel the engine once was) fires at
+// exactly its scheduled time while nearer events come and go.
+func TestEngineFarEventFiresOnTime(t *testing.T) {
+	e := New(1)
+	const far = Time(5) << 32
+	var at Time
+	e.At(far, func() { at = e.Now() })
+	// Keep the engine busy on the way there.
+	n := 0
+	var hop func()
+	hop = func() {
+		n++
+		if n < 100 {
+			e.After(1<<20, hop)
+		}
+	}
+	e.After(0, hop)
+	e.Run()
+	if at != far {
+		t.Fatalf("far event fired at %v, want %v", at, far)
 	}
 }

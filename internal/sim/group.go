@@ -5,11 +5,12 @@ import "slices"
 // group holds every slot of an engine: the engine's second queue, next
 // to its heap. A slot holds at most one pending firing of its owner's
 // callback, keyed exactly as an At schedule would be: (at, schedAt,
-// seq), and Clear cancels it as Timer.Stop cancels an event. Set stamps
-// the tie-break half from the engine then; SetKey takes one stamped
-// earlier with Engine.Stamp, so an owner with several firings pending
-// in FIFO order (a link with frames on the wire) keeps one slot set to
-// its head under the key the head's own event would have had. Set slots are linked in key order, and the engine's run loop
+// seq), and Clear cancels it; a slot is the engine's only cancellable
+// timer. Set stamps the tie-break half from the engine then; SetKey
+// takes one stamped earlier with Engine.Stamp, so an owner with several
+// firings pending in FIFO order (a link with frames on the wire) keeps
+// one slot set to its head under the key the head's own event would
+// have had. Set slots are linked in key order, and the engine's run loop
 // compares the first with the heap's top by the whole key and runs the
 // earlier: the group runs its first slot, then each next first slot for
 // as long as it still comes before the heap's top and within the run's

@@ -10,11 +10,11 @@ import (
 
 // TestBulkAllocs bounds the heap allocations per delivered segment of a
 // bulk TCP connection over the overlay, after a warmup that fills the
-// pools and caches. A data segment's continuation and the delayed-ACK
-// timer are bound once per connection and the TCP header travels by
-// value, so a segment costs 0.63 allocations, all of them GRO's; a
-// closure per segment or per timer arm adds one or more allocations per
-// segment here. The count is the process-wide malloc delta, so the test
+// pools and caches. A data segment's continuation is bound once per
+// connection, its timers are slots reserved at Dial, and the TCP header
+// travels by value, so a segment costs 0.63 allocations, all of them
+// GRO's; a closure per segment or per timer arm adds one or more
+// allocations per segment here. The count is the process-wide malloc delta, so the test
 // does not run in parallel.
 func TestBulkAllocs(t *testing.T) {
 	const limit = 0.8 // allocations per delivered segment
@@ -39,11 +39,11 @@ func TestBulkAllocs(t *testing.T) {
 	}
 }
 
-// TestTimerArmAllocs pins the bound-once contract of the connection's
-// timers: re-arming the RTO, and one delayed-ACK cycle (arm, then
-// sendAck stops the timer), allocate nothing on a live connection. Each
-// schedules the method value Dial bound; taking c.onRTO or
-// c.onDelayedAck at the schedule would allocate one closure per arm.
+// TestTimerArmAllocs pins that the connection's timers cost nothing to
+// arm: re-arming the RTO, and one delayed-ACK cycle (arm, then sendAck
+// clears the timer), allocate nothing on a live connection. Each sets a
+// slot Dial reserved; scheduling an engine event with c.onRTO or
+// c.onDelayedAck instead would allocate one closure per arm.
 // The cycle runs the engine until its ACK has reached the sender, so the
 // ACK's buffers go back to their pools.
 func TestTimerArmAllocs(t *testing.T) {

@@ -79,9 +79,7 @@ type Conn struct {
 	dupAcks   int
 	inFastRec bool
 	recover   uint64
-	rtoTimer  sim.Timer
 	rto       sim.Time
-	rtoFire   func()        // c.onRTO, bound once: armRTO's callback
 	sent      func(ok bool) // c.onSent, bound once: trySend's continuation
 
 	// RTT estimation (Jacobson/Karn): one timed segment at a time,
@@ -100,10 +98,13 @@ type Conn struct {
 	rcvNxt   uint64
 	oooSegs  map[uint64]*skb.SKB // seq → buffered out-of-order segment
 	ackEvery int                 // delayed-ACK segment counter
-	ackTimer sim.Timer
-	ackFire  func() // c.onDelayedAck, bound once: armDelayedAck's callback
-	ackCore  int    // the receiver core the delayed ACK goes out on
+	ackCore  int                 // the receiver core the delayed ACK goes out on
 	sock     *socket.Socket
+
+	// timers holds the retransmit (slotRTO) and delayed-ACK (slotAck)
+	// timers, re-armed and cancelled in place as the kernel's per-socket
+	// timer_lists are.
+	timers sim.Slots
 
 	// Diagnostics.
 	Retransmits   stats.Counter
@@ -137,7 +138,8 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 		rto:      DefaultRTO,
 		oooSegs:  make(map[uint64]*skb.SKB),
 	}
-	c.rtoFire, c.ackFire, c.sent = c.onRTO, c.onDelayedAck, c.onSent
+	c.sent = c.onSent
+	c.timers = c.e.NewSlots(2, c.onTimer)
 	if cfg.SenderCtr != nil {
 		c.srcIP = cfg.SenderCtr.IP
 	} else {
@@ -178,8 +180,8 @@ func (c *Conn) Close() {
 	c.closed = true
 	c.continuous = false
 	c.pendingMsgs = 0
-	c.rtoTimer.Stop()
-	c.ackTimer.Stop()
+	c.timers.Clear(slotRTO)
+	c.timers.Clear(slotAck)
 	// Buffered out-of-order segments will never be delivered.
 	for seq, s := range c.oooSegs {
 		delete(c.oooSegs, seq)
@@ -273,18 +275,32 @@ func (c *Conn) transmit(seq uint64, isRetrans bool, done func(ok bool)) {
 	}
 }
 
-// armRTO (re)starts the retransmission timer. This runs once per
-// transmitted segment, so it schedules the callback bound at Dial
-// instead of allocating a method value.
+// The connection's timers, slots of Conn.timers.
+const (
+	slotRTO = iota
+	slotAck
+)
+
+// onTimer is the timers' callback.
+func (c *Conn) onTimer(slot int) {
+	if slot == slotRTO {
+		c.onRTO()
+	} else {
+		c.onDelayedAck()
+	}
+}
+
+// armRTO (re)starts the retransmission timer.
 func (c *Conn) armRTO() {
-	c.rtoTimer.Stop()
-	c.rtoTimer = c.e.After(c.rto, c.rtoFire)
+	c.timers.Clear(slotRTO)
+	c.timers.Set(slotRTO, c.e.Now()+c.rto)
 }
 
 // onRTO fires when the oldest segment went unacknowledged too long:
-// collapse the window and go-back-N from sndUna.
+// collapse the window and go-back-N from sndUna. Close cancels the
+// timer, so it never fires on a closed connection.
 func (c *Conn) onRTO() {
-	if c.closed || c.sndUna == c.sndNxt {
+	if c.sndUna == c.sndNxt {
 		return
 	}
 	c.Timeouts.Inc()

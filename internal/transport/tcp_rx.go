@@ -77,19 +77,19 @@ func (c *Conn) deliver(core *cpu.Core, s *skb.SKB, payload uint64) {
 }
 
 // armDelayedAck schedules a flush ACK so a lone segment is still
-// acknowledged promptly (the kernel's delayed-ACK timer). Like armRTO it
-// schedules the callback bound at Dial.
+// acknowledged promptly (the kernel's delayed-ACK timer).
 func (c *Conn) armDelayedAck(core *cpu.Core) {
-	if c.ackTimer.Pending() {
+	if c.timers.IsSet(slotAck) {
 		return
 	}
 	c.ackCore = core.ID()
-	c.ackTimer = c.e.After(delayedAckTimeout, c.ackFire)
+	c.timers.Set(slotAck, c.e.Now()+delayedAckTimeout)
 }
 
-// onDelayedAck fires when the delayed-ACK timer expires.
+// onDelayedAck fires when the delayed-ACK timer expires. Close cancels
+// the timer, so it never fires on a closed connection.
 func (c *Conn) onDelayedAck() {
-	if c.ackEvery > 0 && !c.closed {
+	if c.ackEvery > 0 {
 		c.sendAck(c.cfg.ReceiverHost.M.Core(c.ackCore), false)
 	}
 }
@@ -99,7 +99,7 @@ func (c *Conn) onDelayedAck() {
 // sender.
 func (c *Conn) sendAck(core *cpu.Core, immediate bool) {
 	c.ackEvery = 0
-	c.ackTimer.Stop()
+	c.timers.Clear(slotAck)
 	c.AcksSent.Inc()
 	hdr := proto.TCPHdr{
 		SrcPort: c.cfg.DstPort,
@@ -163,7 +163,7 @@ func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			}
 		}
 		if c.sndUna == c.sndNxt {
-			c.rtoTimer.Stop() // everything acknowledged
+			c.timers.Clear(slotRTO) // everything acknowledged
 		} else if c.sndUna < c.sndNxt {
 			c.armRTO()
 		}

@@ -155,6 +155,10 @@ func TestTCPCloseStopsTraffic(t *testing.T) {
 	c := dialOverlay(t, b, 1024)
 	c.StartContinuous()
 	b.e.RunUntil(5 * sim.Millisecond)
+	if c.Outstanding() == 0 {
+		t.Fatal("nothing in flight at close: the retransmit timer is not armed")
+	}
+	timeouts := c.Timeouts.Value()
 	c.Close()
 	delivered := c.Socket().Delivered.Value()
 	b.e.RunUntil(10 * sim.Millisecond)
@@ -162,6 +166,30 @@ func TestTCPCloseStopsTraffic(t *testing.T) {
 	after := c.Socket().Delivered.Value()
 	if after > delivered+uint64(2*MaxCwnd) {
 		t.Fatalf("traffic continued after close: %d -> %d", delivered, after)
+	}
+	// Close cancels the retransmit timer: the engine drains without it
+	// firing on the data left unacknowledged.
+	b.e.Run()
+	if n := c.Timeouts.Value(); n != timeouts {
+		t.Fatalf("%d retransmit timeouts after close", n-timeouts)
+	}
+}
+
+// TestTCPCloseCancelsDelayedAck: a lone segment arms the delayed-ACK
+// timer, and Close cancels it, so no ACK goes out after the close.
+func TestTCPCloseCancelsDelayedAck(t *testing.T) {
+	b := newBed(t, 100*devices.Gbps, 0)
+	c := dialOverlay(t, b, 1024)
+	c.Send(1)
+	b.e.RunUntil(delayedAckTimeout / 2)
+	if c.SegsDelivered.Value() != 1 || c.AcksSent.Value() != 0 {
+		t.Fatalf("%d segments delivered, %d ACKs sent; want the lone segment awaiting its delayed ACK",
+			c.SegsDelivered.Value(), c.AcksSent.Value())
+	}
+	c.Close()
+	b.e.Run()
+	if n := c.AcksSent.Value(); n != 0 {
+		t.Fatalf("%d ACKs sent after close", n)
 	}
 }
 
