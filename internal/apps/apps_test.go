@@ -151,12 +151,16 @@ func TestMemcachedReset(t *testing.T) {
 		Connections: 5, ClientCoreBase: 2, ThinkTime: sim.Millisecond,
 	}, 30*sim.Millisecond)
 	tb.Run(10 * sim.Millisecond)
-	m.ResetMeasurement()
-	if m.Completed() != 0 {
-		t.Fatal("reset incomplete")
+	begin := m.Completed()
+	m.ResetLatency()
+	if m.Latency().Count != 0 {
+		t.Fatal("latency reset incomplete")
+	}
+	if m.Completed() != begin {
+		t.Fatal("a latency reset rewound the completed count")
 	}
 	tb.Run(30 * sim.Millisecond)
-	if m.Completed() == 0 {
+	if m.Completed() == begin || m.Latency().Count == 0 {
 		t.Fatal("no ops after reset")
 	}
 }

@@ -119,12 +119,11 @@ func (m *Memcached) Completed() uint64 {
 	return n
 }
 
-// ResetMeasurement clears client-side histograms (for warm-up windows).
-func (m *Memcached) ResetMeasurement() {
+// ResetLatency starts a fresh latency window: it clears the client-side
+// round-trip histograms. Counters keep counting; a window's count is the
+// difference of two reads.
+func (m *Memcached) ResetLatency() {
 	for _, c := range m.Conns {
 		c.RTT.Reset()
-		c.Completed.Reset()
 	}
-	m.Gets.Reset()
-	m.Sets.Reset()
 }

@@ -256,10 +256,11 @@ func opBySize(size int) *WebOp {
 	return nil
 }
 
-// ResetMeasurement clears per-op stats for a fresh window.
-func (w *Web) ResetMeasurement() {
+// ResetLatency starts a fresh latency window: it clears the per-op
+// response and delay histograms. Completed keeps counting; a window's
+// count is the difference of two reads.
+func (w *Web) ResetLatency() {
 	for _, st := range w.Stats {
-		st.Completed.Reset()
 		st.Resp.Reset()
 		st.Delay.Reset()
 	}

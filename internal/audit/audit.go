@@ -94,7 +94,6 @@ type Auditor struct {
 	lazyQueues []func(yield func(name string, q *skb.Queue))
 	watches    []*watch
 	dumps      []func(w io.Writer)
-	rebase     bool
 
 	// mu orders violation reporting: per-packet hooks on different
 	// shards may violate concurrently (cold path — every report is
@@ -165,30 +164,14 @@ func (a *Auditor) onTimer(int) {
 	a.timer.Set(0, a.E.Now()+checkEvery)
 }
 
-// NoteReset tells the auditor that external measurement counters are
-// being reset (MeasureWindow / Host.ResetMeasurement). The next sweep
-// re-bases every balance instead of comparing across the discontinuity.
-func (a *Auditor) NoteReset() {
-	a.rebase = true
-	a.traceNote("external-reset")
-}
-
 // runChecks is one periodic sweep: queue validation, conservation
-// balances (or a re-base after an external counter reset), then the
-// watchdog scan.
+// balances, then the watchdog scan.
 func (a *Auditor) runChecks() {
 	a.traceNote("check")
 	a.checkQueues()
-	if a.rebase {
-		a.rebase = false
-		for _, b := range a.balances {
-			b.prime()
-		}
-	} else {
-		for _, b := range a.balances {
-			if msg := b.check(); msg != "" {
-				a.violate("conservation", "%s", msg)
-			}
+	for _, b := range a.balances {
+		if msg := b.check(); msg != "" {
+			a.violate("conservation", "%s", msg)
 		}
 	}
 	a.scanWatches()

@@ -184,29 +184,6 @@ func TestAddLHSKeepsOtherBaselines(t *testing.T) {
 	}
 }
 
-func TestNoteResetRebasesInsteadOfComparing(t *testing.T) {
-	e, a, got := collector(t, Config{})
-	var injected, delivered uint64
-	a.Balance("pkts",
-		[]Term{T("injected", func() uint64 { return injected })},
-		[]Term{T("delivered", func() uint64 { return delivered })})
-	e.RunUntil(sim.Millisecond)
-	// External measurement reset: one side rewinds to zero mid-run.
-	injected, delivered = 7, 7
-	delivered = 0
-	a.NoteReset()
-	e.RunUntil(2 * sim.Millisecond)
-	if len(*got) != 0 {
-		t.Fatalf("rebase sweep still compared across the reset: %v", *got)
-	}
-	// After the rebase the equation must hold again from the new base.
-	injected, delivered = 9, 2
-	e.RunUntil(3 * sim.Millisecond)
-	if len(*got) != 0 {
-		t.Fatalf("post-rebase balanced deltas violated: %v", *got)
-	}
-}
-
 func TestWatchdogFiresOnStall(t *testing.T) {
 	e, a, got := collector(t, Config{})
 	a.Watch("core7", func() WatchState {

@@ -10,9 +10,8 @@ import (
 )
 
 // Term is one named counter in a conservation equation. Fn is sampled
-// at every sweep; the balance compares deltas since its baseline so
-// external counter resets (MeasureWindow) only need a re-base, never a
-// restart.
+// at every sweep; the balance compares deltas since its baseline, which
+// holds because no counter ever rewinds.
 type Term struct {
 	Name string
 	Fn   func() uint64

@@ -33,7 +33,7 @@ func (l *Ledger) trace(kind byte, label string, seq uint64, gen uint32) {
 	}
 }
 
-// traceNote records a coordinator-side note (sweeps, resets). It lands
+// traceNote records a coordinator-side note (a sweep). It lands
 // in the first ledger's ring so a serial run's dump stays byte-for-byte
 // what it was before sharding.
 func (a *Auditor) traceNote(label string) {

@@ -179,7 +179,7 @@ func (f *Falcon) GetCPU(s *skb.SKB, ifindex int) (int, bool) {
 			f.Faults.Fallbacks.Inc()
 			return 0, false
 		}
-		if first := cpus[int(skb.DeviceFlowHash(s.Hash, ifindex))%len(cpus)]; !f.isHealthy(first) {
+		if first := cpus[skb.DeviceFlowHash(s.Hash, ifindex)%uint32(len(cpus))]; !f.isHealthy(first) {
 			f.Faults.Rerouted.Inc()
 		}
 		cpus = f.healthy
@@ -200,14 +200,14 @@ func (f *Falcon) GetCPU(s *skb.SKB, ifindex int) (int, bool) {
 		return best, true
 	}
 	hash := skb.DeviceFlowHash(s.Hash, ifindex)
-	cpu1 := cpus[int(hash)%n]
+	cpu1 := cpus[hash%uint32(n)]
 	if f.m.Load.Load(cpu1) < f.cfg.LoadThreshold || !f.cfg.TwoChoice {
 		f.firstChoice++
 		return cpu1, true
 	}
 	hash = skb.Hash32(hash)
 	f.secondChoice++
-	return cpus[int(hash)%n], true
+	return cpus[hash%uint32(n)], true
 }
 
 // GROSplitOn reports whether softirq splitting of the pNIC stage should

@@ -28,7 +28,7 @@ type Model struct {
 // Cost returns the cost of invoking f over the given byte count.
 func (m *Model) Cost(f Func, bytes int) sim.Time {
 	e := m.entries[f]
-	return sim.Time(e.Base + e.PerByte*float64(bytes))
+	return sim.Time(e.Base + float64(e.PerByte*float64(bytes)))
 }
 
 // Base returns the per-invocation base cost of f.

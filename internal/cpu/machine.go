@@ -127,12 +127,12 @@ func (m *Machine) armTick() {
 	m.slices.Set(i, now+tickPeriod-(now-m.tickPhase)%tickPeriod)
 }
 
-// ResetMeasurement starts the CPU ledger's measurement window and
-// clears the IRQ counters at the current time — used to discard warm-up
-// before a measured window.
+// ResetMeasurement starts the CPU ledger's measurement window at the
+// current time — used to discard warm-up before a measured window. The
+// ledger's window shares are the one CPU view a difference of two reads
+// cannot give; every counter, IRQ included, keeps counting.
 func (m *Machine) ResetMeasurement() {
 	m.Acct.reset(int64(m.E.Now()))
-	m.IRQ.Reset()
 }
 
 // workItem is one non-preemptible slice of CPU work.

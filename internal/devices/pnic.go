@@ -62,8 +62,6 @@ type PNIC struct {
 
 	// Drops counts frames rejected by full rings.
 	Drops stats.Counter
-	// HardIRQs counts interrupt activations (coalesced).
-	HardIRQs stats.Counter
 }
 
 type nicQueue struct {
@@ -116,7 +114,6 @@ func (n *PNIC) queue(core int) *nicQueue {
 				return
 			}
 			q.active = true
-			n.HardIRQs.Inc()
 			n.St.M.IRQ.Inc(q.core, stats.IRQHard)
 			n.St.M.Core(q.core).Exec(stats.CtxHardIRQ, costmodel.FnHardIRQ, 0, q.raiseFn)
 		}

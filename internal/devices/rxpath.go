@@ -300,7 +300,7 @@ func (rx *RxPath) groStage(c *cpu.Core, s *skb.SKB, done func()) {
 		segs = 1
 	}
 	e := rx.St.M.Model.Get(costmodel.FnGROReceive)
-	cost := sim.Time(e.Base*float64(segs) + e.PerByte*float64(bytes))
+	cost := sim.Time(float64(e.Base*float64(segs)) + float64(e.PerByte*float64(bytes)))
 	c.Submit(stats.CtxSoftIRQ, costmodel.FnGROReceive, cost, w.afterGRO)
 }
 

@@ -52,19 +52,23 @@ func (r cacheRun) softirqNsPerPkt() float64 {
 }
 
 // cacheStress runs the Fig. 10 3-client UDP stress with the requested
-// datapath configuration and keeps the server's cache counters.
+// datapath configuration and keeps the server's cache counts over the
+// measured window.
 func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun {
 	o := opt
 	o.RxCache = cache
 	tb := newSingleFlowBed(mode, o, 100*devices.Gbps, false)
 	until := o.warmup() + o.window() + 5*sim.Millisecond
 	sock, _ := tb.StressFlood(true, 3, size, singleFlowAppCore, until)
+	srv := tb.Server
+	tb.Run(o.warmup())
+	hits, misses, stale := srv.RxCacheHits.Value(), srv.RxCacheMisses.Value(), srv.RxCacheStale.Value()
 	res := workload.MeasureWindow(tb, []*socket.Socket{sock}, o.warmup(), o.window())
 	return cacheRun{
 		res:     res,
-		hits:    tb.Server.RxCacheHits.Value(),
-		misses:  tb.Server.RxCacheMisses.Value(),
-		stale:   tb.Server.RxCacheStale.Value(),
+		hits:    srv.RxCacheHits.Value() - hits,
+		misses:  srv.RxCacheMisses.Value() - misses,
+		stale:   srv.RxCacheStale.Value() - stale,
 		fired:   tb.E.Fired(),
 		inlined: tb.E.Inlined(),
 	}
@@ -80,10 +84,10 @@ func runMeshCache(opt Options, cache bool) (float64, stats.Summary, uint64, uint
 	var delivered, hits, misses uint64
 	agg := stats.NewHistogram()
 	for _, n := range nodes {
-		delivered += n.sock.Delivered.Value()
+		delivered += n.sock.Delivered.Value() - n.delivered0
 		agg.Merge(n.sock.Latency)
-		hits += n.host.RxCacheHits.Value()
-		misses += n.host.RxCacheMisses.Value() + n.host.RxCacheStale.Value()
+		hits += n.host.RxCacheHits.Value() - n.hits0
+		misses += n.host.RxCacheMisses.Value() + n.host.RxCacheStale.Value() - n.misses0
 	}
 	return stats.Rate(delivered, int64(o.window())), agg.Summarize(), hits, misses
 }

@@ -68,7 +68,7 @@ func (b hotPathBed) run() cacheRun {
 		c := sim.NewCluster(b.opt.seed(), b.shards, 1)
 		var res workload.Result
 		for _, n := range runMesh(c, b.opt) {
-			res.Delivered += n.sock.Delivered.Value()
+			res.Delivered += n.sock.Delivered.Value() - n.delivered0
 		}
 		return cacheRun{res: res, fired: c.Fired(), inlined: c.Inlined()}
 	}

@@ -116,15 +116,18 @@ func runChaosScenario(mode workload.Mode, opt Options, sc chaosScenario) chaosOu
 	f.SendAtRate(chaosRate, until)
 
 	// Per-ms delivery snapshots across the measurement window. Bucket 0
-	// stays zero: MeasureWindow resets the counter at warmup.
+	// is read when the window starts.
 	samples := sampleDelivered(tb, opt.warmup(), 1, int(opt.window()/sim.Millisecond), f.Sock)
 
+	tb.Run(opt.warmup())
+	samples[0] = f.Sock.Delivered.Value()
+	resolveDrops, kvRetries := tb.Client.TxResolveDrops.Value(), tb.Client.KVRetries.Value()
 	res := workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
 	out := chaosOutcome{
 		Res: res,
 		Drops: res.NICDrops + res.BacklogDrops + res.SocketDrops +
-			tb.Client.TxResolveDrops.Value(),
-		KVRetries: tb.Client.KVRetries.Value(),
+			tb.Client.TxResolveDrops.Value() - resolveDrops,
+		KVRetries: tb.Client.KVRetries.Value() - kvRetries,
 	}
 	if sc.key != "none" {
 		out.RecoverMs = chaosRecoveryMs(samples, fStart, fStart+fDur)

@@ -64,11 +64,15 @@ func fig17(opt Options) []*stats.Table {
 			ThinkTime: think,
 		}, stop)
 		tb.Run(opt.warmup() * 3)
-		w.ResetMeasurement()
+		w.ResetLatency()
+		begin := make([]uint64, len(w.Stats))
+		for i, st := range w.Stats {
+			begin[i] = st.Completed.Value()
+		}
 		tb.Run(3*opt.warmup() + 3*opt.window())
 		ops := make([]webOp, len(w.Stats))
 		for i, st := range w.Stats {
-			ops[i] = webOp{st.Op.Name, st.Completed.Value(), st.Resp.Mean(), st.Delay.Mean()}
+			ops[i] = webOp{st.Op.Name, st.Completed.Value() - begin[i], st.Resp.Mean(), st.Delay.Mean()}
 		}
 		return ops
 	}
@@ -118,14 +122,15 @@ func fig18(opt Options) []*stats.Table {
 			stop := 2*opt.warmup() + 2*opt.window()
 			m := startMemcachedOn(tb, threads, 100, think/sim.Time(threads), stop)
 			tb.Run(2 * opt.warmup())
-			m.ResetMeasurement()
+			m.ResetLatency()
+			begin := m.Completed()
 			tb.Run(2*opt.warmup() + 2*opt.window())
 			lat := m.Latency()
 			mode := workload.ModeCon
 			if falconOn {
 				mode = workload.ModeFalcon
 			}
-			ops := float64(m.Completed()) / (2 * opt.window()).Seconds()
+			ops := float64(m.Completed()-begin) / (2 * opt.window()).Seconds()
 			t.AddRow(fCount(threads), stats.Text(mode.String()),
 				fUs(int64(lat.Mean)), fUs(lat.P99), stats.Num("%.0f", ops))
 		}

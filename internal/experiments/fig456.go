@@ -139,7 +139,7 @@ func fig6(opt Options) []*stats.Table {
 	sock, _ := tb.StressFlood(true, 3, 1024, singleFlowAppCore, until)
 	_ = sock
 	tb.Run(opt.warmup())
-	tb.Server.ResetMeasurement()
+	tb.Server.M.ResetMeasurement()
 	tb.Run(opt.warmup() + opt.window())
 	tables = append(tables, tb.Server.M.Acct.Table("Fig 6 (sockperf, overlay): CPU share by function", 10))
 	tables = append(tables, inclusiveStageShares(tb.Server.M.Acct,
@@ -151,7 +151,7 @@ func fig6(opt Options) []*stats.Table {
 	m := startMemcachedOn(tbm, 10, 100, 200*sim.Microsecond, until)
 	_ = m
 	tbm.Run(opt.warmup())
-	tbm.Server.ResetMeasurement()
+	tbm.Server.M.ResetMeasurement()
 	tbm.Run(opt.warmup() + opt.window())
 	tables = append(tables, tbm.Server.M.Acct.Table("Fig 6 (memcached, overlay): CPU share by function", 10))
 	tables = append(tables, inclusiveStageShares(tbm.Server.M.Acct,

@@ -28,7 +28,7 @@ func fig9a(opt Options) []*stats.Table {
 		c := mustDial(tb, newTCPConfig(tb, workload.ModeCon, size, 0))
 		c.StartContinuous()
 		tb.Run(opt.warmup())
-		tb.Server.ResetMeasurement()
+		tb.Server.M.ResetMeasurement()
 		tb.Run(opt.warmup() + opt.window())
 		acct := tb.Server.M.Acct
 		// Shares of the NAPI core's softirq time.

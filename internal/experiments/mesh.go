@@ -44,6 +44,10 @@ type meshNode struct {
 	seq     uint64
 	stopped bool
 	until   sim.Time
+
+	// Counts when the measured window began: a window's count is its
+	// end read minus these.
+	delivered0, sockDrops0, hits0, misses0 uint64
 }
 
 func (n *meshNode) start(until sim.Time) {
@@ -115,8 +119,9 @@ func buildMesh(e sim.Sim, opt Options) []*meshNode {
 }
 
 // runMesh builds the ring on e, starts every node's sender, runs the
-// warm-up, resets the measurement counters and runs one measured window.
-// The engine comes back parked at the window's end.
+// warm-up, reads every node's counts and starts its latency window, and
+// runs one measured window. The engine comes back parked at the window's
+// end.
 func runMesh(e sim.Sim, opt Options) []*meshNode {
 	nodes := buildMesh(e, opt)
 	warmup, window := opt.warmup(), opt.window()
@@ -126,8 +131,9 @@ func runMesh(e sim.Sim, opt Options) []*meshNode {
 	}
 	e.RunUntil(warmup)
 	for _, n := range nodes {
-		n.host.ResetMeasurement()
-		n.sock.ResetMeasurement()
+		n.sock.Latency.Reset()
+		n.delivered0, n.sockDrops0 = n.sock.Delivered.Value(), n.sock.SocketDrops.Value()
+		n.hits0, n.misses0 = n.host.RxCacheHits.Value(), n.host.RxCacheMisses.Value()+n.host.RxCacheStale.Value()
 	}
 	e.RunUntil(warmup + window)
 	return nodes
@@ -149,12 +155,12 @@ func mesh8(opt Options) []*stats.Table {
 	agg := stats.NewHistogram()
 	for i, n := range nodes {
 		s := n.sock.Latency.Summarize()
-		d := n.sock.Delivered.Value()
+		d := n.sock.Delivered.Value() - n.delivered0
 		total += d
 		agg.Merge(n.sock.Latency)
 		t.AddRow(stats.Text(fmt.Sprintf("m%d", i)),
 			fKpps(stats.Rate(d, int64(window))), fUs(s.P50), fUs(s.P99), fUs(s.P999),
-			fCount(n.sock.SocketDrops.Value()))
+			fCount(n.sock.SocketDrops.Value()-n.sockDrops0))
 	}
 	a := agg.Summarize()
 	t.AddRow(stats.Text("aggregate"), fKpps(stats.Rate(total, int64(window))), fUs(a.P50), fUs(a.P99), fUs(a.P999), stats.Text("-"))

@@ -85,11 +85,8 @@ func (d Drops) String() string {
 }
 
 // Drops takes the host's drop census now: its own counters plus its
-// egress links (each link belongs to its sending host).
-//
-// ResetMeasurement clears the resolve, build, NIC, backlog, L4 and crash
-// counters but not Rx.PathDrops or the link counters, so a census must
-// not be differenced across a reset.
+// egress links (each link belongs to its sending host). No counter it
+// reads ever rewinds, so a window's drops are the Sub of two censuses.
 func (h *Host) Drops() Drops {
 	d := Drops{
 		BucketResolve: h.TxResolveDrops.Value(),

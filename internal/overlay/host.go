@@ -152,9 +152,6 @@ type Host struct {
 	// OnSocketOpen observes every OpenUDP socket; the audit harness
 	// uses it to register receive queues and delivery counters.
 	OnSocketOpen func(port uint16, sk *socket.Socket)
-	// OnReset fires when ResetMeasurement clears counters, so external
-	// observers comparing counter deltas can re-base.
-	OnReset func()
 
 	// txPending gauges messages inside sendL4 that have neither
 	// produced an SKB nor been counted as a drop yet (asynchronous KV
@@ -576,25 +573,4 @@ func (h *Host) deliverL4(c *cpu.Core, s *skb.SKB, done func()) {
 	op := h.getL4Op()
 	op.h, op.c, op.s, op.f, op.done = h, c, s, f, done
 	c.Exec(stats.CtxSoftIRQ, l4, 0, op.run)
-}
-
-// ResetMeasurement clears the host's accounting for a fresh window.
-func (h *Host) ResetMeasurement() {
-	h.M.ResetMeasurement()
-	h.NIC.Drops.Reset()
-	h.NIC.HardIRQs.Reset()
-	h.St.Drops.Reset()
-	h.L4Drops.Reset()
-	h.TxResolveDrops.Reset()
-	h.TxBuildDrops.Reset()
-	h.KVRetries.Reset()
-	h.NegCacheHits.Reset()
-	h.CrashDrops.Reset()
-	h.StaleServes.Reset()
-	h.RxCacheHits.Reset()
-	h.RxCacheMisses.Reset()
-	h.RxCacheStale.Reset()
-	if h.OnReset != nil {
-		h.OnReset()
-	}
 }

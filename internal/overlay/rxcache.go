@@ -90,7 +90,7 @@ func (rc *rxCache) Probe(core int, s *skb.SKB) (sim.Time, bool) {
 		return 0, false
 	}
 	if !h.evicted(&e.stamp, e.srcHostIP) {
-		cost := sim.Time(e.base + e.perByte*float64(s.Len()-proto.OverlayOverhead))
+		cost := sim.Time(e.base + float64(e.perByte*float64(s.Len()-proto.OverlayOverhead)))
 		if h.fresh(&e.stamp) {
 			h.RxCacheHits.Inc()
 			return cost, true

@@ -178,7 +178,7 @@ func genFault(r *sim.Rand, sc Scenario) FaultSpec {
 	ft.ForMs = 1 + r.Intn(max(1, sc.WindowMs/4))
 	switch ft.Kind {
 	case "link-loss":
-		ft.Rate = 0.02 + 0.13*r.Float64()
+		ft.Rate = 0.02 + float64(0.13*r.Float64())
 	case "link-jitter":
 		ft.Amount = 10 + r.Intn(150) // µs
 	case "ring-shrink":
@@ -187,10 +187,10 @@ func genFault(r *sim.Rand, sc Scenario) FaultSpec {
 		ft.Cores = []int{sc.FalconCPUs[r.Intn(len(sc.FalconCPUs))]}
 	case "kv-flaky":
 		ft.Amount = 20 + r.Intn(80) // µs
-		ft.Rate = 0.1 + 0.3*r.Float64()
+		ft.Rate = 0.1 + float64(0.3*r.Float64())
 	case "noisy-neighbor":
 		ft.Cores = append([]int(nil), sc.FalconCPUs...)
-		ft.Rate = 0.3 + 0.4*r.Float64()
+		ft.Rate = 0.3 + float64(0.4*r.Float64())
 	}
 	return ft
 }

@@ -216,8 +216,9 @@ func TestNextAtLowerBound(t *testing.T) {
 	rng := NewRand(99)
 	want := 0
 	for i := 0; i < 200; i++ {
-		// Delays from 0 to just under 2^32 ns.
-		d := Time(rng.Intn(1 << uint(4*rng.Intn(9))))
+		// Delays from 0 to just under 2^32 ns, drawn in 64 bits so that
+		// 32-bit targets draw the same ones.
+		d := Time(rng.Uint64() % (1 << uint(4*rng.Intn(9))))
 		e.After(d, func() { want-- })
 		want++
 	}

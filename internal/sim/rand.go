@@ -35,9 +35,11 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The compiler turns the
+// division into a product; the outer conversion rounds it, so a
+// caller's add or subtract cannot fuse with it once inlined.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	return float64(float64(r.Uint64()>>11) / float64(1<<53))
 }
 
 // ExpFloat64 returns an exponentially distributed value with mean 1.

@@ -49,8 +49,8 @@ type Socket struct {
 	Bytes       stats.Counter    // payload bytes consumed
 	SocketDrops stats.Counter    // packets rejected by a full receive queue
 	// Consumed counts skbs (not GRO-expanded segments) handed to the
-	// application — the audit ledger's unit. Unlike Delivered it is
-	// never reset mid-run: conservation balances compare deltas.
+	// application — the audit ledger's unit, where Delivered counts
+	// segments.
 	Consumed stats.Counter
 
 	// Order verification: highest Seq consumed per FlowID.
@@ -166,13 +166,4 @@ func (sk *Socket) account(s *skb.SKB) {
 		sk.OrderViols++
 	}
 	sk.lastSeq[s.FlowID] = s.Seq
-}
-
-// ResetMeasurement clears counters and histograms (keeps order state so
-// cross-window ordering is still verified).
-func (sk *Socket) ResetMeasurement() {
-	sk.Latency.Reset()
-	sk.Delivered.Reset()
-	sk.Bytes.Reset()
-	sk.SocketDrops.Reset()
 }

@@ -148,19 +148,3 @@ func TestAppWorkExtendsProcessing(t *testing.T) {
 		t.Fatal("AppWork not applied")
 	}
 }
-
-func TestResetMeasurement(t *testing.T) {
-	e, m, sk := newSock(1, 0)
-	sk.Deliver(m.Core(0), pkt(1, 1, 16))
-	e.Run()
-	sk.ResetMeasurement()
-	if sk.Delivered.Value() != 0 || sk.Latency.Count() != 0 || sk.Bytes.Value() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	// Order state survives reset.
-	sk.Deliver(m.Core(0), pkt(1, 1, 16)) // duplicate seq
-	e.Run()
-	if sk.OrderViols != 1 {
-		t.Fatal("order state lost across reset")
-	}
-}

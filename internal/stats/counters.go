@@ -3,7 +3,8 @@ package stats
 import "fmt"
 
 // Counter is a monotonically increasing event count (packets delivered,
-// bytes received, softirqs raised...).
+// bytes received, softirqs raised...). Like a kernel counter it never
+// rewinds: a measurement window is the difference of two reads.
 type Counter struct {
 	v uint64
 }
@@ -16,9 +17,6 @@ func (c *Counter) Inc() { c.v++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v = 0 }
 
 // Rate converts a count accumulated over elapsed nanoseconds into a
 // per-second rate.
@@ -82,11 +80,4 @@ func (ic *IRQCounters) Total(k IRQKind) uint64 {
 		t += ic.perCore[i][k]
 	}
 	return t
-}
-
-// Reset zeroes every counter.
-func (ic *IRQCounters) Reset() {
-	for i := range ic.perCore {
-		ic.perCore[i] = [irqKinds]uint64{}
-	}
 }

@@ -26,12 +26,3 @@ type FaultCounters struct {
 	// (healthy FALCON_CPUS below the floor).
 	DegradedNs Counter
 }
-
-// Reset zeroes every counter.
-func (f *FaultCounters) Reset() {
-	f.Injected.Reset()
-	f.Cleared.Reset()
-	f.Rerouted.Reset()
-	f.Fallbacks.Reset()
-	f.DegradedNs.Reset()
-}

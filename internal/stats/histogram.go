@@ -108,7 +108,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q >= 1 {
 		return h.max
 	}
-	rank := uint64(q * float64(h.n))
+	rank := uint64(float64(q * float64(h.n)))
 	if rank >= h.n {
 		rank = h.n - 1
 	}

@@ -16,7 +16,7 @@ import (
 
 // firstChoice is Falcon's static placement for one stage of one flow.
 func firstChoice(mask []int, flowHash uint32, ifindex int) int {
-	return mask[int(skb.DeviceFlowHash(flowHash, ifindex))%len(mask)]
+	return mask[skb.DeviceFlowHash(flowHash, ifindex)%uint32(len(mask))]
 }
 
 // flowHashFor builds a distinct flow hash per source port.

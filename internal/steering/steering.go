@@ -17,7 +17,7 @@ func (r *RSS) CoreFor(hash uint32) int {
 	if len(r.QueueCores) == 0 {
 		return 0
 	}
-	return r.QueueCores[int(hash)%len(r.QueueCores)]
+	return r.QueueCores[hash%uint32(len(r.QueueCores))]
 }
 
 // RPS models the rps_cpus mask of a device: get_rps_cpu picks a CPU from
@@ -37,5 +37,5 @@ func (r *RPS) CPUFor(hash uint32, current int) int {
 	if !r.Enabled || len(r.CPUs) == 0 {
 		return current
 	}
-	return r.CPUs[int(hash)%len(r.CPUs)]
+	return r.CPUs[hash%uint32(len(r.CPUs))]
 }

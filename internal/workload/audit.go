@@ -89,7 +89,6 @@ func AuditHosts(e sim.Sim, hosts []*overlay.Host, cfg audit.Config) *audit.Audit
 		// per-packet hooks stay lock-free; on a serial run both hosts
 		// resolve to the same single ledger.
 		h.Audit = a.LedgerFor(h.E)
-		h.OnReset = a.NoteReset
 		h.OnSocketOpen = func(port uint16, sk *socket.Socket) {
 			name := fmt.Sprintf("%s:sock:%d", h.Name, port)
 			delivered.AddLHS(audit.T(name, sk.Consumed.Value))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"falcon/internal/audit"
@@ -8,6 +9,7 @@ import (
 	"falcon/internal/overlay"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
+	"falcon/internal/socket"
 )
 
 // TestAuditPathDropsBalance sends overlay frames to a container MAC the
@@ -46,4 +48,28 @@ func TestAuditPathDropsBalance(t *testing.T) {
 	if got := tb.Server.Rx.PathDrops.Value(); got != n {
 		t.Fatalf("path drops = %d, want %d (every frame misses the FDB)", got, n)
 	}
+}
+
+// TestAuditChecksTheWindowStart plants a backlog drop that no SKB free
+// matches 1 µs after MeasureWindow's warm-up ends. No counter rewinds at
+// the window start, so the sweep spanning it compares like any other and
+// the backlog-drops balance must break.
+func TestAuditChecksTheWindowStart(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{
+		LinkRate: 10 * devices.Gbps, Cores: 8, Containers: 1,
+		RSSCores: []int{0}, RPSCores: []int{1}, Seed: 1,
+	})
+	var got []*audit.Violation
+	tb.EnableAudit(audit.Config{OnViolation: func(v *audit.Violation) { got = append(got, v) }})
+	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, 6, 1)
+	f.SendAtRate(50_000, 20*sim.Millisecond)
+	warmup := 5 * sim.Millisecond
+	tb.E.At(warmup+sim.Microsecond, func() { tb.Server.St.Drops.Inc() })
+	MeasureWindow(tb, []*socket.Socket{f.Sock}, warmup, 10*sim.Millisecond)
+	for _, v := range got {
+		if v.Kind == "conservation" && strings.Contains(v.Detail, `"backlog-drops"`) {
+			return
+		}
+	}
+	t.Fatalf("the uncounted drop at the window start went unreported; violations: %v", got)
 }

@@ -6,6 +6,7 @@ import (
 
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
+	"falcon/internal/overlay"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 )
@@ -62,8 +63,9 @@ func TestSeedChangesOutcome(t *testing.T) {
 }
 
 func TestConservationOfPackets(t *testing.T) {
-	// Every packet put on the wire is accounted for: delivered, dropped
-	// at the NIC ring, backlog, socket, or still queued when time stops.
+	// Every packet sent is accounted for: delivered, dropped at a socket,
+	// or counted in the drop census, once the senders stop and the
+	// network drains.
 	tb := NewTestbed(TestbedConfig{
 		LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1}, GRO: true, InnerGRO: true,
@@ -79,17 +81,10 @@ func TestConservationOfPackets(t *testing.T) {
 	if wire > sent {
 		t.Fatalf("wire %d > sent %d", wire, sent)
 	}
-	accounted := sock.Delivered.Value() +
-		tb.Server.NIC.Drops.Value() +
-		tb.Server.St.Drops.Value() +
-		sock.SocketDrops.Value() +
-		tb.Server.Rx.PathDrops.Value() +
-		tb.Server.L4Drops.Value()
-	if accounted != wire {
-		t.Fatalf("conservation violated: wire=%d accounted=%d (delivered=%d nic=%d backlog=%d sock=%d path=%d l4=%d)",
-			wire, accounted, sock.Delivered.Value(), tb.Server.NIC.Drops.Value(),
-			tb.Server.St.Drops.Value(), sock.SocketDrops.Value(),
-			tb.Server.Rx.PathDrops.Value(), tb.Server.L4Drops.Value())
+	delivered, sockDrops, drops := sock.Delivered.Value(), sock.SocketDrops.Value(), tb.Net.Drops()
+	if r := overlay.Unaccounted(sent, delivered, sockDrops, 0, drops); r != 0 {
+		t.Fatalf("conservation violated: %d unaccounted (sent=%d delivered=%d sock=%d census %v)",
+			r, sent, delivered, sockDrops, drops)
 	}
 }
 
@@ -110,8 +105,8 @@ func TestMeasurementResetDoesNotSteerFalcon(t *testing.T) {
 		// an inline slice into a fired event.
 		tb.Run(5*sim.Millisecond + 500*sim.Microsecond)
 		if reset {
-			tb.Client.ResetMeasurement()
-			tb.Server.ResetMeasurement()
+			tb.Client.M.ResetMeasurement()
+			tb.Server.M.ResetMeasurement()
 		}
 		tb.Run(15 * sim.Millisecond)
 		first, second, gated := tb.Server.Falcon.Stats()

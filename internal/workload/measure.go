@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"falcon/internal/overlay"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 	"falcon/internal/stats"
@@ -33,26 +34,34 @@ func (r Result) GbpsFor(payloadBytes int) float64 {
 	return r.PPS * float64(payloadBytes) * 8 / 1e9
 }
 
-// MeasureWindow advances to `warmup`, resets all measurement state, runs
-// one window, and collects server-side metrics plus the union of the
-// given sockets' delivery stats.
+// MeasureWindow advances to `warmup`, runs one window, and collects
+// server-side metrics plus the union of the given sockets' delivery
+// stats. Counters never rewind, so each count is its end read minus its
+// start read; only the CPU ledgers and the sockets' latency histograms
+// start a fresh window at warmup.
 func MeasureWindow(tb *Testbed, socks []*socket.Socket, warmup, window sim.Time) Result {
 	tb.Run(warmup)
-	tb.Server.ResetMeasurement()
-	tb.Client.ResetMeasurement()
-	if tb.Spare != nil {
-		tb.Spare.ResetMeasurement()
+	for _, h := range tb.Hosts() {
+		h.M.ResetMeasurement()
 	}
 	for _, sk := range socks {
-		sk.ResetMeasurement()
+		sk.Latency.Reset()
 	}
+	start := readCounts(tb.Server, socks)
 	tb.Run(warmup + window)
 
-	res := Result{Window: window}
+	res := readCounts(tb.Server, socks)
+	res.Window = window
+	res.Delivered -= start.Delivered
+	res.SocketDrops -= start.SocketDrops
+	res.NICDrops -= start.NICDrops
+	res.BacklogDrops -= start.BacklogDrops
+	res.HardIRQs -= start.HardIRQs
+	res.NetRX -= start.NetRX
+	res.RES -= start.RES
+
 	lat := stats.NewHistogram()
 	for _, sk := range socks {
-		res.Delivered += sk.Delivered.Value()
-		res.SocketDrops += sk.SocketDrops.Value()
 		lat.Merge(sk.Latency)
 	}
 	res.PPS = stats.Rate(res.Delivered, int64(window))
@@ -60,8 +69,6 @@ func MeasureWindow(tb *Testbed, socks []*socket.Socket, warmup, window sim.Time)
 	res.LatencyHist = lat
 
 	srv := tb.Server
-	res.NICDrops = srv.NIC.Drops.Value()
-	res.BacklogDrops = srv.St.Drops.Value()
 	n := srv.M.NumCores()
 	res.CoreBusy = make([]float64, n)
 	res.CoreSoftirq = make([]float64, n)
@@ -71,10 +78,23 @@ func MeasureWindow(tb *Testbed, socks []*socket.Socket, warmup, window sim.Time)
 		res.CoreSoftirq[c] = srv.M.Acct.ContextShare(c, stats.CtxSoftIRQ)
 		res.CoreTask[c] = srv.M.Acct.ContextShare(c, stats.CtxTask)
 	}
-	res.HardIRQs = srv.M.IRQ.Total(stats.IRQHard)
-	res.NetRX = srv.M.IRQ.Total(stats.IRQNetRX)
-	res.RES = srv.M.IRQ.Total(stats.IRQRES)
 	return res
+}
+
+// readCounts reads every counter MeasureWindow reports, as totals since
+// boot.
+func readCounts(srv *overlay.Host, socks []*socket.Socket) Result {
+	var r Result
+	for _, sk := range socks {
+		r.Delivered += sk.Delivered.Value()
+		r.SocketDrops += sk.SocketDrops.Value()
+	}
+	r.NICDrops = srv.NIC.Drops.Value()
+	r.BacklogDrops = srv.St.Drops.Value()
+	r.HardIRQs = srv.M.IRQ.Total(stats.IRQHard)
+	r.NetRX = srv.M.IRQ.Total(stats.IRQNetRX)
+	r.RES = srv.M.IRQ.Total(stats.IRQRES)
+	return r
 }
 
 // SystemUtilization returns the mean busy fraction across server cores.

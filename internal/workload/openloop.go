@@ -63,18 +63,18 @@ type Lognormal struct {
 
 // Sample draws exp(Mu + Sigma·Z) with Z standard normal.
 func (l Lognormal) Sample(r *sim.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
+	return math.Exp(l.Mu + float64(l.Sigma*r.NormFloat64()))
 }
 
 // Mean returns exp(Mu + Sigma²/2).
 func (l Lognormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
+	return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2))
 }
 
 // LognormalWithMean builds a Lognormal with the given expectation and
 // shape: Mu = ln(mean) - Sigma²/2.
 func LognormalWithMean(mean, sigma float64) Lognormal {
-	return Lognormal{Mu: math.Log(mean) - sigma*sigma/2, Sigma: sigma}
+	return Lognormal{Mu: math.Log(mean) - float64(sigma*sigma/2), Sigma: sigma}
 }
 
 // Arrivals produces interarrival gaps for an open-loop arrival process.
@@ -117,7 +117,7 @@ type MMPP2 struct {
 // MeanRate returns the long-run arrival rate (sojourn-weighted).
 func (m *MMPP2) MeanRate() float64 {
 	tc, tb := float64(m.MeanCalm), float64(m.MeanBurst)
-	return (m.CalmRate*tc + m.BurstRate*tb) / (tc + tb)
+	return (float64(m.CalmRate*tc) + float64(m.BurstRate*tb)) / (tc + tb)
 }
 
 func (m *MMPP2) sojourn(r *sim.Rand) {
@@ -305,7 +305,7 @@ func (ol *OpenLoop) arrive() {
 		// exercises many distinct 5-tuples (RSS spread, flow-cache
 		// population) without ever colliding with a receive port.
 		srcPort: uint16(20_000 + id%20_000),
-		core:    ol.cfg.SendCores[int(id)%len(ol.cfg.SendCores)],
+		core:    ol.cfg.SendCores[id%uint64(len(ol.cfg.SendCores))],
 		rng:     *ol.rng.Fork(),
 	}
 	ol.live++

@@ -253,8 +253,8 @@ func TestLedgerFunctionsSumToContexts(t *testing.T) {
 	}
 	tb.Run(10 * sim.Millisecond)
 	check("whole run")
-	tb.Client.ResetMeasurement()
-	tb.Server.ResetMeasurement()
+	tb.Client.M.ResetMeasurement()
+	tb.Server.M.ResetMeasurement()
 	tb.Run(20 * sim.Millisecond)
 	check("after a reset")
 }
