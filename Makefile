@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit identity reconfig tail cache fuzz scale bench-smoke experiments profile clean
+.PHONY: all build vet test race audit identity reconfig tail cache fuzz scale bench-build bench-smoke experiments profile clean
 
 all: vet build test
 
@@ -88,6 +88,11 @@ fuzz:
 # traffic, busy shards, worker idle fraction) per configuration.
 scale:
 	$(GO) test -run NONE -bench MeshShards ./internal/experiments
+
+# What building a bed costs: ns/op, B/op and allocs/op of one build of
+# the mesh8 ring and of the two-host Falcon testbed.
+bench-build:
+	$(GO) test -run NONE -bench '^BenchmarkBuild$$' -benchmem ./internal/experiments
 
 # One full pass of every experiment benchmark (quick windows).
 bench-smoke:

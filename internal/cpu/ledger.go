@@ -20,8 +20,10 @@ import (
 // health tracker and the dynamic GRO split read the counters since
 // boot, so measurement never steers them.
 type Ledger struct {
-	cores      []coreTime // since the machine started
-	start      []coreTime // cores at the start of the measurement window
+	cores []coreTime // since the machine started
+	// start is cores at the start of the measurement window, nil until
+	// the first reset.
+	start      []coreTime
 	calls      [costmodel.NumFuncs]uint64
 	startCalls [costmodel.NumFuncs]uint64
 	since      int64 // start of the measurement window
@@ -43,8 +45,19 @@ func (c *coreTime) busy() int64 {
 	return t
 }
 
-func newLedger(cores int) *Ledger {
-	return &Ledger{cores: make([]coreTime, cores), start: make([]coreTime, cores)}
+// init sizes the ledger for cores CPU cores. The window-start view
+// comes with the first reset; until then the window starts at boot.
+func (l *Ledger) init(cores int) { l.cores = make([]coreTime, cores) }
+
+// atBoot is every core's time when the machine starts.
+var atBoot coreTime
+
+// startOf returns core's time at the start of the measurement window.
+func (l *Ledger) startOf(core int) *coreTime {
+	if l.start == nil {
+		return &atBoot
+	}
+	return &l.start[core]
 }
 
 // charge records one slice of ns nanoseconds of fn in context ctx on
@@ -61,6 +74,9 @@ func (l *Ledger) charge(core int, ctx stats.CPUContext, fn costmodel.Func, ns, e
 
 // reset starts a fresh measurement window at time now.
 func (l *Ledger) reset(now int64) {
+	if l.start == nil {
+		l.start = make([]coreTime, len(l.cores))
+	}
 	copy(l.start, l.cores)
 	l.startCalls = l.calls
 	l.since, l.until = now, now
@@ -79,13 +95,13 @@ func (l *Ledger) CoreTimeSinceBoot(core int, fn costmodel.Func) int64 {
 
 // Busy returns the busy ns of ctx on core in the measurement window.
 func (l *Ledger) Busy(core int, ctx stats.CPUContext) int64 {
-	return l.cores[core].ctx[ctx] - l.start[core].ctx[ctx]
+	return l.cores[core].ctx[ctx] - l.startOf(core).ctx[ctx]
 }
 
 // TotalBusy returns the busy ns of core across all non-idle contexts in
 // the measurement window.
 func (l *Ledger) TotalBusy(core int) int64 {
-	return l.cores[core].busy() - l.start[core].busy()
+	return l.cores[core].busy() - l.startOf(core).busy()
 }
 
 // Utilization returns core's busy fraction of the measurement window,
@@ -110,7 +126,7 @@ func (l *Ledger) fraction(ns int64) float64 {
 
 // CoreTime returns the ns of fn on core in the measurement window.
 func (l *Ledger) CoreTime(core int, fn costmodel.Func) int64 {
-	return l.cores[core].fn[fn] - l.start[core].fn[fn]
+	return l.cores[core].fn[fn] - l.startOf(core).fn[fn]
 }
 
 // Calls returns the number of slices of fn in the measurement window.
@@ -195,19 +211,19 @@ func (l *Ledger) Table(title string, n int) *stats.Table {
 // through Machine.OnTick (Falcon does), so only such a machine's loads
 // stay fresh.
 type LoadMeter struct {
-	lastBusy  []int64 // busy ns at the previous tick
+	cores     []coreLoad
 	lastTick  int64
-	load      []float64
 	systemAvg float64
 }
 
-// newLoadMeter returns a meter for cores CPU cores.
-func newLoadMeter(cores int) *LoadMeter {
-	return &LoadMeter{
-		lastBusy: make([]int64, cores),
-		load:     make([]float64, cores),
-	}
+// coreLoad is one core's load estimate.
+type coreLoad struct {
+	lastBusy int64 // busy ns at the previous tick
+	load     float64
 }
+
+// init sizes the meter for cores CPU cores.
+func (m *LoadMeter) init(cores int) { m.cores = make([]coreLoad, cores) }
 
 // tick recomputes per-core load from l's busy time since the last tick.
 // now is the current virtual time.
@@ -217,19 +233,19 @@ func (m *LoadMeter) tick(l *Ledger, now int64) {
 		return
 	}
 	sum := 0.0
-	for c := range m.load {
+	for c := range m.cores {
+		cl := &m.cores[c]
 		busy := l.BusySinceBoot(c)
-		load := min(float64(busy-m.lastBusy[c])/float64(span), 1)
-		m.lastBusy[c] = busy
-		m.load[c] = load
-		sum += load
+		cl.load = min(float64(busy-cl.lastBusy)/float64(span), 1)
+		cl.lastBusy = busy
+		sum += cl.load
 	}
-	m.systemAvg = sum / float64(len(m.load))
+	m.systemAvg = sum / float64(len(m.cores))
 	m.lastTick = now
 }
 
 // Load returns the most recent load estimate of a core.
-func (m *LoadMeter) Load(core int) float64 { return m.load[core] }
+func (m *LoadMeter) Load(core int) float64 { return m.cores[core].load }
 
 // SystemAvg returns the most recent average load over all cores — the
 // paper's L_avg used in Algorithm 1's enable gate.

@@ -8,6 +8,20 @@ import (
 	"falcon/internal/stats"
 )
 
+// newLedger and newLoadMeter build the accounts on their own, as
+// NewMachine builds them inside the machine's allocation.
+func newLedger(cores int) *Ledger {
+	l := new(Ledger)
+	l.init(cores)
+	return l
+}
+
+func newLoadMeter(cores int) *LoadMeter {
+	m := new(LoadMeter)
+	m.init(cores)
+	return m
+}
+
 func TestLedgerChargeAndShares(t *testing.T) {
 	l := newLedger(2)
 	l.charge(0, stats.CtxSoftIRQ, costmodel.FnGROReceive, 600, 600)

@@ -35,7 +35,7 @@ type Machine struct {
 	// function call counts through it.
 	Prof *Ledger
 
-	cores  []*Core
+	cores  []Core
 	slices sim.Slots // one slice-completion slot per core, then the tick's
 	onTick []func(now sim.Time)
 	// ticking is set between StartTicker and StopTicker, and ticks fall
@@ -44,23 +44,31 @@ type Machine struct {
 	tickPhase sim.Time
 }
 
+// machineBlock is a machine and the accounts it points to, allocated
+// together.
+type machineBlock struct {
+	m    Machine
+	acct Ledger
+	irq  stats.IRQCounters
+	load LoadMeter
+}
+
 // NewMachine builds a machine with n cores on engine e using the given
-// cost model.
+// cost model. The machine and its accounts are one allocation and the
+// cores one array.
 func NewMachine(e *sim.Engine, model *costmodel.Model, n int) *Machine {
 	if n <= 0 {
 		panic("cpu: machine needs at least one core")
 	}
-	m := &Machine{
-		E:     e,
-		Model: model,
-		Acct:  newLedger(n),
-		IRQ:   stats.NewIRQCounters(n),
-		Load:  newLoadMeter(n),
-	}
-	m.Prof = m.Acct
-	m.cores = make([]*Core, n)
+	b := &machineBlock{irq: stats.MakeIRQCounters(n)}
+	b.acct.init(n)
+	b.load.init(n)
+	m := &b.m
+	m.E, m.Model = e, model
+	m.Acct, m.Prof, m.IRQ, m.Load = &b.acct, &b.acct, &b.irq, &b.load
+	m.cores = make([]Core, n)
 	for i := range m.cores {
-		m.cores[i] = &Core{id: i, m: m}
+		m.cores[i] = Core{id: i, m: m}
 	}
 	m.slices = e.NewSlots(n+1, m.complete)
 	return m
@@ -74,7 +82,7 @@ func (m *Machine) Core(i int) *Core {
 	if i < 0 || i >= len(m.cores) {
 		panic(fmt.Sprintf("cpu: core %d out of range [0,%d)", i, len(m.cores)))
 	}
-	return m.cores[i]
+	return &m.cores[i]
 }
 
 // OnTick registers a callback invoked on every timer tick (after the
@@ -304,7 +312,7 @@ func (m *Machine) complete(i int) {
 		m.tick()
 		return
 	}
-	c := m.cores[i]
+	c := &m.cores[i]
 	item := c.cur
 	c.cur = workItem{} // release the completion closure for reuse
 	m.Acct.charge(i, item.ctx, item.fn, int64(item.cost), int64(m.E.Now()))

@@ -187,6 +187,9 @@ func NewStack(m *cpu.Machine) *Stack {
 		M:          m,
 		MaxBacklog: DefaultMaxBacklog,
 		backlogs:   make([]perCPUBacklog, m.NumCores()),
+		// Room for a host's NIC, VXLAN device and bridge and the veth
+		// pairs of two containers.
+		devices: make([]string, 0, 8),
 	}
 	st.drainDone = make([]func(), m.NumCores())
 	for i := range st.drainDone {

@@ -266,12 +266,10 @@ func (h *Host) AddContainer(name string, ip proto.IPv4Addr) *Container {
 func (h *Host) AddStandbyContainer(name string, ip proto.IPv4Addr) *Container {
 	id := len(h.containers) + 1
 	mac := proto.MACFromUint64(uint64(ip))
-	brIf := h.St.RegisterDevice(fmt.Sprintf("%s-veth%d", h.Name, id))
-	ctIf := h.St.RegisterDevice(fmt.Sprintf("%s-c%d-eth0", h.Name, id))
-	vbr, vct := devices.NewVethPair(
-		fmt.Sprintf("%s-veth%d", h.Name, id),
-		fmt.Sprintf("%s-c%d-eth0", h.Name, id),
-		brIf, ctIf, mac, id)
+	brName := fmt.Sprintf("%s-veth%d", h.Name, id)
+	ctName := fmt.Sprintf("%s-c%d-eth0", h.Name, id)
+	brIf, ctIf := h.St.RegisterDevice(brName), h.St.RegisterDevice(ctName)
+	vbr, vct := devices.NewVethPair(brName, ctName, brIf, ctIf, mac, id)
 	c := &Container{Host: h, ID: id, Name: name, IP: ip, MAC: mac, VethBr: vbr, VethCt: vct}
 	port := h.Bridge.AddPort(vbr.Name)
 	h.Bridge.Learn(mac, port)

@@ -58,9 +58,10 @@ type IRQCounters struct {
 	perCore [][irqKinds]uint64
 }
 
-// NewIRQCounters returns counters for cores CPU cores.
-func NewIRQCounters(cores int) *IRQCounters {
-	return &IRQCounters{perCore: make([][irqKinds]uint64, cores)}
+// MakeIRQCounters returns counters for cores CPU cores, as a value to
+// embed in its owner's allocation.
+func MakeIRQCounters(cores int) IRQCounters {
+	return IRQCounters{perCore: make([][irqKinds]uint64, cores)}
 }
 
 // Inc records one interrupt of kind k on the given core.

@@ -24,7 +24,7 @@ func TestRate(t *testing.T) {
 }
 
 func TestIRQCounters(t *testing.T) {
-	ic := NewIRQCounters(4)
+	ic := MakeIRQCounters(4)
 	ic.Inc(0, IRQHard)
 	ic.Inc(1, IRQNetRX)
 	ic.Inc(1, IRQNetRX)

@@ -20,8 +20,12 @@ const subBuckets = 32
 // Histogram is a log-linear histogram of non-negative int64 samples
 // (latencies in nanoseconds, queue depths, sizes). It records exact
 // min/max/sum and approximates quantiles with bounded relative error.
+//
+// Its rows, one per power-of-two bucket, grow to the highest bucket
+// recorded, so an unused histogram holds none. A Histogram must not be
+// copied by value: the copy would share its rows with the original.
 type Histogram struct {
-	counts [64][subBuckets]uint64
+	counts [][subBuckets]uint64 // rows 0 .. highest bucket recorded
 	n      uint64
 	sum    int64
 	min    int64
@@ -60,6 +64,9 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	b, sub := bucketOf(v)
+	if b >= len(h.counts) {
+		h.grow(b + 1)
+	}
 	h.counts[b][sub]++
 	h.n++
 	h.sum += v
@@ -69,6 +76,11 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// grow extends the rows to n with zero rows.
+func (h *Histogram) grow(n int) {
+	h.counts = append(h.counts, make([][subBuckets]uint64, n-len(h.counts))...)
 }
 
 // Count returns the number of recorded samples.
@@ -113,9 +125,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = h.n - 1
 	}
 	var cum uint64
-	for b := 0; b < 64; b++ {
-		for sub := 0; sub < subBuckets; sub++ {
-			c := h.counts[b][sub]
+	for b := range h.counts {
+		for sub, c := range &h.counts[b] {
 			if c == 0 {
 				continue
 			}
@@ -140,9 +151,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.n == 0 {
 		return
 	}
-	for b := range h.counts {
-		for s := range h.counts[b] {
-			h.counts[b][s] += other.counts[b][s]
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
+	}
+	for b := range other.counts {
+		for s, c := range &other.counts[b] {
+			h.counts[b][s] += c
 		}
 	}
 	h.n += other.n
@@ -155,9 +169,10 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
+// Reset clears the histogram. It keeps its rows, zeroed, for reuse.
 func (h *Histogram) Reset() {
-	*h = Histogram{min: math.MaxInt64}
+	clear(h.counts)
+	h.n, h.sum, h.min, h.max = 0, 0, math.MaxInt64, 0
 }
 
 // Summary holds the standard percentile set the paper reports.
