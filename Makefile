@@ -35,7 +35,9 @@ audit:
 # Byte-identity against another revision: builds falconsim, pcapdump,
 # the examples and the benchmark at BASE and from the working tree, runs
 # every golden setting (-all -quick at -shards 1/4/auto, plain, -audit
-# and -cache), the abl-crash partition schedules, full-window abl-tail
+# and -cache), abl-crash under each pinned partition schedule (through
+# -reconfig, so against a BASE that read them through -crash those three
+# runs differ and are compared by hand), full-window abl-tail
 # and -all, -fuzz -seeds 50, the examples, pcapdump and each benchmark
 # workload's simulated results at seed 1 with both, and prints one line
 # per run. Fails on any difference not named in ALLOW (run names).

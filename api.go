@@ -183,8 +183,6 @@ type (
 	// HostCrash kills a whole host for the window (queue-resident
 	// packets die accounted; arrivals blackhole until the reboot).
 	HostCrash = faults.HostCrash
-	// HostReboot brings a crashed host back at the window start.
-	HostReboot = faults.HostReboot
 	// KVPartition cuts one host off from the KV control plane (stale
 	// flow-cache serving, retry/backoff on misses, reconcile on heal).
 	KVPartition = faults.KVPartition

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 
-	"falcon/internal/audit"
 	falconcore "falcon/internal/core"
 	"falcon/internal/scenario"
 )
@@ -48,13 +47,6 @@ func runScenario(path string, shards int) int {
 		return 2
 	}
 	sc.Shards = shards
-	return checkScenario(sc, names)
-}
-
-// checkScenario runs the named oracles (all applicable ones when names
-// is empty) over sc and reports: exit 1 when a violation reproduces, 0
-// when clean, 2 on a configuration error.
-func checkScenario(sc scenario.Scenario, names []string) int {
 	vs, err := scenario.Check(sc, names)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "falconsim: %v\n", err)
@@ -87,22 +79,6 @@ func installDefect(name string) int {
 		return 2
 	}
 	return 0
-}
-
-// replayScenarioDump re-checks the scenario embedded in an audit dump
-// header (exp=fuzz/<oracle>) against the recorded oracle.
-func replayScenarioDump(info audit.RunInfo) int {
-	sc, err := scenario.FromJSON([]byte(info.Scenario))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "falconsim: dump scenario: %v\n", err)
-		return 2
-	}
-	var names []string
-	if o := strings.TrimPrefix(info.Exp, "fuzz/"); o != info.Exp && o != "" {
-		names = []string{o}
-	}
-	fmt.Fprintf(os.Stderr, "falconsim: replaying scenario %q (seed %d)\n", sc.Name, sc.Seed)
-	return checkScenario(sc, names)
 }
 
 func firstLine(s string) string {

@@ -59,11 +59,11 @@ func TestRunnerSurvivesPanic(t *testing.T) {
 	}
 }
 
-// TestScheduleFlagsRejectMalformedJSON pins the -reconfig/-crash flag
-// contract: any malformed input — missing file, broken JSON, or a
-// schedule that fails validation — produces one single-line error (the
-// caller prints it and exits nonzero) and never panics; valid files
-// load into the options.
+// TestScheduleFlagsRejectMalformedJSON pins the -reconfig flag
+// contract for generation, crash and partition actions alike: any
+// malformed input — missing file, broken JSON, or a schedule that fails
+// validation — produces one single-line error (the caller prints it and
+// exits nonzero) and never panics; a valid file loads into the options.
 func TestScheduleFlagsRejectMalformedJSON(t *testing.T) {
 	dir := chdirTemp(t)
 	write := func(name, body string) string {
@@ -75,31 +75,30 @@ func TestScheduleFlagsRejectMalformedJSON(t *testing.T) {
 		return p
 	}
 	cases := []struct {
-		name                 string
-		reconfig, crash      string
-		wantErr              bool
-		wantSched, wantCrash bool
+		name, path string
+		wantErr    bool
 	}{
 		{name: "no-flags"},
-		{name: "reconfig-missing-file", reconfig: dir + "/nope.json", wantErr: true},
-		{name: "crash-missing-file", crash: dir + "/nope.json", wantErr: true},
-		{name: "reconfig-broken-json", reconfig: write("r1.json", "{"), wantErr: true},
-		{name: "crash-broken-json", crash: write("c1.json", `{"crashes":[`), wantErr: true},
+		{name: "reconfig-missing-file", path: dir + "/nope.json", wantErr: true},
+		{name: "crash-missing-file", path: dir + "/crash.json", wantErr: true},
+		{name: "reconfig-broken-json", path: write("r1.json", "{"), wantErr: true},
+		{name: "crash-broken-json", path: write("c1.json", `{"actions":[{"kind":"crash"`), wantErr: true},
 		{name: "reconfig-unknown-kind",
-			reconfig: write("r2.json", `{"actions":[{"kind":"warp","at_ms":0,"host":"h"}]}`), wantErr: true},
-		{name: "reconfig-wrong-shape", reconfig: write("r3.json", `[1,2,3]`), wantErr: true},
+			path: write("r2.json", `{"actions":[{"kind":"warp","at_ms":0,"host":"h"}]}`), wantErr: true},
+		{name: "reconfig-wrong-shape", path: write("r3.json", `[1,2,3]`), wantErr: true},
 		{name: "reconfig-unknown-kernel",
-			reconfig: write("r4.json", `{"actions":[{"kind":"kernel-upgrade","at_ms":1,"host":"server","kernel":"linux-5.10"}]}`), wantErr: true},
-		{name: "crash-empty-schedule", crash: write("c2.json", `{"crashes":[]}`), wantErr: true},
+			path: write("r4.json", `{"actions":[{"kind":"kernel-upgrade","at_ms":1,"host":"server","kernel":"linux-5.10"}]}`), wantErr: true},
+		// An empty schedule in the retired crash-file shape must not load
+		// as an empty action list.
+		{name: "crash-empty-schedule", path: write("c2.json", `{"crashes":[]}`), wantErr: true},
 		{name: "crash-reboot-before-crash",
-			crash: write("c3.json", `{"crashes":[{"host":"server","at_ms":5,"reboot_ms":2}]}`), wantErr: true},
+			path: write("c3.json", `{"actions":[{"kind":"crash","at_ms":5,"host":"server","to":"spare","until_ms":2}]}`), wantErr: true},
 		{name: "crash-double-crash",
-			crash: write("c4.json", `{"crashes":[{"host":"server","at_ms":1},{"host":"server","at_ms":3}]}`), wantErr: true},
-		{name: "crash-wrong-shape", crash: write("c5.json", `"boom"`), wantErr: true},
+			path: write("c4.json", `{"actions":[{"kind":"crash","at_ms":1,"host":"server","to":"spare"},{"kind":"crash","at_ms":3,"host":"server","to":"spare"}]}`), wantErr: true},
+		{name: "crash-wrong-shape", path: write("c5.json", `"boom"`), wantErr: true},
+		// A generation action and a crash action, both valid.
 		{name: "both-valid",
-			reconfig:  write("r-ok.json", `{"actions":[{"kind":"kernel-upgrade","at_ms":1,"host":"server","kernel":"linux-5.4"}]}`),
-			crash:     write("c-ok.json", `{"crashes":[{"host":"server","at_ms":2,"reboot_ms":6}]}`),
-			wantSched: true, wantCrash: true},
+			path: write("ok.json", `{"actions":[{"kind":"kernel-upgrade","at_ms":1,"host":"server","kernel":"linux-5.4"},{"kind":"crash","at_ms":2,"host":"server","to":"spare","until_ms":6}]}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,7 +108,7 @@ func TestScheduleFlagsRejectMalformedJSON(t *testing.T) {
 				}
 			}()
 			var opt experiments.Options
-			err := loadScheduleFlags(&opt, tc.reconfig, tc.crash)
+			err := loadScheduleFlag(&opt, tc.path)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("malformed input accepted")
@@ -122,9 +121,8 @@ func TestScheduleFlagsRejectMalformedJSON(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid input rejected: %v", err)
 			}
-			if (opt.Reconfig != nil) != tc.wantSched || (opt.Crash != nil) != tc.wantCrash {
-				t.Fatalf("loaded reconfig=%v crash=%v, want %v/%v",
-					opt.Reconfig != nil, opt.Crash != nil, tc.wantSched, tc.wantCrash)
+			if (opt.Reconfig != nil) != (tc.path != "") {
+				t.Fatalf("loaded schedule %v for path %q", opt.Reconfig, tc.path)
 			}
 		})
 	}
@@ -160,16 +158,16 @@ func TestReplayRejectsGarbage(t *testing.T) {
 }
 
 // TestReplayRestoresRunOptions: everything that shapes an experiment's
-// output — the RX cache and both schedule files included — survives the
-// trip through a dump header into the replay's options.
+// output — the RX cache and a schedule holding a crash, a partition and
+// a drain included — survives the trip through a dump header into the
+// replay's options.
 func TestReplayRestoresRunOptions(t *testing.T) {
-	on := true
 	opt := experiments.Options{
 		Quick: true, Seed: 3, Kernel: "5.4", RxCache: true,
 		Reconfig: &reconfig.Schedule{Actions: []reconfig.Action{
-			{Kind: reconfig.KindRPSFlip, AtMs: 1, Host: "server", Enable: &on}}},
-		Crash: &reconfig.CrashSchedule{Crashes: []reconfig.CrashEvent{
-			{Host: "server", AtMs: 2, RebootMs: 5}}},
+			{Kind: reconfig.KindPartition, AtMs: 1, Host: "client", UntilMs: 12},
+			{Kind: reconfig.KindCrash, AtMs: 2, Host: "server", To: "spare", UntilMs: 5},
+			{Kind: reconfig.KindDrain, AtMs: 7, Host: "client", To: "spare", TransitUs: 200}}},
 	}
 	var b bytes.Buffer
 	audit.WriteDump(&b, dumpInfo("abl-crash", opt), nil, nil)
@@ -186,7 +184,7 @@ func TestReplayRestoresRunOptions(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay options %+v, want %+v", got, want)
 	}
-	info.Crash = `{"crashes":[]}`
+	info.Reconfig = `{"actions":[{"kind":"crash","at_ms":2,"host":"server"}]}`
 	if _, err := replayOptions(info, 0); err == nil {
 		t.Fatal("invalid crash schedule in a dump header accepted")
 	}

@@ -63,8 +63,7 @@ func run() int {
 		deadline  = flag.Duration("deadline", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
 		maxEvents = flag.Uint64("max-events", 0, "abort any single experiment after executing this many engine steps, heap events fired plus slots run (0 = no limit)")
 		replay    = flag.String("replay", "", "re-run the exact experiment/seed/config named in an audit dump's header and exit")
-		reconfigF = flag.String("reconfig", "", "JSON generation schedule for abl-reconfig (replaces its built-in rolling-upgrade/drain/flip plan)")
-		crashF    = flag.String("crash", "", "JSON crash schedule for abl-crash (replaces its built-in server crash/reboot plan)")
+		reconfigF = flag.String("reconfig", "", "JSON schedule for abl-reconfig and abl-crash (replaces their built-in plans: upgrade/drain/flips, and the server crash)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -173,7 +172,7 @@ func run() int {
 		Audit: *auditOn, MaxEvents: *maxEvents, Shards: shards,
 		RxCache: *cacheOn,
 	}
-	if err := loadScheduleFlags(&opt, *reconfigF, *crashF); err != nil {
+	if err := loadScheduleFlag(&opt, *reconfigF); err != nil {
 		fmt.Fprintf(os.Stderr, "falconsim: %v\n", err)
 		return 1
 	}
@@ -188,26 +187,20 @@ func run() int {
 	return 0
 }
 
-// loadScheduleFlags resolves the -reconfig and -crash JSON files into
-// the run options. Any malformed input — unreadable file, broken JSON,
-// or a schedule that fails validation — comes back as a single-line
-// error; the caller prints it and exits nonzero. This path must never
-// panic on user input.
-func loadScheduleFlags(opt *experiments.Options, reconfigPath, crashPath string) error {
-	if reconfigPath != "" {
-		sched, err := reconfig.LoadFile(reconfigPath)
-		if err != nil {
-			return err
-		}
-		opt.Reconfig = sched
+// loadScheduleFlag resolves the -reconfig JSON file into the run
+// options. Any malformed input — unreadable file, broken JSON, or a
+// schedule that fails validation — comes back as a single-line error;
+// the caller prints it and exits nonzero. This path must never panic on
+// user input.
+func loadScheduleFlag(opt *experiments.Options, path string) error {
+	if path == "" {
+		return nil
 	}
-	if crashPath != "" {
-		cs, err := reconfig.LoadCrashFile(crashPath)
-		if err != nil {
-			return err
-		}
-		opt.Crash = cs
+	sched, err := reconfig.LoadFile(path)
+	if err != nil {
+		return err
 	}
+	opt.Reconfig = sched
 	return nil
 }
 
@@ -245,11 +238,6 @@ func runReplay(path string, maxEvents uint64) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "falconsim: %v\n", err)
 		return 2
-	}
-	if info.Scenario != "" {
-		// Fuzz-scenario dump: the header embeds the scenario itself and
-		// (as exp=fuzz/<oracle>) the oracle to re-check.
-		return replayScenarioDump(info)
 	}
 	e, ok := experiments.ByID(info.Exp)
 	if !ok {
@@ -293,12 +281,7 @@ func replayOptions(info audit.RunInfo, maxEvents uint64) (experiments.Options, e
 	}
 	var err error
 	if info.Reconfig != "" {
-		if opt.Reconfig, err = reconfig.FromJSON([]byte(info.Reconfig)); err != nil {
-			return opt, err
-		}
-	}
-	if info.Crash != "" {
-		opt.Crash, err = reconfig.CrashFromJSON([]byte(info.Crash))
+		opt.Reconfig, err = reconfig.FromJSON([]byte(info.Reconfig))
 	}
 	return opt, err
 }
@@ -311,14 +294,10 @@ func dumpInfo(id string, opt experiments.Options) audit.RunInfo {
 		seed = 1
 	}
 	info := audit.RunInfo{Exp: id, Seed: int64(seed), Kernel: opt.Kernel, Quick: opt.Quick, Cache: opt.RxCache}
-	// Schedules are plain structs: marshaling cannot fail.
+	// A schedule is a plain struct: marshaling cannot fail.
 	if opt.Reconfig != nil {
 		b, _ := json.Marshal(opt.Reconfig)
 		info.Reconfig = string(b)
-	}
-	if opt.Crash != nil {
-		b, _ := json.Marshal(opt.Crash)
-		info.Crash = string(b)
 	}
 	return info
 }

@@ -293,11 +293,9 @@ func TestDumpHeaderRoundTrip(t *testing.T) {
 		{Exp: "abl-reconfig", Seed: 2, Quick: true, Cache: true,
 			Reconfig: `{"actions":[{"kind":"drain","at_ms":1,"host":"server","to":"spare"}]}`},
 		{Exp: "abl-crash", Seed: 3, Kernel: "linux-5.4", Cache: true,
-			Crash: `{"crashes":[{"host":"server","at_ms":2,"reboot_ms":4}]}`},
-		{Exp: "fuzz/conservation", Seed: 4, Scenario: `{"flows":[{"proto":"udp"}]}`},
+			Reconfig: `{"actions":[{"kind":"crash","at_ms":2,"host":"server","to":"spare","until_ms":4}]}`},
 		// Quoted values may contain spaces.
-		{Exp: "scenario", Scenario: `{"name":"tcp mtu mix"}`},
-		{Exp: "abl-crash", Kernel: "linux 5.4", Crash: `{"crashes": []}`},
+		{Exp: "abl-crash", Kernel: "linux 5.4", Reconfig: `{"actions": []}`},
 	} {
 		var b strings.Builder
 		WriteDump(&b, info, &Violation{Kind: "leak", Detail: "x"}, nil)

@@ -72,14 +72,9 @@ type RunInfo struct {
 	Quick  bool
 	// Cache records the RX decap fast path (-cache).
 	Cache bool
-	// Reconfig and Crash, when non-empty, embed the compact JSON of a
-	// -reconfig / -crash schedule that replaced the experiment's
-	// built-in plan.
-	Reconfig, Crash string
-	// Scenario, when non-empty, embeds a fuzz scenario's compact JSON:
-	// the dump then replays through the oracle battery (falconsim
-	// routes -replay to the scenario runner) instead of an experiment.
-	Scenario string
+	// Reconfig, when non-empty, embeds the compact JSON of a -reconfig
+	// schedule that replaced the experiment's built-in plan.
+	Reconfig string
 }
 
 const dumpMagic = "FALCON-AUDIT-DUMP v1"
@@ -90,12 +85,8 @@ const dumpMagic = "FALCON-AUDIT-DUMP v1"
 func WriteDump(w io.Writer, info RunInfo, v *Violation, a *Auditor) {
 	fmt.Fprintf(w, "%s exp=%s seed=%d kernel=%q quick=%t cache=%t",
 		dumpMagic, info.Exp, info.Seed, info.Kernel, info.Quick, info.Cache)
-	for _, f := range []struct{ key, json string }{
-		{"reconfig", info.Reconfig}, {"crash", info.Crash}, {"scenario", info.Scenario},
-	} {
-		if f.json != "" {
-			fmt.Fprintf(w, " %s=%q", f.key, f.json)
-		}
+	if info.Reconfig != "" {
+		fmt.Fprintf(w, " reconfig=%q", info.Reconfig)
 	}
 	fmt.Fprintln(w)
 	if v != nil {
@@ -161,10 +152,6 @@ func ParseDumpHeader(r io.Reader) (RunInfo, error) {
 			info.Cache = v == "true"
 		case "reconfig":
 			info.Reconfig, err = strconv.Unquote(v)
-		case "crash":
-			info.Crash, err = strconv.Unquote(v)
-		case "scenario":
-			info.Scenario, err = strconv.Unquote(v)
 		}
 		if err != nil {
 			return info, fmt.Errorf("audit: malformed dump header field %q: %w", f, err)

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"falcon/internal/faults"
 	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
@@ -34,77 +31,11 @@ const crashBlackoutBudgetMs = 4
 // defaultCrashSchedule kills the server early enough that detection,
 // fail-over and reboot all land inside the window: times are in units of
 // windowMs/10 so quick and full runs exercise the same shape.
-func defaultCrashSchedule(windowMs int) *reconfig.CrashSchedule {
-	u := windowMs / 10
-	if u < 1 {
-		u = 1
-	}
-	return &reconfig.CrashSchedule{
-		Crashes: []reconfig.CrashEvent{
-			{Host: "server", AtMs: 2 * u, RebootMs: 6 * u},
-		},
-	}
-}
-
-// installCrashFaults turns the declarative schedule into injector
-// windows. A crash without a reboot (and a partition without a heal)
-// gets a window ending past any possible run end, so Revert never fires.
-func installCrashFaults(tb *workload.Testbed, cs *reconfig.CrashSchedule, base, until sim.Time) {
-	hostByName := func(name string) *overlay.Host {
-		for _, h := range tb.Hosts() {
-			if h.Name == name {
-				return h
-			}
-		}
-		panic(fmt.Sprintf("abl-crash: unknown host %q in crash schedule", name))
-	}
-	never := until + sim.Second // run end + straggler flush headroom
-	plan := faults.Plan{Name: "crash-schedule"}
-	for _, c := range cs.Crashes {
-		at := base + sim.Time(c.AtMs)*sim.Millisecond
-		end := never
-		if c.RebootMs > 0 {
-			end = base + sim.Time(c.RebootMs)*sim.Millisecond
-		}
-		plan.Items = append(plan.Items, faults.Item{
-			At: at, For: end - at,
-			Fault: &faults.HostCrash{Host: hostByName(c.Host)},
-		})
-	}
-	for _, p := range cs.Partitions {
-		at := base + sim.Time(p.AtMs)*sim.Millisecond
-		end := never
-		if p.HealMs > 0 {
-			end = base + sim.Time(p.HealMs)*sim.Millisecond
-		}
-		plan.Items = append(plan.Items, faults.Item{
-			At: at, For: end - at,
-			Fault: &faults.KVPartition{KV: tb.Net.KV, Host: hostByName(p.Host)},
-		})
-	}
-	faults.NewInjector(tb.E).Install(plan)
-}
-
-// armCrash returns runDisturbed's arm for a crash schedule: the
-// failure detector watches every scheduled victim with the spare as its
-// standby twin target, and the crashes and partitions become injector
-// windows.
-func armCrash(opt Options, cs *reconfig.CrashSchedule) func(*workload.Testbed, sim.Time) *reconfig.Manager {
-	return func(tb *workload.Testbed, until sim.Time) *reconfig.Manager {
-		mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
-		twins := map[string]string{}
-		for _, c := range cs.Crashes {
-			if c.Host == "spare" {
-				panic("abl-crash: the spare is the standby target and cannot crash")
-			}
-			twins[c.Host] = "spare"
-		}
-		if err := mgr.StartDetector(twins, opt.warmup(), until); err != nil {
-			panic(fmt.Sprintf("abl-crash: %v", err))
-		}
-		installCrashFaults(tb, cs, opt.warmup(), until)
-		return mgr
-	}
+func defaultCrashSchedule(windowMs int) *reconfig.Schedule {
+	u := max(windowMs/10, 1)
+	return &reconfig.Schedule{Actions: []reconfig.Action{
+		{Kind: reconfig.KindCrash, AtMs: 2 * u, Host: "server", To: "spare", UntilMs: 6 * u},
+	}}
 }
 
 // crashBlackout scans every per-ms bucket pair for the longest stretch
@@ -153,29 +84,35 @@ func ablCrash(opt Options) []*stats.Table {
 			"detect(ms)", "blackout(ms)", "recover(ms)", "verdict"},
 	}
 	for _, mode := range []workload.Mode{workload.ModeCon, workload.ModeFalcon} {
-		cs := opt.Crash
-		if cs == nil {
-			cs = defaultCrashSchedule(windowMs)
+		sched := opt.Reconfig
+		if sched == nil {
+			sched = defaultCrashSchedule(windowMs)
 		}
+		sched = filterForMode(sched, mode == workload.ModeFalcon)
 
 		base := runDisturbed(mode, opt, nil)
-		run := runDisturbed(mode, opt, armCrash(opt, cs))
+		run := runDisturbed(mode, opt, sched)
 		addGenRows(detail, mode, opt, base, run,
 			[3]overlay.DropBucket{overlay.BucketCrash, overlay.BucketResolve, overlay.BucketNIC})
 		// Steady state starts after the last scheduled event has settled.
-		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(nil, cs)+2)
+		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(sched)+2)
 
 		// The crash run's SLOs are measured directly against the baseline
 		// buckets: the blackout starts at the (unrecorded) crash instant,
 		// not at the fail-over generation the detector declares later. A
-		// partition-only schedule has nothing to detect and starts at its
-		// first partition.
-		crashes := len(cs.Crashes) > 0
-		firstCrashMs := 0
-		if crashes {
-			firstCrashMs = cs.Crashes[0].AtMs
-		} else {
-			firstCrashMs = cs.Partitions[0].AtMs
+		// schedule without a crash starts at its first action.
+		crashes, wantRejoin, firstCrashMs := false, false, 0
+		for _, a := range sched.Actions {
+			if a.Kind == reconfig.KindCrash {
+				if !crashes {
+					firstCrashMs = a.AtMs
+				}
+				crashes = true
+				wantRejoin = wantRejoin || a.UntilMs > 0
+			}
+		}
+		if !crashes && len(sched.Actions) > 0 {
+			firstCrashMs = sched.Actions[0].AtMs
 		}
 		blackout := crashBlackout(run.samples, base.samples)
 		recover := crashRecover(run.samples, base.samples, firstCrashMs)
@@ -184,12 +121,6 @@ func ablCrash(opt Options) []*stats.Table {
 		detectMs := -1.0
 		detached := false
 		rejoined := false
-		wantRejoin := false
-		for _, c := range cs.Crashes {
-			if c.RebootMs > 0 {
-				wantRejoin = true
-			}
-		}
 		for _, rec := range run.recs {
 			switch rec.Action.Kind {
 			case reconfig.KindFailover:

@@ -24,12 +24,12 @@ import (
 func TestCrashScheduleWithClientPartition(t *testing.T) {
 	for _, name := range []string{"abl-crash-partition", "abl-crash-partition-only", "abl-crash-partition-rejoin"} {
 		t.Run(name, func(t *testing.T) {
-			cs, err := reconfig.LoadCrashFile(filepath.Join("testdata", name+".json"))
+			sched, err := reconfig.LoadFile(filepath.Join("testdata", name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt := goldenOpt
-			opt.Crash, opt.Audit = cs, true
+			opt.Reconfig, opt.Audit = sched, true
 			tables := experiment(t, "abl-crash").Run(opt)
 			for _, row := range tables[1].Rows {
 				if n := value(t, tables[1], "unaccounted", row[0].String()); n != 0 {

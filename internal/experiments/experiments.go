@@ -42,15 +42,10 @@ type Options struct {
 	// colocate their hosts on one shard, which ShardsAuto resolves to
 	// the serial engine.
 	Shards int
-	// Reconfig, when non-nil, replaces abl-reconfig's built-in
-	// generation schedule (the -reconfig flag loads one from JSON; host
-	// names must match the reconfig bed: client/server/spare).
+	// Reconfig, when non-nil, replaces the built-in schedule of both
+	// abl-reconfig and abl-crash (the -reconfig flag loads one from
+	// JSON; host names must match their bed: client/server/spare).
 	Reconfig *reconfig.Schedule
-	// Crash, when non-nil, replaces abl-crash's built-in crash/partition
-	// schedule (the -crash flag loads one from JSON; host names must
-	// match the reconfig bed: client/server — the spare is the standby
-	// twin target and cannot itself crash).
-	Crash *reconfig.CrashSchedule
 	// RxCache enables the ONCache-style RX decap fast path (per-core
 	// flow caches, internal/overlay/rxcache.go) on every host. Off by
 	// default: the cache is the abl-cache ablation's subject, and the

@@ -114,13 +114,12 @@ func (r reconfigRun) unaccounted() int64 {
 }
 
 // runDisturbed drives one reconfig bed's fixed-rate UDP flow for warmup
-// + window + tail. arm installs the disturbance (a generation schedule,
-// a crash schedule) on the built bed before traffic starts and returns
-// the manager that records it; nil arm is the undisturbed baseline. The
-// sender's RNG draws are independent of the datapath, so baseline and
-// disturbed runs see an identical send schedule and their per-ms buckets
-// compare packet-for-packet.
-func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed, until sim.Time) *reconfig.Manager) reconfigRun {
+// + window + tail. A non-nil sched is armed on the built bed before
+// traffic starts, with the warmup end as its base; nil is the
+// undisturbed baseline. The sender's RNG draws are independent of the
+// datapath, so baseline and disturbed runs see an identical send
+// schedule and their per-ms buckets compare packet-for-packet.
+func runDisturbed(mode workload.Mode, opt Options, sched *reconfig.Schedule) reconfigRun {
 	tb := newReconfigBed(mode, opt)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
@@ -129,8 +128,11 @@ func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed
 	spareSock := tb.Spare.OpenUDP(tb.ServerCtrs[0].IP, 5001, singleFlowAppCore)
 
 	var mgr *reconfig.Manager
-	if arm != nil {
-		mgr = arm(tb, until)
+	if sched != nil {
+		mgr = reconfig.New(tb.Net, sched)
+		if err := mgr.Arm(opt.warmup(), until); err != nil {
+			panic(fmt.Sprintf("reconfig bed: %v", err))
+		}
 	}
 	f.SendAtRate(reconfigRate, until)
 	msCount := int(opt.window()/sim.Millisecond) + reconfigTailMs
@@ -157,22 +159,12 @@ func runDisturbed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed
 	return run
 }
 
-// scheduleEndMs is the last ms offset at which either schedule acts
-// (nil schedules contribute nothing): steady state is measured after it.
-func scheduleEndMs(rs *reconfig.Schedule, cs *reconfig.CrashSchedule) int {
+// scheduleEndMs is the last ms offset at which the schedule acts,
+// counting reboots and heals: steady state is measured after it.
+func scheduleEndMs(s *reconfig.Schedule) int {
 	last := 0
-	if rs != nil {
-		for _, a := range rs.Actions {
-			last = max(last, a.AtMs)
-		}
-	}
-	if cs != nil {
-		for _, c := range cs.Crashes {
-			last = max(last, c.AtMs, c.RebootMs)
-		}
-		for _, p := range cs.Partitions {
-			last = max(last, p.AtMs, p.HealMs)
-		}
+	for _, a := range s.Actions {
+		last = max(last, a.AtMs, a.UntilMs)
 	}
 	return last
 }
@@ -236,16 +228,10 @@ func ablReconfig(opt Options) []*stats.Table {
 		sched = filterForMode(sched, falcon)
 
 		base := runDisturbed(mode, opt, nil)
-		run := runDisturbed(mode, opt, func(tb *workload.Testbed, _ sim.Time) *reconfig.Manager {
-			mgr := reconfig.New(tb.Net, sched)
-			if err := mgr.Arm(opt.warmup()); err != nil {
-				panic(fmt.Sprintf("abl-reconfig: %v", err))
-			}
-			return mgr
-		})
+		run := runDisturbed(mode, opt, sched)
 		conv := addGenRows(detail, mode, opt, base, run,
 			[3]overlay.DropBucket{overlay.BucketResolve, overlay.BucketNIC, overlay.BucketBacklog})
-		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(sched, nil)+1)
+		baseSteady, runSteady, ratio := steadyRatio(base, run, scheduleEndMs(sched)+1)
 
 		maxBlackout, recovered, detached, quiesceUs := 0, true, true, -1.0
 		for _, c := range conv {

@@ -23,19 +23,6 @@ func (f *HostCrash) Apply(*Injector) { f.Host.Crash() }
 
 func (f *HostCrash) Revert(*Injector) { f.Host.Reboot() }
 
-// HostReboot brings a crashed host back at the window start — the
-// one-sided companion to a HostCrash whose window outlives the run (a
-// crash that "never reverts"). Revert is a no-op.
-type HostReboot struct {
-	Host *overlay.Host
-}
-
-func (f *HostReboot) Name() string { return fmt.Sprintf("host-reboot(%s)", f.Host.Name) }
-
-func (f *HostReboot) Apply(*Injector) { f.Host.Reboot() }
-
-func (f *HostReboot) Revert(*Injector) {}
-
 // KVPartition cuts one host off from the overlay control plane for the
 // window: its transmit path serves version-pinned stale mappings from
 // the TX flow cache (bounded staleness), retries remap misses with

@@ -54,7 +54,7 @@ type detector struct {
 	order    []string // sorted monitor names: scan order is deterministic
 }
 
-// StartDetector arms a failure detector over the given hosts. twins
+// startDetector arms a failure detector over the given hosts. twins
 // maps each monitored host's name to the standby host that receives its
 // containers on fail-over (every container needs a standby twin there,
 // as with a scheduled drain). Scans are pre-declared coordinator events
@@ -67,10 +67,7 @@ type detector struct {
 // corpse's LP through the quiesce ladder. A rebooted host beats again
 // and is re-admitted after detectWellAfter fresh scans (its containers
 // stay on the twins, as after a drain+add).
-func (m *Manager) StartDetector(twins map[string]string, from, until sim.Time) error {
-	if m.det != nil {
-		return fmt.Errorf("reconfig: detector started twice")
-	}
+func (m *Manager) startDetector(twins map[string]string, from, until sim.Time) error {
 	if until <= from {
 		return fmt.Errorf("reconfig: detector window [%v,%v) is empty", from, until)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	falconcore "falcon/internal/core"
+	"falcon/internal/faults"
 	"falcon/internal/overlay"
 	"falcon/internal/sim"
 )
@@ -77,7 +78,13 @@ func (m *Manager) Records() []*GenRecord { return m.records }
 // Falcon instance so steer-flips restore the exact engine rather than
 // constructing a second one (falconcore.New subscribes to the machine
 // tick — building twice would double-subscribe).
-func (m *Manager) Arm(base sim.Time) error {
+//
+// Crashes and partitions are faults, not generations. When the schedule
+// has any, Arm starts the failure detector over (base, until] for the
+// crashed hosts, then installs the crash windows and after them the
+// partition windows on one fault injector. A window with UntilMs 0 ends
+// a second past until, so it never reverts within the run.
+func (m *Manager) Arm(base, until sim.Time) error {
 	if m.armed {
 		return fmt.Errorf("reconfig: schedule armed twice")
 	}
@@ -89,6 +96,9 @@ func (m *Manager) Arm(base sim.Time) error {
 			m.falcons[h.Name] = h.Falcon
 		}
 	}
+	at := func(ms int) sim.Time { return base + sim.Time(ms)*sim.Millisecond }
+	twins := map[string]string{}
+	var crashes, partitions faults.Plan
 	for i := range m.Sched.Actions {
 		a := m.Sched.Actions[i]
 		h := m.hostByName(a.Host)
@@ -110,9 +120,34 @@ func (m *Manager) Arm(base sim.Time) error {
 					return fmt.Errorf("reconfig: action %d: drain target %q has no standby twin for container %v", i, a.To, c.IP)
 				}
 			}
+		case KindCrash, KindPartition:
+			end := until + sim.Second
+			if a.UntilMs > 0 {
+				end = at(a.UntilMs)
+			}
+			it := faults.Item{At: at(a.AtMs), For: end - at(a.AtMs)}
+			if a.Kind == KindCrash {
+				twins[a.Host] = a.To
+				it.Fault = &faults.HostCrash{Host: h}
+				crashes.Items = append(crashes.Items, it)
+			} else {
+				it.Fault = &faults.KVPartition{KV: m.Net.KV, Host: h}
+				partitions.Items = append(partitions.Items, it)
+			}
+			continue
 		}
-		t := base + sim.Time(a.AtMs)*sim.Millisecond
+		t := at(a.AtMs)
 		m.Net.E.At(t, func() { m.apply(a, h, t) })
+	}
+	if len(twins) > 0 {
+		if err := m.startDetector(twins, base, until); err != nil {
+			return err
+		}
+	}
+	if len(crashes.Items)+len(partitions.Items) > 0 {
+		in := faults.NewInjector(m.Net.E)
+		in.Install(crashes)
+		in.Install(partitions)
 	}
 	m.armed = true
 	return nil

@@ -5,7 +5,6 @@ import (
 
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
-	"falcon/internal/faults"
 	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
@@ -88,7 +87,7 @@ func newDrainTestbed(t *testing.T) (*workload.Testbed, *reconfig.Manager, *workl
 		{Kind: reconfig.KindAdd, AtMs: 4, Host: "server"},
 	}}
 	mgr := reconfig.New(tb.Net, sched)
-	if err := mgr.Arm(0); err != nil {
+	if err := mgr.Arm(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, 2, 1)
@@ -140,50 +139,67 @@ func TestDrainQuiescesAndDetaches(t *testing.T) {
 	}
 }
 
+// TestCrashScheduleValidate checks the crash and partition rules of
+// Schedule.Validate: until_ms after at_ms, at most one crash per host, a
+// distinct standby host, and no overlapping partitions of one host.
 func TestCrashScheduleValidate(t *testing.T) {
-	valid := []*reconfig.CrashSchedule{
-		{Crashes: []reconfig.CrashEvent{{Host: "server", AtMs: 1}}},
-		{Crashes: []reconfig.CrashEvent{{Host: "server", AtMs: 1, RebootMs: 4}}},
-		{Crashes: []reconfig.CrashEvent{
-			{Host: "server", AtMs: 1, RebootMs: 4},
-			{Host: "client", AtMs: 2}}},
-		{Partitions: []reconfig.PartitionEvent{{Host: "client", AtMs: 0, HealMs: 3}}},
+	crash := func(host string, at, until int) reconfig.Action {
+		return reconfig.Action{Kind: reconfig.KindCrash, AtMs: at, Host: host, To: "spare", UntilMs: until}
+	}
+	partition := func(host string, at, until int) reconfig.Action {
+		return reconfig.Action{Kind: reconfig.KindPartition, AtMs: at, Host: host, UntilMs: until}
+	}
+	ok := func(acts ...reconfig.Action) *reconfig.Schedule { return &reconfig.Schedule{Actions: acts} }
+	valid := []*reconfig.Schedule{
+		ok(crash("server", 1, 0)),
+		ok(crash("server", 1, 4)),
+		ok(crash("server", 1, 4), crash("client", 2, 0)),
+		ok(partition("client", 0, 3)),
+		ok(partition("client", 1, 10), partition("client", 10, 12)),
+		ok(partition("client", 1, 12), crash("server", 2, 6)),
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
 			t.Errorf("valid crash schedule %d rejected: %v", i, err)
 		}
 	}
-	invalid := map[string]*reconfig.CrashSchedule{
-		"empty":          {},
-		"missing-host":   {Crashes: []reconfig.CrashEvent{{AtMs: 1}}},
-		"negative-at":    {Crashes: []reconfig.CrashEvent{{Host: "h", AtMs: -1}}},
-		"reboot-before":  {Crashes: []reconfig.CrashEvent{{Host: "h", AtMs: 3, RebootMs: 2}}},
-		"reboot-equal":   {Crashes: []reconfig.CrashEvent{{Host: "h", AtMs: 3, RebootMs: 3}}},
-		"double-crash":   {Crashes: []reconfig.CrashEvent{{Host: "h", AtMs: 1}, {Host: "h", AtMs: 2}}},
-		"disordered":     {Crashes: []reconfig.CrashEvent{{Host: "a", AtMs: 3}, {Host: "b", AtMs: 1}}},
-		"part-no-host":   {Partitions: []reconfig.PartitionEvent{{AtMs: 1}}},
-		"heal-before-at": {Partitions: []reconfig.PartitionEvent{{Host: "h", AtMs: 3, HealMs: 1}}},
+	invalid := map[string]*reconfig.Schedule{
+		"missing-host":        ok(crash("", 1, 0)),
+		"negative-at":         ok(crash("h", -1, 0)),
+		"reboot-before":       ok(crash("h", 3, 2)),
+		"reboot-equal":        ok(crash("h", 3, 3)),
+		"double-crash":        ok(crash("h", 1, 0), crash("h", 2, 0)),
+		"disordered":          ok(crash("a", 3, 0), crash("b", 1, 0)),
+		"crash-sans-standby":  ok(reconfig.Action{Kind: reconfig.KindCrash, AtMs: 1, Host: "h"}),
+		"crash-onto-self":     ok(reconfig.Action{Kind: reconfig.KindCrash, AtMs: 1, Host: "h", To: "h"}),
+		"part-no-host":        ok(partition("", 1, 0)),
+		"heal-before-at":      ok(partition("h", 3, 1)),
+		"partitions-overlap":  ok(partition("client", 1, 10), partition("client", 5, 12)),
+		"partition-after-inf": ok(partition("client", 1, 0), partition("client", 5, 12)),
+		"until-on-drain":      ok(reconfig.Action{Kind: reconfig.KindDrain, AtMs: 1, Host: "h", To: "s", UntilMs: 3}),
 	}
 	for name, s := range invalid {
 		if s.Validate() == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := reconfig.CrashFromJSON([]byte("{")); err == nil {
-		t.Fatal("malformed crash JSON accepted")
+	if _, err := reconfig.FromJSON([]byte(`{"crashes":[{"host":"server","at_ms":2,"reboot_ms":6}]}`)); err == nil {
+		t.Fatal("a schedule in another shape was read as an empty one")
 	}
-	s, err := reconfig.CrashFromJSON([]byte(`{"crashes":[{"host":"server","at_ms":2,"reboot_ms":6}]}`))
+	s, err := reconfig.FromJSON([]byte(`{"actions":[{"kind":"crash","at_ms":2,"host":"server","to":"spare","until_ms":6}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Crashes) != 1 || s.Crashes[0].RebootMs != 6 {
+	if len(s.Actions) != 1 || s.Actions[0].UntilMs != 6 {
 		t.Fatalf("parsed crash schedule mangled: %+v", s)
 	}
 }
 
-// newCrashTestbed builds the three-host bed with the failure detector
-// armed (server → spare twins) and a server crash window [1.5ms, 8ms).
+// newCrashTestbed builds the three-host bed with a scheduled server
+// crash over [1.5ms, 8.5ms) whose containers fail over to the spare's
+// twins, armed through Manager.Arm like every experiment and scenario.
+// Action times are whole ms from the base, so a 0.5ms base keeps the
+// crash off the 1ms machine-tick grid.
 func newCrashTestbed(t *testing.T, shards int) (*workload.Testbed, *reconfig.Manager, *workload.UDPFlow, sim.Time) {
 	t.Helper()
 	tb := workload.NewTestbed(workload.TestbedConfig{
@@ -191,16 +207,14 @@ func newCrashTestbed(t *testing.T, shards int) (*workload.Testbed, *reconfig.Man
 		RSSCores: []int{0}, RPSCores: []int{1},
 		GRO: true, InnerGRO: true, Seed: 1, Spare: true, Shards: shards,
 	})
-	mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
-	if err := mgr.StartDetector(map[string]string{"server": "spare"},
-		0, 16*sim.Millisecond); err != nil {
+	mgr := reconfig.New(tb.Net, &reconfig.Schedule{Actions: []reconfig.Action{
+		{Kind: reconfig.KindCrash, AtMs: 1, Host: "server", To: "spare", UntilMs: 8},
+	}})
+	if err := mgr.Arm(500*sim.Microsecond, 16*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	crashAt := 1500 * sim.Microsecond
-	faults.NewInjector(tb.E).Install(faults.Single(
-		crashAt, 8*sim.Millisecond-crashAt, &faults.HostCrash{Host: tb.Server}))
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, 2, 1)
-	return tb, mgr, f, crashAt
+	return tb, mgr, f, 1500 * sim.Microsecond
 }
 
 // crashTimeline runs a crash bed to completion and reduces it to the
@@ -259,7 +273,7 @@ func TestDetectorFailoverAndRejoin(t *testing.T) {
 	if rj.Action.Kind != reconfig.KindRejoin || !rj.Reattached {
 		t.Fatalf("second record is %+v, want rejoin", rj.Action)
 	}
-	if rj.Applied < 8*sim.Millisecond {
+	if rj.Applied < 8500*sim.Microsecond {
 		t.Fatalf("rejoin at %v precedes the reboot", rj.Applied)
 	}
 

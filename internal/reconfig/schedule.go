@@ -2,7 +2,10 @@
 // running overlay network: immutable configuration generations covering
 // topology membership (host drain/add with container remap), steering
 // policy (Falcon/RPS flips), and cost profile (kernel upgrades), applied
-// at deterministic effective sim-times from a declarative schedule.
+// at deterministic effective sim-times from a declarative schedule. The
+// same schedule also carries the disturbances that are not generations:
+// host crashes, whose fail-over a heartbeat detector drives, and KV
+// partitions.
 //
 // Swaps are RCU-style: a generation bump invalidates every TX flow-cache
 // entry, so new transmissions resolve against the new configuration,
@@ -16,8 +19,10 @@
 package reconfig
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"falcon/internal/costmodel"
@@ -45,13 +50,26 @@ const (
 	// rejoins the cluster. Container mappings stay wherever the drain
 	// put them (rebalancing back is a second drain the other way).
 	KindAdd = "add"
+	// KindCrash kills a host at AtMs with packets in its rings — no
+	// drain, no warning — and reboots it at UntilMs (0: it stays dead).
+	// The failure detector watches the host from the moment the
+	// schedule is armed and fails its containers over to the To host's
+	// standby twins; the crash itself opens no generation, only the
+	// detector's fail-over and rejoin do.
+	KindCrash = "crash"
+	// KindPartition cuts a host off from the KV control plane from AtMs
+	// until UntilMs (0: the rest of the run). The host serves stale
+	// flow-cache mappings within a bounded staleness and retries misses
+	// with backoff; at the heal its caches reconcile. Opens no
+	// generation.
+	KindPartition = "partition"
 
 	// KindFailover and KindRejoin are failure-driven generations: the
 	// Manager's failure detector emits them when heartbeats stop
 	// (containers remap onto standby twins) and when a rebooted host
 	// beats again. They appear in GenRecords but are NOT valid in a
-	// declarative Schedule — failures are detected, never scheduled
-	// (Validate rejects them as unknown kinds).
+	// declarative Schedule — a crash is scheduled, its fail-over is
+	// detected (Validate rejects them as unknown kinds).
 	KindFailover = "fail-over"
 	KindRejoin   = "rejoin"
 )
@@ -64,7 +82,8 @@ type Action struct {
 	AtMs int    `json:"at_ms"`
 	// Host names the target host.
 	Host string `json:"host"`
-	// To names the host receiving the drained containers (drain only).
+	// To names the host whose standby twins receive the containers
+	// (drain and crash only).
 	To string `json:"to,omitempty"`
 	// Kernel is the cost profile to swap to (kernel-upgrade only).
 	Kernel string `json:"kernel,omitempty"`
@@ -75,6 +94,9 @@ type Action struct {
 	// during which senders see definitive KV misses (the measurable
 	// blackout).
 	TransitUs int `json:"transit_us,omitempty"`
+	// UntilMs ends a crash (the reboot) or a partition (the heal), as an
+	// offset from the same base as AtMs; 0 means the rest of the run.
+	UntilMs int `json:"until_ms,omitempty"`
 }
 
 // Schedule is an ordered list of reconfiguration actions.
@@ -83,12 +105,18 @@ type Schedule struct {
 }
 
 // Validate checks structural well-formedness: known kinds and kernel
-// names, required per-kind fields, non-decreasing effective times, and add-follows-drain
-// pairing. Host-name resolution happens when a Manager arms the
-// schedule against a concrete network.
+// names, required per-kind fields, non-decreasing effective times,
+// add-follows-drain pairing, at most one crash per host (a second crash
+// would race its own detector ladder) and no overlapping partitions of
+// one host (the first heal would end both). Host-name resolution
+// happens when a Manager arms the schedule against a concrete network.
 func (s *Schedule) Validate() error {
 	lastAt := 0
 	draining := map[string]bool{}
+	crashed := map[string]bool{}
+	// partitionEnd holds each partitioned host's heal offset; -1 marks a
+	// partition that lasts the rest of the run.
+	partitionEnd := map[string]int{}
 	for i, a := range s.Actions {
 		if a.AtMs < 0 {
 			return fmt.Errorf("reconfig: action %d: negative at_ms %d", i, a.AtMs)
@@ -99,6 +127,14 @@ func (s *Schedule) Validate() error {
 		lastAt = a.AtMs
 		if a.Host == "" {
 			return fmt.Errorf("reconfig: action %d (%s): missing host", i, a.Kind)
+		}
+		if a.UntilMs != 0 {
+			if a.Kind != KindCrash && a.Kind != KindPartition {
+				return fmt.Errorf("reconfig: action %d: until_ms on a %s action", i, a.Kind)
+			}
+			if a.UntilMs <= a.AtMs {
+				return fmt.Errorf("reconfig: action %d: until_ms %d not after at_ms %d", i, a.UntilMs, a.AtMs)
+			}
 		}
 		switch a.Kind {
 		case KindKernelUpgrade:
@@ -128,6 +164,22 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("reconfig: action %d: add of %q without a preceding drain", i, a.Host)
 			}
 			delete(draining, a.Host)
+		case KindCrash:
+			if a.To == "" || a.To == a.Host {
+				return fmt.Errorf("reconfig: action %d: crash of %q needs a distinct to-host", i, a.Host)
+			}
+			if crashed[a.Host] {
+				return fmt.Errorf("reconfig: action %d: host %q crashed twice", i, a.Host)
+			}
+			crashed[a.Host] = true
+		case KindPartition:
+			if end, ok := partitionEnd[a.Host]; ok && (end < 0 || a.AtMs < end) {
+				return fmt.Errorf("reconfig: action %d: partition of %q overlaps the previous one", i, a.Host)
+			}
+			partitionEnd[a.Host] = a.UntilMs
+			if a.UntilMs == 0 {
+				partitionEnd[a.Host] = -1
+			}
 		default:
 			return fmt.Errorf("reconfig: action %d: unknown kind %q", i, a.Kind)
 		}
@@ -135,11 +187,18 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// FromJSON parses a schedule and validates it.
+// FromJSON parses a schedule and validates it. Unknown fields are
+// errors, so a file in some other shape is rejected rather than read
+// as an empty schedule.
 func FromJSON(data []byte) (*Schedule, error) {
 	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("reconfig: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("reconfig: trailing data after the schedule")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

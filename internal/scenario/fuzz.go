@@ -6,9 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
-
-	"falcon/internal/audit"
 )
 
 // ReproMagic marks a reproducer file (the "falcon_fuzz" JSON field).
@@ -204,15 +201,5 @@ func writeRepro(opt FuzzOptions, seed uint64, v Violation, sc Scenario) (string,
 	if err != nil {
 		return path, err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return path, err
-	}
-	// Twin audit dump: the same finding through the existing -replay
-	// plumbing (the header embeds the scenario and pins the oracle).
-	dumpPath := strings.TrimSuffix(path, ".json") + ".dump"
-	info := audit.RunInfo{
-		Exp: "fuzz/" + v.Oracle, Seed: int64(sc.Seed),
-		Kernel: sc.Kernel, Scenario: sc.JSON(),
-	}
-	return path, audit.WriteDumpFile(dumpPath, info, nil, nil)
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -215,7 +215,7 @@ func Oracles() []Oracle {
 			// determinism and conservation oracles.
 			// Reconfig swaps (like faults) perturb throughput by design,
 			// so the steady-state comparisons below only apply without
-			// them; reconfig scenarios get their own conservation oracle.
+			// them; conservation covers reconfig scenarios.
 			Applies: func(sc Scenario) bool {
 				return len(sc.Faults) == 0 && len(sc.Reconfigs) == 0 &&
 					hasFalcon(sc) && sc.OverlayOnly() && sc.MTU == 0
@@ -237,21 +237,13 @@ func Oracles() []Oracle {
 			Check: checkFaultSanity,
 		},
 		{
-			Name: "reconfig-conservation",
-			Desc: "no packet unaccounted across any generation swap; audit ledger clean in both modes",
-			Applies: func(sc Scenario) bool {
-				return len(sc.Reconfigs) > 0 && !sc.HasCrash()
-			},
-			Check: checkReconfigConservation,
-		},
-		{
 			Name: "tail-sanity",
 			Desc: "latency percentiles finite and ordered; delay faults never improve p99",
 			// Reconfig swaps migrate delivery mid-run (twin sockets, crash
 			// fail-over), which splits the latency population across
 			// sockets; the ordering half would still hold but the
 			// monotonicity half would compare different populations, so
-			// reconfig scenarios stay with their conservation oracles. TCP
+			// reconfig scenarios stay with the conservation oracle. TCP
 			// latency is message-assembly latency, a different quantity —
 			// UDP-only keeps one definition.
 			Applies: func(sc Scenario) bool {
@@ -260,12 +252,12 @@ func Oracles() []Oracle {
 			Check: checkTailSanity,
 		},
 		{
-			Name: "crash-conservation",
-			Desc: "no packet unaccounted across a host crash: every frame delivered or in a named drop bucket (incl. crash); audit ledger clean",
+			Name: "crash-recovery",
+			Desc: "a well-fed run keeps delivering across a host crash: the fail-over or the reboot restores a path",
 			Applies: func(sc Scenario) bool {
 				return sc.HasCrash()
 			},
-			Check: checkCrashConservation,
+			Check: checkCrashRecovery,
 		},
 		{
 			Name: "cache-transparency",
@@ -364,35 +356,12 @@ func conservationOn(sc Scenario, ac AccountResult, mode string) *Violation {
 	return nil
 }
 
-// checkReconfigConservation is the "no packet unaccounted across any
-// generation swap" property: the drain-complete accounting run — with
-// the generation schedule armed — must still satisfy the exact
-// conservation equations (generalized over the client's links and both
-// receive hosts) and keep the audit ledger silent, in every applicable
-// mode. A packet silently eaten by a drain, a stale flow-cache entry, or
-// the standby-twin handoff breaks one of the equations.
-func checkReconfigConservation(c *Ctx) *Violation {
-	sc := c.SC
-	for _, mode := range applicableModes(sc) {
-		if v := conservationOn(sc, c.account(sc, mode), modeLabel(mode)+"+reconfig"); v != nil {
-			return &Violation{"reconfig-conservation", v.Detail}
-		}
-	}
-	return nil
-}
-
-// checkCrashConservation is the crash fault domain's global equation:
-// with a host crash (and its detector-driven fail-over, remap, and
-// reboot re-admission) armed, the drain-complete accounting run must
-// leave zero packets unaccounted — every send() lands in delivery or a
-// named drop bucket, with the crash bucket (frames blackholed at the
-// dead NIC/stack plus queue-resident packets purged at crash time)
-// closing the books on the outage — and the audit ledger (SKB leaks,
-// balance breaks, queue corruption) must stay silent, in every
-// applicable mode. Fresh traffic must also have reached a socket after
-// the crash: the fail-over onto the spare's twins (or the rebooted
-// host) cannot silently blackhole the rest of the run.
-func checkCrashConservation(c *Ctx) *Violation {
+// checkCrashRecovery is the crash fault domain's liveness check (the
+// conservation oracle already closes its books, crash bucket included):
+// fresh traffic must have reached a socket across the crash, so the
+// fail-over onto the spare's twins (or the rebooted host) cannot
+// silently blackhole the rest of the run.
+func checkCrashRecovery(c *Ctx) *Violation {
 	sc := c.SC
 	var crashMs int
 	for _, rc := range sc.Reconfigs {
@@ -401,20 +370,15 @@ func checkCrashConservation(c *Ctx) *Violation {
 		}
 	}
 	for _, mode := range applicableModes(sc) {
-		label := modeLabel(mode) + "+crash"
-		ac := c.account(sc, mode)
-		if v := conservationOn(sc, ac, label); v != nil {
-			return &Violation{"crash-conservation", v.Detail}
-		}
 		// The crash is at >= 1ms into a window that outlives the outage,
 		// so a run whose delivery stopped for good at the crash has lost
 		// its recovery path (detector wedged, or remap left every sender
 		// in permanent retry). Guard only well-fed runs: a slow flow may
 		// legitimately fit its whole delivery before the crash.
-		if ac.Sent >= MinComparable && ac.Delivered == 0 {
-			return &Violation{"crash-conservation",
-				fmt.Sprintf("%s: sent %d packets, delivered none across the crash at %dms",
-					label, ac.Sent, crashMs)}
+		if ac := c.account(sc, mode); ac.Sent >= MinComparable && ac.Delivered == 0 {
+			return &Violation{"crash-recovery",
+				fmt.Sprintf("%s+crash: sent %d packets, delivered none across the crash at %dms",
+					modeLabel(mode), ac.Sent, crashMs)}
 		}
 	}
 	return nil
@@ -592,11 +556,11 @@ func checkTailSanity(c *Ctx) *Violation {
 
 // checkCacheTransparency is the tentpole property of the RX decap fast
 // path: a cache hit may only change *when* work happens, never *what*
-// is delivered. Three sub-checks on the scenario's primary mode:
-// the cached accounting run satisfies the exact conservation equations
-// with a silent audit ledger; the same cached run on a 4-shard PDES
-// cluster produces identical books (the cache's per-core tables live
-// inside one logical process, so sharding must not perturb them); and —
+// is delivered. Two sub-checks on the scenario's primary mode, beside
+// the conservation oracle's check of the serial cached run: the same
+// cached run on a 4-shard PDES cluster satisfies the exact conservation
+// equations and produces identical books (the cache's per-core tables
+// live inside one logical process, so sharding must not perturb them); and —
 // when the send schedule is datapath-independent (fixed-rate, no
 // fragmentation) and neither run dropped a packet — the cached run
 // delivers exactly the per-flow packet sets of its cache-off twin.
@@ -604,9 +568,6 @@ func checkCacheTransparency(c *Ctx) *Violation {
 	sc := c.SC
 	mode := hasFalcon(sc)
 	on := c.account(sc, mode)
-	if v := conservationOn(sc, on, "cache-on"); v != nil {
-		return &Violation{"cache-transparency", v.Detail}
-	}
 	// Shard invariance of the cached run. Direct Account call: Shards is
 	// an execution knob outside scenario identity (json:"-"), so the
 	// Ctx's JSON-keyed run cache cannot distinguish this run — it must

@@ -54,9 +54,9 @@ func TestGenerateReconfigs(t *testing.T) {
 }
 
 // TestReconfigSeedsCheckClean runs generated reconfig scenarios through
-// the full applicable oracle battery — in particular the
-// reconfig-conservation oracle: no packet may go unaccounted across any
-// generation swap, in either mode.
+// the full applicable oracle battery — in particular the conservation
+// oracle: no packet may go unaccounted across any generation swap, in
+// either mode.
 func TestReconfigSeedsCheckClean(t *testing.T) {
 	for _, sc := range reconfigSeeds(t, 4) {
 		sc := sc

@@ -190,31 +190,9 @@ func build(sc Scenario, falcon, withAudit bool) *bed {
 		b.socks = append(b.socks, b.ol.Socks...)
 		b.udpSocks = append(b.udpSocks, b.ol.Socks...)
 	}
-	switch {
-	case sc.HasCrash():
-		// A crash is not a planned schedule: the failure detector owns
-		// the generation swaps. The host dies through the fault layer
-		// and the detector notices the missing heartbeats, fails its
-		// containers over to the spare's standby twins, and re-admits
-		// it after the reboot.
-		b.mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
-		if err := b.mgr.StartDetector(map[string]string{"server": "spare"},
-			sc.Warmup(), until); err != nil {
-			panic(fmt.Sprintf("scenario: starting failure detector: %v", err))
-		}
-		in := faults.NewInjector(tb.E)
-		for _, rc := range sc.Reconfigs {
-			if rc.Kind != "crash" {
-				continue
-			}
-			in.Install(faults.Single(
-				sc.Warmup()+sim.Time(rc.AtMs)*sim.Millisecond,
-				sim.Time(rc.ForMs)*sim.Millisecond,
-				&faults.HostCrash{Host: tb.Server}))
-		}
-	case len(sc.Reconfigs) > 0:
+	if len(sc.Reconfigs) > 0 {
 		b.mgr = reconfig.New(tb.Net, reconfigSchedule(sc))
-		if err := b.mgr.Arm(sc.Warmup()); err != nil {
+		if err := b.mgr.Arm(sc.Warmup(), until); err != nil {
 			panic(fmt.Sprintf("scenario: arming reconfig schedule: %v", err))
 		}
 	}
@@ -256,8 +234,9 @@ func openLoopConfig(sc Scenario) workload.OpenLoopConfig {
 }
 
 // reconfigSchedule translates the scenario's reconfig specs into the
-// concrete generation schedule on the server host (a drain lands the
-// containers on the spare's standby twins and re-adds the server ForMs
+// concrete schedule on the server host (a drain lands the containers on
+// the spare's standby twins and re-adds the server ForMs later; a crash
+// fails them over to the same twins and reboots the server ForMs
 // later). Actions are sorted by effective time, as Arm requires.
 func reconfigSchedule(sc Scenario) *reconfig.Schedule {
 	on, off := true, false
@@ -273,6 +252,10 @@ func reconfigSchedule(sc Scenario) *reconfig.Schedule {
 			acts = append(acts,
 				reconfig.Action{Kind: reconfig.KindKernelUpgrade, AtMs: rc.AtMs,
 					Host: "server", Kernel: "linux-5.4"})
+		case "crash":
+			acts = append(acts,
+				reconfig.Action{Kind: reconfig.KindCrash, AtMs: rc.AtMs,
+					Host: "server", To: "spare", UntilMs: rc.AtMs + rc.ForMs})
 		case "rps-flip":
 			acts = append(acts,
 				reconfig.Action{Kind: reconfig.KindRPSFlip, AtMs: rc.AtMs, Host: "server", Enable: &off},

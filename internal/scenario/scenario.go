@@ -222,8 +222,8 @@ func (sc Scenario) HasDrain() bool {
 }
 
 // HasCrash reports whether the scenario crashes the server (the runner
-// then provisions the spare host plus twin sockets and arms the failure
-// detector instead of a planned generation schedule).
+// then provisions the spare host plus twin sockets, whose standby twins
+// the failure detector fails the server over to).
 func (sc Scenario) HasCrash() bool {
 	for _, rc := range sc.Reconfigs {
 		if rc.Kind == "crash" {
@@ -233,8 +233,7 @@ func (sc Scenario) HasCrash() bool {
 	return false
 }
 
-// validReconfigKinds is the closed set the runner translates ("crash"
-// takes the detector path; the rest go through reconfigSchedule).
+// validReconfigKinds is the closed set reconfigSchedule translates.
 var validReconfigKinds = map[string]bool{
 	"drain": true, "kernel-upgrade": true, "rps-flip": true, "crash": true,
 }
@@ -398,17 +397,16 @@ func (sc Scenario) Validate() error {
 	if drains > 1 {
 		return fmt.Errorf("scenario: %d drains (max 1)", drains)
 	}
-	// A crash owns the reconfig machinery for the whole run: the failure
-	// detector drives the generation swaps, so a planned maintenance
-	// schedule on the same host does not compose with it.
+	// A crash stays the only reconfig: its fail-over and a drain would
+	// both move the server's containers onto the spare's twins, and the
+	// crash-recovery oracle reads delivery across the crash alone.
 	if crashes > 0 && len(sc.Reconfigs) != 1 {
 		return fmt.Errorf("scenario: a crash must be the only reconfig (got %d)", len(sc.Reconfigs))
 	}
 	return nil
 }
 
-// JSON renders the scenario compactly (the cache key and the embedded
-// form inside reproducers and audit dump headers).
+// JSON renders the scenario compactly (the oracle run cache's key).
 func (sc Scenario) JSON() string {
 	b, err := json.Marshal(sc)
 	if err != nil {

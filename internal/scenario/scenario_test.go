@@ -197,8 +197,8 @@ func TestLoadFileReproducer(t *testing.T) {
 
 func TestByNameSelection(t *testing.T) {
 	all, err := ByName(nil)
-	if err != nil || len(all) != 9 {
-		t.Fatalf("full battery = %d oracles, err %v; want 9", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("full battery = %d oracles, err %v; want 8", len(all), err)
 	}
 	sel, err := ByName([]string{"conservation", "fault-sanity"})
 	if err != nil || len(sel) != 2 || sel[0].Name != "conservation" || sel[1].Name != "fault-sanity" {

@@ -9,7 +9,9 @@
 # falconsim writes its wall-clock timings to stderr, so its stdout needs
 # no stripping. The runs:
 #   - `-all -quick` at -shards 1, 4 and auto, each plain, -audit, -cache;
-#   - abl-crash with each pinned partition schedule (quick windows);
+#   - abl-crash with each pinned partition schedule (quick windows,
+#     -reconfig; a BASE that still took them through -crash differs on
+#     these three runs, so compare those by hand);
 #   - full-window abl-tail and full-window -all;
 #   - `-fuzz -seeds 50`;
 #   - both examples, and pcapdump (its stdout plus the capture's hash);
@@ -64,7 +66,7 @@ for shards in 1 4 auto; do
 		"quick-s$shards-cache|falconsim -all -quick -shards $shards -cache")
 done
 for sched in abl-crash-partition abl-crash-partition-only abl-crash-partition-rejoin; do
-	runs+=("$sched|falconsim -quick -exp abl-crash -crash @/internal/experiments/testdata/$sched.json")
+	runs+=("$sched|falconsim -quick -exp abl-crash -reconfig @/internal/experiments/testdata/$sched.json")
 done
 runs+=("quickstart|quickstart" "livestream|livestream" "pcapdump|pcapdump -o overlay.pcap")
 if $bench; then
