@@ -92,7 +92,8 @@ scale:
 	$(GO) test -run NONE -bench MeshShards ./internal/experiments
 
 # What building a bed costs: ns/op, B/op and allocs/op of one build of
-# the mesh8 ring and of the two-host Falcon testbed.
+# the mesh8 ring, of the two-host Falcon testbed and of the two-host
+# RX-cache bed with 64 started senders (rxcache-64flows).
 bench-build:
 	$(GO) test -run NONE -bench '^BenchmarkBuild$$' -benchmem ./internal/experiments
 

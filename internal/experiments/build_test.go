@@ -10,18 +10,44 @@ import (
 
 // buildBeds are the beds whose construction TestBuildAllocs bounds and
 // BenchmarkBuild times: the mesh8 ring on a serial engine, built through
-// buildMesh, and the two-host single-flow testbed with Falcon on the
-// server. Each build is discarded unrun. allocs is the measured count
-// per build plus 10%, the rule TestHotPathAllocs follows.
+// buildMesh, the two-host single-flow testbed with Falcon on the server,
+// and the two-host RX-cache bed with 64 started senders
+// (buildRxCacheFlows). Each build is discarded unrun. allocs is the
+// measured count per build plus 10%, the rule TestHotPathAllocs follows.
 var buildBeds = []struct {
 	name   string
 	build  func()
 	allocs float64
 }{
-	{"mesh8", func() { buildMesh(sim.New(1), Options{Seed: 1}) }, 704 * 1.10},
+	{"mesh8", func() { buildMesh(sim.New(1), Options{Seed: 1}) }, 544 * 1.10},
 	{"falcon-2host", func() {
 		newSingleFlowBed(workload.ModeFalcon, Options{Seed: 1}, 100*devices.Gbps, false)
-	}, 175 * 1.10},
+	}, 125 * 1.10},
+	{"rxcache-64flows", buildRxCacheFlows, 446 * 1.10},
+}
+
+// buildRxCacheFlows is the udp-rxcache-fixed benchmark's bed: the
+// two-host testbed with the RX cache on and 64 Poisson senders over 8
+// server ports, each port's first flow opening its socket and 7 clones
+// sharing it. Starting a sender issues its first send, so the build
+// covers each sender's first transmit too.
+func buildRxCacheFlows() {
+	const flows, ports = 64, 8
+	tb := newBed(Options{Seed: 1, RxCache: true}, singleFlowConfig(100*devices.Gbps))
+	ctr, dst := tb.ClientCtrs[0], tb.ServerCtrs[0].IP
+	first := make([]*workload.UDPFlow, ports)
+	for i := 0; i < flows; i++ {
+		p, core, id := i%ports, 2+i%8, uint64(i+1)
+		f := first[p]
+		if f == nil {
+			f = tb.NewUDPFlow(ctr, dst, uint16(7000+i), uint16(5001+p), 64, core, singleFlowAppCore, id)
+			first[p] = f
+		} else {
+			f = f.Clone(core, id)
+			f.SrcPort = uint16(7000 + i)
+		}
+		f.SendAtRate(4000, 10*sim.Millisecond)
+	}
 }
 
 // TestBuildAllocs bounds the heap allocations of one bed build, so a

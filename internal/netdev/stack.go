@@ -136,10 +136,12 @@ type perCPUBacklog struct {
 	pending  bool
 	draining bool
 	dropped  uint64
-	// enter is the cached softirq-entry continuation (clear the pending
-	// bit, drain): scheduling a softirq invocation is then
-	// allocation-free, like the per-core drainDone continuation.
-	enter func()
+	// enter (clear the pending bit, drain) and drainDone (drain the next
+	// packet) are the core's cached softirq continuations, made at its
+	// first ensureDraining, so a core that never drains holds none and a
+	// draining one allocates nothing per packet.
+	enter     func()
+	drainDone func()
 	// idleFlushed records that OnDrained already ran for the current
 	// idle period; cleared by any enqueue so the next full drain runs
 	// the hook again.
@@ -156,10 +158,6 @@ type Stack struct {
 
 	// chains is the stack's chain free list (see (*Stack).RunChain).
 	chains *chain
-
-	// drainDone caches one drain continuation per core so the per-packet
-	// handler invocation in drain does not allocate a closure.
-	drainDone []func()
 
 	// OnDrained, when set, runs as a core's backlog fully drains and its
 	// softirq is about to exit — the napi_complete point. The receive
@@ -190,16 +188,6 @@ func NewStack(m *cpu.Machine) *Stack {
 		// Room for a host's NIC, VXLAN device and bridge and the veth
 		// pairs of two containers.
 		devices: make([]string, 0, 8),
-	}
-	st.drainDone = make([]func(), m.NumCores())
-	for i := range st.drainDone {
-		core := m.Core(i)
-		st.drainDone[i] = func() { st.drain(core) }
-		b := &st.backlogs[i]
-		b.enter = func() {
-			b.pending = false
-			st.drain(core)
-		}
 	}
 	return st
 }
@@ -313,8 +301,16 @@ func (st *Stack) ensureDraining(target int) {
 		return
 	}
 	b.draining = true
+	core := st.M.Core(target)
+	if b.enter == nil {
+		b.enter = func() {
+			b.pending = false
+			st.drain(core)
+		}
+		b.drainDone = func() { st.drain(core) }
+	}
 	// do_softirq entry overhead, then drain.
-	st.M.Core(target).Exec(stats.CtxSoftIRQ, costmodel.FnSoftIRQEntry, 0, b.enter)
+	core.Exec(stats.CtxSoftIRQ, costmodel.FnSoftIRQEntry, 0, b.enter)
 }
 
 // drain processes backlog entries one packet at a time, FIFO. Each
@@ -337,14 +333,14 @@ func (st *Stack) drain(core *cpu.Core) {
 		}
 		if st.OnDrained != nil && !b.idleFlushed {
 			b.idleFlushed = true
-			st.OnDrained(core, st.drainDone[core.ID()])
+			st.OnDrained(core, b.drainDone)
 			return
 		}
 		b.draining = false
 		return
 	}
 	st.chargeMigration(core, e.s)
-	e.h(core, e.s, st.drainDone[core.ID()])
+	e.h(core, e.s, b.drainDone)
 }
 
 // chargeMigration applies the cache-locality penalty when a packet

@@ -249,3 +249,74 @@ func TestPipelinedStagesRunConcurrently(t *testing.T) {
 		t.Fatalf("pipelining did not help: serial=%v piped=%v", serial, piped)
 	}
 }
+
+// TestFirstDrainOnUnusedCore: a core makes its softirq continuations at
+// its first drain. A packet for the highest core, never used before,
+// drains, counts one NET_RX there and reaches the idle hook with a
+// continuation to call.
+func TestFirstDrainOnUnusedCore(t *testing.T) {
+	const cores = 12
+	e, st := newStack(cores)
+	var processed []uint64
+	flushes := 0
+	st.OnDrained = func(c *cpu.Core, done func()) {
+		flushes++
+		done()
+	}
+	if !st.NetifRx(nil, cores-1, skb.New(nil, 0), passthrough(&processed)) {
+		t.Fatal("enqueue failed")
+	}
+	e.Run()
+	if len(processed) != 1 || flushes != 1 {
+		t.Fatalf("processed %d packets and ran the idle hook %d times, want 1 and 1", len(processed), flushes)
+	}
+	for c := 0; c < cores; c++ {
+		want := uint64(0)
+		if c == cores-1 {
+			want = 1
+		}
+		if got := st.M.IRQ.Core(c, stats.IRQNetRX); got != want {
+			t.Fatalf("NET_RX on core %d = %d, want %d", c, got, want)
+		}
+	}
+}
+
+// TestPurgeWithMostCoresNeverDrained: on a 12-core stack where only core
+// 0 ever drained, taking the stack down and purging counts every queued
+// packet, and the drain loops the queued packets had scheduled wind down
+// on empty queues.
+func TestPurgeWithMostCoresNeverDrained(t *testing.T) {
+	const cores = 12
+	e, st := newStack(cores)
+	var processed []uint64
+	h := passthrough(&processed)
+	st.NetifRx(nil, 0, skb.New(nil, 0), h)
+	e.Run()
+	queued := 0
+	for _, c := range []int{0, 5, cores - 1} {
+		for i := 0; i < 3; i++ {
+			if !st.NetifRx(nil, c, skb.New(nil, 0), h) {
+				t.Fatalf("enqueue on core %d failed", c)
+			}
+			queued++
+		}
+	}
+	var drops stats.Counter
+	st.SetDown(true, &drops)
+	st.PurgeBacklogs(&drops)
+	if got := drops.Value(); got != uint64(queued) {
+		t.Fatalf("purge counted %d drops, want %d", got, queued)
+	}
+	e.Run()
+	if len(processed) != 1 {
+		t.Fatalf("processed %d packets after the purge, want only the first", len(processed))
+	}
+	for c := 0; c < cores; c++ {
+		if n := st.BacklogLen(c); n != 0 {
+			t.Fatalf("core %d backlog holds %d packets after the purge", c, n)
+		}
+		if _, _, pending, draining := st.BacklogState(c); draining {
+			t.Fatalf("core %d still draining (pending %v)", c, pending)
+		}
+	}
+}

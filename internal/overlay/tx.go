@@ -4,7 +4,6 @@ import (
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
 	"falcon/internal/ipfrag"
-	"falcon/internal/netdev"
 	"falcon/internal/proto"
 	"falcon/internal/sim"
 	"falcon/internal/skb"
@@ -75,13 +74,23 @@ type txFlowEntry struct {
 	outer    []byte // outer VXLAN header template (cross-host only)
 }
 
-// txOp carries one transmit through its asynchronous charge chain. The
-// continuations the chain needs (after the stack steps, after
-// vxlan_xmit, after the NIC doorbell) are method values cached at pool
-// construction, so a steady-state send costs zero closure allocations —
-// the op itself is recycled once the frame is on the wire or counted as
-// a drop. Degraded resolution (sendDegraded) keeps its closures: it
-// only runs inside KV fault and partition windows.
+// txPhase is where a txOp's charge chain resumes when its current CPU
+// slice completes.
+type txPhase uint8
+
+const (
+	txStack txPhase = iota // charging the stack steps (stack, veth, bridge)
+	txVXLAN                // vxlan_xmit charged: encapsulate, ring the NIC
+	txWire                 // NIC doorbell charged: put the frame on the wire
+)
+
+// txOp carries one transmit through its asynchronous charge chain. Every
+// CPU slice of the chain continues through resume, the op's advance
+// method value cached when the op is first made, and phase says where to
+// go on; so a steady-state send costs zero closure allocations — the op
+// itself is recycled once the frame is on the wire or counted as a drop.
+// Degraded resolution (sendDegraded) keeps its closures: it only runs
+// inside KV fault and partition windows.
 type txOp struct {
 	h       *Host
 	core    *cpu.Core
@@ -93,10 +102,9 @@ type txOp struct {
 	e       *txFlowEntry
 	start   sim.Time // when the app handed us the payload (skb SendTime)
 
-	afterStack func() // cached op.stackDone
-	afterVXLAN func() // cached op.vxlanDone
-	afterNIC   func() // cached op.nicDone (overlay wire-out)
-	afterHost  func() // cached op.hostDone (host-network wire-out)
+	phase  txPhase
+	step   int    // stack steps charged so far
+	resume func() // cached op.advance
 
 	next *txOp // host free list
 }
@@ -105,15 +113,44 @@ func (h *Host) getTxOp() *txOp {
 	op := h.txOps
 	if op == nil {
 		op = new(txOp)
-		op.afterStack = op.stackDone
-		op.afterVXLAN = op.vxlanDone
-		op.afterNIC = op.nicDone
-		op.afterHost = op.hostDone
+		op.resume = op.advance
 	} else {
 		h.txOps = op.next
 		op.next = nil
 	}
 	return op
+}
+
+// txStackSteps are the transmit path's stack steps: the socket and IP
+// stack (charged at the payload length), then, for a container send, its
+// veth and the bridge.
+var txStackSteps = [...]costmodel.Func{costmodel.FnTxStack, costmodel.FnVethXmit, costmodel.FnBridge}
+
+// advance continues op after the CPU slice it was waiting on.
+func (op *txOp) advance() {
+	switch op.phase {
+	case txStack:
+		n := 1
+		if op.p.From != nil {
+			n = len(txStackSteps)
+		}
+		if op.step == n {
+			op.stackDone()
+			return
+		}
+		bytes := 0
+		if op.step == 0 {
+			bytes = op.p.Payload
+		}
+		fn := txStackSteps[op.step]
+		op.step++
+		op.core.Exec(op.ctx, fn, bytes, op.resume)
+	case txVXLAN:
+		op.vxlanDone()
+	case txWire:
+		// A host-network entry's HostIP is the addressed host itself.
+		op.finish(op.h.sendWire(op.core, op.ctx, op.s, op.e.info.HostIP))
+	}
 }
 
 // finish releases the op back to the host's free list and reports the
@@ -169,17 +206,8 @@ func (h *Host) sendL4(p SendParams, ipProto uint8, tcp proto.TCPHdr) {
 	op := h.getTxOp()
 	op.h, op.core, op.ctx, op.p, op.ipProto, op.tcp = h, core, ctx, p, ipProto, tcp
 	op.start = h.E.Now()
-	// Fixed-size step buffer: appending to a 1-element literal reallocates
-	// on every overlay send, and RunChain copies the steps anyway.
-	var steps [3]netdev.Step
-	steps[0] = netdev.Step{Fn: costmodel.FnTxStack, Bytes: p.Payload}
-	n := 1
-	if p.From != nil {
-		steps[1] = netdev.Step{Fn: costmodel.FnVethXmit}
-		steps[2] = netdev.Step{Fn: costmodel.FnBridge}
-		n = 3
-	}
-	h.St.RunChain(core, ctx, steps[:n], op.afterStack)
+	op.phase, op.step = txStack, 0
+	op.advance()
 }
 
 // stackDone runs once the stack/veth/bridge costs are charged and
@@ -279,7 +307,8 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	op.s, op.e = s, e
 	if e.hostNet {
 		// Host networking: straight out the NIC.
-		core.Exec(ctx, costmodel.FnTxNIC, 0, op.afterHost)
+		op.phase = txWire
+		core.Exec(ctx, costmodel.FnTxNIC, 0, op.resume)
 		return
 	}
 	if e.sameHost {
@@ -291,13 +320,8 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	}
 	// Cross-host: encapsulate in place (skb_push into the headroom) and
 	// transmit.
-	core.Exec(ctx, costmodel.FnVXLANXmit, s.Len(), op.afterVXLAN)
-}
-
-// hostDone wires out a host-network frame after the NIC doorbell.
-func (op *txOp) hostDone() {
-	h := op.h
-	op.finish(h.sendWire(op.core, op.ctx, op.s, op.p.DstIP))
+	op.phase = txVXLAN
+	core.Exec(ctx, costmodel.FnVXLANXmit, s.Len(), op.resume)
 }
 
 // vxlanDone encapsulates in place once vxlan_xmit is charged, then
@@ -307,13 +331,8 @@ func (op *txOp) vxlanDone() {
 	s.Push(proto.OverlayOverhead)
 	copy(s.Data[:proto.OverlayOverhead], op.e.outer)
 	proto.PatchIPv4ID(s.Data, h.nextIPID())
-	op.core.Exec(op.ctx, costmodel.FnTxNIC, 0, op.afterNIC)
-}
-
-// nicDone wires out an encapsulated frame after the NIC doorbell.
-func (op *txOp) nicDone() {
-	h := op.h
-	op.finish(h.sendWire(op.core, op.ctx, op.s, op.e.info.HostIP))
+	op.phase = txWire
+	op.core.Exec(op.ctx, costmodel.FnTxNIC, 0, op.resume)
 }
 
 // txCache returns core's TX flow table, creating it on first use. One

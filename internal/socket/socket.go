@@ -38,7 +38,8 @@ type Socket struct {
 
 	// cur is the message currently being copied/processed by the app
 	// thread; copyDone/workDone are the cached consume-loop continuations
-	// (built once in New) so steady-state consumption allocates nothing.
+	// (made at the first delivery) so steady-state consumption allocates
+	// nothing.
 	cur      *skb.SKB
 	copyDone func()
 	workDone func()
@@ -53,21 +54,26 @@ type Socket struct {
 	// segments.
 	Consumed stats.Counter
 
-	// Order verification: highest Seq consumed per FlowID.
+	// Order verification: highest Seq consumed per FlowID (made at the
+	// first delivery).
 	lastSeq    map[uint64]uint64
 	OrderViols uint64
 }
 
 // New returns a socket on machine m consumed by a thread on appCore.
 func New(m *cpu.Machine, appCore int) *Socket {
-	sk := &Socket{
+	return &Socket{
 		m:       m,
 		AppCore: appCore,
 		rcvQ:    skb.NewQueue(DefaultRcvBuf),
 		Latency: stats.NewHistogram(),
-		lastSeq: make(map[uint64]uint64),
 	}
-	core := m.Core(appCore)
+}
+
+// startConsumer makes the consume loop's continuations and the order
+// check's map, at the socket's first delivery.
+func (sk *Socket) startConsumer() {
+	core := sk.m.Core(sk.AppCore)
 	sk.copyDone = func() {
 		work := sk.m.Model.Cost(costmodel.FnAppWork, 0) + sk.AppWork
 		core.Submit(stats.CtxTask, costmodel.FnAppWork, work, sk.workDone)
@@ -83,7 +89,7 @@ func New(m *cpu.Machine, appCore int) *Socket {
 		s.Free()
 		sk.consumeNext()
 	}
-	return sk
+	sk.lastSeq = make(map[uint64]uint64)
 }
 
 // QueueLen returns the current receive-queue depth.
@@ -115,6 +121,9 @@ func (sk *Socket) wakeApp(c *cpu.Core) {
 		return
 	}
 	sk.appActive = true
+	if sk.copyDone == nil {
+		sk.startConsumer()
+	}
 	if c != nil && c.ID() != sk.AppCore {
 		sk.m.IRQ.Inc(sk.AppCore, stats.IRQRES)
 	}

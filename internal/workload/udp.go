@@ -26,11 +26,25 @@ type UDPFlow struct {
 	// Sock is the receiving socket (created by Open).
 	Sock *socket.Socket
 
-	seq     uint64
-	stopped bool
-	rate    float64 // pps; 0 = flood
-	rng     *sim.Rand
+	udpSender
 }
+
+// udpSender is a UDPFlow's running sender. Flood or SendAtRate starts it
+// once per flow; Clone makes a fresh one. gap is its slot, the gap
+// before the next send, and floodNext Flood's cached send-completion
+// callback.
+type udpSender struct {
+	seq       uint64
+	stopped   bool
+	rate      float64 // pps; 0 = flood
+	until     sim.Time
+	gap       sim.Slots
+	floodNext func(ok bool)
+	rng       sim.Rand
+}
+
+// newSender returns a fresh sender with its own fork of the testbed's RNG.
+func (tb *Testbed) newSender() udpSender { return udpSender{rng: *tb.E.Rand().Fork()} }
 
 // Open binds the receiving socket on the server.
 func (f *UDPFlow) Open() *UDPFlow {
@@ -45,20 +59,20 @@ func (tb *Testbed) NewUDPFlow(ctr *overlay.Container, dst proto.IPv4Addr, srcPor
 		tb: tb, FromCtr: ctr, DstIP: dst,
 		SrcPort: srcPort, DstPort: dstPort, Size: size,
 		SendCore: sendCore, AppCore: appCore, FlowID: flowID,
-		rng: tb.E.Rand().Fork(),
+		udpSender: tb.newSender(),
 	}
 	return f.Open()
 }
 
 // Clone returns a second sender for the same flow (same 5-tuple and
 // receiving socket) running on another client core — how multiple
-// sender threads press a single flow without rebinding the port.
+// sender threads press a single flow without rebinding the port. The
+// clone's sender is fresh, whatever state the original's is in.
 func (f *UDPFlow) Clone(sendCore int, flowID uint64) *UDPFlow {
 	c := *f
 	c.SendCore = sendCore
 	c.FlowID = flowID // distinct id keeps per-sender order checks valid
-	c.rng = f.tb.E.Rand().Fork()
-	c.seq = 0
+	c.udpSender = f.tb.newSender()
 	return &c
 }
 
@@ -90,18 +104,22 @@ func (f *UDPFlow) send(done func(ok bool)) {
 // drop patterns starve individual flows.
 func (f *UDPFlow) Flood(until sim.Time) {
 	// The gap before the next send is one slot of the engine's group, so
-	// the send runs inline when nothing else comes first. next is
-	// allocated once and reused as every send's completion callback.
+	// the send runs inline when nothing else comes first.
+	f.until = until
+	f.floodNext = f.floodDone
+	f.gap = f.tb.Client.E.NewSlots(1, f.floodSend)
+	f.send(f.floodNext)
+}
+
+func (f *UDPFlow) floodSend(int) { f.send(f.floodNext) }
+
+// floodDone draws the gap before the next flood send.
+func (f *UDPFlow) floodDone(bool) {
 	e := f.tb.Client.E
-	var next func(bool)
-	gap := e.NewSlots(1, func(int) { f.send(next) })
-	next = func(bool) {
-		if f.stopped || e.Now() >= until {
-			return
-		}
-		gap.Set(0, e.Now()+sim.Time(f.rng.Intn(200)))
+	if f.stopped || e.Now() >= f.until {
+		return
 	}
-	f.send(next)
+	f.gap.Set(0, e.Now()+sim.Time(f.rng.Intn(200)))
 }
 
 // SendAtRate emits packets at the given average rate with Poisson
@@ -109,20 +127,21 @@ func (f *UDPFlow) Flood(until sim.Time) {
 // can be changed live via SetRate; Stop, or a rate of 0 or less, ends
 // the sender at its next tick.
 func (f *UDPFlow) SendAtRate(pps float64, until sim.Time) {
-	f.rate = pps
 	// The gap before the next send is one slot of the engine's group,
 	// reserved for this sender, as in Flood.
+	f.rate, f.until = pps, until
+	f.gap = f.tb.Client.E.NewSlots(1, f.rateTick)
+	f.rateTick(0)
+}
+
+// rateTick sends one packet and draws the Poisson gap to the next.
+func (f *UDPFlow) rateTick(int) {
 	e := f.tb.Client.E
-	var gap sim.Slots
-	tick := func(int) {
-		if f.stopped || e.Now() >= until || f.rate <= 0 {
-			return
-		}
-		f.send(nil)
-		gap.Set(0, e.Now()+PoissonArrivals{Rate: f.rate}.NextGap(f.rng))
+	if f.stopped || e.Now() >= f.until || f.rate <= 0 {
+		return
 	}
-	gap = e.NewSlots(1, tick)
-	tick(0)
+	f.send(nil)
+	f.gap.Set(0, e.Now()+PoissonArrivals{Rate: f.rate}.NextGap(&f.rng))
 }
 
 // StressFlood launches n flooding clients on distinct cores, all
@@ -143,7 +162,7 @@ func (tb *Testbed) StressFlood(overlayMode bool, clients, size, appCore int, unt
 			tb: tb, FromCtr: ctr, DstIP: dst,
 			SrcPort: uint16(7000 + i), DstPort: 5001, Size: size,
 			SendCore: 2 + i, AppCore: appCore, FlowID: uint64(i + 1),
-			rng: tb.E.Rand().Fork(),
+			udpSender: tb.newSender(),
 		}
 		if sock == nil {
 			fl.Open()

@@ -157,6 +157,33 @@ func TestSendAtRateEnds(t *testing.T) {
 	}
 }
 
+// TestCloneStartsFreshSender: a clone of a stopped flow is a new sender.
+// It starts sending under SendAtRate, numbers its packets from 1, and
+// does not restart the original.
+func TestCloneStartsFreshSender(t *testing.T) {
+	tb := stdBed(t, 1)
+	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, 6, 1)
+	f.SendAtRate(100_000, sim.Second)
+	tb.Run(5 * sim.Millisecond)
+	f.Stop()
+	sent := f.Sent()
+	c := f.Clone(3, 2)
+	if c.Sent() != 0 {
+		t.Fatalf("clone starts at %d sent packets, want 0", c.Sent())
+	}
+	c.SendAtRate(100_000, 30*sim.Millisecond)
+	tb.Run(40 * sim.Millisecond)
+	if c.Sent() < 1500 {
+		t.Fatalf("clone of a stopped flow sent %d packets at 100 kpps over 25 ms", c.Sent())
+	}
+	if f.Sent() != sent {
+		t.Fatalf("the stopped original sent %d more packets", f.Sent()-sent)
+	}
+	if got, want := f.Sock.Delivered.Value(), sent+c.Sent(); got != want || f.Sock.OrderViols != 0 {
+		t.Fatalf("delivered %d (order violations %d), want %d in order", got, f.Sock.OrderViols, want)
+	}
+}
+
 func TestFalconTestbedEndToEnd(t *testing.T) {
 	tb := stdBed(t, 1)
 	tb.EnableFalconOnServer(falconcore.DefaultConfig([]int{3, 4, 5}))
