@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit identity reconfig tail cache fuzz scale bench-build bench-smoke experiments profile clean
+.PHONY: all build vet test race audit identity reconfig tail cache fuzz scale bench-build bench-smoke experiments full profile clean
 
 all: vet build test
 
@@ -104,6 +104,15 @@ bench-smoke:
 # Regenerate every paper table with full measurement windows.
 experiments:
 	$(GO) run ./cmd/falconsim -all
+
+# The full-window record, as in CI's full-record job (not tier-1): every
+# experiment with full windows, its stdout diffed against the committed
+# results_full.txt (timings go to stderr). After an intended output
+# change, regenerate the file with `go run ./cmd/falconsim -all >
+# results_full.txt`.
+full:
+	$(GO) run ./cmd/falconsim -all > full-all.out
+	diff results_full.txt full-all.out
 
 # CPU + heap profiles of the hot path (full fig10 windows). Inspect with
 #   go tool pprof falcon-cpu.out

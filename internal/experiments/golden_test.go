@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -49,6 +50,45 @@ func golden(t testing.TB, id string) string {
 	return string(want)
 }
 
+// Audit settings for matchGolden.
+const (
+	plain   = false
+	audited = true
+)
+
+// goldenRow names renders of experiment id that must reproduce its
+// golden, captured on the serial engine with the audit off, byte for
+// byte: one per entry of shards, where 0 builds the serial engine.
+type goldenRow struct {
+	id     string
+	shards []int
+}
+
+// matchGolden renders every row with goldenOpt plus the row's shard
+// count and audit setting, and compares each render with the golden.
+// The calling test runs in parallel with the other golden-variant
+// tests, and each render is its own parallel subtest id/shards=N.
+func matchGolden(t *testing.T, audit bool, rows ...goldenRow) {
+	t.Parallel()
+	for _, r := range rows {
+		t.Run(r.id, func(t *testing.T) {
+			t.Parallel()
+			want := golden(t, r.id)
+			for _, shards := range r.shards {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					t.Parallel()
+					opt := goldenOpt
+					opt.Shards, opt.Audit = shards, audit
+					if got := render(t, r.id, opt); got != want {
+						t.Errorf("%s diverges from the serial, audit-off golden\n--- golden ---\n%s\n--- got ---\n%s",
+							t.Name(), want, got)
+					}
+				})
+			}
+		})
+	}
+}
+
 // goldenRuns holds one goldenOpt run per experiment, shared by
 // TestGoldenDeterminism (bytes), TestAllExperimentsProduceTables
 // (shape) and every test that reads numbers from an experiment's tables,
@@ -94,6 +134,7 @@ func value(t testing.TB, tbl *stats.Table, col string, row ...string) float64 {
 func TestGoldenDeterminism(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
 			want := golden(t, e.ID)
 			if got := renderTables(goldenTables(t, e.ID)); got != want {
 				t.Fatalf("%s output diverged from its golden.\n--- want ---\n%s\n--- got ---\n%s",
@@ -109,6 +150,7 @@ func TestGoldenDeterminism(t *testing.T) {
 func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
 			tables := goldenTables(t, e.ID)
 			if len(tables) == 0 {
 				t.Fatal("no tables")
@@ -131,31 +173,35 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 // TestParallelRunsIdentical asserts that experiments match their goldens
 // when run concurrently with each other — each run owns its engine, RNG
 // and pools, so concurrent execution (test shuffling, sharded workers
-// inside one run) cannot perturb results.
+// inside one run) cannot perturb results. Two concurrent copies of each
+// experiment are enough to expose state shared between runs: a shared
+// value that one copy changes shows in the other's output, and under
+// -race (CI's test job) the race detector reports any access between
+// the two that happens-before does not order, whatever the copy count.
 func TestParallelRunsIdentical(t *testing.T) {
-	ids := []string{"fig10", "abl-chaos"}
-	want := make(map[string]string)
-	for _, id := range ids {
-		want[id] = golden(t, id)
+	exps := []Experiment{experiment(t, "fig10"), experiment(t, "abl-chaos")}
+	want := make([]string, len(exps))
+	for i, e := range exps {
+		want[i] = golden(t, e.ID)
 	}
 
-	const workers = 8
+	const copies = 2
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*len(ids))
-	for w := 0; w < workers; w++ {
+	mismatches := make(chan string, copies*len(exps))
+	for range copies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, id := range ids {
-				if got := render(t, id, goldenOpt); got != want[id] {
-					errs <- id
+			for i, e := range exps {
+				if renderTables(e.Run(goldenOpt)) != want[i] {
+					mismatches <- e.ID
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for id := range errs {
+	close(mismatches)
+	for id := range mismatches {
 		t.Errorf("%s output changed under concurrent execution", id)
 	}
 }

@@ -20,15 +20,7 @@ func TestReconfigShardInvariance(t *testing.T) {
 			t.Fatalf("abl-reconfig's golden run fails its own SLOs for %s: %s", row[0], v)
 		}
 	}
-	want := golden(t, "abl-reconfig")
-	for _, shards := range []int{2, 4} {
-		opt := goldenOpt
-		opt.Shards = shards
-		if got := render(t, "abl-reconfig", opt); got != want {
-			t.Errorf("shards=%d output diverges from the serial golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
-				shards, want, shards, got)
-		}
-	}
+	matchGolden(t, plain, goldenRow{"abl-reconfig", []int{2, 4}})
 }
 
 // TestReconfigShardInvarianceWithAudit repeats the check with the audit
@@ -36,13 +28,5 @@ func TestReconfigShardInvariance(t *testing.T) {
 // must keep the SKB ledger clean on every shard layout, and the ledger
 // itself must not perturb a single simulated result.
 func TestReconfigShardInvarianceWithAudit(t *testing.T) {
-	want := golden(t, "abl-reconfig")
-	for _, shards := range []int{0, 2, 4} {
-		opt := goldenOpt
-		opt.Shards, opt.Audit = shards, true
-		if got := render(t, "abl-reconfig", opt); got != want {
-			t.Errorf("shards=%d audited output diverges from the golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
-				shards, want, shards, got)
-		}
-	}
+	matchGolden(t, audited, goldenRow{"abl-reconfig", []int{0, 2, 4}})
 }

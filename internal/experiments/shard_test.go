@@ -15,20 +15,12 @@ import "testing"
 // topology where every shard both sends and receives cross-shard
 // traffic; TestAdaptiveHorizonInvariance adds its 4-shard leg.
 func TestShardInvariance(t *testing.T) {
-	for _, id := range []string{"fig10", "abl-chaos", "mesh8", "abl-tail"} {
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			want := golden(t, id)
-			for _, shards := range []int{2, 8} {
-				opt := goldenOpt
-				opt.Shards = shards
-				if got := render(t, id, opt); got != want {
-					t.Errorf("shards=%d output diverges from the serial golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
-						shards, want, shards, got)
-				}
-			}
-		})
-	}
+	matchGolden(t, plain,
+		goldenRow{"fig10", []int{2, 8}},
+		goldenRow{"abl-chaos", []int{2, 8}},
+		goldenRow{"mesh8", []int{2, 8}},
+		goldenRow{"abl-tail", []int{2, 8}},
+	)
 }
 
 // TestAdaptiveHorizonInvariance pins the adaptive safe-horizon windows
@@ -42,12 +34,7 @@ func TestShardInvariance(t *testing.T) {
 // against lives in internal/sim's own tests, e.g.
 // TestClusterAdaptiveWindowsWider.)
 func TestAdaptiveHorizonInvariance(t *testing.T) {
-	want := golden(t, "mesh8")
-	opt := goldenOpt
-	opt.Shards = 4
-	if got := render(t, "mesh8", opt); got != want {
-		t.Errorf("shards=4 output diverges from the serial golden\n--- golden ---\n%s\n--- shards=4 ---\n%s", want, got)
-	}
+	matchGolden(t, plain, goldenRow{"mesh8", []int{4}})
 }
 
 // TestShardInvarianceWithAudit repeats the invariance check with the
@@ -59,26 +46,10 @@ func TestAdaptiveHorizonInvariance(t *testing.T) {
 // fig10 and abl-chaos audited on the serial engine, so they run sharded
 // only here.
 func TestShardInvarianceWithAudit(t *testing.T) {
-	for _, tc := range []struct {
-		id     string
-		shards []int
-	}{
-		{"fig10", []int{2, 8}},
-		{"abl-chaos", []int{2, 8}},
-		{"abl-tail", []int{0, 2, 8}},
-		{"mesh8", []int{0, 2, 8}},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			t.Parallel()
-			want := golden(t, tc.id)
-			for _, shards := range tc.shards {
-				opt := goldenOpt
-				opt.Shards, opt.Audit = shards, true
-				if got := render(t, tc.id, opt); got != want {
-					t.Errorf("shards=%d audited output diverges from the golden\n--- golden ---\n%s\n--- shards=%d ---\n%s",
-						shards, want, shards, got)
-				}
-			}
-		})
-	}
+	matchGolden(t, audited,
+		goldenRow{"fig10", []int{2, 8}},
+		goldenRow{"abl-chaos", []int{2, 8}},
+		goldenRow{"abl-tail", []int{0, 2, 8}},
+		goldenRow{"mesh8", []int{0, 2, 8}},
+	)
 }
