@@ -125,9 +125,9 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 }
 
 // AutoShards picks a (shards, workers) pair for a topology with the
-// given host count from runtime.NumCPU() — the CLI's `-shards auto`.
-// (1, 1) means "use the serial engine". A negative TestbedConfig.Shards
-// applies the same heuristic inside NewTestbed.
+// given host count — the CLI's `-shards auto`: one shard per host, one
+// worker per CPU. (1, 1) means "use the serial engine". A negative
+// TestbedConfig.Shards applies the same rule inside NewTestbed.
 func AutoShards(hosts int) (shards, workers int) { return sim.AutoShards(hosts) }
 
 // NewTestbed builds the standard client/server testbed.

@@ -19,7 +19,7 @@ var buildBeds = []struct {
 	build  func()
 	allocs float64
 }{
-	{"mesh8", func() { buildMesh(sim.New(1), Options{Seed: 1}) }, 544 * 1.10},
+	{"mesh8", func() { buildMesh(sim.New(1), Options{Seed: 1}, meshHosts) }, 544 * 1.10},
 	{"falcon-2host", func() {
 		newSingleFlowBed(workload.ModeFalcon, Options{Seed: 1}, 100*devices.Gbps, false)
 	}, 125 * 1.10},

@@ -79,7 +79,7 @@ func cacheStress(mode workload.Mode, opt Options, size int, cache bool) cacheRun
 func runMeshCache(opt Options, cache bool) (float64, stats.Summary, uint64, uint64) {
 	o := opt
 	o.RxCache = cache
-	nodes := runMesh(meshSim(o), o)
+	nodes := runMesh(meshSim(o, meshHosts), o, meshHosts)
 
 	var delivered, hits, misses uint64
 	agg := stats.NewHistogram()

@@ -67,7 +67,7 @@ func (b hotPathBed) run() cacheRun {
 	if b.shards > 0 {
 		c := sim.NewCluster(b.opt.seed(), b.shards, 1)
 		var res workload.Result
-		for _, n := range runMesh(c, b.opt) {
+		for _, n := range runMesh(c, b.opt, meshHosts) {
 			res.Delivered += n.sock.Delivered.Value() - n.delivered0
 		}
 		return cacheRun{res: res, fired: c.Fired(), inlined: c.Inlined()}

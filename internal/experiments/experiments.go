@@ -81,10 +81,9 @@ func (td *teardown) finish() {
 	}
 }
 
-// ShardsAuto is the Options.Shards sentinel for "pick shard and worker
-// counts from the topology size and runtime.NumCPU()" (the CLI's
-// -shards auto). Each bed resolves it against its own host count via
-// sim.AutoShards at construction time.
+// ShardsAuto is the Options.Shards sentinel for "one shard per host, one
+// worker per CPU" (the CLI's -shards auto). Each bed resolves it against
+// its own host count via sim.AutoShards at construction time.
 const ShardsAuto = -1
 
 // resolveShards maps the auto sentinel to a concrete (shards, workers)

@@ -17,11 +17,11 @@ func init() {
 	register("mesh8", "Mesh: 8-host UDP ring over VXLAN (multi-host PDES showcase)", mesh8)
 }
 
-// Mesh topology parameters. Eight hosts in a ring is the smallest
-// topology where every PDES shard both sends and receives cross-shard
-// traffic and no shard is idle; the 20 µs inter-host delay is a
-// rack-scale RTT that gives the cluster a generous lookahead window
-// (thousands of per-host events per synchronization barrier).
+// Mesh topology parameters. mesh8 runs eight hosts in a ring;
+// BenchmarkMeshShards builds the same ring at other sizes. The 20 µs
+// inter-host delay is a rack-scale RTT that gives the cluster a generous
+// lookahead window (thousands of per-host events per synchronization
+// barrier).
 const (
 	meshHosts     = 8
 	meshPayload   = 256
@@ -68,24 +68,24 @@ func (n *meshNode) tick() {
 	n.gap.Set(0, n.host.E.Now()+workload.PoissonArrivals{Rate: meshRatePPS}.NextGap(n.rng))
 }
 
-// meshSim returns the engine the ring runs on: a serial engine
-// (Shards <= 1) or a PDES cluster.
-func meshSim(opt Options) sim.Sim {
-	if shards, workers := resolveShards(opt.Shards, meshHosts); shards > 1 {
+// meshSim returns the engine a ring of the given size runs on: a serial
+// engine (Shards <= 1) or a PDES cluster.
+func meshSim(opt Options, hosts int) sim.Sim {
+	if shards, workers := resolveShards(opt.Shards, hosts); shards > 1 {
 		return sim.NewCluster(opt.seed(), shards, workers)
 	}
 	return sim.New(opt.seed())
 }
 
-// buildMesh constructs the ring on e with host i pinned to shard
-// i%shards: everything a host owns runs on its own shard, and only the
-// inter-host wires cross shards. Each node's traffic-driver RNG forks
-// right after its host and container are built, and link construction
-// forks RNGs too, so the order below is part of the deterministic
-// schedule the goldens pin.
-func buildMesh(e sim.Sim, opt Options) []*meshNode {
+// buildMesh constructs a ring of the given size on e with host i pinned
+// to shard i%shards: everything a host owns runs on its own shard, and
+// only the inter-host wires cross shards. Each node's traffic-driver RNG
+// forks right after its host and container are built, and link
+// construction forks RNGs too, so the order below is part of the
+// deterministic schedule the goldens pin.
+func buildMesh(e sim.Sim, opt Options, hosts int) []*meshNode {
 	net := overlay.NewNetwork(e)
-	nodes := make([]*meshNode, meshHosts)
+	nodes := make([]*meshNode, hosts)
 	for i := range nodes {
 		h := net.AddHost(overlay.HostConfig{
 			Name: fmt.Sprintf("m%d", i), IP: proto.IP4(192, 168, 2, byte(10+i)),
@@ -101,7 +101,7 @@ func buildMesh(e sim.Sim, opt Options) []*meshNode {
 		nodes[i] = &meshNode{host: h, ctr: ctr, rng: e.Rand().Fork()}
 	}
 	for i, n := range nodes {
-		next := nodes[(i+1)%meshHosts]
+		next := nodes[(i+1)%hosts]
 		net.Connect(n.host, next.host, meshLinkRate, meshLinkDelay)
 		n.dst = next.ctr.IP
 	}
@@ -118,12 +118,12 @@ func buildMesh(e sim.Sim, opt Options) []*meshNode {
 	return nodes
 }
 
-// runMesh builds the ring on e, starts every node's sender, runs the
-// warm-up, reads every node's counts and starts its latency window, and
-// runs one measured window. The engine comes back parked at the window's
-// end.
-func runMesh(e sim.Sim, opt Options) []*meshNode {
-	nodes := buildMesh(e, opt)
+// runMesh builds a ring of the given size on e, starts every node's
+// sender, runs the warm-up, reads every node's counts and starts its
+// latency window, and runs one measured window. The engine comes back
+// parked at the window's end.
+func runMesh(e sim.Sim, opt Options, hosts int) []*meshNode {
+	nodes := buildMesh(e, opt, hosts)
 	warmup, window := opt.warmup(), opt.window()
 	until := warmup + window + 5*sim.Millisecond
 	for _, n := range nodes {
@@ -144,7 +144,7 @@ func runMesh(e sim.Sim, opt Options) []*meshNode {
 // byte-identical table is produced by N-way parallel execution — the
 // multi-host run BenchmarkMeshShards times.
 func mesh8(opt Options) []*stats.Table {
-	nodes := runMesh(meshSim(opt), opt)
+	nodes := runMesh(meshSim(opt, meshHosts), opt, meshHosts)
 	window := opt.window()
 
 	t := &stats.Table{

@@ -1,55 +1,69 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"falcon/internal/sim"
 )
 
-// BenchmarkMeshShards times one full-window mesh8 run per op at each
-// shard configuration. Sharded runs also report the cluster's window
-// synchronization per op: how many safe-horizon windows it cut, their
-// mean width in simulated ns, cross-shard messages per window, busy
-// shards per window, and the fraction of worker slots left idle.
+// BenchmarkMeshShards times one quick-window run of the mesh ring per op,
+// built the way mesh8 builds it, at 8, 16, 32 and 64 hosts on three
+// layouts: the serial engine, 4 LPs, and one LP per host (the layout
+// -shards auto picks). Sharded runs use GOMAXPROCS workers, so `-cpu
+// 1,2` sweeps the worker count too. Every run reports passes/set, the
+// set slots the slot group's sorted insert steps past per set
+// (Engine.SlotPasses), the per-engine list a sharded run splits.
+// Sharded runs also report the cluster's window synchronization per op:
+// how many safe-horizon windows it cut, their mean width in simulated
+// ns, cross-shard messages per window, busy shards per window, and the
+// fraction of worker slots left idle.
 func BenchmarkMeshShards(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 1},
-		{"shards=2", 2},
-		{"shards=4", 4},
-		{"shards=auto", ShardsAuto},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var ws sim.ClusterStats
-			for i := 0; i < b.N; i++ {
-				opt := Options{Seed: 1, Shards: bc.shards}
-				e := meshSim(opt)
-				runMesh(e, opt)
-				cl, ok := e.(*sim.Cluster)
-				if !ok {
-					continue
+	for _, hosts := range []int{8, 16, 32, 64} {
+		for _, l := range []struct {
+			name   string
+			shards int
+		}{
+			{"serial", 1},
+			{"lps=4", 4},
+			{"lps=hosts", hosts},
+		} {
+			b.Run(fmt.Sprintf("hosts=%d/%s", hosts, l.name), func(b *testing.B) {
+				var ws sim.ClusterStats
+				var passes, sets uint64
+				for i := 0; i < b.N; i++ {
+					opt := Options{Seed: 1, Quick: true, Shards: l.shards}
+					e := meshSim(opt, hosts)
+					runMesh(e, opt, hosts)
+					var p, s uint64
+					switch e := e.(type) {
+					case *sim.Engine:
+						p, s = e.SlotPasses()
+					case *sim.Cluster:
+						p, s = e.SlotPasses()
+						cs := e.Stats()
+						ws.Windows += cs.Windows
+						ws.WidthSum += cs.WidthSum
+						ws.Msgs += cs.Msgs
+						ws.BusySum += cs.BusySum
+						ws.UsedSlots += cs.UsedSlots
+						ws.Slots += cs.Slots
+					}
+					passes, sets = passes+p, sets+s
 				}
-				s := cl.Stats()
-				ws.Windows += s.Windows
-				ws.WidthSum += s.WidthSum
-				ws.Msgs += s.Msgs
-				ws.BusySum += s.BusySum
-				ws.UsedSlots += s.UsedSlots
-				ws.Slots += s.Slots
-			}
-			if ws.Windows == 0 {
-				return
-			}
-			w := float64(ws.Windows)
-			b.ReportMetric(w/float64(b.N), "windows/op")
-			b.ReportMetric(float64(ws.WidthSum)/w, "sim-ns/window")
-			b.ReportMetric(float64(ws.Msgs)/w, "msgs/window")
-			b.ReportMetric(float64(ws.BusySum)/w, "busy-shards")
-			if ws.Slots > 0 {
+				if sets > 0 {
+					b.ReportMetric(float64(passes)/float64(sets), "passes/set")
+				}
+				if ws.Windows == 0 {
+					return
+				}
+				w := float64(ws.Windows)
+				b.ReportMetric(w/float64(b.N), "windows/op")
+				b.ReportMetric(float64(ws.WidthSum)/w, "sim-ns/window")
+				b.ReportMetric(float64(ws.Msgs)/w, "msgs/window")
+				b.ReportMetric(float64(ws.BusySum)/w, "busy-shards")
 				b.ReportMetric(1-float64(ws.UsedSlots)/float64(ws.Slots), "idle-frac")
-			}
-		})
+			})
+		}
 	}
 }

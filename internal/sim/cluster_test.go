@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -122,6 +123,21 @@ func TestClusterDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(control, refControl) {
 			t.Errorf("shards=%d workers=%d: control samples diverge from serial\n got %v\nwant %v",
 				cfg[0], cfg[1], control, refControl)
+		}
+	}
+}
+
+// TestAutoShards: -shards auto is one LP per host whatever the machine,
+// with one worker per CPU up to one per host, and the serial engine
+// below 2 hosts.
+func TestAutoShards(t *testing.T) {
+	for _, hosts := range []int{-1, 0, 1, 2, 3, 16, 64} {
+		wantShards, wantWorkers := 1, 1
+		if hosts >= 2 {
+			wantShards, wantWorkers = hosts, min(runtime.NumCPU(), hosts)
+		}
+		if shards, workers := AutoShards(hosts); shards != wantShards || workers != wantWorkers {
+			t.Errorf("AutoShards(%d) = %d, %d; want %d, %d", hosts, shards, workers, wantShards, wantWorkers)
 		}
 	}
 }

@@ -124,6 +124,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // instead.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
+// SlotPasses returns how many set slots the slot group's sorted insert
+// has stepped past so far, and how many slots it has set: the cost of
+// keeping set slots in key order, which grows with the number set at
+// once.
+func (e *Engine) SlotPasses() (passes, sets uint64) { return e.group.passes, e.group.sets }
+
 // BudgetExceeded is the panic value raised when an engine passes its
 // event budget — the runaway-simulation backstop behind falconsim's
 // -max-events flag. Callers recover it, report the diagnostic, and exit

@@ -29,6 +29,8 @@ type group struct {
 
 	slots      []slot
 	head, tail int // the set slots, linked in key order; -1 when none
+
+	sets, passes uint64 // set calls, and the set slots their searches stepped past
 }
 
 // slot is one pending firing: its key, its neighbours in key order, and
@@ -116,20 +118,24 @@ func (g *group) set(i int, t Time, k Key) {
 	// before most set slots, a frame on a long wire arrives after them. A
 	// key stamped earlier may sort before a set slot at an equal time, so
 	// the search compares whole keys.
-	p := g.tail
+	p, steps := g.tail, uint64(0)
 	if h := g.head; h >= 0 && t-g.slots[h].at < g.slots[p].at-t {
 		// t is before the tail's time, so the search stops at the tail
 		// at the latest.
 		n := h
 		for g.slots[n].less(&s.fireKey) {
 			n = g.slots[n].next
+			steps++
 		}
 		p = g.slots[n].prev
 	} else {
 		for p >= 0 && s.less(&g.slots[p].fireKey) {
 			p = g.slots[p].prev
+			steps++
 		}
 	}
+	g.sets++
+	g.passes += steps
 	s.prev = p
 	if p < 0 {
 		s.next, g.head = g.head, i

@@ -98,3 +98,19 @@ func TestSlotClear(t *testing.T) {
 			e.Fired(), e.Inlined(), e.Pending(), e.Now())
 	}
 }
+
+// TestSlotPasses: SlotPasses counts every set and each set slot a set's
+// search steps past. Slots set in time order link at the tail with no
+// step; a slot nearer the tail searches back from it, one nearer the
+// head searches forward from it.
+func TestSlotPasses(t *testing.T) {
+	e := New(1)
+	r := e.NewSlots(8, func(int) {})
+	for i, at := range []Time{10, 20, 30, 40, 35, 15, 5, 25} {
+		r.Set(i, at)
+	}
+	// 35 passes 40; 15 passes 10; 25 passes 40, 35 and 30.
+	if passes, sets := e.SlotPasses(); passes != 5 || sets != 8 {
+		t.Fatalf("SlotPasses = %d, %d; want 5 and 8", passes, sets)
+	}
+}

@@ -58,9 +58,9 @@ type TestbedConfig struct {
 	// shard 1 (extra shards idle — the two-host testbed exposes at most
 	// two-way parallelism). 0 or 1 uses the plain serial engine. A
 	// negative value (the CLI's -shards auto sentinel) resolves shard
-	// and worker counts from the bed's host count and runtime.NumCPU()
-	// via sim.AutoShards — serial when the bed colocates its hosts on
-	// one shard or the machine has a single CPU.
+	// and worker counts through sim.AutoShards: one shard per host, one
+	// worker per CPU, and serial when the bed colocates its hosts on one
+	// shard.
 	Shards int
 	// Colocate forces both hosts onto shard 0 even when Shards > 1 —
 	// required by workloads whose endpoints share state across hosts
