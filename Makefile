@@ -85,13 +85,12 @@ cache:
 fuzz:
 	$(GO) run ./cmd/falconsim -fuzz -seeds 50 -fuzz-workers 4 -deadline 10m
 
-# PDES scaling sweep: the quick-window mesh ring at 8, 16, 32 and 64
-# hosts on the serial engine, 4 LPs and one LP per host, each on 1 and 2
-# workers, with slot-list passes per set and window synchronization
-# metrics (windows per op, width, cross-shard traffic, busy shards, worker
-# idle fraction) per configuration.
+# Sharding sweep: the quick-window mesh ring at 8, 16, 32 and 64 hosts
+# on the serial engine, 4 LPs and one LP per host, with slot-list passes
+# per set and window synchronization metrics (windows per op, width,
+# cross-shard traffic, busy shards) per configuration.
 scale:
-	$(GO) test -run NONE -bench MeshShards -cpu 1,2 ./internal/experiments
+	$(GO) test -run NONE -bench MeshShards ./internal/experiments
 
 # What building a bed costs: ns/op, B/op and allocs/op of one build of
 # the mesh8 ring, of the two-host Falcon testbed and of the two-host

@@ -118,17 +118,20 @@ func DefaultConfig(cpus []int) Config { return falconcore.DefaultConfig(cpus) }
 // NewEngine returns a deterministic simulation engine.
 func NewEngine(seed uint64) *Engine { return sim.New(seed) }
 
-// NewCluster returns a deterministic multi-shard PDES simulation whose
-// printed results are byte-identical to the serial engine's.
-func NewCluster(seed uint64, shards, workers int) *Cluster {
-	return sim.NewCluster(seed, shards, workers)
+// NewCluster returns a deterministic simulation split into the given
+// number of shards, whose printed results are byte-identical to the
+// serial engine's.
+func NewCluster(seed uint64, shards int) *Cluster {
+	return sim.NewCluster(seed, shards, 1)
 }
 
-// AutoShards picks a (shards, workers) pair for a topology with the
-// given host count — the CLI's `-shards auto`: one shard per host, one
-// worker per CPU. (1, 1) means "use the serial engine". A negative
-// TestbedConfig.Shards applies the same rule inside NewTestbed.
-func AutoShards(hosts int) (shards, workers int) { return sim.AutoShards(hosts) }
+// AutoShards returns the shard count for a topology with the given host
+// count — the CLI's `-shards auto`. 1 means "use the serial engine". A
+// negative TestbedConfig.Shards applies the same rule inside NewTestbed.
+func AutoShards(hosts int) int {
+	shards, _ := sim.AutoShards(hosts)
+	return shards
+}
 
 // NewTestbed builds the standard client/server testbed.
 func NewTestbed(cfg TestbedConfig) *Testbed { return workload.NewTestbed(cfg) }

@@ -7,8 +7,8 @@
 //	falconsim -exp fig10,fig13         # run several
 //	falconsim -all                     # run everything
 //	falconsim -all -quick              # shorter measurement windows
-//	falconsim -exp mesh8 -shards 4     # PDES: shard one simulation across goroutines
-//	falconsim -exp mesh8 -shards auto  # one shard per host, one worker per CPU
+//	falconsim -exp mesh8 -shards 4     # split one simulation into 4 logical processes
+//	falconsim -exp mesh8 -shards auto  # one logical process per host
 //	falconsim -exp fig10 -kernel 5.4
 //	falconsim -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //	falconsim -fuzz -seeds 50        # scenario fuzzing under the oracle battery
@@ -17,10 +17,11 @@
 // Tables always print to stdout in the order the experiments were
 // requested; per-experiment timing goes to stderr so stdout is
 // byte-deterministic for a given seed. -shards runs each simulation on
-// a conservative PDES cluster of logical processes (auto: one per
-// simulated host). It is a determinism cross-check first: outputs are
-// byte-identical to the serial engine for every shard count, including
-// auto.
+// a conservative cluster of logical processes (auto: one per simulated
+// host), all on one goroutine. It is a determinism cross-check: outputs
+// are byte-identical to the serial engine for every shard count,
+// including auto. Its speed comes from each logical process's shorter
+// slot list, not from running on several CPUs.
 package main
 
 import (
@@ -58,7 +59,7 @@ func run() int {
 		quick     = flag.Bool("quick", false, "short measurement windows")
 		kernel    = flag.String("kernel", "", `kernel cost profile ("4.19" default, "5.4")`)
 		seed      = flag.Uint64("seed", 1, "simulation seed")
-		shardsF   = flag.String("shards", "", `PDES shards per simulation, a determinism cross-check: a count (0/1 = serial engine), or "auto" for one shard per host of each bed and one worker per CPU; outputs are byte-identical for every value`)
+		shardsF   = flag.String("shards", "", `logical processes per simulation, a determinism cross-check: a count (0/1 = serial engine), or "auto" for one per host of each bed; outputs are byte-identical for every value`)
 		auditOn   = flag.Bool("audit", false, "enable runtime verification (SKB ledger, conservation invariants, watchdog); breaches abort with a replayable dump")
 		cacheOn   = flag.Bool("cache", false, "enable the ONCache-style RX decap fast path (per-core flow caches) on every experiment host")
 		deadline  = flag.Duration("deadline", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
@@ -329,10 +330,8 @@ func checkKernel(name string) error {
 	return nil
 }
 
-// runExperiments runs the experiments sequentially — simulation-level
-// parallelism now lives inside each run (-shards), where it speeds up a
-// single simulation instead of merely overlapping independent ones —
-// and streams rendered tables to out in request order. A panic (audit
+// runExperiments runs the experiments sequentially and streams rendered
+// tables to out in request order. A panic (audit
 // abort, event-budget breach, or a genuine bug) is recovered and
 // reported on stderr with the failing experiment/seed — audit aborts
 // additionally write a replayable dump — and the failure count is

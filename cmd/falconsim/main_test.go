@@ -9,8 +9,9 @@ import (
 
 // TestRunnerOutputIdentical pins the runner's rendering contract: stdout
 // is byte-identical across invocations and across engine choices —
-// serial, a forced shard count, and -shards auto (one shard per host of
-// each bed, via sim.AutoShards) must all render the same tables.
+// serial, a forced shard count, and -shards auto (each bed's layout from
+// sim.AutoShards: one shard per host for mesh8, serial for the testbeds)
+// must all render the same tables.
 func TestRunnerOutputIdentical(t *testing.T) {
 	var exps []experiments.Experiment
 	for _, id := range []string{"fig4", "fig2d", "mesh8"} {

@@ -81,19 +81,18 @@ func (td *teardown) finish() {
 	}
 }
 
-// ShardsAuto is the Options.Shards sentinel for "one shard per host, one
-// worker per CPU" (the CLI's -shards auto). Each bed resolves it against
-// its own host count via sim.AutoShards at construction time.
+// ShardsAuto is the Options.Shards sentinel for the CLI's -shards auto.
+// Each bed resolves it against its own host count via sim.AutoShards at
+// construction time.
 const ShardsAuto = -1
 
-// resolveShards maps the auto sentinel to a concrete (shards, workers)
-// pair for a bed with the given host count. Explicit shard counts pass
-// through with workers 0 (GOMAXPROCS-derived).
-func resolveShards(shards, hosts int) (int, int) {
+// resolveShards maps the auto sentinel to a concrete shard count for a
+// bed with the given host count. Explicit shard counts pass through.
+func resolveShards(shards, hosts int) int {
 	if shards == ShardsAuto {
-		return sim.AutoShards(hosts)
+		shards, _ = sim.AutoShards(hosts)
 	}
-	return shards, 0
+	return shards
 }
 
 func (o Options) seed() uint64 {

@@ -71,8 +71,8 @@ func (n *meshNode) tick() {
 // meshSim returns the engine a ring of the given size runs on: a serial
 // engine (Shards <= 1) or a PDES cluster.
 func meshSim(opt Options, hosts int) sim.Sim {
-	if shards, workers := resolveShards(opt.Shards, hosts); shards > 1 {
-		return sim.NewCluster(opt.seed(), shards, workers)
+	if shards := resolveShards(opt.Shards, hosts); shards > 1 {
+		return sim.NewCluster(opt.seed(), shards, 1)
 	}
 	return sim.New(opt.seed())
 }
@@ -141,7 +141,7 @@ func runMesh(e sim.Sim, opt Options, hosts int) []*meshNode {
 
 // mesh8 runs the ring for one measured window and reports per-host
 // delivery and latency plus the aggregate. With -shards N the same
-// byte-identical table is produced by N-way parallel execution — the
+// byte-identical table is produced by N logical processes — the
 // multi-host run BenchmarkMeshShards times.
 func mesh8(opt Options) []*stats.Table {
 	nodes := runMesh(meshSim(opt, meshHosts), opt, meshHosts)

@@ -10,14 +10,12 @@ import (
 // BenchmarkMeshShards times one quick-window run of the mesh ring per op,
 // built the way mesh8 builds it, at 8, 16, 32 and 64 hosts on three
 // layouts: the serial engine, 4 LPs, and one LP per host (the layout
-// -shards auto picks). Sharded runs use GOMAXPROCS workers, so `-cpu
-// 1,2` sweeps the worker count too. Every run reports passes/set, the
-// set slots the slot group's sorted insert steps past per set
-// (Engine.SlotPasses), the per-engine list a sharded run splits.
-// Sharded runs also report the cluster's window synchronization per op:
-// how many safe-horizon windows it cut, their mean width in simulated
-// ns, cross-shard messages per window, busy shards per window, and the
-// fraction of worker slots left idle.
+// -shards auto picks). Every run reports passes/set, the set slots the
+// slot group's sorted insert steps past per set (Engine.SlotPasses), the
+// per-engine list a sharded run splits. Sharded runs also report the
+// cluster's window synchronization per op: how many safe-horizon
+// windows it cut, their mean width in simulated ns, cross-shard
+// messages per window and busy shards per window.
 func BenchmarkMeshShards(b *testing.B) {
 	for _, hosts := range []int{8, 16, 32, 64} {
 		for _, l := range []struct {
@@ -46,8 +44,6 @@ func BenchmarkMeshShards(b *testing.B) {
 						ws.WidthSum += cs.WidthSum
 						ws.Msgs += cs.Msgs
 						ws.BusySum += cs.BusySum
-						ws.UsedSlots += cs.UsedSlots
-						ws.Slots += cs.Slots
 					}
 					passes, sets = passes+p, sets+s
 				}
@@ -62,7 +58,6 @@ func BenchmarkMeshShards(b *testing.B) {
 				b.ReportMetric(float64(ws.WidthSum)/w, "sim-ns/window")
 				b.ReportMetric(float64(ws.Msgs)/w, "msgs/window")
 				b.ReportMetric(float64(ws.BusySum)/w, "busy-shards")
-				b.ReportMetric(1-float64(ws.UsedSlots)/float64(ws.Slots), "idle-frac")
 			})
 		}
 	}

@@ -190,10 +190,10 @@ func (f *CoreOffline) Revert(*Injector) {
 // lookup attempt pays Latency and transiently fails with probability
 // FailRate (gossip-store churn during node restarts). Each consulting
 // host draws from its own generator, seeded off a base value taken from
-// the injector's stream at Apply time: hosts on different PDES shards
-// resolve concurrently, and per-host streams make the failure pattern a
-// function of (host, attempt number) alone — independent of shard
-// layout and identical to the serial run.
+// the injector's stream at Apply time: hosts on different shards resolve
+// in an order that depends on the shard layout, and per-host streams make
+// the failure pattern a function of (host, attempt number) alone —
+// independent of shard layout and identical to the serial run.
 type KVFlaky struct {
 	KV       *overlay.KVStore
 	Latency  sim.Time

@@ -69,8 +69,7 @@ type Host struct {
 
 	// Arena is the host's shard-local SKB/buffer allocator: the entire
 	// host datapath runs on one logical process, so frames recycle
-	// through single-owner free lists instead of the global sync.Pools
-	// (whose atomics bounce cache lines between PDES worker goroutines).
+	// through single-owner free lists instead of the global sync.Pools.
 	// Cross-shard frames rehome at the cluster barrier (see
 	// remoteEgress.prep).
 	Arena *skb.Arena

@@ -54,7 +54,7 @@ type LookupFault interface {
 	// attempt pays and whether it transiently fails. The consulting
 	// host's identity lets implementations keep per-host RNG streams,
 	// which a sharded run needs for determinism (hosts on different
-	// shards resolve concurrently).
+	// shards resolve in an order that depends on the shard layout).
 	Lookup(hostIP, containerIP proto.IPv4Addr) (delay sim.Time, fail bool)
 }
 

@@ -38,8 +38,7 @@ type hostMonitor struct {
 	twin *overlay.Host
 	// beatAt is the host's latest heartbeat. It is written only by the
 	// monitored host's own shard (an OnTick callback) and read only by
-	// the coordinator at barriers, where every shard is parked — the
-	// worker pool's park/wake edges order the accesses.
+	// the coordinator at barriers, where every shard is parked.
 	beatAt     sim.Time
 	sickStreak int
 	wellStreak int

@@ -3,16 +3,16 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 )
 
-// Cluster is a conservative parallel discrete-event engine (PDES,
-// DESIGN.md §6). The topology is partitioned into logical processes
-// (LPs) — one Engine per shard, each owning the complete
-// state of the hosts mapped to it — plus a coordinator-owned global
-// engine for control-plane events (experiment samplers, fault windows,
-// audit sweeps).
+// Cluster is a conservative discrete-event engine partitioned into
+// logical processes (LPs; DESIGN.md §6): one Engine per shard, each
+// owning the complete state of the hosts mapped to it, plus a
+// coordinator-owned global engine for control-plane events (experiment
+// samplers, fault windows, audit sweeps). Every LP runs on the
+// coordinator's goroutine, one after another in LP order, so a sharded
+// run is a determinism cross-check of the serial engine; its speed
+// comes from each LP's shorter slot list.
 //
 // Synchronization is a safe-horizon window barrier. Each cross-shard
 // send endpoint (Source) declares its link's minimum sender→receiver
@@ -35,7 +35,7 @@ import (
 // *checked*: Post panics if an arrival ever lands inside the window
 // that produced it.
 //
-// Determinism, for any shard count and worker count:
+// Determinism, for any shard count:
 //   - LPs share one construction-time root RNG (NewShared), so every
 //     Fork during single-threaded topology construction consumes the
 //     root stream exactly as the serial engine would. Runtime draws
@@ -55,11 +55,10 @@ import (
 //     events are construction-scheduled and hence carry lower
 //     sequence numbers than the runtime-scheduled datapath events.
 type Cluster struct {
-	root    *Rand
-	global  *Engine // coordinator control queue; its clock is Now()
-	lps     []*Engine
-	look    Time // minimum lookahead over all sources; 0 while there are none
-	workers int
+	root   *Rand
+	global *Engine // coordinator control queue; its clock is Now()
+	lps    []*Engine
+	look   Time // minimum lookahead over all sources; 0 while there are none
 
 	srcs   []*PostSource // by id: construction order
 	outMin []Time        // per shard: its sources' minimum lookahead (maxTime: none)
@@ -68,24 +67,24 @@ type Cluster struct {
 	curEnd   Time // current window end; -1 outside windows (Post guard)
 
 	nexts   []Time // per-LP NextAt cache for the window scan
-	work    []int  // busy LP indices for the current window
-	perr    []any  // per-LP recovered panic from the last window
-	pool    *workerPool
 	stats   ClusterStats
 	stopped bool
 }
 
-// ClusterStats counts synchronization work — the attribution data for
-// "why is the sharded run slow": too many windows, windows too narrow,
-// too much cross-shard chatter, or workers starved.
+// ClusterStats counts synchronization work: how many windows, how wide,
+// and how much cross-shard traffic.
 type ClusterStats struct {
-	Windows   uint64 // safe-horizon windows executed
-	WidthSum  uint64 // total sim-ns spanned by those windows
-	Msgs      uint64 // cross-shard messages drained at barriers
-	BusySum   uint64 // LPs with pending work, summed over windows
-	UsedSlots uint64 // min(busy LPs, workers), summed over windows
-	Slots     uint64 // workers × windows (capacity for UsedSlots)
-	Globals   uint64 // barrier rounds spent on global control events
+	Windows  uint64 // safe-horizon windows executed
+	WidthSum uint64 // total sim-ns spanned by those windows
+	Msgs     uint64 // cross-shard messages drained at barriers
+	BusySum  uint64 // LPs with pending work, summed over windows
+	Globals  uint64 // barrier rounds spent on global control events
+
+	// UsedSlots counts windows with a busy LP and Slots counts windows:
+	// the occupancy of the one goroutine that runs LPs. Both are kept
+	// only for bench/.
+	UsedSlots uint64
+	Slots     uint64
 }
 
 // Stats returns the synchronization counters accumulated so far.
@@ -105,21 +104,19 @@ type xmsg struct {
 	arg  any
 }
 
-// NewCluster returns a PDES cluster with the given number of logical
-// processes. workers caps the goroutines running LPs within a window
-// (<=0 selects GOMAXPROCS, clipped to shards). All LPs and the global
-// engine share one root RNG seeded with seed, exactly like New(seed).
+// NewCluster returns a cluster with the given number of logical
+// processes. All LPs and the global engine share one root RNG seeded
+// with seed, exactly like New(seed). The workers argument is kept only
+// for bench/: every LP runs on the caller's goroutine, so it must be at
+// most 1.
 func NewCluster(seed uint64, shards, workers int) *Cluster {
+	if workers > 1 {
+		panic(fmt.Sprintf("sim: NewCluster with %d workers; every LP runs on one goroutine", workers))
+	}
 	if shards < 1 {
 		shards = 1
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
-	}
-	c := &Cluster{root: NewRand(seed), workers: workers, adaptive: true, curEnd: -1}
+	c := &Cluster{root: NewRand(seed), adaptive: true, curEnd: -1}
 	c.global = NewShared(c.root)
 	c.lps = make([]*Engine, shards)
 	for i := range c.lps {
@@ -131,22 +128,25 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 		c.outMin[i] = maxTime
 	}
 	c.nexts = make([]Time, shards)
-	c.perr = make([]any, shards)
 	return c
 }
 
-// AutoShards picks a (shards, workers) pair for a topology with the
-// given number of hosts: one LP per host, run by one worker per CPU
-// (capped at one per host), or (1, 1), the serial engine, below 2
-// hosts. The LP count depends on the topology alone, so every machine
-// runs the same layout. One LP per host keeps each LP's slot list short:
-// on rings of 8 to 64 hosts it ran faster than the serial engine and
-// than 4 LPs, on one worker and on two (BenchmarkMeshShards).
+// autoMinHosts is the smallest topology -shards auto splits. One LP per
+// host beat the serial engine on every mesh ring from 8 hosts up
+// (BenchmarkMeshShards); on the 2- and 3-host testbeds it ran at break
+// even or slower.
+const autoMinHosts = 8
+
+// AutoShards returns the layout -shards auto picks for a topology with
+// the given number of hosts: one LP per host, or the serial engine (1)
+// below autoMinHosts. It reads nothing but the host count, so every
+// machine picks the same layout. The workers result is always 1 and is
+// kept only for bench/.
 func AutoShards(hosts int) (shards, workers int) {
-	if hosts < 2 {
+	if hosts < autoMinHosts {
 		return 1, 1
 	}
-	return hosts, min(runtime.NumCPU(), hosts)
+	return hosts, 1
 }
 
 // Now returns the coordinator clock.
@@ -385,8 +385,6 @@ func (c *Cluster) RunUntil(deadline Time) { c.run(deadline, true) }
 
 func (c *Cluster) run(deadline Time, park bool) {
 	c.stopped = false
-	c.startWorkers()
-	defer c.stopWorkers()
 	for !c.stopped {
 		c.drain()
 		tLP, okLP := c.minNext()
@@ -442,140 +440,25 @@ func (c *Cluster) run(deadline Time, park bool) {
 	c.global.SetClock(deadline)
 }
 
-// runWindow advances every LP to end. Busy LPs run on the persistent
-// worker pool (the coordinator itself takes part); idle LPs just park
-// their clocks. With at most one busy LP — the serial degenerate case,
-// and the whole run on a single-CPU machine — the window runs inline on
-// the coordinator: no wakeups, no atomics.
+// runWindow advances every LP to end: it parks each idle LP's clock
+// there, then runs each busy LP to it, in LP order.
 func (c *Cluster) runWindow(end Time) {
-	work := c.work[:0]
+	busy := uint64(0)
 	for i, lp := range c.lps {
 		if c.nexts[i] <= end {
-			work = append(work, i)
+			busy++
 		} else {
 			lp.SetClock(end)
 		}
 	}
-	c.work = work
-	busy := len(work)
-	c.stats.BusySum += uint64(busy)
-	used := busy
-	if used > c.workers {
-		used = c.workers
-	}
-	c.stats.UsedSlots += uint64(used)
-	c.stats.Slots += uint64(c.workers)
-	if busy == 0 {
-		return
-	}
+	c.stats.BusySum += busy
+	c.stats.UsedSlots += min(busy, 1)
+	c.stats.Slots++
 	c.curEnd = end
 	defer func() { c.curEnd = -1 }()
-	if busy == 1 || c.workers <= 1 || c.pool == nil {
-		for _, i := range work {
-			c.lps[i].RunUntil(end)
+	for i, lp := range c.lps {
+		if c.nexts[i] <= end {
+			lp.RunUntil(end)
 		}
-		return
-	}
-	p := c.pool
-	helpers := busy - 1 // the coordinator covers one LP itself
-	if helpers > len(p.wake) {
-		helpers = len(p.wake)
-	}
-	p.next.Store(0)
-	p.left.Store(int32(helpers))
-	for w := 0; w < helpers; w++ {
-		p.wake[w] <- end
-	}
-	p.runLPs(end)
-	<-p.done
-	// Re-raise the first (lowest-shard) panic deterministically; other
-	// shards' panics from the same window are dropped, like the serial
-	// engine abandoning its queue after a panic.
-	for i, e := range c.perr {
-		if e != nil {
-			c.perr[i] = nil
-			panic(e)
-		}
-	}
-}
-
-// runLP runs one LP to the window end, capturing a panic (event-budget
-// overrun, audit abort) for deterministic re-raise on the coordinator.
-func (c *Cluster) runLP(i int, end Time) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.perr[i] = r
-		}
-	}()
-	c.lps[i].RunUntil(end)
-}
-
-// workerPool holds the cluster's long-lived window executors: workers-1
-// helper goroutines parked on buffered wake channels (the coordinator
-// is the remaining worker). A window costs one channel send per woken
-// helper and one receive for the barrier — no goroutine launches, no
-// WaitGroup. Helpers pull LP indices from a shared atomic cursor, so a
-// shard that finishes early steals the next busy shard immediately.
-type workerPool struct {
-	c    *Cluster
-	wake []chan Time   // per-helper; the payload is the window end
-	done chan struct{} // buffered(1); the last helper to finish signals
-	next atomic.Int32  // cursor into c.work
-	left atomic.Int32  // helpers still running this window
-}
-
-// startWorkers launches the helper goroutines for one run. They live
-// for the whole run (stopWorkers, deferred in run, closes them down) —
-// per-window cost is wake/park only.
-func (c *Cluster) startWorkers() {
-	if c.pool != nil {
-		return
-	}
-	n := c.workers - 1
-	if m := len(c.lps) - 1; n > m {
-		n = m
-	}
-	if n <= 0 {
-		return
-	}
-	p := &workerPool{c: c, done: make(chan struct{}, 1), wake: make([]chan Time, n)}
-	for i := range p.wake {
-		ch := make(chan Time, 1)
-		p.wake[i] = ch
-		go p.helper(ch)
-	}
-	c.pool = p
-}
-
-func (c *Cluster) stopWorkers() {
-	p := c.pool
-	if p == nil {
-		return
-	}
-	c.pool = nil
-	for _, ch := range p.wake {
-		close(ch)
-	}
-}
-
-func (p *workerPool) helper(wake chan Time) {
-	for end := range wake {
-		p.runLPs(end)
-		if p.left.Add(-1) == 0 {
-			p.done <- struct{}{}
-		}
-	}
-}
-
-// runLPs drains the shared work queue: claim the next busy LP, run it
-// to the window end, repeat until the queue is exhausted.
-func (p *workerPool) runLPs(end Time) {
-	c := p.c
-	for {
-		i := int(p.next.Add(1)) - 1
-		if i >= len(c.work) {
-			return
-		}
-		c.runLP(c.work[i], end)
 	}
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // FuzzClusterOrder runs a byte-coded program of message-passing nodes on
-// clusters of 2, 3 and 4 shards with 1 and 2 workers, and on the serial
-// engine. Node i sits on shard i%shards. Each node runs a chain of steps;
+// clusters of 2, 3 and 4 shards, and on the serial engine. Node i sits on shard i%shards. Each node runs a chain of steps;
 // each step reads one byte of the node's own stream (the program bytes
 // after the first, dealt round-robin to the nodes), may post a message
 // to any node, itself included, and schedules the next step. Every
@@ -21,7 +20,7 @@ import (
 //     time), then the node's own step before any delivery with the same
 //     pair, then deliveries by ascending source id, each source in send
 //     order;
-//   - the traces are identical for every shard and worker count, and
+//   - the traces are identical for every shard count, and
 //     every message is delivered once;
 //   - for a program without such ties (no two sources, or a source and
 //     the receiver's own step, sharing an arrival and send time at one
@@ -39,20 +38,20 @@ func FuzzClusterOrder(f *testing.F) {
 			prog = prog[:1024]
 		}
 		var ref *orderRun
-		for _, cfg := range [][2]int{{2, 1}, {2, 2}, {3, 1}, {3, 2}, {4, 1}, {4, 2}} {
-			r := runClusterOrder(prog, cfg[0], cfg[1])
-			name := fmt.Sprintf("shards=%d workers=%d", cfg[0], cfg[1])
+		for _, shards := range []int{2, 3, 4} {
+			r := runClusterOrder(prog, shards)
+			name := fmt.Sprintf("shards=%d", shards)
 			r.check(t, name)
 			if ref == nil {
 				ref = r
 			} else if !reflect.DeepEqual(r.traces, ref.traces) {
-				t.Fatalf("%s: traces differ from shards=2 workers=1\n got %v\nwant %v", name, r.traces, ref.traces)
+				t.Fatalf("%s: traces differ from shards=2\n got %v\nwant %v", name, r.traces, ref.traces)
 			}
 		}
 		if ref.ties() {
 			return
 		}
-		if s := runClusterOrder(prog, 0, 0); !reflect.DeepEqual(s.traces, ref.traces) {
+		if s := runClusterOrder(prog, 0); !reflect.DeepEqual(s.traces, ref.traces) {
 			t.Fatalf("tie-free program: cluster traces differ from serial\ncluster %v\n serial %v", ref.traces, s.traces)
 		}
 	})
@@ -109,9 +108,9 @@ type orderMsg struct {
 	schedAt   Time
 }
 
-// runClusterOrder runs prog on a cluster of the given shards and
-// workers, or on one serial engine when shards is 0.
-func runClusterOrder(prog []byte, shards, workers int) *orderRun {
+// runClusterOrder runs prog on a cluster of the given shards, or on one
+// serial engine when shards is 0.
+func runClusterOrder(prog []byte, shards int) *orderRun {
 	n := 2 + int(prog[0]%5)
 	spread := prog[0]&0x80 != 0 // node i's grid is offset by i ns
 	r := &orderRun{traces: make([][]orderRec, n)}
@@ -124,7 +123,7 @@ func runClusterOrder(prog []byte, shards, workers int) *orderRun {
 		return serial
 	}
 	if shards > 0 {
-		c = NewCluster(1, shards, workers)
+		c = NewCluster(1, shards, 1)
 	} else {
 		serial = New(1)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,8 +12,8 @@ import (
 // draws, and posting messages to the next node over a "link" with
 // linkDelay minimum latency plus jitter. A coordinator-side control
 // event samples every node's counter each controlPeriod. Per-node
-// traces plus the control trace must be identical for every
-// (shards, workers) combination.
+// traces plus the control trace must be identical for every shard
+// count.
 const (
 	pdesNodes         = 4
 	pdesLinkDelay     = Time(800)
@@ -65,9 +64,9 @@ func pdesRecv(v any) {
 
 // runPDES builds and runs the synthetic workload, returning the
 // per-node traces and the control-sample trace.
-func runPDES(t *testing.T, shards, workers int) ([][]string, []string) {
+func runPDES(t *testing.T, shards int) ([][]string, []string) {
 	t.Helper()
-	c := NewCluster(1, shards, workers)
+	c := NewCluster(1, shards, 1)
 	nodes := make([]*pdesNode, pdesNodes)
 	for i := range nodes {
 		nodes[i] = &pdesNode{id: i, e: c.Shard(i), rng: c.Rand().Fork()}
@@ -96,50 +95,58 @@ func runPDES(t *testing.T, shards, workers int) ([][]string, []string) {
 		traces[i] = n.trace
 	}
 	if got := c.Now(); got != pdesRunFor {
-		t.Fatalf("shards=%d workers=%d: Now()=%v after RunUntil(%v)", shards, workers, got, pdesRunFor)
+		t.Fatalf("shards=%d: Now()=%v after RunUntil(%v)", shards, got, pdesRunFor)
 	}
 	for i := 0; i < shards; i++ {
 		if got := c.Shard(i).Now(); got != pdesRunFor {
-			t.Fatalf("shards=%d workers=%d: shard %d clock %v, want %v", shards, workers, i, got, pdesRunFor)
+			t.Fatalf("shards=%d: shard %d clock %v, want %v", shards, i, got, pdesRunFor)
 		}
 	}
 	return traces, control
 }
 
 // TestClusterDeterminism: execution traces are byte-identical for every
-// shard and worker count, including the degenerate 1-shard cluster.
+// shard count, including the degenerate 1-shard cluster.
 func TestClusterDeterminism(t *testing.T) {
-	refTraces, refControl := runPDES(t, 1, 1)
+	refTraces, refControl := runPDES(t, 1)
 	for _, n := range refTraces {
 		if len(n) == 0 {
 			t.Fatal("reference run produced an empty trace")
 		}
 	}
-	for _, cfg := range [][2]int{{2, 1}, {2, 2}, {4, 2}, {4, 4}, {8, 4}} {
-		traces, control := runPDES(t, cfg[0], cfg[1])
+	for _, shards := range []int{2, 4, 8} {
+		traces, control := runPDES(t, shards)
 		if !reflect.DeepEqual(traces, refTraces) {
-			t.Errorf("shards=%d workers=%d: node traces diverge from serial", cfg[0], cfg[1])
+			t.Errorf("shards=%d: node traces diverge from serial", shards)
 		}
 		if !reflect.DeepEqual(control, refControl) {
-			t.Errorf("shards=%d workers=%d: control samples diverge from serial\n got %v\nwant %v",
-				cfg[0], cfg[1], control, refControl)
+			t.Errorf("shards=%d: control samples diverge from serial\n got %v\nwant %v",
+				shards, control, refControl)
 		}
 	}
 }
 
-// TestAutoShards: -shards auto is one LP per host whatever the machine,
-// with one worker per CPU up to one per host, and the serial engine
-// below 2 hosts.
+// TestAutoShards: -shards auto is one LP per host from autoMinHosts up
+// and the serial engine below, on one goroutine, whatever the machine.
 func TestAutoShards(t *testing.T) {
-	for _, hosts := range []int{-1, 0, 1, 2, 3, 16, 64} {
-		wantShards, wantWorkers := 1, 1
-		if hosts >= 2 {
-			wantShards, wantWorkers = hosts, min(runtime.NumCPU(), hosts)
-		}
-		if shards, workers := AutoShards(hosts); shards != wantShards || workers != wantWorkers {
-			t.Errorf("AutoShards(%d) = %d, %d; want %d, %d", hosts, shards, workers, wantShards, wantWorkers)
+	for _, tc := range []struct{ hosts, shards int }{
+		{-1, 1}, {0, 1}, {1, 1}, {2, 1}, {3, 1}, {7, 1}, {8, 8}, {16, 16}, {64, 64},
+	} {
+		if shards, workers := AutoShards(tc.hosts); shards != tc.shards || workers != 1 {
+			t.Errorf("AutoShards(%d) = %d, %d; want %d, 1", tc.hosts, shards, workers, tc.shards)
 		}
 	}
+}
+
+// TestNewClusterOneGoroutine: a cluster runs every LP on the caller's
+// goroutine, so asking for more workers is a caller bug.
+func TestNewClusterOneGoroutine(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCluster with 2 workers did not panic")
+		}
+	}()
+	NewCluster(1, 4, 2)
 }
 
 // TestClusterHorizonGuard: posting a message that would arrive inside
@@ -209,7 +216,7 @@ func TestClusterPending(t *testing.T) {
 // TestClusterPostAtHorizonOK: arrival exactly at now+lookahead is legal
 // and delivered at the right time on the destination shard.
 func TestClusterPostAtHorizonOK(t *testing.T) {
-	c := NewCluster(1, 2, 2)
+	c := NewCluster(1, 2, 1)
 	src, dst := c.Shard(0), c.Shard(1)
 	out := c.Source(src, dst, 1000)
 	var deliveredAt Time = -1
@@ -260,10 +267,10 @@ func TestNextAtLowerBound(t *testing.T) {
 	}
 }
 
-// TestClusterBudget: an event-budget overrun inside a worker-run LP
-// surfaces as the usual *BudgetExceeded panic on the coordinator.
+// TestClusterBudget: an event-budget overrun inside an LP surfaces as
+// the usual *BudgetExceeded panic.
 func TestClusterBudget(t *testing.T) {
-	c := NewCluster(1, 2, 2)
+	c := NewCluster(1, 2, 1)
 	for i := 0; i < 2; i++ {
 		e := c.Shard(i)
 		var spin func()
@@ -443,7 +450,7 @@ func BenchmarkClusterDrain(b *testing.B) {
 // TestClusterStop: Stop from a control event halts the run at that
 // barrier, leaving later work pending.
 func TestClusterStop(t *testing.T) {
-	c := NewCluster(1, 2, 2)
+	c := NewCluster(1, 2, 1)
 	e := c.Shard(0)
 	ran := 0
 	var spin func()

@@ -1,11 +1,10 @@
 package skb
 
 // Arena is a shard-local SKB allocator. The global sync.Pool is safe
-// but pays per-operation atomics and bounces cache lines between the
-// PDES worker goroutines that run different shards; an Arena is a plain
-// single-owner free list — each simulated host gets one, and a host's
-// entire datapath runs on one logical process, so gets and puts never
-// race. Cross-shard packets move their pool affinity at the cluster
+// for concurrent simulations but pays its synchronization on every get
+// and put; an Arena is a plain single-owner free list — each simulated
+// host gets one, and a host's entire datapath runs on one logical
+// process, so gets and puts never race. Cross-shard packets move their pool affinity at the cluster
 // barrier (SKB.Rehome, with every LP parked), so a frame always
 // recycles into the arena of the shard that freed it.
 //

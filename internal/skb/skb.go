@@ -159,8 +159,8 @@ type SKB struct {
 
 	// arena, when non-nil, is the shard-local allocator that owns this
 	// SKB: Free returns the SKB and its buffer there instead of the
-	// global pools, so hot-path recycling never contends with other
-	// shards' worker goroutines. It survives Free (the arena owns the
+	// global pools, so hot-path recycling touches only the host's own
+	// free list. It survives Free (the arena owns the
 	// pooled object) and moves at cluster barriers when the packet
 	// crosses a shard boundary (Rehome).
 	arena *Arena

@@ -57,10 +57,9 @@ type TestbedConfig struct {
 	// that many shards: the client lives on shard 0 and the server on
 	// shard 1 (extra shards idle — the two-host testbed exposes at most
 	// two-way parallelism). 0 or 1 uses the plain serial engine. A
-	// negative value (the CLI's -shards auto sentinel) resolves shard
-	// and worker counts through sim.AutoShards: one shard per host, one
-	// worker per CPU, and serial when the bed colocates its hosts on one
-	// shard.
+	// negative value (the CLI's -shards auto sentinel) resolves the
+	// shard count through sim.AutoShards: one shard per host, and serial
+	// when the bed colocates its hosts on one shard.
 	Shards int
 	// Colocate forces both hosts onto shard 0 even when Shards > 1 —
 	// required by workloads whose endpoints share state across hosts
@@ -117,7 +116,7 @@ type Testbed struct {
 // NewTestbed builds the standard testbed.
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	cfg = cfg.withDefaults()
-	shards, workers := cfg.Shards, 0
+	shards := cfg.Shards
 	if shards < 0 {
 		// Auto: size from the bed's own parallelism. A colocated bed puts
 		// every host on shard 0, so sharding cannot help it — resolve
@@ -129,11 +128,11 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		if cfg.Colocate {
 			hosts = 1
 		}
-		shards, workers = sim.AutoShards(hosts)
+		shards, _ = sim.AutoShards(hosts)
 	}
 	var e sim.Sim
 	if shards > 1 {
-		e = sim.NewCluster(cfg.Seed, shards, workers)
+		e = sim.NewCluster(cfg.Seed, shards, 1)
 	} else {
 		e = sim.New(cfg.Seed)
 	}
