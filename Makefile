@@ -22,15 +22,19 @@ race:
 
 # Full self-audit, as in CI's audit job: every experiment (quick
 # windows) with runtime verification on (SKB ledger, conservation
-# invariants, watchdog), fenced by wall-clock and event budgets, and its
-# output diffed against the audit-off run. Any invariant breach aborts
-# nonzero and leaves a falcon-audit-*.dump for -replay.
+# invariants, watchdog), fenced by wall-clock and event budgets, serial
+# and on four LPs, each output diffed against the serial audit-off run.
+# Any invariant breach aborts nonzero and leaves a falcon-audit-*.dump
+# for -replay.
 audit:
 	$(GO) run ./cmd/falconsim -all -quick -audit \
 		-deadline 20m -max-events 2000000000 > audit-all.out
 	$(GO) run ./cmd/falconsim -all -quick \
 		-deadline 20m -max-events 2000000000 > plain-all.out
 	diff audit-all.out plain-all.out
+	$(GO) run ./cmd/falconsim -all -quick -audit -shards 4 \
+		-deadline 20m -max-events 2000000000 > audit-s4-all.out
+	diff audit-s4-all.out plain-all.out
 
 # Byte-identity against another revision: builds falconsim, pcapdump,
 # the examples and the benchmark at BASE and from the working tree, runs

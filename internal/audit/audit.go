@@ -16,7 +16,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"falcon/internal/sim"
 	"falcon/internal/skb"
@@ -70,23 +69,20 @@ type Abort struct {
 
 func (ab *Abort) Error() string { return ab.V.String() }
 
-// Auditor verifies one simulation run. The SKB lifecycle ledger is
-// partitioned per PDES shard (LedgerFor); the auditor itself drives
-// the conservation, queue and watchdog sweeps off a periodic timer on
-// the Sim's control queue — on a cluster those fire at barriers with
-// every shard parked, so sweeps read shard state safely. One auditor
+// Auditor verifies one simulation run. It keeps the run's one SKB
+// lifecycle ledger, which every host writes through its own Tap (For),
+// and drives the conservation, queue and watchdog sweeps off a periodic
+// timer on the Sim's control queue — on a cluster those fire at
+// barriers with every shard parked. Every LP of a cluster runs on the
+// coordinator's goroutine, so nothing here is locked. One auditor
 // audits one simulation; concurrent experiment runs each build their
-// own. The Auditor still implements skb.Auditor directly (through a
-// default ledger) for tests and single-engine callers.
+// own. The Auditor also implements skb.Auditor directly, stamping with
+// the Sim's clock, for tests and single-engine callers.
 type Auditor struct {
 	E   sim.Sim
 	cfg Config
 
-	// Ledger state (ledger.go): one shard-local slice per engine, plus
-	// a lazily built default for direct Auditor use.
-	ledgers  []*Ledger
-	byEngine map[*sim.Engine]*Ledger
-	def      *Ledger
+	l ledger // the SKB lifecycle ledger (ledger.go)
 
 	// Invariants (balance.go) and watchdog (watchdog.go).
 	balances   []*Balance
@@ -95,10 +91,6 @@ type Auditor struct {
 	watches    []*watch
 	dumps      []func(w io.Writer)
 
-	// mu orders violation reporting: per-packet hooks on different
-	// shards may violate concurrently (cold path — every report is
-	// already a failed run).
-	mu         sync.Mutex
 	violations []Violation
 	timer      sim.Slots // the periodic sweep
 }
@@ -108,46 +100,24 @@ type Auditor struct {
 // Watch, AddDump), then Start.
 func New(e sim.Sim, cfg Config) *Auditor {
 	a := &Auditor{
-		E:        e,
-		cfg:      cfg,
-		byEngine: make(map[*sim.Engine]*Ledger),
+		E:   e,
+		cfg: cfg,
+		l: ledger{
+			live:     make(map[*skb.SKB]*record),
+			sites:    make(map[string]uint64),
+			disposed: make(map[string]uint64),
+		},
 	}
 	a.timer = e.NewSlots(1, a.onTimer)
 	return a
 }
 
-// LedgerFor returns the shard-local ledger owning engine e, creating it
-// on first use. Hosts attach the ledger of their own engine, so the
-// per-packet hooks never touch another shard's state.
-func (a *Auditor) LedgerFor(e *sim.Engine) *Ledger {
-	if l, ok := a.byEngine[e]; ok {
-		return l
-	}
-	l := newLedger(a, e)
-	a.byEngine[e] = l
-	a.ledgers = append(a.ledgers, l)
-	return l
-}
+// skb.Auditor through the Sim's own clock.
 
-// defLedger is the ledger behind the Auditor's own skb.Auditor methods.
-func (a *Auditor) defLedger() *Ledger {
-	if a.def == nil {
-		if e, ok := a.E.(*sim.Engine); ok {
-			a.def = a.LedgerFor(e)
-		} else {
-			a.def = newLedger(a, a.E)
-			a.ledgers = append(a.ledgers, a.def)
-		}
-	}
-	return a.def
-}
-
-// skb.Auditor delegation to the default ledger.
-
-func (a *Auditor) SKBGet(s *skb.SKB, site string)    { a.defLedger().SKBGet(s, site) }
-func (a *Auditor) SKBStage(s *skb.SKB, stage string) { a.defLedger().SKBStage(s, stage) }
-func (a *Auditor) SKBFree(s *skb.SKB)                { a.defLedger().SKBFree(s) }
-func (a *Auditor) SKBMisuse(s *skb.SKB, kind string) { a.defLedger().SKBMisuse(s, kind) }
+func (a *Auditor) SKBGet(s *skb.SKB, site string)    { a.For(a.E).SKBGet(s, site) }
+func (a *Auditor) SKBStage(s *skb.SKB, stage string) { a.For(a.E).SKBStage(s, stage) }
+func (a *Auditor) SKBFree(s *skb.SKB)                { a.For(a.E).SKBFree(s) }
+func (a *Auditor) SKBMisuse(s *skb.SKB, kind string) { a.For(a.E).SKBMisuse(s, kind) }
 
 // Start primes every balance and arms the periodic invariant sweep, so
 // the first sweep checks the interval since Start.
@@ -178,131 +148,80 @@ func (a *Auditor) runChecks() {
 }
 
 // Final stops the sweep and runs the teardown checks: a last sweep, the
-// ledger's structural conservation (summed across shard ledgers — SKB
-// handoffs allocate on one shard and free on another, so only the sum
-// is invariant), and the end-of-run leak check (every SKB still live in
-// any ledger is a leak, reported in allocation order with its full
-// stage history). It returns all collected violations; in abort mode
-// the first teardown violation panics.
+// ledger's structural conservation, and the end-of-run leak check
+// (every SKB still live is a leak, reported in allocation-time order
+// with its full stage history). It returns all collected violations; in
+// abort mode the first teardown violation panics.
 func (a *Auditor) Final() []Violation {
 	a.timer.Clear(0)
 	a.runChecks()
-	created, freed, live := a.ledgerTotals()
-	if created != freed+uint64(live) {
-		a.violate("ledger", "created %d != freed %d + live %d", created, freed, live)
+	l := &a.l
+	if l.created != l.freedCnt+uint64(len(l.live)) {
+		a.violate("ledger", "created %d != freed %d + live %d", l.created, l.freedCnt, len(l.live))
 	}
-	if live > 0 {
-		recs := make([]*record, 0, live)
-		for _, l := range a.ledgers {
-			for _, r := range l.live {
-				recs = append(recs, r)
-			}
+	recs := make([]*record, 0, len(l.live))
+	for _, r := range l.live {
+		recs = append(recs, r)
+	}
+	// On a cluster, allocations are numbered in LP execution order,
+	// which within a window is not time order.
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].at != recs[j].at {
+			return recs[i].at < recs[j].at
 		}
-		// Allocation-time order; per-ledger seq breaks same-nanosecond
-		// ties (exact serial order for a single ledger).
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].at != recs[j].at {
-				return recs[i].at < recs[j].at
-			}
-			return recs[i].seq < recs[j].seq
-		})
-		for _, r := range recs {
-			a.violate("leak", "skb#%d (alloc %q at %v, gen %d) never freed; age %v; history: %s",
-				r.seq, r.site, r.at, r.gen, a.E.Now()-r.at, r.history())
-		}
+		return recs[i].seq < recs[j].seq
+	})
+	for _, r := range recs {
+		a.violate("leak", "skb#%d (alloc %q at %v, gen %d) never freed; age %v; history: %s",
+			r.seq, r.site, r.at, r.gen, a.E.Now()-r.at, r.history())
 	}
 	return a.violations
-}
-
-// ledgerTotals sums the structural counters across shard ledgers.
-func (a *Auditor) ledgerTotals() (created, freed uint64, live int) {
-	for _, l := range a.ledgers {
-		created += l.created
-		freed += l.freedCnt
-		live += len(l.live)
-	}
-	return
 }
 
 // Violations returns everything collected so far (collect mode).
 func (a *Auditor) Violations() []Violation { return a.violations }
 
-// LiveCount returns the number of SKBs currently tracked as live in any
-// ledger — the teardown drain loop polls it before running the leak
-// check.
-func (a *Auditor) LiveCount() int {
-	n := 0
-	for _, l := range a.ledgers {
-		n += len(l.live)
-	}
-	return n
-}
+// LiveCount returns the number of SKBs currently tracked as live — the
+// teardown drain loop polls it before running the leak check.
+func (a *Auditor) LiveCount() int { return len(a.l.live) }
 
-// Created returns lifetime SKB attachments across all ledgers.
-func (a *Auditor) Created() uint64 {
-	var n uint64
-	for _, l := range a.ledgers {
-		n += l.created
-	}
-	return n
-}
+// Created returns lifetime SKB attachments.
+func (a *Auditor) Created() uint64 { return a.l.created }
 
 func (a *Auditor) violate(kind, format string, args ...any) {
 	a.violateAt(a.E.Now(), kind, format, args...)
 }
 
-// violateAt reports a breach stamped with the detecting shard's clock.
-// Per-packet hooks on different shards may report concurrently, so the
-// record-and-collect step is mutex-ordered (cold path: any report means
-// the run already failed); in abort mode the panic unwinds the calling
-// shard and the cluster re-raises it deterministically.
+// violateAt records a breach stamped with the detecting host's clock;
+// in abort mode it panics with *Abort.
 func (a *Auditor) violateAt(at sim.Time, kind, format string, args ...any) {
 	v := Violation{Kind: kind, At: at, Detail: fmt.Sprintf(format, args...)}
-	a.mu.Lock()
 	a.violations = append(a.violations, v)
-	abort := a.cfg.OnViolation == nil
-	if !abort {
-		a.cfg.OnViolation(&v)
-	}
-	a.mu.Unlock()
-	if abort {
+	if a.cfg.OnViolation == nil {
 		panic(&Abort{V: &v, A: a})
 	}
+	a.cfg.OnViolation(&v)
 }
 
 // WriteState renders the auditor's full diagnostic state: ledger
-// counters and dispositions (summed across shard ledgers), registered
-// dump callbacks (per-core state) and the trace ring(s). It is the
-// body of every failure dump.
+// counters and dispositions, registered dump callbacks (per-core state)
+// and the trace ring. It is the body of every failure dump.
 func (a *Auditor) WriteState(w io.Writer) {
-	created, freed, live := a.ledgerTotals()
+	l := &a.l
 	fmt.Fprintf(w, "ledger: created=%d freed=%d live=%d pool-misuses=%d\n",
-		created, freed, live, skb.PoolMisuses())
-	sum := make(map[string]uint64)
-	for _, l := range a.ledgers {
-		for k, n := range l.disposed {
-			sum[k] += n
-		}
-	}
-	keys := make([]string, 0, len(sum))
-	for k := range sum {
+		l.created, l.freedCnt, len(l.live), skb.PoolMisuses())
+	keys := make([]string, 0, len(l.disposed))
+	for k := range l.disposed {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(w, "  disposed %-20s %d\n", k, sum[k])
+		fmt.Fprintf(w, "  disposed %-20s %d\n", k, l.disposed[k])
 	}
 	for _, fn := range a.dumps {
 		fn(w)
 	}
-	if len(a.ledgers) == 1 {
-		a.ledgers[0].writeRing(w)
-		return
-	}
-	for i, l := range a.ledgers {
-		fmt.Fprintf(w, "shard ledger %d:\n", i)
-		l.writeRing(w)
-	}
+	l.writeRing(w)
 }
 
 // stateString is WriteState into a string (for panic messages).

@@ -19,7 +19,7 @@ const historyDepth = 16
 // retained so double-free and stale-free violations can report the
 // victim's full stage history.
 type record struct {
-	seq    uint64 // allocation sequence number within its ledger, 1-based
+	seq    uint64 // allocation sequence number within the run, 1-based
 	gen    uint32 // skb generation at allocation
 	site   string // allocation site: "tx:send" (every L4 send) or "tx:frag"
 	at     sim.Time
@@ -61,20 +61,11 @@ func (r *record) history() string {
 	return b.String()
 }
 
-// Ledger is the shard-local slice of the auditor's SKB lifecycle
-// state: the live map, the recently-freed ring, allocation/disposition
-// counters and the trace ring. The serial engine uses a single ledger;
-// a PDES cluster gets one per shard (Auditor.LedgerFor), so the
-// per-packet hooks touch only state owned by the calling logical
-// process and need no locks. The invariant sweeps — which run on the
-// coordinator with every shard parked — and the teardown checks sum
-// across ledgers.
-type Ledger struct {
-	a *Auditor
-	// E is the owning shard's engine (or the whole Sim for the default
-	// ledger): the clock the ledger stamps records and traces with.
-	E sim.Sim
-
+// ledger is the auditor's SKB lifecycle state: the live map, the
+// recently-freed ring, allocation/disposition counters and the trace
+// ring. A run has one, written by every host's Tap and read by the
+// invariant sweeps and the teardown checks.
+type ledger struct {
 	live     map[*skb.SKB]*record
 	recent   []*record // ring of recently freed records, newest last
 	recentAt int
@@ -91,16 +82,7 @@ type Ledger struct {
 	ringLen int
 }
 
-func newLedger(a *Auditor, e sim.Sim) *Ledger {
-	return &Ledger{
-		a: a, E: e,
-		live:     make(map[*skb.SKB]*record),
-		sites:    make(map[string]uint64),
-		disposed: make(map[string]uint64),
-	}
-}
-
-func (l *Ledger) getRecord() *record {
+func (l *ledger) getRecord() *record {
 	if n := len(l.freeRecs); n > 0 {
 		r := l.freeRecs[n-1]
 		l.freeRecs = l.freeRecs[:n-1]
@@ -112,7 +94,7 @@ func (l *Ledger) getRecord() *record {
 
 // retire moves a freed record into the recently-freed ring, recycling
 // whatever it displaces.
-func (l *Ledger) retire(r *record) {
+func (l *ledger) retire(r *record) {
 	if l.recent == nil {
 		l.recent = make([]*record, ringSize)
 	}
@@ -125,7 +107,7 @@ func (l *Ledger) retire(r *record) {
 
 // recentFor finds the newest retired record for s (by pointer identity
 // and generation), for misuse attribution.
-func (l *Ledger) recentFor(s *skb.SKB) *record {
+func (l *ledger) recentFor(s *skb.SKB) *record {
 	if l.recent == nil {
 		return nil
 	}
@@ -144,10 +126,24 @@ func (l *Ledger) recentFor(s *skb.SKB) *record {
 	return nil
 }
 
+// Tap is one host's attachment to the auditor: the skb.Auditor hooks,
+// writing the run's one ledger and stamping with the clock of the
+// engine the host runs on. A frame that crosses to another LP is
+// re-pointed at the receiving host's tap (skb.SKB.AuditHandoff), so
+// every stamp carries the clock of the LP running that stage.
+type Tap struct {
+	a *Auditor
+	e sim.Sim
+}
+
+// For returns the tap of a host running on engine e.
+func (a *Auditor) For(e sim.Sim) Tap { return Tap{a: a, e: e} }
+
 // SKBGet implements skb.Auditor: a fresh SKB entered the datapath.
-func (l *Ledger) SKBGet(s *skb.SKB, site string) {
+func (t Tap) SKBGet(s *skb.SKB, site string) {
+	l, now := &t.a.l, t.e.Now()
 	if prev, ok := l.live[s]; ok {
-		l.a.violateAt(l.E.Now(), "ledger", "skb#%d re-issued while live (alloc %q at %v); history: %s",
+		t.a.violateAt(now, "ledger", "skb#%d re-issued while live (alloc %q at %v); history: %s",
 			prev.seq, prev.site, prev.at, prev.history())
 		delete(l.live, s)
 		l.freedCnt++ // keep created == freed + live coherent in collect mode
@@ -155,37 +151,39 @@ func (l *Ledger) SKBGet(s *skb.SKB, site string) {
 	l.seq++
 	l.created++
 	r := l.getRecord()
-	r.seq, r.gen, r.site, r.at = l.seq, s.Gen(), site, l.E.Now()
+	r.seq, r.gen, r.site, r.at = l.seq, s.Gen(), site, now
 	l.live[s] = r
 	l.sites[site]++
-	l.trace('G', site, r.seq, s.Gen())
+	l.trace(now, 'G', site, r.seq, s.Gen())
 }
 
 // SKBStage implements skb.Auditor: a live SKB crossed a device stage.
-func (l *Ledger) SKBStage(s *skb.SKB, stage string) {
+func (t Tap) SKBStage(s *skb.SKB, stage string) {
+	l, now := &t.a.l, t.e.Now()
 	r, ok := l.live[s]
 	if !ok {
-		l.a.violateAt(l.E.Now(), "use-after-free", "stage %q on untracked/freed skb (gen %d)", stage, s.Gen())
+		t.a.violateAt(now, "use-after-free", "stage %q on untracked/freed skb (gen %d)", stage, s.Gen())
 		return
 	}
-	r.push(stage, l.E.Now())
-	l.trace('S', stage, r.seq, s.Gen())
+	r.push(stage, now)
+	l.trace(now, 'S', stage, r.seq, s.Gen())
 }
 
 // SKBFree implements skb.Auditor: a live SKB left the datapath. Its
 // last stamped stage becomes the disposition bucket the conservation
 // balances count against.
-func (l *Ledger) SKBFree(s *skb.SKB) {
+func (t Tap) SKBFree(s *skb.SKB) {
+	l, now := &t.a.l, t.e.Now()
 	r, ok := l.live[s]
 	if !ok {
-		l.a.violateAt(l.E.Now(), "double-free", "free of untracked skb (gen %d) — never issued or already freed", s.Gen())
+		t.a.violateAt(now, "double-free", "free of untracked skb (gen %d) — never issued or already freed", s.Gen())
 		return
 	}
 	delete(l.live, s)
 	l.freedCnt++
-	r.freeAt = l.E.Now()
+	r.freeAt = now
 	l.disposed[r.last()]++
-	l.trace('F', r.last(), r.seq, s.Gen())
+	l.trace(now, 'F', r.last(), r.seq, s.Gen())
 	l.retire(r)
 }
 
@@ -193,74 +191,37 @@ func (l *Ledger) SKBFree(s *skb.SKB) {
 // operation (double-free or stale-generation free caught by skb.Free /
 // Handle.Free). The retired record, if still in the ring, pins the
 // misuse to the allocation site and full stage trail of the victim.
-func (l *Ledger) SKBMisuse(s *skb.SKB, kind string) {
-	l.trace('M', kind, 0, s.Gen())
+func (t Tap) SKBMisuse(s *skb.SKB, kind string) {
+	l, now := &t.a.l, t.e.Now()
+	l.trace(now, 'M', kind, 0, s.Gen())
 	if r := l.recentFor(s); r != nil {
-		l.a.violateAt(l.E.Now(), kind, "%s of skb#%d (alloc %q at %v, gen %d, freed at %v); history: %s",
+		t.a.violateAt(now, kind, "%s of skb#%d (alloc %q at %v, gen %d, freed at %v); history: %s",
 			kind, r.seq, r.site, r.at, r.gen, r.freeAt, r.history())
 		return
 	}
-	l.a.violateAt(l.E.Now(), kind, "%s of skb gen %d (record evicted from ring)",
+	t.a.violateAt(now, kind, "%s of skb gen %d (record evicted from ring)",
 		kind, s.Gen())
 }
 
-// SKBHandoff implements skb.Handoffer: a frame crossed a shard
-// boundary, so its live record migrates to the ledger owning the
-// receiving shard. Runs on the cluster coordinator with both shards
-// parked. The allocation stays counted where it happened and the
-// eventual free counts at the destination; the teardown conservation
-// check sums both sides, so handoffs conserve by construction.
-func (l *Ledger) SKBHandoff(s *skb.SKB, to skb.Auditor) {
-	t := resolveLedger(to)
-	if t == nil || t == l {
-		return
-	}
-	r, ok := l.live[s]
-	if !ok {
-		// Untracked here (e.g. attached mid-flight); the destination
-		// hooks will attribute any misuse.
-		return
-	}
-	delete(l.live, s)
-	t.live[s] = r
-}
-
-// resolveLedger maps an skb.Auditor back to its concrete ledger.
-func resolveLedger(a skb.Auditor) *Ledger {
-	switch v := a.(type) {
-	case *Ledger:
-		return v
-	case *Auditor:
-		return v.defLedger()
-	}
-	return nil
-}
-
-// Disposed returns a closure summing, across all shard ledgers, the
-// frees whose terminal stage was any of stages — the RHS terms of
-// conservation balances.
+// Disposed returns a closure counting the frees whose terminal stage
+// was any of stages — the RHS terms of conservation balances.
 func (a *Auditor) Disposed(stages ...string) func() uint64 {
 	return func() uint64 {
 		var n uint64
-		for _, l := range a.ledgers {
-			for _, st := range stages {
-				n += l.disposed[st]
-			}
+		for _, st := range stages {
+			n += a.l.disposed[st]
 		}
 		return n
 	}
 }
 
-// CreatedAt returns a closure summing, across all shard ledgers, the
-// allocations at the given sites — the LHS "injected" terms of
-// conservation balances.
+// CreatedAt returns a closure counting the allocations at the given
+// sites — the LHS "injected" terms of conservation balances.
 func (a *Auditor) CreatedAt(sites ...string) func() uint64 {
 	return func() uint64 {
 		var n uint64
-		for _, l := range a.ledgers {
-			for _, s := range sites {
-				n += l.sites[s]
-			}
+		for _, s := range sites {
+			n += a.l.sites[s]
 		}
 		return n
 	}

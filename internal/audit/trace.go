@@ -22,34 +22,25 @@ type traceEv struct {
 	gen   uint32
 }
 
-func (l *Ledger) trace(kind byte, label string, seq uint64, gen uint32) {
+func (l *ledger) trace(at sim.Time, kind byte, label string, seq uint64, gen uint32) {
 	if l.ring == nil {
 		l.ring = make([]traceEv, ringSize)
 	}
-	l.ring[l.ringAt] = traceEv{at: l.E.Now(), kind: kind, label: label, seq: seq, gen: gen}
+	l.ring[l.ringAt] = traceEv{at: at, kind: kind, label: label, seq: seq, gen: gen}
 	l.ringAt = (l.ringAt + 1) % len(l.ring)
 	if l.ringLen < len(l.ring) {
 		l.ringLen++
 	}
 }
 
-// traceNote records a coordinator-side note (a sweep). It lands
-// in the first ledger's ring so a serial run's dump stays byte-for-byte
-// what it was before sharding.
+// traceNote records a coordinator-side note (a sweep), stamped with the
+// Sim's clock.
 func (a *Auditor) traceNote(label string) {
-	l := a.def
-	if l == nil {
-		if len(a.ledgers) > 0 {
-			l = a.ledgers[0]
-		} else {
-			l = a.defLedger()
-		}
-	}
-	l.trace('N', label, 0, 0)
+	a.l.trace(a.E.Now(), 'N', label, 0, 0)
 }
 
 // writeRing renders the trace ring oldest-first.
-func (l *Ledger) writeRing(w io.Writer) {
+func (l *ledger) writeRing(w io.Writer) {
 	fmt.Fprintf(w, "trace ring (%d most recent events):\n", l.ringLen)
 	n := len(l.ring)
 	for i := l.ringLen; i >= 1; i-- {

@@ -38,9 +38,10 @@ func TestAdaptiveHorizonInvariance(t *testing.T) {
 }
 
 // TestShardInvarianceWithAudit repeats the invariance check with the
-// full audit harness attached: per-shard SKB ledgers, cross-shard
-// record handoffs at barriers, and coordinator-driven invariant sweeps
-// must not perturb a single simulated result either, serial or sharded.
+// full audit harness attached: the one SKB ledger written from every
+// LP, audit re-points on cross-shard arrival, and coordinator-driven
+// invariant sweeps must not perturb a single simulated result either,
+// serial or sharded.
 // mesh8 covers the mesh ring, which is audited through the same
 // harness as the testbeds. TestGoldenUnchangedWithAuditEnabled renders
 // fig10 and abl-chaos audited on the serial engine, so they run sharded

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync"
 
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
@@ -190,8 +189,8 @@ func (f *CoreOffline) Revert(*Injector) {
 // lookup attempt pays Latency and transiently fails with probability
 // FailRate (gossip-store churn during node restarts). Each consulting
 // host draws from its own generator, seeded off a base value taken from
-// the injector's stream at Apply time: hosts on different shards resolve
-// in an order that depends on the shard layout, and per-host streams make
+// the injector's stream at Apply time: within a window a sharded run
+// resolves hosts in LP order, not time order, and per-host streams make
 // the failure pattern a function of (host, attempt number) alone —
 // independent of shard layout and identical to the serial run.
 type KVFlaky struct {
@@ -199,9 +198,7 @@ type KVFlaky struct {
 	Latency  sim.Time
 	FailRate float64
 
-	base uint64
-
-	mu      sync.Mutex
+	base    uint64
 	streams map[proto.IPv4Addr]*sim.Rand
 }
 
@@ -211,9 +208,7 @@ func (f *KVFlaky) Name() string {
 
 func (f *KVFlaky) Apply(in *Injector) {
 	f.base = in.Rand().Uint64()
-	f.mu.Lock()
 	f.streams = make(map[proto.IPv4Addr]*sim.Rand)
-	f.mu.Unlock()
 	f.KV.SetFault(f)
 }
 
@@ -224,13 +219,11 @@ func (f *KVFlaky) Lookup(hostIP, _ proto.IPv4Addr) (sim.Time, bool) {
 	if f.FailRate <= 0 {
 		return f.Latency, false
 	}
-	f.mu.Lock()
 	r := f.streams[hostIP]
 	if r == nil {
 		r = sim.NewRand(f.base ^ (uint64(hostIP)+1)*0x9e3779b97f4a7c15)
 		f.streams[hostIP] = r
 	}
-	f.mu.Unlock()
 	return f.Latency, r.Float64() < f.FailRate
 }
 

@@ -67,11 +67,9 @@ type Host struct {
 	St *netdev.Stack
 	Rx *devices.RxPath
 
-	// Arena is the host's shard-local SKB/buffer allocator: the entire
-	// host datapath runs on one logical process, so frames recycle
-	// through single-owner free lists instead of the global sync.Pools.
-	// Cross-shard frames rehome at the cluster barrier (see
-	// remoteEgress.prep).
+	// Arena is the host's SKB allocator: every frame the host allocates
+	// recycles into it, on whichever host the frame is freed, instead of
+	// into the global sync.Pool.
 	Arena *skb.Arena
 
 	NIC    *devices.PNIC
@@ -146,7 +144,8 @@ type Host struct {
 	RxCacheStale  stats.Counter
 
 	// Audit, when non-nil, attaches every SKB the transmit path creates
-	// to the run's lifecycle ledger (see internal/audit).
+	// to the run's lifecycle ledger (see internal/audit), and takes over
+	// the frames that arrive from another shard.
 	Audit skb.Auditor
 	// OnSocketOpen observes every OpenUDP socket; the audit harness
 	// uses it to register receive queues and delivery counters.

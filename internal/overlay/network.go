@@ -82,32 +82,26 @@ func (n *Network) Connect(a, b *Host, rateBitsPerSec float64, delay sim.Time) {
 
 // remoteEgress adapts a cluster PostSource to devices.RemoteEgress: the
 // far end of a cross-shard link. Delivery runs on the receiving shard at
-// the frame's wire-arrival time; the prep step — run at the barrier,
-// with both shards parked — migrates the SKB's audit record to the
-// receiving host's ledger and rehomes its pool affinity to the receiving
-// host's arena (the frame will be freed on that shard). The closures are
-// built once so the per-frame send path does not allocate.
+// the frame's wire-arrival time and first re-points the frame's audit
+// hooks at the receiving host's tap, so its receive-side stages stamp
+// with that LP's clock. The closure is built once so the per-frame send
+// path does not allocate.
 type remoteEgress struct {
 	out     *sim.PostSource
-	dst     *Host
-	prep    func(any)
 	deliver func(any)
 }
 
 func newRemoteEgress(out *sim.PostSource, dst *Host) *remoteEgress {
-	r := &remoteEgress{out: out, dst: dst}
-	r.prep = func(v any) {
+	return &remoteEgress{out: out, deliver: func(v any) {
 		s := v.(*skb.SKB)
 		s.AuditHandoff(dst.Audit)
-		s.Rehome(dst.Arena)
-	}
-	r.deliver = func(v any) { dst.NIC.Arrive(v.(*skb.SKB)) }
-	return r
+		dst.NIC.Arrive(s)
+	}}
 }
 
 // Send implements devices.RemoteEgress.
 func (r *remoteEgress) Send(s *skb.SKB, arrival sim.Time) {
-	r.out.Post(arrival, r.prep, r.deliver, s)
+	r.out.Post(arrival, r.deliver, s)
 }
 
 // LinkTo returns the outgoing link from h toward the host owning dstIP.

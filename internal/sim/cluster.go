@@ -7,12 +7,15 @@ import (
 
 // Cluster is a conservative discrete-event engine partitioned into
 // logical processes (LPs; DESIGN.md §6): one Engine per shard, each
-// owning the complete state of the hosts mapped to it, plus a
+// scheduling the events of the hosts mapped to it, plus a
 // coordinator-owned global engine for control-plane events (experiment
 // samplers, fault windows, audit sweeps). Every LP runs on the
 // coordinator's goroutine, one after another in LP order, so a sharded
 // run is a determinism cross-check of the serial engine; its speed
-// comes from each LP's shorter slot list.
+// comes from each LP's shorter slot list. Nothing moves between LPs at
+// a barrier but the posted messages: state an LP touches on another
+// host's behalf (a freed SKB's arena, the audit ledger) is shared, not
+// handed off.
 //
 // Synchronization is a safe-horizon window barrier. Each cross-shard
 // send endpoint (Source) declares its link's minimum sender→receiver
@@ -91,17 +94,13 @@ type ClusterStats struct {
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
 // xmsg is one cross-shard message: run fn(arg) on the destination at
-// time at. prep, when set, runs on the coordinator at the drain — the
-// hook the audit layer and the SKB arenas use to hand a packet's ledger
-// record and buffer ownership from the source shard to the destination
-// shard while both are parked. key.schedAt is the sender's clock at
-// Post; key.seq is stamped on the destination at the drain.
+// time at. key.schedAt is the sender's clock at Post; key.seq is
+// stamped on the destination at the drain.
 type xmsg struct {
-	at   Time
-	key  Key
-	prep func(any)
-	fn   func(any)
-	arg  any
+	at  Time
+	key Key
+	fn  func(any)
+	arg any
 }
 
 // NewCluster returns a cluster with the given number of logical
@@ -276,7 +275,7 @@ func (c *Cluster) Source(src, dst *Engine, look Time) *PostSource {
 //     time), as links guarantee by clamping, so the inbox is in firing
 //     order. The send time is the sender's clock, which never goes
 //     back, so only the arrival needs comparing.
-func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
+func (p *PostSource) Post(at Time, fn func(any), arg any) {
 	if at < p.src.now+p.look {
 		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the lookahead horizon %v (lookahead overestimated)",
 			p.src.shard, p.src.now, at, p.src.now+p.look))
@@ -290,7 +289,7 @@ func (p *PostSource) Post(at Time, prep, fn func(any), arg any) {
 			p.src.shard, p.src.now, at, p.last))
 	}
 	p.last = at
-	p.out = append(p.out, xmsg{at: at, key: Key{schedAt: p.src.now}, prep: prep, fn: fn, arg: arg})
+	p.out = append(p.out, xmsg{at: at, key: Key{schedAt: p.src.now}, fn: fn, arg: arg})
 }
 
 // deliver is the inbox slot's callback: it pops the head, sets the slot
@@ -316,9 +315,6 @@ func (c *Cluster) drain() {
 	for _, p := range c.srcs {
 		for i := range p.out {
 			m := &p.out[i]
-			if m.prep != nil {
-				m.prep(m.arg)
-			}
 			m.key.seq = p.dst.stamp()
 			if p.in.Len() == 0 {
 				p.slot.SetKey(0, m.at, m.key)

@@ -168,7 +168,7 @@ func runClusterOrder(prog []byte, shards int) *orderRun {
 				sseq[pair]++
 				m := &orderMsg{dst: dst, src: pair, sseq: sseq[pair], schedAt: now}
 				if c != nil {
-					outs[pair].Post(at, nil, recv, m)
+					outs[pair].Post(at, recv, m)
 				} else {
 					serial.At(at, func() { recv(m) })
 				}

@@ -50,7 +50,7 @@ func (n *pdesNode) step() {
 		if n.out == nil {
 			n.next.e.At(at, func() { pdesRecv(n.next) })
 		} else {
-			n.out.Post(at, nil, pdesRecv, n.next)
+			n.out.Post(at, pdesRecv, n.next)
 		}
 	}
 	n.e.After(Time(160+8*n.rng.Intn(40)), n.step)
@@ -159,7 +159,7 @@ func TestClusterHorizonGuard(t *testing.T) {
 			t.Fatal("expected horizon-violation panic")
 		}
 	}()
-	src.Post(999, nil, func(any) {}, nil)
+	src.Post(999, func(any) {}, nil)
 }
 
 // TestClusterPostOutOfOrderPanics: an arrival before the previous one
@@ -169,8 +169,8 @@ func TestClusterPostOutOfOrderPanics(t *testing.T) {
 	c := NewCluster(1, 2, 1)
 	src := c.Source(c.Shard(0), c.Shard(1), 1000)
 	nop := func(any) {}
-	src.Post(2000, nil, nop, nil)
-	src.Post(2000, nil, nop, nil)
+	src.Post(2000, nop, nil)
+	src.Post(2000, nop, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -180,7 +180,7 @@ func TestClusterPostOutOfOrderPanics(t *testing.T) {
 			t.Fatalf("wrong panic: %v", r)
 		}
 	}()
-	src.Post(1999, nil, nop, nil)
+	src.Post(1999, nop, nil)
 }
 
 // TestClusterPending: Pending counts a cross-shard message from its
@@ -192,7 +192,7 @@ func TestClusterPending(t *testing.T) {
 	src := c.Source(c.Shard(0), c.Shard(1), 1000)
 	delivered := 0
 	for _, at := range []Time{1000, 1001, 1002} {
-		src.Post(at, nil, func(any) { delivered++ }, nil)
+		src.Post(at, func(any) { delivered++ }, nil)
 	}
 	for _, step := range []struct {
 		run       func()
@@ -221,7 +221,7 @@ func TestClusterPostAtHorizonOK(t *testing.T) {
 	out := c.Source(src, dst, 1000)
 	var deliveredAt Time = -1
 	src.After(0, func() {
-		out.Post(src.Now()+1000, nil, func(any) {
+		out.Post(src.Now()+1000, func(any) {
 			deliveredAt = dst.Now()
 		}, nil)
 	})
@@ -310,7 +310,7 @@ func staleClockTopology(adaptive bool) (*Cluster, *Time) {
 		// at=12_000 respects out's declared bound against s1's parked
 		// clock (0 + 10_000 <= 12_000) but the adaptive window runs to
 		// nexts[1] + 10_000 - 1 = 14_999, so the arrival is inside it.
-		out.Post(12_000, nil, func(any) { deliveredAt = s0.Now() }, nil)
+		out.Post(12_000, func(any) { deliveredAt = s0.Now() }, nil)
 	})
 	s1.After(5_000, func() {})
 	return c, &deliveredAt
@@ -362,13 +362,13 @@ func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats, uint64) {
 	rngA, rngC := c.Rand().Fork(), c.Rand().Fork()
 	var stepA, stepC func()
 	stepA = func() {
-		ab.Post(ae.Now()+8000+Time(rngA.Intn(100)), nil, func(any) {
+		ab.Post(ae.Now()+8000+Time(rngA.Intn(100)), func(any) {
 			trace = append(trace, fmt.Sprintf("a@%d", be.Now()))
 		}, nil)
 		ae.After(Time(150+rngA.Intn(100)), stepA)
 	}
 	stepC = func() {
-		cb.Post(ce.Now()+800+Time(rngC.Intn(100)), nil, func(any) {
+		cb.Post(ce.Now()+800+Time(rngC.Intn(100)), func(any) {
 			trace = append(trace, fmt.Sprintf("c@%d", be.Now()))
 		}, nil)
 		ce.After(Time(18_000+rngC.Intn(4_000)), stepC)
@@ -436,7 +436,7 @@ func BenchmarkClusterDrain(b *testing.B) {
 			at := base + 100
 			for k := 0; k < msgsPerSrc; k++ {
 				at += Time(rng.Intn(16))
-				s.Post(at, nil, nop, nil)
+				s.Post(at, nop, nil)
 			}
 		}
 		c.drain()
@@ -480,7 +480,7 @@ func TestClusterSlotsFireNothing(t *testing.T) {
 		runs := 0
 		slice = e.NewSlots(1, func(int) {
 			if runs++; runs%4 == 0 {
-				out.Post(e.Now()+1000, nil, func(any) { delivered[1-i]++ }, nil)
+				out.Post(e.Now()+1000, func(any) { delivered[1-i]++ }, nil)
 			}
 			slice.Set(0, e.Now()+100)
 		})

@@ -1,12 +1,11 @@
 package skb
 
-// Arena is a shard-local SKB allocator. The global sync.Pool is safe
-// for concurrent simulations but pays its synchronization on every get
-// and put; an Arena is a plain single-owner free list — each simulated
-// host gets one, and a host's entire datapath runs on one logical
-// process, so gets and puts never race. Cross-shard packets move their pool affinity at the cluster
-// barrier (SKB.Rehome, with every LP parked), so a frame always
-// recycles into the arena of the shard that freed it.
+// Arena is one host's SKB allocator. The global sync.Pool is safe for
+// concurrent simulations but pays its synchronization on every get and
+// put; an Arena is a plain free list. An SKB recycles into the arena of
+// the host that allocated it, wherever it is freed: every LP of a
+// sharded run runs on one goroutine, so a put from another host's LP
+// never races.
 //
 // The list is capped: overflow spills to the global pool (which also
 // serves as the miss path), so a bursty host cannot strand unbounded
@@ -59,10 +58,3 @@ func (a *Arena) put(s *SKB) {
 		skbPool.Put(s)
 	}
 }
-
-// Rehome moves the SKB's pool affinity to arena a (nil: the global
-// pools), so the eventual Free recycles into the shard that ran it.
-// Only call while the simulation is quiescent for this SKB — in
-// practice, from a cluster barrier's cross-shard drain, where both the
-// sending and receiving LPs are parked.
-func (s *SKB) Rehome(a *Arena) { s.arena = a }

@@ -157,12 +157,10 @@ type SKB struct {
 	freed bool
 	aud   Auditor
 
-	// arena, when non-nil, is the shard-local allocator that owns this
-	// SKB: Free returns the SKB and its buffer there instead of the
-	// global pools, so hot-path recycling touches only the host's own
-	// free list. It survives Free (the arena owns the
-	// pooled object) and moves at cluster barriers when the packet
-	// crosses a shard boundary (Rehome).
+	// arena, when non-nil, is the allocating host's free list: Free
+	// returns the SKB there instead of the global pool, on whichever
+	// host the packet ends. It survives Free (the arena owns the pooled
+	// object).
 	arena *Arena
 }
 
@@ -206,27 +204,14 @@ func (s *SKB) Audit(a Auditor, site string) {
 	a.SKBGet(s, site)
 }
 
-// Handoffer is implemented by auditors whose tracking state is
-// partitioned (per PDES shard): SKBHandoff moves the SKB's ledger
-// record from the implementing auditor to the destination auditor.
-type Handoffer interface {
-	SKBHandoff(s *SKB, to Auditor)
-}
-
-// AuditHandoff re-homes the SKB's audit tracking onto auditor `to` —
-// called at a cluster barrier when a frame crosses a shard boundary, so
-// subsequent Stage/Free hooks run against the shard-local ledger that
-// owns the receiving host. A no-op when untracked, already home, or
-// `to` is nil; if the current auditor implements Handoffer its ledger
-// record migrates along.
+// AuditHandoff re-points the SKB's lifecycle hooks at auditor to — the
+// receiving host's, when a frame crosses to another logical process, so
+// later stages stamp with that LP's clock. A no-op when untracked or to
+// is nil.
 func (s *SKB) AuditHandoff(to Auditor) {
-	if s.aud == nil || s.aud == to || to == nil {
-		return
+	if s.aud != nil && to != nil {
+		s.aud = to
 	}
-	if h, ok := s.aud.(Handoffer); ok {
-		h.SKBHandoff(s, to)
-	}
-	s.aud = to
 }
 
 // Stage records that the packet reached the named device stage. A no-op

@@ -85,10 +85,9 @@ func AuditHosts(e sim.Sim, hosts []*overlay.Host, cfg audit.Config) *audit.Audit
 
 	for _, h := range hosts {
 		h := h
-		// Each host attaches the ledger of its own shard engine, so the
-		// per-packet hooks stay lock-free; on a serial run both hosts
-		// resolve to the same single ledger.
-		h.Audit = a.LedgerFor(h.E)
+		// Each host writes the one ledger through a tap that stamps with
+		// its own engine's clock.
+		h.Audit = a.For(h.E)
 		h.OnSocketOpen = func(port uint16, sk *socket.Socket) {
 			name := fmt.Sprintf("%s:sock:%d", h.Name, port)
 			delivered.AddLHS(audit.T(name, sk.Consumed.Value))
