@@ -76,7 +76,6 @@ func run() int {
 		fuzzSeed    = flag.Uint64("fuzz-seed", 1, "with -fuzz: first fuzz seed")
 		oracleSel   = flag.String("oracles", "", "with -fuzz/-scenario: comma-separated oracle subset (default all)")
 		reproDir    = flag.String("repro-dir", ".", "with -fuzz: directory for shrunk reproducer files")
-		noShrink    = flag.Bool("no-shrink", false, "with -fuzz: skip minimization of violating scenarios")
 		scenarioF   = flag.String("scenario", "", "replay a scenario or fuzz-reproducer JSON file and exit")
 		fuzzDefect  = flag.String("fuzz-defect", "", "seed a known datapath defect (fuzzer self-test): drop-falcon-cpu")
 	)
@@ -143,8 +142,7 @@ func run() int {
 		}
 		return runFuzz(scenario.FuzzOptions{
 			Seeds: *seeds, StartSeed: *fuzzSeed, Oracles: sel,
-			ReproDir: *reproDir, NoShrink: *noShrink,
-			Workers: *fuzzWorkers, ExtraArgs: extra,
+			ReproDir: *reproDir, Workers: *fuzzWorkers, ExtraArgs: extra,
 		})
 	}
 

@@ -62,3 +62,20 @@ func BenchmarkMeshShards(b *testing.B) {
 		}
 	}
 }
+
+// TestMeshShardsWindows pins the window count of the quick 8-host ring
+// BenchmarkMeshShards times, at 4 LPs and at one LP per host: every
+// window is [tLP, tLP+L-1] with L the 20 µs link lookahead, so both
+// layouts cut the same 749. A change that adds barriers fails here
+// rather than showing up only as a slower benchmark.
+func TestMeshShardsWindows(t *testing.T) {
+	const hosts = 8
+	for _, shards := range []int{4, hosts} {
+		opt := Options{Seed: 1, Quick: true, Shards: shards}
+		e := meshSim(opt, hosts)
+		runMesh(e, opt, hosts)
+		if got := e.(*sim.Cluster).Stats().Windows; got != 749 {
+			t.Errorf("%d LPs: %d windows, want 749", shards, got)
+		}
+	}
+}

@@ -23,16 +23,14 @@ func TestShardInvariance(t *testing.T) {
 	)
 }
 
-// TestAdaptiveHorizonInvariance pins the adaptive safe-horizon windows
-// to the serial semantics: mesh8 — the topology where every shard both
-// sends and receives and per-link bounds actually feed the adaptive
-// derivation — prints its serial golden byte for byte on a 4-shard
-// cluster, whose windows are cut by the adaptive horizon. Window
-// placement is a pure scheduling concern; it must never leak into a
-// simulated result. (TestShardInvariance covers mesh8 at 2 and 8
-// shards; the static-bound reference the adaptive windows are compared
-// against lives in internal/sim's own tests, e.g.
-// TestClusterAdaptiveWindowsWider.)
+// TestAdaptiveHorizonInvariance pins the safe-horizon windows to the
+// serial semantics: mesh8 — the topology where every shard both sends
+// and receives — prints its serial golden byte for byte on a 4-shard
+// cluster, where two hosts share each LP. Window placement is a pure
+// scheduling concern; it must never leak into a simulated result.
+// (TestShardInvariance covers mesh8 at 2 and 8 shards; internal/sim's
+// TestClusterAdaptiveWindowsWider holds a cluster with unequal
+// lookaheads to the serial engine.)
 func TestAdaptiveHorizonInvariance(t *testing.T) {
 	matchGolden(t, plain, goldenRow{"mesh8", []int{4}})
 }

@@ -38,10 +38,10 @@ type Step struct {
 }
 
 // chain is the recycled state of one RunChain invocation. Steps are
-// copied into the inline array (the datapath's chains are at most 2–3
-// steps), so caller step-slice literals never escape, and the
-// continuation passed to Exec is the cached self method value — the
-// whole multi-step charge sequence costs zero allocations per packet.
+// copied into the inline array (the datapath's chains are 2 steps), so
+// caller step-slice literals never escape, and the continuation passed
+// to Exec is the cached self method value — the whole multi-step charge
+// sequence costs zero allocations per packet.
 // Chains recycle through their stack's free list.
 type chain struct {
 	st   *Stack
@@ -72,9 +72,10 @@ func (ch *chain) step() {
 
 // RunChain executes steps sequentially on c in context ctx, charging each
 // through the machine's cost model, then calls then (which may be nil).
-// Chain state recycles through the stack's single-owner free list: every
-// chain a stack runs starts and finishes on the stack's own PDES shard,
-// so a plain list works without atomics.
+// A chain holds at most 4 steps; a longer one panics. Chain state
+// recycles through the stack's single-owner free list: every chain a
+// stack runs starts and finishes on the stack's own PDES shard, so a
+// plain list works without atomics.
 func (st *Stack) RunChain(c *cpu.Core, ctx stats.CPUContext, steps []Step, then func()) {
 	if len(steps) == 0 {
 		if then != nil {
@@ -83,17 +84,7 @@ func (st *Stack) RunChain(c *cpu.Core, ctx stats.CPUContext, steps []Step, then 
 		return
 	}
 	if len(steps) > len(chain{}.buf) {
-		// Long chains fall back to the recursive form (none exist on the
-		// datapath today). The remainder is copied so the closure never
-		// captures the caller's slice: keeping the steps parameter
-		// non-escaping is what lets every per-packet step literal on the
-		// hot path live on the caller's stack.
-		rest := make([]Step, len(steps)-1)
-		copy(rest, steps[1:])
-		c.Exec(ctx, steps[0].Fn, steps[0].Bytes, func() {
-			st.RunChain(c, ctx, rest, then)
-		})
-		return
+		panic(fmt.Sprintf("netdev: RunChain with %d steps; a chain holds at most %d", len(steps), len(chain{}.buf)))
 	}
 	ch := st.chains
 	if ch == nil {

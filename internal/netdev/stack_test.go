@@ -1,6 +1,8 @@
 package netdev
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"falcon/internal/costmodel"
@@ -209,6 +211,26 @@ func TestRunChainEmpty(t *testing.T) {
 	if !ran {
 		t.Fatal("empty chain did not call then")
 	}
+}
+
+// TestRunChainTooLongPanics: a chain longer than the inline step buffer
+// is a caller bug, reported with the limit rather than run.
+func TestRunChainTooLongPanics(t *testing.T) {
+	_, st := newStack(1)
+	steps := make([]Step, 5)
+	for i := range steps {
+		steps[i] = Step{Fn: costmodel.FnIPRcv}
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("5-step chain did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(r), "at most 4") {
+			t.Fatalf("wrong panic: %v", r)
+		}
+	}()
+	st.RunChain(st.M.Core(0), stats.CtxSoftIRQ, steps, nil)
 }
 
 func TestPipelinedStagesRunConcurrently(t *testing.T) {

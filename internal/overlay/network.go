@@ -70,8 +70,9 @@ func (n *Network) Connect(a, b *Host, rateBitsPerSec float64, delay sim.Time) {
 		ab.Deliver = b.NIC.Arrive
 		ba.Deliver = a.NIC.Arrive
 	} else {
-		// Each direction declares its own link's minimum latency, so
-		// adaptive horizons can stretch windows past the slowest pair.
+		// Each direction declares its own link's minimum latency; the
+		// cluster's windows are as wide as the smallest of them, and
+		// Post holds each frame to its own link's bound.
 		cl := n.E.(*sim.Cluster)
 		ab.Remote = newRemoteEgress(cl.Source(a.E, b.E, ab.Lookahead()), b)
 		ba.Remote = newRemoteEgress(cl.Source(b.E, a.E, ba.Lookahead()), a)

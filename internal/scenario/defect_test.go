@@ -86,7 +86,7 @@ func TestFuzzFindsSeededDefect(t *testing.T) {
 	dir := t.TempDir()
 	withDefect(t, func() {
 		failures, err := Fuzz(FuzzOptions{
-			Seeds: 12, Workers: 4, NoShrink: true, ReproDir: dir,
+			Seeds: 12, Workers: 4, ReproDir: dir,
 			ExtraArgs: "-fuzz-defect drop-falcon-cpu",
 		})
 		if err != nil {

@@ -50,8 +50,6 @@ type FuzzOptions struct {
 	Oracles []string
 	// ReproDir receives reproducer files (default ".").
 	ReproDir string
-	// NoShrink skips minimization (reproducers carry the raw scenario).
-	NoShrink bool
 	// Workers runs seeds concurrently (each scenario run owns its
 	// engine; runs share nothing but buffer pools). Default 1.
 	Workers int
@@ -147,16 +145,12 @@ func fuzzOne(opt FuzzOptions, seed uint64) (out seedResult) {
 		if v == nil {
 			continue
 		}
-		min, note := sc, ""
-		if !opt.NoShrink {
-			var checks int
-			min, checks = Shrink(sc, o.Name, shrinkBudget)
-			note = "  " + ShrinkSummary(sc, min, checks) + "\n"
-			// Re-derive the violation detail from the minimal scenario
-			// when it still reproduces cleanly.
-			if mv := CheckOracle(o, NewCtx(min)); mv != nil {
-				v = mv
-			}
+		min, checks := Shrink(sc, o.Name, shrinkBudget)
+		note := "  " + ShrinkSummary(sc, min, checks) + "\n"
+		// Re-derive the violation detail from the minimal scenario when
+		// it still reproduces cleanly.
+		if mv := CheckOracle(o, NewCtx(min)); mv != nil {
+			v = mv
 		}
 		path, err := writeRepro(opt, seed, *v, min)
 		if err != nil {

@@ -61,13 +61,12 @@ func TestCorpusShardInvariance(t *testing.T) {
 // TestCorpusAdaptiveShardInvariance replays two fuzz-corpus scenarios
 // — the dense steady-datapath flood and the hardest reconfig shape
 // (graceful drain with twin handoff) — serially and on a 2-shard
-// cluster, whose windows are cut by the adaptive safe horizon, and
-// requires the cluster to execute exactly the serial run's events
-// (fired plus inlined) plus one posted delivery per cross-shard
-// message: adaptive horizons may only move window barriers, never add,
-// drop or repeat an event. Traffic stops at the window end and both
-// runs go on for a drain tail, so no cross-shard message is still in
-// flight when they are compared.
+// cluster, whose windows are cut by the safe horizon, and requires the
+// cluster to execute exactly the serial run's events (fired plus
+// inlined) plus one posted delivery per cross-shard message: windows
+// may only place barriers, never add, drop or repeat an event. Traffic
+// stops at the window end and both runs go on for a drain tail, so no
+// cross-shard message is still in flight when they are compared.
 func TestCorpusAdaptiveShardInvariance(t *testing.T) {
 	for _, name := range []string{"det-udp-flood.json", "reconfig-drain.json"} {
 		name := name

@@ -17,26 +17,17 @@ import (
 // host's behalf (a freed SKB's arena, the audit ledger) is shared, not
 // handed off.
 //
-// Synchronization is a safe-horizon window barrier. Each cross-shard
-// send endpoint (Source) declares its link's minimum sender→receiver
-// latency (serialization of an empty frame + propagation delay) as its
-// lookahead. Each iteration the coordinator computes the earliest
-// pending LP event t and a window end E such that no cross-shard frame
-// sent during [t, E] can arrive at or before E: with adaptive horizons
-// (the default) E is the minimum over busy shards of (next event + that
-// shard's minimum outgoing lookahead) - 1, which degenerates to the
-// classic uniform [t, t+L-1] when every shard is busy and every
-// source's lookahead equals the minimum L, and widens — often
-// dramatically — when cross-shard senders are idle or their lookaheads
-// exceed L.
-// Frames sent across a shard boundary during the window therefore
-// never preempt a running LP: they park in per-source outboxes and the
-// coordinator moves them into per-source inboxes on the destination
-// engines at the barrier, where each inbox's head waits in one group
-// slot, as a link's head-of-wire frame does.
-// The widening is provably safe (DESIGN.md §6) and additionally
-// *checked*: Post panics if an arrival ever lands inside the window
-// that produced it.
+// Synchronization is a safe-horizon window barrier (DESIGN.md §6.1).
+// Each cross-shard send endpoint (Source) declares its link's minimum
+// sender→receiver latency as its lookahead, and L is the minimum over
+// all of them. Each window runs every LP from the earliest pending LP
+// event tLP to min(deadline, tLP+L-1, tG-1), tG being the next global
+// event: nothing sent at or after tLP can arrive inside it. Frames sent
+// across a shard boundary during the window therefore never preempt a
+// running LP: they park in per-source outboxes and the coordinator
+// moves them into per-source inboxes on the destination engines at the
+// barrier, where each inbox's head waits in one group slot, as a link's
+// head-of-wire frame does. Post checks every send against the rule.
 //
 // Determinism, for any shard count:
 //   - LPs share one construction-time root RNG (NewShared), so every
@@ -51,8 +42,7 @@ import (
 //     different shards always tie-break identically.
 //   - Window boundaries do not influence that order: messages with
 //     equal arrival and send time were sent in the same window and are
-//     stamped in the same drain, so adaptive and fixed horizons
-//     produce byte-identical schedules.
+//     stamped in the same drain.
 //   - Global events at time g run with every LP parked at g, before
 //     any LP event at g — matching the serial engine, where control
 //     events are construction-scheduled and hence carry lower
@@ -64,10 +54,7 @@ type Cluster struct {
 	look   Time // minimum lookahead over all sources; 0 while there are none
 
 	srcs   []*PostSource // by id: construction order
-	outMin []Time        // per shard: its sources' minimum lookahead (maxTime: none)
-
-	adaptive bool // adaptive horizons; off only in tests (static reference)
-	curEnd   Time // current window end; -1 outside windows (Post guard)
+	curEnd Time          // current window end; -1 outside windows (Post guard)
 
 	nexts   []Time // per-LP NextAt cache for the window scan
 	stats   ClusterStats
@@ -115,16 +102,12 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 	if shards < 1 {
 		shards = 1
 	}
-	c := &Cluster{root: NewRand(seed), adaptive: true, curEnd: -1}
+	c := &Cluster{root: NewRand(seed), curEnd: -1}
 	c.global = NewShared(c.root)
 	c.lps = make([]*Engine, shards)
 	for i := range c.lps {
 		c.lps[i] = NewShared(c.root)
 		c.lps[i].shard = i
-	}
-	c.outMin = make([]Time, shards)
-	for i := range c.outMin {
-		c.outMin[i] = maxTime
 	}
 	c.nexts = make([]Time, shards)
 	return c
@@ -255,7 +238,6 @@ func (c *Cluster) Source(src, dst *Engine, look Time) *PostSource {
 	p := &PostSource{c: c, src: src, dst: dst, look: look}
 	p.slot = dst.NewSlots(1, p.deliver)
 	c.srcs = append(c.srcs, p)
-	c.outMin[src.shard] = min(c.outMin[src.shard], look)
 	if c.look == 0 || look < c.look {
 		c.look = look
 	}
@@ -269,8 +251,9 @@ func (c *Cluster) Source(src, dst *Engine, look Time) *PostSource {
 //   - the arrival respects the endpoint's advertised lookahead — a
 //     violation means a link advertised a latency it can undercut,
 //     which would corrupt causality;
-//   - the arrival lands strictly after the current window — the
-//     adaptive horizon's safety argument, checked rather than assumed;
+//   - the arrival lands strictly after the current window — which the
+//     first check cannot see when the post goes through another LP's
+//     endpoint while that LP's clock still lags the window start;
 //   - arrivals through one source never go backwards in (arrival, send
 //     time), as links guarantee by clamping, so the inbox is in firing
 //     order. The send time is the sender's clock, which never goes
@@ -281,7 +264,7 @@ func (p *PostSource) Post(at Time, fn func(any), arg any) {
 			p.src.shard, p.src.now, at, p.src.now+p.look))
 	}
 	if end := p.c.curEnd; end >= 0 && at <= end {
-		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the active window ending %v (adaptive horizon unsafe)",
+		panic(fmt.Sprintf("sim: cross-shard message from shard %d at %v arrives %v, inside the active window ending %v (endpoint's clock lags the window)",
 			p.src.shard, p.src.now, at, end))
 	}
 	if at < p.last {
@@ -347,31 +330,6 @@ func (c *Cluster) minNext() (Time, bool) {
 	return t, ok
 }
 
-// adaptiveEnd returns the widest provably safe window end: one less
-// than the earliest cross-shard arrival any busy shard could produce
-// (its next pending event plus its minimum outgoing lookahead). Idle
-// shards cannot send mid-window (nothing can wake an LP between
-// barriers), and shards with no outgoing sources cannot send at all,
-// so neither constrains the window. Always ≥ the static tLP+L-1 —
-// every per-shard term is ≥ tLP + L.
-func (c *Cluster) adaptiveEnd() Time {
-	end := maxTime
-	for i := range c.lps {
-		n := c.nexts[i]
-		if n == maxTime {
-			continue
-		}
-		l := c.outMin[i]
-		if l >= maxTime-n {
-			continue
-		}
-		if e := n + l - 1; e < end {
-			end = e
-		}
-	}
-	return end
-}
-
 // Run executes events until none remain anywhere or Stop is called.
 func (c *Cluster) Run() { c.run(maxTime, false) }
 
@@ -411,16 +369,10 @@ func (c *Cluster) run(deadline Time, park bool) {
 		// event.
 		end := deadline
 		if c.look > 0 {
-			if c.adaptive {
-				if e := c.adaptiveEnd(); e < end {
-					end = e
-				}
-			} else if tLP+c.look-1 < end {
-				end = tLP + c.look - 1
-			}
+			end = min(end, tLP+c.look-1)
 		}
-		if okG && tG-1 < end {
-			end = tG - 1
+		if okG {
+			end = min(end, tG-1)
 		}
 		c.runWindow(end)
 		c.global.SetClock(end)

@@ -286,126 +286,126 @@ func TestClusterBudget(t *testing.T) {
 	c.RunUntil(1_000_000)
 }
 
-// setAdaptive toggles adaptive safe-horizon windows. On (the default),
-// window ends are derived per-window from each busy shard's next event
-// and its sources' lookaheads; off, every window is clipped to the
-// minimum lookahead over all sources. The static bound is the reference these tests hold
-// the adaptive derivation to: the event schedule must be byte-identical
-// either way.
-func (c *Cluster) setAdaptive(on bool) { c.adaptive = on }
-
-// staleClockTopology builds the one hazard the adaptive horizon adds
-// over the static one: shard 0 sends through shard 1's endpoint while
-// shard 1 is still parked at the barrier. The per-endpoint lookahead
-// check is computed against the endpoint's own (stale) clock, so the
-// arrival can land inside a window that was widened using shard 1's
-// next *pending* event — which is later than its clock.
-func staleClockTopology(adaptive bool) (*Cluster, *Time) {
+// staleClockTopology builds the one hazard the lookahead check cannot
+// see: shard 0 sends through shard 1's endpoint while shard 1 is still
+// parked at the barrier. The lookahead check is computed against the
+// endpoint's own (stale) clock, 0, so an arrival at 12 µs passes it
+// (0 + 10 µs <= 12 µs) whenever shard 0 posts. Shard 0 posts at fireAt,
+// the earliest LP event, so the window runs to fireAt + 10 µs - 1 ns.
+func staleClockTopology(fireAt Time) (*Cluster, *Time) {
 	c := NewCluster(1, 2, 1)
-	c.setAdaptive(adaptive)
 	s0, s1 := c.Shard(0), c.Shard(1)
 	out := c.Source(s1, s0, 10_000)
 	deliveredAt := Time(-1)
-	s0.After(0, func() {
-		// at=12_000 respects out's declared bound against s1's parked
-		// clock (0 + 10_000 <= 12_000) but the adaptive window runs to
-		// nexts[1] + 10_000 - 1 = 14_999, so the arrival is inside it.
+	s0.After(fireAt, func() {
 		out.Post(12_000, func(any) { deliveredAt = s0.Now() }, nil)
 	})
 	s1.After(5_000, func() {})
 	return c, &deliveredAt
 }
 
-// TestClusterAdaptiveGuard: the runtime check behind the adaptive
-// horizon's safety argument. A stale-clock post that would land inside
-// the active window must abort deterministically rather than deliver a
-// message the window's derivation assumed impossible.
+// TestClusterAdaptiveGuard: the window guard in Post. With shard 0's
+// event at 3 µs the window is [3000, 12999], so the stale-clock post's
+// 12000 ns arrival lands inside it and must abort deterministically
+// rather than deliver a message into a window already under way.
 func TestClusterAdaptiveGuard(t *testing.T) {
-	c, _ := staleClockTopology(true)
+	c, _ := staleClockTopology(3_000)
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("stale-clock post inside the adaptive window did not panic")
+			t.Fatal("stale-clock post inside the active window did not panic")
 		}
-		if !strings.Contains(fmt.Sprint(r), "adaptive horizon unsafe") {
+		if !strings.Contains(fmt.Sprint(r), "endpoint's clock lags the window") {
 			t.Fatalf("wrong panic: %v", r)
 		}
 	}()
 	c.RunUntil(100_000)
 }
 
-// TestClusterAdaptiveGuardFixedOK: the same post is legal under static
-// horizons (windows never extend past tLP+L-1, so the arrival is
-// outside every window) and must be delivered at its exact time — the
-// guard rejects only what the adaptive derivation cannot prove safe.
+// TestClusterAdaptiveGuardFixedOK: the same post made at time 0 is
+// legal (the window is [0, 9999], so the arrival is outside every
+// window) and must be delivered at its exact time — the guard rejects
+// only arrivals inside the window that produced them.
 func TestClusterAdaptiveGuardFixedOK(t *testing.T) {
-	c, deliveredAt := staleClockTopology(false)
+	c, deliveredAt := staleClockTopology(0)
 	c.RunUntil(100_000)
 	if *deliveredAt != 12_000 {
-		t.Fatalf("stale-clock post delivered at %v under static horizons, want 12000", *deliveredAt)
+		t.Fatalf("stale-clock post delivered at %v, want 12000", *deliveredAt)
 	}
 }
 
-// runAsym is a workload where adaptive horizons should pay off: shard 0
-// steps densely but declares a wide outgoing lookahead (8000ns), while
+// runAsym runs a workload whose sources declare unequal lookaheads:
+// shard 0 steps densely with a wide outgoing lookahead (8000ns), while
 // shard 2 steps rarely with a tight one (800ns), the minimum over all
-// sources. Static windows are clipped to that 800ns on every round;
-// adaptive windows stretch to shard 0's declared lookahead whenever
-// shard 2's next event is far away. Shard 1 only receives.
-func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats, uint64) {
+// sources, which bounds every window. Shard 1 only receives. Senders
+// stop 20 µs before the end, so every message is delivered. With
+// serial set, the same workload runs on the serial engine, each post
+// an At event on the receiver. It returns the delivery trace, the
+// deliveries and the executed events (fired plus inlined).
+func runAsym(t *testing.T, serial bool) ([]string, uint64, uint64) {
 	t.Helper()
-	c := NewCluster(5, 3, 1)
-	c.setAdaptive(adaptive)
-	ae, be, ce := c.Shard(0), c.Shard(1), c.Shard(2)
-	ab, cb := c.Source(ae, be, 8000), c.Source(ce, be, 800)
+	var s Sim = New(5)
+	if !serial {
+		s = NewCluster(5, 3, 1)
+	}
+	ae, be, ce := s.Shard(0), s.Shard(1), s.Shard(2)
+	post := func(src *Engine, look Time) func(Time, func(any)) {
+		if serial {
+			return func(at Time, fn func(any)) { be.At(at, func() { fn(nil) }) }
+		}
+		out := s.(*Cluster).Source(src, be, look)
+		return func(at Time, fn func(any)) { out.Post(at, fn, nil) }
+	}
+	ab, cb := post(ae, 8000), post(ce, 800)
 	var trace []string
-	rngA, rngC := c.Rand().Fork(), c.Rand().Fork()
+	rngA, rngC := s.Rand().Fork(), s.Rand().Fork()
 	var stepA, stepC func()
 	stepA = func() {
-		ab.Post(ae.Now()+8000+Time(rngA.Intn(100)), func(any) {
+		ab(ae.Now()+8000+Time(rngA.Intn(100)), func(any) {
 			trace = append(trace, fmt.Sprintf("a@%d", be.Now()))
-		}, nil)
-		ae.After(Time(150+rngA.Intn(100)), stepA)
+		})
+		if ae.Now() < 280_000 {
+			ae.After(Time(150+rngA.Intn(100)), stepA)
+		}
 	}
 	stepC = func() {
-		cb.Post(ce.Now()+800+Time(rngC.Intn(100)), func(any) {
+		cb(ce.Now()+800+Time(rngC.Intn(100)), func(any) {
 			trace = append(trace, fmt.Sprintf("c@%d", be.Now()))
-		}, nil)
-		ce.After(Time(18_000+rngC.Intn(4_000)), stepC)
+		})
+		if ce.Now() < 280_000 {
+			ce.After(Time(18_000+rngC.Intn(4_000)), stepC)
+		}
 	}
 	ae.After(0, stepA)
 	ce.After(7, stepC)
-	c.RunUntil(300_000)
-	return trace, c.Stats(), c.Fired() + c.Inlined()
+	s.RunUntil(300_000)
+	msgs := uint64(len(trace))
+	if cl, ok := s.(*Cluster); ok {
+		msgs = cl.Stats().Msgs
+	}
+	return trace, msgs, s.Fired() + s.Inlined()
 }
 
-// TestClusterAdaptiveWindowsWider is the perf property of adaptive
-// horizons, asserted rather than eyeballed: on the asymmetric workload
-// the adaptive run needs a small fraction of the static run's barriers,
-// and the delivery schedule stays byte-identical — windows change, the
-// simulation does not. Both runs are sharded, so the executed events
-// (fired plus inlined) must match too: adaptive horizons may only move
-// window barriers, never an event.
+// TestClusterAdaptiveWindowsWider: sources with unequal lookaheads are
+// legal, and the 3-LP run of runAsym delivers exactly the serial
+// engine's schedule: the same trace, every posted message delivered
+// once, and the same executed events (a delivery is an At event
+// serially and an inbox slot run on the cluster, one each).
 func TestClusterAdaptiveWindowsWider(t *testing.T) {
-	fixedTrace, fixedStats, fixedExec := runAsym(t, false)
-	adptTrace, adptStats, adptExec := runAsym(t, true)
-	if len(fixedTrace) == 0 {
+	serialTrace, _, serialExec := runAsym(t, true)
+	trace, msgs, exec := runAsym(t, false)
+	if len(serialTrace) == 0 {
 		t.Fatal("workload produced no deliveries")
 	}
-	if !reflect.DeepEqual(adptTrace, fixedTrace) {
-		t.Fatalf("delivery schedule changed under adaptive horizons\nfixed:    %v\nadaptive: %v",
-			fixedTrace, adptTrace)
+	if !reflect.DeepEqual(trace, serialTrace) {
+		t.Fatalf("delivery schedule differs from the serial engine\nserial:  %v\nsharded: %v",
+			serialTrace, trace)
 	}
-	if adptStats.Msgs != fixedStats.Msgs {
-		t.Fatalf("cross-shard message count changed: fixed %d, adaptive %d",
-			fixedStats.Msgs, adptStats.Msgs)
+	if msgs != uint64(len(trace)) {
+		t.Fatalf("%d cross-shard messages for %d deliveries", msgs, len(trace))
 	}
-	if adptExec != fixedExec {
-		t.Fatalf("executed events changed: fixed %d, adaptive %d", fixedExec, adptExec)
-	}
-	if 2*adptStats.Windows >= fixedStats.Windows {
-		t.Fatalf("adaptive horizons did not widen windows: %d windows adaptive vs %d static",
-			adptStats.Windows, fixedStats.Windows)
+	if exec != serialExec {
+		t.Fatalf("executed events: serial %d, sharded %d", serialExec, exec)
 	}
 }
 
